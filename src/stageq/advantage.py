@@ -28,11 +28,14 @@ theory values -- at desk scale they keep bonuses larger than any value gap
 configs routinely shrink c1..c3 or override N0; every knob is explicit.
 
 All counts, accumulators and tables live in flat Python lists for hot-loop
-speed (about 1 us/step); numpy views are exported on demand.
+speed; numpy views are exported on demand.  run_episode fuses sampling and
+observe into one loop; the base-class path (sample_episode feeding observe)
+stays as the reference it must match bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import log, sqrt
 from typing import Optional
@@ -116,13 +119,21 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self.schedule = schedule if schedule is not None else build_schedule(H, n_max)
         if self.schedule.H != H:
             raise ValueError("schedule horizon does not match the MDP")
-        self._ends = self.schedule.end_set()
         self._n_max = self.schedule.n_max
 
         c = self.constants
-        self._iota = c.iota
-        self._iota34 = c.iota ** 0.75
+        self._iota = iota = c.iota
+        iota34 = iota ** 0.75
         self._n0 = c.reference_trigger(S, A, H)
+        # At the stage end with visit count n = ends[j] the stage count is
+        # nc = lengths[j], so the c3 lower-order term and the Hoeffding width
+        # depend on n alone.  Keyed by n, plain ints, same expressions as
+        # the update always used (np.power rounds differently).
+        self._stage_consts = {
+            n: (c.c3 * (H * iota / n + H * iota / nc
+                        + H * iota34 / n ** 0.75 + H * iota34 / nc ** 0.75),
+                hoeffding_width(H, iota, nc))
+            for n, nc in zip(self.schedule._end_list, self.schedule.lengths.tolist())}
 
         # reference table with zero boundary row, and the five stage/global
         # accumulators: mu_chk/ups_chk/sig_chk reset each stage end,
@@ -165,10 +176,10 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._mu_ref[i3] += vref_next
         self._sig_ref[i3] += vref_next * vref_next
 
-        stage_end = n in self._ends
+        stage_end = n in self._stage_consts
         q_changed = False
         if stage_end:
-            q_changed = self._stage_update(h, s, a, i3)
+            q_changed = self._stage_update(i2, i3)
 
         ref_fixed_now = False
         ns = self._n_state[i2] + 1
@@ -184,27 +195,25 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         """Public stage update; requires the visit count to be a stage end."""
         i3 = (h * self.S + s) * self.A + a
         n = self._n[i3]
-        if n < 1 or n not in self._ends:
+        if n < 1 or n not in self._stage_consts:
             raise NotAtStageEnd(f"N[h={h}][s={s}][a={a}] = {n} is not a stage end")
-        return self._stage_update(h, s, a, i3)
+        return self._stage_update(h * self.S + s, i3)
 
-    def _stage_update(self, h, s, a, i3) -> bool:
+    def _stage_update(self, i2, i3) -> bool:
         """min{Hoeffding target, reference-advantage target, old Q}; then
         V_h(s) = max_a Q_h(s, a) and the stage accumulators reset."""
         c = self.constants
-        iota, iota34 = self._iota, self._iota34
+        iota = self._iota
         n = self._n[i3]
         nc = self._nchk[i3]
+        lower, b_bar = self._stage_consts[n]
         mu_ref_bar = safe_ratio(self._mu_ref[i3], n)
         nu_ref = max(0.0, safe_ratio(self._sig_ref[i3], n) - mu_ref_bar * mu_ref_bar)
         mu_chk_bar = safe_ratio(self._mu_chk[i3], nc)
         nu_chk = max(0.0, safe_ratio(self._sig_chk[i3], nc) - mu_chk_bar * mu_chk_bar)
-        H = self.H
         b = (c.c1 * sqrt(nu_ref * iota / n)
              + c.c2 * sqrt(nu_chk * iota / nc)
-             + c.c3 * (H * iota / n + H * iota / nc
-                       + H * iota34 / n ** 0.75 + H * iota34 / nc ** 0.75))
-        b_bar = hoeffding_width(H, iota, nc)
+             + lower)
         r = self._rew[i3]
         cand = r + safe_ratio(self._ups_chk[i3], nc) + b_bar
         cand2 = r + mu_ref_bar + mu_chk_bar + b
@@ -212,16 +221,10 @@ class UcbAdvantageLearner(TabularQLearnerBase):
             cand = cand2
 
         self.stage_end_count += 1
-        q = self._q
-        changed = cand < q[i3]
+        changed = cand < self._q[i3]
         if changed:
-            q[i3] = cand
-            base = i3 - a
-            best = q[base]
-            for j in range(1, self.A):
-                if q[base + j] > best:
-                    best = q[base + j]
-            self._v[h * self.S + s] = best
+            self._q[i3] = cand
+            self._v[i2] = self._row_max(i2)
             self.q_update_count += 1
 
         self._nchk[i3] = 0
@@ -229,6 +232,59 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._ups_chk[i3] = 0.0
         self._sig_chk[i3] = 0.0
         return changed
+
+    def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
+        """Roll out one episode, learning online; returns (traj, EpisodeReport).
+
+        sample_episode with observe inlined: the same uniform per step, the
+        same trajectory and the same table updates in the same order as the
+        base-class path, with the table lists bound to locals once.
+        """
+        S, A = self.S, self.A
+        cum = mdp.cum_rows()
+        rew = mdp.reward_rows()
+        greedy, v, vref, visits = self._greedy, self._v, self._vref, self._n
+        nchk, mu_chk, ups_chk, sig_chk = self._nchk, self._mu_chk, self._ups_chk, self._sig_chk
+        mu_ref, sig_ref = self._mu_ref, self._sig_ref
+        n_state, ref_fixed = self._n_state, self._ref_fixed
+        stage_consts, n_max, n0 = self._stage_consts, self._n_max, self._n0
+        random = rng.random
+        e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
+        s = mdp.initial_state(episode_index)
+        traj = []
+        for h in range(self.H):
+            i2 = h * S + s
+            a = greedy[i2]
+            s_next = bisect_right(cum[h][s][a], random())
+            traj.append((s, a, rew[h][s][a], s_next))
+
+            i3 = i2 * A + a
+            vi = (h + 1) * S + s_next
+            v_next = v[vi]
+            vref_next = vref[vi]
+            d = v_next - vref_next
+            n = visits[i3] + 1
+            visits[i3] = n
+            if n > n_max:
+                raise OutOfRangeError(n, n_max)
+            nchk[i3] += 1
+            mu_chk[i3] += d
+            ups_chk[i3] += v_next
+            sig_chk[i3] += d * d
+            mu_ref[i3] += vref_next
+            sig_ref[i3] += vref_next * vref_next
+            if n in stage_consts:
+                self._stage_update(i2, i3)
+            ns = n_state[i2] + 1
+            n_state[i2] = ns
+            if ns >= n0 and not ref_fixed[i2]:
+                vref[i2] = v[i2]
+                ref_fixed[i2] = True
+                self.ref_fixed_count += 1
+            s = s_next
+        return traj, EpisodeReport(stage_ends=self.stage_end_count - e0,
+                                   q_updates=self.q_update_count - u0,
+                                   refs_fixed=self.ref_fixed_count - r0)
 
     # ----------------------------------------------------------- exports
 

@@ -8,6 +8,13 @@ never its transition kernels.  Subclasses implement observe(h, s, a,
 s_next) -> (stage_end, q_changed, ref_fixed_now) and keep the cumulative
 counters stage_end_count / q_update_count / ref_fixed_count current, which
 is what run_episode's report is derived from.
+
+The greedy policy is kept as state rather than recomputed: _greedy holds
+the lowest-index argmax of every Q row, one entry per flat (h, s) index.
+Every write to Q goes through _row_max, which rescans that one row and
+refreshes its _greedy entry, so select_action is a list read.
+greedy_actions_flat returns a copy, because callers hold their snapshot
+while learning goes on.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ class TabularQLearnerBase:
         self._q = [float(H - h) for h in range(H) for _ in range(S * A)]
         self._v = [float(H - h) for h in range(H) for _ in range(S)] + [0.0] * S
         self._n = [0] * (H * S * A)
+        self._greedy = [0] * (H * S)   # rows start tied, so argmax 0
         self.stage_end_count = 0
         self.q_update_count = 0
         self.ref_fixed_count = 0
@@ -52,14 +60,20 @@ class TabularQLearnerBase:
 
     def select_action(self, h: int, s: int) -> int:
         """Greedy in Q_h(s, .); ties break to the lowest action index."""
+        return self._greedy[h * self.S + s]
+
+    def _row_max(self, i2: int) -> float:
+        """Rescan Q row i2 = h*S + s after a write to it: store the row's
+        lowest-index argmax in _greedy and return the row max."""
         q = self._q
-        base = (h * self.S + s) * self.A
+        base = i2 * self.A
         best, arg = q[base], 0
         for a in range(1, self.A):
             val = q[base + a]
             if val > best:
                 best, arg = val, a
-        return arg
+        self._greedy[i2] = arg
+        return best
 
     def observe(self, h: int, s: int, a: int, s_next: int):
         raise NotImplementedError
@@ -79,18 +93,8 @@ class TabularQLearnerBase:
             actions=np.asarray(self.greedy_actions_flat(), dtype=np.int64).reshape(self.H, self.S))
 
     def greedy_actions_flat(self):
-        """Greedy action per (h, s) as a flat list (cheap policy snapshot)."""
-        out = [0] * (self.H * self.S)
-        q = self._q
-        A = self.A
-        for i2 in range(self.H * self.S):
-            base = i2 * A
-            best, arg = q[base], 0
-            for a in range(1, A):
-                if q[base + a] > best:
-                    best, arg = q[base + a], a
-            out[i2] = arg
-        return out
+        """Greedy action per (h, s) as a flat list; a copy the caller may keep."""
+        return self._greedy[:]
 
     def q_array(self) -> np.ndarray:
         return np.asarray(self._q, dtype=float).reshape(self.H, self.S, self.A)

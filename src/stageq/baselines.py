@@ -70,7 +70,7 @@ class HoeffdingStageLearner(TabularQLearnerBase):
         stage_end = n in self._ends
         q_changed = False
         if stage_end:
-            q_changed = self._stage_update(h, s, a, i3)
+            q_changed = self._stage_update(h * self.S + s, i3)
         return stage_end, q_changed, False
 
     def stage_update(self, h: int, s: int, a: int) -> bool:
@@ -78,23 +78,17 @@ class HoeffdingStageLearner(TabularQLearnerBase):
         n = self._n[i3]
         if n < 1 or n not in self._ends:
             raise NotAtStageEnd(f"N[h={h}][s={s}][a={a}] = {n} is not a stage end")
-        return self._stage_update(h, s, a, i3)
+        return self._stage_update(h * self.S + s, i3)
 
-    def _stage_update(self, h, s, a, i3) -> bool:
+    def _stage_update(self, i2, i3) -> bool:
         nc = self._nchk[i3]
         cand = (self._rew[i3] + safe_ratio(self._ups_chk[i3], nc)
                 + hoeffding_width(self.H, self.constants.iota, nc))
         self.stage_end_count += 1
-        q = self._q
-        changed = cand < q[i3]
+        changed = cand < self._q[i3]
         if changed:
-            q[i3] = cand
-            base = i3 - a
-            best = q[base]
-            for j in range(1, self.A):
-                if q[base + j] > best:
-                    best = q[base + j]
-            self._v[h * self.S + s] = best
+            self._q[i3] = cand
+            self._v[i2] = self._row_max(i2)
             self.q_update_count += 1
         self._nchk[i3] = 0
         self._ups_chk[i3] = 0.0
@@ -138,11 +132,7 @@ class ClassicQUcbLearner(TabularQLearnerBase):
                   + self.cb * sqrt(self._h3iota / t))
         q = self._q
         q[i3] = (1.0 - alpha) * q[i3] + alpha * target
-        base = i3 - a
-        best = q[base]
-        for j in range(1, A):
-            if q[base + j] > best:
-                best = q[base + j]
+        best = self._row_max(h * S + s)
         ceiling = float(H - h)  # H - h + 1 in 1-based steps
         self._v[h * S + s] = ceiling if best > ceiling else best
         self.q_update_count += 1

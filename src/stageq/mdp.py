@@ -21,6 +21,7 @@ The plain-text MDP file format is:  a header line "S A H", then one line
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -165,18 +166,23 @@ class ValueTables:
 def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
     """Check stochasticity and reward range; raise on the first violation.
 
-    Rows must be entrywise >= 0 with |sum - 1| <= tol; rewards must lie in
-    [0, 1].  Scan order is (h, s, a).  Shape errors raise ValueError.
+    Rows must be finite, entrywise >= 0 with |sum - 1| <= tol; rewards must
+    lie in [0, 1].  Scan order is (h, s, a).  Shape errors raise ValueError.
     """
     P, r = np.asarray(mdp.P, dtype=float), np.asarray(mdp.r, dtype=float)
     if P.shape != (mdp.H, mdp.S, mdp.A, mdp.S):
         raise ValueError(f"P shape {P.shape} != {(mdp.H, mdp.S, mdp.A, mdp.S)}")
     if r.shape != (mdp.H, mdp.S, mdp.A):
         raise ValueError(f"r shape {r.shape} != {(mdp.H, mdp.S, mdp.A)}")
+    # NaN fails both row tests below, so non-finite rows need their own;
+    # one whole-array check keeps the per-row scan free of it when P is clean
+    finite = bool(np.isfinite(P).all())
     for h in range(mdp.H):
         for s in range(mdp.S):
             for a in range(mdp.A):
                 row = P[h, s, a]
+                if not finite and not np.isfinite(row).all():
+                    raise NonStochasticRow(h, s, a, f"non-finite entry in {row.tolist()}")
                 if np.any(row < 0.0):
                     raise NonStochasticRow(h, s, a, f"negative entry {row.min()}")
                 gap = abs(row.sum() - 1.0)
@@ -364,23 +370,30 @@ def load_mdp(path) -> EpisodicMdp:
     if min(S, A, H) < 1:
         raise ValueError(f"{path}:{ln}: S, A, H must be positive")
 
+    # NaN marks a block not read yet; _parse_float rejects a literal nan
     P = np.full((H, S, A, S), np.nan)
     r = np.full((H, S, A), np.nan)
+    seen = {}   # (kind, h, s, a) -> line of its first record
     for ln, text in lines[1:]:
         parts = text.split()
         kind = parts[0]
         if kind == "P":
             if len(parts) != 4 + S:
                 raise ValueError(f"{path}:{ln}: P line needs 3 indices + {S} probabilities")
-            h, s, a = _parse_indices(path, ln, parts[1:4], H, S, A)
-            P[h, s, a] = [_parse_float(path, ln, tok) for tok in parts[4:]]
         elif kind == "R":
             if len(parts) != 5:
                 raise ValueError(f"{path}:{ln}: R line needs 3 indices + 1 reward")
-            h, s, a = _parse_indices(path, ln, parts[1:4], H, S, A)
-            r[h, s, a] = _parse_float(path, ln, parts[4])
         else:
             raise ValueError(f"{path}:{ln}: unknown record {kind!r} (expected P or R)")
+        h, s, a = _parse_indices(path, ln, parts[1:4], H, S, A)
+        first = seen.setdefault((kind, h, s, a), ln)
+        if first != ln:
+            raise ValueError(f"{path}:{ln}: duplicate {kind} record for "
+                             f"h={h} s={s} a={a} (first at line {first})")
+        if kind == "P":
+            P[h, s, a] = [_parse_float(path, ln, tok) for tok in parts[4:]]
+        else:
+            r[h, s, a] = _parse_float(path, ln, parts[4])
     if np.isnan(P).any():
         h, s, a = np.argwhere(np.isnan(P).any(axis=-1))[0]
         raise ValueError(f"{path}: missing P block for h={h} s={s} a={a}")
@@ -402,6 +415,9 @@ def _parse_indices(path, ln, toks, H, S, A):
 
 def _parse_float(path, ln, tok):
     try:
-        return float(tok)
+        val = float(tok)
     except ValueError:
         raise ValueError(f"{path}:{ln}: bad float {tok!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"{path}:{ln}: non-finite value {tok!r}")
+    return val

@@ -14,7 +14,11 @@ Q updates, which gives the deterministic ceiling switching_bound() below.
 
 Optimism violations count Q-table entries strictly below Q* - tol; for the
 monotone learners an entry that dips under Q* stays under, so the count is
-naturally non-decreasing over a run.
+naturally non-decreasing over a run.  run_experiment reports
+cum_optimism_violations as the running maximum of that count, taken after
+each Q-changing episode.  For the stage learners this is the current count.
+classic-qucb's Q moves both ways, so its entries can climb back above Q*;
+there the column is the peak count seen so far, not the current one.
 """
 
 from __future__ import annotations

@@ -180,6 +180,7 @@ def test_criterion_5_stage_schedule():
 
 # ---------------------------------------------------------------------- 6
 
+@pytest.mark.slow
 def test_criterion_6_sublinear_regret_scaling():
     # JAO chain H=40, delta 0.4, eps 0.1, N0=500, reduced constants (DESK).
     # Checkpoints: 5 log-spaced T beyond the 1e4-episode burn-in.  Regret

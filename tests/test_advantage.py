@@ -81,11 +81,15 @@ def test_optimistic_initialization():
 def test_select_action_tie_breaks_low():
     mdp = make_random_mdp(2, 3, 2, seed=0)
     lr = UcbAdvantageLearner(mdp)
+    # select_action reads the cached greedy table, so each row written here
+    # goes through the argmax routine every Q write in the learners uses
+    assert lr._row_max(0) == 2.0
     assert lr.select_action(0, 0) == 0  # all equal
-    base = (0 * 2 + 0) * 3
-    lr._q[base:base + 3] = [1.0, 2.0, 1.5]
+    lr._q[0:3] = [1.0, 2.0, 1.5]
+    assert lr._row_max(0) == 2.0
     assert lr.select_action(0, 0) == 1
-    lr._q[base:base + 3] = [2.0, 2.0, 1.0]
+    lr._q[0:3] = [2.0, 2.0, 1.0]
+    assert lr._row_max(0) == 2.0
     assert lr.select_action(0, 0) == 0
 
 

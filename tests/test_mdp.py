@@ -66,6 +66,30 @@ def test_validate_rejects_reward_out_of_range():
     assert ei.value.value == 1.5
 
 
+def test_validate_rejects_nan_row():
+    # NaN fails both the negativity and the row-sum test, so it needs its own
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    mdp.P[1, 1, 0] = [np.nan, np.nan]
+    with pytest.raises(NonStochasticRow) as ei:
+        validate(mdp)
+    assert (ei.value.h, ei.value.s, ei.value.a) == (1, 1, 0)
+    assert "non-finite" in str(ei.value)
+
+
+def test_validate_rejects_inf_entry_in_scan_order():
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    mdp.P[1, 0, 1] = [np.inf, 0.0]
+    mdp.P[0, 1, 1] = [-0.5, 1.5]  # earlier in (h, s, a) order: reported first
+    with pytest.raises(NonStochasticRow) as ei:
+        validate(mdp)
+    assert (ei.value.h, ei.value.s, ei.value.a) == (0, 1, 1)
+    mdp.P[0, 1, 1] = [0.5, 0.5]
+    with pytest.raises(NonStochasticRow) as ei:
+        validate(mdp)
+    assert (ei.value.h, ei.value.s, ei.value.a) == (1, 0, 1)
+    assert "non-finite" in str(ei.value)
+
+
 def test_validate_first_violation_in_scan_order():
     mdp = make_random_mdp(2, 2, 3, seed=0)
     mdp.r[2, 1, 1] = -0.5
@@ -390,6 +414,12 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     ("1 1 1\nZ 0 0 0 1.0\nR 0 0 0 0.0", "unknown record"),
     ("1 1 1\nR 0 0 0 0.0", "missing P"),
     ("1 1 1\nP 0 0 0 1.0", "missing R"),
+    ("1 1 1\nP 0 0 0 1.0\nR 0 0 0 0.0\nP 0 0 0 1.0",
+     ":4: duplicate P record for h=0 s=0 a=0 (first at line 2)"),
+    ("1 1 1\nR 0 0 0 0.0\nP 0 0 0 1.0\nR 0 0 0 0.5",
+     ":4: duplicate R record for h=0 s=0 a=0 (first at line 2)"),
+    ("1 1 1\nP 0 0 0 1.0\nR 0 0 0 nan", ":3: non-finite value 'nan'"),
+    ("1 1 1\nP 0 0 0 inf\nR 0 0 0 0.0", ":2: non-finite value 'inf'"),
 ])
 def test_load_error_diagnostics(tmp_path, body, fragment):
     path = tmp_path / "bad.mdp"
