@@ -2,10 +2,10 @@
 variance-reduced exploration bonuses, baselines, exact-DP auditing, a hard
 chain instance family, and a reproducible run harness."""
 
-from .advantage import (DEFAULT_N_MAX, AlgoConstants, NotAtStageEnd,
+from .advantage import (DEFAULT_N_MAX, AlgoConstants, HoeffdingStageLearner,
                         UcbAdvantageLearner, hoeffding_width, safe_ratio)
 from .base import EpisodeReport, TabularQLearnerBase
-from .baselines import ClassicQUcbLearner, HoeffdingStageLearner
+from .baselines import ClassicQUcbLearner
 from .concurrent import (BudgetTooSmall, ConcurrentConfig, ConcurrentResult,
                          FrozenActor, RoundLog, round_count_bound,
                          run_concurrent, write_rounds_csv)

@@ -27,6 +27,18 @@ theory values -- at desk scale they keep bonuses larger than any value gap
 (the first Q change needs a stage longer than 4*H^2*iota), so experiment
 configs routinely shrink c1..c3 or override N0; every knob is explicit.
 
+The class attribute `reference` switches the reference route.
+HoeffdingStageLearner (`hoeffding-stage`) only sets it to False: its stage
+update keeps the plain target alone,
+
+    Q_h(s, a) <- min{ r + mean(V_next over stage) + 2*sqrt(H^2*iota/n_stage),
+                      Q_h(s, a) },
+
+and its trigger is infinite, so no reference ever freezes and Vref stays
+at H.  Its Q is still non-increasing and it still switches policies only at
+stage ends.  That is the paper's ablation: comparing the two isolates what
+the reference-advantage split buys.
+
 All counts, accumulators and tables live in flat Python lists for hot-loop
 speed; numpy views are exported on demand.  run_episode fuses sampling and
 observe into one loop; the base-class path (sample_episode feeding observe)
@@ -46,14 +58,10 @@ from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
 from .stages import OutOfRangeError, StageSchedule, build_schedule
 
-__all__ = ["AlgoConstants", "UcbAdvantageLearner", "EpisodeReport",
-           "NotAtStageEnd", "safe_ratio", "DEFAULT_N_MAX"]
+__all__ = ["AlgoConstants", "UcbAdvantageLearner", "HoeffdingStageLearner",
+           "EpisodeReport", "safe_ratio", "DEFAULT_N_MAX"]
 
 DEFAULT_N_MAX = 1 << 20
-
-
-class NotAtStageEnd(Exception):
-    """stage_update called when the visit count is not a stage end."""
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,7 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     """Reference-advantage learner; model-free (sees dims + rewards only)."""
 
     name = "advantage"
+    reference = True   # False: Hoeffding target only, references never freeze
 
     def __init__(self, mdp: EpisodicMdp, constants: Optional[AlgoConstants] = None,
                  n_max: int = DEFAULT_N_MAX, schedule: Optional[StageSchedule] = None):
@@ -124,7 +133,7 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         c = self.constants
         self._iota = iota = c.iota
         iota34 = iota ** 0.75
-        self._n0 = c.reference_trigger(S, A, H)
+        self._n0 = c.reference_trigger(S, A, H) if self.reference else float("inf")
         # At the stage end with visit count n = ends[j] the stage count is
         # nc = lengths[j], so the c3 lower-order term and the Hoeffding width
         # depend on n alone.  Keyed by n, plain ints, same expressions as
@@ -149,8 +158,8 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._n_state = [0] * (H * S)
         self._ref_fixed = [False] * (H * S)
 
-    def observe(self, h: int, s: int, a: int, s_next: int):
-        """Record one transition; returns (stage_end, q_changed, ref_fixed_now).
+    def observe(self, h: int, s: int, a: int, s_next: int) -> None:
+        """Record one transition.
 
         Accumulates the stage statistics (the new sample belongs to the
         current stage), fires the stage update when the visit count hits a
@@ -176,53 +185,41 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._mu_ref[i3] += vref_next
         self._sig_ref[i3] += vref_next * vref_next
 
-        stage_end = n in self._stage_consts
-        q_changed = False
-        if stage_end:
-            q_changed = self._stage_update(i2, i3)
+        if n in self._stage_consts:
+            self._stage_update(i2, i3)
 
-        ref_fixed_now = False
         ns = self._n_state[i2] + 1
         self._n_state[i2] = ns
         if ns >= self._n0 and not self._ref_fixed[i2]:
             self._vref[i2] = self._v[i2]
             self._ref_fixed[i2] = True
             self.ref_fixed_count += 1
-            ref_fixed_now = True
-        return stage_end, q_changed, ref_fixed_now
 
-    def stage_update(self, h: int, s: int, a: int) -> bool:
-        """Public stage update; requires the visit count to be a stage end."""
-        i3 = (h * self.S + s) * self.A + a
-        n = self._n[i3]
-        if n < 1 or n not in self._stage_consts:
-            raise NotAtStageEnd(f"N[h={h}][s={s}][a={a}] = {n} is not a stage end")
-        return self._stage_update(h * self.S + s, i3)
-
-    def _stage_update(self, i2, i3) -> bool:
-        """min{Hoeffding target, reference-advantage target, old Q}; then
+    def _stage_update(self, i2, i3) -> None:
+        """min{Hoeffding target, reference-advantage target, old Q}, the
+        middle one only with the reference route on; then
         V_h(s) = max_a Q_h(s, a) and the stage accumulators reset."""
-        c = self.constants
-        iota = self._iota
         n = self._n[i3]
         nc = self._nchk[i3]
         lower, b_bar = self._stage_consts[n]
-        mu_ref_bar = safe_ratio(self._mu_ref[i3], n)
-        nu_ref = max(0.0, safe_ratio(self._sig_ref[i3], n) - mu_ref_bar * mu_ref_bar)
-        mu_chk_bar = safe_ratio(self._mu_chk[i3], nc)
-        nu_chk = max(0.0, safe_ratio(self._sig_chk[i3], nc) - mu_chk_bar * mu_chk_bar)
-        b = (c.c1 * sqrt(nu_ref * iota / n)
-             + c.c2 * sqrt(nu_chk * iota / nc)
-             + lower)
         r = self._rew[i3]
         cand = r + safe_ratio(self._ups_chk[i3], nc) + b_bar
-        cand2 = r + mu_ref_bar + mu_chk_bar + b
-        if cand2 < cand:
-            cand = cand2
+        if self.reference:
+            c = self.constants
+            iota = self._iota
+            mu_ref_bar = safe_ratio(self._mu_ref[i3], n)
+            nu_ref = max(0.0, safe_ratio(self._sig_ref[i3], n) - mu_ref_bar * mu_ref_bar)
+            mu_chk_bar = safe_ratio(self._mu_chk[i3], nc)
+            nu_chk = max(0.0, safe_ratio(self._sig_chk[i3], nc) - mu_chk_bar * mu_chk_bar)
+            b = (c.c1 * sqrt(nu_ref * iota / n)
+                 + c.c2 * sqrt(nu_chk * iota / nc)
+                 + lower)
+            cand2 = r + mu_ref_bar + mu_chk_bar + b
+            if cand2 < cand:
+                cand = cand2
 
         self.stage_end_count += 1
-        changed = cand < self._q[i3]
-        if changed:
+        if cand < self._q[i3]:
             self._q[i3] = cand
             self._v[i2] = self._row_max(i2)
             self.q_update_count += 1
@@ -231,7 +228,6 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._mu_chk[i3] = 0.0
         self._ups_chk[i3] = 0.0
         self._sig_chk[i3] = 0.0
-        return changed
 
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
@@ -303,6 +299,9 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         H = self.H
         inits = (H - np.arange(H, dtype=float))[:, None, None]
         assert np.all(q <= inits + 1e-12), "Q above its optimistic init"
+        # r + mean(V_next) + width is never negative; the reference target
+        # subtracts a stage mean of Vref and can be, when bonuses are small
+        assert self.reference or np.all(q >= 0.0), "negative Q"
         assert np.allclose(v[:H], q.max(axis=2), atol=1e-12), "V != row-max of Q"
         assert np.all(v[H] == 0.0) and np.all(vref[H] == 0.0), "nonzero boundary row"
         fixed = self.ref_fixed_array()
@@ -315,3 +314,10 @@ class UcbAdvantageLearner(TabularQLearnerBase):
             mass = self.schedule.ends[idx - 2] if idx > 1 else 0
             expect = 0 if done else n[h, s, a] - mass
             assert nchk[h, s, a] == expect, "Ncheck != visits since last stage end"
+
+
+class HoeffdingStageLearner(UcbAdvantageLearner):
+    """Stage-based optimistic Q-learning without the reference split."""
+
+    name = "hoeffding-stage"
+    reference = False

@@ -5,9 +5,10 @@ optimistically to H - h + 1 (V carries an all-zero boundary row at index
 H), acts greedily with lowest-index tie-breaking, and is model-free: it is
 constructed from the MDP's dimensions and deterministic reward table only,
 never its transition kernels.  Subclasses implement observe(h, s, a,
-s_next) -> (stage_end, q_changed, ref_fixed_now) and keep the cumulative
-counters stage_end_count / q_update_count / ref_fixed_count current, which
-is what run_episode's report is derived from.
+s_next), which returns None, and keep the cumulative counters
+stage_end_count / q_update_count / ref_fixed_count current.  Those counters
+are the only record of what a transition did: run_episode's report and
+the concurrent runner's "did Q change" test are both differences of them.
 
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
@@ -75,7 +76,7 @@ class TabularQLearnerBase:
         self._greedy[i2] = arg
         return best
 
-    def observe(self, h: int, s: int, a: int, s_next: int):
+    def observe(self, h: int, s: int, a: int, s_next: int) -> None:
         raise NotImplementedError
 
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):

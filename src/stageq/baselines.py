@@ -1,15 +1,7 @@
-"""Baseline learners: stage-based Hoeffding Q-learning and classic Q-UCB.
+"""Baseline learner: classic Q-UCB.
 
-HoeffdingStageLearner is the advantage learner with the reference machinery
-removed: same stage schedule, same optimistic init, but the stage-end update
-keeps only the plain route
-
-    Q_h(s, a) <- min{ r + mean(V_next over stage) + 2*sqrt(H^2*iota/n_stage),
-                      Q_h(s, a) },
-
-so its Q is still non-increasing and it still switches policies only at
-stage ends.  Comparing it with the advantage learner isolates what the
-reference-advantage split buys.
+(The other baseline, hoeffding-stage, is the stage learner with its
+reference route switched off; it lives in the advantage module.)
 
 ClassicQUcbLearner is incremental optimistic Q-learning with the rescaled
 learning rate alpha_t = (H+1)/(H+t) and a Hoeffding bonus:
@@ -31,80 +23,11 @@ from __future__ import annotations
 from math import sqrt
 from typing import Optional
 
-from .advantage import (AlgoConstants, NotAtStageEnd, hoeffding_width,
-                        safe_ratio, DEFAULT_N_MAX)
-from .base import TabularQLearnerBase
-from .mdp import EpisodicMdp
-from .stages import OutOfRangeError, StageSchedule, build_schedule
-
 import numpy as np
 
-
-class HoeffdingStageLearner(TabularQLearnerBase):
-    """Stage-based optimistic Q-learning without the reference split."""
-
-    name = "hoeffding-stage"
-
-    def __init__(self, mdp: EpisodicMdp, constants: Optional[AlgoConstants] = None,
-                 n_max: int = DEFAULT_N_MAX, schedule: Optional[StageSchedule] = None):
-        super().__init__(mdp)
-        self.constants = constants or AlgoConstants()
-        self.schedule = schedule if schedule is not None else build_schedule(self.H, n_max)
-        if self.schedule.H != self.H:
-            raise ValueError("schedule horizon does not match the MDP")
-        self._ends = self.schedule.end_set()
-        self._n_max = self.schedule.n_max
-        z = self.H * self.S * self.A
-        self._nchk = [0] * z
-        self._ups_chk = [0.0] * z
-
-    def observe(self, h: int, s: int, a: int, s_next: int):
-        """Record one transition; returns (stage_end, q_changed, False)."""
-        i3 = (h * self.S + s) * self.A + a
-        n = self._n[i3] + 1
-        self._n[i3] = n
-        if n > self._n_max:
-            raise OutOfRangeError(n, self._n_max)
-        self._nchk[i3] += 1
-        self._ups_chk[i3] += self._v[(h + 1) * self.S + s_next]
-        stage_end = n in self._ends
-        q_changed = False
-        if stage_end:
-            q_changed = self._stage_update(h * self.S + s, i3)
-        return stage_end, q_changed, False
-
-    def stage_update(self, h: int, s: int, a: int) -> bool:
-        i3 = (h * self.S + s) * self.A + a
-        n = self._n[i3]
-        if n < 1 or n not in self._ends:
-            raise NotAtStageEnd(f"N[h={h}][s={s}][a={a}] = {n} is not a stage end")
-        return self._stage_update(h * self.S + s, i3)
-
-    def _stage_update(self, i2, i3) -> bool:
-        nc = self._nchk[i3]
-        cand = (self._rew[i3] + safe_ratio(self._ups_chk[i3], nc)
-                + hoeffding_width(self.H, self.constants.iota, nc))
-        self.stage_end_count += 1
-        changed = cand < self._q[i3]
-        if changed:
-            self._q[i3] = cand
-            self._v[i2] = self._row_max(i2)
-            self.q_update_count += 1
-        self._nchk[i3] = 0
-        self._ups_chk[i3] = 0.0
-        return changed
-
-    def ncheck_array(self) -> np.ndarray:
-        return np.asarray(self._nchk, dtype=np.int64).reshape(self.H, self.S, self.A)
-
-    def check_invariants(self) -> None:
-        q, v = self.q_array(), self.v_array()
-        H = self.H
-        inits = (H - np.arange(H, dtype=float))[:, None, None]
-        assert np.all(q <= inits + 1e-12), "Q above its optimistic init"
-        assert np.all(q >= 0.0), "negative Q"
-        assert np.allclose(v[:H], q.max(axis=2), atol=1e-12), "V != row-max of Q"
-        assert np.all(v[H] == 0.0), "nonzero boundary V row"
+from .advantage import AlgoConstants
+from .base import TabularQLearnerBase
+from .mdp import EpisodicMdp
 
 
 class ClassicQUcbLearner(TabularQLearnerBase):
@@ -121,8 +44,8 @@ class ClassicQUcbLearner(TabularQLearnerBase):
         self.cb = cb
         self._h3iota = float(self.H) ** 3 * self.constants.iota
 
-    def observe(self, h: int, s: int, a: int, s_next: int):
-        """One incremental update; returns (False, True, False)."""
+    def observe(self, h: int, s: int, a: int, s_next: int) -> None:
+        """One incremental update; every call counts as a Q update."""
         S, A, H = self.S, self.A, self.H
         i3 = (h * S + s) * A + a
         t = self._n[i3] + 1
@@ -136,7 +59,6 @@ class ClassicQUcbLearner(TabularQLearnerBase):
         ceiling = float(H - h)  # H - h + 1 in 1-based steps
         self._v[h * S + s] = ceiling if best > ceiling else best
         self.q_update_count += 1
-        return False, True, False
 
     def check_invariants(self) -> None:
         q, v = self.q_array(), self.v_array()

@@ -21,18 +21,16 @@ import sys
 from pathlib import Path
 
 from .concurrent import BudgetTooSmall
-from .harness import (ALGOS, ConfigError, InvariantViolation,
-                      build_concurrent_config, build_run_config, coerce_kv,
-                      parse_kv_file, run_concurrent_experiment,
-                      run_experiment, sweep_scaling, write_sweep_csv)
+from .harness import (_CONC_KEYS, _RUN_KEYS, ALGOS, ConfigError,
+                      InvariantViolation, build_concurrent_config,
+                      build_run_config, coerce_kv, parse_kv_file,
+                      run_concurrent_experiment, run_experiment,
+                      sweep_scaling, write_sweep_csv)
 from .mdp import MdpValidationError, backward_induction, save_mdp, validate
 from .stages import build_schedule
 
-_RUN_ATTRS = ("env", "S", "A", "H", "sparsity", "env_seed", "jao_epsilon",
-              "delta", "init", "algo", "episodes", "seed", "p",
-              "c1", "c2", "c3", "c4", "cb", "beta", "n0_override",
-              "log_every", "out", "strict")
-_CONC_ATTRS = ("agents", "epsilon", "c5", "k_eps_override")
+_RUN_ATTRS = tuple(_RUN_KEYS)
+_CONC_ATTRS = tuple(_CONC_KEYS)
 
 
 def _add_env_args(p):

@@ -111,11 +111,10 @@ class FrozenActor:
 
 def replay_into(learner, traj) -> bool:
     """Feed one recorded trajectory through the learner; True if Q changed."""
-    changed = False
+    u0 = learner.q_update_count
     for h, (s, a, _r, s_next) in enumerate(traj):
-        _, q_changed, _ = learner.observe(h, s, a, s_next)
-        changed = changed or q_changed
-    return changed
+        learner.observe(h, s, a, s_next)
+    return learner.q_update_count != u0
 
 
 def round_count_bound(update_rounds: int, budget: int, agents: int) -> int:

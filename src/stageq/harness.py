@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .advantage import AlgoConstants, UcbAdvantageLearner
+from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner
 from .base import EpisodeReport
-from .baselines import ClassicQUcbLearner, HoeffdingStageLearner
+from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
@@ -392,7 +392,8 @@ def write_run_outputs(result: RunResult, out_dir) -> None:
             for s in range(q.shape[1]):
                 for a in range(q.shape[2]):
                     f.write(f"{h},{s},{a},{float(q[h, s, a])!r}\n")
-    vref = learner.vref_array() if hasattr(learner, "vref_array") else None
+    # the Vref column stays empty for learners without a reference route
+    vref = learner.vref_array() if getattr(learner, "reference", False) else None
     v = learner.v_array() if hasattr(learner, "v_array") else None
     with open(out / "snapshot_v.csv", "w") as f:
         f.write("h,s,V,Vref\n")
@@ -443,6 +444,8 @@ def parse_init_spec(text: str) -> InitialStates:
     raise ConfigError(f"unknown init kind {kind!r} (fixed/cyclic/seeded)")
 
 
+# Config keys and their types; each is also the argparse dest of its flag,
+# and the CLI takes its flag lists from these two tables.
 _RUN_KEYS = {
     "env": str, "S": int, "A": int, "H": int, "sparsity": float, "env_seed": int,
     "jao_epsilon": float, "delta": float, "init": str,
@@ -450,9 +453,8 @@ _RUN_KEYS = {
     "c1": float, "c2": float, "c3": float, "c4": float, "cb": float,
     "beta": float, "n0_override": float,
     "log_every": str, "strict": str, "out": str,   # strict is bool, special-cased
-    # concurrent-only keys, routed by the CLI:
-    "agents": int, "epsilon": float, "c5": float, "k_eps_override": float,
 }
+_CONC_KEYS = {"agents": int, "epsilon": float, "c5": float, "k_eps_override": float}
 
 
 def _parse_bool(text: str) -> bool:
@@ -465,15 +467,16 @@ def _parse_bool(text: str) -> bool:
 
 
 def coerce_kv(kv: dict) -> dict:
-    """Convert raw string values per _RUN_KEYS; ConfigError names the field."""
+    """Convert raw string values per _RUN_KEYS and _CONC_KEYS; ConfigError
+    names the field."""
     out = {}
     for key, val in kv.items():
-        if key not in _RUN_KEYS:
+        typ = _RUN_KEYS.get(key, _CONC_KEYS.get(key))
+        if typ is None:
             raise ConfigError(f"unknown config key {key!r}")
         if key == "strict":
             out[key] = _parse_bool(val)
             continue
-        typ = _RUN_KEYS[key]
         try:
             out[key] = typ(val)
         except ValueError:

@@ -125,9 +125,12 @@ class EpisodicMdp:
 
     # Cached plain-list views for the sampling hot loop.  Cumulative rows get
     # their final entry forced to 1.0 so a uniform in [0, 1) always lands.
+    # Building a cache makes its source array read-only, so a later write
+    # raises instead of leaving sampling on the old values.
     def cum_rows(self):
         rows = getattr(self, "_cum_rows", None)
         if rows is None:
+            self.P.setflags(write=False)
             cum = np.cumsum(self.P, axis=-1)
             cum[..., -1] = 1.0
             rows = cum.tolist()
@@ -137,6 +140,7 @@ class EpisodicMdp:
     def reward_rows(self):
         rows = getattr(self, "_reward_rows", None)
         if rows is None:
+            self.r.setflags(write=False)
             rows = self.r.tolist()
             self._reward_rows = rows
         return rows

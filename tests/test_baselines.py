@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stageq import (AlgoConstants, ClassicQUcbLearner, EpisodicMdp,
-                    HoeffdingStageLearner, NotAtStageEnd, backward_induction,
+                    HoeffdingStageLearner, backward_induction,
                     build_schedule, hoeffding_width, make_random_mdp,
                     seeded_stream)
 
@@ -31,26 +31,22 @@ def test_hoeffding_update_value_exact():
     q_before = lr.q_array()[0, 0, 0]
     assert q_before == 2.0
     for n in range(1, 66):
-        stage_end, q_changed, ref_now = lr.observe(0, 0, 0, 1)
-        assert stage_end == (n in stage_len)
-        assert not ref_now
-        if stage_end:
+        e0, u0 = lr.stage_end_count, lr.q_update_count
+        lr.observe(0, 0, 0, 1)
+        assert lr.stage_end_count - e0 == (n in stage_len)
+        assert lr.ref_fixed_count == 0
+        if n in stage_len:
             expect = 1.0 + hoeffding_width(2, c.iota, stage_len[n])
             if expect < q_before:
-                assert q_changed
+                assert lr.q_update_count - u0 == 1
                 assert lr.q_array()[0, 0, 0] == expect  # bitwise: same formula inputs
                 q_before = expect
             else:
-                assert not q_changed
+                assert lr.q_update_count == u0
                 assert lr.q_array()[0, 0, 0] == q_before
+        else:
+            assert lr.q_update_count == u0
     assert q_before < 2.0  # at least one real update happened by n=65
-
-
-def test_hoeffding_stage_update_guard():
-    mdp = make_random_mdp(2, 2, 3, seed=0)
-    lr = HoeffdingStageLearner(mdp)
-    with pytest.raises(NotAtStageEnd):
-        lr.stage_update(0, 0, 0)
 
 
 def test_hoeffding_monotone_nonnegative_invariants():
@@ -65,6 +61,13 @@ def test_hoeffding_monotone_nonnegative_invariants():
             assert all(c <= p for c, p in zip(cur, prev))
             prev = cur
         assert min(lr._q) >= 0.0
+        lr.check_invariants()
+
+
+def test_hoeffding_invariants_flag_negative_q():
+    lr = HoeffdingStageLearner(make_random_mdp(2, 2, 3, seed=0))
+    lr._q[1] = -0.5   # row 0 keeps its max, so only the sign check can fire
+    with pytest.raises(AssertionError, match="negative Q"):
         lr.check_invariants()
 
 
@@ -142,7 +145,8 @@ def test_classic_counts_every_step_as_update():
     _, report = lr.run_episode(mdp, rng, 0)
     assert report.q_updates == 3
     assert report.stage_ends == 0
-    assert lr.observe(0, 0, 0, 1) == (False, True, False)
+    lr.observe(0, 0, 0, 1)
+    assert (lr.stage_end_count, lr.q_update_count, lr.ref_fixed_count) == (0, 4, 0)
 
 
 def test_classic_rejects_bad_cb():

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from stageq import build_schedule, load_mdp, make_random_mdp, save_mdp
-from stageq.cli import main
+from stageq.cli import build_parser, main
+from stageq.harness import _CONC_KEYS, _RUN_KEYS
 
 
 def test_schedule_stdout_matches_library(capsys):
@@ -125,3 +128,45 @@ def test_solve_roundtrip_values(tmp_path, capsys):
     tables, _ = backward_induction(mdp)
     first = lines[0].split(",")
     assert float(first[2]) == tables.V[0, 0]
+
+
+def test_config_key_tables_match_flags():
+    # every config key is a flag's dest and every flag's dest a config key,
+    # except --config, which names the file the keys come from
+    parser = build_parser()
+
+    def dests(command):
+        return set(vars(parser.parse_args([command]))) - {"command", "func", "config"}
+
+    assert dests("run") == set(_RUN_KEYS)
+    assert dests("concurrent") == set(_RUN_KEYS) | set(_CONC_KEYS)
+
+
+# SHA-256 of each output file, recorded while hoeffding-stage still had its
+# own implementation; hoeffding-stage makes 44 Q updates on this config
+PINNED_RUN = ["run", "--env", "random", "--S", "3", "--A", "4", "--H", "2",
+              "--env-seed", "3", "--p", "0.5", "--c1", "0.05", "--c2", "0.05",
+              "--c3", "0.01", "--n0-override", "100", "--episodes", "20000",
+              "--seed", "11"]
+PINNED_DIGESTS = {
+    "hoeffding-stage": {
+        "episodes.csv": "179629a9278ae30c85d8cd571ac5db77308f5ce8218c798072aeeb2171b27daf",
+        "snapshot_q.csv": "e8829c98c7f5a63799f48aee8f56fd1f290f3fa59afcb0beb457bb3a10e14ba3",
+        "snapshot_v.csv": "1696f572036552ee5aa6472c55e386b9b9ae0a549aafff0d98b668afbcd9f0be"},
+    "advantage": {
+        "episodes.csv": "588fe3c5cd0750067177c23cd10801cd4d408c56791110c2645b6e47864a25ac",
+        "snapshot_q.csv": "8f8d8fdd8b841da3023877ede10f5327e59d7f0e2ad68ed77adbc0df08f6e4cd",
+        "snapshot_v.csv": "df445e20c12a98d696c334d628562ddb77169c597ede85a843d68d98c9fcd4e9"},
+    "classic-qucb": {
+        "episodes.csv": "ae419759cf96ad843c03e3fab1764d3b07fdb465fcda52558262192c1e215cc6",
+        "snapshot_q.csv": "4175c2d62d179fedc1c1573a0127cbb0450519d5d9dec767de7641a9c0a1924b",
+        "snapshot_v.csv": "f46e88d6027ad8c69785a6d23270d5d3cc9e3bbed16141f6cab62b374fc06941"},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_DIGESTS))
+def test_run_outputs_match_pinned_digests(tmp_path, capsys, algo):
+    assert main(PINNED_RUN + ["--algo", algo, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_DIGESTS[algo]}
+    assert got == PINNED_DIGESTS[algo]

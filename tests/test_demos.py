@@ -1,0 +1,26 @@
+"""Every demo script runs to completion against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SLOW = {"chain_scaling.py"}   # about 11 s; the others take under 1 s
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(p, id=p.stem, marks=[pytest.mark.slow] if p.name in SLOW else [])
+    for p in DEMOS])
+def test_demo_exits_zero(path, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    # cwd is a temporary directory: regret_benchmark.py writes its optional
+    # plot into the working directory
+    proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

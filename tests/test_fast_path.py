@@ -1,8 +1,9 @@
 """Gate for the learner hot path.
 
 UcbAdvantageLearner.run_episode is a fused copy of sample_episode feeding
-observe.  It must reproduce the reference path (TabularQLearnerBase's
-run_episode) bit for bit: the same trajectories, reports and tables.  Every
+observe, with the reference route on (advantage) or off (hoeffding-stage).
+It must reproduce the reference path (TabularQLearnerBase's run_episode)
+bit for bit: the same trajectories, reports and tables.  Every
 learner keeps its greedy policy as a table refreshed on each Q write; after
 every episode and every replayed trajectory it must equal np.argmax of Q.
 """
@@ -25,6 +26,13 @@ INSTANCES = [
     ("random-4x5x4", lambda: make_random_mdp(4, 5, 4, seed=2,
                                              init=InitialStates.cyclic([0, 1, 2, 3])), 200, 1500),
 ]
+# hoeffding-stage first lowers a Q entry once a stage is longer than about
+# 4 H^2 iota samples, which only a short horizon reaches in a test-sized run
+SHORT_H = ("random-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3), 100, 1000)
+GREEDY_INSTANCES = INSTANCES + [SHORT_H]
+# the reference route on every instance; off where it lowers Q
+FUSED_CASES = ([pytest.param(UcbAdvantageLearner, inst, id=inst[0]) for inst in INSTANCES]
+               + [pytest.param(HoeffdingStageLearner, SHORT_H, id="noref-" + SHORT_H[0])])
 # desk-scale constants of the acceptance checks, and smaller ones that make
 # the reference-advantage route bind from the first stage ends
 CONSTANT_SETS = {"desk": dict(p=0.1, c1=1.2, c2=1.2, c3=0.06),
@@ -49,13 +57,13 @@ def assert_same_state(fast, ref):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("cset", sorted(CONSTANT_SETS))
-@pytest.mark.parametrize("inst", INSTANCES, ids=[i[0] for i in INSTANCES])
-def test_fused_episode_matches_reference_path(inst, cset, seed):
+@pytest.mark.parametrize("cls,inst", FUSED_CASES)
+def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
     _, make_mdp, n0, K = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS[cset])
-    fast = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
-    ref = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
+    fast = cls(mdp, const, n_max=K * mdp.H + 1)
+    ref = cls(mdp, const, n_max=K * mdp.H + 1)
     rng_fast = seeded_stream(seed, 0, "env")
     rng_ref = seeded_stream(seed, 0, "env")
     for k in range(K):
@@ -69,7 +77,8 @@ def test_fused_episode_matches_reference_path(inst, cset, seed):
         assert_greedy_current(fast)
     assert_same_state(fast, ref)
     assert rng_fast.random() == rng_ref.random()
-    assert fast.q_update_count > 0 and fast.ref_fixed_count > 0
+    assert fast.q_update_count > 0
+    assert (fast.ref_fixed_count > 0) == fast.reference
 
 
 def test_fused_episode_raises_like_reference_past_n_max():
@@ -97,12 +106,6 @@ def make_all_learners(mdp, const, n_max):
     return [UcbAdvantageLearner(mdp, const, n_max=n_max),
             HoeffdingStageLearner(mdp, const, n_max=n_max),
             ClassicQUcbLearner(mdp, const, cb=0.05)]
-
-
-# hoeffding-stage first lowers a Q entry once a stage is longer than about
-# 4 H^2 iota samples, which only a short horizon reaches in a test-sized run
-GREEDY_INSTANCES = INSTANCES + [
-    ("random-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3), 100, 1000)]
 
 
 @pytest.mark.parametrize("inst", GREEDY_INSTANCES, ids=[i[0] for i in GREEDY_INSTANCES])

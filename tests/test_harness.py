@@ -240,6 +240,7 @@ def test_parse_kv_file_errors(tmp_path, body, frag):
 def test_coerce_kv():
     got = coerce_kv({"S": "3", "beta": "0.5", "strict": "yes", "algo": "advantage"})
     assert got == {"S": 3, "beta": 0.5, "strict": True, "algo": "advantage"}
+    assert coerce_kv({"agents": "4", "epsilon": "0.2"}) == {"agents": 4, "epsilon": 0.2}
     with pytest.raises(ConfigError) as ei:
         coerce_kv({"episodes": "many"})
     assert "episodes" in str(ei.value)

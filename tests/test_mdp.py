@@ -445,3 +445,20 @@ def test_cum_rows_cached_and_final_entry_one():
         for s in range(3):
             for a in range(2):
                 assert rows[h][s][a][-1] == 1.0
+
+
+def test_cached_arrays_reject_later_writes():
+    # writes before any sampling are fine (validate's tests rely on that);
+    # once a cache is built, a write would leave sampling on the old kernel
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    mdp.P[0, 0, 0] = [0.5, 0.5]
+    mdp.r[0, 0, 0] = 0.5
+    mdp.cum_rows()
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.P[0, 0, 0] = [1.0, 0.0]
+    mdp.r[0, 0, 0] = 0.25   # r has no cache yet
+    mdp.reward_rows()
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.r[0, 0, 0] = 0.0
+    assert mdp.cum_rows()[0][0][0] == [0.5, 1.0]
+    assert mdp.reward_rows()[0][0][0] == 0.25
