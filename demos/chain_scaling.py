@@ -11,23 +11,22 @@ T beyond 2*10^5 episodes.
 """
 import numpy as np
 
-from stageq import (AlgoConstants, EnvSpec, RunConfig, checkpoint_regrets,
-                    run_experiment)
+from stageq import AlgoConstants, EnvSpec, RunConfig, sweep_scaling
 
-K = 80_000
 checkpoints = [5_000, 10_000, 20_000, 40_000]
 env = EnvSpec(kind="jao", H=8, jao_epsilon=0.2, jao_delta=0.45, env_seed=0)
 const = AlgoConstants(p=0.1, c1=1.2, c2=1.2, c3=0.06, n0_override=500)
 
 marks = sorted(set(checkpoints + [2 * c for c in checkpoints]))
+# with episodes=1 the multipliers are the checkpoint episode counts
+rows = sweep_scaling(RunConfig(env=env, algo="advantage", constants=const,
+                               episodes=1), marks, seeds=range(10))
+R = {(T // env.H, seed): reg for T, seed, reg in rows}
 ratios = []
 for seed in range(10):
-    res = run_experiment(RunConfig(env=env, algo="advantage", constants=const,
-                                   episodes=K, seed=seed))
-    m = checkpoint_regrets(res.records, marks)
-    ratios.append([m[2 * c] / m[c] for c in checkpoints])
+    ratios.append([R[2 * c, seed] / R[c, seed] for c in checkpoints])
     print(f"seed {seed}: R = " +
-          " ".join(f"{m[c]:.0f}@{c // 1000}k" for c in marks))
+          " ".join(f"{R[c, seed]:.0f}@{c // 1000}k" for c in marks))
 
 ratios = np.asarray(ratios)
 print("\ncheckpoint episodes:", checkpoints)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
-from .stages import OutOfRangeError, StageSchedule, build_schedule
+from .stages import OutOfRangeError, build_schedule
 
 __all__ = ["AlgoConstants", "UcbAdvantageLearner", "HoeffdingStageLearner",
            "EpisodeReport", "safe_ratio", "DEFAULT_N_MAX"]
@@ -121,13 +121,11 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     reference = True   # False: Hoeffding target only, references never freeze
 
     def __init__(self, mdp: EpisodicMdp, constants: Optional[AlgoConstants] = None,
-                 n_max: int = DEFAULT_N_MAX, schedule: Optional[StageSchedule] = None):
+                 n_max: int = DEFAULT_N_MAX):
         super().__init__(mdp)
         S, A, H = self.S, self.A, self.H
         self.constants = constants or AlgoConstants()
-        self.schedule = schedule if schedule is not None else build_schedule(H, n_max)
-        if self.schedule.H != H:
-            raise ValueError("schedule horizon does not match the MDP")
+        self.schedule = build_schedule(H, n_max)
         self._n_max = self.schedule.n_max
 
         c = self.constants

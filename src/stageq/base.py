@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DeterministicPolicy, EpisodicMdp, sample_episode
+from .mdp import EpisodicMdp, sample_episode
 
 
 @dataclass
@@ -88,10 +88,6 @@ class TabularQLearnerBase:
                                    refs_fixed=self.ref_fixed_count - r0)
 
     # ----------------------------------------------------------- exports
-
-    def greedy_policy(self) -> DeterministicPolicy:
-        return DeterministicPolicy(
-            actions=np.asarray(self.greedy_actions_flat(), dtype=np.int64).reshape(self.H, self.S))
 
     def greedy_actions_flat(self):
         """Greedy action per (h, s) as a flat list; a copy the caller may keep."""

@@ -12,9 +12,11 @@ states and generated instances carry their own seeds and never touch the
 run streams, so changing the learner never perturbs the environment draw
 sequence.
 
-The per-episode audit loop recomputes policy snapshots and exact policy
-values only on episodes whose predecessor actually changed a Q entry; the
-greedy policy cannot move otherwise.
+The one per-episode audit loop recomputes policy snapshots and exact
+policy values only on episodes whose predecessor actually changed a Q
+entry; the greedy policy cannot move otherwise.  It builds a record only
+for the episodes its caller keeps (run_experiment: the log cadence;
+sweep_scaling: the checkpoints), so memory is bounded by those, not by K.
 """
 
 from __future__ import annotations
@@ -203,6 +205,8 @@ class RunSummary:
 
 @dataclass
 class RunResult:
+    """A run's outcome; records holds only its kept (logged or checkpoint) rows."""
+
     config: RunConfig
     records: list
     summary: RunSummary
@@ -215,15 +219,34 @@ class RunResult:
 # ------------------------------------------------------------------ drivers
 
 def run_experiment(config: RunConfig) -> RunResult:
-    """Run one seeded experiment with a full per-episode audit trail.
+    """Run one seeded experiment, audited on every episode.
 
     Episode k's policy pi_k is the greedy table at the episode's start;
     regret, switching increments and optimism counts are derived from exact
-    DP as described in the metrics module.  Writes CSVs under out_dir if
-    set (episodes.csv, snapshot_q.csv, snapshot_v.csv); the summary line is
-    for stdout because it carries wall time, which must stay out of the
+    DP as described in the metrics module.  records holds the rows of the
+    log cadence: every episode ("all"), or each power of two plus the last
+    ("pow2"); "auto" is "all" up to 100k episodes.  Writes CSVs under out_dir
+    if set (episodes.csv, snapshot_q.csv, snapshot_v.csv); the summary line
+    is for stdout because it carries wall time, which must stay out of the
     byte-deterministic files.
     """
+    K, mode = config.episodes, config.log_every
+    if mode == "auto":
+        mode = "all" if K <= 100_000 else "pow2"
+    if mode == "all":
+        keep = range(1, K + 1)
+    elif mode == "pow2":
+        keep = {1 << i for i in range(K.bit_length())} | {K}
+    else:
+        raise ConfigError(f"unknown log cadence {mode!r}")
+    result = _audited_run(config, keep)
+    if config.out_dir is not None:
+        write_run_outputs(result, config.out_dir)
+    return result
+
+
+def _audited_run(config: RunConfig, keep) -> RunResult:
+    """The audit loop; keeps the row of each episode k in keep, ignores out_dir."""
     t0 = time.perf_counter()
     K = config.episodes
     if K < 1:
@@ -232,7 +255,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     validate(mdp)
     vstar, pistar = backward_induction(mdp)
     qstar = vstar.Q
-    vstar0 = vstar.V[0]
+    vstar0 = vstar.V[0].tolist()   # lists: the same float64 arithmetic, unboxed
     learner = make_learner(config.algo, mdp, config.constants,
                            n_max=K * mdp.H + 1, cb=config.cb)
     env_rng = seeded_stream(config.seed, 0, "env")
@@ -243,27 +266,30 @@ def run_experiment(config: RunConfig) -> RunResult:
     violations = 0
     policy = learner.greedy_actions_flat()
     switches.record(policy)
-    vpi0 = cache.values(policy).V[0]
+    vpi0 = cache.values(policy).V[0].tolist()
     resnapshot = False
 
     for k in range(1, K + 1):
         if resnapshot:
             policy = learner.greedy_actions_flat()
             switches.record(policy)
-            vpi0 = cache.values(policy).V[0]
+            vpi0 = cache.values(policy).V[0].tolist()
         traj, report = learner.run_episode(mdp, env_rng, k - 1)
         s1 = traj[0][0]
-        reg = float(vstar0[s1] - vpi0[s1])
+        reg = vstar0[s1] - vpi0[s1]
         cum_regret += reg
         resnapshot = report.q_changed
         if resnapshot:
             violations = max(violations, check_optimism(learner.q_array(), qstar))
-        records.append(EpisodeRecord(
-            k=k, episode_regret=reg, cum_regret=cum_regret,
-            cum_switching_cost=switches.total,
-            cum_q_updates=learner.q_update_count,
-            cum_optimism_violations=violations,
-            ref_states_fixed=learner.ref_fixed_count))
+        # strict runs keep a negative-regret row too, so that
+        # enforce_invariants' scan of the records covers every episode
+        if k in keep or (config.strict and reg < -1e-9):
+            records.append(EpisodeRecord(
+                k=k, episode_regret=reg, cum_regret=cum_regret,
+                cum_switching_cost=switches.total,
+                cum_q_updates=learner.q_update_count,
+                cum_optimism_violations=violations,
+                ref_states_fixed=learner.ref_fixed_count))
 
     T = K * mdp.H
     summary = RunSummary(
@@ -278,8 +304,6 @@ def run_experiment(config: RunConfig) -> RunResult:
                        learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
     if config.strict:
         enforce_invariants(result)
-    if config.out_dir is not None:
-        write_run_outputs(result, config.out_dir)
     return result
 
 
@@ -300,8 +324,9 @@ def enforce_invariants(result: RunResult) -> None:
 
 
 def checkpoint_regrets(records, episode_counts) -> dict:
-    """cum_regret after each requested episode count, from one run's records."""
-    return {k: records[k - 1].cum_regret for k in episode_counts}
+    """cum_regret after each requested episode count, by row k (KeyError if none)."""
+    by_k = {rec.k: rec.cum_regret for rec in records}
+    return {k: by_k[k] for k in episode_counts}
 
 
 def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
@@ -309,17 +334,14 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
 
     One run per seed suffices because the learner is online: cum_regret at
     an intermediate episode equals a run stopped there (same stream).
-    Checkpoints are round(episodes * m) for each multiplier.
+    Checkpoints are round(episodes * m) for each multiplier; each seed's
+    run keeps only their rows.  log_every and out_dir are not read.
     """
     ks = sorted({max(1, round(config.episodes * m)) for m in t_multipliers})
     rows = []
     for seed in seeds:
-        cfg = replace(config, episodes=ks[-1], seed=seed, out_dir=None)
-        result = run_experiment(cfg)
-        marks = checkpoint_regrets(result.records, ks)
-        H = result.mdp.H
-        for k in ks:
-            rows.append((k * H, seed, marks[k]))
+        result = _audited_run(replace(config, episodes=ks[-1], seed=seed), set(ks))
+        rows += [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
     return rows
 
 
@@ -359,30 +381,11 @@ def run_concurrent_experiment(env: EnvSpec, cc: ConcurrentConfig, *,
 
 # ------------------------------------------------------------- file output
 
-def _log_filter(records, mode: str):
-    if mode == "all":
-        return records
-    if mode == "pow2":
-        keep = []
-        mark = 1
-        for rec in records:
-            if rec.k == mark:
-                keep.append(rec)
-                mark *= 2
-        if records and keep[-1].k != records[-1].k:
-            keep.append(records[-1])
-        return keep
-    raise ConfigError(f"unknown log cadence {mode!r}")
-
-
 def write_run_outputs(result: RunResult, out_dir) -> None:
     """episodes.csv plus Q/V snapshot CSVs; all rows are deterministic."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mode = result.config.log_every
-    if mode == "auto":
-        mode = "all" if result.config.episodes <= 100_000 else "pow2"
-    write_episode_csv(_log_filter(result.records, mode), out / "episodes.csv")
+    write_episode_csv(result.records, out / "episodes.csv")
 
     learner = result.learner
     q = learner.q_array()

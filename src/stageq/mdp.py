@@ -126,23 +126,24 @@ class EpisodicMdp:
     # Cached plain-list views for the sampling hot loop.  Cumulative rows get
     # their final entry forced to 1.0 so a uniform in [0, 1) always lands.
     # Building a cache makes its source array read-only, so a later write
-    # raises instead of leaving sampling on the old values.
+    # raises instead of leaving sampling on the old values; a cache keeps the
+    # array it was built from, so rebinding P or r rebuilds it.
     def cum_rows(self):
-        rows = getattr(self, "_cum_rows", None)
-        if rows is None:
+        src, rows = getattr(self, "_cum_rows", (None, None))
+        if src is not self.P:
             self.P.setflags(write=False)
             cum = np.cumsum(self.P, axis=-1)
             cum[..., -1] = 1.0
             rows = cum.tolist()
-            self._cum_rows = rows
+            self._cum_rows = (self.P, rows)
         return rows
 
     def reward_rows(self):
-        rows = getattr(self, "_reward_rows", None)
-        if rows is None:
+        src, rows = getattr(self, "_reward_rows", (None, None))
+        if src is not self.r:
             self.r.setflags(write=False)
             rows = self.r.tolist()
-            self._reward_rows = rows
+            self._reward_rows = (self.r, rows)
         return rows
 
 

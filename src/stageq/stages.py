@@ -66,25 +66,18 @@ class StageSchedule:
     def n_stages(self) -> int:
         return len(self.lengths)
 
-    def end_set(self) -> frozenset:
-        """Stage-end visit counts as a set (O(1) membership, hot-loop use)."""
-        return self._end_set
 
-
-def build_schedule(H: int, n_max: int, growth: float | None = None) -> StageSchedule:
+def build_schedule(H: int, n_max: int) -> StageSchedule:
     """Build the stage schedule covering visit counts up to n_max.
 
-    The default recurrence floor((1 + 1/H) * e) is evaluated in exact
-    integer arithmetic as e + e // H; a float product rounds the wrong way
-    for some (H, e), e.g. H=11, e=239.  `growth` (ablations only) replaces
-    the rate with an arbitrary factor > 1, forcing at least +1 per stage.
+    The recurrence floor((1 + 1/H) * e) is evaluated in exact integer
+    arithmetic as e + e // H; a float product rounds the wrong way for
+    some (H, e), e.g. H=11, e=239.
     """
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if growth is not None and growth <= 1.0:
-        raise ValueError(f"growth override must exceed 1, got {growth}")
 
     lengths: list[int] = []
     ends: list[int] = []
@@ -94,10 +87,7 @@ def build_schedule(H: int, n_max: int, growth: float | None = None) -> StageSche
         lengths.append(e)
         total += e
         ends.append(total)
-        if growth is None:
-            e = e + e // H
-        else:
-            e = max(math.floor(growth * e), e + 1)
+        e = e + e // H
     return StageSchedule(
         H=H,
         n_max=n_max,

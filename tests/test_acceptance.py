@@ -15,11 +15,11 @@ import pytest
 
 from oracles import ORACLE_SHAPES, brute_policy_value, brute_value_tables
 from stageq import (AlgoConstants, ConcurrentConfig, DeterministicPolicy,
-                    EnvSpec, PolicyValueCache, RunConfig, SwitchTracker,
-                    UcbAdvantageLearner, backward_induction, build_schedule,
-                    check_optimism, make_jao_chain, make_learner,
-                    make_random_mdp, policy_evaluation, run_concurrent_experiment,
-                    run_experiment, seeded_stream, switching_bound, validate)
+                    EnvSpec, RunConfig, UcbAdvantageLearner,
+                    backward_induction, build_schedule, make_learner,
+                    make_random_mdp, policy_evaluation,
+                    run_concurrent_experiment, run_experiment, seeded_stream,
+                    sweep_scaling, validate)
 from stageq.cli import main as cli_main
 
 # desk-scale exploration constants for the empirical checks (6 and 7).
@@ -94,20 +94,15 @@ def test_criterion_2_q_monotone():
 # ---------------------------------------------------------------------- 3
 
 def test_criterion_3_empirical_optimism():
-    # default theory constants, p=0.01; Q is non-increasing, so checking the
-    # final table is equivalent to checking every episode.
+    # default theory constants, p=0.01; the run counts Q entries below
+    # Q* - 1e-9 after every Q change, so every episode's table is checked
     t0 = time.perf_counter()
-    mdp = make_random_mdp(3, 2, 5, seed=0)
-    validate(mdp)
-    tables, _ = backward_induction(mdp)
-    K = 50_000
+    env = EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0)
     bad_seeds = 0
     for seed in range(20):
-        lr = UcbAdvantageLearner(mdp, AlgoConstants(p=0.01), n_max=K * 5 + 1)
-        rng = seeded_stream(seed, 0, "env")
-        for k in range(K):
-            lr.run_episode(mdp, rng, k)
-        if check_optimism(lr.q_array(), tables.Q, tol=1e-9) > 0:
+        res = run_experiment(RunConfig(env=env, constants=AlgoConstants(p=0.01),
+                                       episodes=50_000, seed=seed, log_every="pow2"))
+        if res.summary.optimism_violations > 0:
             bad_seeds += 1
     dt = time.perf_counter() - t0
     ok = bad_seeds <= 1 and dt < 120.0
@@ -123,18 +118,14 @@ def test_criterion_4_switching_ceiling():
     t0 = time.perf_counter()
     ok = True
     runs = 0
+    const = AlgoConstants(n0_override=500, **DESK)
     for algo in ("advantage", "hoeffding-stage"):
         for S, A, H, K in ((3, 2, 5, 4000), (2, 3, 3, 6000), (4, 2, 6, 2500)):
             for seed in (0, 1):
-                mdp = make_random_mdp(S, A, H, seed=7)
-                const = AlgoConstants(n0_override=500, **DESK)
-                lr = make_learner(algo, mdp, const, n_max=K * H + 1)
-                rng = seeded_stream(seed, 0, "env")
-                tracker = SwitchTracker()
-                for k in range(K):
-                    tracker.record(lr.greedy_actions_flat())
-                    lr.run_episode(mdp, rng, k)
-                if tracker.total > switching_bound(S, A, H, K * H):
+                env = EnvSpec(kind="random", S=S, A=A, H=H, env_seed=7)
+                s = run_experiment(RunConfig(env=env, algo=algo, constants=const,
+                                             episodes=K, seed=seed)).summary
+                if s.n_switch > s.switch_bound:
                     ok = False
                 runs += 1
     _report(4, "switching-cost ceiling", ok,
@@ -187,34 +178,16 @@ def test_criterion_6_sublinear_regret_scaling():
     # bends late on this instance (see decisions record): medians cross 1.7
     # around T~180k episodes, so the tested window starts at 200k.
     t0 = time.perf_counter()
-    mdp = make_jao_chain(40, epsilon=0.1, delta=0.4, seed=0)
-    validate(mdp)
-    tables, _ = backward_induction(mdp)
-    cache = PolicyValueCache(mdp)
+    env = EnvSpec(kind="jao", H=40, jao_epsilon=0.1, jao_delta=0.4, env_seed=0)
     const = AlgoConstants(n0_override=500, **DESK)
     cks = [200_000, 211_500, 223_600, 236_400, 250_000]
     marks = sorted(set(cks + [2 * c for c in cks]))
-    K = marks[-1]
-    rows = []
-    for seed in range(10):
-        lr = UcbAdvantageLearner(mdp, const, n_max=K * 40 + 1)
-        rng = seeded_stream(seed, 0, "env")
-        cum = 0.0
-        R = {}
-        vpi = cache.values(lr.greedy_actions_flat())
-        stale = False
-        for k in range(K):
-            if stale:
-                vpi = cache.values(lr.greedy_actions_flat())
-            traj, rep = lr.run_episode(mdp, rng, k)
-            stale = rep.q_changed
-            cum += float(tables.V[0, traj[0][0]] - vpi.V[0, traj[0][0]])
-            if (k + 1) in marks:
-                R[k + 1] = cum
-        rows.append([R[m] for m in marks])
-    arr = np.array(rows)
-    medians = [float(np.median(arr[:, marks.index(2 * c)] /
-                               arr[:, marks.index(c)])) for c in cks]
+    # with episodes=1 the multipliers are the checkpoint episode counts
+    rows = sweep_scaling(RunConfig(env=env, algo="advantage", constants=const,
+                                   episodes=1), marks, seeds=range(10))
+    R = {(T // 40, seed): reg for T, seed, reg in rows}
+    medians = [float(np.median([R[2 * c, seed] / R[c, seed]
+                                for seed in range(10)])) for c in cks]
     dt = time.perf_counter() - t0
     ok = all(m <= 1.7 for m in medians) and dt < 600.0
     _report(6, "sublinear regret scaling", ok,
@@ -280,16 +253,11 @@ def test_criterion_8_concurrent_accounting():
     cc1 = ConcurrentConfig(agents=1, epsilon=0.1, k_eps_override=600)
     res1 = run_concurrent_experiment(env, cc1, algo="advantage",
                                      constants=const, seed=5)
-    mdp = env.build()
-    live = make_learner("advantage", mdp, const,
-                        n_max=(600 + 1) * 4 + 1)
-    rng = seeded_stream(5, 0, "env")
-    flags = []
-    for k in range(600):
-        _, rep = live.run_episode(mdp, rng, k)
-        flags.append(rep.q_changed)
+    live = run_experiment(RunConfig(env=env, constants=const, episodes=600, seed=5))
+    ups = [0] + [r.cum_q_updates for r in live.records]
+    flags = [b > a for a, b in zip(ups, ups[1:])]
     same_flags = [r.update_triggered for r in res1.rounds] == flags
-    same_tables = np.array_equal(res1.learner.q_array(), live.q_array())
+    same_tables = np.array_equal(res1.learner.q_array(), live.learner.q_array())
     if not (same_flags and same_tables and len(res1.rounds) == 600):
         ok = False
     dt = time.perf_counter() - t0

@@ -102,12 +102,6 @@ def test_select_action_tie_breaks_low():
     assert lr.select_action(0, 0) == 0
 
 
-def test_schedule_horizon_mismatch_rejected():
-    mdp = make_random_mdp(2, 2, 3, seed=0)
-    with pytest.raises(ValueError):
-        UcbAdvantageLearner(mdp, schedule=build_schedule(4, 100))
-
-
 # ------------------------------------------------------------ accumulators
 
 def test_first_observation_accumulators():

@@ -170,3 +170,17 @@ def test_run_outputs_match_pinned_digests(tmp_path, capsys, algo):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_DIGESTS[algo]}
     assert got == PINNED_DIGESTS[algo]
+
+
+def test_pow2_log_and_sweep_match_pinned_digests(tmp_path, capsys):
+    # SHA-256 recorded while the run loop kept every row and thinned them on
+    # writing: the pow2 episodes.csv and a strict two-seed sweep's stdout
+    args = PINNED_RUN + ["--algo", "advantage"]
+    assert main(args + ["--log-every", "pow2", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "episodes.csv").read_bytes()).hexdigest() == \
+        "82025f7c05f12da2de5efcccffaedb4e352c49f57ca599874800deb87cb1b4ec"
+    capsys.readouterr()
+    assert main(["sweep"] + args[1:] + ["--strict", "--t-mults", "0.25,0.5,1.0",
+                                        "--seeds", "0,1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "588b541b0c70106c9977cdf33ae6f5f9c6d1b722ae1e86e4e511140d811e7bbf"

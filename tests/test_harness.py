@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from stageq import (AlgoConstants, ConfigError, EnvSpec, InitialStates,
                     check_optimism, coerce_kv, make_learner, make_random_mdp,
                     parse_kv_file, run_experiment, save_mdp, seeded_stream,
                     sweep_scaling, switching_bound, validate)
-from stageq.harness import (OracleAgent, UniformStream, checkpoint_regrets,
-                            parse_init_spec, write_run_outputs, _log_filter)
+from stageq import harness
+from stageq.harness import (UniformStream, checkpoint_regrets,
+                            enforce_invariants, parse_init_spec)
 
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
 
@@ -168,17 +171,43 @@ def test_strict_mode_flags_violations():
                                    episodes=200, seed=0, strict=True))
     # force a breach and re-check
     res.records[0].episode_regret = -1.0
-    from stageq.harness import enforce_invariants
     with pytest.raises(InvariantViolation):
         enforce_invariants(res)
 
 
+def test_strict_mode_flags_negative_regret_on_unlogged_episode(monkeypatch):
+    # only episode 3, which the pow2 cadence drops, starts in state 1, where
+    # the substituted cache rates the policy 1.0 above optimal
+    class InflatedCache(PolicyValueCache):
+        def values(self, actions_flat):
+            tables = super().values(actions_flat)
+            V = tables.V.copy()
+            V[0, 1] += 1.0
+            return replace(tables, V=V)
+
+    monkeypatch.setattr(harness, "PolicyValueCache", InflatedCache)
+    env = EnvSpec(S=2, H=3, init=InitialStates.cyclic([0, 0, 1, 0, 0, 0]))
+    cfg = RunConfig(env=env, algo="oracle", episodes=6, log_every="pow2")
+    assert [r.k for r in run_experiment(cfg).records] == [1, 2, 4, 6]
+    with pytest.raises(InvariantViolation, match="k=3"):
+        run_experiment(replace(cfg, strict=True))
+
+
 # ------------------------------------------------------------------ sweeps
 
-def test_sweep_prefix_property():
+def test_sweep_prefix_property(monkeypatch):
+    kept = []   # each seed's run keeps only its checkpoint rows
+    audited_run = harness._audited_run
+
+    def spy(config, keep):
+        kept.append(audited_run(config, keep))
+        return kept[-1]
+
+    monkeypatch.setattr(harness, "_audited_run", spy)
     env = EnvSpec(kind="random", S=3, A=2, H=4, env_seed=1)
     cfg = RunConfig(env=env, algo="classic-qucb", episodes=200, seed=0)
     rows = sweep_scaling(cfg, [0.5, 1.0], seeds=[0, 1])
+    assert [[r.k for r in res.records] for res in kept] == [[100, 200]] * 2
     by = {(T, seed): reg for T, seed, reg in rows}
     assert set(by) == {(400, 0), (800, 0), (400, 1), (800, 1)}
     # a fresh half-length run lands exactly on the checkpoint value
@@ -195,6 +224,10 @@ def test_checkpoint_regrets_picks_rows():
     assert marks[1] == res.records[0].cum_regret
     assert marks[25] == res.records[24].cum_regret
     assert marks[50] == res.records[49].cum_regret
+    # on a thinned list rows are found by k, and a missing k raises
+    assert checkpoint_regrets(res.records[::4], [25]) == {25: marks[25]}
+    with pytest.raises(KeyError):
+        checkpoint_regrets(res.records[::4], [24])
 
 
 # ------------------------------------------------------------- file output
@@ -203,17 +236,23 @@ def test_write_run_outputs_and_log_filter(tmp_path):
     env = EnvSpec(kind="random", S=2, A=2, H=3, env_seed=0)
     cfg = RunConfig(env=env, constants=REDUCED, episodes=20, seed=0,
                     out_dir=str(tmp_path / "o"), log_every="pow2")
-    run_experiment(cfg)
+    res = run_experiment(cfg)
     lines = (tmp_path / "o" / "episodes.csv").read_text().splitlines()
     ks = [int(row.split(",")[0]) for row in lines[1:]]
-    assert ks == [1, 2, 4, 8, 16, 20]
+    # floor(log2 K) + 1 rows, plus the last episode unless K is a power of 2
+    assert ks == [r.k for r in res.records] == [1, 2, 4, 8, 16, 20]
+    res = run_experiment(replace(cfg, episodes=16, out_dir=None))
+    assert [r.k for r in res.records] == [1, 2, 4, 8, 16]
     assert (tmp_path / "o" / "snapshot_q.csv").exists()
     v_lines = (tmp_path / "o" / "snapshot_v.csv").read_text().splitlines()
     assert v_lines[0] == "h,s,V,Vref"
     assert len(v_lines) == 1 + 3 * 2
 
-    with pytest.raises(ConfigError):
-        _log_filter([], "every-third")
+    # a bad cadence is rejected before anything is built (this env raises)
+    env = EnvSpec(kind="jao", H=8)
+    for out_dir in (None, str(tmp_path / "bad")):
+        with pytest.raises(ConfigError):
+            run_experiment(RunConfig(env=env, log_every="every-third", out_dir=out_dir))
 
 
 # ------------------------------------------------------------ config files

@@ -462,3 +462,9 @@ def test_cached_arrays_reject_later_writes():
         mdp.r[0, 0, 0] = 0.0
     assert mdp.cum_rows()[0][0][0] == [0.5, 1.0]
     assert mdp.reward_rows()[0][0][0] == 0.25
+    # rebinding P or r rebuilds the cache from the new array
+    P2 = mdp.P.copy()
+    P2[0, 0, 0] = [1.0, 0.0]
+    mdp.P, mdp.r = P2, np.full_like(mdp.r, 0.75)
+    assert mdp.cum_rows()[0][0][0] == [1.0, 1.0]
+    assert mdp.reward_rows()[0][0][0] == 0.75

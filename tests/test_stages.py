@@ -126,20 +126,9 @@ def test_bad_args():
         build_schedule(0, 10)
     with pytest.raises(ValueError):
         build_schedule(2, 0)
-    with pytest.raises(ValueError):
-        build_schedule(2, 10, growth=1.0)
-
-
-def test_growth_override():
-    s = build_schedule(4, 100, growth=2.0)
-    assert s.lengths.tolist() == [4, 8, 16, 32, 64]
-    # a rate so close to 1 that floor would stall: forced +1 keeps progress
-    s = build_schedule(3, 30, growth=1.0001)
-    assert np.all(np.diff(s.lengths) >= 1)
 
 
 def test_schedule_is_shareable_value():
     s = build_schedule(2, 50)
     assert isinstance(s, StageSchedule)
     assert s.n_stages == 7
-    assert s.end_set() == frozenset(s.ends.tolist())
