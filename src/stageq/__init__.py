@@ -22,9 +22,10 @@ from .mdp import (DeterministicPolicy, EpisodicMdp, InitialStates,
                   backward_induction, load_mdp, make_jao_chain,
                   make_random_mdp, policy_evaluation, sample_episode,
                   save_mdp, validate)
-from .metrics import (EPISODE_CSV_HEADER, EpisodeRecord, PolicyValueCache,
-                      SwitchTracker, check_optimism, count_switches,
-                      episode_regret, switching_bound, write_episode_csv)
+from .metrics import (EPISODE_CSV_HEADER, EpisodeRecord, OptimismTracker,
+                      PolicyValueCache, SwitchTracker, check_optimism,
+                      count_switches, episode_regret, switching_bound,
+                      write_episode_csv)
 from .stages import (OutOfRangeError, StageSchedule, build_schedule,
                      stage_count_bound)
 

@@ -16,6 +16,12 @@ Every write to Q goes through _row_max, which rescans that one row and
 refreshes its _greedy entry, so select_action is a list read.
 greedy_actions_flat returns a copy, because callers hold their snapshot
 while learning goes on.
+
+Trajectory locality: run_episode writes Q, V and _greedy only at the
+(h, s, a) cells (and their (h, s) rows) of the trajectory it returns.  The
+audit loop in harness relies on this to re-test optimism and count switches
+on those H cells alone, so an update that touched any other cell would
+make the audit miss it.
 """
 
 from __future__ import annotations
@@ -92,6 +98,10 @@ class TabularQLearnerBase:
     def greedy_actions_flat(self):
         """Greedy action per (h, s) as a flat list; a copy the caller may keep."""
         return self._greedy[:]
+
+    def q_at(self, i3: int) -> float:
+        """Q at flat index i3 = (h*S + s)*A + a, read-only."""
+        return self._q[i3]
 
     def q_array(self) -> np.ndarray:
         return np.asarray(self._q, dtype=float).reshape(self.H, self.S, self.A)

@@ -10,8 +10,11 @@ solve       exact optimal tables for an environment; print or save
 schedule    the geometric visit-count stage table for a given H
 
 Config files hold `key = value` lines ('#' comments); any flag given on
-the command line overrides the file.  Exit status: 0 ok, 1 a strict-mode
-invariant failed, 2 bad configuration or input.
+the command line overrides the file.  sweep takes no --seed or --log-every
+(its seeds come from --seeds) and concurrent no --episodes, --log-every or
+--strict; a config file setting one of those keys for them is rejected.
+Exit status: 0 ok, 1 a strict-mode invariant failed, 2 bad configuration
+or input.
 """
 
 from __future__ import annotations
@@ -29,8 +32,13 @@ from .harness import (_CONC_KEYS, _RUN_KEYS, ALGOS, ConfigError,
 from .mdp import MdpValidationError, backward_induction, save_mdp, validate
 from .stages import build_schedule
 
+# Run keys that sweep and concurrent never read: neither registers their
+# flags, and a config file that sets one is rejected.
+_SWEEP_UNUSED = ("seed", "log_every")
+_CONC_UNUSED = ("episodes", "log_every", "strict")
 _RUN_ATTRS = tuple(_RUN_KEYS)
-_CONC_ATTRS = tuple(_CONC_KEYS)
+_SWEEP_ATTRS = tuple(k for k in _RUN_KEYS if k not in _SWEEP_UNUSED)
+_CONC_ATTRS = tuple(k for k in _RUN_KEYS if k not in _CONC_UNUSED) + tuple(_CONC_KEYS)
 
 
 def _add_env_args(p):
@@ -69,14 +77,18 @@ def _add_algo_args(p):
                    help="replace the computed reference-freeze visit count")
 
 
-def _add_run_io_args(p):
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+def _add_run_io_args(p, unused=()):
+    if "episodes" not in unused:
+        p.add_argument("--episodes", type=int, default=None)
+    if "seed" not in unused:
+        p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output directory for CSVs")
-    p.add_argument("--log-every", default=None, choices=("auto", "all", "pow2"))
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="exit nonzero if any runtime invariant fails")
+    if "log_every" not in unused:
+        p.add_argument("--log-every", default=None, choices=("auto", "all", "pow2"))
+    if "strict" not in unused:
+        p.add_argument("--strict", action="store_true", default=None,
+                       help="exit nonzero if any runtime invariant fails")
 
 
 def _collect(args, attrs) -> dict:
@@ -89,9 +101,15 @@ def _collect(args, attrs) -> dict:
 
 
 def _merged_values(args, attrs) -> dict:
+    """Config-file values overridden by flags; a file key outside attrs,
+    which the command would ignore, raises ConfigError."""
     values = {}
     if getattr(args, "config", None):
         values = coerce_kv(parse_kv_file(args.config))
+        for key in values:
+            if key not in attrs:
+                raise ConfigError(f"config key {key!r} is not read by "
+                                  f"'stageq {args.command}'")
     values.update(_collect(args, attrs))
     return values
 
@@ -118,7 +136,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = _merged_values(args, _RUN_ATTRS)
+    values = _merged_values(args, _SWEEP_ATTRS)
     out = values.pop("out", None)
     cfg = build_run_config(values)
     mults = _parse_float_list(args.t_mults, "--t-mults")
@@ -141,8 +159,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_concurrent(args) -> int:
-    values = _merged_values(args, _RUN_ATTRS + _CONC_ATTRS)
-    conc = {k: values.pop(k) for k in _CONC_ATTRS if k in values}
+    values = _merged_values(args, _CONC_ATTRS)
+    conc = {k: values.pop(k) for k in _CONC_KEYS if k in values}
     cfg = build_run_config(values)
     cc = build_concurrent_config(conc)
     result = run_concurrent_experiment(cfg.env, cc, algo=cfg.algo,
@@ -216,10 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_io_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="regret at several horizons T")
+    # no prefix matching here, or --seed would be taken for --seeds
+    p_sweep = sub.add_parser("sweep", help="regret at several horizons T",
+                             allow_abbrev=False)
     _add_env_args(p_sweep)
     _add_algo_args(p_sweep)
-    _add_run_io_args(p_sweep)
+    _add_run_io_args(p_sweep, unused=_SWEEP_UNUSED)
     p_sweep.add_argument("--t-mults", default="0.25,0.5,1.0",
                          help="comma list of fractions of --episodes to checkpoint")
     p_sweep.add_argument("--seeds", default="0",
@@ -229,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conc = sub.add_parser("concurrent", help="round-based multi-agent run")
     _add_env_args(p_conc)
     _add_algo_args(p_conc)
-    _add_run_io_args(p_conc)
+    _add_run_io_args(p_conc, unused=_CONC_UNUSED)
     p_conc.add_argument("--agents", type=int, default=None,
                         help="episodes generated per round")
     p_conc.add_argument("--epsilon", type=float, default=None,

@@ -14,9 +14,14 @@ sequence.
 
 The one per-episode audit loop recomputes policy snapshots and exact
 policy values only on episodes whose predecessor actually changed a Q
-entry; the greedy policy cannot move otherwise.  It builds a record only
-for the episodes its caller keeps (run_experiment: the log cadence;
-sweep_scaling: the checkpoints), so memory is bounded by those, not by K.
+entry; the greedy policy cannot move otherwise.  Such an episode wrote Q
+only along its own trajectory (see the base module), so the switch and
+optimism counts re-test just those H rows and cells: O(H) per Q-changing
+episode, plus the policy-value cache, which keeps V only and recomputes
+only the layers where the new policy differs from the last.  The loop
+builds a record only for the episodes its caller keeps (run_experiment:
+the log cadence; sweep_scaling: the checkpoints), so memory is bounded by
+those, not by K.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
-from .metrics import (EpisodeRecord, PolicyValueCache, SwitchTracker,
-                      check_optimism, switching_bound, write_episode_csv)
+from .metrics import (EpisodeRecord, OptimismTracker, PolicyValueCache,
+                      SwitchTracker, switching_bound, write_episode_csv)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -254,33 +259,34 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     mdp = config.env.build()
     validate(mdp)
     vstar, pistar = backward_induction(mdp)
-    qstar = vstar.Q
     vstar0 = vstar.V[0].tolist()   # lists: the same float64 arithmetic, unboxed
     learner = make_learner(config.algo, mdp, config.constants,
                            n_max=K * mdp.H + 1, cb=config.cb)
     env_rng = seeded_stream(config.seed, 0, "env")
     cache = PolicyValueCache(mdp)
     switches = SwitchTracker()
+    optimism = OptimismTracker(learner.q_array(), vstar.Q)
+    S = mdp.S
     records = []
     cum_regret = 0.0
     violations = 0
     policy = learner.greedy_actions_flat()
     switches.record(policy)
     vpi0 = cache.values(policy).V[0].tolist()
-    resnapshot = False
+    changed = None                 # the last episode's trajectory, if it changed Q
 
     for k in range(1, K + 1):
-        if resnapshot:
+        if changed is not None:
             policy = learner.greedy_actions_flat()
-            switches.record(policy)
+            switches.record_rows(policy, [h * S + step[0] for h, step in enumerate(changed)])
             vpi0 = cache.values(policy).V[0].tolist()
         traj, report = learner.run_episode(mdp, env_rng, k - 1)
         s1 = traj[0][0]
         reg = vstar0[s1] - vpi0[s1]
         cum_regret += reg
-        resnapshot = report.q_changed
-        if resnapshot:
-            violations = max(violations, check_optimism(learner.q_array(), qstar))
+        changed = traj if report.q_changed else None
+        if changed is not None:
+            violations = max(violations, optimism.update(learner.q_at, traj))
         # strict runs keep a negative-regret row too, so that
         # enforce_invariants' scan of the records covers every episode
         if k in keep or (config.strict and reg < -1e-9):

@@ -162,10 +162,13 @@ class DeterministicPolicy:
 
 @dataclass(eq=False)
 class ValueTables:
-    """Exact V (H+1, S) and Q (H+1, S, A) tables; row H is the zero boundary."""
+    """Exact V (H+1, S) and Q (H+1, S, A) tables; row H is the zero boundary.
+
+    Q is None where only V is kept (metrics.PolicyValueCache).
+    """
 
     V: np.ndarray
-    Q: np.ndarray
+    Q: Optional[np.ndarray]
 
 
 def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
@@ -218,20 +221,41 @@ def backward_induction(mdp: EpisodicMdp):
     return ValueTables(V=V, Q=Q), DeterministicPolicy(actions=pi)
 
 
-def policy_evaluation(mdp: EpisodicMdp, policy: DeterministicPolicy) -> ValueTables:
-    """Exact V^pi and Q^pi for a deterministic step-indexed policy."""
+def checked_actions(mdp: EpisodicMdp, actions) -> np.ndarray:
+    """actions as an (H, S) int64 array; ValueError on a wrong shape or an
+    action outside [0, A), which indexing would otherwise wrap silently."""
     H, S, A = mdp.H, mdp.S, mdp.A
-    acts = np.asarray(policy.actions, dtype=np.int64)
+    acts = np.asarray(actions, dtype=np.int64)
     if acts.shape != (H, S):
         raise ValueError(f"policy shape {acts.shape} != {(H, S)}")
     if acts.min() < 0 or acts.max() >= A:
         raise ValueError(f"policy actions outside [0, {A})")
+    return acts
+
+
+def evaluate_layers(mdp: EpisodicMdp, acts: np.ndarray, V: np.ndarray, top: int,
+                    Q: Optional[np.ndarray] = None) -> None:
+    """Backward induction under acts for layers top, top-1, ..., 0, in place.
+
+    V[h] = (r[h] + P[h] . V[h+1])[s, acts[h, s]], starting from V[top + 1]
+    as given; Q, if passed, receives each layer's Q^pi.  acts must come from
+    checked_actions.
+    """
+    idx = np.arange(mdp.S)
+    for h in range(top, -1, -1):
+        q = mdp.r[h] + mdp.P[h].dot(V[h + 1])
+        if Q is not None:
+            Q[h] = q
+        V[h] = q[idx, acts[h]]
+
+
+def policy_evaluation(mdp: EpisodicMdp, policy: DeterministicPolicy) -> ValueTables:
+    """Exact V^pi and Q^pi for a deterministic step-indexed policy."""
+    H, S, A = mdp.H, mdp.S, mdp.A
+    acts = checked_actions(mdp, policy.actions)
     V = np.zeros((H + 1, S))
     Q = np.zeros((H + 1, S, A))
-    idx = np.arange(S)
-    for h in range(H - 1, -1, -1):
-        Q[h] = mdp.r[h] + mdp.P[h].dot(V[h + 1])
-        V[h] = Q[h][idx, acts[h]]
+    evaluate_layers(mdp, acts, V, H - 1, Q)
     return ValueTables(V=V, Q=Q)
 
 

@@ -139,7 +139,41 @@ def test_config_key_tables_match_flags():
         return set(vars(parser.parse_args([command]))) - {"command", "func", "config"}
 
     assert dests("run") == set(_RUN_KEYS)
-    assert dests("concurrent") == set(_RUN_KEYS) | set(_CONC_KEYS)
+    # sweep and concurrent leave out the run keys they never read
+    assert dests("sweep") - {"t_mults", "seeds"} == \
+        set(_RUN_KEYS) - {"seed", "log_every"}
+    assert dests("concurrent") == \
+        (set(_RUN_KEYS) - {"episodes", "log_every", "strict"}) | set(_CONC_KEYS)
+
+
+SMALL_ENV_ARGS = ["--env", "random", "--S", "2", "--A", "2", "--H", "2",
+                  "--env-seed", "0"]
+UNREAD = [("sweep", "--seed", "3"), ("sweep", "--log-every", "all"),
+          ("concurrent", "--episodes", "10"),
+          ("concurrent", "--log-every", "all"), ("concurrent", "--strict", None)]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD,
+                         ids=[f"{c}{f}" for c, f, _ in UNREAD])
+def test_unread_flag_is_rejected(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as ei:
+        main([command] + SMALL_ENV_ARGS + [flag] + ([value] if value else []))
+    assert ei.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD,
+                         ids=[f"{c}-{f[2:].replace('-', '_')}" for c, f, _ in UNREAD])
+def test_unread_config_key_is_rejected(tmp_path, capsys, command, flag, value):
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value or 'true'}\n")
+    extra = ["--k-eps-override", "30"] if command == "concurrent" else []
+    assert main([command, "--config", str(cfg)] + SMALL_ENV_ARGS + extra) == 2
+    assert repr(key) in capsys.readouterr().err
+    # without the key the same command runs
+    cfg.write_text("")
+    assert main([command, "--config", str(cfg)] + SMALL_ENV_ARGS + extra) == 0
 
 
 # SHA-256 of each output file, recorded while hoeffding-stage still had its
@@ -180,7 +214,9 @@ def test_pow2_log_and_sweep_match_pinned_digests(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "episodes.csv").read_bytes()).hexdigest() == \
         "82025f7c05f12da2de5efcccffaedb4e352c49f57ca599874800deb87cb1b4ec"
     capsys.readouterr()
-    assert main(["sweep"] + args[1:] + ["--strict", "--t-mults", "0.25,0.5,1.0",
-                                        "--seeds", "0,1"]) == 0
+    # sweep takes no --seed (it never read one): its seeds come from --seeds
+    sweep = ["sweep"] + PINNED_RUN[1:-2] + ["--algo", "advantage"]
+    assert main(sweep + ["--strict", "--t-mults", "0.25,0.5,1.0",
+                         "--seeds", "0,1"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "588b541b0c70106c9977cdf33ae6f5f9c6d1b722ae1e86e4e511140d811e7bbf"

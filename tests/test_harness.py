@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ConfigError, EnvSpec, InitialStates,
-                    InvariantViolation, PolicyValueCache, RunConfig,
-                    SwitchTracker, backward_induction, build_run_config,
-                    check_optimism, coerce_kv, make_learner, make_random_mdp,
-                    parse_kv_file, run_experiment, save_mdp, seeded_stream,
-                    sweep_scaling, switching_bound, validate)
+from stageq import (AlgoConstants, ConfigError, DeterministicPolicy, EnvSpec,
+                    InitialStates, InvariantViolation, OptimismTracker,
+                    PolicyValueCache, RunConfig, SwitchTracker,
+                    backward_induction, build_run_config, check_optimism,
+                    coerce_kv, make_learner, make_random_mdp, parse_kv_file,
+                    policy_evaluation, run_experiment, save_mdp,
+                    seeded_stream, sweep_scaling, switching_bound, validate)
 from stageq import harness
 from stageq.harness import (UniformStream, checkpoint_regrets,
                             enforce_invariants, parse_init_spec)
@@ -87,14 +88,18 @@ def test_make_learner_dispatch():
 # -------------------------------------------------------------- run driver
 
 def eager_reference_run(config):
-    """Per-episode audit with NO lazy shortcuts; ground truth for records."""
+    """Per-episode audit with NO lazy shortcuts; ground truth for records.
+
+    Every episode evaluates its policy afresh with policy_evaluation and
+    rescans every cell and row, so it shares no code with the cache's
+    partial evaluation or the trackers' per-trajectory updates.
+    """
     mdp = config.env.build()
     validate(mdp)
     tables, _ = backward_induction(mdp)
     learner = make_learner(config.algo, mdp, config.constants,
                            n_max=config.episodes * mdp.H + 1, cb=config.cb)
     rng = seeded_stream(config.seed, 0, "env")
-    cache = PolicyValueCache(mdp)
     tracker = SwitchTracker()
     rows = []
     cum = 0.0
@@ -102,7 +107,8 @@ def eager_reference_run(config):
     for k in range(1, config.episodes + 1):
         policy = learner.greedy_actions_flat()
         tracker.record(policy)
-        vpi = cache.values(policy)
+        vpi = policy_evaluation(mdp, DeterministicPolicy(
+            np.asarray(policy).reshape(mdp.H, mdp.S)))
         traj, _ = learner.run_episode(mdp, rng, k - 1)
         s1 = traj[0][0]
         cum += float(tables.V[0, s1] - vpi.V[0, s1])
@@ -112,18 +118,60 @@ def eager_reference_run(config):
     return rows
 
 
-# per-variant scales chosen so q updates actually fire (lazy path non-vacuous)
-@pytest.mark.parametrize("algo,constants,episodes", [
-    ("advantage", REDUCED, 400),
-    ("hoeffding-stage", AlgoConstants(p=0.999), 1500),
-    ("classic-qucb", REDUCED, 400),
+class CheckedOptimism(OptimismTracker):
+    """Checks the incremental count against the full scan after each update."""
+
+    def __init__(self, q_learner, q_star, tol=1e-9):
+        super().__init__(q_learner, q_star, tol)
+        self.q_star = q_star
+        self.counts = []
+
+    def update(self, q_at, traj):
+        count = super().update(q_at, traj)
+        assert count == check_optimism(q_at.__self__.q_array(), self.q_star)
+        self.counts.append(count)
+        return count
+
+
+SMALL_ENV = EnvSpec(kind="random", S=3, A=2, H=3, env_seed=2)
+WIDE_ENV = EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0)
+CHAIN_ENV = EnvSpec(kind="jao", H=40, jao_delta=0.4, jao_epsilon=0.1, env_seed=0)
+DESK = dict(p=0.1, c1=1.2, c2=1.2, c3=0.06)
+
+
+# per-variant scales chosen so q updates actually fire (lazy path non-vacuous);
+# the wide and chain cases flip the greedy policy on many rows per change.
+# The first three ids are the ones pytest generated before env and cb were
+# parameters.
+@pytest.mark.parametrize("env,algo,constants,cb,episodes", [
+    pytest.param(SMALL_ENV, "advantage", REDUCED, 2.0, 400,
+                 id="advantage-constants0-400"),
+    pytest.param(SMALL_ENV, "hoeffding-stage", AlgoConstants(p=0.999), 2.0, 1500,
+                 id="hoeffding-stage-constants1-1500"),
+    pytest.param(SMALL_ENV, "classic-qucb", REDUCED, 2.0, 400,
+                 id="classic-qucb-constants2-400"),
+    # with so small a bonus cells dip below Q* and climb back: the count falls
+    pytest.param(SMALL_ENV, "classic-qucb", AlgoConstants(p=0.1), 0.01, 400,
+                 id="classic-qucb-cb0.01-400"),
+    pytest.param(WIDE_ENV, "classic-qucb", AlgoConstants(p=0.1), 0.01, 100,
+                 id="classic-qucb-wide-cb0.01-100"),
+    pytest.param(CHAIN_ENV, "advantage", AlgoConstants(n0_override=500, **DESK),
+                 2.0, 2000, id="advantage-jao40-2000"),
 ])
-def test_lazy_audit_matches_eager_reference(algo, constants, episodes):
-    env = EnvSpec(kind="random", S=3, A=2, H=3, env_seed=2)
-    cfg = RunConfig(env=env, algo=algo, constants=constants,
+def test_lazy_audit_matches_eager_reference(monkeypatch, env, algo, constants,
+                                            cb, episodes):
+    trackers = []
+
+    def checked(q_learner, q_star):
+        trackers.append(CheckedOptimism(q_learner, q_star))
+        return trackers[-1]
+
+    monkeypatch.setattr(harness, "OptimismTracker", checked)
+    cfg = RunConfig(env=env, algo=algo, constants=constants, cb=cb,
                     episodes=episodes, seed=3)
     res = run_experiment(cfg)
     assert res.summary.q_updates > 0
+    assert len(trackers) == 1 and trackers[0].counts
     got = [(r.k, r.cum_regret, r.cum_switching_cost, r.cum_q_updates,
             r.cum_optimism_violations, r.ref_states_fixed) for r in res.records]
     want = eager_reference_run(cfg)

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import ORACLE_SHAPES, brute_policy_value, brute_value_tables
 from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
@@ -468,3 +474,63 @@ def test_cached_arrays_reject_later_writes():
     mdp.P, mdp.r = P2, np.full_like(mdp.r, 0.75)
     assert mdp.cum_rows()[0][0][0] == [1.0, 1.0]
     assert mdp.reward_rows()[0][0][0] == 0.75
+
+
+# ------------------------------------------------------ property tests
+
+PROPERTY = settings(derandomize=True, deadline=None)
+DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def stochastic_mdps(draw):
+    """Finite rows w / sum(w) from weights in [0, 1] (an all-zero row is
+    made uniform) and rewards in [0, 1]."""
+    S, A, H = draw(DIMS)
+    w = draw(hnp.arrays(np.float64, (H, S, A, S), elements=st.floats(0.0, 1.0)))
+    w += w.sum(axis=-1, keepdims=True) == 0.0
+    r = draw(hnp.arrays(np.float64, (H, S, A), elements=st.floats(0.0, 1.0)))
+    return EpisodicMdp(S=S, A=A, H=H, P=w / w.sum(axis=-1, keepdims=True), r=r)
+
+
+@PROPERTY
+@given(stochastic_mdps())
+def test_validate_accepts_random_stochastic_rows(mdp):
+    validate(mdp)
+
+
+@PROPERTY
+@given(stochastic_mdps(), st.data())
+def test_validate_rejects_one_corrupted_entry(mdp, data):
+    h = data.draw(st.integers(0, mdp.H - 1))
+    s = data.draw(st.integers(0, mdp.S - 1))
+    a = data.draw(st.integers(0, mdp.A - 1))
+    j = data.draw(st.integers(0, mdp.S - 1))
+    kind = data.draw(st.sampled_from(["nan", "inf", "-inf", "negative", "sum"]))
+    if kind == "negative":
+        mdp.P[h, s, a, j] = -data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    elif kind == "sum":
+        # off by more than validate's tol of 1e-12 (a fall below 0 is caught too)
+        gap = data.draw(st.floats(1e-9, 1.0)) * data.draw(st.sampled_from([1, -1]))
+        mdp.P[h, s, a, j] += gap
+    else:
+        mdp.P[h, s, a, j] = float(kind)
+    with pytest.raises(NonStochasticRow) as ei:
+        validate(mdp)
+    assert (ei.value.h, ei.value.s, ei.value.a) == (h, s, a)
+
+
+@PROPERTY
+@given(DIMS, st.data())
+def test_save_load_round_trips_bit_for_bit(dims, data):
+    S, A, H = dims
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    P = data.draw(hnp.arrays(np.float64, (H, S, A, S), elements=finite))
+    r = data.draw(hnp.arrays(np.float64, (H, S, A), elements=finite))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mdp"
+        save_mdp(EpisodicMdp(S=S, A=A, H=H, P=P, r=r), path)
+        back = load_mdp(path)
+    assert (back.S, back.A, back.H) == (S, A, H)
+    assert back.P.tobytes() == P.tobytes()   # -0.0 and subnormals included
+    assert back.r.tobytes() == r.tobytes()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EpisodeRecord,
-                    PolicyValueCache, SwitchTracker, backward_induction,
-                    check_optimism, count_switches, episode_regret,
-                    make_random_mdp, policy_evaluation, switching_bound,
-                    write_episode_csv)
+                    OptimismTracker, PolicyValueCache, SwitchTracker,
+                    backward_induction, check_optimism, count_switches,
+                    episode_regret, make_random_mdp, policy_evaluation,
+                    switching_bound, write_episode_csv)
 
 
 def test_episode_regret_zero_for_optimal_policy():
@@ -39,10 +39,50 @@ def test_cache_agrees_with_fresh_evaluation():
         got = cache.values(acts.reshape(-1).tolist())
         fresh = policy_evaluation(mdp, DeterministicPolicy(acts))
         assert np.array_equal(got.V, fresh.V)
-        assert np.array_equal(got.Q, fresh.Q)
+        assert got.Q is None       # the cache keeps V only
     # same table (as any sequence type) hits the same entry
     acts = [0] * 12
     assert cache.values(acts) is cache.values(tuple(acts))
+
+
+@pytest.mark.parametrize("layer", [0, 3, 6], ids=["top", "middle", "bottom"])
+def test_cache_partial_evaluation_matches_fresh(layer):
+    H, S, A = 7, 4, 3
+    mdp = make_random_mdp(S, A, H, seed=3)
+    cache = PolicyValueCache(mdp)
+    gen = np.random.default_rng(layer)
+    acts = gen.integers(0, A, size=(H, S))
+    seen = [acts.copy()]
+    for step in range(2 * S * A):
+        # one row changes at `layer`; every few steps revisit an older table
+        # (a hit), so the next miss starts from that table's values
+        if step % 4 == 3:
+            acts = seen[gen.integers(len(seen))].copy()
+        else:
+            s = step % S
+            acts[layer, s] = (acts[layer, s] + 1 + step % (A - 1)) % A
+            seen.append(acts.copy())
+        got = cache.values(acts.reshape(-1).tolist())
+        fresh = policy_evaluation(mdp, DeterministicPolicy(acts))
+        assert np.array_equal(got.V, fresh.V)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_cache_rejects_out_of_range_actions(bad):
+    H, S, A = 4, 3, 3
+    mdp = make_random_mdp(S, A, H, seed=4)
+    acts = [1] * (H * S)
+    acts[S + 1] = bad                      # one row of layer 1
+    with pytest.raises(ValueError):
+        PolicyValueCache(mdp).values(acts)  # first call: full evaluation
+    cache = PolicyValueCache(mdp)
+    cache.values([1] * (H * S))
+    with pytest.raises(ValueError):
+        cache.values(acts)                  # partial path
+    ok = [1] * (H * S)
+    ok[S + 1] = 2
+    fresh = policy_evaluation(mdp, DeterministicPolicy(np.asarray(ok).reshape(H, S)))
+    assert np.array_equal(cache.values(ok).V, fresh.V)
 
 
 def test_count_switches():
@@ -58,6 +98,30 @@ def test_switch_tracker_accumulates_consecutive_diffs():
     assert tr.record([0, 1, 0]) == 0
     assert tr.record([1, 0, 0]) == 2
     assert tr.total == 3
+
+
+def test_switch_tracker_record_rows_compares_only_given_rows():
+    tr = SwitchTracker()
+    tr.record([0, 0, 0, 0])
+    assert tr.record_rows([1, 0, 1, 0], [0, 2]) == 2
+    assert tr.record_rows([1, 1, 1, 0], [0]) == 0      # row 1 not given
+    assert tr.total == 2
+    assert tr.record([1, 1, 1, 1]) == 1                # compared with the last table
+
+
+def test_optimism_tracker_retests_trajectory_cells():
+    q_star = np.zeros((3, 2, 2))                       # H=2 plus boundary row
+    q = np.ones((2, 2, 2))
+    q[1, 1, 0] = -1.0
+    tr = OptimismTracker(q, q_star)
+    assert tr.count == 1 == check_optimism(q, q_star)
+    flat = q.reshape(-1).tolist()
+    flat[0] = -1.0                                     # (h=0, s=0, a=0) dips
+    flat[(1 * 2 + 1) * 2 + 0] = 0.5                    # (h=1, s=1, a=0) recovers
+    traj = [(0, 0, 0.0, 1), (1, 0, 0.0, 0)]            # visits both cells
+    assert tr.update(flat.__getitem__, traj) == 1
+    flat[0] = 2.0
+    assert tr.update(flat.__getitem__, traj[:1]) == 0
 
 
 def test_switching_bound_frozen_values():
