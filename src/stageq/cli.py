@@ -11,8 +11,9 @@ schedule    the geometric visit-count stage table for a given H
 
 Config files hold `key = value` lines ('#' comments); any flag given on
 the command line overrides the file.  sweep takes no --seed or --log-every
-(its seeds come from --seeds) and concurrent no --episodes, --log-every or
---strict; a config file setting one of those keys for them is rejected.
+(its seeds come from --seeds), concurrent no --episodes, --log-every or
+--strict, and solve only the environment keys and --out; a config file
+setting a key the command does not read is rejected.
 Exit status: 0 ok, 1 a strict-mode invariant failed, 2 bad configuration
 or input.
 """
@@ -36,7 +37,6 @@ from .stages import build_schedule
 # flags, and a config file that sets one is rejected.
 _SWEEP_UNUSED = ("seed", "log_every")
 _CONC_UNUSED = ("episodes", "log_every", "strict")
-_RUN_ATTRS = tuple(_RUN_KEYS)
 _SWEEP_ATTRS = tuple(k for k in _RUN_KEYS if k not in _SWEEP_UNUSED)
 _CONC_ATTRS = tuple(k for k in _RUN_KEYS if k not in _CONC_UNUSED) + tuple(_CONC_KEYS)
 
@@ -129,7 +129,7 @@ def _parse_int_list(text: str, flag: str):
 
 
 def cmd_run(args) -> int:
-    cfg = build_run_config(_merged_values(args, _RUN_ATTRS))
+    cfg = build_run_config(_merged_values(args, _RUN_KEYS))
     result = run_experiment(cfg)
     print(result.summary.line())
     return 0
@@ -175,7 +175,8 @@ def cmd_concurrent(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    values = _merged_values(args, _RUN_ATTRS)
+    # solve reads only the run keys it has flags for: the environment and out
+    values = _merged_values(args, [k for k in vars(args) if k in _RUN_KEYS])
     out = values.pop("out", None)
     cfg = build_run_config(values)
     mdp = cfg.env.build()

@@ -15,10 +15,12 @@ sequence.
 The one per-episode audit loop recomputes policy snapshots and exact
 policy values only on episodes whose predecessor actually changed a Q
 entry; the greedy policy cannot move otherwise.  Such an episode wrote Q
-only along its own trajectory (see the base module), so the switch and
-optimism counts re-test just those H rows and cells: O(H) per Q-changing
-episode, plus the policy-value cache, which keeps V only and recomputes
-only the layers where the new policy differs from the last.  The loop
+only along its own trajectory (see the base module), so the optimism
+count re-tests just those H cells and the policy-value cache compares just
+those H rows: O(H) per Q-changing episode, plus recomputing V at and above
+the deepest layer where the new policy differs from the last.  The cache
+keeps that one table and its V and counts the differing rows as the
+switching cost, so the audit holds no per-policy state.  The loop
 builds a record only for the episodes its caller keeps (run_experiment:
 the log cadence; sweep_scaling: the checkpoints), so memory is bounded by
 those, not by K.
@@ -41,7 +43,7 @@ from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
 from .metrics import (EpisodeRecord, OptimismTracker, PolicyValueCache,
-                      SwitchTracker, switching_bound, write_episode_csv)
+                      switching_bound, write_episode_csv)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -264,22 +266,18 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
                            n_max=K * mdp.H + 1, cb=config.cb)
     env_rng = seeded_stream(config.seed, 0, "env")
     cache = PolicyValueCache(mdp)
-    switches = SwitchTracker()
     optimism = OptimismTracker(learner.q_array(), vstar.Q)
     S = mdp.S
     records = []
     cum_regret = 0.0
     violations = 0
-    policy = learner.greedy_actions_flat()
-    switches.record(policy)
-    vpi0 = cache.values(policy).V[0].tolist()
+    vpi0 = cache.values(learner.greedy_actions_flat()).V[0].tolist()
     changed = None                 # the last episode's trajectory, if it changed Q
 
     for k in range(1, K + 1):
         if changed is not None:
-            policy = learner.greedy_actions_flat()
-            switches.record_rows(policy, [h * S + step[0] for h, step in enumerate(changed)])
-            vpi0 = cache.values(policy).V[0].tolist()
+            rows = [h * S + step[0] for h, step in enumerate(changed)]
+            vpi0 = cache.values(learner.greedy_actions_flat(), rows).V[0].tolist()
         traj, report = learner.run_episode(mdp, env_rng, k - 1)
         s1 = traj[0][0]
         reg = vstar0[s1] - vpi0[s1]
@@ -292,7 +290,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
         if k in keep or (config.strict and reg < -1e-9):
             records.append(EpisodeRecord(
                 k=k, episode_regret=reg, cum_regret=cum_regret,
-                cum_switching_cost=switches.total,
+                cum_switching_cost=cache.switches,
                 cum_q_updates=learner.q_update_count,
                 cum_optimism_violations=violations,
                 ref_states_fixed=learner.ref_fixed_count))
@@ -300,7 +298,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     T = K * mdp.H
     summary = RunSummary(
         algo=config.algo, seed=config.seed, episodes=K, steps=T,
-        cum_regret=cum_regret, n_switch=switches.total,
+        cum_regret=cum_regret, n_switch=cache.switches,
         switch_bound=switching_bound(mdp.S, mdp.A, mdp.H, T),
         q_updates=learner.q_update_count,
         optimism_violations=violations,

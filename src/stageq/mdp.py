@@ -164,7 +164,8 @@ class DeterministicPolicy:
 class ValueTables:
     """Exact V (H+1, S) and Q (H+1, S, A) tables; row H is the zero boundary.
 
-    Q is None where only V is kept (metrics.PolicyValueCache).
+    Q is None where only V is kept (metrics.PolicyValueCache, which never
+    writes into a V it has returned).
     """
 
     V: np.ndarray
@@ -238,8 +239,8 @@ def evaluate_layers(mdp: EpisodicMdp, acts: np.ndarray, V: np.ndarray, top: int,
     """Backward induction under acts for layers top, top-1, ..., 0, in place.
 
     V[h] = (r[h] + P[h] . V[h+1])[s, acts[h, s]], starting from V[top + 1]
-    as given; Q, if passed, receives each layer's Q^pi.  acts must come from
-    checked_actions.
+    as given; Q, if passed, receives each layer's Q^pi.  acts must be an
+    (H, S) int64 array with every action in [0, A), as checked_actions gives.
     """
     idx = np.arange(mdp.S)
     for h in range(top, -1, -1):

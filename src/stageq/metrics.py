@@ -3,10 +3,10 @@
 Per-episode regret compares the exact optimal value at the episode's
 realized initial state with the exact value of the greedy policy the
 learner held at the episode's start:  V*_1(s_1^k) - V^{pi_k}_1(s_1^k).
-Both come from exact dynamic programming, not rollouts; policy values are
-cached by policy table (V only), so runs where the greedy policy rarely
-changes pay almost nothing, and a new policy recomputes only the layers at
-and above the deepest one where it differs from the last policy evaluated.
+Both come from exact dynamic programming, not rollouts.  PolicyValueCache
+keeps only the last greedy table and its V, so runs where the greedy policy
+rarely changes pay almost nothing, and a new table recomputes only the
+layers at and above the deepest one where it differs from the last.
 
 Local switching cost counts per-(h, s) action flips between consecutive
 episode policies, n_switch = sum_k #{(h, s): pi_k(h, s) != pi_{k+1}(h, s)}.
@@ -24,9 +24,10 @@ there the column is the peak count seen so far, not the current one.
 The audit loop pays O(H) per Q-changing episode for the switch and
 optimism counts, because a learner writes Q (and so its greedy table) only
 at the (h, s, a) cells of the episode it just ran: OptimismTracker re-tests
-those H cells and SwitchTracker.record_rows compares those H rows.
-check_optimism, count_switches and SwitchTracker.record are the full-scan
-references they must agree with.
+those H cells, and PolicyValueCache compares those H rows and counts the
+ones that differ as switches.  check_optimism, count_switches,
+SwitchTracker.record and policy_evaluation are the full-scan references
+they must agree with.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from math import log
 
 import numpy as np
 
-from .mdp import (DeterministicPolicy, EpisodicMdp, ValueTables, checked_actions,
-                  evaluate_layers, policy_evaluation)
+from .mdp import (DeterministicPolicy, EpisodicMdp, ValueTables, evaluate_layers,
+                  policy_evaluation)
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
@@ -62,52 +63,56 @@ class EpisodeRecord:
 
 
 class PolicyValueCache:
-    """Exact policy values V^pi keyed by the flat action table; V only.
+    """Exact V^pi of the last greedy table, kept current from table to table.
 
-    Greedy policies recur as Q argmaxes flip back and forth, so caching by
-    table (not just by version) makes repeated evaluations free.  A miss
-    starts from the V of the last policy returned: V[h] depends only on the
-    actions at layers >= h, so evaluate_layers recomputes only the layers at
-    and above the deepest one where the two tables differ.  The result equals
-    a fresh policy_evaluation(...).V bit for bit; ValueTables.Q is None.
+    Holds one table (a flat list and its checked (H, S) array), its V and
+    the running switch count, whatever the run length.  values() compares
+    the new table with the last one at `rows` (default: every row): no
+    difference returns the same ValueTables; otherwise the differing rows
+    are range-checked, written in, added to `switches`, and V is recomputed
+    from a copy of the last V.  V[h] depends only on the actions at layers
+    >= h, so evaluate_layers restarts at the deepest differing layer.  The
+    result equals a fresh policy_evaluation(...).V bit for bit; Q is None.
     """
 
     def __init__(self, mdp: EpisodicMdp):
         self.mdp = mdp
-        self._store: dict = {}
-        self._last = None          # key of the last table returned
+        self.switches = 0          # differing rows summed over calls after the first
+        self._flat = [None] * (mdp.H * mdp.S)   # no table yet: every row differs
+        self._acts = np.zeros((mdp.H, mdp.S), dtype=np.int64)
+        self._tables = None
 
-    def values(self, actions_flat) -> ValueTables:
-        key = tuple(actions_flat)
-        hit = self._store.get(key)
-        if hit is None:
-            mdp = self.mdp
-            H, S = mdp.H, mdp.S
-            acts = checked_actions(mdp, np.asarray(key, dtype=np.int64).reshape(H, S))
-            last = self._last
-            if last is None:
-                V = np.zeros((H + 1, S))
-                top = H - 1
-            else:
-                # a miss differs from the stored last table in some layer
-                V = self._store[last].V.copy()
-                top = next(h for h in range(H - 1, -1, -1)
-                           if key[h * S:(h + 1) * S] != last[h * S:(h + 1) * S])
-            evaluate_layers(mdp, acts, V, top)
-            hit = ValueTables(V=V, Q=None)
-            self._store[key] = hit
-        self._last = key
-        return hit
+    def values(self, actions_flat, rows=None) -> ValueTables:
+        """V^pi of the flat (h, s) table actions_flat.  rows, if given, lists
+        the distinct flat indices where it may differ from the last table
+        (the audit passes the rows the last episode visited); the caller
+        vouches for every other row.  ValueError on a bad action or length
+        leaves the cache as it was."""
+        mdp, last, first = self.mdp, self._flat, self._tables is None
+        if len(actions_flat) != len(last):
+            raise ValueError(f"policy has {len(actions_flat)} entries, not {len(last)}")
+        if rows is None or first:
+            rows = range(len(last))
+        diff = [i for i in rows if actions_flat[i] != last[i]]
+        if not diff:
+            return self._tables
+        new = [actions_flat[i] for i in diff]
+        if min(new) < 0 or max(new) >= mdp.A:
+            raise ValueError(f"policy actions outside [0, {mdp.A})")
+        for i, a in zip(diff, new):
+            last[i] = a
+        self._acts.flat[diff] = new
+        V = np.zeros((mdp.H + 1, mdp.S)) if first else self._tables.V.copy()
+        self.switches += 0 if first else len(diff)
+        evaluate_layers(mdp, self._acts, V, max(diff) // mdp.S)
+        self._tables = ValueTables(V=V, Q=None)
+        return self._tables
 
 
 def episode_regret(mdp: EpisodicMdp, vstar: ValueTables, policy: DeterministicPolicy,
-                   s1: int, cache: PolicyValueCache | None = None) -> float:
+                   s1: int) -> float:
     """V*_1(s1) - V^pi_1(s1), exact; >= 0 up to DP rounding (~1e-12)."""
-    if cache is not None:
-        vpi = cache.values(np.asarray(policy.actions).reshape(-1))
-    else:
-        vpi = policy_evaluation(mdp, policy)
-    return float(vstar.V[0, s1] - vpi.V[0, s1])
+    return float(vstar.V[0, s1] - policy_evaluation(mdp, policy).V[0, s1])
 
 
 def count_switches(prev_actions, new_actions) -> int:
@@ -129,17 +134,6 @@ class SwitchTracker:
         if self._prev is not None:
             inc = count_switches(self._prev, actions_flat)
             self.total += inc
-        self._prev = list(actions_flat)
-        return inc
-
-    def record_rows(self, actions_flat, rows) -> int:
-        """record() after a first record(), comparing only the flat (h, s)
-        indices in rows; the caller vouches that actions_flat equals the
-        previous policy at every other row (the audit passes the rows the
-        last episode visited)."""
-        prev = self._prev
-        inc = sum(1 for i in rows if prev[i] != actions_flat[i])
-        self.total += inc
         self._prev = list(actions_flat)
         return inc
 

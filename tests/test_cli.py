@@ -144,13 +144,19 @@ def test_config_key_tables_match_flags():
         set(_RUN_KEYS) - {"seed", "log_every"}
     assert dests("concurrent") == \
         (set(_RUN_KEYS) - {"episodes", "log_every", "strict"}) | set(_CONC_KEYS)
+    # solve reads the environment keys and out, plus its own --save-mdp
+    assert dests("solve") - {"save_mdp"} == {
+        "env", "S", "A", "H", "sparsity", "env_seed", "jao_epsilon", "delta",
+        "init", "out"}
 
 
 SMALL_ENV_ARGS = ["--env", "random", "--S", "2", "--A", "2", "--H", "2",
                   "--env-seed", "0"]
 UNREAD = [("sweep", "--seed", "3"), ("sweep", "--log-every", "all"),
           ("concurrent", "--episodes", "10"),
-          ("concurrent", "--log-every", "all"), ("concurrent", "--strict", None)]
+          ("concurrent", "--log-every", "all"), ("concurrent", "--strict", None),
+          ("solve", "--episodes", "5"), ("solve", "--algo", "classic-qucb"),
+          ("solve", "--seed", "3")]
 
 
 @pytest.mark.parametrize("command,flag,value", UNREAD,

@@ -227,8 +227,8 @@ def test_strict_mode_flags_negative_regret_on_unlogged_episode(monkeypatch):
     # only episode 3, which the pow2 cadence drops, starts in state 1, where
     # the substituted cache rates the policy 1.0 above optimal
     class InflatedCache(PolicyValueCache):
-        def values(self, actions_flat):
-            tables = super().values(actions_flat)
+        def values(self, actions_flat, rows=None):
+            tables = super().values(actions_flat, rows)
             V = tables.V.copy()
             V[0, 1] += 1.0
             return replace(tables, V=V)

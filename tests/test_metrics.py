@@ -40,7 +40,7 @@ def test_cache_agrees_with_fresh_evaluation():
         fresh = policy_evaluation(mdp, DeterministicPolicy(acts))
         assert np.array_equal(got.V, fresh.V)
         assert got.Q is None       # the cache keeps V only
-    # same table (as any sequence type) hits the same entry
+    # an unchanged table (as any sequence type) returns the same object
     acts = [0] * 12
     assert cache.values(acts) is cache.values(tuple(acts))
 
@@ -83,6 +83,18 @@ def test_cache_rejects_out_of_range_actions(bad):
     ok[S + 1] = 2
     fresh = policy_evaluation(mdp, DeterministicPolicy(np.asarray(ok).reshape(H, S)))
     assert np.array_equal(cache.values(ok).V, fresh.V)
+    # the rows path: a failed call changes nothing, not even the switch count
+    assert cache.switches == 1
+    flat = ok[:]
+    flat[2 * S] = 2                        # a valid change at layer 2 ...
+    flat[S + 1] = bad                      # ... next to the bad one at layer 1
+    with pytest.raises(ValueError):
+        cache.values(flat, [2 * S, S + 1])
+    assert cache.switches == 1
+    flat[S + 1] = 0
+    fresh = policy_evaluation(mdp, DeterministicPolicy(np.asarray(flat).reshape(H, S)))
+    assert np.array_equal(cache.values(flat, [2 * S, S + 1]).V, fresh.V)
+    assert cache.switches == 3
 
 
 def test_count_switches():
@@ -100,13 +112,32 @@ def test_switch_tracker_accumulates_consecutive_diffs():
     assert tr.total == 3
 
 
-def test_switch_tracker_record_rows_compares_only_given_rows():
-    tr = SwitchTracker()
-    tr.record([0, 0, 0, 0])
-    assert tr.record_rows([1, 0, 1, 0], [0, 2]) == 2
-    assert tr.record_rows([1, 1, 1, 0], [0]) == 0      # row 1 not given
-    assert tr.total == 2
-    assert tr.record([1, 1, 1, 1]) == 1                # compared with the last table
+def test_cache_compares_and_counts_only_given_rows():
+    H, S, A = 3, 2, 2                                   # flat rows 0..5, layer = i // 2
+    mdp = make_random_mdp(S, A, H, seed=5)
+
+    def fresh(acts):
+        return policy_evaluation(mdp, DeterministicPolicy(np.asarray(acts).reshape(H, S))).V
+
+    cache = PolicyValueCache(mdp)
+    cache.values([0] * 6)
+    assert cache.switches == 0                          # the first table is no switch
+    # rows 0 and 2 change inside rows, row 5 (layer 2) outside them: only
+    # the two given rows are counted and evaluated
+    got = cache.values([1, 0, 1, 0, 0, 1], [0, 2])
+    assert cache.switches == 2
+    assert np.array_equal(got.V, fresh([1, 0, 1, 0, 0, 0]))
+    assert not np.array_equal(got.V, fresh([1, 0, 1, 0, 0, 1]))
+    assert cache.values([1, 0, 1, 0, 0, 1], [0, 2]) is got
+    assert cache.switches == 2
+    # rows=None compares every row; row 5 still holds the last table's 0
+    got = cache.values([1, 1, 1, 0, 0, 1])
+    assert cache.switches == 4
+    assert np.array_equal(got.V, fresh([1, 1, 1, 0, 0, 1]))
+    # an unchanged table, with or without rows, returns the same object
+    assert cache.values([1, 1, 1, 0, 0, 1], [1, 3]) is got
+    assert cache.values((1, 1, 1, 0, 0, 1)) is got
+    assert cache.switches == 4
 
 
 def test_optimism_tracker_retests_trajectory_cells():
