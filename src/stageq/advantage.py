@@ -39,14 +39,20 @@ at H.  Its Q is still non-increasing and it still switches policies only at
 stage ends.  That is the paper's ablation: comparing the two isolates what
 the reference-advantage split buys.
 
-All counts, accumulators and tables live in flat Python lists for hot-loop
-speed; numpy views are exported on demand.  run_episode fuses sampling and
-observe into one loop; the base-class path (sample_episode feeding observe)
-stays as the reference it must match bit for bit.
+All counts, accumulators and tables live in fixed-size flat buffers
+(array('d') and array('q')) that both Python and the compiled kernel
+(_kernel.c, loaded by the kernel module) read and write in place; numpy
+copies are exported on demand.  With the kernel, run_stretch plays whole
+episodes in C and observe_trajectory replays a recorded one there, and
+run_episode is a one-episode stretch.  Without a C compiler the Python
+paths run instead: run_episode fuses sampling and observe into one loop.
+The base-class path (sample_episode feeding observe) stays the reference
+that the kernel and the fused loop must both match bit for bit.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import log, sqrt
@@ -54,6 +60,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernel
 from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
 from .stages import OutOfRangeError, build_schedule
@@ -145,16 +152,55 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         # reference table with zero boundary row, and the five stage/global
         # accumulators: mu_chk/ups_chk/sig_chk reset each stage end,
         # mu_ref/sig_ref never reset
-        self._vref = [float(H)] * (H * S) + [0.0] * S
         z = H * S * A
-        self._nchk = [0] * z
-        self._mu_chk = [0.0] * z
-        self._ups_chk = [0.0] * z
-        self._sig_chk = [0.0] * z
-        self._mu_ref = [0.0] * z
-        self._sig_ref = [0.0] * z
-        self._n_state = [0] * (H * S)
-        self._ref_fixed = [False] * (H * S)
+        self._q = array("d", self._q)
+        self._v = array("d", self._v)
+        self._rew = array("d", self._rew)
+        self._n = array("q", self._n)
+        self._greedy = array("q", self._greedy)
+        self._vref = array("d", [float(H)]) * (H * S) + array("d", [0.0]) * S
+        self._nchk = array("q", [0]) * z
+        self._mu_chk = array("d", [0.0]) * z
+        self._ups_chk = array("d", [0.0]) * z
+        self._sig_chk = array("d", [0.0]) * z
+        self._mu_ref = array("d", [0.0]) * z
+        self._sig_ref = array("d", [0.0]) * z
+        self._n_state = array("q", [0]) * (H * S)
+        self._ref_fixed = array("b", [0]) * (H * S)
+        self._lib = kernel.load()
+        if self._lib is not None:
+            self._bind_kernel()
+
+    def _bind_kernel(self) -> None:
+        """Describe the tables to the kernel.  The buffers never resize, so
+        the addresses stay valid for the learner's life."""
+        H = self.H
+        ends = self.schedule._end_list
+        # kept alive here: the struct holds only their addresses
+        self._kbufs = (array("q", [0]) * len(self._n), array("q", ends),
+                       array("d", [self._stage_consts[n][0] for n in ends]),
+                       array("d", [self._stage_consts[n][1] for n in ends]))
+        self._path = array("q", [0]) * (3 * H)
+        self._path_r = array("d", [0.0]) * H
+        self._out = array("q", [0]) * kernel.OUT_LEN
+
+        def addr(buf):
+            return buf.buffer_info()[0]
+
+        c = self.constants
+        self._kstate = kernel.Learner(
+            S=self.S, A=self.A, H=H,
+            **{name: addr(getattr(self, "_" + name)) for name in (
+                "q", "v", "vref", "rew", "n", "nchk", "mu_chk", "ups_chk", "sig_chk",
+                "mu_ref", "sig_ref", "n_state", "ref_fixed", "greedy",
+                "path", "path_r", "out")},
+            **dict(zip(("end_idx", "ends", "lower", "bbar"), map(addr, self._kbufs))),
+            n_max=self._n_max, n0=self._n0, c1=c.c1, c2=c.c2,
+            iota=self._iota, reference=int(self.reference))
+        self._kaddr = kernel.ctypes.addressof(self._kstate)
+        # the last MDP arrays and uniform block passed in, with their addresses
+        self._mdp_arrays = (None, None, 0, 0)
+        self._ublock, self._uaddr = None, 0
 
     def observe(self, h: int, s: int, a: int, s_next: int) -> None:
         """Record one transition.
@@ -196,12 +242,15 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     def _stage_update(self, i2, i3) -> None:
         """min{Hoeffding target, reference-advantage target, old Q}, the
         middle one only with the reference route on; then
-        V_h(s) = max_a Q_h(s, a) and the stage accumulators reset."""
+        V_h(s) = max_a Q_h(s, a) and the stage accumulators reset.  A Q
+        update whose reference candidate was strictly the smaller one counts
+        in reference_wins."""
         n = self._n[i3]
         nc = self._nchk[i3]
         lower, b_bar = self._stage_consts[n]
         r = self._rew[i3]
         cand = r + safe_ratio(self._ups_chk[i3], nc) + b_bar
+        ref_won = False
         if self.reference:
             c = self.constants
             iota = self._iota
@@ -215,25 +264,93 @@ class UcbAdvantageLearner(TabularQLearnerBase):
             cand2 = r + mu_ref_bar + mu_chk_bar + b
             if cand2 < cand:
                 cand = cand2
+                ref_won = True
 
         self.stage_end_count += 1
         if cand < self._q[i3]:
             self._q[i3] = cand
             self._v[i2] = self._row_max(i2)
             self.q_update_count += 1
+            self.reference_wins += ref_won
 
         self._nchk[i3] = 0
         self._mu_chk[i3] = 0.0
         self._ups_chk[i3] = 0.0
         self._sig_chk[i3] = 0.0
 
+    # ----------------------------------------------------------- rollouts
+
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
 
-        sample_episode with observe inlined: the same uniform per step, the
-        same trajectory and the same table updates in the same order as the
-        base-class path, with the table lists bound to locals once.
+        A one-episode stretch with the kernel, else the fused Python loop.
         """
+        if self._lib is None or not hasattr(rng, "doubles"):
+            return self._fused_episode(mdp, rng, episode_index)
+        _, traj, report = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
+        return traj, report
+
+    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
+        """The base-class stretch, played by the kernel in one call.
+
+        Besides the base-class stops, a call also ends when the uniforms
+        rng.doubles can hand over without drawing a new block run short of
+        one more episode; the caller then calls again.
+        """
+        if self._lib is None or not hasattr(rng, "doubles"):
+            return super().run_stretch(mdp, rng, first, stop, halt)
+        H, S, A = self.H, self.S, self.A
+        cum, rew = mdp.cum_array(), mdp.reward_array()
+        if cum is not self._mdp_arrays[0] or rew is not self._mdp_arrays[1]:
+            if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
+                raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
+            self._mdp_arrays = (cum, rew, cum.ctypes.data, rew.ctypes.data)
+        if halt is not None and len(halt) != S:
+            raise ValueError(f"halt has {len(halt)} flags, not one per state ({S})")
+        block, i = rng.doubles(H)
+        if block is not self._ublock:
+            self._ublock, self._uaddr = block, block.ctypes.data
+        starts = mdp.initial_states(first, min(stop - first, (len(block) - i) // H))
+        starts_buf = array("q", starts)
+        played = self._lib.stageq_stretch(
+            self._kaddr, self._mdp_arrays[2], self._mdp_arrays[3], self._uaddr + 8 * i,
+            starts_buf.buffer_info()[0], len(starts), halt)
+        out = self._out
+        rng.skip(out[kernel.OUT_USED])
+        self._add_counts(out)
+        p = self._path.tolist()
+        traj = list(zip(p[0::3], p[1::3], self._path_r.tolist(), p[2::3]))
+        return starts[:played], traj, EpisodeReport(
+            stage_ends=out[kernel.OUT_LAST_STAGE_ENDS],
+            q_updates=out[kernel.OUT_LAST_Q_UPDATES],
+            refs_fixed=out[kernel.OUT_LAST_REFS_FIXED])
+
+    def observe_trajectory(self, traj) -> None:
+        """observe each step of traj, in the kernel when there is one."""
+        if self._lib is None:
+            return super().observe_trajectory(traj)
+        if len(traj) > self.H:
+            raise ValueError(f"trajectory has {len(traj)} steps, horizon is {self.H}")
+        sas = array("q", [x for s, a, _r, s_next in traj for x in (s, a, s_next)])
+        self._lib.stageq_replay(self._kaddr, sas.buffer_info()[0], len(traj))
+        self._add_counts(self._out)
+
+    def _add_counts(self, out) -> None:
+        """Apply a kernel call's counter increments, then raise what it hit."""
+        self.stage_end_count += out[kernel.OUT_STAGE_ENDS]
+        self.q_update_count += out[kernel.OUT_Q_UPDATES]
+        self.ref_fixed_count += out[kernel.OUT_REFS_FIXED]
+        self.reference_wins += out[kernel.OUT_REF_WINS]
+        if out[kernel.OUT_BAD_INDEX]:
+            raise IndexError("state or action outside the learner's tables")
+        if out[kernel.OUT_BAD_N]:
+            raise OutOfRangeError(out[kernel.OUT_BAD_N], self._n_max)
+
+    def _fused_episode(self, mdp: EpisodicMdp, rng, episode_index: int):
+        """run_episode without the kernel: sample_episode with observe
+        inlined, the same uniform per step, the same trajectory and the same
+        table updates in the same order as the base-class path, with the
+        tables bound to locals once."""
         S, A = self.S, self.A
         cum = mdp.cum_rows()
         rew = mdp.reward_rows()
@@ -283,13 +400,13 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     # ----------------------------------------------------------- exports
 
     def vref_array(self) -> np.ndarray:
-        return np.asarray(self._vref, dtype=float).reshape(self.H + 1, self.S)
+        return np.array(self._vref, dtype=float).reshape(self.H + 1, self.S)
 
     def ncheck_array(self) -> np.ndarray:
-        return np.asarray(self._nchk, dtype=np.int64).reshape(self.H, self.S, self.A)
+        return np.array(self._nchk, dtype=np.int64).reshape(self.H, self.S, self.A)
 
     def ref_fixed_array(self) -> np.ndarray:
-        return np.asarray(self._ref_fixed, dtype=bool).reshape(self.H, self.S)
+        return np.array(self._ref_fixed, dtype=bool).reshape(self.H, self.S)
 
     def check_invariants(self) -> None:
         """Assert the structural table invariants (cheap; test/strict use)."""

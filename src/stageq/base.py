@@ -6,7 +6,8 @@ H), acts greedily with lowest-index tie-breaking, and is model-free: it is
 constructed from the MDP's dimensions and deterministic reward table only,
 never its transition kernels.  Subclasses implement observe(h, s, a,
 s_next), which returns None, and keep the cumulative counters
-stage_end_count / q_update_count / ref_fixed_count current.  Those counters
+stage_end_count / q_update_count / ref_fixed_count current (and
+reference_wins, which only the stage learners move).  Those counters
 are the only record of what a transition did: run_episode's report and
 the concurrent runner's "did Q change" test are both differences of them.
 
@@ -21,7 +22,11 @@ Trajectory locality: run_episode writes Q, V and _greedy only at the
 (h, s, a) cells (and their (h, s) rows) of the trajectory it returns.  The
 audit loop in harness relies on this to re-test optimism and count switches
 on those H cells alone, so an update that touched any other cell would
-make the audit miss it.
+make the audit miss it.  The same holds for run_stretch, which plays
+episodes until one changes Q: only that last episode may change Q, and
+only along the trajectory it returns.  The compiled kernel of the stage
+learners (_kernel.c) plays stretches on the same tables and must keep this
+invariant too.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class TabularQLearnerBase:
         self.stage_end_count = 0
         self.q_update_count = 0
         self.ref_fixed_count = 0
+        self.reference_wins = 0    # Q updates set by the reference-advantage target
 
     # ------------------------------------------------------------ acting
 
@@ -85,6 +91,11 @@ class TabularQLearnerBase:
     def observe(self, h: int, s: int, a: int, s_next: int) -> None:
         raise NotImplementedError
 
+    def observe_trajectory(self, traj) -> None:
+        """observe each step (s, a, r, s_next) of a recorded trajectory."""
+        for h, (s, a, _r, s_next) in enumerate(traj):
+            self.observe(h, s, a, s_next)
+
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
         """Roll out one episode, learning online; returns (traj, EpisodeReport)."""
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
@@ -93,21 +104,40 @@ class TabularQLearnerBase:
                                    q_updates=self.q_update_count - u0,
                                    refs_fixed=self.ref_fixed_count - r0)
 
+    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
+        """Play episodes first, first + 1, ... (0-based, below stop) with
+        run_episode, and stop after the first one that changes Q or whose
+        initial state s has halt[s] set (halt: None or S flags).
+
+        Returns (starts, traj, report): the initial state of every episode
+        played, and the last one's trajectory and EpisodeReport.  Between
+        the episodes played the greedy policy cannot move, which is what
+        lets the audit loop account for a whole stretch at once.
+        """
+        starts = []
+        for k in range(first, stop):
+            traj, report = self.run_episode(mdp, rng, k)
+            s1 = traj[0][0]
+            starts.append(s1)
+            if report.q_changed or (halt and halt[s1]):
+                break
+        return starts, traj, report
+
     # ----------------------------------------------------------- exports
 
     def greedy_actions_flat(self):
         """Greedy action per (h, s) as a flat list; a copy the caller may keep."""
-        return self._greedy[:]
+        return list(self._greedy)
 
     def q_at(self, i3: int) -> float:
         """Q at flat index i3 = (h*S + s)*A + a, read-only."""
         return self._q[i3]
 
     def q_array(self) -> np.ndarray:
-        return np.asarray(self._q, dtype=float).reshape(self.H, self.S, self.A)
+        return np.array(self._q, dtype=float).reshape(self.H, self.S, self.A)
 
     def v_array(self) -> np.ndarray:
-        return np.asarray(self._v, dtype=float).reshape(self.H + 1, self.S)
+        return np.array(self._v, dtype=float).reshape(self.H + 1, self.S)
 
     def n_array(self) -> np.ndarray:
-        return np.asarray(self._n, dtype=np.int64).reshape(self.H, self.S, self.A)
+        return np.array(self._n, dtype=np.int64).reshape(self.H, self.S, self.A)

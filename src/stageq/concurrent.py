@@ -110,10 +110,11 @@ class FrozenActor:
 
 
 def replay_into(learner, traj) -> bool:
-    """Feed one recorded trajectory through the learner; True if Q changed."""
+    """Feed one recorded trajectory through the learner's
+    observe_trajectory (the compiled kernel for the stage learners, when
+    built); True if Q changed."""
     u0 = learner.q_update_count
-    for h, (s, a, _r, s_next) in enumerate(traj):
-        learner.observe(h, s, a, s_next)
+    learner.observe_trajectory(traj)
     return learner.q_update_count != u0
 
 

@@ -23,7 +23,9 @@ keeps that one table and its V and counts the differing rows as the
 switching cost, so the audit holds no per-policy state.  The loop
 builds a record only for the episodes its caller keeps (run_experiment:
 the log cadence; sweep_scaling: the checkpoints), so memory is bounded by
-those, not by K.
+those, not by K.  The learner plays the episodes up to the next Q change
+or kept row as one stretch (run_stretch: for the stage learners, calls of
+the compiled kernel), and the loop adds their regrets one by one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner
-from .base import EpisodeReport
+from .base import EpisodeReport, TabularQLearnerBase
 from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
@@ -70,16 +72,45 @@ class UniformStream:
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self.generator = np.random.Generator(np.random.PCG64(seed_seq))
-        self._buf: list = []
-        self._i = 0
+        self._block = np.empty(0)  # the buffered uniforms
+        self._buf: list = []       # the same as Python floats, for random()
+        self._listed = 0           # _buf is current below this index
+        self._i = 0                # the next unread uniform
 
     def random(self) -> float:
         i = self._i
-        if i == len(self._buf):
-            self._buf = self.generator.random(self.BLOCK).tolist()
-            i = 0
+        if i >= self._listed:
+            i = self._list_block()
         self._i = i + 1
         return self._buf[i]
+
+    def _list_block(self) -> int:
+        """Draw the next block if the buffer is used up, list the buffer in
+        _buf, and return the index of the next unread uniform."""
+        if self._i == len(self._block):
+            self._block = self.generator.random(self.BLOCK)
+            self._i = 0
+        self._buf = self._block.tolist()
+        self._listed = len(self._buf)
+        return self._i
+
+    def doubles(self, need: int):
+        """(block, i): the buffer as a float64 array and the index of the
+        next unread uniform, with at least `need` unread.  Fewer are topped
+        up by drawing the next blocks early, which changes no value of the
+        sequence.  A reader of block[i:i + m] then calls skip(m)."""
+        i = self._i
+        if len(self._block) - i < need:
+            parts = [self._block[i:]]
+            while sum(map(len, parts)) < need:
+                parts.append(self.generator.random(self.BLOCK))
+            self._block = np.concatenate(parts)
+            self._listed = self._i = i = 0
+        return self._block, i
+
+    def skip(self, m: int) -> None:
+        """Mark m uniforms read, as m calls of random() would."""
+        self._i += m
 
     def integers(self, n: int) -> int:
         """Uniform int in [0, n) via rejection-free scaling of one uniform."""
@@ -140,6 +171,7 @@ class OracleAgent:
         self.stage_end_count = 0
         self.q_update_count = 0
         self.ref_fixed_count = 0
+        self.reference_wins = 0
 
     def select_action(self, h: int, s: int) -> int:
         return self._actions[h * self.S + s]
@@ -147,6 +179,8 @@ class OracleAgent:
     def run_episode(self, mdp, rng, episode_index: int = 0):
         traj = sample_episode(mdp, self, rng, episode_index)
         return traj, EpisodeReport(stage_ends=0, q_updates=0, refs_fixed=0)
+
+    run_stretch = TabularQLearnerBase.run_stretch
 
     def greedy_actions_flat(self):
         return list(self._actions)
@@ -199,12 +233,13 @@ class RunSummary:
     optimism_violations: int
     ref_states_fixed: int
     wall_time_s: float
+    reference_wins: int = 0        # Q updates set by the reference-advantage target
 
     def line(self) -> str:
         return (f"algo={self.algo} seed={self.seed} episodes={self.episodes} "
                 f"T={self.steps} cum_regret={self.cum_regret:.6f} "
                 f"n_switch={self.n_switch} switch_bound={self.switch_bound:.1f} "
-                f"q_updates={self.q_updates} "
+                f"q_updates={self.q_updates} reference_wins={self.reference_wins} "
                 f"optimism_violations={self.optimism_violations} "
                 f"ref_states_fixed={self.ref_states_fixed} "
                 f"wall_time_s={self.wall_time_s:.3f}")
@@ -243,7 +278,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     if mode == "all":
         keep = range(1, K + 1)
     elif mode == "pow2":
-        keep = {1 << i for i in range(K.bit_length())} | {K}
+        keep = sorted({1 << i for i in range(K.bit_length())} | {K})
     else:
         raise ConfigError(f"unknown log cadence {mode!r}")
     result = _audited_run(config, keep)
@@ -253,7 +288,16 @@ def run_experiment(config: RunConfig) -> RunResult:
 
 
 def _audited_run(config: RunConfig, keep) -> RunResult:
-    """The audit loop; keeps the row of each episode k in keep, ignores out_dir."""
+    """The audit loop; keeps the row of each episode k in keep (an increasing
+    sequence), ignores out_dir.
+
+    The learner plays stretches of episodes (run_stretch) that end at a
+    Q-changing episode or at the next kept k, so within a stretch the
+    greedy policy, and with it V^pi, stays put, and every episode's regret
+    is added to cum_regret one at a time, as a per-episode loop would.  A
+    strict run also ends a stretch at an episode whose start state has
+    negative regret, so that its row can be kept.
+    """
     t0 = time.perf_counter()
     K = config.episodes
     if K < 1:
@@ -272,24 +316,35 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     cum_regret = 0.0
     violations = 0
     vpi0 = cache.values(learner.greedy_actions_flat()).V[0].tolist()
+    halt = None                    # strict: flags of the start states with negative regret
     changed = None                 # the last episode's trajectory, if it changed Q
+    next_keep = 0                  # index in keep of the next kept k
+    k = 1                          # the next episode to play
 
-    for k in range(1, K + 1):
+    while k <= K:
         if changed is not None:
             rows = [h * S + step[0] for h, step in enumerate(changed)]
             vpi0 = cache.values(learner.greedy_actions_flat(), rows).V[0].tolist()
-        traj, report = learner.run_episode(mdp, env_rng, k - 1)
-        s1 = traj[0][0]
-        reg = vstar0[s1] - vpi0[s1]
-        cum_regret += reg
+            halt = None
+        while next_keep < len(keep) and keep[next_keep] < k:
+            next_keep += 1
+        end = min(keep[next_keep], K) if next_keep < len(keep) else K
+        if config.strict and end > k and halt is None:
+            halt = bytes(vstar0[s] - vpi0[s] < -1e-9 for s in range(S))
+        starts, traj, report = learner.run_stretch(mdp, env_rng, k - 1, end, halt)
+        for s1 in starts:
+            reg = vstar0[s1] - vpi0[s1]
+            cum_regret += reg
+        k += len(starts)
         changed = traj if report.q_changed else None
         if changed is not None:
             violations = max(violations, optimism.update(learner.q_at, traj))
         # strict runs keep a negative-regret row too, so that
         # enforce_invariants' scan of the records covers every episode
-        if k in keep or (config.strict and reg < -1e-9):
+        if (next_keep < len(keep) and keep[next_keep] == k - 1
+                or config.strict and reg < -1e-9):
             records.append(EpisodeRecord(
-                k=k, episode_regret=reg, cum_regret=cum_regret,
+                k=k - 1, episode_regret=reg, cum_regret=cum_regret,
                 cum_switching_cost=cache.switches,
                 cum_q_updates=learner.q_update_count,
                 cum_optimism_violations=violations,
@@ -303,7 +358,8 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
         q_updates=learner.q_update_count,
         optimism_violations=violations,
         ref_states_fixed=learner.ref_fixed_count,
-        wall_time_s=time.perf_counter() - t0)
+        wall_time_s=time.perf_counter() - t0,
+        reference_wins=learner.reference_wins)
     result = RunResult(config=config, records=records, summary=summary,
                        learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
     if config.strict:
@@ -344,7 +400,7 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
     ks = sorted({max(1, round(config.episodes * m)) for m in t_multipliers})
     rows = []
     for seed in seeds:
-        result = _audited_run(replace(config, episodes=ks[-1], seed=seed), set(ks))
+        result = _audited_run(replace(config, episodes=ks[-1], seed=seed), ks)
         rows += [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
     return rows
 

@@ -93,18 +93,33 @@ class InitialStates:
         if self.kind == "cyclic":
             return self.states[k % len(self.states)]
         if self.kind == "seeded":
-            cache = getattr(self, "_cache", None)
-            if cache is None:
-                cache = []
-                self._cache = cache
-                self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-                self._cache_S = S
-            if S != self._cache_S:
-                raise ValueError("seeded InitialStates bound to a different state count")
-            while k >= len(cache):
-                cache.extend(self._gen.integers(0, S, size=256).tolist())
-            return cache[k]
+            return self._seeded(k, S)[k]
         raise ValueError(f"unknown initial-state kind {self.kind!r}")
+
+    def window(self, first: int, count: int, S: int) -> list:
+        """[state(k, S) for k in range(first, first + count)], as a list."""
+        if self.kind == "fixed":
+            return [self.states[0]] * count
+        if self.kind == "cyclic":
+            seq, m = self.states, len(self.states)
+            return [seq[k % m] for k in range(first, first + count)]
+        if self.kind == "seeded":
+            return self._seeded(first + count - 1, S)[first:first + count]
+        raise ValueError(f"unknown initial-state kind {self.kind!r}")
+
+    def _seeded(self, k: int, S: int) -> list:
+        """The seeded sequence, drawn 256 at a time until it covers index k."""
+        cache = getattr(self, "_cache", None)
+        if cache is None:
+            cache = []
+            self._cache = cache
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+            self._cache_S = S
+        if S != self._cache_S:
+            raise ValueError("seeded InitialStates bound to a different state count")
+        while k >= len(cache):
+            cache.extend(self._gen.integers(0, S, size=256).tolist())
+        return cache
 
 
 # ------------------------------------------------------------ core types
@@ -123,28 +138,51 @@ class EpisodicMdp:
     def initial_state(self, k: int) -> int:
         return self.init.state(k, self.S)
 
-    # Cached plain-list views for the sampling hot loop.  Cumulative rows get
-    # their final entry forced to 1.0 so a uniform in [0, 1) always lands.
-    # Building a cache makes its source array read-only, so a later write
-    # raises instead of leaving sampling on the old values; a cache keeps the
-    # array it was built from, so rebinding P or r rebuilds it.
+    def initial_states(self, first: int, count: int) -> list:
+        """The initial states of episodes first, ..., first + count - 1."""
+        return self.init.window(first, count, self.S)
+
+    # Cached views for the sampling hot loops: plain lists for Python, one
+    # float64 array each for the compiled kernel, built only when asked for.
+    # Cumulative rows get their final entry forced to 1.0 so a uniform in
+    # [0, 1) always lands.  Building a cache makes its source array
+    # read-only, so a later write raises instead of leaving sampling on the
+    # old values; a cache keeps the array it was built from, so rebinding P
+    # or r rebuilds it.
     def cum_rows(self):
-        src, rows = getattr(self, "_cum_rows", (None, None))
-        if src is not self.P:
-            self.P.setflags(write=False)
-            cum = np.cumsum(self.P, axis=-1)
-            cum[..., -1] = 1.0
-            rows = cum.tolist()
-            self._cum_rows = (self.P, rows)
-        return rows
+        cached = getattr(self, "_cum_rows", None)
+        if cached is not None and cached[0] is self.P:   # the hot path, inlined
+            return cached[1]
+        return self._cached("_cum_rows", self.P, lambda: self._cumulative().tolist())
+
+    def cum_array(self) -> np.ndarray:
+        """The cumulative rows as one read-only C-ordered (H, S, A, S) array."""
+        return self._cached("_cum_array", self.P, self._cumulative)
 
     def reward_rows(self):
-        src, rows = getattr(self, "_reward_rows", (None, None))
-        if src is not self.r:
-            self.r.setflags(write=False)
-            rows = self.r.tolist()
-            self._reward_rows = (self.r, rows)
-        return rows
+        cached = getattr(self, "_reward_rows", None)
+        if cached is not None and cached[0] is self.r:
+            return cached[1]
+        return self._cached("_reward_rows", self.r, self.r.tolist)
+
+    def reward_array(self) -> np.ndarray:
+        """The rewards as one read-only C-ordered (H, S, A) float64 array."""
+        return self._cached("_reward_array", self.r,
+                            lambda: np.ascontiguousarray(self.r, dtype=float))
+
+    def _cached(self, name: str, src: np.ndarray, build):
+        cached = getattr(self, name, None)
+        if cached is None or cached[0] is not src:
+            src.setflags(write=False)
+            cached = (src, build())
+            setattr(self, name, cached)
+        return cached[1]
+
+    def _cumulative(self) -> np.ndarray:
+        cum = np.ascontiguousarray(np.cumsum(self.P, axis=-1), dtype=float)
+        cum[..., -1] = 1.0
+        cum.setflags(write=False)
+        return cum
 
 
 @dataclass(eq=False)
@@ -223,12 +261,17 @@ def backward_induction(mdp: EpisodicMdp):
 
 
 def checked_actions(mdp: EpisodicMdp, actions) -> np.ndarray:
-    """actions as an (H, S) int64 array; ValueError on a wrong shape or an
-    action outside [0, A), which indexing would otherwise wrap silently."""
+    """actions as an (H, S) int64 array; ValueError on a wrong shape, a
+    non-integer action (a cast would truncate it) or an action outside
+    [0, A), which indexing would otherwise wrap silently."""
     H, S, A = mdp.H, mdp.S, mdp.A
-    acts = np.asarray(actions, dtype=np.int64)
+    raw = np.asarray(actions)
+    with np.errstate(invalid="ignore"):
+        acts = raw.astype(np.int64)
     if acts.shape != (H, S):
         raise ValueError(f"policy shape {acts.shape} != {(H, S)}")
+    if not np.array_equal(acts, raw):
+        raise ValueError("policy actions must be integers")
     if acts.min() < 0 or acts.max() >= A:
         raise ValueError(f"policy actions outside [0, {A})")
     return acts

@@ -69,7 +69,7 @@ class PolicyValueCache:
     the running switch count, whatever the run length.  values() compares
     the new table with the last one at `rows` (default: every row): no
     difference returns the same ValueTables; otherwise the differing rows
-    are range-checked, written in, added to `switches`, and V is recomputed
+    are checked (integers in [0, A)), written in, added to `switches`, and V is recomputed
     from a copy of the last V.  V[h] depends only on the actions at layers
     >= h, so evaluate_layers restarts at the deepest differing layer.  The
     result equals a fresh policy_evaluation(...).V bit for bit; Q is None.
@@ -86,8 +86,8 @@ class PolicyValueCache:
         """V^pi of the flat (h, s) table actions_flat.  rows, if given, lists
         the distinct flat indices where it may differ from the last table
         (the audit passes the rows the last episode visited); the caller
-        vouches for every other row.  ValueError on a bad action or length
-        leaves the cache as it was."""
+        vouches for every other row.  ValueError on a bad action (outside
+        [0, A) or not an integer) or length leaves the cache as it was."""
         mdp, last, first = self.mdp, self._flat, self._tables is None
         if len(actions_flat) != len(last):
             raise ValueError(f"policy has {len(actions_flat)} entries, not {len(last)}")
@@ -99,6 +99,8 @@ class PolicyValueCache:
         new = [actions_flat[i] for i in diff]
         if min(new) < 0 or max(new) >= mdp.A:
             raise ValueError(f"policy actions outside [0, {mdp.A})")
+        if any(a != int(a) for a in new):   # NaN fails in int() instead
+            raise ValueError("policy actions must be integers")
         for i, a in zip(diff, new):
             last[i] = a
         self._acts.flat[diff] = new

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -94,10 +95,10 @@ def test_select_action_tie_breaks_low():
     # goes through the argmax routine every Q write in the learners uses
     assert lr._row_max(0) == 2.0
     assert lr.select_action(0, 0) == 0  # all equal
-    lr._q[0:3] = [1.0, 2.0, 1.5]
+    lr._q[0:3] = array("d", [1.0, 2.0, 1.5])
     assert lr._row_max(0) == 2.0
     assert lr.select_action(0, 0) == 1
-    lr._q[0:3] = [2.0, 2.0, 1.0]
+    lr._q[0:3] = array("d", [2.0, 2.0, 1.0])
     assert lr._row_max(0) == 2.0
     assert lr.select_action(0, 0) == 0
 

@@ -1,21 +1,29 @@
-"""Gate for the learner hot path.
+"""Gate for the learner hot paths.
 
-UcbAdvantageLearner.run_episode is a fused copy of sample_episode feeding
-observe, with the reference route on (advantage) or off (hoeffding-stage).
-It must reproduce the reference path (TabularQLearnerBase's run_episode)
-bit for bit: the same trajectories, reports and tables.  Every
+UcbAdvantageLearner (advantage, or hoeffding-stage with the reference route
+off) has two fast paths: the compiled kernel (stretches of episodes, and
+replay_into), and without a C compiler the fused Python loop.  Each must
+reproduce the reference path (TabularQLearnerBase's run_episode, which is
+sample_episode feeding observe) bit for bit: the same trajectories, reports,
+tables, counters and stream position.  The `path` fixture runs a test on
+the kernel and again on the fallback, forced by patching the loader.  Every
 learner keeps its greedy policy as a table refreshed on each Q write; after
 every episode and every replayed trajectory it must equal np.argmax of Q.
 """
 
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ClassicQUcbLearner, HoeffdingStageLearner,
-                    InitialStates, OutOfRangeError, UcbAdvantageLearner,
-                    make_jao_chain, make_random_mdp, seeded_stream)
+from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLearner,
+                    InitialStates, OutOfRangeError, RunConfig, UcbAdvantageLearner,
+                    kernel, make_jao_chain, make_random_mdp, seeded_stream)
+from stageq import harness
 from stageq.base import TabularQLearnerBase
 from stageq.concurrent import replay_into
+from stageq.metrics import PolicyValueCache
 
 # (name, make_mdp, reference trigger N0, episodes)
 INSTANCES = [
@@ -41,7 +49,17 @@ SEEDS = (0, 1)
 
 TABLES = ("_q", "_v", "_vref", "_n", "_nchk", "_mu_chk", "_ups_chk", "_sig_chk",
           "_mu_ref", "_sig_ref", "_n_state", "_ref_fixed", "_greedy")
-COUNTERS = ("stage_end_count", "q_update_count", "ref_fixed_count")
+COUNTERS = ("stage_end_count", "q_update_count", "ref_fixed_count", "reference_wins")
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def path(request, monkeypatch):
+    """Learners built inside the test use the kernel, or the Python loops."""
+    if request.param == "fallback":
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    elif kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    return request.param
 
 
 def assert_greedy_current(lr):
@@ -55,10 +73,26 @@ def assert_same_state(fast, ref):
         assert getattr(fast, name) == getattr(ref, name), name
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("cset", sorted(CONSTANT_SETS))
-@pytest.mark.parametrize("cls,inst", FUSED_CASES)
-def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
+def assert_same_stream(rng_fast, rng_ref):
+    # more than a block ahead: the same position, wherever blocks were drawn
+    draws = 2 * rng_ref.BLOCK
+    assert [rng_fast.random() for _ in range(draws)] == [rng_ref.random() for _ in range(draws)]
+
+
+def uses_kernel(lr, path):
+    return (lr._lib is not None) == (path == "kernel")
+
+
+def test_kernel_is_built_where_a_compiler_is_found():
+    # a broken build must not pass Tier-1 on the fallback alone
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert kernel.load() is not None
+    assert kernel.library_path().is_file()
+    assert UcbAdvantageLearner(make_random_mdp(2, 2, 2, seed=0))._lib is kernel.load()
+
+
+def check_episodes_match_reference(cls, inst, cset, seed):
     _, make_mdp, n0, K = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS[cset])
@@ -76,30 +110,224 @@ def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
         assert held == before  # a snapshot does not move with learning
         assert_greedy_current(fast)
     assert_same_state(fast, ref)
-    assert rng_fast.random() == rng_ref.random()
+    assert_same_stream(rng_fast, rng_ref)
     assert fast.q_update_count > 0
     assert (fast.ref_fixed_count > 0) == fast.reference
+    return fast
 
 
-def test_fused_episode_raises_like_reference_past_n_max():
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cset", sorted(CONSTANT_SETS))
+@pytest.mark.parametrize("cls,inst", FUSED_CASES)
+def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
+    # run_episode as shipped: the kernel wherever it builds
+    lr = check_episodes_match_reference(cls, inst, cset, seed)
+    assert (lr._lib is None) == (kernel.load() is None)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cset", sorted(CONSTANT_SETS))
+@pytest.mark.parametrize("cls,inst", FUSED_CASES)
+def test_fallback_episode_matches_reference_path(cls, inst, cset, seed, monkeypatch):
+    # the fused Python loop, as a machine without a C compiler runs it
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert check_episodes_match_reference(cls, inst, cset, seed)._lib is None
+
+
+def reference_stretch(lr, mdp, rng, first, count, stop, halt):
+    """count reference episodes from first; every one but the last must be
+    one that run_stretch plays through (no Q change, no halt, below stop)."""
+    starts = []
+    for k in range(first, first + count):
+        traj, report = TabularQLearnerBase.run_episode(lr, mdp, rng, k)
+        starts.append(traj[0][0])
+        if k < first + count - 1:
+            assert not report.q_changed and not (halt and halt[starts[-1]])
+    assert first + count <= stop
+    return starts, traj, report
+
+
+# jao-40 crosses block boundaries (4096 is not a multiple of H=40) and runs
+# long enough between Q changes to use up the kernel's uniforms;
+# random-10x3x8 halts at its seeded start states 2 and 7, and random-4x5x4
+# at the cyclic start 3
+STRETCH_CASES = [(INSTANCES[0], None), (INSTANCES[2], (2, 7)), (INSTANCES[3], (3,))]
+
+
+@pytest.mark.parametrize("inst,halt_states", STRETCH_CASES,
+                         ids=[c[0][0] for c in STRETCH_CASES])
+def test_stretch_matches_reference_path(inst, halt_states, path):
+    _, make_mdp, n0, K = inst
+    mdp = make_mdp()
+    const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
+    fast = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
+    ref = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
+    halt = None
+    if halt_states is not None:
+        halt = bytes(s in halt_states for s in range(mdp.S))
+    rng_fast = seeded_stream(0, 0, "env")
+    rng_ref = seeded_stream(0, 0, "env")
+    checkpoints = list(range(97, K, 97)) + [K]   # 1-based kept episode counts
+    stops = {"q": 0, "checkpoint": 0, "halt": 0, "block": 0}
+    crossed = 0
+    k = 0
+    while k < K:
+        stop = next(c for c in checkpoints if c > k)
+        unread = len(rng_fast._block) - rng_fast._i
+        starts, traj, report = fast.run_stretch(mdp, rng_fast, k, stop, halt)
+        expect = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop, halt)
+        assert (starts, traj, report) == expect
+        assert starts == mdp.initial_states(k, len(starts))
+        k += len(starts)
+        crossed += unread < mdp.H   # the stretch's uniforms span two blocks
+        if report.q_changed:
+            stops["q"] += 1
+        elif k == stop:
+            stops["checkpoint"] += 1
+        elif halt and halt[starts[-1]]:
+            stops["halt"] += 1
+        else:   # only the kernel ends a stretch where its uniforms run short
+            assert path == "kernel"
+            assert len(rng_fast._block) - rng_fast._i < mdp.H
+            stops["block"] += 1
+    assert_same_state(fast, ref)
+    assert_same_stream(rng_fast, rng_ref)
+    assert stops["q"] and stops["checkpoint"]
+    assert (stops["halt"] > 0) == (halt is not None)
+    if inst is INSTANCES[0]:
+        assert crossed > 0 and (stops["block"] > 0) == (path == "kernel")
+
+
+def check_raise_matches_reference(via):
     mdp = make_random_mdp(2, 2, 3, seed=0)
     const = AlgoConstants(**CONSTANT_SETS["tight"])
 
-    def episodes_until_raise(run_episode, lr):
-        rng = seeded_stream(0, 0, "env")
+    def episodes_until_raise(play, lr):
         for k in range(100):
             try:
-                run_episode(lr, mdp, rng, k)
-            except OutOfRangeError:
-                return k
+                play(lr, k)
+            except OutOfRangeError as exc:
+                return k, exc.n
         return None
+
+    def stretch(lr, k):
+        starts, _, _ = lr.run_stretch(mdp, rng_fast, k, k + 1)
+        assert len(starts) == 1
 
     fast = UcbAdvantageLearner(mdp, const, n_max=40)
     ref = UcbAdvantageLearner(mdp, const, n_max=40)
-    k_fast = episodes_until_raise(UcbAdvantageLearner.run_episode, fast)
-    k_ref = episodes_until_raise(TabularQLearnerBase.run_episode, ref)
-    assert k_fast is not None and k_fast == k_ref
+    rng_fast = seeded_stream(0, 0, "env")
+    rng_ref = seeded_stream(0, 0, "env")
+    play = stretch if via == "run_stretch" else (
+        lambda lr, k: lr.run_episode(mdp, rng_fast, k))
+    got = episodes_until_raise(play, fast)
+    want = episodes_until_raise(
+        lambda lr, k: TabularQLearnerBase.run_episode(lr, mdp, rng_ref, k), ref)
+    assert got is not None and got == want and got[1] == 41
     assert_same_state(fast, ref)
+    assert_same_stream(rng_fast, rng_ref)
+
+
+def test_fused_episode_raises_like_reference_past_n_max():
+    check_raise_matches_reference("run_episode")
+
+
+@pytest.mark.parametrize("via", ["run_episode", "run_stretch"])
+def test_out_of_range_raises_in_the_same_episode(via, path):
+    check_raise_matches_reference(via)
+
+
+@pytest.mark.parametrize("cls", [UcbAdvantageLearner, HoeffdingStageLearner])
+def test_replay_matches_python_observe(cls, path):
+    # trajectories of another learner, as the concurrent runner replays them
+    _, make_mdp, n0, K = INSTANCES[2]
+    mdp = make_mdp()
+    const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["tight"])
+    source = ClassicQUcbLearner(mdp, const, cb=0.05)
+    rng = seeded_stream(0, 0, "env")
+    trajs = [source.run_episode(mdp, rng, k)[0] for k in range(K)]
+    fast = cls(mdp, const, n_max=K * mdp.H + 1)
+    ref = cls(mdp, const, n_max=K * mdp.H + 1)
+    assert uses_kernel(fast, path)
+    for i, traj in enumerate(trajs):
+        u0 = ref.q_update_count
+        for h, (s, a, _r, s_next) in enumerate(traj):
+            ref.observe(h, s, a, s_next)
+        if i < len(trajs) // 4 or i % 5 == 4:
+            # Python observe on the same tables before and between kernel
+            # calls: the kernel's stage-end index has to catch up with
+            # visit counts that passed several stage ends without it
+            TabularQLearnerBase.observe_trajectory(fast, traj)
+        else:
+            assert replay_into(fast, traj) == (ref.q_update_count != u0)
+        assert_greedy_current(fast)
+    assert_same_state(fast, ref)
+    assert fast.ref_fixed_count > 0 or not fast.reference
+    # n_max is enforced on replay too, at the same visit
+    small = cls(mdp, const, n_max=30)
+    small_ref = cls(mdp, const, n_max=30)
+    with pytest.raises(OutOfRangeError):
+        for traj in trajs:
+            replay_into(small, traj)
+    with pytest.raises(OutOfRangeError):
+        for traj in trajs:
+            TabularQLearnerBase.observe_trajectory(small_ref, traj)
+    assert_same_state(small, small_ref)
+
+
+def test_reference_wins_counts_only_reference_set_updates(path):
+    # with a large c3 the Hoeffding target wins some stage ends, so the
+    # counter sits strictly between 0 and q_update_count
+    mdp = make_random_mdp(3, 4, 2, seed=3)
+    const = AlgoConstants(p=0.5, c1=0.5, c2=0.5, c3=2.0, n0_override=100)
+    fast = UcbAdvantageLearner(mdp, const)
+    ref = UcbAdvantageLearner(mdp, const)
+    noref = HoeffdingStageLearner(mdp, const)
+    rngs = [seeded_stream(0, 0, "env") for _ in range(3)]
+    for k in range(1500):
+        fast.run_episode(mdp, rngs[0], k)
+        TabularQLearnerBase.run_episode(ref, mdp, rngs[1], k)
+        noref.run_episode(mdp, rngs[2], k)
+    assert_same_state(fast, ref)
+    assert (fast.q_update_count, fast.reference_wins) == (12, 10)
+    assert noref.q_update_count > 0 and noref.reference_wins == 0
+
+
+def test_audited_run_matches_fallback(monkeypatch):
+    # the whole audit loop, kernel against Python: every kept row (including
+    # strict negative-regret rows off the log cadence, produced here by a
+    # cache that rates the policy 0.05 above optimal from state 1) and the
+    # summary
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+
+    class InflatedCache(PolicyValueCache):
+        def values(self, actions_flat, rows=None):
+            tables = super().values(actions_flat, rows)
+            V = tables.V.copy()
+            V[0, 1] += 0.05
+            return replace(tables, V=V)
+
+    monkeypatch.setattr(harness, "PolicyValueCache", InflatedCache)
+    monkeypatch.setattr(harness, "enforce_invariants", lambda result: None)
+    env = EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0,
+                  init=InitialStates.cyclic([0, 0, 1, 2, 0]))
+    cfg = RunConfig(env=env, algo="advantage", episodes=3000, seed=4, log_every="pow2",
+                    strict=True, constants=AlgoConstants(n0_override=200,
+                                                         **CONSTANT_SETS["desk"]))
+    results = {}
+    for name in ("kernel", "fallback"):
+        if name == "fallback":
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        res = harness.run_experiment(cfg)
+        results[name] = (res.records, replace(res.summary, wall_time_s=0.0),
+                         res.learner.q_array().tolist(), res.learner.vref_array().tolist())
+        assert (res.learner._lib is None) == (name == "fallback")
+    assert results["kernel"] == results["fallback"]
+    records = results["kernel"][0]
+    pow2 = {1 << i for i in range(12)} | {3000}
+    assert sum(r.k not in pow2 for r in records) > 100   # negative-regret rows
+    assert results["kernel"][1].q_updates > 0
 
 
 def make_all_learners(mdp, const, n_max):

@@ -178,6 +178,36 @@ def test_lazy_audit_matches_eager_reference(monkeypatch, env, algo, constants,
     assert got == want
 
 
+@pytest.mark.parametrize("env,algo,constants,episodes", [
+    pytest.param(SMALL_ENV, "advantage", REDUCED, 400, id="advantage-small"),
+    pytest.param(CHAIN_ENV, "advantage", AlgoConstants(n0_override=500, **DESK), 2000,
+                 id="advantage-jao40"),
+    pytest.param(SMALL_ENV, "classic-qucb", REDUCED, 400, id="classic-qucb-small"),
+])
+def test_stretched_audit_matches_eager_reference(env, algo, constants, episodes):
+    # with a sparse log cadence the learner plays multi-episode stretches
+    # between kept rows; every kept row must still match the eager loop
+    cfg = RunConfig(env=env, algo=algo, constants=constants, episodes=episodes,
+                    seed=3, log_every="pow2", strict=True)
+    res = run_experiment(cfg)
+    got = [(r.k, r.cum_regret, r.cum_switching_cost, r.cum_q_updates,
+            r.cum_optimism_violations, r.ref_states_fixed) for r in res.records]
+    kept = {1 << i for i in range(episodes.bit_length())} | {episodes}
+    assert got == [row for row in eager_reference_run(cfg) if row[0] in kept]
+    assert res.summary.cum_regret == got[-1][1]
+
+
+def test_summary_reports_reference_wins():
+    env = EnvSpec(kind="random", S=3, A=4, H=2, env_seed=3)
+    cfg = RunConfig(env=env, episodes=1500, seed=0, log_every="pow2",
+                    constants=AlgoConstants(p=0.5, c1=0.5, c2=0.5, c3=2.0, n0_override=100))
+    s = run_experiment(cfg).summary
+    # of 12 Q updates, the Hoeffding target set 2 (tests/test_fast_path.py)
+    assert (s.q_updates, s.reference_wins) == (12, 10)
+    assert " q_updates=12 reference_wins=10 " in s.line()
+    assert run_experiment(replace(cfg, algo="classic-qucb")).summary.reference_wins == 0
+
+
 def test_records_are_cumulative_and_complete():
     env = EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0)
     res = run_experiment(RunConfig(env=env, constants=REDUCED,

@@ -13,6 +13,7 @@ from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
                     RewardOutOfRange, backward_induction, load_mdp,
                     make_jao_chain, make_random_mdp, policy_evaluation,
                     sample_episode, save_mdp, validate)
+from stageq.mdp import checked_actions
 
 
 def two_step_example():
@@ -177,6 +178,17 @@ def test_policy_evaluation_rejects_bad_policies():
         policy_evaluation(mdp, DeterministicPolicy(np.zeros((3, 2), dtype=np.int64)))
     with pytest.raises(ValueError):
         policy_evaluation(mdp, DeterministicPolicy(np.full((2, 2), 5, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.25, float("nan"), float("inf")])
+def test_checked_actions_rejects_non_integer_actions(bad):
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    with pytest.raises(ValueError):
+        checked_actions(mdp, [[bad, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        policy_evaluation(mdp, DeterministicPolicy(np.array([[bad, 0.0], [0.0, 0.0]])))
+    # integral floats are integers
+    assert checked_actions(mdp, [[1.0, 0.0], [0.0, 1.0]]).tolist() == [[1, 0], [0, 1]]
 
 
 # ----------------------------------------------------------- initial states

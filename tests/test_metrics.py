@@ -97,6 +97,24 @@ def test_cache_rejects_out_of_range_actions(bad):
     assert cache.switches == 3
 
 
+def test_cache_rejects_fractional_actions():
+    H, S, A = 2, 2, 2
+    mdp = make_random_mdp(S, A, H, seed=0)
+    with pytest.raises(ValueError, match="integers"):
+        PolicyValueCache(mdp).values([1.5, 0, 0, 0])   # first call
+    cache = PolicyValueCache(mdp)
+    before = cache.values([0, 0, 0, 0])
+    for bad in (1.5, float("nan")):
+        with pytest.raises(ValueError):
+            cache.values([0, 0, bad, 1], [2, 3])        # partial path
+        # raised before any state was written: table, V and count unchanged
+        assert cache.switches == 0
+        assert cache.values([0, 0, 0, 0]) is before
+    # an integral float is an integer action
+    fresh = policy_evaluation(mdp, DeterministicPolicy(np.array([[1, 0], [0, 0]])))
+    assert np.array_equal(cache.values([1.0, 0, 0, 0]).V, fresh.V)
+
+
 def test_count_switches():
     assert count_switches([0, 1, 0], [0, 1, 0]) == 0
     assert count_switches([0, 1, 0], [1, 1, 0]) == 1
