@@ -12,7 +12,9 @@
  * path's.
  *
  * The learner is described by one Learner struct whose layout kernel.py
- * mirrors: every field is 8 bytes wide.
+ * mirrors: every field is 8 bytes wide.  Both entry points take that
+ * struct alone, so that a call from Python converts one argument; the
+ * inputs that change from call to call go through its io array.
  */
 
 #include <math.h>
@@ -39,13 +41,25 @@ typedef struct {
     int64_t n_max;
     double n0, c1, c2, iota;
     int64_t reference;      /* 0: Hoeffding target only */
-    int64_t *path;          /* the last episode's (s, a, s_next) per step */
-    double *path_r;         /* and its reward per step */
-    int64_t *out;           /* OUT_LEN slots, below */
+    int64_t *path_s, *path_a, *path_next;   /* the last episode's steps */
+    double *path_r;         /* and their rewards */
+    /* what a stretch reads besides the tables; set when it changes */
+    const double *cum;      /* the MDP's (H, S, A, S) cumulative rows */
+    const double *mdp_rew;  /* the MDP's (H, S, A) rewards, for path_r */
+    const double *u;        /* the stream's block of uniforms */
+    const int64_t *starts;  /* the initial states of the episodes to play */
+    const int8_t *halt;     /* S halt flags */
+    int64_t *io;            /* IO_LEN slots, below */
 } Learner;
 
-/* Slots of the out array both entry points fill. */
+/* Slots of the io array: the per-call inputs, set before each call, and
+ * the outputs both entry points fill. */
 enum {
+    IN_U,                   /* stretch: index in u of the first unread uniform */
+    IN_COUNT,               /* stretch: episodes to play at most */
+    IN_HALT,                /* stretch: 1 to stop at a start state with its halt flag */
+    IN_SAS,                 /* replay: address of the (s, a, s_next) triples */
+    IN_STEPS,               /* replay: number of steps */
     OUT_STAGE_ENDS,         /* counter increments over the whole call */
     OUT_Q_UPDATES,
     OUT_REFS_FIXED,
@@ -56,7 +70,7 @@ enum {
     OUT_USED,               /* uniforms consumed */
     OUT_BAD_N,              /* visit count above n_max, or 0 */
     OUT_BAD_INDEX,          /* 1 if a state or action was out of range */
-    OUT_LEN
+    IO_LEN
 };
 
 /* sizeof(Learner), which kernel.py checks against its own layout */
@@ -107,7 +121,7 @@ static double row_max(const Learner *L, int64_t i2)
 
 /* UcbAdvantageLearner._stage_update at the j-th stage end */
 static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
-                         int64_t *out)
+                         int64_t *io)
 {
     int64_t n = L->n[i3], nc = L->nchk[i3];
     double lower = L->lower[j], b_bar = L->bbar[j];
@@ -130,12 +144,12 @@ static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
         }
     }
 
-    out[OUT_STAGE_ENDS] += 1;
+    io[OUT_STAGE_ENDS] += 1;
     if (cand < L->q[i3]) {
         L->q[i3] = cand;
         L->v[i2] = row_max(L, i2);
-        out[OUT_Q_UPDATES] += 1;
-        out[OUT_REF_WINS] += ref_won;
+        io[OUT_Q_UPDATES] += 1;
+        io[OUT_REF_WINS] += ref_won;
     }
 
     L->nchk[i3] = 0;
@@ -147,7 +161,7 @@ static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
 /* UcbAdvantageLearner.observe; returns 0, or the visit count above n_max
  * (stored first, as observe stores it before raising). */
 static int64_t observe(const Learner *L, int64_t h, int64_t s, int64_t a,
-                       int64_t s_next, int64_t *out)
+                       int64_t s_next, int64_t *io)
 {
     int64_t S = L->S;
     int64_t i2 = h * S + s;
@@ -175,91 +189,95 @@ static int64_t observe(const Learner *L, int64_t h, int64_t s, int64_t a,
         j++;
     L->end_idx[i3] = j;
     if (L->ends[j] == n)
-        stage_update(L, i2, i3, j, out);
+        stage_update(L, i2, i3, j, io);
 
     int64_t ns = L->n_state[i2] + 1;
     L->n_state[i2] = ns;
     if ((double)ns >= L->n0 && !L->ref_fixed[i2]) {
         L->vref[i2] = L->v[i2];
         L->ref_fixed[i2] = 1;
-        out[OUT_REFS_FIXED] += 1;
+        io[OUT_REFS_FIXED] += 1;
     }
     return 0;
 }
 
-static void clear_out(int64_t *out)
+static void clear_outputs(int64_t *io)
 {
-    for (int i = 0; i < OUT_LEN; i++)
-        out[i] = 0;
+    for (int i = OUT_STAGE_ENDS; i < IO_LEN; i++)
+        io[i] = 0;
 }
 
-/* Play up to count episodes with initial states starts[0..count), drawing
- * one uniform per step from u (count*H of them must be readable), and stop
- * after the first episode that changes Q or whose initial state s has
- * halt[s] set (halt may be NULL).  cum holds the (H, S, A, S) cumulative
- * transition rows and rew the (H, S, A) rewards of the MDP.  Returns the
- * number of episodes played, the last one included when it stopped on an
- * error (OUT_BAD_N or OUT_BAD_INDEX). */
-int64_t stageq_stretch(const Learner *L, const double *cum, const double *rew,
-                       const double *u, const int64_t *starts, int64_t count,
-                       const int8_t *halt)
+/* Play up to io[IN_COUNT] episodes with initial states starts[0..), drawing
+ * one uniform per step from u + io[IN_U] (IN_COUNT*H of them must be
+ * readable), and stop after the first episode that changes Q or, with
+ * io[IN_HALT] set, whose initial state s has halt[s] set.  Returns the
+ * number of episodes played, or -1 when it stopped on an error (OUT_BAD_N
+ * or OUT_BAD_INDEX). */
+int64_t stageq_stretch(const Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
-    int64_t *out = L->out, *path = L->path;
+    int64_t *io = L->io;
+    const double *u = L->u + io[IN_U];
+    const int64_t *starts = L->starts;
+    int64_t count = io[IN_COUNT];
+    const int8_t *halt = io[IN_HALT] ? L->halt : NULL;
     int64_t played = 0, used = 0;
-    clear_out(out);
+    clear_outputs(io);
     while (played < count) {
-        int64_t e0 = out[OUT_STAGE_ENDS], u0 = out[OUT_Q_UPDATES];
-        int64_t r0 = out[OUT_REFS_FIXED];
+        int64_t e0 = io[OUT_STAGE_ENDS], u0 = io[OUT_Q_UPDATES];
+        int64_t r0 = io[OUT_REFS_FIXED];
         int64_t s = starts[played++];
         if (s < 0 || s >= S) {
-            out[OUT_BAD_INDEX] = 1;
+            io[OUT_BAD_INDEX] = 1;
             break;
         }
         int64_t bad = 0;
         for (int64_t h = 0; h < H && !bad; h++) {
             int64_t i2 = h * S + s;
             int64_t a = L->greedy[i2];
-            int64_t s_next = bisect_right(cum + (i2 * A + a) * S, S, u[used++]);
-            path[3 * h] = s;
-            path[3 * h + 1] = a;
-            path[3 * h + 2] = s_next;
-            L->path_r[h] = rew[i2 * A + a];
-            bad = observe(L, h, s, a, s_next, out);
+            int64_t s_next = bisect_right(L->cum + (i2 * A + a) * S, S, u[used++]);
+            L->path_s[h] = s;
+            L->path_a[h] = a;
+            L->path_next[h] = s_next;
+            L->path_r[h] = L->mdp_rew[i2 * A + a];
+            bad = observe(L, h, s, a, s_next, io);
             s = s_next;
         }
         if (bad) {
-            out[OUT_BAD_N] = bad;
+            io[OUT_BAD_N] = bad;
             break;
         }
-        out[OUT_LAST_STAGE_ENDS] = out[OUT_STAGE_ENDS] - e0;
-        out[OUT_LAST_Q_UPDATES] = out[OUT_Q_UPDATES] - u0;
-        out[OUT_LAST_REFS_FIXED] = out[OUT_REFS_FIXED] - r0;
-        if (out[OUT_Q_UPDATES] > u0 || (halt != NULL && halt[starts[played - 1]]))
+        io[OUT_LAST_STAGE_ENDS] = io[OUT_STAGE_ENDS] - e0;
+        io[OUT_LAST_Q_UPDATES] = io[OUT_Q_UPDATES] - u0;
+        io[OUT_LAST_REFS_FIXED] = io[OUT_REFS_FIXED] - r0;
+        if (io[OUT_Q_UPDATES] > u0 || (halt != NULL && halt[starts[played - 1]]))
             break;
     }
-    out[OUT_USED] = used;
-    return played;
+    io[OUT_USED] = used;
+    return io[OUT_BAD_N] || io[OUT_BAD_INDEX] ? -1 : played;
 }
 
-/* observe steps h = 0 .. steps-1 (steps <= H) of one recorded trajectory,
- * given as (s, a, s_next) triples; fills out's counter slots as
- * stageq_stretch does and returns 0, or 1 when it stopped on an error. */
-int64_t stageq_replay(const Learner *L, const int64_t *sas, int64_t steps)
+/* observe steps h = 0 .. io[IN_STEPS]-1 (at most H) of one recorded
+ * trajectory, given as (s, a, s_next) triples at io[IN_SAS]; fills the
+ * counter slots as stageq_stretch does and returns 0, or -1 when it
+ * stopped on an error. */
+int64_t stageq_replay(const Learner *L)
 {
     int64_t S = L->S, A = L->A;
-    int64_t *out = L->out;
-    clear_out(out);
+    int64_t *io = L->io;
+    const int64_t *sas = (const int64_t *)(intptr_t)io[IN_SAS];
+    int64_t steps = io[IN_STEPS];
+    clear_outputs(io);
     for (int64_t h = 0; h < steps; h++) {
         int64_t s = sas[3 * h], a = sas[3 * h + 1], s_next = sas[3 * h + 2];
         if (s < 0 || s >= S || a < 0 || a >= A || s_next < 0 || s_next >= S) {
-            out[OUT_BAD_INDEX] = 1;
-            return 1;
+            io[OUT_BAD_INDEX] = 1;
+            return -1;
         }
-        int64_t bad = observe(L, h, s, a, s_next, out);
+        int64_t bad = observe(L, h, s, a, s_next, io);
         if (bad) {
-            out[OUT_BAD_N] = bad;
-            return 1;
+            io[OUT_BAD_N] = bad;
+            return -1;
         }
     }
     return 0;

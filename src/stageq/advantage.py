@@ -44,16 +44,14 @@ All counts, accumulators and tables live in fixed-size flat buffers
 (_kernel.c, loaded by the kernel module) read and write in place; numpy
 copies are exported on demand.  With the kernel, run_stretch plays whole
 episodes in C and observe_trajectory replays a recorded one there, and
-run_episode is a one-episode stretch.  Without a C compiler the Python
-paths run instead: run_episode fuses sampling and observe into one loop.
-The base-class path (sample_episode feeding observe) stays the reference
-that the kernel and the fused loop must both match bit for bit.
+run_episode is a one-episode stretch.  Without a C compiler the base-class
+path runs instead (sample_episode feeding observe, one transition at a
+time); it is the reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import log, sqrt
 from typing import Optional
@@ -61,6 +59,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
+from .kernel import (IN_COUNT, IN_HALT, IN_SAS, IN_STEPS, IN_U, OUT_BAD_INDEX, OUT_BAD_N,
+                     OUT_LAST_Q_UPDATES, OUT_LAST_REFS_FIXED, OUT_LAST_STAGE_ENDS,
+                     OUT_Q_UPDATES, OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
 from .stages import OutOfRangeError, build_schedule
@@ -69,6 +70,7 @@ __all__ = ["AlgoConstants", "UcbAdvantageLearner", "HoeffdingStageLearner",
            "EpisodeReport", "safe_ratio", "DEFAULT_N_MAX"]
 
 DEFAULT_N_MAX = 1 << 20
+STRETCH_MAX = 1024     # episodes one kernel stretch call plays at most
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,11 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._kbufs = (array("q", [0]) * len(self._n), array("q", ends),
                        array("d", [self._stage_consts[n][0] for n in ends]),
                        array("d", [self._stage_consts[n][1] for n in ends]))
-        self._path = array("q", [0]) * (3 * H)
+        self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
-        self._out = array("q", [0]) * kernel.OUT_LEN
+        self._starts = array("q", [0]) * STRETCH_MAX
+        self._halt = array("b", [0]) * self.S
+        self._io = array("q", [0]) * kernel.IO_LEN
 
         def addr(buf):
             return buf.buffer_info()[0]
@@ -193,14 +197,19 @@ class UcbAdvantageLearner(TabularQLearnerBase):
             **{name: addr(getattr(self, "_" + name)) for name in (
                 "q", "v", "vref", "rew", "n", "nchk", "mu_chk", "ups_chk", "sig_chk",
                 "mu_ref", "sig_ref", "n_state", "ref_fixed", "greedy",
-                "path", "path_r", "out")},
+                "path_s", "path_a", "path_next", "path_r", "starts", "halt", "io")},
             **dict(zip(("end_idx", "ends", "lower", "bbar"), map(addr, self._kbufs))),
             n_max=self._n_max, n0=self._n0, c1=c.c1, c2=c.c2,
             iota=self._iota, reference=int(self.reference))
         self._kaddr = kernel.ctypes.addressof(self._kstate)
-        # the last MDP arrays and uniform block passed in, with their addresses
-        self._mdp_arrays = (None, None, 0, 0)
-        self._ublock, self._uaddr = None, 0
+        self._stretch, self._replay = self._lib.stageq_stretch, self._lib.stageq_replay
+        # what the struct's cum, mdp_rew, halt and u point at now: the MDP's
+        # P and r with the arrays built from them, the halt flags (bytes),
+        # and the stream's uniform block
+        self._mdp_src = (None, None, None, None)
+        self._halt_src = None
+        self._ublock = None
+        self._window = 1           # episodes the next stretch offers the kernel
 
     def observe(self, h: int, s: int, a: int, s_next: int) -> None:
         """Record one transition.
@@ -283,47 +292,75 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
 
-        A one-episode stretch with the kernel, else the fused Python loop.
+        A one-episode stretch with the kernel, else the reference path.
         """
         if self._lib is None or not hasattr(rng, "doubles"):
-            return self._fused_episode(mdp, rng, episode_index)
-        _, traj, report = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
-        return traj, report
+            return super().run_episode(mdp, rng, episode_index)
+        _, changed = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
+        io = self._io
+        return changed or self._last_traj(), EpisodeReport(
+            io[OUT_LAST_STAGE_ENDS], io[OUT_LAST_Q_UPDATES], io[OUT_LAST_REFS_FIXED])
 
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
         """The base-class stretch, played by the kernel in one call.
 
         Besides the base-class stops, a call also ends when the uniforms
         rng.doubles can hand over without drawing a new block run short of
-        one more episode; the caller then calls again.
+        one more episode, or after a window of twice the episodes the last
+        call played (one at first, at most STRETCH_MAX); the caller then
+        calls again.  So a call prepares start states for about as many
+        episodes as it plays, not for the whole block.
         """
         if self._lib is None or not hasattr(rng, "doubles"):
             return super().run_stretch(mdp, rng, first, stop, halt)
-        H, S, A = self.H, self.S, self.A
-        cum, rew = mdp.cum_array(), mdp.reward_array()
-        if cum is not self._mdp_arrays[0] or rew is not self._mdp_arrays[1]:
-            if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
-                raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
-            self._mdp_arrays = (cum, rew, cum.ctypes.data, rew.ctypes.data)
-        if halt is not None and len(halt) != S:
-            raise ValueError(f"halt has {len(halt)} flags, not one per state ({S})")
+        H = self.H
+        src = self._mdp_src
+        if mdp.P is not src[0] or mdp.r is not src[1]:
+            self._bind_mdp(mdp)
+        if halt != self._halt_src:
+            self._bind_halt(halt)
         block, i = rng.doubles(H)
         if block is not self._ublock:
-            self._ublock, self._uaddr = block, block.ctypes.data
-        starts = mdp.initial_states(first, min(stop - first, (len(block) - i) // H))
-        starts_buf = array("q", starts)
-        played = self._lib.stageq_stretch(
-            self._kaddr, self._mdp_arrays[2], self._mdp_arrays[3], self._uaddr + 8 * i,
-            starts_buf.buffer_info()[0], len(starts), halt)
-        out = self._out
-        rng.skip(out[kernel.OUT_USED])
-        self._add_counts(out)
-        p = self._path.tolist()
-        traj = list(zip(p[0::3], p[1::3], self._path_r.tolist(), p[2::3]))
-        return starts[:played], traj, EpisodeReport(
-            stage_ends=out[kernel.OUT_LAST_STAGE_ENDS],
-            q_updates=out[kernel.OUT_LAST_Q_UPDATES],
-            refs_fixed=out[kernel.OUT_LAST_REFS_FIXED])
+            self._ublock = block
+            self._kstate.u = block.ctypes.data
+        count = min(stop - first, (len(block) - i) // H, self._window)
+        starts = mdp.initial_states(first, count)
+        if count == 1:             # the one-episode calls need no temporary array
+            self._starts[0] = starts[0]
+        else:
+            self._starts[:count] = array("q", starts)
+        io = self._io
+        io[IN_U] = i
+        io[IN_COUNT] = count
+        played = self._stretch(self._kaddr)
+        rng.skip(io[OUT_USED])
+        if played < 0 or io[OUT_STAGE_ENDS] or io[OUT_REFS_FIXED]:
+            self._add_counts()
+        self._window = min(2 * played, STRETCH_MAX) or 1
+        if played < count:
+            starts = starts[:played]
+        return starts, self._last_traj() if io[OUT_Q_UPDATES] else None
+
+    def _bind_mdp(self, mdp: EpisodicMdp) -> None:
+        cum, rew = mdp.cum_array(), mdp.reward_array()
+        H, S, A = self.H, self.S, self.A
+        if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
+            raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
+        self._kstate.cum, self._kstate.mdp_rew = cum.ctypes.data, rew.ctypes.data
+        self._mdp_src = (mdp.P, mdp.r, cum, rew)
+
+    def _bind_halt(self, halt) -> None:
+        if halt is not None:
+            if len(halt) != self.S:
+                raise ValueError(f"halt has {len(halt)} flags, not one per state ({self.S})")
+            halt = bytes(halt)
+            self._halt[:] = array("b", halt)
+        self._io[IN_HALT] = halt is not None
+        self._halt_src = halt
+
+    def _last_traj(self) -> list:
+        """The trajectory of the last episode the kernel played."""
+        return list(zip(self._path_s, self._path_a, self._path_r, self._path_next))
 
     def observe_trajectory(self, traj) -> None:
         """observe each step of traj, in the kernel when there is one."""
@@ -332,70 +369,23 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         if len(traj) > self.H:
             raise ValueError(f"trajectory has {len(traj)} steps, horizon is {self.H}")
         sas = array("q", [x for s, a, _r, s_next in traj for x in (s, a, s_next)])
-        self._lib.stageq_replay(self._kaddr, sas.buffer_info()[0], len(traj))
-        self._add_counts(self._out)
+        io = self._io
+        io[IN_SAS] = sas.buffer_info()[0]
+        io[IN_STEPS] = len(traj)
+        if self._replay(self._kaddr) < 0 or io[OUT_STAGE_ENDS] or io[OUT_REFS_FIXED]:
+            self._add_counts()
 
-    def _add_counts(self, out) -> None:
+    def _add_counts(self) -> None:
         """Apply a kernel call's counter increments, then raise what it hit."""
-        self.stage_end_count += out[kernel.OUT_STAGE_ENDS]
-        self.q_update_count += out[kernel.OUT_Q_UPDATES]
-        self.ref_fixed_count += out[kernel.OUT_REFS_FIXED]
-        self.reference_wins += out[kernel.OUT_REF_WINS]
-        if out[kernel.OUT_BAD_INDEX]:
+        io = self._io
+        self.stage_end_count += io[OUT_STAGE_ENDS]
+        self.q_update_count += io[OUT_Q_UPDATES]
+        self.ref_fixed_count += io[OUT_REFS_FIXED]
+        self.reference_wins += io[OUT_REF_WINS]
+        if io[OUT_BAD_INDEX]:
             raise IndexError("state or action outside the learner's tables")
-        if out[kernel.OUT_BAD_N]:
-            raise OutOfRangeError(out[kernel.OUT_BAD_N], self._n_max)
-
-    def _fused_episode(self, mdp: EpisodicMdp, rng, episode_index: int):
-        """run_episode without the kernel: sample_episode with observe
-        inlined, the same uniform per step, the same trajectory and the same
-        table updates in the same order as the base-class path, with the
-        tables bound to locals once."""
-        S, A = self.S, self.A
-        cum = mdp.cum_rows()
-        rew = mdp.reward_rows()
-        greedy, v, vref, visits = self._greedy, self._v, self._vref, self._n
-        nchk, mu_chk, ups_chk, sig_chk = self._nchk, self._mu_chk, self._ups_chk, self._sig_chk
-        mu_ref, sig_ref = self._mu_ref, self._sig_ref
-        n_state, ref_fixed = self._n_state, self._ref_fixed
-        stage_consts, n_max, n0 = self._stage_consts, self._n_max, self._n0
-        random = rng.random
-        e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
-        s = mdp.initial_state(episode_index)
-        traj = []
-        for h in range(self.H):
-            i2 = h * S + s
-            a = greedy[i2]
-            s_next = bisect_right(cum[h][s][a], random())
-            traj.append((s, a, rew[h][s][a], s_next))
-
-            i3 = i2 * A + a
-            vi = (h + 1) * S + s_next
-            v_next = v[vi]
-            vref_next = vref[vi]
-            d = v_next - vref_next
-            n = visits[i3] + 1
-            visits[i3] = n
-            if n > n_max:
-                raise OutOfRangeError(n, n_max)
-            nchk[i3] += 1
-            mu_chk[i3] += d
-            ups_chk[i3] += v_next
-            sig_chk[i3] += d * d
-            mu_ref[i3] += vref_next
-            sig_ref[i3] += vref_next * vref_next
-            if n in stage_consts:
-                self._stage_update(i2, i3)
-            ns = n_state[i2] + 1
-            n_state[i2] = ns
-            if ns >= n0 and not ref_fixed[i2]:
-                vref[i2] = v[i2]
-                ref_fixed[i2] = True
-                self.ref_fixed_count += 1
-            s = s_next
-        return traj, EpisodeReport(stage_ends=self.stage_end_count - e0,
-                                   q_updates=self.q_update_count - u0,
-                                   refs_fixed=self.ref_fixed_count - r0)
+        if io[OUT_BAD_N]:
+            raise OutOfRangeError(io[OUT_BAD_N], self._n_max)
 
     # ----------------------------------------------------------- exports
 

@@ -107,21 +107,23 @@ class TabularQLearnerBase:
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
         """Play episodes first, first + 1, ... (0-based, below stop) with
         run_episode, and stop after the first one that changes Q or whose
-        initial state s has halt[s] set (halt: None or S flags).
+        initial state s has halt[s] set (halt: None, or bytes of S flags).
 
-        Returns (starts, traj, report): the initial state of every episode
-        played, and the last one's trajectory and EpisodeReport.  Between
-        the episodes played the greedy policy cannot move, which is what
-        lets the audit loop account for a whole stretch at once.
+        Returns (starts, changed): the initial state of every episode
+        played, and the last one's trajectory if it changed Q, else None.
+        Between the episodes played the greedy policy cannot move, which is
+        what lets the audit loop account for a whole stretch at once.
         """
         starts = []
         for k in range(first, stop):
             traj, report = self.run_episode(mdp, rng, k)
             s1 = traj[0][0]
             starts.append(s1)
-            if report.q_changed or (halt and halt[s1]):
+            if report.q_changed:
+                return starts, traj
+            if halt and halt[s1]:
                 break
-        return starts, traj, report
+        return starts, None
 
     # ----------------------------------------------------------- exports
 

@@ -316,9 +316,11 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     cum_regret = 0.0
     violations = 0
     vpi0 = cache.values(learner.greedy_actions_flat()).V[0].tolist()
+    strict = config.strict
     halt = None                    # strict: flags of the start states with negative regret
     changed = None                 # the last episode's trajectory, if it changed Q
-    next_keep = 0                  # index in keep of the next kept k
+    kept = iter(keep)
+    next_kept = next(kept, K + 1)  # the next kept k, K + 1 past the last
     k = 1                          # the next episode to play
 
     while k <= K:
@@ -326,23 +328,21 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
             rows = [h * S + step[0] for h, step in enumerate(changed)]
             vpi0 = cache.values(learner.greedy_actions_flat(), rows).V[0].tolist()
             halt = None
-        while next_keep < len(keep) and keep[next_keep] < k:
-            next_keep += 1
-        end = min(keep[next_keep], K) if next_keep < len(keep) else K
-        if config.strict and end > k and halt is None:
+        while next_kept < k:
+            next_kept = next(kept, K + 1)
+        end = min(next_kept, K)
+        if strict and end > k and halt is None:
             halt = bytes(vstar0[s] - vpi0[s] < -1e-9 for s in range(S))
-        starts, traj, report = learner.run_stretch(mdp, env_rng, k - 1, end, halt)
+        starts, changed = learner.run_stretch(mdp, env_rng, k - 1, end, halt)
         for s1 in starts:
             reg = vstar0[s1] - vpi0[s1]
             cum_regret += reg
         k += len(starts)
-        changed = traj if report.q_changed else None
         if changed is not None:
-            violations = max(violations, optimism.update(learner.q_at, traj))
+            violations = max(violations, optimism.update(learner.q_at, changed))
         # strict runs keep a negative-regret row too, so that
         # enforce_invariants' scan of the records covers every episode
-        if (next_keep < len(keep) and keep[next_keep] == k - 1
-                or config.strict and reg < -1e-9):
+        if next_kept == k - 1 or strict and reg < -1e-9:
             records.append(EpisodeRecord(
                 k=k - 1, episode_regret=reg, cum_regret=cum_regret,
                 cum_switching_cost=cache.switches,

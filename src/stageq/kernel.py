@@ -40,13 +40,16 @@ class Learner(ctypes.Structure):
                 + [("n_max", c_int64)]
                 + [(name, c_double) for name in ("n0", "c1", "c2", "iota")]
                 + [("reference", c_int64)]
-                + [(name, c_void_p) for name in ("path", "path_r", "out")])
+                + [(name, c_void_p) for name in (
+                    "path_s", "path_a", "path_next", "path_r",
+                    "cum", "mdp_rew", "u", "starts", "halt", "io")])
 
 
-# slots of the out array both entry points fill (the enum in _kernel.c)
-(OUT_STAGE_ENDS, OUT_Q_UPDATES, OUT_REFS_FIXED, OUT_REF_WINS,
+# slots of the io array: per-call inputs, then outputs (the enum in _kernel.c)
+(IN_U, IN_COUNT, IN_HALT, IN_SAS, IN_STEPS,
+ OUT_STAGE_ENDS, OUT_Q_UPDATES, OUT_REFS_FIXED, OUT_REF_WINS,
  OUT_LAST_STAGE_ENDS, OUT_LAST_Q_UPDATES, OUT_LAST_REFS_FIXED,
- OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, OUT_LEN) = range(11)
+ OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(16)
 
 _UNSET = object()
 _lib = _UNSET
@@ -91,10 +94,9 @@ def _open():
     lib.stageq_learner_size.restype = c_int64
     if lib.stageq_learner_size() != ctypes.sizeof(Learner):
         raise RuntimeError(f"{path}: Learner struct layout differs from kernel.Learner")
-    lib.stageq_stretch.argtypes = [c_void_p] * 5 + [c_int64, c_void_p]
-    lib.stageq_stretch.restype = c_int64
-    lib.stageq_replay.argtypes = [c_void_p, c_void_p, c_int64]
-    lib.stageq_replay.restype = c_int64
+    for entry in (lib.stageq_stretch, lib.stageq_replay):
+        entry.argtypes = [c_void_p]     # the Learner; the rest goes through io
+        entry.restype = c_int64
     return lib
 
 

@@ -1,12 +1,13 @@
 """Gate for the learner hot paths.
 
 UcbAdvantageLearner (advantage, or hoeffding-stage with the reference route
-off) has two fast paths: the compiled kernel (stretches of episodes, and
-replay_into), and without a C compiler the fused Python loop.  Each must
-reproduce the reference path (TabularQLearnerBase's run_episode, which is
-sample_episode feeding observe) bit for bit: the same trajectories, reports,
-tables, counters and stream position.  The `path` fixture runs a test on
-the kernel and again on the fallback, forced by patching the loader.  Every
+off) runs its episodes (in stretches) and replay_into in the compiled
+kernel, which must reproduce the reference path (TabularQLearnerBase's
+run_episode, which is sample_episode feeding observe) bit for bit: the same
+trajectories, reports, tables, counters and stream position.  Without a C
+compiler the learner runs the reference path itself.  The `path` fixture
+runs a test on the kernel and again on that fallback, forced by patching
+the loader.  Every
 learner keeps its greedy policy as a table refreshed on each Q write; after
 every episode and every replayed trajectory it must equal np.argmax of Q.
 """
@@ -21,6 +22,7 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLe
                     InitialStates, OutOfRangeError, RunConfig, UcbAdvantageLearner,
                     kernel, make_jao_chain, make_random_mdp, seeded_stream)
 from stageq import harness
+from stageq.advantage import STRETCH_MAX
 from stageq.base import TabularQLearnerBase
 from stageq.concurrent import replay_into
 from stageq.metrics import PolicyValueCache
@@ -125,18 +127,10 @@ def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
     assert (lr._lib is None) == (kernel.load() is None)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("cset", sorted(CONSTANT_SETS))
-@pytest.mark.parametrize("cls,inst", FUSED_CASES)
-def test_fallback_episode_matches_reference_path(cls, inst, cset, seed, monkeypatch):
-    # the fused Python loop, as a machine without a C compiler runs it
-    monkeypatch.setattr(kernel, "load", lambda: None)
-    assert check_episodes_match_reference(cls, inst, cset, seed)._lib is None
-
-
 def reference_stretch(lr, mdp, rng, first, count, stop, halt):
-    """count reference episodes from first; every one but the last must be
-    one that run_stretch plays through (no Q change, no halt, below stop)."""
+    """count reference episodes from first, as (starts, changed); every one
+    but the last must be one that run_stretch plays through (no Q change,
+    no halt, below stop)."""
     starts = []
     for k in range(first, first + count):
         traj, report = TabularQLearnerBase.run_episode(lr, mdp, rng, k)
@@ -144,7 +138,7 @@ def reference_stretch(lr, mdp, rng, first, count, stop, halt):
         if k < first + count - 1:
             assert not report.q_changed and not (halt and halt[starts[-1]])
     assert first + count <= stop
-    return starts, traj, report
+    return starts, traj if report.q_changed else None
 
 
 # jao-40 crosses block boundaries (4096 is not a multiple of H=40) and runs
@@ -168,34 +162,44 @@ def test_stretch_matches_reference_path(inst, halt_states, path):
     rng_fast = seeded_stream(0, 0, "env")
     rng_ref = seeded_stream(0, 0, "env")
     checkpoints = list(range(97, K, 97)) + [K]   # 1-based kept episode counts
-    stops = {"q": 0, "checkpoint": 0, "halt": 0, "block": 0}
+    stops = {"q": 0, "checkpoint": 0, "halt": 0, "block": 0, "window": 0}
     crossed = 0
-    k = 0
+    k = last = 0
     while k < K:
         stop = next(c for c in checkpoints if c > k)
         unread = len(rng_fast._block) - rng_fast._i
-        starts, traj, report = fast.run_stretch(mdp, rng_fast, k, stop, halt)
+        if path == "kernel":
+            # start states are prepared for twice the episodes the last
+            # call played, not for all the uniforms at hand
+            window = fast._window
+            assert window == (min(2 * last, STRETCH_MAX) or 1)
+        starts, changed = fast.run_stretch(mdp, rng_fast, k, stop, halt)
         expect = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop, halt)
-        assert (starts, traj, report) == expect
+        assert (starts, changed) == expect
         assert starts == mdp.initial_states(k, len(starts))
         k += len(starts)
+        last = len(starts)
         crossed += unread < mdp.H   # the stretch's uniforms span two blocks
-        if report.q_changed:
+        if changed is not None:
             stops["q"] += 1
         elif k == stop:
             stops["checkpoint"] += 1
         elif halt and halt[starts[-1]]:
             stops["halt"] += 1
-        else:   # only the kernel ends a stretch where its uniforms run short
-            assert path == "kernel"
-            assert len(rng_fast._block) - rng_fast._i < mdp.H
-            stops["block"] += 1
+        else:   # only the kernel ends a stretch early: where its uniforms
+            assert path == "kernel"   # run short, or at its window
+            if len(rng_fast._block) - rng_fast._i < mdp.H:
+                stops["block"] += 1
+            else:
+                assert len(starts) == window
+                stops["window"] += 1
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
     assert stops["q"] and stops["checkpoint"]
     assert (stops["halt"] > 0) == (halt is not None)
     if inst is INSTANCES[0]:
         assert crossed > 0 and (stops["block"] > 0) == (path == "kernel")
+        assert (stops["window"] > 0) == (path == "kernel")
 
 
 def check_raise_matches_reference(via):
@@ -211,7 +215,7 @@ def check_raise_matches_reference(via):
         return None
 
     def stretch(lr, k):
-        starts, _, _ = lr.run_stretch(mdp, rng_fast, k, k + 1)
+        starts, _ = lr.run_stretch(mdp, rng_fast, k, k + 1)
         assert len(starts) == 1
 
     fast = UcbAdvantageLearner(mdp, const, n_max=40)
