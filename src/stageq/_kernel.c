@@ -1,18 +1,17 @@
 /* Compiled hot paths of the stage learners (advantage, hoeffding-stage).
  *
- * stageq_stretch plays whole episodes on the learner's own tables, and
- * stageq_replay feeds one recorded trajectory through them.  Both repeat
- * UcbAdvantageLearner.observe and _stage_update operation for operation:
- * the same uniforms in the same order, bisect_right over the same
- * cumulative rows, the same double expressions evaluated left to right,
- * max(0.0, x) and safe_ratio with Python's semantics, and the per-stage
- * constants computed in Python.  Built with -O2 -ffp-contract=off and never
+ * stageq_stretch plays whole episodes on the learner's own tables.  It
+ * repeats UcbAdvantageLearner.observe and _stage_update operation for
+ * operation: the same uniforms in the same order, bisect_right over the
+ * same cumulative rows, the same double expressions evaluated left to
+ * right, max(0.0, x) and safe_ratio with Python's semantics, and the
+ * per-stage constants computed in Python.  Built with -O2 -ffp-contract=off and never
  * -ffast-math (see kernel.py), every +, -, *, / and sqrt rounds as
  * Python's does, so the tables come out bit for bit equal to the Python
  * path's.
  *
  * The learner is described by one Learner struct whose layout kernel.py
- * mirrors: every field is 8 bytes wide.  Both entry points take that
+ * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
  * struct alone, so that a call from Python converts one argument; the
  * inputs that change from call to call go through its io array.
  */
@@ -53,13 +52,11 @@ typedef struct {
 } Learner;
 
 /* Slots of the io array: the per-call inputs, set before each call, and
- * the outputs both entry points fill. */
+ * the outputs the stretch fills. */
 enum {
-    IN_U,                   /* stretch: index in u of the first unread uniform */
-    IN_COUNT,               /* stretch: episodes to play at most */
-    IN_HALT,                /* stretch: 1 to stop at a start state with its halt flag */
-    IN_SAS,                 /* replay: address of the (s, a, s_next) triples */
-    IN_STEPS,               /* replay: number of steps */
+    IN_U,                   /* index in u of the first unread uniform */
+    IN_COUNT,               /* episodes to play at most */
+    IN_HALT,                /* 1 to stop at a start state with its halt flag */
     OUT_STAGE_ENDS,         /* counter increments over the whole call */
     OUT_Q_UPDATES,
     OUT_REFS_FIXED,
@@ -255,30 +252,4 @@ int64_t stageq_stretch(const Learner *L)
     }
     io[OUT_USED] = used;
     return io[OUT_BAD_N] || io[OUT_BAD_INDEX] ? -1 : played;
-}
-
-/* observe steps h = 0 .. io[IN_STEPS]-1 (at most H) of one recorded
- * trajectory, given as (s, a, s_next) triples at io[IN_SAS]; fills the
- * counter slots as stageq_stretch does and returns 0, or -1 when it
- * stopped on an error. */
-int64_t stageq_replay(const Learner *L)
-{
-    int64_t S = L->S, A = L->A;
-    int64_t *io = L->io;
-    const int64_t *sas = (const int64_t *)(intptr_t)io[IN_SAS];
-    int64_t steps = io[IN_STEPS];
-    clear_outputs(io);
-    for (int64_t h = 0; h < steps; h++) {
-        int64_t s = sas[3 * h], a = sas[3 * h + 1], s_next = sas[3 * h + 2];
-        if (s < 0 || s >= S || a < 0 || a >= A || s_next < 0 || s_next >= S) {
-            io[OUT_BAD_INDEX] = 1;
-            return -1;
-        }
-        int64_t bad = observe(L, h, s, a, s_next, io);
-        if (bad) {
-            io[OUT_BAD_N] = bad;
-            return -1;
-        }
-    }
-    return 0;
 }

@@ -43,10 +43,11 @@ All counts, accumulators and tables live in fixed-size flat buffers
 (array('d') and array('q')) that both Python and the compiled kernel
 (_kernel.c, loaded by the kernel module) read and write in place; numpy
 copies are exported on demand.  With the kernel, run_stretch plays whole
-episodes in C and observe_trajectory replays a recorded one there, and
-run_episode is a one-episode stretch.  Without a C compiler the base-class
-path runs instead (sample_episode feeding observe, one transition at a
-time); it is the reference the kernel must match bit for bit.
+episodes in C and run_episode is a one-episode stretch; recorded
+trajectories (observe_trajectory) go through Python observe.  Without a C
+compiler the base-class path runs instead (sample_episode feeding observe,
+one transition at a time); it is the reference the kernel must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import (IN_COUNT, IN_HALT, IN_SAS, IN_STEPS, IN_U, OUT_BAD_INDEX, OUT_BAD_N,
+from .kernel import (IN_COUNT, IN_HALT, IN_U, OUT_BAD_INDEX, OUT_BAD_N,
                      OUT_LAST_Q_UPDATES, OUT_LAST_REFS_FIXED, OUT_LAST_STAGE_ENDS,
                      OUT_Q_UPDATES, OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .base import EpisodeReport, TabularQLearnerBase
@@ -202,7 +203,7 @@ class UcbAdvantageLearner(TabularQLearnerBase):
             n_max=self._n_max, n0=self._n0, c1=c.c1, c2=c.c2,
             iota=self._iota, reference=int(self.reference))
         self._kaddr = kernel.ctypes.addressof(self._kstate)
-        self._stretch, self._replay = self._lib.stageq_stretch, self._lib.stageq_replay
+        self._stretch = self._lib.stageq_stretch
         # what the struct's cum, mdp_rew, halt and u point at now: the MDP's
         # P and r with the arrays built from them, the halt flags (bytes),
         # and the stream's uniform block
@@ -361,19 +362,6 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     def _last_traj(self) -> list:
         """The trajectory of the last episode the kernel played."""
         return list(zip(self._path_s, self._path_a, self._path_r, self._path_next))
-
-    def observe_trajectory(self, traj) -> None:
-        """observe each step of traj, in the kernel when there is one."""
-        if self._lib is None:
-            return super().observe_trajectory(traj)
-        if len(traj) > self.H:
-            raise ValueError(f"trajectory has {len(traj)} steps, horizon is {self.H}")
-        sas = array("q", [x for s, a, _r, s_next in traj for x in (s, a, s_next)])
-        io = self._io
-        io[IN_SAS] = sas.buffer_info()[0]
-        io[IN_STEPS] = len(traj)
-        if self._replay(self._kaddr) < 0 or io[OUT_STAGE_ENDS] or io[OUT_REFS_FIXED]:
-            self._add_counts()
 
     def _add_counts(self) -> None:
         """Apply a kernel call's counter increments, then raise what it hit."""

@@ -10,11 +10,26 @@ sample budget, so it can overshoot the budget by at most M - 1.
 
 Structural invariants (asserted in tests, not here):
   * a round consumes fewer than M trajectories only if it triggered an update;
-  * rounds <= U + ceil(budget / M) + 1, with U the number of update rounds;
-  * with M = 1 the whole procedure is step-for-step identical to running the
-    learner live for `budget` episodes on the same environment stream,
-    because an in-episode update at step h only rewrites layer-h tables,
-    which that episode never reads again.
+  * rounds <= U + ceil(budget / M) + 1, with U the number of update rounds.
+
+Rounds are played as learner stretches.  Sampling a round under the frozen
+policy and replaying it up to the first Q-changing trajectory gives, bit
+for bit, what playing those episodes online up to the first Q-changing one
+gives: before that episode Q does not change, so the greedy policy is the
+frozen one; inside it, an update at step h rewrites only layer-h tables,
+which no later step of the episode reads.  So run_concurrent has the
+learner play episodes online (run_stretch, the compiled kernel for the
+stage learners) from the round start to the first Q change or the
+round-aligned budget end, and derives the rounds from the episodes played.
+The discarded rest of an update round would have drawn one uniform per
+step, (M - 1 - j) * H in all after the round's j-th episode (0-based), and
+nothing else; the runner skips exactly those, so the stream stands where
+sampling them would have left it.  With M = 1 this is the learner run live
+for `budget` episodes on the same environment stream.
+
+FrozenActor and replay_into are the pieces of the sample-then-replay round
+that this invariant replaces; tests rebuild that round from them as the
+reference.
 
 The returned policy is the frozen policy of one consumed trajectory chosen
 uniformly at random, which takes a single draw from the caller's pick
@@ -29,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mdp import DeterministicPolicy, EpisodicMdp, sample_episode
+from .mdp import DeterministicPolicy, EpisodicMdp
 
 ROUNDS_CSV_HEADER = "round,consumed,update_triggered,policy_version"
 
@@ -111,8 +126,7 @@ class FrozenActor:
 
 def replay_into(learner, traj) -> bool:
     """Feed one recorded trajectory through the learner's
-    observe_trajectory (the compiled kernel for the stage learners, when
-    built); True if Q changed."""
+    observe_trajectory; True if Q changed."""
     u0 = learner.q_update_count
     learner.observe_trajectory(traj)
     return learner.q_update_count != u0
@@ -131,46 +145,49 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
     episode sampling in generation order, the other supplies the single
     draw that picks the output policy.  Initial states are indexed by
     global generation order, so a pre-committed initial-state sequence is
-    spread across agents deterministically.
+    spread across agents deterministically.  The rounds are played as
+    learner stretches (see the module docstring).
     """
-    M = config.agents
-    budget = config.budget(mdp.S, mdp.A, mdp.H)
+    M, H = config.agents, mdp.H
+    budget = config.budget(mdp.S, mdp.A, H)
     rounds = []
-    policies = []               # frozen flat policy per round
-    consumed_per_round = []
+    policies = []               # (frozen flat policy, trajectories consumed under it)
     total_consumed = 0
     total_generated = 0
     update_rounds = 0
 
     while total_consumed < budget:
         policy_flat = learner.greedy_actions_flat()
-        actor = FrozenActor(policy_flat, mdp.S)
-        trajs = []
-        for m in range(M):
-            trajs.append(sample_episode(mdp, actor, env_rng,
-                                        episode_index=total_generated + m))
-        total_generated += M
-
-        consumed = 0
-        triggered = False
-        for traj in trajs:
-            consumed += 1
-            if replay_into(learner, traj):
-                triggered = True
-                break
-        total_consumed += consumed
-        rounds.append(RoundLog(round=len(rounds) + 1, consumed=consumed,
-                               update_triggered=triggered,
-                               policy_version=update_rounds))
-        policies.append(policy_flat)
-        consumed_per_round.append(consumed)
-        if triggered:
+        k = total_generated
+        stop = k + math.ceil((budget - total_consumed) / M) * M
+        changed = None
+        while changed is None and k < stop:
+            starts, changed = learner.run_stretch(mdp, env_rng, k, stop)
+            k += len(starts)
+        # full rounds, then the changing episode's place j in its round
+        played = k - total_generated
+        full, j = divmod(played - 1, M) if changed is not None else (played // M, 0)
+        for _ in range(full):
+            rounds.append(RoundLog(round=len(rounds) + 1, consumed=M,
+                                   update_triggered=False,
+                                   policy_version=update_rounds))
+        consumed = full * M
+        total_generated += consumed
+        if changed is not None:
+            rounds.append(RoundLog(round=len(rounds) + 1, consumed=j + 1,
+                                   update_triggered=True,
+                                   policy_version=update_rounds))
+            consumed += j + 1
+            total_generated += M
             update_rounds += 1
+            env_rng.skip((M - 1 - j) * H)     # the round's discarded episodes
+        total_consumed += consumed
+        policies.append((policy_flat, consumed))
 
     pick = pick_rng.integers(total_consumed)
     acc = 0
-    chosen_flat = policies[-1]
-    for flat, cnt in zip(policies, consumed_per_round):
+    chosen_flat = policies[-1][0]
+    for flat, cnt in policies:
         if pick < acc + cnt:
             chosen_flat = flat
             break

@@ -109,8 +109,14 @@ class UniformStream:
         return self._block, i
 
     def skip(self, m: int) -> None:
-        """Mark m uniforms read, as m calls of random() would."""
-        self._i += m
+        """Mark m uniforms read, as m calls of random() would: the blocks
+        that m passes over are drawn and dropped."""
+        i = self._i + m
+        while i > len(self._block):
+            i -= len(self._block)
+            self._block = self.generator.random(self.BLOCK)
+            self._listed = 0
+        self._i = i
 
     def integers(self, n: int) -> int:
         """Uniform int in [0, n) via rejection-free scaling of one uniform."""

@@ -46,10 +46,10 @@ class Learner(ctypes.Structure):
 
 
 # slots of the io array: per-call inputs, then outputs (the enum in _kernel.c)
-(IN_U, IN_COUNT, IN_HALT, IN_SAS, IN_STEPS,
+(IN_U, IN_COUNT, IN_HALT,
  OUT_STAGE_ENDS, OUT_Q_UPDATES, OUT_REFS_FIXED, OUT_REF_WINS,
  OUT_LAST_STAGE_ENDS, OUT_LAST_Q_UPDATES, OUT_LAST_REFS_FIXED,
- OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(16)
+ OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(14)
 
 _UNSET = object()
 _lib = _UNSET
@@ -94,9 +94,8 @@ def _open():
     lib.stageq_learner_size.restype = c_int64
     if lib.stageq_learner_size() != ctypes.sizeof(Learner):
         raise RuntimeError(f"{path}: Learner struct layout differs from kernel.Learner")
-    for entry in (lib.stageq_stretch, lib.stageq_replay):
-        entry.argtypes = [c_void_p]     # the Learner; the rest goes through io
-        entry.restype = c_int64
+    lib.stageq_stretch.argtypes = [c_void_p]    # the Learner; the rest goes through io
+    lib.stageq_stretch.restype = c_int64
     return lib
 
 

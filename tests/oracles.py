@@ -5,11 +5,19 @@ every deterministic policy over the remaining layers and evaluating each by
 summing probability * reward over all state paths.  Exponential in S*H, so
 only usable on tiny shapes, which is the point — an oracle with a different
 failure mode than the code under test.
+
+sample_then_replay_concurrent is the concurrent runner as it was before
+rounds became learner stretches: each round samples M trajectories under
+the frozen greedy policy, then replays them until the first one that
+changes Q.  run_concurrent must match it bit for bit.
 """
 
 import itertools
 
 import numpy as np
+
+from stageq.concurrent import ConcurrentResult, FrozenActor, RoundLog, replay_into
+from stageq.mdp import DeterministicPolicy, sample_episode
 
 
 def all_tail_policies(A: int, layers: int, S: int) -> np.ndarray:
@@ -78,3 +86,57 @@ ORACLE_SHAPES = [
     (2, 2, 5), (2, 2, 6), (3, 2, 4), (4, 2, 3), (3, 4, 2),
     (2, 4, 3), (4, 3, 2), (2, 6, 2), (6, 2, 2), (2, 3, 4),
 ]
+
+
+def sample_then_replay_concurrent(mdp, learner, config, env_rng, pick_rng):
+    """run_concurrent's reference: sample a round, then replay it."""
+    M = config.agents
+    budget = config.budget(mdp.S, mdp.A, mdp.H)
+    rounds = []
+    policies = []               # frozen flat policy per round
+    consumed_per_round = []
+    total_consumed = 0
+    total_generated = 0
+    update_rounds = 0
+
+    while total_consumed < budget:
+        policy_flat = learner.greedy_actions_flat()
+        actor = FrozenActor(policy_flat, mdp.S)
+        trajs = []
+        for m in range(M):
+            trajs.append(sample_episode(mdp, actor, env_rng,
+                                        episode_index=total_generated + m))
+        total_generated += M
+
+        consumed = 0
+        triggered = False
+        for traj in trajs:
+            consumed += 1
+            if replay_into(learner, traj):
+                triggered = True
+                break
+        total_consumed += consumed
+        rounds.append(RoundLog(round=len(rounds) + 1, consumed=consumed,
+                               update_triggered=triggered,
+                               policy_version=update_rounds))
+        policies.append(policy_flat)
+        consumed_per_round.append(consumed)
+        if triggered:
+            update_rounds += 1
+
+    pick = pick_rng.integers(total_consumed)
+    acc = 0
+    chosen_flat = policies[-1]
+    for flat, cnt in zip(policies, consumed_per_round):
+        if pick < acc + cnt:
+            chosen_flat = flat
+            break
+        acc += cnt
+    policy = DeterministicPolicy(
+        np.asarray(chosen_flat, dtype=np.int64).reshape(mdp.H, mdp.S))
+    return ConcurrentResult(rounds=rounds, budget=budget,
+                            total_consumed=total_consumed,
+                            total_generated=total_generated,
+                            update_rounds=update_rounds,
+                            output_policy=policy, picked_trajectory=pick,
+                            learner=learner)

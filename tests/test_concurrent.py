@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import sample_then_replay_concurrent
 
 from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
-                    EnvSpec, FrozenActor, InitialStates, UcbAdvantageLearner,
-                    build_schedule, make_random_mdp, round_count_bound,
+                    EnvSpec, FrozenActor, InitialStates, OutOfRangeError,
+                    UcbAdvantageLearner, UniformStream, build_schedule,
+                    make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
                     write_rounds_csv)
 from stageq.concurrent import ROUNDS_CSV_HEADER
@@ -143,6 +146,114 @@ def test_m1_round_stream_identical_to_single_agent():
     assert conc.ref_fixed_count == live.ref_fixed_count
 
 
+# ------------------------------------------- stretches against the reference
+
+# fixed, seeded and cyclic starts; hoeffding-stage lowers Q in a test-sized
+# run only at a short horizon, hence the H = 2 instance.  Some M = 8 runs
+# (classic-qucb on the H = 5 instances, advantage with cyclic starts) skip
+# a discarded batch across the end of the stream's block.
+EQUIV_INSTANCES = [
+    ("fixed-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=0)),
+    ("seeded-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=1,
+                                             init=InitialStates.seeded(3))),
+    ("cyclic-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=2,
+                                             init=InitialStates.cyclic([0, 1, 2, 3]))),
+    ("fixed-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3)),
+]
+TIGHT = AlgoConstants(p=0.5, c1=0.05, c2=0.05, c3=0.01, n0_override=60)
+STATE = ("_q", "_v", "_vref", "_n", "_nchk", "_mu_chk", "_ups_chk", "_sig_chk",
+         "_mu_ref", "_sig_ref", "_n_state", "_ref_fixed", "_greedy",
+         "stage_end_count", "q_update_count", "ref_fixed_count", "reference_wins")
+
+
+def learner_state(lr):
+    """Every table and counter the learner has."""
+    return {name: getattr(lr, name) for name in STATE if hasattr(lr, name)}
+
+
+def run_both(mdp, algo, cc, n_max, seed=0):
+    """(result, next env uniform, learner) from run_concurrent, then the
+    reference, each on a fresh learner; a raised OutOfRangeError stands in
+    for the result."""
+    out = []
+    for runner in (run_concurrent, sample_then_replay_concurrent):
+        lr = make_learner(algo, mdp, TIGHT, n_max=n_max, cb=0.05)
+        env = seeded_stream(seed, 0, "env")
+        try:
+            res = runner(mdp, lr, cc, env, seeded_stream(seed, 0, "policy-pick"))
+        except OutOfRangeError as exc:
+            res = exc.n
+        out.append((res, env.random(), lr))
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 3, 8])
+@pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage", "classic-qucb"])
+@pytest.mark.parametrize("make_mdp", [i[1] for i in EQUIV_INSTANCES],
+                         ids=[i[0] for i in EQUIV_INSTANCES])
+def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, path):
+    mdp = make_mdp()
+    cc = ConcurrentConfig(agents=M, k_eps_override=300)
+    (got, u_got, lr), (want, u_want, lr_ref) = run_both(
+        mdp, algo, cc, n_max=(300 + M) * mdp.H + 1)
+    assert (getattr(lr, "_lib", None) is not None) == (path == "kernel"
+                                                       and algo != "classic-qucb")
+    assert got.rounds == want.rounds
+    for name in ("budget", "total_consumed", "total_generated", "update_rounds",
+                 "picked_trajectory"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.output_policy.actions, want.output_policy.actions)
+    assert learner_state(lr) == learner_state(lr_ref)
+    assert u_got == u_want     # the stream stands where sampling left it
+    assert got.update_rounds > 0 or algo == "hoeffding-stage" and mdp.H > 2
+
+
+@pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage"])
+def test_out_of_range_raises_like_sample_then_replay(algo, path):
+    mdp = make_random_mdp(3, 4, 2, seed=3, init=InitialStates.seeded(5))
+    cc = ConcurrentConfig(agents=3, k_eps_override=300)
+    (got, _, lr), (want, _, lr_ref) = run_both(mdp, algo, cc, n_max=40)
+    assert got == want == 41
+    assert learner_state(lr) == learner_state(lr_ref)
+
+
+def test_rounds_m8_plays_one_stretch_per_update(path):
+    # rounds-m8's instance at a smaller budget.  Every run_stretch call
+    # ends at a Q change, at the round-aligned budget end (once, last) or,
+    # in the kernel, at one of the learner's own limits: its window, or
+    # fewer than H uniforms left in the block at hand.  A runner that asked
+    # for one trajectory or one round per call would end its calls at
+    # their stop instead.
+    mdp = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build()
+    cc = ConcurrentConfig(agents=8, k_eps_override=4000)
+    lr = make_learner("advantage", mdp,
+                      AlgoConstants(n0_override=400, p=0.1, c1=1.2, c2=1.2, c3=0.06),
+                      n_max=(4000 + 8) * mdp.H + 1)
+    ends = Counter()
+    stretch = lr.run_stretch
+
+    def counted(mdp, rng, first, stop, halt=None):
+        window = getattr(lr, "_window", None)
+        starts, changed = stretch(mdp, rng, first, stop, halt)
+        if changed is not None:
+            ends["q"] += 1
+        elif first + len(starts) == stop:
+            ends["stop"] += 1
+        elif len(rng._block) - rng._i < mdp.H:
+            ends["block"] += 1
+        else:
+            ends["window" if len(starts) == window else "other"] += 1
+        return starts, changed
+
+    lr.run_stretch = counted
+    env = seeded_stream(0, 0, "env")
+    res = run_concurrent(mdp, lr, cc, env, seeded_stream(0, 0, "policy-pick"))
+    assert ends["q"] == res.update_rounds > 0
+    assert ends["stop"] <= 1 and ends["other"] == 0
+    assert ends["block"] <= res.total_generated * mdp.H // UniformStream.BLOCK + 1
+    assert (ends["block"] + ends["window"] > 0) == (path == "kernel")
+
+
 def test_frozen_actor_plays_table():
     actor = FrozenActor([1, 0, 2, 1], S=2)
     assert actor.select_action(0, 0) == 1
@@ -169,3 +280,13 @@ def test_harness_wrapper_runs_and_writes(tmp_path):
     res = run_concurrent_experiment(env, cc, seed=2, out_dir=tmp_path)
     assert (tmp_path / "rounds.csv").exists()
     assert res.total_consumed >= 30
+
+
+def test_oracle_agent_runs_rounds():
+    # the oracle never learns: every round is full and the output policy
+    # is the optimal one
+    env = EnvSpec(kind="random", S=2, A=2, H=3, env_seed=0)
+    cc = ConcurrentConfig(agents=3, k_eps_override=30)
+    res = run_concurrent_experiment(env, cc, algo="oracle", seed=2)
+    assert res.update_rounds == 0 and len(res.rounds) == 10
+    assert res.output_policy.actions.ravel().tolist() == res.learner.greedy_actions_flat()

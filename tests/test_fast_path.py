@@ -1,13 +1,14 @@
 """Gate for the learner hot paths.
 
 UcbAdvantageLearner (advantage, or hoeffding-stage with the reference route
-off) runs its episodes (in stretches) and replay_into in the compiled
-kernel, which must reproduce the reference path (TabularQLearnerBase's
-run_episode, which is sample_episode feeding observe) bit for bit: the same
-trajectories, reports, tables, counters and stream position.  Without a C
-compiler the learner runs the reference path itself.  The `path` fixture
-runs a test on the kernel and again on that fallback, forced by patching
-the loader.  Every
+off) runs its episodes, in stretches, in the compiled kernel, which must
+reproduce the reference path (TabularQLearnerBase's run_episode, which is
+sample_episode feeding observe) bit for bit: the same trajectories,
+reports, tables, counters and stream position.  Recorded trajectories
+(observe_trajectory, replay_into) always go through Python observe, on the
+same tables the kernel writes.  Without a C compiler the learner runs the
+reference path itself.  The `path` fixture (conftest.py) runs a test on the
+kernel and again on that fallback, forced by patching the loader.  Every
 learner keeps its greedy policy as a table refreshed on each Q write; after
 every episode and every replayed trajectory it must equal np.argmax of Q.
 """
@@ -52,16 +53,6 @@ SEEDS = (0, 1)
 TABLES = ("_q", "_v", "_vref", "_n", "_nchk", "_mu_chk", "_ups_chk", "_sig_chk",
           "_mu_ref", "_sig_ref", "_n_state", "_ref_fixed", "_greedy")
 COUNTERS = ("stage_end_count", "q_update_count", "ref_fixed_count", "reference_wins")
-
-
-@pytest.fixture(params=["kernel", "fallback"])
-def path(request, monkeypatch):
-    """Learners built inside the test use the kernel, or the Python loops."""
-    if request.param == "fallback":
-        monkeypatch.setattr(kernel, "load", lambda: None)
-    elif kernel.load() is None:
-        pytest.skip("no C compiler: the kernel cannot be built")
-    return request.param
 
 
 def assert_greedy_current(lr):
@@ -241,42 +232,69 @@ def test_out_of_range_raises_in_the_same_episode(via, path):
     check_raise_matches_reference(via)
 
 
-@pytest.mark.parametrize("cls", [UcbAdvantageLearner, HoeffdingStageLearner])
-def test_replay_matches_python_observe(cls, path):
-    # trajectories of another learner, as the concurrent runner replays them
+def stretch_or_raise(lr, mdp, rng, first, stop):
+    """run_stretch's (starts, changed), or the visit count it raised at."""
+    try:
+        return lr.run_stretch(mdp, rng, first, stop)
+    except OutOfRangeError as exc:
+        return exc.n
+
+
+def reference_or_raise(lr, mdp, rng, first, count, stop):
+    try:
+        return reference_stretch(lr, mdp, rng, first, count, stop, None)
+    except OutOfRangeError as exc:
+        return exc.n
+
+
+def check_observe_between_stretches(cls, path, n_max):
     _, make_mdp, n0, K = INSTANCES[2]
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["tight"])
     source = ClassicQUcbLearner(mdp, const, cb=0.05)
-    rng = seeded_stream(0, 0, "env")
+    rng = seeded_stream(1, 0, "env")
     trajs = [source.run_episode(mdp, rng, k)[0] for k in range(K)]
-    fast = cls(mdp, const, n_max=K * mdp.H + 1)
-    ref = cls(mdp, const, n_max=K * mdp.H + 1)
+    fast = cls(mdp, const, n_max=n_max or 2 * K * mdp.H + 1)
+    ref = cls(mdp, const, n_max=n_max or 2 * K * mdp.H + 1)
     assert uses_kernel(fast, path)
+    rng_fast = seeded_stream(0, 0, "env")
+    rng_ref = seeded_stream(0, 0, "env")
+    # with a small n_max: a few trajectories, then stretches until one raises
+    feed = len(trajs) if n_max is None else 5
+    first_stretch = len(trajs) // 4 if n_max is None else 0
+    k = stretches = 0
     for i, traj in enumerate(trajs):
-        u0 = ref.q_update_count
-        for h, (s, a, _r, s_next) in enumerate(traj):
-            ref.observe(h, s, a, s_next)
-        if i < len(trajs) // 4 or i % 5 == 4:
-            # Python observe on the same tables before and between kernel
-            # calls: the kernel's stage-end index has to catch up with
-            # visit counts that passed several stage ends without it
-            TabularQLearnerBase.observe_trajectory(fast, traj)
-        else:
-            assert replay_into(fast, traj) == (ref.q_update_count != u0)
+        if i < feed:
+            fast.observe_trajectory(traj)
+            ref.observe_trajectory(traj)
+        if i >= first_stretch:
+            got = stretch_or_raise(fast, mdp, rng_fast, k, k + 20)
+            count = 20 if isinstance(got, int) else len(got[0])
+            assert got == reference_or_raise(ref, mdp, rng_ref, k, count, k + 20)
+            stretches += 1
+            if isinstance(got, int):
+                assert got == n_max + 1
+                break
+            k += count
         assert_greedy_current(fast)
+    else:
+        assert n_max is None
     assert_same_state(fast, ref)
-    assert fast.ref_fixed_count > 0 or not fast.reference
-    # n_max is enforced on replay too, at the same visit
-    small = cls(mdp, const, n_max=30)
-    small_ref = cls(mdp, const, n_max=30)
-    with pytest.raises(OutOfRangeError):
-        for traj in trajs:
-            replay_into(small, traj)
-    with pytest.raises(OutOfRangeError):
-        for traj in trajs:
-            TabularQLearnerBase.observe_trajectory(small_ref, traj)
-    assert_same_state(small, small_ref)
+    assert_same_stream(rng_fast, rng_ref)
+    assert stretches > 100 or n_max is not None
+    assert fast.ref_fixed_count > 0 or not fast.reference or n_max is not None
+
+
+@pytest.mark.parametrize("cls", [UcbAdvantageLearner, HoeffdingStageLearner])
+def test_replay_matches_python_observe(cls, path):
+    # recorded trajectories of another learner go through Python
+    # observe_trajectory on the same tables before and between kernel
+    # stretches: the kernel's stage-end index has to catch up with visit
+    # counts that passed several stage ends without it.  With a small
+    # n_max a stretch raises OutOfRangeError at the same visit as the
+    # reference path.
+    check_observe_between_stretches(cls, path, None)
+    check_observe_between_stretches(cls, path, 40)
 
 
 def test_reference_wins_counts_only_reference_set_updates(path):
@@ -354,8 +372,8 @@ def test_greedy_table_tracks_q_for_every_learner(inst):
             traj, _ = lr.run_episode(mdp, rng, k)
             assert_greedy_current(lr)
             recorded.append(traj)
-    # replay every learner's trajectories into fresh learners, as the
-    # concurrent runner does
+    # replay every learner's trajectories into fresh learners through
+    # Python observe
     updated = {}
     for lr in make_all_learners(mdp, const, len(recorded) * mdp.H + 1):
         for traj in recorded:

@@ -42,6 +42,28 @@ def test_uniform_stream_block_boundary_is_seamless():
     assert got == want[:len(got)]
 
 
+REST = UniformStream.BLOCK - 1   # unread in the first block after one draw
+
+
+@pytest.mark.parametrize("m", [0, 1, REST, REST + 1, 3 * UniformStream.BLOCK])
+@pytest.mark.parametrize("then", ["random", "doubles"])
+def test_uniform_stream_skip_equals_m_draws(m, then):
+    def next_values(st):
+        if then == "random":
+            return [st.random() for _ in range(10)]
+        block, i = st.doubles(10)
+        return block[i:i + 10].tolist()
+
+    skipped, drawn = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
+    skipped.random()
+    drawn.random()
+    skipped.skip(m)
+    for _ in range(m):
+        drawn.random()
+    assert next_values(skipped) == next_values(drawn)
+    assert skipped.random() == drawn.random()
+
+
 def test_uniform_stream_integers_in_range():
     st = seeded_stream(0, 0, "pick")
     draws = [st.integers(7) for _ in range(500)]
