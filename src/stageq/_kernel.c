@@ -61,9 +61,6 @@ enum {
     OUT_Q_UPDATES,
     OUT_REFS_FIXED,
     OUT_REF_WINS,
-    OUT_LAST_STAGE_ENDS,    /* the same, for the last episode played */
-    OUT_LAST_Q_UPDATES,
-    OUT_LAST_REFS_FIXED,
     OUT_USED,               /* uniforms consumed */
     OUT_BAD_N,              /* visit count above n_max, or 0 */
     OUT_BAD_INDEX,          /* 1 if a state or action was out of range */
@@ -221,8 +218,7 @@ int64_t stageq_stretch(const Learner *L)
     int64_t played = 0, used = 0;
     clear_outputs(io);
     while (played < count) {
-        int64_t e0 = io[OUT_STAGE_ENDS], u0 = io[OUT_Q_UPDATES];
-        int64_t r0 = io[OUT_REFS_FIXED];
+        int64_t u0 = io[OUT_Q_UPDATES];
         int64_t s = starts[played++];
         if (s < 0 || s >= S) {
             io[OUT_BAD_INDEX] = 1;
@@ -244,9 +240,6 @@ int64_t stageq_stretch(const Learner *L)
             io[OUT_BAD_N] = bad;
             break;
         }
-        io[OUT_LAST_STAGE_ENDS] = io[OUT_STAGE_ENDS] - e0;
-        io[OUT_LAST_Q_UPDATES] = io[OUT_Q_UPDATES] - u0;
-        io[OUT_LAST_REFS_FIXED] = io[OUT_REFS_FIXED] - r0;
         if (io[OUT_Q_UPDATES] > u0 || (halt != NULL && halt[starts[played - 1]]))
             break;
     }

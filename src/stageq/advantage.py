@@ -54,15 +54,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import log, sqrt
+from math import inf, isnan, log, sqrt
 from typing import Optional
 
 import numpy as np
 
 from . import kernel
-from .kernel import (IN_COUNT, IN_HALT, IN_U, OUT_BAD_INDEX, OUT_BAD_N,
-                     OUT_LAST_Q_UPDATES, OUT_LAST_REFS_FIXED, OUT_LAST_STAGE_ENDS,
-                     OUT_Q_UPDATES, OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
+from .kernel import (IN_COUNT, IN_HALT, IN_U, OUT_BAD_INDEX, OUT_BAD_N, OUT_Q_UPDATES,
+                     OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
 from .stages import OutOfRangeError, build_schedule
@@ -93,11 +92,13 @@ class AlgoConstants:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        for name in ("c1", "c2", "c3", "c4"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
+        # written as "not 0 < x < inf", so that NaN fails too
+        for name in ("c1", "c2", "c3", "c4", "beta"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.n0_override is not None and isnan(self.n0_override):
+            raise ValueError("n0_override must not be NaN")
 
     @property
     def iota(self) -> float:
@@ -293,14 +294,16 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
 
-        A one-episode stretch with the kernel, else the reference path.
+        A one-episode stretch with the kernel, else the reference path.  The
+        counters are current after every stretch, so the report is their
+        differences, as in the base class.
         """
         if self._lib is None or not hasattr(rng, "doubles"):
             return super().run_episode(mdp, rng, episode_index)
+        e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
         _, changed = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
-        io = self._io
         return changed or self._last_traj(), EpisodeReport(
-            io[OUT_LAST_STAGE_ENDS], io[OUT_LAST_Q_UPDATES], io[OUT_LAST_REFS_FIXED])
+            self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
 
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
         """The base-class stretch, played by the kernel in one call.

@@ -20,7 +20,7 @@ the optimism argument and the per-layer value matches the others here).
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 from typing import Optional
 
 import numpy as np
@@ -38,8 +38,8 @@ class ClassicQUcbLearner(TabularQLearnerBase):
     def __init__(self, mdp: EpisodicMdp, constants: Optional[AlgoConstants] = None,
                  cb: float = 2.0):
         super().__init__(mdp)
-        if cb <= 0:
-            raise ValueError(f"c_b must be positive, got {cb}")
+        if not 0.0 < cb < inf:     # NaN fails too
+            raise ValueError(f"cb must be finite and positive, got {cb}")
         self.constants = constants or AlgoConstants()
         self.cb = cb
         self._h3iota = float(self.H) ** 3 * self.constants.iota

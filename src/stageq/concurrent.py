@@ -74,6 +74,8 @@ class ConcurrentConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not self.c5 > 0:
             raise ValueError(f"c5 must be > 0, got {self.c5}")
+        if self.k_eps_override is not None and not math.isfinite(self.k_eps_override):
+            raise ValueError(f"k_eps_override must be finite, got {self.k_eps_override}")
 
     def budget(self, S: int, A: int, H: int) -> int:
         if self.k_eps_override is not None:

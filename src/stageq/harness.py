@@ -34,7 +34,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -513,17 +513,57 @@ def parse_init_spec(text: str) -> InitialStates:
     raise ConfigError(f"unknown init kind {kind!r} (fixed/cyclic/seeded)")
 
 
-# Config keys and their types; each is also the argparse dest of its flag,
-# and the CLI takes its flag lists from these two tables.
-_RUN_KEYS = {
-    "env": str, "S": int, "A": int, "H": int, "sparsity": float, "env_seed": int,
-    "jao_epsilon": float, "delta": float, "init": str,
-    "algo": str, "episodes": int, "seed": int, "p": float,
-    "c1": float, "c2": float, "c3": float, "c4": float, "cb": float,
-    "beta": float, "n0_override": float,
-    "log_every": str, "strict": str, "out": str,   # strict is bool, special-cased
-}
-_CONC_KEYS = {"agents": int, "epsilon": float, "c5": float, "k_eps_override": float}
+# Config keys, one row each: the key's type (bool: a switch; a tuple: the
+# allowed strings), the field it sets as section.attribute (env: EnvSpec,
+# constants: AlgoConstants, run: RunConfig, conc: ConcurrentConfig), the
+# subcommands that read it, and its help text.  The key is also the dest
+# of its flag (--env-seed for env_seed); the CLI makes each command's flags
+# from these rows, and a key left unset keeps its dataclass default.
+class ConfigKey(NamedTuple):
+    type: object
+    field: str
+    commands: tuple
+    help: Optional[str] = None
+
+
+_ENV = ("run", "sweep", "concurrent", "solve")
+_ALGO = ("run", "sweep", "concurrent")
+_CONC = ("concurrent",)
+CONFIG_KEYS = {key: ConfigKey(*row) for key, row in {
+    "env": (str, "env.kind", _ENV, "random | jao | file:PATH (a bare path also works)"),
+    "S": (int, "env.S", _ENV, "state count (random env)"),
+    "A": (int, "env.A", _ENV, "action count (random env)"),
+    "H": (int, "env.H", _ENV, "episode length"),
+    "sparsity": (float, "env.reward_sparsity", _ENV,
+                 "probability a reward entry is zeroed (random env)"),
+    "env_seed": (int, "env.env_seed", _ENV,
+                 "seed for instance generation (not the run stream)"),
+    "jao_epsilon": (float, "env.jao_epsilon", _ENV,
+                    "optimal-action advantage in the hard chain env"),
+    "delta": (float, "env.jao_delta", _ENV, "chain switching probability (default 16/H)"),
+    "init": (str, "env.init", _ENV, "initial states: fixed:S | cyclic:a,b,c | seeded:SEED"),
+    "algo": (ALGOS, "run.algo", _ALGO),
+    "p": (float, "constants.p", _ALGO, "failure probability behind the log factor"),
+    "c1": (float, "constants.c1", _ALGO),
+    "c2": (float, "constants.c2", _ALGO),
+    "c3": (float, "constants.c3", _ALGO),
+    "c4": (float, "constants.c4", _ALGO),
+    "cb": (float, "run.cb", _ALGO, "bonus constant for classic-qucb"),
+    "beta": (float, "constants.beta", _ALGO, "reference accuracy target (default 1/sqrt(H))"),
+    "n0_override": (float, "constants.n0_override", _ALGO,
+                    "replace the computed reference-freeze visit count"),
+    "episodes": (int, "run.episodes", ("run", "sweep")),
+    "seed": (int, "run.seed", ("run", "concurrent")),
+    "log_every": (("auto", "all", "pow2"), "run.log_every", ("run",)),
+    "strict": (bool, "run.strict", ("run", "sweep"),
+               "exit nonzero if any runtime invariant fails"),
+    "out": (str, "run.out_dir", _ENV, "output directory for CSVs"),
+    "agents": (int, "conc.agents", _CONC, "episodes generated per round"),
+    "epsilon": (float, "conc.epsilon", _CONC, "accuracy target that sizes the sample budget"),
+    "c5": (float, "conc.c5", _CONC, "budget constant"),
+    "k_eps_override": (float, "conc.k_eps_override", _CONC,
+                       "replace the computed trajectory budget"),
+}.items()}
 
 
 def _parse_bool(text: str) -> bool:
@@ -536,62 +576,55 @@ def _parse_bool(text: str) -> bool:
 
 
 def coerce_kv(kv: dict) -> dict:
-    """Convert raw string values per _RUN_KEYS and _CONC_KEYS; ConfigError
-    names the field."""
+    """Convert raw string values by the types in CONFIG_KEYS; ConfigError
+    names the key.  Choice keys stay strings, checked by the builders."""
     out = {}
     for key, val in kv.items():
-        typ = _RUN_KEYS.get(key, _CONC_KEYS.get(key))
-        if typ is None:
+        row = CONFIG_KEYS.get(key)
+        if row is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "strict":
+        if row.type is bool:
             out[key] = _parse_bool(val)
-            continue
-        try:
-            out[key] = typ(val)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: bad {typ.__name__} {val!r}") from None
+        elif isinstance(row.type, tuple):
+            out[key] = val
+        else:
+            try:
+                out[key] = row.type(val)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: bad {row.type.__name__} {val!r}") from None
+    return out
+
+
+def _fields(values: dict) -> dict:
+    """{section: {attribute: value}} for the keys set in values."""
+    out = {"env": {}, "constants": {}, "run": {}, "conc": {}}
+    for key, val in values.items():
+        row = CONFIG_KEYS.get(key)
+        if row is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(row.type, tuple) and val not in row.type:
+            raise ConfigError(f"config key {key!r}: {val!r} is not one of {row.type}")
+        section, attr = row.field.split(".")
+        out[section][attr] = val
     return out
 
 
 def build_run_config(values: dict) -> RunConfig:
-    """Assemble a RunConfig from coerced key/values (file and/or CLI)."""
-    env_text = values.get("env", "random")
-    kind = env_text
-    path = None
-    if env_text.startswith("file:"):
-        kind, path = "file", env_text[5:]
-    elif env_text not in ("random", "jao"):
-        kind, path = "file", env_text
-    init = parse_init_spec(values["init"]) if "init" in values else None
-    env = EnvSpec(kind=kind, S=values.get("S", 3), A=values.get("A", 2),
-                  H=values.get("H", 5),
-                  reward_sparsity=values.get("sparsity", 0.0),
-                  env_seed=values.get("env_seed", 0),
-                  jao_epsilon=values.get("jao_epsilon", 0.1),
-                  jao_delta=values.get("delta"),
-                  path=path, init=init)
-    ckw = {}
-    for name in ("p", "c1", "c2", "c3", "c4", "beta", "n0_override"):
-        if name in values:
-            ckw[name] = values[name]
+    """A RunConfig from coerced key/values (file and/or CLI); the
+    concurrent keys are left to build_concurrent_config."""
+    fields = _fields(values)
+    env = fields["env"]
+    if env.get("kind", "random") not in ("random", "jao"):
+        env["kind"], env["path"] = "file", env["kind"].removeprefix("file:")
+    if "init" in env:
+        env["init"] = parse_init_spec(env["init"])
     try:
-        constants = AlgoConstants(**ckw)
+        return RunConfig(env=EnvSpec(**env), constants=AlgoConstants(**fields["constants"]),
+                         **fields["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    algo = values.get("algo", "advantage")
-    if algo not in ALGOS:
-        raise ConfigError(f"unknown algo {algo!r}; expected one of {ALGOS}")
-    return RunConfig(env=env, algo=algo, constants=constants,
-                     cb=values.get("cb", 2.0),
-                     episodes=values.get("episodes", 1000),
-                     seed=values.get("seed", 0),
-                     log_every=values.get("log_every", "auto"),
-                     strict=values.get("strict", False),
-                     out_dir=values.get("out"))
 
 
 def build_concurrent_config(values: dict) -> ConcurrentConfig:
-    return ConcurrentConfig(agents=values.get("agents", 1),
-                            epsilon=values.get("epsilon", 0.1),
-                            c5=values.get("c5", 1.0),
-                            k_eps_override=values.get("k_eps_override"))
+    """A ConcurrentConfig from the concurrent keys in values."""
+    return ConcurrentConfig(**_fields(values)["conc"])

@@ -48,8 +48,7 @@ class Learner(ctypes.Structure):
 # slots of the io array: per-call inputs, then outputs (the enum in _kernel.c)
 (IN_U, IN_COUNT, IN_HALT,
  OUT_STAGE_ENDS, OUT_Q_UPDATES, OUT_REFS_FIXED, OUT_REF_WINS,
- OUT_LAST_STAGE_ENDS, OUT_LAST_Q_UPDATES, OUT_LAST_REFS_FIXED,
- OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(14)
+ OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(11)
 
 _UNSET = object()
 _lib = _UNSET

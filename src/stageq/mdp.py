@@ -88,13 +88,7 @@ class InitialStates:
         return cls(kind="seeded", seed=int(seed))
 
     def state(self, k: int, S: int) -> int:
-        if self.kind == "fixed":
-            return self.states[0]
-        if self.kind == "cyclic":
-            return self.states[k % len(self.states)]
-        if self.kind == "seeded":
-            return self._seeded(k, S)[k]
-        raise ValueError(f"unknown initial-state kind {self.kind!r}")
+        return self.window(k, 1, S)[0]
 
     def window(self, first: int, count: int, S: int) -> list:
         """[state(k, S) for k in range(first, first + count)], as a list."""
@@ -104,22 +98,30 @@ class InitialStates:
             seq, m = self.states, len(self.states)
             return [seq[k % m] for k in range(first, first + count)]
         if self.kind == "seeded":
-            return self._seeded(first + count - 1, S)[first:first + count]
+            return self._seeded(first, first + count, S)
         raise ValueError(f"unknown initial-state kind {self.kind!r}")
 
-    def _seeded(self, k: int, S: int) -> list:
-        """The seeded sequence, drawn 256 at a time until it covers index k."""
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            cache = []
-            self._cache = cache
-            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-            self._cache_S = S
-        if S != self._cache_S:
+    def _seeded(self, first: int, stop: int, S: int) -> list:
+        """Entries first .. stop - 1 of the seeded sequence, drawn 256 at a
+        time.  Only the blocks from the one holding `first` on are kept; an
+        earlier index restarts the private generator, which draws the same
+        values again, since the sequence depends on the seed alone."""
+        if getattr(self, "_cache_S", S) != S:
             raise ValueError("seeded InitialStates bound to a different state count")
-        while k >= len(cache):
-            cache.extend(self._gen.integers(0, S, size=256).tolist())
-        return cache
+        if getattr(self, "_gen", None) is None or first < self._base:
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+            self._cache, self._base, self._cache_S = [], 0, S
+        cache, keep = self._cache, first - first % 256
+        drop = min(keep - self._base, len(cache))
+        del cache[:drop]
+        self._base += drop
+        while self._base + len(cache) < stop:
+            block = self._gen.integers(0, S, size=256).tolist()
+            if self._base < keep:  # cache is empty: a block wholly before first
+                self._base += 256
+            else:
+                cache.extend(block)
+        return cache[first - self._base:stop - self._base]
 
 
 # ------------------------------------------------------------ core types
@@ -211,10 +213,12 @@ class ValueTables:
 
 
 def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
-    """Check stochasticity and reward range; raise on the first violation.
+    """Check stochasticity, reward range and initial states; raise on the
+    first violation.
 
     Rows must be finite, entrywise >= 0 with |sum - 1| <= tol; rewards must
-    lie in [0, 1].  Scan order is (h, s, a).  Shape errors raise ValueError.
+    lie in [0, 1]; fixed and cyclic initial states must lie in [0, S).
+    Scan order is (h, s, a).  Shape errors raise ValueError.
     """
     P, r = np.asarray(mdp.P, dtype=float), np.asarray(mdp.r, dtype=float)
     if P.shape != (mdp.H, mdp.S, mdp.A, mdp.S):
@@ -238,6 +242,9 @@ def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
                 rv = r[h, s, a]
                 if not 0.0 <= rv <= 1.0:
                     raise RewardOutOfRange(h, s, a, rv)
+    for s in mdp.init.states:          # fixed and cyclic starts
+        if not 0 <= s < mdp.S:
+            raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
 
 
 # ----------------------------------------------------------- exact solvers
@@ -341,6 +348,8 @@ def make_random_mdp(S: int, A: int, H: int, seed: int,
     (sparsity 1.0 gives an all-zero reward tensor exactly).  Deterministic
     in `seed`.
     """
+    if min(S, A, H) < 1:
+        raise ValueError(f"S, A, H must be positive, got {S}, {A}, {H}")
     if not 0.0 <= reward_sparsity <= 1.0:
         raise ValueError(f"reward_sparsity must be in [0, 1], got {reward_sparsity}")
     gen = np.random.default_rng(seed)
@@ -369,6 +378,8 @@ def make_jao_chain(H: int, epsilon: float, delta: Optional[float] = None,
     optimal_actions is a length-H int array, or None to draw one uniformly
     from `seed`.
     """
+    if H < 1:
+        raise ValueError(f"H must be positive, got {H}")
     if delta is None:
         delta = 16.0 / H
     if not 0.0 <= delta < 0.5:

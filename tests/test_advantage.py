@@ -41,6 +41,13 @@ def test_constants_validation():
         AlgoConstants(c3=0.0)
     with pytest.raises(ValueError):
         AlgoConstants(beta=-1.0)
+    # NaN fails "x <= 0" tests silently, so it needs its own cases
+    for name in ("c1", "c2", "c3", "c4", "beta"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                AlgoConstants(**{name: bad})
+    with pytest.raises(ValueError, match="n0_override"):
+        AlgoConstants(n0_override=float("nan"))
 
 
 def test_iota_is_log_two_over_p():

@@ -153,6 +153,9 @@ def test_classic_rejects_bad_cb():
     mdp = make_random_mdp(2, 2, 2, seed=0)
     with pytest.raises(ValueError):
         ClassicQUcbLearner(mdp, cb=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cb"):
+            ClassicQUcbLearner(mdp, cb=bad)
 
 
 def test_classic_still_learns_greedy_optimum_on_easy_chain():

@@ -5,7 +5,7 @@ import pytest
 
 from stageq import build_schedule, load_mdp, make_random_mdp, save_mdp
 from stageq.cli import build_parser, main
-from stageq.harness import _CONC_KEYS, _RUN_KEYS
+from stageq.harness import CONFIG_KEYS
 
 
 def test_schedule_stdout_matches_library(capsys):
@@ -138,12 +138,14 @@ def test_config_key_tables_match_flags():
     def dests(command):
         return set(vars(parser.parse_args([command]))) - {"command", "func", "config"}
 
-    assert dests("run") == set(_RUN_KEYS)
+    conc_keys = {k for k, row in CONFIG_KEYS.items() if row.field.startswith("conc.")}
+    run_keys = set(CONFIG_KEYS) - conc_keys
+    assert conc_keys == {"agents", "epsilon", "c5", "k_eps_override"}
+    assert dests("run") == run_keys
     # sweep and concurrent leave out the run keys they never read
-    assert dests("sweep") - {"t_mults", "seeds"} == \
-        set(_RUN_KEYS) - {"seed", "log_every"}
+    assert dests("sweep") - {"t_mults", "seeds"} == run_keys - {"seed", "log_every"}
     assert dests("concurrent") == \
-        (set(_RUN_KEYS) - {"episodes", "log_every", "strict"}) | set(_CONC_KEYS)
+        (run_keys - {"episodes", "log_every", "strict"}) | conc_keys
     # solve reads the environment keys and out, plus its own --save-mdp
     assert dests("solve") - {"save_mdp"} == {
         "env", "S", "A", "H", "sparsity", "env_seed", "jao_epsilon", "delta",
@@ -180,6 +182,31 @@ def test_unread_config_key_is_rejected(tmp_path, capsys, command, flag, value):
     # without the key the same command runs
     cfg.write_text("")
     assert main([command, "--config", str(cfg)] + SMALL_ENV_ARGS + extra) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "concurrent"])
+@pytest.mark.parametrize("init", ["fixed:3", "fixed:-1", "cyclic:0,9"])
+def test_out_of_range_initial_state_exits_2(capsys, command, init):
+    extra = ["--k-eps-override", "30"] if command == "concurrent" else ["--episodes", "5"]
+    assert main([command, "--S", "3", "--init", init] + extra) == 2
+    assert "initial state" in capsys.readouterr().err
+
+
+BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H"),
+              ("run", ["--c1", "nan"], "c1"), ("run", ["--beta", "nan"], "beta"),
+              ("run", ["--c4", "inf"], "c4"),
+              ("run", ["--algo", "classic-qucb", "--cb", "nan"], "cb"),
+              ("concurrent", ["--k-eps-override", "inf"], "k_eps_override"),
+              ("sweep", ["--t-mults=inf"], "--t-mults"),
+              ("sweep", ["--t-mults=-1"], "--t-mults"),
+              ("sweep", ["--t-mults=0.5,nan"], "--t-mults")]
+
+
+@pytest.mark.parametrize("command,args,name", BAD_VALUES,
+                         ids=[f"{c}{' '.join(a)}" for c, a, _ in BAD_VALUES])
+def test_bad_values_exit_2_naming_the_key(capsys, command, args, name):
+    assert main([command] + args) == 2
+    assert name in capsys.readouterr().err
 
 
 # SHA-256 of each output file, recorded while hoeffding-stage still had its

@@ -49,6 +49,9 @@ def test_config_validation():
         ConcurrentConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ConcurrentConfig(c5=-1.0)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="k_eps_override"):
+            ConcurrentConfig(k_eps_override=bad)
 
 
 # ------------------------------------------------------------- accounting

@@ -3,15 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ConfigError, DeterministicPolicy, EnvSpec,
+from stageq import (AlgoConstants, ConcurrentConfig, ConfigError,
+                    DeterministicPolicy, EnvSpec,
                     InitialStates, InvariantViolation, OptimismTracker,
                     PolicyValueCache, RunConfig, SwitchTracker,
-                    backward_induction, build_run_config, check_optimism,
+                    backward_induction, build_concurrent_config,
+                    build_run_config, check_optimism,
                     coerce_kv, make_learner, make_random_mdp, parse_kv_file,
                     policy_evaluation, run_experiment, save_mdp,
                     seeded_stream, sweep_scaling, switching_bound, validate)
 from stageq import harness
-from stageq.harness import (UniformStream, checkpoint_regrets,
+from stageq.harness import (CONFIG_KEYS, UniformStream, checkpoint_regrets,
                             enforce_invariants, parse_init_spec)
 
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
@@ -409,6 +411,41 @@ def test_build_run_config_routing(tmp_path):
         build_run_config({"algo": "dqn"})
     with pytest.raises(ConfigError):
         build_run_config({"p": 3.0})  # constants validation surfaces as config error
+
+
+def test_empty_config_keeps_the_dataclass_defaults():
+    assert build_run_config({}) == RunConfig()
+    assert build_concurrent_config({}) == ConcurrentConfig()
+
+
+def test_every_config_key_lands_on_its_field():
+    # one value per key, none of them its field's default
+    values = {"env": "jao", "S": 4, "A": 3, "H": 40, "sparsity": 0.5,
+              "env_seed": 7, "jao_epsilon": 0.05, "delta": 0.3,
+              "init": "cyclic:1,0", "algo": "classic-qucb", "p": 0.2,
+              "c1": 0.3, "c2": 0.4, "c3": 0.6, "c4": 0.7, "cb": 1.5,
+              "beta": 0.25, "n0_override": 99.0, "episodes": 12, "seed": 5,
+              "log_every": "pow2", "strict": True, "out": "o", "agents": 6,
+              "epsilon": 0.2, "c5": 3.0, "k_eps_override": 40.0}
+    assert set(values) == set(CONFIG_KEYS)
+    expect = dict(values, init=parse_init_spec("cyclic:1,0"))
+
+    def by_section(cfg, cc):
+        return {"env": cfg.env, "constants": cfg.constants, "run": cfg, "conc": cc}
+
+    got = by_section(build_run_config(values), build_concurrent_config(values))
+    default = by_section(RunConfig(), ConcurrentConfig())
+    for key, row in CONFIG_KEYS.items():
+        section, attr = row.field.split(".")
+        assert getattr(got[section], attr) == expect[key], key
+        assert getattr(default[section], attr) != expect[key], key
+
+
+def test_build_config_rejects_bad_choices_and_keys():
+    with pytest.raises(ConfigError, match="log_every"):
+        build_run_config({"log_every": "sometimes"})
+    with pytest.raises(ConfigError, match="banana"):
+        build_run_config({"banana": 1})
 
 
 def test_parse_init_spec():

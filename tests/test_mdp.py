@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import ORACLE_SHAPES, brute_policy_value, brute_value_tables
 from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
-                    InvalidDelta, InvalidEpsilon, NonStochasticRow,
+                    InvalidDelta, InvalidEpsilon, MdpValidationError,
+                    NonStochasticRow,
                     RewardOutOfRange, backward_induction, load_mdp,
                     make_jao_chain, make_random_mdp, policy_evaluation,
                     sample_episode, save_mdp, validate)
@@ -46,6 +47,14 @@ def test_validate_accepts_generated_instances():
     for seed in range(5):
         validate(make_random_mdp(4, 3, 6, seed=seed))
     validate(make_jao_chain(40, epsilon=0.1))
+
+
+@pytest.mark.parametrize("init", [InitialStates.fixed(3), InitialStates.fixed(-1),
+                                  InitialStates.cyclic([0, 9])])
+def test_validate_rejects_initial_state_out_of_range(init):
+    mdp = make_random_mdp(3, 2, 2, seed=0, init=init)
+    with pytest.raises(MdpValidationError, match="initial state"):
+        validate(mdp)
 
 
 def test_validate_rejects_negative_entry():
@@ -217,6 +226,23 @@ def test_initial_states_seeded_is_pure_function():
         a.state(0, 5)
 
 
+def test_initial_states_seeded_window_is_bounded_and_restartable():
+    S = 5
+    ref = InitialStates.seeded(7).window(0, 2000, S)
+    fwd = InitialStates.seeded(7)
+    assert [fwd.state(k, S) for k in range(2000)] == ref
+    back = InitialStates.seeded(7)
+    assert [back.state(k, S) for k in range(1999, -1, -1)] == ref[::-1]
+    sparse = InitialStates.seeded(7)
+    for k in (1500, 3, 900, 1999, 0, 256, 255):
+        assert sparse.window(k, 1, S) == [ref[k]]
+    assert sparse.window(250, 300, S) == ref[250:550]
+    far = InitialStates.seeded(7)
+    assert len(far.window(500_000, 8, S)) == 8
+    assert len(far._cache) <= 512
+    assert far.window(3, 4, S) == ref[3:7]
+
+
 def test_initial_states_seeds_differ():
     a = [InitialStates.seeded(1).state(k, 4) for k in range(64)]
     b = [InitialStates.seeded(2).state(k, 4) for k in range(64)]
@@ -327,6 +353,15 @@ def test_make_random_mdp_deterministic_and_valid():
     validate(a)
     c = make_random_mdp(3, 2, 4, seed=12)
     assert not np.array_equal(a.P, c.P)
+
+
+@pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0), (-1, 2, 2)])
+def test_make_random_mdp_rejects_empty_dimensions(dims):
+    with pytest.raises(ValueError, match="S, A, H must be positive"):
+        make_random_mdp(*dims, seed=0)
+    if dims[2] == 0:
+        with pytest.raises(ValueError, match="H must be positive"):
+            make_jao_chain(0, epsilon=0.0)
 
 
 def test_make_random_mdp_sparsity():
