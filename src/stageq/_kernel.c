@@ -1,14 +1,16 @@
-/* Compiled hot paths of the stage learners (advantage, hoeffding-stage).
+/* Compiled episode loop of the tabular learners (advantage,
+ * hoeffding-stage, classic-qucb).
  *
  * stageq_stretch plays whole episodes on the learner's own tables.  It
- * repeats UcbAdvantageLearner.observe and _stage_update operation for
- * operation: the same uniforms in the same order, bisect_right over the
- * same cumulative rows, the same double expressions evaluated left to
- * right, max(0.0, x) and safe_ratio with Python's semantics, and the
- * per-stage constants computed in Python.  Built with -O2 -ffp-contract=off and never
- * -ffast-math (see kernel.py), every +, -, *, / and sqrt rounds as
- * Python's does, so the tables come out bit for bit equal to the Python
- * path's.
+ * repeats the learner's Python observe operation for operation
+ * (UcbAdvantageLearner.observe and _stage_update, or
+ * ClassicQUcbLearner.observe, as the struct's mode says): the same
+ * uniforms in the same order, bisect_right over the same cumulative rows,
+ * the same double expressions evaluated left to right, max(0.0, x) and
+ * safe_ratio with Python's semantics, and the per-stage constants computed
+ * in Python.  Built with -O2 -ffp-contract=off and never -ffast-math (see
+ * kernel.py), every +, -, *, / and sqrt rounds as Python's does, so the
+ * tables come out bit for bit equal to the Python path's.
  *
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
@@ -20,6 +22,11 @@
 #include <stddef.h>
 #include <stdint.h>
 
+/* Which observe the kernel repeats (Learner.mode) */
+enum { MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB };
+
+/* The stage learners use every field; classic-qucb leaves vref, the stage
+ * accumulators and the stage-end tables NULL and reads cb and h3iota. */
 typedef struct {
     int64_t S, A, H;
     double *q;              /* H*S*A */
@@ -39,7 +46,8 @@ typedef struct {
     const double *bbar;     /* Hoeffding width at each stage end */
     int64_t n_max;
     double n0, c1, c2, iota;
-    int64_t reference;      /* 0: Hoeffding target only */
+    int64_t mode;           /* MODE_*; the reference route is on in MODE_ADVANTAGE */
+    double cb, h3iota;      /* classic-qucb's bonus multiplier and H^3 * iota */
     int64_t *path_s, *path_a, *path_next;   /* the last episode's steps */
     double *path_r;         /* and their rewards */
     /* what a stretch reads besides the tables; set when it changes */
@@ -122,7 +130,7 @@ static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
     double r = L->rew[i3];
     double cand = r + safe_ratio(L->ups_chk[i3], nc) + b_bar;
     int ref_won = 0;
-    if (L->reference) {
+    if (L->mode == MODE_ADVANTAGE) {
         double iota = L->iota;
         double mu_ref_bar = safe_ratio(L->mu_ref[i3], n);
         double nu_ref = clip0(safe_ratio(L->sig_ref[i3], n) - mu_ref_bar * mu_ref_bar);
@@ -152,11 +160,35 @@ static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
     L->sig_chk[i3] = 0.0;
 }
 
-/* UcbAdvantageLearner.observe; returns 0, or the visit count above n_max
- * (stored first, as observe stores it before raising). */
+/* ClassicQUcbLearner.observe: one incremental update, counted as a Q
+ * update whatever it wrote; no n_max check */
+static void observe_qucb(const Learner *L, int64_t h, int64_t s, int64_t a,
+                         int64_t s_next, int64_t *io)
+{
+    int64_t S = L->S, H = L->H;
+    int64_t i2 = h * S + s;
+    int64_t i3 = i2 * L->A + a;
+    int64_t t = L->n[i3] + 1;
+    L->n[i3] = t;
+    double alpha = (H + 1.0) / (double)(H + t);
+    double target = (L->rew[i3] + L->v[(h + 1) * S + s_next]
+                     + L->cb * sqrt(L->h3iota / (double)t));
+    L->q[i3] = (1.0 - alpha) * L->q[i3] + alpha * target;
+    double best = row_max(L, i2);
+    double ceiling = (double)(H - h);
+    L->v[i2] = best > ceiling ? ceiling : best;
+    io[OUT_Q_UPDATES] += 1;
+}
+
+/* The learner's observe; returns 0, or the visit count above n_max
+ * (stored first, as UcbAdvantageLearner.observe stores it before raising). */
 static int64_t observe(const Learner *L, int64_t h, int64_t s, int64_t a,
                        int64_t s_next, int64_t *io)
 {
+    if (L->mode == MODE_CLASSIC_QUCB) {
+        observe_qucb(L, h, s, a, s_next, io);
+        return 0;
+    }
     int64_t S = L->S;
     int64_t i2 = h * S + s;
     int64_t i3 = i2 * L->A + a;

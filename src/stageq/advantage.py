@@ -40,14 +40,10 @@ stage ends.  That is the paper's ablation: comparing the two isolates what
 the reference-advantage split buys.
 
 All counts, accumulators and tables live in fixed-size flat buffers
-(array('d') and array('q')) that both Python and the compiled kernel
-(_kernel.c, loaded by the kernel module) read and write in place; numpy
-copies are exported on demand.  With the kernel, run_stretch plays whole
-episodes in C and run_episode is a one-episode stretch; recorded
-trajectories (observe_trajectory) go through Python observe.  Without a C
-compiler the base-class path runs instead (sample_episode feeding observe,
-one transition at a time); it is the reference the kernel must match bit
-for bit.
+(array('d') and array('q')) that both Python and the compiled kernel read
+and write in place; the episode drivers (run_episode, run_stretch) are the
+base class's, and the kernel repeats observe and _stage_update below (see
+the base module).
 """
 
 from __future__ import annotations
@@ -60,8 +56,6 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .kernel import (IN_COUNT, IN_HALT, IN_U, OUT_BAD_INDEX, OUT_BAD_N, OUT_Q_UPDATES,
-                     OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
 from .stages import OutOfRangeError, build_schedule
@@ -70,7 +64,6 @@ __all__ = ["AlgoConstants", "UcbAdvantageLearner", "HoeffdingStageLearner",
            "EpisodeReport", "safe_ratio", "DEFAULT_N_MAX"]
 
 DEFAULT_N_MAX = 1 << 20
-STRETCH_MAX = 1024     # episodes one kernel stretch call plays at most
 
 
 @dataclass(frozen=True)
@@ -157,11 +150,6 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         # accumulators: mu_chk/ups_chk/sig_chk reset each stage end,
         # mu_ref/sig_ref never reset
         z = H * S * A
-        self._q = array("d", self._q)
-        self._v = array("d", self._v)
-        self._rew = array("d", self._rew)
-        self._n = array("q", self._n)
-        self._greedy = array("q", self._greedy)
         self._vref = array("d", [float(H)]) * (H * S) + array("d", [0.0]) * S
         self._nchk = array("q", [0]) * z
         self._mu_chk = array("d", [0.0]) * z
@@ -171,47 +159,20 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._sig_ref = array("d", [0.0]) * z
         self._n_state = array("q", [0]) * (H * S)
         self._ref_fixed = array("b", [0]) * (H * S)
-        self._lib = kernel.load()
         if self._lib is not None:
-            self._bind_kernel()
-
-    def _bind_kernel(self) -> None:
-        """Describe the tables to the kernel.  The buffers never resize, so
-        the addresses stay valid for the learner's life."""
-        H = self.H
-        ends = self.schedule._end_list
-        # kept alive here: the struct holds only their addresses
-        self._kbufs = (array("q", [0]) * len(self._n), array("q", ends),
-                       array("d", [self._stage_consts[n][0] for n in ends]),
-                       array("d", [self._stage_consts[n][1] for n in ends]))
-        self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
-        self._path_r = array("d", [0.0]) * H
-        self._starts = array("q", [0]) * STRETCH_MAX
-        self._halt = array("b", [0]) * self.S
-        self._io = array("q", [0]) * kernel.IO_LEN
-
-        def addr(buf):
-            return buf.buffer_info()[0]
-
-        c = self.constants
-        self._kstate = kernel.Learner(
-            S=self.S, A=self.A, H=H,
-            **{name: addr(getattr(self, "_" + name)) for name in (
-                "q", "v", "vref", "rew", "n", "nchk", "mu_chk", "ups_chk", "sig_chk",
-                "mu_ref", "sig_ref", "n_state", "ref_fixed", "greedy",
-                "path_s", "path_a", "path_next", "path_r", "starts", "halt", "io")},
-            **dict(zip(("end_idx", "ends", "lower", "bbar"), map(addr, self._kbufs))),
-            n_max=self._n_max, n0=self._n0, c1=c.c1, c2=c.c2,
-            iota=self._iota, reference=int(self.reference))
-        self._kaddr = kernel.ctypes.addressof(self._kstate)
-        self._stretch = self._lib.stageq_stretch
-        # what the struct's cum, mdp_rew, halt and u point at now: the MDP's
-        # P and r with the arrays built from them, the halt flags (bytes),
-        # and the stream's uniform block
-        self._mdp_src = (None, None, None, None)
-        self._halt_src = None
-        self._ublock = None
-        self._window = 1           # episodes the next stretch offers the kernel
+            ends = self.schedule._end_list
+            # the kernel's stage-end tables; kept alive here, the struct
+            # holds only their addresses
+            self._kbufs = (array("q", [0]) * z, array("q", ends),
+                           array("d", [self._stage_consts[n][0] for n in ends]),
+                           array("d", [self._stage_consts[n][1] for n in ends]))
+            self._bind_kernel(
+                **{name: getattr(self, "_" + name) for name in (
+                    "vref", "nchk", "mu_chk", "ups_chk", "sig_chk", "mu_ref", "sig_ref",
+                    "n_state", "ref_fixed")},
+                **dict(zip(("end_idx", "ends", "lower", "bbar"), self._kbufs)),
+                n_max=self._n_max, n0=self._n0, c1=c.c1, c2=c.c2, iota=self._iota,
+                mode=kernel.MODE_ADVANTAGE if self.reference else kernel.MODE_HOEFFDING_STAGE)
 
     def observe(self, h: int, s: int, a: int, s_next: int) -> None:
         """Record one transition.
@@ -288,95 +249,6 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         self._mu_chk[i3] = 0.0
         self._ups_chk[i3] = 0.0
         self._sig_chk[i3] = 0.0
-
-    # ----------------------------------------------------------- rollouts
-
-    def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
-        """Roll out one episode, learning online; returns (traj, EpisodeReport).
-
-        A one-episode stretch with the kernel, else the reference path.  The
-        counters are current after every stretch, so the report is their
-        differences, as in the base class.
-        """
-        if self._lib is None or not hasattr(rng, "doubles"):
-            return super().run_episode(mdp, rng, episode_index)
-        e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
-        _, changed = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
-        return changed or self._last_traj(), EpisodeReport(
-            self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
-
-    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
-        """The base-class stretch, played by the kernel in one call.
-
-        Besides the base-class stops, a call also ends when the uniforms
-        rng.doubles can hand over without drawing a new block run short of
-        one more episode, or after a window of twice the episodes the last
-        call played (one at first, at most STRETCH_MAX); the caller then
-        calls again.  So a call prepares start states for about as many
-        episodes as it plays, not for the whole block.
-        """
-        if self._lib is None or not hasattr(rng, "doubles"):
-            return super().run_stretch(mdp, rng, first, stop, halt)
-        H = self.H
-        src = self._mdp_src
-        if mdp.P is not src[0] or mdp.r is not src[1]:
-            self._bind_mdp(mdp)
-        if halt != self._halt_src:
-            self._bind_halt(halt)
-        block, i = rng.doubles(H)
-        if block is not self._ublock:
-            self._ublock = block
-            self._kstate.u = block.ctypes.data
-        count = min(stop - first, (len(block) - i) // H, self._window)
-        starts = mdp.initial_states(first, count)
-        if count == 1:             # the one-episode calls need no temporary array
-            self._starts[0] = starts[0]
-        else:
-            self._starts[:count] = array("q", starts)
-        io = self._io
-        io[IN_U] = i
-        io[IN_COUNT] = count
-        played = self._stretch(self._kaddr)
-        rng.skip(io[OUT_USED])
-        if played < 0 or io[OUT_STAGE_ENDS] or io[OUT_REFS_FIXED]:
-            self._add_counts()
-        self._window = min(2 * played, STRETCH_MAX) or 1
-        if played < count:
-            starts = starts[:played]
-        return starts, self._last_traj() if io[OUT_Q_UPDATES] else None
-
-    def _bind_mdp(self, mdp: EpisodicMdp) -> None:
-        cum, rew = mdp.cum_array(), mdp.reward_array()
-        H, S, A = self.H, self.S, self.A
-        if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
-            raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
-        self._kstate.cum, self._kstate.mdp_rew = cum.ctypes.data, rew.ctypes.data
-        self._mdp_src = (mdp.P, mdp.r, cum, rew)
-
-    def _bind_halt(self, halt) -> None:
-        if halt is not None:
-            if len(halt) != self.S:
-                raise ValueError(f"halt has {len(halt)} flags, not one per state ({self.S})")
-            halt = bytes(halt)
-            self._halt[:] = array("b", halt)
-        self._io[IN_HALT] = halt is not None
-        self._halt_src = halt
-
-    def _last_traj(self) -> list:
-        """The trajectory of the last episode the kernel played."""
-        return list(zip(self._path_s, self._path_a, self._path_r, self._path_next))
-
-    def _add_counts(self) -> None:
-        """Apply a kernel call's counter increments, then raise what it hit."""
-        io = self._io
-        self.stage_end_count += io[OUT_STAGE_ENDS]
-        self.q_update_count += io[OUT_Q_UPDATES]
-        self.ref_fixed_count += io[OUT_REFS_FIXED]
-        self.reference_wins += io[OUT_REF_WINS]
-        if io[OUT_BAD_INDEX]:
-            raise IndexError("state or action outside the learner's tables")
-        if io[OUT_BAD_N]:
-            raise OutOfRangeError(io[OUT_BAD_N], self._n_max)
 
     # ----------------------------------------------------------- exports
 

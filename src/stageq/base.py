@@ -1,6 +1,6 @@
 """Shared skeleton for the tabular optimistic Q-learners.
 
-Every learner in this package keeps flat-list Q and V tables initialized
+Every learner in this package keeps flat Q and V tables initialized
 optimistically to H - h + 1 (V carries an all-zero boundary row at index
 H), acts greedily with lowest-index tie-breaking, and is model-free: it is
 constructed from the MDP's dimensions and deterministic reward table only,
@@ -11,12 +11,23 @@ reference_wins, which only the stage learners move).  Those counters
 are the only record of what a transition did: run_episode's report and
 the concurrent runner's "did Q change" test are both differences of them.
 
+The tables are fixed-size flat buffers (array('d') and array('q')) that
+both Python and the compiled kernel (_kernel.c, loaded by the kernel
+module) read and write in place; numpy copies are exported on demand.
+With the kernel, run_stretch plays whole episodes in C for every learner
+here (the Learner struct's mode says whose observe it repeats) and
+run_episode is a one-episode stretch; recorded trajectories
+(observe_trajectory) go through Python observe.  Without a C compiler
+run_episode is reference_episode (sample_episode feeding observe, one
+transition at a time), the path the kernel must match bit for bit.
+
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
 Every write to Q goes through _row_max, which rescans that one row and
-refreshes its _greedy entry, so select_action is a list read.
+refreshes its _greedy entry, so select_action is a buffer read.
 greedy_actions_flat returns a copy, because callers hold their snapshot
-while learning goes on.
+while learning goes on; greedy_buffer hands out the live table to a caller
+that reads it at once.
 
 Trajectory locality: run_episode writes Q, V and _greedy only at the
 (h, s, a) cells (and their (h, s) rows) of the trajectory it returns.  The
@@ -24,18 +35,24 @@ audit loop in harness relies on this to re-test optimism and count switches
 on those H cells alone, so an update that touched any other cell would
 make the audit miss it.  The same holds for run_stretch, which plays
 episodes until one changes Q: only that last episode may change Q, and
-only along the trajectory it returns.  The compiled kernel of the stage
-learners (_kernel.c) plays stretches on the same tables and must keep this
-invariant too.
+only along the trajectory it returns.  The compiled kernel plays stretches
+on the same tables and must keep this invariant too.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
+from .kernel import (IN_COUNT, IN_HALT, IN_U, OUT_BAD_INDEX, OUT_BAD_N, OUT_Q_UPDATES,
+                     OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .mdp import EpisodicMdp, sample_episode
+from .stages import OutOfRangeError
+
+STRETCH_MAX = 1024     # episodes one kernel stretch call plays at most
 
 
 @dataclass
@@ -59,15 +76,44 @@ class TabularQLearnerBase:
     def __init__(self, mdp: EpisodicMdp):
         S, A, H = mdp.S, mdp.A, mdp.H
         self.S, self.A, self.H = S, A, H
-        self._rew = np.asarray(mdp.r, dtype=float).reshape(-1).tolist()
-        self._q = [float(H - h) for h in range(H) for _ in range(S * A)]
-        self._v = [float(H - h) for h in range(H) for _ in range(S)] + [0.0] * S
-        self._n = [0] * (H * S * A)
-        self._greedy = [0] * (H * S)   # rows start tied, so argmax 0
+        self._rew = array("d", np.asarray(mdp.r, dtype=float).reshape(-1).tolist())
+        self._q = array("d", [float(H - h) for h in range(H) for _ in range(S * A)])
+        self._v = array("d", [float(H - h) for h in range(H) for _ in range(S)] + [0.0] * S)
+        self._n = array("q", [0]) * (H * S * A)
+        self._greedy = array("q", [0]) * (H * S)   # rows start tied, so argmax 0
         self.stage_end_count = 0
         self.q_update_count = 0
         self.ref_fixed_count = 0
         self.reference_wins = 0    # Q updates set by the reference-advantage target
+        self._lib = kernel.load()  # the subclass binds its tables (_bind_kernel)
+
+    def _bind_kernel(self, **fields) -> None:
+        """Describe the tables to the kernel: the ones every learner has, and
+        the subclass's own Learner fields (mode included) in fields, arrays
+        by address and numbers as they are.  The learner keeps every array
+        alive, and the buffers never resize, so the addresses stay valid
+        for its life."""
+        H = self.H
+        self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
+        self._path_r = array("d", [0.0]) * H
+        self._starts = array("q", [0]) * STRETCH_MAX
+        self._halt = array("b", [0]) * self.S
+        self._io = array("q", [0]) * kernel.IO_LEN
+        for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
+                     "path_r", "starts", "halt", "io"):
+            fields[name] = getattr(self, "_" + name)
+        self._kstate = kernel.Learner(S=self.S, A=self.A, H=H, **{
+            name: value.buffer_info()[0] if isinstance(value, array) else value
+            for name, value in fields.items()})
+        self._kaddr = kernel.ctypes.addressof(self._kstate)
+        self._stretch = self._lib.stageq_stretch
+        # what the struct's cum, mdp_rew, halt and u point at now: the MDP's
+        # P and r with the arrays built from them, the halt flags (bytes),
+        # and the stream's uniform block
+        self._mdp_src = (None, None, None, None)
+        self._halt_src = None
+        self._ublock = None
+        self._window = 1           # episodes the next stretch offers the kernel
 
     # ------------------------------------------------------------ acting
 
@@ -96,40 +142,122 @@ class TabularQLearnerBase:
         for h, (s, a, _r, s_next) in enumerate(traj):
             self.observe(h, s, a, s_next)
 
-    def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
-        """Roll out one episode, learning online; returns (traj, EpisodeReport)."""
+    def reference_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
+        """Roll out one episode with sample_episode feeding observe, one
+        transition at a time; returns (traj, EpisodeReport).  What
+        run_episode does without the kernel, and what the kernel must match
+        bit for bit."""
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
         traj = sample_episode(mdp, self, rng, episode_index)
         return traj, EpisodeReport(stage_ends=self.stage_end_count - e0,
                                    q_updates=self.q_update_count - u0,
                                    refs_fixed=self.ref_fixed_count - r0)
 
+    def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
+        """Roll out one episode, learning online; returns (traj, EpisodeReport).
+
+        A one-episode stretch with the kernel, else reference_episode.  The
+        counters are current after every stretch, so the report is their
+        differences either way.
+        """
+        if self._lib is None or not hasattr(rng, "doubles"):
+            return self.reference_episode(mdp, rng, episode_index)
+        e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
+        _, changed = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
+        return changed or self._last_traj(), EpisodeReport(
+            self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
+
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
-        """Play episodes first, first + 1, ... (0-based, below stop) with
-        run_episode, and stop after the first one that changes Q or whose
-        initial state s has halt[s] set (halt: None, or bytes of S flags).
+        """Play episodes first, first + 1, ... (0-based, below stop) and stop
+        after the first one that changes Q or whose initial state s has
+        halt[s] set (halt: None, or bytes of S flags).
 
         Returns (starts, changed): the initial state of every episode
         played, and the last one's trajectory if it changed Q, else None.
         Between the episodes played the greedy policy cannot move, which is
         what lets the audit loop account for a whole stretch at once.
+
+        Without the kernel this is play_stretch over reference_episode.
+        The kernel plays the stretch in one call, which also ends when the
+        uniforms rng.doubles can hand over without drawing a new block run
+        short of one more episode, or after a window of twice the episodes
+        the last call played (one at first, at most STRETCH_MAX); the
+        caller then calls again.  So a call prepares start states for about
+        as many episodes as it plays, not for the whole block.
         """
-        starts = []
-        for k in range(first, stop):
-            traj, report = self.run_episode(mdp, rng, k)
-            s1 = traj[0][0]
-            starts.append(s1)
-            if report.q_changed:
-                return starts, traj
-            if halt and halt[s1]:
-                break
-        return starts, None
+        if self._lib is None or not hasattr(rng, "doubles"):
+            return play_stretch(self.reference_episode, mdp, rng, first, stop, halt)
+        H = self.H
+        src = self._mdp_src
+        if mdp.P is not src[0] or mdp.r is not src[1]:
+            self._bind_mdp(mdp)
+        if halt != self._halt_src:
+            self._bind_halt(halt)
+        block, i = rng.doubles(H)
+        if block is not self._ublock:
+            self._ublock = block
+            self._kstate.u = block.ctypes.data
+        count = min(stop - first, (len(block) - i) // H, self._window)
+        starts = mdp.initial_states(first, count)
+        if count == 1:             # the one-episode calls need no temporary array
+            self._starts[0] = starts[0]
+        else:
+            self._starts[:count] = array("q", starts)
+        io = self._io
+        io[IN_U] = i
+        io[IN_COUNT] = count
+        played = self._stretch(self._kaddr)
+        rng.skip(io[OUT_USED])
+        if played < 0 or io[OUT_Q_UPDATES] or io[OUT_STAGE_ENDS] or io[OUT_REFS_FIXED]:
+            self._add_counts()
+        self._window = min(2 * played, STRETCH_MAX) or 1
+        if played < count:
+            starts = starts[:played]
+        return starts, self._last_traj() if io[OUT_Q_UPDATES] else None
+
+    def _bind_mdp(self, mdp: EpisodicMdp) -> None:
+        cum, rew = mdp.cum_array(), mdp.reward_array()
+        H, S, A = self.H, self.S, self.A
+        if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
+            raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
+        self._kstate.cum, self._kstate.mdp_rew = cum.ctypes.data, rew.ctypes.data
+        self._mdp_src = (mdp.P, mdp.r, cum, rew)
+
+    def _bind_halt(self, halt) -> None:
+        if halt is not None:
+            if len(halt) != self.S:
+                raise ValueError(f"halt has {len(halt)} flags, not one per state ({self.S})")
+            halt = bytes(halt)
+            self._halt[:] = array("b", halt)
+        self._io[IN_HALT] = halt is not None
+        self._halt_src = halt
+
+    def _last_traj(self) -> list:
+        """The trajectory of the last episode the kernel played."""
+        return list(zip(self._path_s, self._path_a, self._path_r, self._path_next))
+
+    def _add_counts(self) -> None:
+        """Apply a kernel call's counter increments, then raise what it hit."""
+        io = self._io
+        self.stage_end_count += io[OUT_STAGE_ENDS]
+        self.q_update_count += io[OUT_Q_UPDATES]
+        self.ref_fixed_count += io[OUT_REFS_FIXED]
+        self.reference_wins += io[OUT_REF_WINS]
+        if io[OUT_BAD_INDEX]:
+            raise IndexError("state or action outside the learner's tables")
+        if io[OUT_BAD_N]:
+            raise OutOfRangeError(io[OUT_BAD_N], self._kstate.n_max)
 
     # ----------------------------------------------------------- exports
 
     def greedy_actions_flat(self):
         """Greedy action per (h, s) as a flat list; a copy the caller may keep."""
         return list(self._greedy)
+
+    def greedy_buffer(self):
+        """The live greedy table, flat by (h, s): read it at once, never keep
+        it or write to it."""
+        return self._greedy
 
     def q_at(self, i3: int) -> float:
         """Q at flat index i3 = (h*S + s)*A + a, read-only."""
@@ -143,3 +271,18 @@ class TabularQLearnerBase:
 
     def n_array(self) -> np.ndarray:
         return np.array(self._n, dtype=np.int64).reshape(self.H, self.S, self.A)
+
+
+def play_stretch(run_episode, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
+    """run_stretch's contract met one run_episode(mdp, rng, k) call at a
+    time: the learners' path without the kernel, and the oracle's."""
+    starts = []
+    for k in range(first, stop):
+        traj, report = run_episode(mdp, rng, k)
+        s1 = traj[0][0]
+        starts.append(s1)
+        if report.q_changed:
+            return starts, traj
+        if halt and halt[s1]:
+            break
+    return starts, None

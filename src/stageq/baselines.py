@@ -16,6 +16,12 @@ do hold exactly are 0 <= Q <= H-h+1 + c_b*sqrt(H^3*iota) and
 0 <= V <= H-h+1.  Q initializes to H-h+1 like the stage learners (the
 incremental scheme is usually written with init H; any init >= Q* keeps
 the optimism argument and the per-layer value matches the others here).
+
+Its episodes run through the base class's drivers, so with a C compiler
+the kernel plays them (mode MODE_CLASSIC_QUCB, repeating observe below
+operation for operation); observe itself is the path without a compiler,
+the reference the kernel must match, and the replay path for recorded
+trajectories.  Every step is a Q update, so every stretch is one episode.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernel
 from .advantage import AlgoConstants
 from .base import TabularQLearnerBase
 from .mdp import EpisodicMdp
@@ -43,6 +50,8 @@ class ClassicQUcbLearner(TabularQLearnerBase):
         self.constants = constants or AlgoConstants()
         self.cb = cb
         self._h3iota = float(self.H) ** 3 * self.constants.iota
+        if self._lib is not None:
+            self._bind_kernel(mode=kernel.MODE_CLASSIC_QUCB, cb=cb, h3iota=self._h3iota)
 
     def observe(self, h: int, s: int, a: int, s_next: int) -> None:
         """One incremental update; every call counts as a Q update."""

@@ -18,8 +18,8 @@ for bit, what playing those episodes online up to the first Q-changing one
 gives: before that episode Q does not change, so the greedy policy is the
 frozen one; inside it, an update at step h rewrites only layer-h tables,
 which no later step of the episode reads.  So run_concurrent has the
-learner play episodes online (run_stretch, the compiled kernel for the
-stage learners) from the round start to the first Q change or the
+learner play episodes online (run_stretch, the compiled kernel where it
+builds) from the round start to the first Q change or the
 round-aligned budget end, and derives the rounds from the episodes played.
 The discarded rest of an update round would have drawn one uniform per
 step, (M - 1 - j) * H in all after the round's j-th episode (0-based), and
@@ -70,8 +70,8 @@ class ConcurrentConfig:
     def __post_init__(self):
         if self.agents < 1:
             raise ValueError(f"agents must be >= 1, got {self.agents}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:     # NaN fails too
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not self.c5 > 0:
             raise ValueError(f"c5 must be > 0, got {self.c5}")
         if self.k_eps_override is not None and not math.isfinite(self.k_eps_override):

@@ -24,7 +24,7 @@ switching cost, so the audit holds no per-policy state.  The loop
 builds a record only for the episodes its caller keeps (run_experiment:
 the log cadence; sweep_scaling: the checkpoints), so memory is bounded by
 those, not by K.  The learner plays the episodes up to the next Q change
-or kept row as one stretch (run_stretch: for the stage learners, calls of
+or kept row as one stretch (run_stretch: with a C compiler, calls of
 the compiled kernel), and the loop adds their regrets one by one.
 """
 
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner
-from .base import EpisodeReport, TabularQLearnerBase
+from .base import EpisodeReport, play_stretch
 from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
@@ -186,10 +186,14 @@ class OracleAgent:
         traj = sample_episode(mdp, self, rng, episode_index)
         return traj, EpisodeReport(stage_ends=0, q_updates=0, refs_fixed=0)
 
-    run_stretch = TabularQLearnerBase.run_stretch
+    def run_stretch(self, mdp, rng, first: int, stop: int, halt=None):
+        return play_stretch(self.run_episode, mdp, rng, first, stop, halt)
 
     def greedy_actions_flat(self):
         return list(self._actions)
+
+    def greedy_buffer(self):
+        return self._actions
 
     def q_array(self) -> np.ndarray:
         return self._qstar.copy()
@@ -321,7 +325,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     records = []
     cum_regret = 0.0
     violations = 0
-    vpi0 = cache.values(learner.greedy_actions_flat()).V[0].tolist()
+    vpi0 = cache.values(learner.greedy_buffer()).V[0].tolist()
     strict = config.strict
     halt = None                    # strict: flags of the start states with negative regret
     changed = None                 # the last episode's trajectory, if it changed Q
@@ -332,7 +336,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     while k <= K:
         if changed is not None:
             rows = [h * S + step[0] for h, step in enumerate(changed)]
-            vpi0 = cache.values(learner.greedy_actions_flat(), rows).V[0].tolist()
+            vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
             halt = None
         while next_kept < k:
             next_kept = next(kept, K + 1)

@@ -1,4 +1,8 @@
-"""Build and load the compiled stage-learner kernel (_kernel.c) through ctypes.
+"""Build and load the compiled learner kernel (_kernel.c) through ctypes.
+
+The kernel plays episodes for all three tabular learners (advantage,
+hoeffding-stage and classic-qucb); the Learner struct's mode says whose
+observe it repeats.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -12,8 +16,8 @@ together load one complete library and only the first one compiles.
 The flags keep the kernel's floating point bit for bit equal to Python's:
 -O2 with -ffp-contract=off, so that no a*b + c is fused into one rounding,
 and never -ffast-math.  When no compiler is found or the build fails,
-load() returns None and the learners run their Python loops, which give
-the same results more slowly.
+load() returns None and the learners run their Python observe, which
+gives the same results more slowly.
 """
 
 from __future__ import annotations
@@ -39,11 +43,15 @@ class Learner(ctypes.Structure):
                     "greedy", "end_idx", "ends", "lower", "bbar")]
                 + [("n_max", c_int64)]
                 + [(name, c_double) for name in ("n0", "c1", "c2", "iota")]
-                + [("reference", c_int64)]
+                + [("mode", c_int64)]
+                + [(name, c_double) for name in ("cb", "h3iota")]
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
                     "cum", "mdp_rew", "u", "starts", "halt", "io")])
 
+
+# Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)
+MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB = range(3)
 
 # slots of the io array: per-call inputs, then outputs (the enum in _kernel.c)
 (IN_U, IN_COUNT, IN_HALT,

@@ -225,26 +225,31 @@ def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
         raise ValueError(f"P shape {P.shape} != {(mdp.H, mdp.S, mdp.A, mdp.S)}")
     if r.shape != (mdp.H, mdp.S, mdp.A):
         raise ValueError(f"r shape {r.shape} != {(mdp.H, mdp.S, mdp.A)}")
-    # NaN fails both row tests below, so non-finite rows need their own;
-    # one whole-array check keeps the per-row scan free of it when P is clean
-    finite = bool(np.isfinite(P).all())
-    for h in range(mdp.H):
-        for s in range(mdp.S):
-            for a in range(mdp.A):
-                row = P[h, s, a]
-                if not finite and not np.isfinite(row).all():
-                    raise NonStochasticRow(h, s, a, f"non-finite entry in {row.tolist()}")
-                if np.any(row < 0.0):
-                    raise NonStochasticRow(h, s, a, f"negative entry {row.min()}")
-                gap = abs(row.sum() - 1.0)
-                if gap > tol:
-                    raise NonStochasticRow(h, s, a, f"row sums to {row.sum()!r}")
-                rv = r[h, s, a]
-                if not 0.0 <= rv <= 1.0:
-                    raise RewardOutOfRange(h, s, a, rv)
+    # Flag every failing (h, s, a) at once, then raise from the per-row
+    # checks on the first flagged one in scan order, so the same error
+    # comes first.  P.sum(-1) adds each row exactly as row.sum() does.
+    with np.errstate(invalid="ignore"):
+        bad = (~np.isfinite(P).all(-1) | (P < 0.0).any(-1)
+               | (np.abs(P.sum(-1) - 1.0) > tol) | ~((0.0 <= r) & (r <= 1.0)))
+    for h, s, a in np.argwhere(bad).tolist():
+        _check_row(P[h, s, a], r[h, s, a], h, s, a, tol)
     for s in mdp.init.states:          # fixed and cyclic starts
         if not 0 <= s < mdp.S:
             raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
+
+
+def _check_row(row: np.ndarray, rv: float, h: int, s: int, a: int, tol: float) -> None:
+    """validate's checks of one (h, s, a): transition row, then reward."""
+    # NaN fails both row tests below, so non-finite rows need their own
+    if not np.isfinite(row).all():
+        raise NonStochasticRow(h, s, a, f"non-finite entry in {row.tolist()}")
+    if np.any(row < 0.0):
+        raise NonStochasticRow(h, s, a, f"negative entry {row.min()}")
+    gap = abs(row.sum() - 1.0)
+    if gap > tol:
+        raise NonStochasticRow(h, s, a, f"row sums to {row.sum()!r}")
+    if not 0.0 <= rv <= 1.0:
+        raise RewardOutOfRange(h, s, a, rv)
 
 
 # ----------------------------------------------------------- exact solvers

@@ -4,9 +4,10 @@ Per-episode regret compares the exact optimal value at the episode's
 realized initial state with the exact value of the greedy policy the
 learner held at the episode's start:  V*_1(s_1^k) - V^{pi_k}_1(s_1^k).
 Both come from exact dynamic programming, not rollouts.  PolicyValueCache
-keeps only the last greedy table and its V, so runs where the greedy policy
-rarely changes pay almost nothing, and a new table recomputes only the
-layers at and above the deepest one where it differs from the last.
+keeps only the last greedy table, the transition rows and rewards it
+selects, and its V, so runs where the greedy policy rarely changes pay
+almost nothing, and a new table recomputes only the layers at and above
+the deepest one where it differs from the last, one dot product per state.
 
 Local switching cost counts per-(h, s) action flips between consecutive
 episode policies, n_switch = sum_k #{(h, s): pi_k(h, s) != pi_{k+1}(h, s)}.
@@ -37,8 +38,7 @@ from math import log
 
 import numpy as np
 
-from .mdp import (DeterministicPolicy, EpisodicMdp, ValueTables, evaluate_layers,
-                  policy_evaluation)
+from .mdp import DeterministicPolicy, EpisodicMdp, ValueTables, policy_evaluation
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
@@ -65,21 +65,33 @@ class EpisodeRecord:
 class PolicyValueCache:
     """Exact V^pi of the last greedy table, kept current from table to table.
 
-    Holds one table (a flat list and its checked (H, S) array), its V and
-    the running switch count, whatever the run length.  values() compares
-    the new table with the last one at `rows` (default: every row): no
-    difference returns the same ValueTables; otherwise the differing rows
-    are checked (integers in [0, A)), written in, added to `switches`, and V is recomputed
-    from a copy of the last V.  V[h] depends only on the actions at layers
-    >= h, so evaluate_layers restarts at the deepest differing layer.  The
-    result equals a fresh policy_evaluation(...).V bit for bit; Q is None.
+    Holds one table (a flat list), the rows of P and r it selects (P_pi, an
+    (H, S, 1, S) array, and r_pi, (H, S)), its V and the running switch
+    count, whatever the run length.  values() compares the new table with
+    the last one at `rows` (default: every row): no difference returns the
+    same ValueTables; otherwise the differing rows are checked (integers in
+    [0, A)), written into the table and its gathered rows, added to
+    `switches`, and V is recomputed from a copy of the last V.  V[h]
+    depends only on the actions at layers >= h, so the recursion
+    V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the deepest differing
+    layer: S dot products per layer, where evaluate_layers takes S*A.
+    Each is the same length-S dot product of the same row and V[h+1] that
+    evaluate_layers computes, so the result equals a fresh
+    policy_evaluation(...).V bit for bit; Q is None.
+
+    Like the MDP's own caches, the gathered rows keep the P and r they came
+    from, which become read-only; rebinding mdp.P or mdp.r gathers every
+    row again and recomputes every layer.
     """
 
     def __init__(self, mdp: EpisodicMdp):
+        H, S = mdp.H, mdp.S
         self.mdp = mdp
         self.switches = 0          # differing rows summed over calls after the first
-        self._flat = [None] * (mdp.H * mdp.S)   # no table yet: every row differs
-        self._acts = np.zeros((mdp.H, mdp.S), dtype=np.int64)
+        self._flat = [None] * (H * S)   # no table yet: every row differs
+        self._P_pi = np.zeros((H, S, 1, S))
+        self._r_pi = np.zeros((H, S))
+        self._src = (None, None)   # the mdp.P and mdp.r gathered from
         self._tables = None
 
     def values(self, actions_flat, rows=None) -> ValueTables:
@@ -94,19 +106,43 @@ class PolicyValueCache:
         if rows is None or first:
             rows = range(len(last))
         diff = [i for i in rows if actions_flat[i] != last[i]]
-        if not diff:
+        P, r = mdp.P, mdp.r
+        rebound = P is not self._src[0] or r is not self._src[1]
+        if not diff and not rebound:
             return self._tables
         new = [actions_flat[i] for i in diff]
-        if min(new) < 0 or max(new) >= mdp.A:
-            raise ValueError(f"policy actions outside [0, {mdp.A})")
-        if any(a != int(a) for a in new):   # NaN fails in int() instead
-            raise ValueError("policy actions must be integers")
+        if diff:
+            if min(new) < 0 or max(new) >= mdp.A:
+                raise ValueError(f"policy actions outside [0, {mdp.A})")
+            ints = [int(a) for a in new]    # NaN raises ValueError here
+            if ints != new:
+                raise ValueError("policy actions must be integers")
+            new = ints
+        H, S = mdp.H, mdp.S
+        P_pi, r_pi = self._P_pi, self._r_pi
         for i, a in zip(diff, new):
             last[i] = a
-        self._acts.flat[diff] = new
-        V = np.zeros((mdp.H + 1, mdp.S)) if first else self._tables.V.copy()
+        if rebound:
+            P.setflags(write=False)
+            r.setflags(write=False)
+            acts = np.array(last, dtype=np.int64).reshape(H, S)
+            layer, state = np.indices((H, S))
+            P_pi[:, :, 0] = P[layer, state, acts]
+            r_pi[:] = r[layer, state, acts]
+            self._src = (P, r)
+            top = H - 1
+        else:
+            for i, a in zip(diff, new):
+                h, s = divmod(i, S)
+                P_pi[h, s, 0] = P[h, s, a]
+                r_pi[h, s] = r[h, s, a]
+            top = max(diff) // S
+        V = np.zeros((H + 1, S)) if first else self._tables.V.copy()
         self.switches += 0 if first else len(diff)
-        evaluate_layers(mdp, self._acts, V, max(diff) // mdp.S)
+        col = V[:, :, None]        # each V[h] as the (S, 1) column dot writes
+        for h in range(top, -1, -1):   # dot, then + r_pi[h]: the same sum, no temporaries
+            P_pi[h].dot(V[h + 1], out=col[h])
+            V[h] += r_pi[h]
         self._tables = ValueTables(V=V, Q=None)
         return self._tables
 

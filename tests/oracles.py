@@ -10,6 +10,10 @@ sample_then_replay_concurrent is the concurrent runner as it was before
 rounds became learner stretches: each round samples M trajectories under
 the frozen greedy policy, then replays them until the first one that
 changes Q.  run_concurrent must match it bit for bit.
+
+validate_by_rows is mdp.validate as it was before its checks became
+whole-array masks: one (h, s, a) row at a time in scan order.  validate
+must raise the same exception, with the same message, on any instance.
 """
 
 import itertools
@@ -17,7 +21,8 @@ import itertools
 import numpy as np
 
 from stageq.concurrent import ConcurrentResult, FrozenActor, RoundLog, replay_into
-from stageq.mdp import DeterministicPolicy, sample_episode
+from stageq.mdp import (DeterministicPolicy, MdpValidationError, NonStochasticRow,
+                        RewardOutOfRange, sample_episode)
 
 
 def all_tail_policies(A: int, layers: int, S: int) -> np.ndarray:
@@ -140,3 +145,26 @@ def sample_then_replay_concurrent(mdp, learner, config, env_rng, pick_rng):
                             update_rounds=update_rounds,
                             output_policy=policy, picked_trajectory=pick,
                             learner=learner)
+
+
+def validate_by_rows(mdp, tol: float = 1e-12) -> None:
+    """The row-by-row scan validate replaced (shape checks left out)."""
+    P, r = np.asarray(mdp.P, dtype=float), np.asarray(mdp.r, dtype=float)
+    finite = bool(np.isfinite(P).all())
+    for h in range(mdp.H):
+        for s in range(mdp.S):
+            for a in range(mdp.A):
+                row = P[h, s, a]
+                if not finite and not np.isfinite(row).all():
+                    raise NonStochasticRow(h, s, a, f"non-finite entry in {row.tolist()}")
+                if np.any(row < 0.0):
+                    raise NonStochasticRow(h, s, a, f"negative entry {row.min()}")
+                gap = abs(row.sum() - 1.0)
+                if gap > tol:
+                    raise NonStochasticRow(h, s, a, f"row sums to {row.sum()!r}")
+                rv = r[h, s, a]
+                if not 0.0 <= rv <= 1.0:
+                    raise RewardOutOfRange(h, s, a, rv)
+    for s in mdp.init.states:
+        if not 0 <= s < mdp.S:
+            raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")

@@ -197,6 +197,8 @@ BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H")
               ("run", ["--c4", "inf"], "c4"),
               ("run", ["--algo", "classic-qucb", "--cb", "nan"], "cb"),
               ("concurrent", ["--k-eps-override", "inf"], "k_eps_override"),
+              ("concurrent", ["--epsilon", "inf"], "epsilon"),
+              ("concurrent", ["--epsilon", "nan"], "epsilon"),
               ("sweep", ["--t-mults=inf"], "--t-mults"),
               ("sweep", ["--t-mults=-1"], "--t-mults"),
               ("sweep", ["--t-mults=0.5,nan"], "--t-mults")]

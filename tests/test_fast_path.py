@@ -1,8 +1,8 @@
 """Gate for the learner hot paths.
 
-UcbAdvantageLearner (advantage, or hoeffding-stage with the reference route
-off) runs its episodes, in stretches, in the compiled kernel, which must
-reproduce the reference path (TabularQLearnerBase's run_episode, which is
+Every learner (advantage, hoeffding-stage with the reference route off,
+and classic-qucb) runs its episodes, in stretches, in the compiled kernel,
+which must reproduce the reference path (reference_episode, which is
 sample_episode feeding observe) bit for bit: the same trajectories,
 reports, tables, counters and stream position.  Recorded trajectories
 (observe_trajectory, replay_into) always go through Python observe, on the
@@ -23,8 +23,7 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLe
                     InitialStates, OutOfRangeError, RunConfig, UcbAdvantageLearner,
                     kernel, make_jao_chain, make_random_mdp, seeded_stream)
 from stageq import harness
-from stageq.advantage import STRETCH_MAX
-from stageq.base import TabularQLearnerBase
+from stageq.base import STRETCH_MAX
 from stageq.concurrent import replay_into
 from stageq.metrics import PolicyValueCache
 
@@ -41,9 +40,13 @@ INSTANCES = [
 # 4 H^2 iota samples, which only a short horizon reaches in a test-sized run
 SHORT_H = ("random-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3), 100, 1000)
 GREEDY_INSTANCES = INSTANCES + [SHORT_H]
-# the reference route on every instance; off where it lowers Q
+# the reference route on every instance; off where it lowers Q; and
+# classic-qucb, whose Q changes every episode, on every instance
 FUSED_CASES = ([pytest.param(UcbAdvantageLearner, inst, id=inst[0]) for inst in INSTANCES]
-               + [pytest.param(HoeffdingStageLearner, SHORT_H, id="noref-" + SHORT_H[0])])
+               + [pytest.param(HoeffdingStageLearner, SHORT_H, id="noref-" + SHORT_H[0])]
+               + [pytest.param(ClassicQUcbLearner, inst, id="qucb-" + inst[0])
+                  for inst in INSTANCES])
+QUCB_CB = 0.05
 # desk-scale constants of the acceptance checks, and smaller ones that make
 # the reference-advantage route bind from the first stage ends
 CONSTANT_SETS = {"desk": dict(p=0.1, c1=1.2, c2=1.2, c3=0.06),
@@ -59,9 +62,16 @@ def assert_greedy_current(lr):
     assert lr.greedy_actions_flat() == np.argmax(lr.q_array(), axis=2).ravel().tolist()
 
 
+def make(cls, mdp, const, n_max):
+    if cls is ClassicQUcbLearner:     # no visit horizon: it never raises
+        return cls(mdp, const, cb=QUCB_CB)
+    return cls(mdp, const, n_max=n_max)
+
+
 def assert_same_state(fast, ref):
-    for name in TABLES:
-        assert getattr(fast, name) == getattr(ref, name), name
+    for name in TABLES:   # classic-qucb has Q, V, N and the greedy table
+        if hasattr(ref, name):
+            assert getattr(fast, name) == getattr(ref, name), name
     for name in COUNTERS:
         assert getattr(fast, name) == getattr(ref, name), name
 
@@ -82,22 +92,24 @@ def test_kernel_is_built_where_a_compiler_is_found():
         pytest.skip("no C compiler on PATH")
     assert kernel.load() is not None
     assert kernel.library_path().is_file()
-    assert UcbAdvantageLearner(make_random_mdp(2, 2, 2, seed=0))._lib is kernel.load()
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    assert UcbAdvantageLearner(mdp)._lib is kernel.load()
+    assert ClassicQUcbLearner(mdp)._lib is kernel.load()
 
 
 def check_episodes_match_reference(cls, inst, cset, seed):
     _, make_mdp, n0, K = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS[cset])
-    fast = cls(mdp, const, n_max=K * mdp.H + 1)
-    ref = cls(mdp, const, n_max=K * mdp.H + 1)
+    fast = make(cls, mdp, const, K * mdp.H + 1)
+    ref = make(cls, mdp, const, K * mdp.H + 1)
     rng_fast = seeded_stream(seed, 0, "env")
     rng_ref = seeded_stream(seed, 0, "env")
     for k in range(K):
         held = fast.greedy_actions_flat()
         before = list(held)
         traj, report = fast.run_episode(mdp, rng_fast, k)
-        traj_ref, report_ref = TabularQLearnerBase.run_episode(ref, mdp, rng_ref, k)
+        traj_ref, report_ref = ref.reference_episode(mdp, rng_ref, k)
         assert traj == traj_ref
         assert report == report_ref
         assert held == before  # a snapshot does not move with learning
@@ -105,7 +117,7 @@ def check_episodes_match_reference(cls, inst, cset, seed):
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
     assert fast.q_update_count > 0
-    assert (fast.ref_fixed_count > 0) == fast.reference
+    assert (fast.ref_fixed_count > 0) == getattr(fast, "reference", False)
     return fast
 
 
@@ -124,7 +136,7 @@ def reference_stretch(lr, mdp, rng, first, count, stop, halt):
     no halt, below stop)."""
     starts = []
     for k in range(first, first + count):
-        traj, report = TabularQLearnerBase.run_episode(lr, mdp, rng, k)
+        traj, report = lr.reference_episode(mdp, rng, k)
         starts.append(traj[0][0])
         if k < first + count - 1:
             assert not report.q_changed and not (halt and halt[starts[-1]])
@@ -217,7 +229,7 @@ def check_raise_matches_reference(via):
         lambda lr, k: lr.run_episode(mdp, rng_fast, k))
     got = episodes_until_raise(play, fast)
     want = episodes_until_raise(
-        lambda lr, k: TabularQLearnerBase.run_episode(lr, mdp, rng_ref, k), ref)
+        lambda lr, k: lr.reference_episode(mdp, rng_ref, k), ref)
     assert got is not None and got == want and got[1] == 41
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
@@ -254,8 +266,8 @@ def check_observe_between_stretches(cls, path, n_max):
     source = ClassicQUcbLearner(mdp, const, cb=0.05)
     rng = seeded_stream(1, 0, "env")
     trajs = [source.run_episode(mdp, rng, k)[0] for k in range(K)]
-    fast = cls(mdp, const, n_max=n_max or 2 * K * mdp.H + 1)
-    ref = cls(mdp, const, n_max=n_max or 2 * K * mdp.H + 1)
+    fast = make(cls, mdp, const, n_max or 2 * K * mdp.H + 1)
+    ref = make(cls, mdp, const, n_max or 2 * K * mdp.H + 1)
     assert uses_kernel(fast, path)
     rng_fast = seeded_stream(0, 0, "env")
     rng_ref = seeded_stream(0, 0, "env")
@@ -282,19 +294,21 @@ def check_observe_between_stretches(cls, path, n_max):
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
     assert stretches > 100 or n_max is not None
-    assert fast.ref_fixed_count > 0 or not fast.reference or n_max is not None
+    assert fast.ref_fixed_count > 0 or not getattr(fast, "reference", False) or n_max
 
 
-@pytest.mark.parametrize("cls", [UcbAdvantageLearner, HoeffdingStageLearner])
+@pytest.mark.parametrize("cls", [UcbAdvantageLearner, HoeffdingStageLearner,
+                                 ClassicQUcbLearner])
 def test_replay_matches_python_observe(cls, path):
     # recorded trajectories of another learner go through Python
     # observe_trajectory on the same tables before and between kernel
     # stretches: the kernel's stage-end index has to catch up with visit
     # counts that passed several stage ends without it.  With a small
     # n_max a stretch raises OutOfRangeError at the same visit as the
-    # reference path.
+    # reference path (the stage learners only: classic-qucb has no n_max).
     check_observe_between_stretches(cls, path, None)
-    check_observe_between_stretches(cls, path, 40)
+    if cls is not ClassicQUcbLearner:
+        check_observe_between_stretches(cls, path, 40)
 
 
 def test_reference_wins_counts_only_reference_set_updates(path):
@@ -308,18 +322,19 @@ def test_reference_wins_counts_only_reference_set_updates(path):
     rngs = [seeded_stream(0, 0, "env") for _ in range(3)]
     for k in range(1500):
         fast.run_episode(mdp, rngs[0], k)
-        TabularQLearnerBase.run_episode(ref, mdp, rngs[1], k)
+        ref.reference_episode(mdp, rngs[1], k)
         noref.run_episode(mdp, rngs[2], k)
     assert_same_state(fast, ref)
     assert (fast.q_update_count, fast.reference_wins) == (12, 10)
     assert noref.q_update_count > 0 and noref.reference_wins == 0
 
 
-def test_audited_run_matches_fallback(monkeypatch):
+@pytest.mark.parametrize("algo", ["advantage", "classic-qucb"])
+def test_audited_run_matches_fallback(monkeypatch, algo):
     # the whole audit loop, kernel against Python: every kept row (including
     # strict negative-regret rows off the log cadence, produced here by a
-    # cache that rates the policy 0.05 above optimal from state 1) and the
-    # summary
+    # cache that rates the policy 0.05 above optimal from state 1), the
+    # summary and the learner's tables
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
 
@@ -334,17 +349,18 @@ def test_audited_run_matches_fallback(monkeypatch):
     monkeypatch.setattr(harness, "enforce_invariants", lambda result: None)
     env = EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0,
                   init=InitialStates.cyclic([0, 0, 1, 2, 0]))
-    cfg = RunConfig(env=env, algo="advantage", episodes=3000, seed=4, log_every="pow2",
-                    strict=True, constants=AlgoConstants(n0_override=200,
-                                                         **CONSTANT_SETS["desk"]))
+    cfg = RunConfig(env=env, algo=algo, episodes=3000, seed=4, log_every="pow2",
+                    strict=True, cb=QUCB_CB,
+                    constants=AlgoConstants(n0_override=200, **CONSTANT_SETS["desk"]))
     results = {}
     for name in ("kernel", "fallback"):
         if name == "fallback":
             monkeypatch.setattr(kernel, "load", lambda: None)
         res = harness.run_experiment(cfg)
-        results[name] = (res.records, replace(res.summary, wall_time_s=0.0),
-                         res.learner.q_array().tolist(), res.learner.vref_array().tolist())
-        assert (res.learner._lib is None) == (name == "fallback")
+        lr = res.learner
+        tables = [getattr(lr, t) for t in TABLES if hasattr(lr, t)]
+        results[name] = (res.records, replace(res.summary, wall_time_s=0.0), tables)
+        assert (lr._lib is None) == (name == "fallback")
     assert results["kernel"] == results["fallback"]
     records = results["kernel"][0]
     pow2 = {1 << i for i in range(12)} | {3000}

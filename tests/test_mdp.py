@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import ORACLE_SHAPES, brute_policy_value, brute_value_tables
+from oracles import ORACLE_SHAPES, brute_policy_value, brute_value_tables, validate_by_rows
 from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
                     InvalidDelta, InvalidEpsilon, MdpValidationError,
                     NonStochasticRow,
@@ -521,6 +521,56 @@ def test_cached_arrays_reject_later_writes():
     mdp.P, mdp.r = P2, np.full_like(mdp.r, 0.75)
     assert mdp.cum_rows()[0][0][0] == [1.0, 1.0]
     assert mdp.reward_rows()[0][0][0] == 0.75
+
+
+VIOLATIONS = ("nan", "inf", "-inf", "negative", "sum", "r>1", "r<0", "r-nan")
+
+
+def corrupt(mdp, gen, kind):
+    """Write one violation of the given kind at a random (h, s, a)."""
+    h, s, a = (int(gen.integers(n)) for n in (mdp.H, mdp.S, mdp.A))
+    j = int(gen.integers(mdp.S))
+    if kind in ("nan", "inf", "-inf"):
+        mdp.P[h, s, a, j] = float(kind)
+    elif kind == "negative":
+        mdp.P[h, s, a, j] = -gen.random() - 1e-9
+    elif kind == "sum":
+        mdp.P[h, s, a, j] += gen.choice([-1, 1]) * gen.uniform(1e-11, 0.5)
+    else:
+        mdp.r[h, s, a] = {"r>1": 1.0 + gen.random() + 1e-12, "r<0": -gen.random() - 1e-12,
+                          "r-nan": float("nan")}[kind]
+
+
+def raised(check, mdp):
+    try:
+        check(mdp)
+    except MdpValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("violations", [1, 2])
+def test_validate_raises_what_the_row_scan_raises(violations):
+    # the whole-array masks only locate the first bad row; the same
+    # exception and message as the old row-by-row scan, wherever the
+    # violations sit and whichever comes first
+    gen = np.random.default_rng(violations)
+    for seed in range(60):
+        S, A, H = (int(n) for n in gen.integers(1, 7, size=3))
+        mdp = make_random_mdp(S, A, H, seed=seed)
+        for _ in range(violations):
+            corrupt(mdp, gen, VIOLATIONS[int(gen.integers(len(VIOLATIONS)))])
+        want = raised(validate_by_rows, mdp)
+        assert want is not None
+        assert raised(validate, mdp) == want
+    # the instance validate is timed on in the benchmark, clean and corrupted
+    mdp = make_random_mdp(50, 5, 20, seed=0)
+    assert raised(validate, mdp) is raised(validate_by_rows, mdp) is None
+    for kind in VIOLATIONS:
+        bad = make_random_mdp(50, 5, 20, seed=0)
+        for _ in range(violations):
+            corrupt(bad, gen, kind)
+        assert raised(validate, bad) == raised(validate_by_rows, bad) is not None
 
 
 # ------------------------------------------------------ property tests

@@ -115,6 +115,87 @@ def test_cache_rejects_fractional_actions():
     assert np.array_equal(cache.values([1.0, 0, 0, 0]).V, fresh.V)
 
 
+@pytest.mark.parametrize("S", [1, 2, 7, 16, 17, 50, 129])
+def test_cache_matches_policy_evaluation_bit_for_bit(S):
+    # a layer is S dot products of length S, over the gathered rows; the
+    # sizes fall on both sides of BLAS's 16-wide ddot block and its tails
+    H, A = 4, 3
+    mdp = make_random_mdp(S, A, H, seed=S)
+    cache = PolicyValueCache(mdp)
+    gen = np.random.default_rng(S)
+    acts = gen.integers(0, A, size=(H, S))
+    for step in range(30):
+        if step % 5 == 4:                  # a whole new table
+            acts = gen.integers(0, A, size=(H, S))
+        else:                              # a few rows, given as rows
+            idx = gen.choice(H * S, size=min(3, H * S), replace=False)
+            acts.flat[idx] = gen.integers(0, A, size=len(idx))
+        rows = None if step % 5 == 4 else idx.tolist()
+        got = cache.values(acts.reshape(-1).tolist(), rows)
+        want = policy_evaluation(mdp, DeterministicPolicy(acts.copy()))
+        assert got.V.tobytes() == want.V.tobytes()
+
+
+def test_cache_regathers_after_P_or_r_is_rebound():
+    H, S, A = 4, 5, 3
+    mdp = make_random_mdp(S, A, H, seed=6)
+    other = make_random_mdp(S, A, H, seed=7)
+    acts = np.random.default_rng(0).integers(0, A, size=(H, S))
+    flat = acts.reshape(-1).tolist()
+
+    def fresh():
+        return policy_evaluation(mdp, DeterministicPolicy(acts)).V
+
+    cache = PolicyValueCache(mdp)
+    first = cache.values(flat)
+    with pytest.raises(ValueError):        # the gathered-from arrays are read-only
+        mdp.P[0, 0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        mdp.r[0, 0, 0] = 0.5
+    mdp.P = other.P.copy()                 # the same table, new kernels
+    got = cache.values(flat)
+    assert got is not first and not np.array_equal(got.V, first.V)
+    assert got.V.tobytes() == fresh().tobytes()
+    mdp.r = other.r.copy()
+    got = cache.values(flat, [0])
+    assert got.V.tobytes() == fresh().tobytes()
+    assert cache.switches == 0
+    # a changed row after a rebinding: gathered from the new arrays
+    acts[H - 1, S - 1] = (acts[H - 1, S - 1] + 1) % A
+    flat = acts.reshape(-1).tolist()
+    mdp.P = mdp.P.copy()
+    assert cache.values(flat, [H * S - 1]).V.tobytes() == fresh().tobytes()
+    assert cache.switches == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.5, float("nan")])
+def test_cache_bad_action_on_a_changed_row_changes_nothing(bad):
+    H, S, A = 4, 3, 3
+    mdp = make_random_mdp(S, A, H, seed=8)
+    ok = [1] * (H * S)
+    cache = PolicyValueCache(mdp)
+    before = cache.values(ok)
+    gathered = (cache._P_pi.copy(), cache._r_pi.copy())
+    flat = ok[:]
+    flat[2 * S] = 2                        # a valid change at layer 2 ...
+    flat[S + 1] = bad                      # ... and a bad one at layer 1
+    for rebind in (False, True):
+        if rebind:                         # not even the rebinding is taken in
+            mdp.P = mdp.P.copy()
+        with pytest.raises(ValueError):
+            cache.values(flat, [2 * S, S + 1])
+        assert cache._P_pi.tobytes() == gathered[0].tobytes()
+        assert cache._r_pi.tobytes() == gathered[1].tobytes()
+        assert cache.switches == 0
+        if not rebind:
+            assert cache.values(ok) is before
+    flat[S + 1] = 0
+    got = cache.values(flat, [2 * S, S + 1])
+    fresh = policy_evaluation(mdp, DeterministicPolicy(np.asarray(flat).reshape(H, S)))
+    assert got.V.tobytes() == fresh.V.tobytes()
+    assert cache.switches == 2
+
+
 def test_count_switches():
     assert count_switches([0, 1, 0], [0, 1, 0]) == 0
     assert count_switches([0, 1, 0], [1, 1, 0]) == 1
