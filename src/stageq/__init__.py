@@ -24,8 +24,7 @@ from .mdp import (DeterministicPolicy, EpisodicMdp, InitialStates,
                   save_mdp, validate)
 from .metrics import (EPISODE_CSV_HEADER, EpisodeRecord, OptimismTracker,
                       PolicyValueCache, SwitchTracker, check_optimism,
-                      count_switches, episode_regret, switching_bound,
-                      write_episode_csv)
+                      count_switches, switching_bound, write_episode_csv)
 from .stages import (OutOfRangeError, StageSchedule, build_schedule,
                      stage_count_bound)
 

@@ -55,7 +55,6 @@ typedef struct {
     const double *mdp_rew;  /* the MDP's (H, S, A) rewards, for path_r */
     const double *u;        /* the stream's block of uniforms */
     const int64_t *starts;  /* the initial states of the episodes to play */
-    const int8_t *halt;     /* S halt flags */
     int64_t *io;            /* IO_LEN slots, below */
 } Learner;
 
@@ -64,7 +63,6 @@ typedef struct {
 enum {
     IN_U,                   /* index in u of the first unread uniform */
     IN_COUNT,               /* episodes to play at most */
-    IN_HALT,                /* 1 to stop at a start state with its halt flag */
     OUT_STAGE_ENDS,         /* counter increments over the whole call */
     OUT_Q_UPDATES,
     OUT_REFS_FIXED,
@@ -235,10 +233,9 @@ static void clear_outputs(int64_t *io)
 
 /* Play up to io[IN_COUNT] episodes with initial states starts[0..), drawing
  * one uniform per step from u + io[IN_U] (IN_COUNT*H of them must be
- * readable), and stop after the first episode that changes Q or, with
- * io[IN_HALT] set, whose initial state s has halt[s] set.  Returns the
- * number of episodes played, or -1 when it stopped on an error (OUT_BAD_N
- * or OUT_BAD_INDEX). */
+ * readable), and stop after the first episode that changes Q.  Returns
+ * the number of episodes played, or -1 when it stopped on an error
+ * (OUT_BAD_N or OUT_BAD_INDEX). */
 int64_t stageq_stretch(const Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
@@ -246,7 +243,6 @@ int64_t stageq_stretch(const Learner *L)
     const double *u = L->u + io[IN_U];
     const int64_t *starts = L->starts;
     int64_t count = io[IN_COUNT];
-    const int8_t *halt = io[IN_HALT] ? L->halt : NULL;
     int64_t played = 0, used = 0;
     clear_outputs(io);
     while (played < count) {
@@ -272,7 +268,7 @@ int64_t stageq_stretch(const Learner *L)
             io[OUT_BAD_N] = bad;
             break;
         }
-        if (io[OUT_Q_UPDATES] > u0 || (halt != NULL && halt[starts[played - 1]]))
+        if (io[OUT_Q_UPDATES] > u0)
             break;
     }
     io[OUT_USED] = used;

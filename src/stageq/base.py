@@ -16,7 +16,8 @@ both Python and the compiled kernel (_kernel.c, loaded by the kernel
 module) read and write in place; numpy copies are exported on demand.
 With the kernel, run_stretch plays whole episodes in C for every learner
 here (the Learner struct's mode says whose observe it repeats) and
-run_episode is a one-episode stretch; recorded trajectories
+run_episode is a one-episode stretch, both reading their uniforms in
+blocks from the run's UniformStream (rng.doubles); recorded trajectories
 (observe_trajectory) go through Python observe.  Without a C compiler
 run_episode is reference_episode (sample_episode feeding observe, one
 transition at a time), the path the kernel must match bit for bit.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .kernel import (IN_COUNT, IN_HALT, IN_U, OUT_BAD_INDEX, OUT_BAD_N, OUT_Q_UPDATES,
+from .kernel import (IN_COUNT, IN_U, OUT_BAD_INDEX, OUT_BAD_N, OUT_Q_UPDATES,
                      OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .mdp import EpisodicMdp, sample_episode
 from .stages import OutOfRangeError
@@ -97,21 +98,18 @@ class TabularQLearnerBase:
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
         self._starts = array("q", [0]) * STRETCH_MAX
-        self._halt = array("b", [0]) * self.S
         self._io = array("q", [0]) * kernel.IO_LEN
         for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
-                     "path_r", "starts", "halt", "io"):
+                     "path_r", "starts", "io"):
             fields[name] = getattr(self, "_" + name)
         self._kstate = kernel.Learner(S=self.S, A=self.A, H=H, **{
             name: value.buffer_info()[0] if isinstance(value, array) else value
             for name, value in fields.items()})
         self._kaddr = kernel.ctypes.addressof(self._kstate)
         self._stretch = self._lib.stageq_stretch
-        # what the struct's cum, mdp_rew, halt and u point at now: the MDP's
-        # P and r with the arrays built from them, the halt flags (bytes),
-        # and the stream's uniform block
+        # what the struct's cum, mdp_rew and u point at now: the MDP's P and
+        # r with the arrays built from them, and the stream's uniform block
         self._mdp_src = (None, None, None, None)
-        self._halt_src = None
         self._ublock = None
         self._window = 1           # episodes the next stretch offers the kernel
 
@@ -156,21 +154,20 @@ class TabularQLearnerBase:
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
 
-        A one-episode stretch with the kernel, else reference_episode.  The
-        counters are current after every stretch, so the report is their
-        differences either way.
+        rng is a harness.UniformStream.  A one-episode stretch with the
+        kernel, else reference_episode.  The counters are current after every
+        stretch, so the report is their differences either way.
         """
-        if self._lib is None or not hasattr(rng, "doubles"):
+        if self._lib is None:
             return self.reference_episode(mdp, rng, episode_index)
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
         _, changed = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
         return changed or self._last_traj(), EpisodeReport(
             self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
 
-    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
+    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
         """Play episodes first, first + 1, ... (0-based, below stop) and stop
-        after the first one that changes Q or whose initial state s has
-        halt[s] set (halt: None, or bytes of S flags).
+        after the first one that changes Q; rng is a harness.UniformStream.
 
         Returns (starts, changed): the initial state of every episode
         played, and the last one's trajectory if it changed Q, else None.
@@ -185,14 +182,12 @@ class TabularQLearnerBase:
         caller then calls again.  So a call prepares start states for about
         as many episodes as it plays, not for the whole block.
         """
-        if self._lib is None or not hasattr(rng, "doubles"):
-            return play_stretch(self.reference_episode, mdp, rng, first, stop, halt)
+        if self._lib is None:
+            return play_stretch(self.reference_episode, mdp, rng, first, stop)
         H = self.H
         src = self._mdp_src
         if mdp.P is not src[0] or mdp.r is not src[1]:
             self._bind_mdp(mdp)
-        if halt != self._halt_src:
-            self._bind_halt(halt)
         block, i = rng.doubles(H)
         if block is not self._ublock:
             self._ublock = block
@@ -222,15 +217,6 @@ class TabularQLearnerBase:
             raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
         self._kstate.cum, self._kstate.mdp_rew = cum.ctypes.data, rew.ctypes.data
         self._mdp_src = (mdp.P, mdp.r, cum, rew)
-
-    def _bind_halt(self, halt) -> None:
-        if halt is not None:
-            if len(halt) != self.S:
-                raise ValueError(f"halt has {len(halt)} flags, not one per state ({self.S})")
-            halt = bytes(halt)
-            self._halt[:] = array("b", halt)
-        self._io[IN_HALT] = halt is not None
-        self._halt_src = halt
 
     def _last_traj(self) -> list:
         """The trajectory of the last episode the kernel played."""
@@ -273,16 +259,13 @@ class TabularQLearnerBase:
         return np.array(self._n, dtype=np.int64).reshape(self.H, self.S, self.A)
 
 
-def play_stretch(run_episode, mdp: EpisodicMdp, rng, first: int, stop: int, halt=None):
+def play_stretch(run_episode, mdp: EpisodicMdp, rng, first: int, stop: int):
     """run_stretch's contract met one run_episode(mdp, rng, k) call at a
     time: the learners' path without the kernel, and the oracle's."""
     starts = []
     for k in range(first, stop):
         traj, report = run_episode(mdp, rng, k)
-        s1 = traj[0][0]
-        starts.append(s1)
+        starts.append(traj[0][0])
         if report.q_changed:
             return starts, traj
-        if halt and halt[s1]:
-            break
     return starts, None

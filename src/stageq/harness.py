@@ -25,7 +25,9 @@ builds a record only for the episodes its caller keeps (run_experiment:
 the log cadence; sweep_scaling: the checkpoints), so memory is bounded by
 those, not by K.  The learner plays the episodes up to the next Q change
 or kept row as one stretch (run_stretch: with a C compiler, calls of
-the compiled kernel), and the loop adds their regrets one by one.
+the compiled kernel), and the loop adds their regrets one by one, noting
+the first negative one for strict mode, which therefore checks every
+episode, kept or not.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ class OracleAgent:
         traj = sample_episode(mdp, self, rng, episode_index)
         return traj, EpisodeReport(stage_ends=0, q_updates=0, refs_fixed=0)
 
-    def run_stretch(self, mdp, rng, first: int, stop: int, halt=None):
-        return play_stretch(self.run_episode, mdp, rng, first, stop, halt)
+    def run_stretch(self, mdp, rng, first: int, stop: int):
+        return play_stretch(self.run_episode, mdp, rng, first, stop)
 
     def greedy_actions_flat(self):
         return list(self._actions)
@@ -304,9 +306,9 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     The learner plays stretches of episodes (run_stretch) that end at a
     Q-changing episode or at the next kept k, so within a stretch the
     greedy policy, and with it V^pi, stays put, and every episode's regret
-    is added to cum_regret one at a time, as a per-episode loop would.  A
-    strict run also ends a stretch at an episode whose start state has
-    negative regret, so that its row can be kept.
+    is added to cum_regret one at a time, as a per-episode loop would.  The
+    first episode with negative regret is noted there, and a strict run
+    hands it to enforce_invariants, kept row or not.
     """
     t0 = time.perf_counter()
     K = config.episodes
@@ -326,8 +328,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     cum_regret = 0.0
     violations = 0
     vpi0 = cache.values(learner.greedy_buffer()).V[0].tolist()
-    strict = config.strict
-    halt = None                    # strict: flags of the start states with negative regret
+    negative = None                # the first k with negative regret
     changed = None                 # the last episode's trajectory, if it changed Q
     kept = iter(keep)
     next_kept = next(kept, K + 1)  # the next kept k, K + 1 past the last
@@ -337,22 +338,18 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
         if changed is not None:
             rows = [h * S + step[0] for h, step in enumerate(changed)]
             vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
-            halt = None
         while next_kept < k:
             next_kept = next(kept, K + 1)
-        end = min(next_kept, K)
-        if strict and end > k and halt is None:
-            halt = bytes(vstar0[s] - vpi0[s] < -1e-9 for s in range(S))
-        starts, changed = learner.run_stretch(mdp, env_rng, k - 1, end, halt)
-        for s1 in starts:
+        starts, changed = learner.run_stretch(mdp, env_rng, k - 1, min(next_kept, K))
+        for j, s1 in enumerate(starts, k):
             reg = vstar0[s1] - vpi0[s1]
             cum_regret += reg
+            if reg < -1e-9 and negative is None:
+                negative = j
         k += len(starts)
         if changed is not None:
             violations = max(violations, optimism.update(learner.q_at, changed))
-        # strict runs keep a negative-regret row too, so that
-        # enforce_invariants' scan of the records covers every episode
-        if next_kept == k - 1 or strict and reg < -1e-9:
+        if next_kept == k - 1:
             records.append(EpisodeRecord(
                 k=k - 1, episode_regret=reg, cum_regret=cum_regret,
                 cum_switching_cost=cache.switches,
@@ -373,12 +370,17 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     result = RunResult(config=config, records=records, summary=summary,
                        learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
     if config.strict:
-        enforce_invariants(result)
+        enforce_invariants(result, negative)
     return result
 
 
-def enforce_invariants(result: RunResult) -> None:
-    """Strict-mode checks; raises InvariantViolation on the first breach."""
+def enforce_invariants(result: RunResult, negative: Optional[int] = None) -> None:
+    """Strict-mode checks; raises InvariantViolation on the first breach.
+
+    negative is the first episode k with negative regret, as the audit loop
+    noted it; a caller that passes only a result has the first negative row
+    of result.records checked instead.
+    """
     s = result.summary
     learner = result.learner
     try:
@@ -388,9 +390,10 @@ def enforce_invariants(result: RunResult) -> None:
     if result.config.algo in ("advantage", "hoeffding-stage") and s.n_switch > s.switch_bound:
         raise InvariantViolation(
             f"n_switch {s.n_switch} exceeds deterministic bound {s.switch_bound:.1f}")
-    bad = [r.k for r in result.records if r.episode_regret < -1e-9]
-    if bad:
-        raise InvariantViolation(f"negative episode regret at k={bad[0]}")
+    if negative is None:
+        negative = next((r.k for r in result.records if r.episode_regret < -1e-9), None)
+    if negative is not None:
+        raise InvariantViolation(f"negative episode regret at k={negative}")
 
 
 def checkpoint_regrets(records, episode_counts) -> dict:

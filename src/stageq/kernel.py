@@ -47,16 +47,16 @@ class Learner(ctypes.Structure):
                 + [(name, c_double) for name in ("cb", "h3iota")]
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
-                    "cum", "mdp_rew", "u", "starts", "halt", "io")])
+                    "cum", "mdp_rew", "u", "starts", "io")])
 
 
 # Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)
 MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB = range(3)
 
 # slots of the io array: per-call inputs, then outputs (the enum in _kernel.c)
-(IN_U, IN_COUNT, IN_HALT,
+(IN_U, IN_COUNT,
  OUT_STAGE_ENDS, OUT_Q_UPDATES, OUT_REFS_FIXED, OUT_REF_WINS,
- OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(11)
+ OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(10)
 
 _UNSET = object()
 _lib = _UNSET

@@ -38,7 +38,7 @@ from math import log
 
 import numpy as np
 
-from .mdp import DeterministicPolicy, EpisodicMdp, ValueTables, policy_evaluation
+from .mdp import EpisodicMdp, ValueTables
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
@@ -145,12 +145,6 @@ class PolicyValueCache:
             V[h] += r_pi[h]
         self._tables = ValueTables(V=V, Q=None)
         return self._tables
-
-
-def episode_regret(mdp: EpisodicMdp, vstar: ValueTables, policy: DeterministicPolicy,
-                   s1: int) -> float:
-    """V*_1(s1) - V^pi_1(s1), exact; >= 0 up to DP rounding (~1e-12)."""
-    return float(vstar.V[0, s1] - policy_evaluation(mdp, policy).V[0, s1])
 
 
 def count_switches(prev_actions, new_actions) -> int:

@@ -47,14 +47,11 @@ class StageSchedule:
     n_max: int
     lengths: np.ndarray  # (n_stages,) int64
     ends: np.ndarray     # (n_stages,) int64, strictly increasing
-    _end_set: frozenset = field(repr=False)
     _end_list: list = field(repr=False)  # plain ints for bisect
 
     def is_stage_end(self, n: int) -> bool:
         """True iff the n-th visit completes a stage."""
-        if not 1 <= n <= self.n_max:
-            raise OutOfRangeError(n, self.n_max)
-        return n in self._end_set
+        return self._end_list[self.stage_index(n) - 1] == n
 
     def stage_index(self, n: int) -> int:
         """1-based index of the stage the n-th visit falls in."""
@@ -93,7 +90,6 @@ def build_schedule(H: int, n_max: int) -> StageSchedule:
         n_max=n_max,
         lengths=np.asarray(lengths, dtype=np.int64),
         ends=np.asarray(ends, dtype=np.int64),
-        _end_set=frozenset(ends),
         _end_list=ends,
     )
 

@@ -11,6 +11,10 @@ rounds became learner stretches: each round samples M trajectories under
 the frozen greedy policy, then replays them until the first one that
 changes Q.  run_concurrent must match it bit for bit.
 
+episode_regret is the regret of one episode computed from scratch, with a
+full policy_evaluation: the formula the audit loop's cached values must
+agree with.
+
 validate_by_rows is mdp.validate as it was before its checks became
 whole-array masks: one (h, s, a) row at a time in scan order.  validate
 must raise the same exception, with the same message, on any instance.
@@ -22,7 +26,7 @@ import numpy as np
 
 from stageq.concurrent import ConcurrentResult, FrozenActor, RoundLog, replay_into
 from stageq.mdp import (DeterministicPolicy, MdpValidationError, NonStochasticRow,
-                        RewardOutOfRange, sample_episode)
+                        RewardOutOfRange, policy_evaluation, sample_episode)
 
 
 def all_tail_policies(A: int, layers: int, S: int) -> np.ndarray:
@@ -82,6 +86,11 @@ def brute_value_tables(mdp):
             for a in range(A):
                 q_star[h0, s_start, a] = returns[first == a].max()
     return v_star, q_star
+
+
+def episode_regret(mdp, vstar, policy, s1: int) -> float:
+    """V*_1(s1) - V^pi_1(s1), exact; >= 0 up to DP rounding (~1e-12)."""
+    return float(vstar.V[0, s1] - policy_evaluation(mdp, policy).V[0, s1])
 
 
 # shapes with A**(S*H) <= 6561 so the enumeration stays cheap; S*A*H <= 24

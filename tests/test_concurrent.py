@@ -236,9 +236,9 @@ def test_rounds_m8_plays_one_stretch_per_update(path):
     ends = Counter()
     stretch = lr.run_stretch
 
-    def counted(mdp, rng, first, stop, halt=None):
+    def counted(mdp, rng, first, stop):
         window = getattr(lr, "_window", None)
-        starts, changed = stretch(mdp, rng, first, stop, halt)
+        starts, changed = stretch(mdp, rng, first, stop)
         if changed is not None:
             ends["q"] += 1
         elif first + len(starts) == stop:

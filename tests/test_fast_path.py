@@ -97,6 +97,24 @@ def test_kernel_is_built_where_a_compiler_is_found():
     assert ClassicQUcbLearner(mdp)._lib is kernel.load()
 
 
+def test_kernel_rejects_a_stream_without_blocks():
+    # the kernel reads its uniforms in blocks (UniformStream.doubles); a
+    # stream with only random() fails at the call rather than falling back
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+
+    class RandomOnly:
+        def random(self):
+            return 0.5
+
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    for lr in make_all_learners(mdp, AlgoConstants(), n_max=100):
+        with pytest.raises(AttributeError, match="doubles"):
+            lr.run_episode(mdp, RandomOnly(), 0)
+        with pytest.raises(AttributeError, match="doubles"):
+            lr.run_stretch(mdp, RandomOnly(), 0, 5)
+
+
 def check_episodes_match_reference(cls, inst, cset, seed):
     _, make_mdp, n0, K = inst
     mdp = make_mdp()
@@ -130,42 +148,37 @@ def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
     assert (lr._lib is None) == (kernel.load() is None)
 
 
-def reference_stretch(lr, mdp, rng, first, count, stop, halt):
+def reference_stretch(lr, mdp, rng, first, count, stop):
     """count reference episodes from first, as (starts, changed); every one
     but the last must be one that run_stretch plays through (no Q change,
-    no halt, below stop)."""
+    below stop)."""
     starts = []
     for k in range(first, first + count):
         traj, report = lr.reference_episode(mdp, rng, k)
         starts.append(traj[0][0])
         if k < first + count - 1:
-            assert not report.q_changed and not (halt and halt[starts[-1]])
+            assert not report.q_changed
     assert first + count <= stop
     return starts, traj if report.q_changed else None
 
 
 # jao-40 crosses block boundaries (4096 is not a multiple of H=40) and runs
 # long enough between Q changes to use up the kernel's uniforms;
-# random-10x3x8 halts at its seeded start states 2 and 7, and random-4x5x4
-# at the cyclic start 3
-STRETCH_CASES = [(INSTANCES[0], None), (INSTANCES[2], (2, 7)), (INSTANCES[3], (3,))]
+# random-10x3x8 has seeded start states and random-4x5x4 cyclic ones
+STRETCH_CASES = [INSTANCES[0], INSTANCES[2], INSTANCES[3]]
 
 
-@pytest.mark.parametrize("inst,halt_states", STRETCH_CASES,
-                         ids=[c[0][0] for c in STRETCH_CASES])
-def test_stretch_matches_reference_path(inst, halt_states, path):
+@pytest.mark.parametrize("inst", STRETCH_CASES, ids=[c[0] for c in STRETCH_CASES])
+def test_stretch_matches_reference_path(inst, path):
     _, make_mdp, n0, K = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
     fast = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
     ref = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
-    halt = None
-    if halt_states is not None:
-        halt = bytes(s in halt_states for s in range(mdp.S))
     rng_fast = seeded_stream(0, 0, "env")
     rng_ref = seeded_stream(0, 0, "env")
     checkpoints = list(range(97, K, 97)) + [K]   # 1-based kept episode counts
-    stops = {"q": 0, "checkpoint": 0, "halt": 0, "block": 0, "window": 0}
+    stops = {"q": 0, "checkpoint": 0, "block": 0, "window": 0}
     crossed = 0
     k = last = 0
     while k < K:
@@ -176,8 +189,8 @@ def test_stretch_matches_reference_path(inst, halt_states, path):
             # call played, not for all the uniforms at hand
             window = fast._window
             assert window == (min(2 * last, STRETCH_MAX) or 1)
-        starts, changed = fast.run_stretch(mdp, rng_fast, k, stop, halt)
-        expect = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop, halt)
+        starts, changed = fast.run_stretch(mdp, rng_fast, k, stop)
+        expect = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop)
         assert (starts, changed) == expect
         assert starts == mdp.initial_states(k, len(starts))
         k += len(starts)
@@ -187,8 +200,6 @@ def test_stretch_matches_reference_path(inst, halt_states, path):
             stops["q"] += 1
         elif k == stop:
             stops["checkpoint"] += 1
-        elif halt and halt[starts[-1]]:
-            stops["halt"] += 1
         else:   # only the kernel ends a stretch early: where its uniforms
             assert path == "kernel"   # run short, or at its window
             if len(rng_fast._block) - rng_fast._i < mdp.H:
@@ -199,7 +210,6 @@ def test_stretch_matches_reference_path(inst, halt_states, path):
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
     assert stops["q"] and stops["checkpoint"]
-    assert (stops["halt"] > 0) == (halt is not None)
     if inst is INSTANCES[0]:
         assert crossed > 0 and (stops["block"] > 0) == (path == "kernel")
         assert (stops["window"] > 0) == (path == "kernel")
@@ -254,7 +264,7 @@ def stretch_or_raise(lr, mdp, rng, first, stop):
 
 def reference_or_raise(lr, mdp, rng, first, count, stop):
     try:
-        return reference_stretch(lr, mdp, rng, first, count, stop, None)
+        return reference_stretch(lr, mdp, rng, first, count, stop)
     except OutOfRangeError as exc:
         return exc.n
 
@@ -331,8 +341,8 @@ def test_reference_wins_counts_only_reference_set_updates(path):
 
 @pytest.mark.parametrize("algo", ["advantage", "classic-qucb"])
 def test_audited_run_matches_fallback(monkeypatch, algo):
-    # the whole audit loop, kernel against Python: every kept row (including
-    # strict negative-regret rows off the log cadence, produced here by a
+    # the whole audit loop, kernel against Python: every kept row, the first
+    # negative-regret episode that strict mode reports (produced here by a
     # cache that rates the policy 0.05 above optimal from state 1), the
     # summary and the learner's tables
     if kernel.load() is None:
@@ -346,7 +356,9 @@ def test_audited_run_matches_fallback(monkeypatch, algo):
             return replace(tables, V=V)
 
     monkeypatch.setattr(harness, "PolicyValueCache", InflatedCache)
-    monkeypatch.setattr(harness, "enforce_invariants", lambda result: None)
+    negatives = []
+    monkeypatch.setattr(harness, "enforce_invariants",
+                        lambda result, negative=None: negatives.append(negative))
     env = EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0,
                   init=InitialStates.cyclic([0, 0, 1, 2, 0]))
     cfg = RunConfig(env=env, algo=algo, episodes=3000, seed=4, log_every="pow2",
@@ -362,9 +374,9 @@ def test_audited_run_matches_fallback(monkeypatch, algo):
         results[name] = (res.records, replace(res.summary, wall_time_s=0.0), tables)
         assert (lr._lib is None) == (name == "fallback")
     assert results["kernel"] == results["fallback"]
-    records = results["kernel"][0]
-    pow2 = {1 << i for i in range(12)} | {3000}
-    assert sum(r.k not in pow2 for r in records) > 100   # negative-regret rows
+    pow2 = sorted({1 << i for i in range(12)} | {3000})
+    assert [r.k for r in results["kernel"][0]] == pow2
+    assert negatives[0] == negatives[1] and negatives[0] not in pow2 + [None]
     assert results["kernel"][1].q_updates > 0
 
 

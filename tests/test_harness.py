@@ -277,9 +277,12 @@ def test_strict_mode_flags_violations():
         enforce_invariants(res)
 
 
-def test_strict_mode_flags_negative_regret_on_unlogged_episode(monkeypatch):
-    # only episode 3, which the pow2 cadence drops, starts in state 1, where
-    # the substituted cache rates the policy 1.0 above optimal
+@pytest.mark.parametrize("starts", [[0, 0, 1, 0, 0, 0],
+                                    [0, 0, 1, 0, 1, 0]])   # two: the first is named
+def test_strict_mode_flags_negative_regret_on_unlogged_episode(monkeypatch, starts):
+    # the episodes starting in state 1, where the substituted cache rates the
+    # policy 1.0 above optimal, have negative regret, and neither the pow2
+    # cadence (1, 2, 4, 6) nor the sweep's checkpoints (2, 6) keep one
     class InflatedCache(PolicyValueCache):
         def values(self, actions_flat, rows=None):
             tables = super().values(actions_flat, rows)
@@ -288,11 +291,14 @@ def test_strict_mode_flags_negative_regret_on_unlogged_episode(monkeypatch):
             return replace(tables, V=V)
 
     monkeypatch.setattr(harness, "PolicyValueCache", InflatedCache)
-    env = EnvSpec(S=2, H=3, init=InitialStates.cyclic([0, 0, 1, 0, 0, 0]))
+    env = EnvSpec(S=2, H=3, init=InitialStates.cyclic(starts))
     cfg = RunConfig(env=env, algo="oracle", episodes=6, log_every="pow2")
     assert [r.k for r in run_experiment(cfg).records] == [1, 2, 4, 6]
-    with pytest.raises(InvariantViolation, match="k=3"):
+    assert [T // 3 for T, _, _ in sweep_scaling(cfg, [1 / 3, 1.0], seeds=[0])] == [2, 6]
+    with pytest.raises(InvariantViolation, match="at k=3$"):
         run_experiment(replace(cfg, strict=True))
+    with pytest.raises(InvariantViolation, match="at k=3$"):
+        sweep_scaling(replace(cfg, strict=True), [1 / 3, 1.0], seeds=[0])
 
 
 # ------------------------------------------------------------------ sweeps

@@ -6,8 +6,10 @@ import pytest
 from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EpisodeRecord,
                     OptimismTracker, PolicyValueCache, SwitchTracker,
                     backward_induction, check_optimism, count_switches,
-                    episode_regret, make_random_mdp, policy_evaluation,
-                    switching_bound, write_episode_csv)
+                    make_random_mdp, policy_evaluation, switching_bound,
+                    write_episode_csv)
+
+from oracles import episode_regret
 
 
 def test_episode_regret_zero_for_optimal_policy():
