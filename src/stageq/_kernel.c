@@ -15,7 +15,8 @@
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
  * struct alone, so that a call from Python converts one argument; the
- * inputs that change from call to call go through its io array.
+ * values that change from call to call are its last fields, the inputs
+ * set before each call and the outputs the call fills.
  */
 
 #include <math.h>
@@ -55,23 +56,15 @@ typedef struct {
     const double *mdp_rew;  /* the MDP's (H, S, A) rewards, for path_r */
     const double *u;        /* the stream's block of uniforms */
     const int64_t *starts;  /* the initial states of the episodes to play */
-    int64_t *io;            /* IO_LEN slots, below */
+    /* per-call inputs */
+    int64_t u_index;        /* index in u of the first unread uniform */
+    int64_t count;          /* episodes to play at most */
+    /* per-call outputs, each set by stageq_stretch */
+    int64_t stage_ends, q_updates, refs_fixed, ref_wins;   /* counter increments */
+    int64_t used;           /* uniforms consumed */
+    int64_t bad_n;          /* visit count above n_max, or 0 */
+    int64_t bad_index;      /* 1 if a state or action was out of range */
 } Learner;
-
-/* Slots of the io array: the per-call inputs, set before each call, and
- * the outputs the stretch fills. */
-enum {
-    IN_U,                   /* index in u of the first unread uniform */
-    IN_COUNT,               /* episodes to play at most */
-    OUT_STAGE_ENDS,         /* counter increments over the whole call */
-    OUT_Q_UPDATES,
-    OUT_REFS_FIXED,
-    OUT_REF_WINS,
-    OUT_USED,               /* uniforms consumed */
-    OUT_BAD_N,              /* visit count above n_max, or 0 */
-    OUT_BAD_INDEX,          /* 1 if a state or action was out of range */
-    IO_LEN
-};
 
 /* sizeof(Learner), which kernel.py checks against its own layout */
 int64_t stageq_learner_size(void)
@@ -120,8 +113,7 @@ static double row_max(const Learner *L, int64_t i2)
 }
 
 /* UcbAdvantageLearner._stage_update at the j-th stage end */
-static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
-                         int64_t *io)
+static void stage_update(Learner *L, int64_t i2, int64_t i3, int64_t j)
 {
     int64_t n = L->n[i3], nc = L->nchk[i3];
     double lower = L->lower[j], b_bar = L->bbar[j];
@@ -144,12 +136,12 @@ static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
         }
     }
 
-    io[OUT_STAGE_ENDS] += 1;
+    L->stage_ends += 1;
     if (cand < L->q[i3]) {
         L->q[i3] = cand;
         L->v[i2] = row_max(L, i2);
-        io[OUT_Q_UPDATES] += 1;
-        io[OUT_REF_WINS] += ref_won;
+        L->q_updates += 1;
+        L->ref_wins += ref_won;
     }
 
     L->nchk[i3] = 0;
@@ -160,8 +152,8 @@ static void stage_update(const Learner *L, int64_t i2, int64_t i3, int64_t j,
 
 /* ClassicQUcbLearner.observe: one incremental update, counted as a Q
  * update whatever it wrote; no n_max check */
-static void observe_qucb(const Learner *L, int64_t h, int64_t s, int64_t a,
-                         int64_t s_next, int64_t *io)
+static void observe_qucb(Learner *L, int64_t h, int64_t s, int64_t a,
+                         int64_t s_next)
 {
     int64_t S = L->S, H = L->H;
     int64_t i2 = h * S + s;
@@ -175,16 +167,16 @@ static void observe_qucb(const Learner *L, int64_t h, int64_t s, int64_t a,
     double best = row_max(L, i2);
     double ceiling = (double)(H - h);
     L->v[i2] = best > ceiling ? ceiling : best;
-    io[OUT_Q_UPDATES] += 1;
+    L->q_updates += 1;
 }
 
 /* The learner's observe; returns 0, or the visit count above n_max
  * (stored first, as UcbAdvantageLearner.observe stores it before raising). */
-static int64_t observe(const Learner *L, int64_t h, int64_t s, int64_t a,
-                       int64_t s_next, int64_t *io)
+static int64_t observe(Learner *L, int64_t h, int64_t s, int64_t a,
+                       int64_t s_next)
 {
     if (L->mode == MODE_CLASSIC_QUCB) {
-        observe_qucb(L, h, s, a, s_next, io);
+        observe_qucb(L, h, s, a, s_next);
         return 0;
     }
     int64_t S = L->S;
@@ -213,43 +205,37 @@ static int64_t observe(const Learner *L, int64_t h, int64_t s, int64_t a,
         j++;
     L->end_idx[i3] = j;
     if (L->ends[j] == n)
-        stage_update(L, i2, i3, j, io);
+        stage_update(L, i2, i3, j);
 
     int64_t ns = L->n_state[i2] + 1;
     L->n_state[i2] = ns;
     if ((double)ns >= L->n0 && !L->ref_fixed[i2]) {
         L->vref[i2] = L->v[i2];
         L->ref_fixed[i2] = 1;
-        io[OUT_REFS_FIXED] += 1;
+        L->refs_fixed += 1;
     }
     return 0;
 }
 
-static void clear_outputs(int64_t *io)
-{
-    for (int i = OUT_STAGE_ENDS; i < IO_LEN; i++)
-        io[i] = 0;
-}
-
-/* Play up to io[IN_COUNT] episodes with initial states starts[0..), drawing
- * one uniform per step from u + io[IN_U] (IN_COUNT*H of them must be
- * readable), and stop after the first episode that changes Q.  Returns
- * the number of episodes played, or -1 when it stopped on an error
- * (OUT_BAD_N or OUT_BAD_INDEX). */
-int64_t stageq_stretch(const Learner *L)
+/* Play up to count episodes with initial states starts[0..), drawing one
+ * uniform per step from u + u_index (count*H of them must be readable),
+ * and stop after the first episode that changes Q.  Returns the number of
+ * episodes played, or -1 when it stopped on an error (bad_n or
+ * bad_index). */
+int64_t stageq_stretch(Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
-    int64_t *io = L->io;
-    const double *u = L->u + io[IN_U];
+    const double *u = L->u + L->u_index;
     const int64_t *starts = L->starts;
-    int64_t count = io[IN_COUNT];
+    int64_t count = L->count;
     int64_t played = 0, used = 0;
-    clear_outputs(io);
+    L->stage_ends = L->q_updates = L->refs_fixed = L->ref_wins = 0;
+    L->bad_n = L->bad_index = 0;
     while (played < count) {
-        int64_t u0 = io[OUT_Q_UPDATES];
+        int64_t u0 = L->q_updates;
         int64_t s = starts[played++];
         if (s < 0 || s >= S) {
-            io[OUT_BAD_INDEX] = 1;
+            L->bad_index = 1;
             break;
         }
         int64_t bad = 0;
@@ -261,16 +247,16 @@ int64_t stageq_stretch(const Learner *L)
             L->path_a[h] = a;
             L->path_next[h] = s_next;
             L->path_r[h] = L->mdp_rew[i2 * A + a];
-            bad = observe(L, h, s, a, s_next, io);
+            bad = observe(L, h, s, a, s_next);
             s = s_next;
         }
         if (bad) {
-            io[OUT_BAD_N] = bad;
+            L->bad_n = bad;
             break;
         }
-        if (io[OUT_Q_UPDATES] > u0)
+        if (L->q_updates > u0)
             break;
     }
-    io[OUT_USED] = used;
-    return io[OUT_BAD_N] || io[OUT_BAD_INDEX] ? -1 : played;
+    L->used = used;
+    return L->bad_n || L->bad_index ? -1 : played;
 }

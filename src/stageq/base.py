@@ -48,8 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .kernel import (IN_COUNT, IN_U, OUT_BAD_INDEX, OUT_BAD_N, OUT_Q_UPDATES,
-                     OUT_REF_WINS, OUT_REFS_FIXED, OUT_STAGE_ENDS, OUT_USED)
 from .mdp import EpisodicMdp, sample_episode
 from .stages import OutOfRangeError
 
@@ -93,14 +91,14 @@ class TabularQLearnerBase:
         the subclass's own Learner fields (mode included) in fields, arrays
         by address and numbers as they are.  The learner keeps every array
         alive, and the buffers never resize, so the addresses stay valid
-        for its life."""
+        for its life.  The struct's per-call fields are run_stretch's:
+        u_index and count in, the counter increments and errors out."""
         H = self.H
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
         self._starts = array("q", [0]) * STRETCH_MAX
-        self._io = array("q", [0]) * kernel.IO_LEN
         for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
-                     "path_r", "starts", "io"):
+                     "path_r", "starts"):
             fields[name] = getattr(self, "_" + name)
         self._kstate = kernel.Learner(S=self.S, A=self.A, H=H, **{
             name: value.buffer_info()[0] if isinstance(value, array) else value
@@ -184,31 +182,26 @@ class TabularQLearnerBase:
         """
         if self._lib is None:
             return play_stretch(self.reference_episode, mdp, rng, first, stop)
-        H = self.H
+        H, k = self.H, self._kstate
         src = self._mdp_src
         if mdp.P is not src[0] or mdp.r is not src[1]:
             self._bind_mdp(mdp)
         block, i = rng.doubles(H)
         if block is not self._ublock:
             self._ublock = block
-            self._kstate.u = block.ctypes.data
+            k.u = block.ctypes.data
         count = min(stop - first, (len(block) - i) // H, self._window)
         starts = mdp.initial_states(first, count)
-        if count == 1:             # the one-episode calls need no temporary array
-            self._starts[0] = starts[0]
-        else:
-            self._starts[:count] = array("q", starts)
-        io = self._io
-        io[IN_U] = i
-        io[IN_COUNT] = count
+        self._starts[:count] = array("q", starts)
+        k.u_index = i
+        k.count = count
         played = self._stretch(self._kaddr)
-        rng.skip(io[OUT_USED])
-        if played < 0 or io[OUT_Q_UPDATES] or io[OUT_STAGE_ENDS] or io[OUT_REFS_FIXED]:
-            self._add_counts()
+        rng.skip(k.used)
+        self._add_counts()
         self._window = min(2 * played, STRETCH_MAX) or 1
         if played < count:
             starts = starts[:played]
-        return starts, self._last_traj() if io[OUT_Q_UPDATES] else None
+        return starts, self._last_traj() if k.q_updates else None
 
     def _bind_mdp(self, mdp: EpisodicMdp) -> None:
         cum, rew = mdp.cum_array(), mdp.reward_array()
@@ -224,15 +217,15 @@ class TabularQLearnerBase:
 
     def _add_counts(self) -> None:
         """Apply a kernel call's counter increments, then raise what it hit."""
-        io = self._io
-        self.stage_end_count += io[OUT_STAGE_ENDS]
-        self.q_update_count += io[OUT_Q_UPDATES]
-        self.ref_fixed_count += io[OUT_REFS_FIXED]
-        self.reference_wins += io[OUT_REF_WINS]
-        if io[OUT_BAD_INDEX]:
+        k = self._kstate
+        self.stage_end_count += k.stage_ends
+        self.q_update_count += k.q_updates
+        self.ref_fixed_count += k.refs_fixed
+        self.reference_wins += k.ref_wins
+        if k.bad_index:
             raise IndexError("state or action outside the learner's tables")
-        if io[OUT_BAD_N]:
-            raise OutOfRangeError(io[OUT_BAD_N], self._kstate.n_max)
+        if k.bad_n:
+            raise OutOfRangeError(k.bad_n, k.n_max)
 
     # ----------------------------------------------------------- exports
 

@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, BudgetTooSmall, MdpValidationError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,8 +72,8 @@ class ConcurrentConfig:
             raise ValueError(f"agents must be >= 1, got {self.agents}")
         if not 0 < self.epsilon < math.inf:     # NaN fails too
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not self.c5 > 0:
-            raise ValueError(f"c5 must be > 0, got {self.c5}")
+        if not 0 < self.c5 < math.inf:
+            raise ValueError(f"c5 must be finite and positive, got {self.c5}")
         if self.k_eps_override is not None and not math.isfinite(self.k_eps_override):
             raise ValueError(f"k_eps_override must be finite, got {self.k_eps_override}")
 
@@ -81,8 +81,14 @@ class ConcurrentConfig:
         if self.k_eps_override is not None:
             raw = float(self.k_eps_override)
         else:
-            raw = (self.c5 * S * A * H ** 3
-                   * math.log(S * A * H / self.epsilon) / self.epsilon ** 2)
+            try:
+                raw = (self.c5 * S * A * H ** 3
+                       * math.log(S * A * H / self.epsilon) / self.epsilon ** 2)
+            except (OverflowError, ZeroDivisionError):    # epsilon ** 2 out of range
+                raw = math.inf
+            if not math.isfinite(raw):
+                raise ValueError(f"trajectory budget for epsilon={self.epsilon}, "
+                                 f"c5={self.c5} is not finite")
         n = math.ceil(raw)
         if n < 1:
             raise BudgetTooSmall(

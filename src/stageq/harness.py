@@ -75,26 +75,17 @@ class UniformStream:
     def __init__(self, seed_seq: np.random.SeedSequence):
         self.generator = np.random.Generator(np.random.PCG64(seed_seq))
         self._block = np.empty(0)  # the buffered uniforms
-        self._buf: list = []       # the same as Python floats, for random()
-        self._listed = 0           # _buf is current below this index
+        self._view = memoryview(self._block)   # the same, read as Python floats
         self._i = 0                # the next unread uniform
 
     def random(self) -> float:
         i = self._i
-        if i >= self._listed:
-            i = self._list_block()
-        self._i = i + 1
-        return self._buf[i]
-
-    def _list_block(self) -> int:
-        """Draw the next block if the buffer is used up, list the buffer in
-        _buf, and return the index of the next unread uniform."""
-        if self._i == len(self._block):
+        if i == len(self._view):
             self._block = self.generator.random(self.BLOCK)
-            self._i = 0
-        self._buf = self._block.tolist()
-        self._listed = len(self._buf)
-        return self._i
+            self._view = memoryview(self._block)
+            i = 0
+        self._i = i + 1
+        return self._view[i]
 
     def doubles(self, need: int):
         """(block, i): the buffer as a float64 array and the index of the
@@ -107,7 +98,8 @@ class UniformStream:
             while sum(map(len, parts)) < need:
                 parts.append(self.generator.random(self.BLOCK))
             self._block = np.concatenate(parts)
-            self._listed = self._i = i = 0
+            self._view = memoryview(self._block)
+            self._i = i = 0
         return self._block, i
 
     def skip(self, m: int) -> None:
@@ -117,7 +109,7 @@ class UniformStream:
         while i > len(self._block):
             i -= len(self._block)
             self._block = self.generator.random(self.BLOCK)
-            self._listed = 0
+            self._view = memoryview(self._block)
         self._i = i
 
     def integers(self, n: int) -> int:

@@ -2,7 +2,9 @@
 
 The kernel plays episodes for all three tabular learners (advantage,
 hoeffding-stage and classic-qucb); the Learner struct's mode says whose
-observe it repeats.
+observe it repeats.  The struct's last fields are the per-call values:
+u_index and count, set before each call, and the counter increments and
+error fields that the call fills.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -47,16 +49,14 @@ class Learner(ctypes.Structure):
                 + [(name, c_double) for name in ("cb", "h3iota")]
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
-                    "cum", "mdp_rew", "u", "starts", "io")])
+                    "cum", "mdp_rew", "u", "starts")]
+                + [(name, c_int64) for name in (
+                    "u_index", "count", "stage_ends", "q_updates", "refs_fixed",
+                    "ref_wins", "used", "bad_n", "bad_index")])
 
 
 # Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)
 MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB = range(3)
-
-# slots of the io array: per-call inputs, then outputs (the enum in _kernel.c)
-(IN_U, IN_COUNT,
- OUT_STAGE_ENDS, OUT_Q_UPDATES, OUT_REFS_FIXED, OUT_REF_WINS,
- OUT_USED, OUT_BAD_N, OUT_BAD_INDEX, IO_LEN) = range(10)
 
 _UNSET = object()
 _lib = _UNSET
@@ -101,7 +101,7 @@ def _open():
     lib.stageq_learner_size.restype = c_int64
     if lib.stageq_learner_size() != ctypes.sizeof(Learner):
         raise RuntimeError(f"{path}: Learner struct layout differs from kernel.Learner")
-    lib.stageq_stretch.argtypes = [c_void_p]    # the Learner; the rest goes through io
+    lib.stageq_stretch.argtypes = [c_void_p]    # the Learner, per-call values included
     lib.stageq_stretch.restype = c_int64
     return lib
 

@@ -199,6 +199,14 @@ BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H")
               ("concurrent", ["--k-eps-override", "inf"], "k_eps_override"),
               ("concurrent", ["--epsilon", "inf"], "epsilon"),
               ("concurrent", ["--epsilon", "nan"], "epsilon"),
+              ("concurrent", ["--c5", "inf"], "c5"),
+              # budgets that leave the float range
+              ("concurrent", ["--epsilon", "1e-200"], "epsilon"),
+              ("concurrent", ["--epsilon", "1e300"], "epsilon"),
+              ("concurrent", ["--c5", "1e308"], "epsilon"),
+              # DIR: a directory where a file is expected, named in the error
+              ("run", ["--env", "DIR"], "DIR"), ("run", ["--config", "DIR"], "DIR"),
+              ("solve", ["--env", "DIR"], "DIR"),
               ("sweep", ["--t-mults=inf"], "--t-mults"),
               ("sweep", ["--t-mults=-1"], "--t-mults"),
               ("sweep", ["--t-mults=0.5,nan"], "--t-mults")]
@@ -206,9 +214,12 @@ BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H")
 
 @pytest.mark.parametrize("command,args,name", BAD_VALUES,
                          ids=[f"{c}{' '.join(a)}" for c, a, _ in BAD_VALUES])
-def test_bad_values_exit_2_naming_the_key(capsys, command, args, name):
+def test_bad_values_exit_2_naming_the_key(capsys, tmp_path, command, args, name):
+    args = [str(tmp_path) if a == "DIR" else a for a in args]
     assert main([command] + args) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (str(tmp_path) if name == "DIR" else name) in err
 
 
 # SHA-256 of each output file, recorded while hoeffding-stage still had its

@@ -49,8 +49,9 @@ def test_config_validation():
         # inf once reached budget's log(S*A*H/epsilon) as a bare domain error
         with pytest.raises(ValueError, match="epsilon"):
             ConcurrentConfig(epsilon=bad)
-    with pytest.raises(ValueError):
-        ConcurrentConfig(c5=-1.0)
+    for bad in (-1.0, float("inf")):
+        with pytest.raises(ValueError, match="c5"):
+            ConcurrentConfig(c5=bad)
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="k_eps_override"):
             ConcurrentConfig(k_eps_override=bad)

@@ -9,12 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SLOW = {"chain_scaling.py"}   # about 11 s; the others take under 1 s
 
 
-@pytest.mark.parametrize("path", [
-    pytest.param(p, id=p.stem, marks=[pytest.mark.slow] if p.name in SLOW else [])
-    for p in DEMOS])
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_exits_zero(path, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -47,7 +47,7 @@ def test_uniform_stream_block_boundary_is_seamless():
 REST = UniformStream.BLOCK - 1   # unread in the first block after one draw
 
 
-@pytest.mark.parametrize("m", [0, 1, REST, REST + 1, 3 * UniformStream.BLOCK])
+@pytest.mark.parametrize("m", [0, 1, REST - 5, REST, REST + 1, 3 * UniformStream.BLOCK])
 @pytest.mark.parametrize("then", ["random", "doubles"])
 def test_uniform_stream_skip_equals_m_draws(m, then):
     def next_values(st):
