@@ -31,8 +31,9 @@ from .concurrent import BudgetTooSmall
 from .harness import (CONFIG_KEYS, ConfigError, InvariantViolation,
                       build_concurrent_config, build_run_config, coerce_kv,
                       parse_kv_file, run_concurrent_experiment, run_experiment,
-                      sweep_scaling, write_sweep_csv)
+                      sweep_scaling, write_q_csv, write_sweep_csv)
 from .mdp import MdpValidationError, backward_induction, save_mdp, validate
+from .metrics import grid_rows, write_csv
 from .stages import build_schedule
 
 
@@ -82,21 +83,19 @@ def cmd_sweep(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     if not mults or not seeds:
         raise ConfigError("--t-mults and --seeds must be non-empty")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds: seeds must be >= 0, got {args.seeds!r}")
     if not all(0.0 < m < math.inf for m in mults):
         raise ConfigError(f"--t-mults: multipliers must be finite and positive, "
                           f"got {args.t_mults!r}")
     rows = sweep_scaling(cfg, mults, seeds)
-    if cfg.out_dir:
-        path = Path(cfg.out_dir)
-        if path.suffix != ".csv":
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / "sweep.csv"
-        write_sweep_csv(rows, path)
+    path = cfg.out_dir and Path(cfg.out_dir)
+    if path and path.suffix != ".csv":
+        path.mkdir(parents=True, exist_ok=True)
+        path = path / "sweep.csv"
+    write_sweep_csv(rows, path or sys.stdout)
+    if path:
         print(f"wrote {len(rows)} rows to {path}")
-    else:
-        print("T,seed,cum_regret")
-        for T, seed, reg in rows:
-            print(f"{T},{seed},{reg!r}")
     return 0
 
 
@@ -122,40 +121,23 @@ def cmd_solve(args) -> int:
     if args.save_mdp:
         save_mdp(mdp, args.save_mdp)
         print(f"saved environment to {args.save_mdp}")
-    print("h,s,V_star,action_star")
-    for h in range(mdp.H):
-        for s in range(mdp.S):
-            print(f"{h},{s},{float(tables.V[h, s])!r},{int(pistar.actions[h, s])}")
+    write_csv(sys.stdout, "h,s,V_star,action_star", "%d,%d,%r,%d",
+              grid_rows(tables.V[:mdp.H], pistar.actions))
     if cfg.out_dir:
         outdir = Path(cfg.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "vstar.csv", "w") as f:
-            f.write("h,s,V\n")
-            for h in range(mdp.H + 1):
-                for s in range(mdp.S):
-                    f.write(f"{h},{s},{float(tables.V[h, s])!r}\n")
-        with open(outdir / "qstar.csv", "w") as f:
-            f.write("h,s,a,Q\n")
-            for h in range(mdp.H):
-                for s in range(mdp.S):
-                    for a in range(mdp.A):
-                        f.write(f"{h},{s},{a},{float(tables.Q[h, s, a])!r}\n")
+        write_csv(outdir / "vstar.csv", "h,s,V", "%d,%d,%r", grid_rows(tables.V))
+        write_q_csv(tables.Q[:mdp.H], outdir / "qstar.csv")
         print(f"wrote optimal tables to {outdir}")
     return 0
 
 
 def cmd_schedule(args) -> int:
     sched = build_schedule(args.H, args.n_max)
-    lines = ["i,e_i,end_i"]
-    for i in range(sched.n_stages):
-        lines.append(f"{i + 1},{sched.lengths[i]},{sched.ends[i]}")
-    text = "\n".join(lines) + "\n"
+    rows = zip(range(1, sched.n_stages + 1), sched.lengths.tolist(), sched.ends.tolist())
+    write_csv(args.out or sys.stdout, "i,e_i,end_i", "%d,%d,%d", rows)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
         print(f"wrote {sched.n_stages} stages to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -202,7 +184,7 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, BudgetTooSmall, MdpValidationError,
-            OSError, ValueError) as exc:
+            MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

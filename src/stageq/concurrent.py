@@ -40,13 +40,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .mdp import DeterministicPolicy, EpisodicMdp
+from .metrics import write_csv
 
 ROUNDS_CSV_HEADER = "round,consumed,update_triggered,policy_version"
+ROUNDS_CSV_ROW = "%d,%d,%d,%d"      # update_triggered as 0 or 1
 
 
 class BudgetTooSmall(ValueError):
@@ -103,10 +106,6 @@ class RoundLog:
     consumed: int
     update_triggered: bool
     policy_version: int       # update rounds strictly before this one
-
-    def csv_row(self) -> str:
-        return (f"{self.round},{self.consumed},"
-                f"{int(self.update_triggered)},{self.policy_version}")
 
 
 @dataclass
@@ -211,7 +210,5 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
 
 
 def write_rounds_csv(rounds, path) -> None:
-    with open(path, "w") as f:
-        f.write(ROUNDS_CSV_HEADER + "\n")
-        for r in rounds:
-            f.write(r.csv_row() + "\n")
+    write_csv(path, ROUNDS_CSV_HEADER, ROUNDS_CSV_ROW,
+              map(attrgetter(*ROUNDS_CSV_HEADER.split(",")), rounds))

@@ -47,7 +47,7 @@ from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
 from .metrics import (EpisodeRecord, OptimismTracker, PolicyValueCache,
-                      switching_bound, write_episode_csv)
+                      grid_rows, switching_bound, write_csv, write_episode_csv)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -411,10 +411,8 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write("T,seed,cum_regret\n")
-        for T, seed, reg in rows:
-            f.write(f"{T},{seed},{reg!r}\n")
+    """sweep_scaling's rows to path, a file path or an open text file."""
+    write_csv(path, "T,seed,cum_regret", "%d,%d,%r", rows)
 
 
 def run_concurrent_experiment(env: EnvSpec, cc: ConcurrentConfig, *,
@@ -451,28 +449,22 @@ def write_run_outputs(result: RunResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_episode_csv(result.records, out / "episodes.csv")
+    learner, H = result.learner, result.mdp.H
+    write_q_csv(learner.q_array(), out / "snapshot_q.csv")
+    # no rows without a V table (the oracle); the Vref column stays empty
+    # for learners without a reference route
+    v, row = [], "%d,%d,%r,"
+    if hasattr(learner, "v_array"):
+        v.append(learner.v_array()[:H])
+    if getattr(learner, "reference", False):
+        v.append(learner.vref_array()[:H])
+        row += "%r"
+    write_csv(out / "snapshot_v.csv", "h,s,V,Vref", row, grid_rows(*v) if v else ())
 
-    learner = result.learner
-    q = learner.q_array()
-    with open(out / "snapshot_q.csv", "w") as f:
-        f.write("h,s,a,Q\n")
-        for h in range(q.shape[0]):
-            for s in range(q.shape[1]):
-                for a in range(q.shape[2]):
-                    f.write(f"{h},{s},{a},{float(q[h, s, a])!r}\n")
-    # the Vref column stays empty for learners without a reference route
-    vref = learner.vref_array() if getattr(learner, "reference", False) else None
-    v = learner.v_array() if hasattr(learner, "v_array") else None
-    with open(out / "snapshot_v.csv", "w") as f:
-        f.write("h,s,V,Vref\n")
-        if v is not None:
-            H, S = v.shape[0] - 1, v.shape[1]
-            for h in range(H):
-                for s in range(S):
-                    if vref is not None:
-                        f.write(f"{h},{s},{float(v[h, s])!r},{float(vref[h, s])!r}\n")
-                    else:
-                        f.write(f"{h},{s},{float(v[h, s])!r},\n")
+
+def write_q_csv(q, path) -> None:
+    """An (H, S, A) Q table's rows: snapshot_q.csv and solve's qstar.csv."""
+    write_csv(path, "h,s,a,Q", "%d,%d,%d,%r", grid_rows(q))
 
 
 # ------------------------------------------------------------- config files
@@ -617,6 +609,9 @@ def build_run_config(values: dict) -> RunConfig:
         env["kind"], env["path"] = "file", env["kind"].removeprefix("file:")
     if "init" in env:
         env["init"] = parse_init_spec(env["init"])
+    for key in ("seed", "env_seed"):
+        if values.get(key, 0) < 0:
+            raise ConfigError(f"config key {key!r}: seeds must be >= 0, got {values[key]}")
     try:
         return RunConfig(env=EnvSpec(**env), constants=AlgoConstants(**fields["constants"]),
                          **fields["run"])

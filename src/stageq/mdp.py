@@ -85,6 +85,8 @@ class InitialStates:
 
     @classmethod
     def seeded(cls, seed: int) -> "InitialStates":
+        if int(seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         return cls(kind="seeded", seed=int(seed))
 
     def state(self, k: int, S: int) -> int:
@@ -289,29 +291,18 @@ def checked_actions(mdp: EpisodicMdp, actions) -> np.ndarray:
     return acts
 
 
-def evaluate_layers(mdp: EpisodicMdp, acts: np.ndarray, V: np.ndarray, top: int,
-                    Q: Optional[np.ndarray] = None) -> None:
-    """Backward induction under acts for layers top, top-1, ..., 0, in place.
-
-    V[h] = (r[h] + P[h] . V[h+1])[s, acts[h, s]], starting from V[top + 1]
-    as given; Q, if passed, receives each layer's Q^pi.  acts must be an
-    (H, S) int64 array with every action in [0, A), as checked_actions gives.
-    """
-    idx = np.arange(mdp.S)
-    for h in range(top, -1, -1):
-        q = mdp.r[h] + mdp.P[h].dot(V[h + 1])
-        if Q is not None:
-            Q[h] = q
-        V[h] = q[idx, acts[h]]
-
-
 def policy_evaluation(mdp: EpisodicMdp, policy: DeterministicPolicy) -> ValueTables:
-    """Exact V^pi and Q^pi for a deterministic step-indexed policy."""
+    """Exact V^pi and Q^pi for a deterministic step-indexed policy, by
+    backward induction: V[h] = (r[h] + P[h] . V[h+1])[s, acts[h, s]]."""
     H, S, A = mdp.H, mdp.S, mdp.A
     acts = checked_actions(mdp, policy.actions)
     V = np.zeros((H + 1, S))
     Q = np.zeros((H + 1, S, A))
-    evaluate_layers(mdp, acts, V, H - 1, Q)
+    idx = np.arange(S)
+    for h in range(H - 1, -1, -1):
+        q = mdp.r[h] + mdp.P[h].dot(V[h + 1])
+        Q[h] = q
+        V[h] = q[idx, acts[h]]
     return ValueTables(V=V, Q=Q)
 
 

@@ -1,4 +1,4 @@
-"""Regret, switching-cost and optimism metrics for experiment runs.
+"""Regret, switching-cost and optimism metrics, and the one table writer.
 
 Per-episode regret compares the exact optimal value at the episode's
 realized initial state with the exact value of the greedy policy the
@@ -34,7 +34,9 @@ they must agree with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import log
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .mdp import EpisodicMdp, ValueTables
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
+EPISODE_CSV_ROW = "%d,%r,%r,%d,%d,%d,%d"
 
 
 @dataclass
@@ -56,11 +59,6 @@ class EpisodeRecord:
     cum_optimism_violations: int
     ref_states_fixed: int
 
-    def csv_row(self) -> str:
-        return (f"{self.k},{self.episode_regret!r},{self.cum_regret!r},"
-                f"{self.cum_switching_cost},{self.cum_q_updates},"
-                f"{self.cum_optimism_violations},{self.ref_states_fixed}")
-
 
 class PolicyValueCache:
     """Exact V^pi of the last greedy table, kept current from table to table.
@@ -74,9 +72,9 @@ class PolicyValueCache:
     `switches`, and V is recomputed from a copy of the last V.  V[h]
     depends only on the actions at layers >= h, so the recursion
     V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the deepest differing
-    layer: S dot products per layer, where evaluate_layers takes S*A.
+    layer: S dot products per layer, where policy_evaluation takes S*A.
     Each is the same length-S dot product of the same row and V[h+1] that
-    evaluate_layers computes, so the result equals a fresh
+    policy_evaluation computes, so the result equals a fresh
     policy_evaluation(...).V bit for bit; Q is None.
 
     Like the MDP's own caches, the gathered rows keep the P and r they came
@@ -221,9 +219,28 @@ class OptimismTracker:
         return count
 
 
+def write_csv(out, header: str, row_format: str, rows) -> None:
+    """The one writer of stageq's tables: the header, then row_format % row
+    per row, 1024 rows a write, to a path or an open text file (sys.stdout).
+    Commas, floats by repr (%r), integers as decimals (%d); cells must be
+    Python numbers (tolist(), attributes): %r of an np.float64 prints np.float64(...)."""
+    if not hasattr(out, "write"):
+        with open(out, "w") as f:
+            return write_csv(f, header, row_format, rows)
+    line, rows = row_format + "\n", iter(rows)
+    out.write(header + "\n")
+    while chunk := "".join([line % row for row in islice(rows, 1024)]):
+        out.write(chunk)
+
+
+def grid_rows(*tables):
+    """Rows (index..., value...) over the cells of same-shaped arrays in C
+    order: each cell's indices, then its value in each table."""
+    index = np.indices(tables[0].shape).reshape(tables[0].ndim, -1).tolist()
+    return zip(*index, *(t.ravel().tolist() for t in tables))
+
+
 def write_episode_csv(records, path) -> None:
-    """Write audit rows; float fields use repr so files are byte-stable."""
-    with open(path, "w") as f:
-        f.write(EPISODE_CSV_HEADER + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
+    """Write audit rows, one per EpisodeRecord, each column read by its name."""
+    write_csv(path, EPISODE_CSV_HEADER, EPISODE_CSV_ROW,
+              map(attrgetter(*EPISODE_CSV_HEADER.split(",")), records))

@@ -69,12 +69,12 @@ def build_schedule(H: int, n_max: int) -> StageSchedule:
 
     The recurrence floor((1 + 1/H) * e) is evaluated in exact integer
     arithmetic as e + e // H; a float product rounds the wrong way for
-    some (H, e), e.g. H=11, e=239.
+    some (H, e), e.g. H=11, e=239.  The ends are int64, so they stay below 2**63.
     """
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max < 2 ** 63:
+        raise ValueError(f"n_max must be in [1, 2**63), got {n_max}")
 
     lengths: list[int] = []
     ends: list[int] = []
@@ -85,6 +85,8 @@ def build_schedule(H: int, n_max: int) -> StageSchedule:
         total += e
         ends.append(total)
         e = e + e // H
+    if total >= 2 ** 63:
+        raise ValueError(f"n_max {n_max}: the last stage end {total} leaves the int64 range")
     return StageSchedule(
         H=H,
         n_max=n_max,

@@ -1,10 +1,13 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from stageq import build_schedule, load_mdp, make_random_mdp, save_mdp
+from stageq import (EPISODE_CSV_HEADER, EpisodeRecord, RoundLog, build_schedule,
+                    load_mdp, make_random_mdp, save_mdp)
 from stageq.cli import build_parser, main
+from stageq.concurrent import ROUNDS_CSV_HEADER
 from stageq.harness import CONFIG_KEYS
 
 
@@ -209,7 +212,20 @@ BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H")
               ("solve", ["--env", "DIR"], "DIR"),
               ("sweep", ["--t-mults=inf"], "--t-mults"),
               ("sweep", ["--t-mults=-1"], "--t-mults"),
-              ("sweep", ["--t-mults=0.5,nan"], "--t-mults")]
+              ("sweep", ["--t-mults=0.5,nan"], "--t-mults"),
+              # negative seeds, named where they enter
+              ("run", ["--seed", "-1"], "seed"), ("run", ["--env-seed", "-1"], "env_seed"),
+              ("run", ["--init", "seeded:-1"], "init"),
+              ("solve", ["--init", "seeded:-1"], "init"),
+              ("sweep", ["--seeds", "0,-1"], "--seeds"),
+              # visit ceilings past int64
+              ("run", ["--H", "3", "--episodes", str(3 * 10**18)], "n_max"),
+              ("sweep", ["--episodes", str(10**23)], "n_max"),
+              ("schedule", ["--H", "3", "--n-max", str(10**26)], "n_max"),
+              ("concurrent", ["--k-eps-override", "1e30"], "n_max"),
+              ("concurrent", ["--agents", str(10**20), "--k-eps-override", "10"], "n_max"),
+              # 728 TiB, more than a 48-bit address space holds
+              ("solve", ["--S", "100000", "--A", "1000", "--H", "10"], "allocate")]
 
 
 @pytest.mark.parametrize("command,args,name", BAD_VALUES,
@@ -220,6 +236,22 @@ def test_bad_values_exit_2_naming_the_key(capsys, tmp_path, command, args, name)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (str(tmp_path) if name == "DIR" else name) in err
+
+
+def test_unallocatable_mdp_file_exits_2(tmp_path, capsys):
+    # a header of 71 PiB, more than a 48-bit address space holds
+    huge = tmp_path / "huge.mdp"
+    huge.write_text("100000 1000 1000\n")
+    assert main(["solve", "--env", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+
+
+def test_record_fields_follow_their_headers():
+    # each header is its record's fields, in order: the writers read each
+    # column by its header name
+    assert ",".join(f.name for f in fields(EpisodeRecord)) == EPISODE_CSV_HEADER
+    assert ",".join(f.name for f in fields(RoundLog)) == ROUNDS_CSV_HEADER
 
 
 # SHA-256 of each output file, recorded while hoeffding-stage still had its
@@ -266,3 +298,58 @@ def test_pow2_log_and_sweep_match_pinned_digests(tmp_path, capsys):
                          "--seeds", "0,1"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "588b541b0c70106c9977cdf33ae6f5f9c6d1b722ae1e86e4e511140d811e7bbf"
+
+
+# SHA-256 of the tables the pins above leave out, recorded while each table
+# still had its own hand-written writer; the oracle's snapshot_v.csv is
+# header-only, because it keeps no V table
+SOLVE = ["solve", "--env", "jao", "--H", "4", "--delta", "0.3",
+         "--jao-epsilon", "0.12", "--env-seed", "7"]
+SCHEDULE = ["schedule", "--H", "3", "--n-max", "2000"]
+CONCURRENT = ["concurrent", "--env", "random", "--S", "3", "--A", "2", "--H", "3",
+              "--env-seed", "1", "--agents", "4", "--k-eps-override", "300",
+              "--seed", "5", "--p", "0.5", "--c1", "0.05", "--c2", "0.05",
+              "--c3", "0.01", "--n0-override", "20"]
+ORACLE_RUN = ["run", "--env", "random", "--S", "3", "--A", "2", "--H", "3",
+              "--env-seed", "1", "--algo", "oracle", "--episodes", "30"]
+PINNED_TABLES = {
+    "solve stdout":
+        "0019ff95ceb4fc113853d9c9d21aa2b64cce5c5922188ebc5e0892e6cc918097",
+    "vstar.csv":
+        "9ed6d4e333d8fef2a6c51b48b71a62dffb474424611cebcbd45967b732e54357",
+    "qstar.csv":
+        "b86538f1981cb4f23d21d8b0954319f49d25d778c5d6b25a5e6e03f869f15578",
+    "schedule stdout":
+        "2142b8c26bd0ecf3f2d4df9526bf54b25d4999ce0f0c05bd38b2e38e8494de9a",
+    "schedule --out":
+        "2142b8c26bd0ecf3f2d4df9526bf54b25d4999ce0f0c05bd38b2e38e8494de9a",
+    "rounds.csv":
+        "c16f4d5449ef4db7b0a99918478cbe308f6659b79b69e37d91dd1d0bc5ac3ca0",
+    "oracle snapshot_q.csv":
+        "8c5f2f2a7cda1aff652e3f509ff13446a6d0e4efbfb45a07f73d8f399c36703f",
+    "oracle snapshot_v.csv":
+        "f87780ff4703a4d6c384766472b70e109125dd495a1356a4f95ecc555455b996",
+}
+
+
+def test_other_tables_match_pinned_digests(tmp_path, capsys):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    got = {}
+    assert main(SOLVE) == 0
+    got["solve stdout"] = sha(capsys.readouterr().out.encode())
+    assert main(SOLVE + ["--out", str(tmp_path / "sol")]) == 0
+    for name in ("vstar.csv", "qstar.csv"):
+        got[name] = sha((tmp_path / "sol" / name).read_bytes())
+    capsys.readouterr()
+    assert main(SCHEDULE) == 0
+    got["schedule stdout"] = sha(capsys.readouterr().out.encode())
+    assert main(SCHEDULE + ["--out", str(tmp_path / "sched.csv")]) == 0
+    got["schedule --out"] = sha((tmp_path / "sched.csv").read_bytes())
+    assert main(CONCURRENT + ["--out", str(tmp_path / "conc")]) == 0
+    got["rounds.csv"] = sha((tmp_path / "conc" / "rounds.csv").read_bytes())
+    assert main(ORACLE_RUN + ["--out", str(tmp_path / "or")]) == 0
+    for name in ("snapshot_q.csv", "snapshot_v.csv"):
+        got["oracle " + name] = sha((tmp_path / "or" / name).read_bytes())
+    assert got == PINNED_TABLES

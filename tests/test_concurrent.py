@@ -109,7 +109,7 @@ def test_picked_trajectory_in_range_and_deterministic():
     assert 0 <= a.picked_trajectory < a.total_consumed
     assert a.picked_trajectory == b.picked_trajectory
     assert np.array_equal(a.output_policy.actions, b.output_policy.actions)
-    assert [r.csv_row() for r in a.rounds] == [r.csv_row() for r in b.rounds]
+    assert a.rounds == b.rounds
 
 
 def test_generation_order_indexes_initial_states():

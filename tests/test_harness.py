@@ -256,7 +256,7 @@ def test_run_is_deterministic_per_config():
     cfg = RunConfig(env=env, algo="classic-qucb", episodes=150, seed=6)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
+    assert a.records == b.records
     assert np.array_equal(a.learner.q_array(), b.learner.q_array())
     c = run_experiment(RunConfig(env=env, algo="classic-qucb", episodes=150, seed=7))
     assert not np.array_equal(a.learner.q_array(), c.learner.q_array())

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EpisodeRecord,
                     backward_induction, check_optimism, count_switches,
                     make_random_mdp, policy_evaluation, switching_bound,
                     write_episode_csv)
+from stageq.metrics import EPISODE_CSV_ROW, write_csv
 
 from oracles import episode_regret
 
@@ -278,11 +280,17 @@ def test_check_optimism_counts_entries():
     assert check_optimism(q2, q_star) == 0
 
 
-def test_episode_record_row_uses_repr_floats():
+def test_write_csv_golden_uses_repr_floats(tmp_path, capsys):
     rec = EpisodeRecord(k=3, episode_regret=0.1, cum_regret=0.30000000000000004,
                         cum_switching_cost=2, cum_q_updates=7,
                         cum_optimism_violations=0, ref_states_fixed=1)
-    assert rec.csv_row() == "3,0.1,0.30000000000000004,2,7,0,1"
+    expected = EPISODE_CSV_HEADER + "\n3,0.1,0.30000000000000004,2,7,0,1\n"
+    path = tmp_path / "ep.csv"
+    write_csv(path, EPISODE_CSV_HEADER, EPISODE_CSV_ROW, [tuple(vars(rec).values())])
+    assert path.read_text() == expected
+    # an open file gets the same bytes
+    write_csv(sys.stdout, EPISODE_CSV_HEADER, EPISODE_CSV_ROW, [tuple(vars(rec).values())])
+    assert capsys.readouterr().out == expected
 
 
 def test_write_episode_csv_golden(tmp_path):
