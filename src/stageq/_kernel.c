@@ -12,6 +12,14 @@
  * kernel.py), every +, -, *, / and sqrt rounds as Python's does, so the
  * tables come out bit for bit equal to the Python path's.
  *
+ * With the audit bound (TabularQLearnerBase.bind_audit), stageq_stretch
+ * also does every audit step that is exact in C, as metrics.Audit's
+ * Python body does: each episode's regret and their running sum, and
+ * after the Q-changing episode the optimism re-test and the switch count
+ * on the H cells it visited, copying in the rows of P and r that each
+ * changed greedy row selects.  V^pi's layers stay NumPy dot products,
+ * whose BLAS sums a C loop would not reproduce bit for bit.
+ *
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
  * struct alone, so that a call from Python converts one argument; the
@@ -22,6 +30,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Which observe the kernel repeats (Learner.mode) */
 enum { MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB };
@@ -56,6 +65,24 @@ typedef struct {
     const double *mdp_rew;  /* the MDP's (H, S, A) rewards, for path_r */
     const double *u;        /* the stream's block of uniforms */
     const int64_t *starts;  /* the initial states of the episodes to play */
+    const double *P;        /* the MDP's (H, S, A, S) transition rows */
+    /* the audit, on when vstar0 is set; its running values are read by
+     * metrics.Audit under the names its Python body uses */
+    const double *vstar0;   /* V*[0], per state */
+    const double *vpi0;     /* V^pi[0] of the greedy policy played, per state */
+    const double *thr;      /* Q* - 1e-9 per (h, s, a) */
+    int8_t *below;          /* q < thr, per (h, s, a) */
+    int64_t *last;          /* the policy cache's table, per (h, s) */
+    double *p_pi, *r_pi;    /* the rows of P and r that table selects */
+    int64_t episodes;       /* episodes audited */
+    double reg, cum_regret; /* the last one's regret, and the running sum */
+    int64_t negative;       /* the first episode with regret < -1e-9, or 0 */
+    int64_t optimism;       /* entries below thr */
+    int64_t violations;     /* the running max of optimism after each Q change */
+    int64_t switches;       /* rows that differ between the policies of
+                               consecutive episodes played */
+    int64_t pending;        /* rows in which the policy after the last episode
+                               differs; added to switches when it plays */
     /* per-call inputs */
     int64_t u_index;        /* index in u of the first unread uniform */
     int64_t count;          /* episodes to play at most */
@@ -64,6 +91,7 @@ typedef struct {
     int64_t used;           /* uniforms consumed */
     int64_t bad_n;          /* visit count above n_max, or 0 */
     int64_t bad_index;      /* 1 if a state or action was out of range */
+    int64_t top;            /* the deepest layer the audit's table changed, or -1 */
 } Learner;
 
 /* sizeof(Learner), which kernel.py checks against its own layout */
@@ -217,11 +245,53 @@ static int64_t observe(Learner *L, int64_t h, int64_t s, int64_t a,
     return 0;
 }
 
+/* The audit of the episode about to be played from state s1; the policy
+ * cannot move inside a stretch, so V^pi is the one at the call's start. */
+static void audit_regret(Learner *L, int64_t s1)
+{
+    double reg = L->vstar0[s1] - L->vpi0[s1];
+    L->episodes += 1;
+    L->reg = reg;
+    L->cum_regret += reg;
+    if (reg < -1e-9 && L->negative == 0)
+        L->negative = L->episodes;
+}
+
+/* The audit after an episode that changed Q, which wrote Q and the greedy
+ * table only along its path: OptimismTracker.update on the H cells, then
+ * PolicyValueCache.values on the H rows (a row per layer, so the last one
+ * that differs is the deepest). */
+static void audit_change(Learner *L)
+{
+    int64_t S = L->S, A = L->A, H = L->H;
+    int64_t differ = 0;
+    for (int64_t h = 0; h < H; h++) {
+        int64_t i2 = h * S + L->path_s[h];
+        int64_t i3 = i2 * A + L->path_a[h];
+        int8_t now = L->q[i3] < L->thr[i3];
+        if (now != L->below[i3]) {
+            L->below[i3] = now;
+            L->optimism += now ? 1 : -1;
+        }
+        int64_t a = L->greedy[i2];
+        if (a != L->last[i2]) {
+            L->last[i2] = a;
+            memcpy(L->p_pi + i2 * S, L->P + (i2 * A + a) * S, (size_t)S * sizeof(double));
+            L->r_pi[i2] = L->mdp_rew[i2 * A + a];
+            differ++;
+            L->top = h;
+        }
+    }
+    if (L->optimism > L->violations)
+        L->violations = L->optimism;
+    L->pending = differ;
+}
+
 /* Play up to count episodes with initial states starts[0..), drawing one
  * uniform per step from u + u_index (count*H of them must be readable),
- * and stop after the first episode that changes Q.  Returns the number of
- * episodes played, or -1 when it stopped on an error (bad_n or
- * bad_index). */
+ * and stop after the first episode that changes Q, auditing each one when
+ * the audit is on.  Returns the number of episodes played, or -1 when it
+ * stopped on an error (bad_n or bad_index). */
 int64_t stageq_stretch(Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
@@ -229,8 +299,12 @@ int64_t stageq_stretch(Learner *L)
     const int64_t *starts = L->starts;
     int64_t count = L->count;
     int64_t played = 0, used = 0;
+    int audit = L->vstar0 != NULL;
     L->stage_ends = L->q_updates = L->refs_fixed = L->ref_wins = 0;
     L->bad_n = L->bad_index = 0;
+    L->top = -1;
+    L->switches += L->pending;
+    L->pending = 0;
     while (played < count) {
         int64_t u0 = L->q_updates;
         int64_t s = starts[played++];
@@ -238,6 +312,8 @@ int64_t stageq_stretch(Learner *L)
             L->bad_index = 1;
             break;
         }
+        if (audit)
+            audit_regret(L, s);
         int64_t bad = 0;
         for (int64_t h = 0; h < H && !bad; h++) {
             int64_t i2 = h * S + s;
@@ -258,5 +334,9 @@ int64_t stageq_stretch(Learner *L)
             break;
     }
     L->used = used;
-    return L->bad_n || L->bad_index ? -1 : played;
+    if (L->bad_n || L->bad_index)
+        return -1;
+    if (audit && L->q_updates > 0)
+        audit_change(L);
+    return played;
 }

@@ -18,9 +18,14 @@ With the kernel, run_stretch plays whole episodes in C for every learner
 here (the Learner struct's mode says whose observe it repeats) and
 run_episode is a one-episode stretch, both reading their uniforms in
 blocks from the run's UniformStream (rng.doubles); recorded trajectories
-(observe_trajectory) go through Python observe.  Without a C compiler
-run_episode is reference_episode (sample_episode feeding observe, one
-transition at a time), the path the kernel must match bit for bit.
+(observe_trajectory) go through Python observe.  run_stretch reports
+only whether Q changed; the tuple trajectory is built from the kernel's
+path buffers by run_episode alone.  Without a C compiler run_episode is
+reference_episode (sample_episode feeding observe, one transition at a
+time), the path the kernel must match bit for bit.
+
+bind_audit has the kernel also audit every episode it plays, in place of
+the Python body of metrics.Audit.
 
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
@@ -32,12 +37,13 @@ that reads it at once.
 
 Trajectory locality: run_episode writes Q, V and _greedy only at the
 (h, s, a) cells (and their (h, s) rows) of the trajectory it returns.  The
-audit loop in harness relies on this to re-test optimism and count switches
-on those H cells alone, so an update that touched any other cell would
-make the audit miss it.  The same holds for run_stretch, which plays
-episodes until one changes Q: only that last episode may change Q, and
-only along the trajectory it returns.  The compiled kernel plays stretches
-on the same tables and must keep this invariant too.
+audit relies on this to re-test optimism and count switches on those H
+cells alone, so an update that touched any other cell would make the
+audit miss it.  The same holds for run_stretch, which plays episodes
+until one changes Q: only that last episode may change Q, and only along
+its trajectory.  The compiled kernel plays stretches on the same tables
+and must keep this invariant too; its audit reads that trajectory from
+its path buffers.
 """
 
 from __future__ import annotations
@@ -159,8 +165,8 @@ class TabularQLearnerBase:
         if self._lib is None:
             return self.reference_episode(mdp, rng, episode_index)
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
-        _, changed = self.run_stretch(mdp, rng, episode_index, episode_index + 1)
-        return changed or self._last_traj(), EpisodeReport(
+        self.run_stretch(mdp, rng, episode_index, episode_index + 1)
+        return self._last_traj(), EpisodeReport(
             self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
 
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
@@ -168,9 +174,10 @@ class TabularQLearnerBase:
         after the first one that changes Q; rng is a harness.UniformStream.
 
         Returns (starts, changed): the initial state of every episode
-        played, and the last one's trajectory if it changed Q, else None.
-        Between the episodes played the greedy policy cannot move, which is
-        what lets the audit loop account for a whole stretch at once.
+        played, and whether the last one changed Q.  Between the episodes
+        played the greedy policy cannot move, which is what lets the audit
+        loop account for a whole stretch at once.  With the audit bound
+        (bind_audit), the kernel audits every episode it plays.
 
         Without the kernel this is play_stretch over reference_episode.
         The kernel plays the stretch in one call, which also ends when the
@@ -181,7 +188,8 @@ class TabularQLearnerBase:
         as many episodes as it plays, not for the whole block.
         """
         if self._lib is None:
-            return play_stretch(self.reference_episode, mdp, rng, first, stop)
+            starts, traj = play_stretch(self.reference_episode, mdp, rng, first, stop)
+            return starts, traj is not None
         H, k = self.H, self._kstate
         src = self._mdp_src
         if mdp.P is not src[0] or mdp.r is not src[1]:
@@ -201,15 +209,39 @@ class TabularQLearnerBase:
         self._window = min(2 * played, STRETCH_MAX) or 1
         if played < count:
             starts = starts[:played]
-        return starts, self._last_traj() if k.q_updates else None
+        return starts, k.q_updates > 0
 
     def _bind_mdp(self, mdp: EpisodicMdp) -> None:
         cum, rew = mdp.cum_array(), mdp.reward_array()
+        P = np.ascontiguousarray(mdp.P, dtype=float)    # no copy of a C-ordered float P
         H, S, A = self.H, self.S, self.A
         if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
             raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
-        self._kstate.cum, self._kstate.mdp_rew = cum.ctypes.data, rew.ctypes.data
-        self._mdp_src = (mdp.P, mdp.r, cum, rew)
+        k = self._kstate
+        k.cum, k.mdp_rew, k.P = cum.ctypes.data, rew.ctypes.data, P.ctypes.data
+        self._mdp_src = (mdp.P, mdp.r, cum, rew, P)
+
+    def bind_audit(self, cache, optimism, vstar0):
+        """Have the kernel audit every episode this learner plays from now
+        on (metrics.Audit), from the policy cache's table and the optimism
+        tracker's flags; vstar0 is V*[0].  Returns the Learner struct that
+        holds the running values, or None without the kernel.  The kernel
+        writes the cache's table and gathered rows and reads V^pi[0] from
+        its V, which the caller recomputes (cache.evaluate) from the
+        struct's top before the next call."""
+        if self._lib is None:
+            return None
+        self._bind_mdp(cache.mdp)
+        k = self._kstate
+        thr, below = array("d", optimism._thr), array("b", optimism._below)
+        vstar0 = np.ascontiguousarray(vstar0, dtype=float)
+        self._audit_bufs = (cache, thr, below, vstar0)   # the struct holds addresses
+        k.vstar0, k.vpi0 = vstar0.ctypes.data, cache._V.ctypes.data
+        k.thr, k.below = thr.buffer_info()[0], below.buffer_info()[0]
+        k.last = cache._flat.buffer_info()[0]
+        k.p_pi, k.r_pi = cache._P_pi.ctypes.data, cache._r_pi.ctypes.data
+        k.optimism = optimism.count
+        return k
 
     def _last_traj(self) -> list:
         """The trajectory of the last episode the kernel played."""
@@ -253,8 +285,10 @@ class TabularQLearnerBase:
 
 
 def play_stretch(run_episode, mdp: EpisodicMdp, rng, first: int, stop: int):
-    """run_stretch's contract met one run_episode(mdp, rng, k) call at a
-    time: the learners' path without the kernel, and the oracle's."""
+    """run_stretch's stretch played one run_episode(mdp, rng, k) call at a
+    time: the learners' path without the kernel, the oracle's, and the
+    Python audit's.  Returns (starts, traj): traj is the last episode's
+    trajectory if it changed Q, else None."""
     starts = []
     for k in range(first, stop):
         traj, report = run_episode(mdp, rng, k)

@@ -167,20 +167,20 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
         policy_flat = learner.greedy_actions_flat()
         k = total_generated
         stop = k + math.ceil((budget - total_consumed) / M) * M
-        changed = None
-        while changed is None and k < stop:
+        changed = False
+        while not changed and k < stop:
             starts, changed = learner.run_stretch(mdp, env_rng, k, stop)
             k += len(starts)
         # full rounds, then the changing episode's place j in its round
         played = k - total_generated
-        full, j = divmod(played - 1, M) if changed is not None else (played // M, 0)
+        full, j = divmod(played - 1, M) if changed else (played // M, 0)
         for _ in range(full):
             rounds.append(RoundLog(round=len(rounds) + 1, consumed=M,
                                    update_triggered=False,
                                    policy_version=update_rounds))
         consumed = full * M
         total_generated += consumed
-        if changed is not None:
+        if changed:
             rounds.append(RoundLog(round=len(rounds) + 1, consumed=j + 1,
                                    update_triggered=True,
                                    policy_version=update_rounds))

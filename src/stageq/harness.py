@@ -12,22 +12,23 @@ states and generated instances carry their own seeds and never touch the
 run streams, so changing the learner never perturbs the environment draw
 sequence.
 
-The one per-episode audit loop recomputes policy snapshots and exact
-policy values only on episodes whose predecessor actually changed a Q
-entry; the greedy policy cannot move otherwise.  Such an episode wrote Q
-only along its own trajectory (see the base module), so the optimism
-count re-tests just those H cells and the policy-value cache compares just
-those H rows: O(H) per Q-changing episode, plus recomputing V at and above
-the deepest layer where the new policy differs from the last.  The cache
-keeps that one table and its V and counts the differing rows as the
-switching cost, so the audit holds no per-policy state.  The loop
-builds a record only for the episodes its caller keeps (run_experiment:
-the log cadence; sweep_scaling: the checkpoints), so memory is bounded by
-those, not by K.  The learner plays the episodes up to the next Q change
-or kept row as one stretch (run_stretch: with a C compiler, calls of
-the compiled kernel), and the loop adds their regrets one by one, noting
-the first negative one for strict mode, which therefore checks every
-episode, kept or not.
+The one per-episode audit loop (_audited_run) recomputes policy
+snapshots and exact policy values only after episodes that actually
+changed a Q entry; the greedy policy cannot move otherwise.  Such an
+episode wrote Q only along its own trajectory (see the base module), so
+the optimism count re-tests just those H cells and the policy-value cache
+compares just those H rows: O(H) per Q-changing episode, plus recomputing
+V at and above the deepest layer where the new policy differs from the
+last.  The cache keeps that one table and its V and counts the differing
+rows as the switching cost, so the audit holds no per-policy state.  The
+loop builds a record only for the episodes its caller keeps
+(run_experiment: the log cadence; sweep_scaling: the checkpoints), so
+memory is bounded by those, not by K.  metrics.Audit plays the episodes
+up to the next Q change or kept row as one stretch and adds their
+regrets one by one, noting the first negative one for strict mode, which
+therefore checks every episode, kept or not.  With a C compiler the
+kernel plays and audits the stretch, and only V^pi's layers (NumPy dot
+products) are recomputed in Python.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
-from .metrics import (EpisodeRecord, OptimismTracker, PolicyValueCache,
-                      grid_rows, switching_bound, write_csv, write_episode_csv)
+from .metrics import (Audit, EpisodeRecord, grid_rows, switching_bound, write_csv,
+                      write_episode_csv)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -181,7 +182,8 @@ class OracleAgent:
         return traj, EpisodeReport(stage_ends=0, q_updates=0, refs_fixed=0)
 
     def run_stretch(self, mdp, rng, first: int, stop: int):
-        return play_stretch(self.run_episode, mdp, rng, first, stop)
+        starts, _ = play_stretch(self.run_episode, mdp, rng, first, stop)
+        return starts, False       # Q never changes
 
     def greedy_actions_flat(self):
         return list(self._actions)
@@ -295,12 +297,13 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     """The audit loop; keeps the row of each episode k in keep (an increasing
     sequence), ignores out_dir.
 
-    The learner plays stretches of episodes (run_stretch) that end at a
+    The audit plays stretches of episodes (Audit.stretch) that end at a
     Q-changing episode or at the next kept k, so within a stretch the
     greedy policy, and with it V^pi, stays put, and every episode's regret
     is added to cum_regret one at a time, as a per-episode loop would.  The
     first episode with negative regret is noted there, and a strict run
-    hands it to enforce_invariants, kept row or not.
+    hands it to enforce_invariants, kept row or not.  Each kept row is
+    built from the audit's running values (Audit.fields).
     """
     t0 = time.perf_counter()
     K = config.episodes
@@ -309,60 +312,42 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     mdp = config.env.build()
     validate(mdp)
     vstar, pistar = backward_induction(mdp)
-    vstar0 = vstar.V[0].tolist()   # lists: the same float64 arithmetic, unboxed
     learner = make_learner(config.algo, mdp, config.constants,
                            n_max=K * mdp.H + 1, cb=config.cb)
     env_rng = seeded_stream(config.seed, 0, "env")
-    cache = PolicyValueCache(mdp)
-    optimism = OptimismTracker(learner.q_array(), vstar.Q)
-    S = mdp.S
+    audit = Audit(learner, mdp, vstar)
+    f = audit.fields               # the running values
     records = []
-    cum_regret = 0.0
-    violations = 0
-    vpi0 = cache.values(learner.greedy_buffer()).V[0].tolist()
-    negative = None                # the first k with negative regret
-    changed = None                 # the last episode's trajectory, if it changed Q
     kept = iter(keep)
     next_kept = next(kept, K + 1)  # the next kept k, K + 1 past the last
     k = 1                          # the next episode to play
 
     while k <= K:
-        if changed is not None:
-            rows = [h * S + step[0] for h, step in enumerate(changed)]
-            vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
         while next_kept < k:
             next_kept = next(kept, K + 1)
-        starts, changed = learner.run_stretch(mdp, env_rng, k - 1, min(next_kept, K))
-        for j, s1 in enumerate(starts, k):
-            reg = vstar0[s1] - vpi0[s1]
-            cum_regret += reg
-            if reg < -1e-9 and negative is None:
-                negative = j
-        k += len(starts)
-        if changed is not None:
-            violations = max(violations, optimism.update(learner.q_at, changed))
+        k += audit.stretch(env_rng, k - 1, min(next_kept, K))
         if next_kept == k - 1:
             records.append(EpisodeRecord(
-                k=k - 1, episode_regret=reg, cum_regret=cum_regret,
-                cum_switching_cost=cache.switches,
+                k=k - 1, episode_regret=f.reg, cum_regret=f.cum_regret,
+                cum_switching_cost=f.switches,
                 cum_q_updates=learner.q_update_count,
-                cum_optimism_violations=violations,
+                cum_optimism_violations=f.violations,
                 ref_states_fixed=learner.ref_fixed_count))
 
     T = K * mdp.H
     summary = RunSummary(
         algo=config.algo, seed=config.seed, episodes=K, steps=T,
-        cum_regret=cum_regret, n_switch=cache.switches,
+        cum_regret=f.cum_regret, n_switch=f.switches,
         switch_bound=switching_bound(mdp.S, mdp.A, mdp.H, T),
         q_updates=learner.q_update_count,
-        optimism_violations=violations,
+        optimism_violations=f.violations,
         ref_states_fixed=learner.ref_fixed_count,
         wall_time_s=time.perf_counter() - t0,
         reference_wins=learner.reference_wins)
     result = RunResult(config=config, records=records, summary=summary,
                        learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
     if config.strict:
-        enforce_invariants(result, negative)
+        enforce_invariants(result, f.negative or None)
     return result
 
 
@@ -399,15 +384,24 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
 
     One run per seed suffices because the learner is online: cum_regret at
     an intermediate episode equals a run stopped there (same stream).
-    Checkpoints are round(episodes * m) for each multiplier; each seed's
-    run keeps only their rows.  log_every and out_dir are not read.
+    Checkpoints are round(episodes * m) for each multiplier, in exact
+    arithmetic; each seed's run keeps only their rows.  log_every and
+    out_dir are not read.
     """
-    ks = sorted({max(1, round(config.episodes * m)) for m in t_multipliers})
+    ks = sorted({max(1, _exact_round(config.episodes, m)) for m in t_multipliers})
     rows = []
     for seed in seeds:
         result = _audited_run(replace(config, episodes=ks[-1], seed=seed), ks)
         rows += [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
     return rows
+
+
+def _exact_round(n: int, m: float) -> int:
+    """round(n * m) of the exact product, ties to even as round() breaks
+    them; the float product n * m is not exact past 2**53."""
+    num, den = m.as_integer_ratio()
+    k, rem = divmod(n * num, den)
+    return k + (2 * rem > den or 2 * rem == den and k % 2 == 1)
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -2,9 +2,11 @@
 
 The kernel plays episodes for all three tabular learners (advantage,
 hoeffding-stage and classic-qucb); the Learner struct's mode says whose
-observe it repeats.  The struct's last fields are the per-call values:
-u_index and count, set before each call, and the counter increments and
-error fields that the call fills.
+observe it repeats.  With the audit fields set (from vstar0 to pending),
+it also audits every episode it plays, as metrics.Audit does in Python.
+The struct's last fields are the per-call values: u_index and count, set
+before each call, and the counter increments, error fields and the audit's
+deepest changed layer (top) that the call fills.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -49,10 +51,14 @@ class Learner(ctypes.Structure):
                 + [(name, c_double) for name in ("cb", "h3iota")]
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
-                    "cum", "mdp_rew", "u", "starts")]
+                    "cum", "mdp_rew", "u", "starts", "P",
+                    "vstar0", "vpi0", "thr", "below", "last", "p_pi", "r_pi")]
+                + [("episodes", c_int64)]
+                + [(name, c_double) for name in ("reg", "cum_regret")]
                 + [(name, c_int64) for name in (
+                    "negative", "optimism", "violations", "switches", "pending",
                     "u_index", "count", "stage_ends", "q_updates", "refs_fixed",
-                    "ref_wins", "used", "bad_n", "bad_index")])
+                    "ref_wins", "used", "bad_n", "bad_index", "top")])
 
 
 # Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)

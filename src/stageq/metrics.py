@@ -29,10 +29,17 @@ those H cells, and PolicyValueCache compares those H rows and counts the
 ones that differ as switches.  check_optimism, count_switches,
 SwitchTracker.record and policy_evaluation are the full-scan references
 they must agree with.
+
+Audit runs those steps a stretch of episodes at a time: in the compiled
+kernel every one but V^pi's layers, which stay NumPy dot products
+(PolicyValueCache.evaluate) because BLAS's ddot adds in an order of its
+own that a C loop would not reproduce bit for bit; without the kernel,
+or for the oracle, in Python through the cache and OptimismTracker.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from math import log
@@ -40,6 +47,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .base import play_stretch
 from .mdp import EpisodicMdp, ValueTables
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
@@ -63,19 +71,21 @@ class EpisodeRecord:
 class PolicyValueCache:
     """Exact V^pi of the last greedy table, kept current from table to table.
 
-    Holds one table (a flat list), the rows of P and r it selects (P_pi, an
-    (H, S, 1, S) array, and r_pi, (H, S)), its V and the running switch
-    count, whatever the run length.  values() compares the new table with
-    the last one at `rows` (default: every row): no difference returns the
-    same ValueTables; otherwise the differing rows are checked (integers in
-    [0, A)), written into the table and its gathered rows, added to
-    `switches`, and V is recomputed from a copy of the last V.  V[h]
-    depends only on the actions at layers >= h, so the recursion
-    V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the deepest differing
-    layer: S dot products per layer, where policy_evaluation takes S*A.
-    Each is the same length-S dot product of the same row and V[h+1] that
-    policy_evaluation computes, so the result equals a fresh
-    policy_evaluation(...).V bit for bit; Q is None.
+    Holds one table (a flat int64 array), the rows of P and r it selects
+    (P_pi, an (H, S, 1, S) array, and r_pi, (H, S)), its V and the running
+    switch count, whatever the run length.  values() compares the new table
+    with the last one at `rows` (default: every row): no difference returns
+    the same ValueTables; otherwise the differing rows are checked
+    (integers in [0, A)), written into the table and its gathered rows,
+    added to `switches`, and V is recomputed in place (evaluate) and
+    returned as a copy.  V[h] depends only on the actions at layers >= h,
+    so the recursion V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the
+    deepest differing layer: S dot products per layer, where
+    policy_evaluation takes S*A.  Each is the same length-S dot product of
+    the same row and V[h+1] that policy_evaluation computes, so the result
+    equals a fresh policy_evaluation(...).V bit for bit; Q is None.  The
+    kernel's audit writes the table and the gathered rows itself and calls
+    only evaluate (see Audit).
 
     Like the MDP's own caches, the gathered rows keep the P and r they came
     from, which become read-only; rebinding mdp.P or mdp.r gathers every
@@ -86,9 +96,12 @@ class PolicyValueCache:
         H, S = mdp.H, mdp.S
         self.mdp = mdp
         self.switches = 0          # differing rows summed over calls after the first
-        self._flat = [None] * (H * S)   # no table yet: every row differs
-        self._P_pi = np.zeros((H, S, 1, S))
-        self._r_pi = np.zeros((H, S))
+        self._flat = array("q", [-1]) * (H * S)    # the last table (none yet)
+        self._P_pi = P_pi = np.zeros((H, S, 1, S))
+        self._r_pi = r_pi = np.zeros((H, S))
+        self._V = V = np.zeros((H + 1, S))   # its V, kept in place; callers get copies
+        col = V[:, :, None]        # each V[h] as the (S, 1) column dot writes
+        self._layers = [(P_pi[h].dot, V[h + 1], col[h], V[h], r_pi[h]) for h in range(H)]
         self._src = (None, None)   # the mdp.P and mdp.r gathered from
         self._tables = None
 
@@ -103,7 +116,7 @@ class PolicyValueCache:
             raise ValueError(f"policy has {len(actions_flat)} entries, not {len(last)}")
         if rows is None or first:
             rows = range(len(last))
-        diff = [i for i in rows if actions_flat[i] != last[i]]
+        diff = list(rows) if first else [i for i in rows if actions_flat[i] != last[i]]
         P, r = mdp.P, mdp.r
         rebound = P is not self._src[0] or r is not self._src[1]
         if not diff and not rebound:
@@ -135,14 +148,19 @@ class PolicyValueCache:
                 P_pi[h, s, 0] = P[h, s, a]
                 r_pi[h, s] = r[h, s, a]
             top = max(diff) // S
-        V = np.zeros((H + 1, S)) if first else self._tables.V.copy()
         self.switches += 0 if first else len(diff)
-        col = V[:, :, None]        # each V[h] as the (S, 1) column dot writes
-        for h in range(top, -1, -1):   # dot, then + r_pi[h]: the same sum, no temporaries
-            P_pi[h].dot(V[h + 1], out=col[h])
-            V[h] += r_pi[h]
-        self._tables = ValueTables(V=V, Q=None)
+        self.evaluate(top)
+        self._tables = ValueTables(V=self._V.copy(), Q=None)
         return self._tables
+
+    def evaluate(self, top: int) -> None:
+        """Recompute V[top], V[top - 1], ..., V[0] in place from the gathered
+        rows, after a change of the table at layer top and none below it:
+        V[h] = P_pi[h] . V[h+1], then += r_pi[h], one NumPy dot per layer
+        (the same sum, with no temporaries)."""
+        for dot, nxt, out, cur, r in self._layers[top::-1]:
+            dot(nxt, out)          # out by position: no keyword parsing
+            cur += r
 
 
 def count_switches(prev_actions, new_actions) -> int:
@@ -217,6 +235,69 @@ class OptimismTracker:
                 count += 1 if now else -1
         self.count = count
         return count
+
+
+class Audit:
+    """One run's audit, a stretch of the learner's episodes at a time.
+
+    stretch(rng, first, stop) has the learner play episodes first, first +
+    1, ... (0-based, below stop) up to the first that changes Q, as
+    run_stretch does, audits each and returns how many it played.  The
+    running values are attributes of `fields`: reg (the last episode's
+    regret), cum_regret (their sum, added episode by episode), negative
+    (the first 1-based episode whose regret is below -1e-9, or 0),
+    switches and violations (the running maximum of the optimism count).
+
+    Two bodies, like the learners' observe: with the compiled kernel, the
+    kernel audits each episode it plays (TabularQLearnerBase.bind_audit),
+    fields is its Learner struct, and only V^pi's layers are recomputed
+    here, from the deepest one the kernel reports.  Otherwise (the oracle,
+    or no C compiler) fields is this object and stretch runs the Python
+    body, the reference the kernel must match row for row.
+    """
+
+    def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables):
+        self.learner, self.mdp = learner, mdp
+        self.cache = PolicyValueCache(mdp)
+        self.cache.values(learner.greedy_buffer())
+        optimism = OptimismTracker(learner.q_array(), vstar.Q)
+        bind = getattr(learner, "bind_audit", None)
+        self.fields = bind and bind(self.cache, optimism, vstar.V[0])
+        if self.fields is None:
+            self.fields = self
+            self.reg = self.cum_regret = 0.0
+            self.negative = self.switches = self.violations = 0
+            self._optimism = optimism
+            self._vstar0 = vstar.V[0].tolist()   # lists: the same float64 arithmetic, unboxed
+            self._vpi0 = self.cache._V[0].tolist()
+            self._traj = None      # the last stretch's trajectory, if it changed Q
+
+    def stretch(self, rng, first: int, stop: int) -> int:
+        learner, cache = self.learner, self.cache
+        if self.fields is not self:
+            starts, _ = learner.run_stretch(self.mdp, rng, first, stop)
+            top = self.fields.top
+            if top >= 0:
+                cache.evaluate(top)
+            return len(starts)
+        if self._traj is not None:
+            S = self.mdp.S
+            rows = [h * S + step[0] for h, step in enumerate(self._traj)]
+            self._vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
+            self.switches = cache.switches
+        vstar0, vpi0 = self._vstar0, self._vpi0
+        cum_regret, negative = self.cum_regret, self.negative
+        starts, self._traj = play_stretch(learner.run_episode, self.mdp, rng, first, stop)
+        for k, s1 in enumerate(starts, first + 1):
+            reg = vstar0[s1] - vpi0[s1]
+            cum_regret += reg
+            if reg < -1e-9 and not negative:
+                negative = k
+        self.reg, self.cum_regret, self.negative = reg, cum_regret, negative
+        if self._traj is not None:
+            self.violations = max(self.violations,
+                                  self._optimism.update(learner.q_at, self._traj))
+        return len(starts)
 
 
 def write_csv(out, header: str, row_format: str, rows) -> None:

@@ -221,6 +221,8 @@ BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H")
               # visit ceilings past int64
               ("run", ["--H", "3", "--episodes", str(3 * 10**18)], "n_max"),
               ("sweep", ["--episodes", str(10**23)], "n_max"),
+              # checkpoints in exact arithmetic: 10**23 episodes, not the float's
+              ("sweep", ["--episodes", str(10**23), "--t-mults=1"], f"got {5 * 10**23 + 1}"),
               ("schedule", ["--H", "3", "--n-max", str(10**26)], "n_max"),
               ("concurrent", ["--k-eps-override", "1e30"], "n_max"),
               ("concurrent", ["--agents", str(10**20), "--k-eps-override", "10"], "n_max"),

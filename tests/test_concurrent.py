@@ -240,7 +240,7 @@ def test_rounds_m8_plays_one_stretch_per_update(path):
     def counted(mdp, rng, first, stop):
         window = getattr(lr, "_window", None)
         starts, changed = stretch(mdp, rng, first, stop)
-        if changed is not None:
+        if changed:
             ends["q"] += 1
         elif first + len(starts) == stop:
             ends["stop"] += 1

@@ -14,6 +14,7 @@ every episode and every replayed trajectory it must equal np.argmax of Q.
 """
 
 import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLe
 from stageq import harness
 from stageq.base import STRETCH_MAX
 from stageq.concurrent import replay_into
-from stageq.metrics import PolicyValueCache
+from stageq.metrics import OptimismTracker, PolicyValueCache
 
 # (name, make_mdp, reference trigger N0, episodes)
 INSTANCES = [
@@ -149,9 +150,9 @@ def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
 
 
 def reference_stretch(lr, mdp, rng, first, count, stop):
-    """count reference episodes from first, as (starts, changed); every one
-    but the last must be one that run_stretch plays through (no Q change,
-    below stop)."""
+    """count reference episodes from first, as run_stretch's (starts,
+    changed), and the last one's trajectory; every one but the last must be
+    one that run_stretch plays through (no Q change, below stop)."""
     starts = []
     for k in range(first, first + count):
         traj, report = lr.reference_episode(mdp, rng, k)
@@ -159,7 +160,7 @@ def reference_stretch(lr, mdp, rng, first, count, stop):
         if k < first + count - 1:
             assert not report.q_changed
     assert first + count <= stop
-    return starts, traj if report.q_changed else None
+    return (starts, report.q_changed), traj
 
 
 # jao-40 crosses block boundaries (4096 is not a multiple of H=40) and runs
@@ -190,13 +191,15 @@ def test_stretch_matches_reference_path(inst, path):
             window = fast._window
             assert window == (min(2 * last, STRETCH_MAX) or 1)
         starts, changed = fast.run_stretch(mdp, rng_fast, k, stop)
-        expect = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop)
+        expect, traj = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop)
         assert (starts, changed) == expect
+        if path == "kernel":   # built only on request
+            assert fast._last_traj() == traj
         assert starts == mdp.initial_states(k, len(starts))
         k += len(starts)
         last = len(starts)
         crossed += unread < mdp.H   # the stretch's uniforms span two blocks
-        if changed is not None:
+        if changed:
             stops["q"] += 1
         elif k == stop:
             stops["checkpoint"] += 1
@@ -264,7 +267,7 @@ def stretch_or_raise(lr, mdp, rng, first, stop):
 
 def reference_or_raise(lr, mdp, rng, first, count, stop):
     try:
-        return reference_stretch(lr, mdp, rng, first, count, stop)
+        return reference_stretch(lr, mdp, rng, first, count, stop)[0]
     except OutOfRangeError as exc:
         return exc.n
 
@@ -339,31 +342,45 @@ def test_reference_wins_counts_only_reference_set_updates(path):
     assert noref.q_update_count > 0 and noref.reference_wins == 0
 
 
-@pytest.mark.parametrize("algo", ["advantage", "classic-qucb"])
-def test_audited_run_matches_fallback(monkeypatch, algo):
-    # the whole audit loop, kernel against Python: every kept row, the first
-    # negative-regret episode that strict mode reports (produced here by a
-    # cache that rates the policy 0.05 above optimal from state 1), the
-    # summary and the learner's tables
+# The audited runs compared below: each instance with its episode count and
+# the amount by which V*(s=1) is lowered (the lower_vstar fixture), so that
+# the episodes from state 1 whose regret has fallen below it have negative
+# regret.  init sends episodes 3, 8, 13, ... (1-based) to state 1, none a
+# power of two.
+AUDIT_ENVS = {
+    "small": (EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0,
+                      init=InitialStates.cyclic([0, 0, 1, 2, 0])), 3000, 0.05),
+    "wide": (EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0,
+                     init=InitialStates.cyclic([0, 0, 1, 2, 0])), 300, 3.2),
+    "chain": (EnvSpec(kind="jao", H=40, jao_delta=0.4, jao_epsilon=0.1, env_seed=0,
+                      init=InitialStates.cyclic([0, 0, 1, 0, 0])), 2000, 0.8),
+}
+# the first negative episode of each run, where learning gets one there;
+# hoeffding-stage lowers Q only on the small instance, and its one update
+# leaves the regret from state 1 above 1
+FIRST_NEGATIVE = {("small", "advantage"): 38, ("small", "classic-qucb"): 13,
+                  ("wide", "classic-qucb"): 278, ("chain", "advantage"): 168,
+                  ("chain", "classic-qucb"): 43}
+
+
+@pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage", "classic-qucb"])
+@pytest.mark.parametrize("inst", sorted(AUDIT_ENVS))
+def test_audited_run_matches_fallback(monkeypatch, lower_vstar, inst, algo):
+    # the whole audit loop, the kernel's against the Python body: every
+    # kept row, the first negative-regret episode that strict mode reports
+    # (off the pow2 cadence), the summary and the learner's tables.  With
+    # a pow2 cadence the kernel plays many episodes per call between Q
+    # changes, and the Python body one per call.
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
-
-    class InflatedCache(PolicyValueCache):
-        def values(self, actions_flat, rows=None):
-            tables = super().values(actions_flat, rows)
-            V = tables.V.copy()
-            V[0, 1] += 0.05
-            return replace(tables, V=V)
-
-    monkeypatch.setattr(harness, "PolicyValueCache", InflatedCache)
+    env, K, drop = AUDIT_ENVS[inst]
+    lower_vstar(drop)
     negatives = []
     monkeypatch.setattr(harness, "enforce_invariants",
                         lambda result, negative=None: negatives.append(negative))
-    env = EnvSpec(kind="random", S=3, A=2, H=5, env_seed=0,
-                  init=InitialStates.cyclic([0, 0, 1, 2, 0]))
-    cfg = RunConfig(env=env, algo=algo, episodes=3000, seed=4, log_every="pow2",
-                    strict=True, cb=QUCB_CB,
-                    constants=AlgoConstants(n0_override=200, **CONSTANT_SETS["desk"]))
+    cfg = RunConfig(env=env, algo=algo, episodes=K, seed=4, log_every="pow2",
+                    strict=True, cb=0.01,
+                    constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"]))
     results = {}
     for name in ("kernel", "fallback"):
         if name == "fallback":
@@ -374,10 +391,41 @@ def test_audited_run_matches_fallback(monkeypatch, algo):
         results[name] = (res.records, replace(res.summary, wall_time_s=0.0), tables)
         assert (lr._lib is None) == (name == "fallback")
     assert results["kernel"] == results["fallback"]
-    pow2 = sorted({1 << i for i in range(12)} | {3000})
+    pow2 = sorted({1 << i for i in range(K.bit_length())} | {K})
     assert [r.k for r in results["kernel"][0]] == pow2
-    assert negatives[0] == negatives[1] and negatives[0] not in pow2 + [None]
-    assert results["kernel"][1].q_updates > 0
+    assert negatives == [FIRST_NEGATIVE.get((inst, algo))] * 2
+    assert results["kernel"][1].q_updates > 0 or algo == "hoeffding-stage"
+
+
+def test_kernel_audit_leaves_only_the_layers_to_python(monkeypatch):
+    # with the kernel, the cache's values() runs once (the first, full
+    # evaluation) and the optimism tracker's update never: a run that fell
+    # back to the Python audit fails here, not only in the benchmark
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    calls = Counter()
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(PolicyValueCache, "values")
+    spy(PolicyValueCache, "evaluate")
+    spy(OptimismTracker, "update")
+    env = AUDIT_ENVS["small"][0]
+    for algo in ("advantage", "hoeffding-stage", "classic-qucb"):
+        calls.clear()
+        res = harness.run_experiment(RunConfig(
+            env=env, algo=algo, episodes=2000, log_every="pow2", cb=0.01,
+            constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"])))
+        assert res.learner._lib is not None
+        assert calls["values"] == 1 and calls["update"] == 0
+        # each policy change recomputes layers, the first evaluation included
+        assert calls["evaluate"] > 1 or res.summary.n_switch == 0
 
 
 def make_all_learners(mdp, const, n_max):

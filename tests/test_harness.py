@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from stageq import (AlgoConstants, ConcurrentConfig, ConfigError,
                     DeterministicPolicy, EnvSpec,
                     InitialStates, InvariantViolation, OptimismTracker,
-                    PolicyValueCache, RunConfig, SwitchTracker,
+                    RunConfig, SwitchTracker,
                     backward_induction, build_concurrent_config,
                     build_run_config, check_optimism,
                     coerce_kv, make_learner, make_random_mdp, parse_kv_file,
                     policy_evaluation, run_experiment, save_mdp,
                     seeded_stream, sweep_scaling, switching_bound, validate)
-from stageq import harness
+from stageq import harness, metrics
 from stageq.harness import (CONFIG_KEYS, UniformStream, checkpoint_regrets,
                             enforce_invariants, parse_init_spec)
 
@@ -158,6 +159,7 @@ class CheckedOptimism(OptimismTracker):
 
 
 SMALL_ENV = EnvSpec(kind="random", S=3, A=2, H=3, env_seed=2)
+TIGHT = AlgoConstants(p=0.5, c1=0.05, c2=0.05, c3=0.01, n0_override=100)
 WIDE_ENV = EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0)
 CHAIN_ENV = EnvSpec(kind="jao", H=40, jao_delta=0.4, jao_epsilon=0.1, env_seed=0)
 DESK = dict(p=0.1, c1=1.2, c2=1.2, c3=0.06)
@@ -166,7 +168,7 @@ DESK = dict(p=0.1, c1=1.2, c2=1.2, c3=0.06)
 # per-variant scales chosen so q updates actually fire (lazy path non-vacuous);
 # the wide and chain cases flip the greedy policy on many rows per change.
 # The first three ids are the ones pytest generated before env and cb were
-# parameters.
+# parameters.  hoeffding-stage first lowers Q only at a short horizon.
 @pytest.mark.parametrize("env,algo,constants,cb,episodes", [
     pytest.param(SMALL_ENV, "advantage", REDUCED, 2.0, 400,
                  id="advantage-constants0-400"),
@@ -179,23 +181,29 @@ DESK = dict(p=0.1, c1=1.2, c2=1.2, c3=0.06)
                  id="classic-qucb-cb0.01-400"),
     pytest.param(WIDE_ENV, "classic-qucb", AlgoConstants(p=0.1), 0.01, 100,
                  id="classic-qucb-wide-cb0.01-100"),
+    pytest.param(WIDE_ENV, "advantage", TIGHT, 2.0, 300, id="advantage-wide-300"),
     pytest.param(CHAIN_ENV, "advantage", AlgoConstants(n0_override=500, **DESK),
                  2.0, 2000, id="advantage-jao40-2000"),
+    pytest.param(CHAIN_ENV, "classic-qucb", TIGHT, 0.01, 300,
+                 id="classic-qucb-jao40-300"),
 ])
-def test_lazy_audit_matches_eager_reference(monkeypatch, env, algo, constants,
+def test_lazy_audit_matches_eager_reference(monkeypatch, path, env, algo, constants,
                                             cb, episodes):
+    # every row of the kernel's audit and of the Python body against the
+    # eager loop; the Python body's optimism counts are also checked
+    # against a full scan after each update
     trackers = []
 
     def checked(q_learner, q_star):
         trackers.append(CheckedOptimism(q_learner, q_star))
         return trackers[-1]
 
-    monkeypatch.setattr(harness, "OptimismTracker", checked)
+    monkeypatch.setattr(metrics, "OptimismTracker", checked)
     cfg = RunConfig(env=env, algo=algo, constants=constants, cb=cb,
                     episodes=episodes, seed=3)
     res = run_experiment(cfg)
     assert res.summary.q_updates > 0
-    assert len(trackers) == 1 and trackers[0].counts
+    assert len(trackers) == 1 and bool(trackers[0].counts) == (path == "fallback")
     got = [(r.k, r.cum_regret, r.cum_switching_cost, r.cum_q_updates,
             r.cum_optimism_violations, r.ref_states_fixed) for r in res.records]
     want = eager_reference_run(cfg)
@@ -219,6 +227,32 @@ def test_stretched_audit_matches_eager_reference(env, algo, constants, episodes)
     kept = {1 << i for i in range(episodes.bit_length())} | {episodes}
     assert got == [row for row in eager_reference_run(cfg) if row[0] in kept]
     assert res.summary.cum_regret == got[-1][1]
+
+
+def test_optimism_counts_only_entries_strictly_below_the_threshold(monkeypatch, path):
+    # a Q* whose Q* - 1e-9 equals, bit for bit, the Q that the first
+    # episode leaves on each cell it visits, and lies below Q everywhere
+    # else: an entry equal to its threshold is not below it
+    cfg = RunConfig(env=SMALL_ENV, algo="classic-qucb", episodes=1, cb=0.01)
+    q = run_experiment(cfg).learner.q_array()
+    H = q.shape[0]
+    visited = q != (H - np.arange(H))[:, None, None]
+    assert visited.sum() == H
+    qstar = np.zeros((H + 1,) + q.shape[1:])
+    for cell in zip(*np.nonzero(visited)):
+        t = float(q[cell]) + 1e-9
+        while t - 1e-9 > q[cell]:
+            t = math.nextafter(t, -math.inf)
+        while t - 1e-9 < q[cell]:
+            t = math.nextafter(t, math.inf)
+        qstar[cell] = t
+    assert np.array_equal(q[visited], qstar[:H][visited] - 1e-9)
+    solve = harness.backward_induction
+    monkeypatch.setattr(harness, "backward_induction",
+                        lambda mdp: (replace(solve(mdp)[0], Q=qstar), solve(mdp)[1]))
+    res = run_experiment(cfg)
+    assert res.learner.q_array().tobytes() == q.tobytes()
+    assert res.records[-1].cum_optimism_violations == check_optimism(q, qstar) == 0
 
 
 def test_summary_reports_reference_wins():
@@ -279,18 +313,11 @@ def test_strict_mode_flags_violations():
 
 @pytest.mark.parametrize("starts", [[0, 0, 1, 0, 0, 0],
                                     [0, 0, 1, 0, 1, 0]])   # two: the first is named
-def test_strict_mode_flags_negative_regret_on_unlogged_episode(monkeypatch, starts):
-    # the episodes starting in state 1, where the substituted cache rates the
-    # policy 1.0 above optimal, have negative regret, and neither the pow2
-    # cadence (1, 2, 4, 6) nor the sweep's checkpoints (2, 6) keep one
-    class InflatedCache(PolicyValueCache):
-        def values(self, actions_flat, rows=None):
-            tables = super().values(actions_flat, rows)
-            V = tables.V.copy()
-            V[0, 1] += 1.0
-            return replace(tables, V=V)
-
-    monkeypatch.setattr(harness, "PolicyValueCache", InflatedCache)
+def test_strict_mode_flags_negative_regret_on_unlogged_episode(lower_vstar, starts):
+    # the episodes starting in state 1, where the substituted V* is 1.0 below
+    # the optimal value, have negative regret, and neither the pow2 cadence
+    # (1, 2, 4, 6) nor the sweep's checkpoints (2, 6) keep one
+    lower_vstar(1.0)
     env = EnvSpec(S=2, H=3, init=InitialStates.cyclic(starts))
     cfg = RunConfig(env=env, algo="oracle", episodes=6, log_every="pow2")
     assert [r.k for r in run_experiment(cfg).records] == [1, 2, 4, 6]
