@@ -13,12 +13,14 @@
  * tables come out bit for bit equal to the Python path's.
  *
  * With the audit bound (TabularQLearnerBase.bind_audit), stageq_stretch
- * also does every audit step that is exact in C, as metrics.Audit's
- * Python body does: each episode's regret and their running sum, and
- * after the Q-changing episode the optimism re-test and the switch count
- * on the H cells it visited, copying in the rows of P and r that each
- * changed greedy row selects.  V^pi's layers stay NumPy dot products,
- * whose BLAS sums a C loop would not reproduce bit for bit.
+ * also audits, as metrics.Audit's Python body does: each episode's regret
+ * and their running sum, and after the Q-changing episode the optimism
+ * re-test and the switch count on the H cells it visited, copying in the
+ * rows of P and r that each changed greedy row selects, and V^pi's layers
+ * from the deepest changed one.  Each layer sum calls the ddot that NumPy's
+ * dot calls (its BLAS's, whose kernel adds in an order of its own), so V^pi
+ * comes out bit for bit as PolicyValueCache.evaluate computes it; without
+ * that function the layers are left to evaluate.
  *
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
@@ -69,11 +71,13 @@ typedef struct {
     /* the audit, on when vstar0 is set; its running values are read by
      * metrics.Audit under the names its Python body uses */
     const double *vstar0;   /* V*[0], per state */
-    const double *vpi0;     /* V^pi[0] of the greedy policy played, per state */
+    double *vpi;            /* V^pi of the greedy policy played, (H+1)*S */
     const double *thr;      /* Q* - 1e-9 per (h, s, a) */
     int8_t *below;          /* q < thr, per (h, s, a) */
     int64_t *last;          /* the policy cache's table, per (h, s) */
     double *p_pi, *r_pi;    /* the rows of P and r that table selects */
+    /* NumPy's BLAS ddot (n, x, incx, y, incy), or NULL: top is left to Python */
+    double (*ddot)(int64_t, const double *, int64_t, const double *, int64_t);
     int64_t episodes;       /* episodes audited */
     double reg, cum_regret; /* the last one's regret, and the running sum */
     int64_t negative;       /* the first episode with regret < -1e-9, or 0 */
@@ -91,7 +95,8 @@ typedef struct {
     int64_t used;           /* uniforms consumed */
     int64_t bad_n;          /* visit count above n_max, or 0 */
     int64_t bad_index;      /* 1 if a state or action was out of range */
-    int64_t top;            /* the deepest layer the audit's table changed, or -1 */
+    int64_t top;            /* with no ddot, the deepest layer the audit's table
+                               changed, for Python to recompute from; else -1 */
 } Learner;
 
 /* sizeof(Learner), which kernel.py checks against its own layout */
@@ -249,7 +254,7 @@ static int64_t observe(Learner *L, int64_t h, int64_t s, int64_t a,
  * cannot move inside a stretch, so V^pi is the one at the call's start. */
 static void audit_regret(Learner *L, int64_t s1)
 {
-    double reg = L->vstar0[s1] - L->vpi0[s1];
+    double reg = L->vstar0[s1] - L->vpi[s1];
     L->episodes += 1;
     L->reg = reg;
     L->cum_regret += reg;
@@ -285,6 +290,24 @@ static void audit_change(Learner *L)
     if (L->optimism > L->violations)
         L->violations = L->optimism;
     L->pending = differ;
+}
+
+/* PolicyValueCache.evaluate(top) in place, and top = -1: V[h] for h = top
+ * down to 0, each entry the row's sum as NumPy's DOUBLE_dot forms it,
+ * 0.0 + ddot(...) (the start turns a -0.0 into 0.0), then + r_pi. */
+static void audit_layers(Learner *L)
+{
+    int64_t S = L->S;
+    for (int64_t h = L->top; h >= 0; h--) {
+        double *v = L->vpi + h * S;
+        for (int64_t s = 0; s < S; s++) {
+            int64_t i2 = h * S + s;
+            double x = 0.0;
+            x += L->ddot(S, L->p_pi + i2 * S, 1, v + S, 1);
+            v[s] = x + L->r_pi[i2];
+        }
+    }
+    L->top = -1;
 }
 
 /* Play up to count episodes with initial states starts[0..), drawing one
@@ -336,7 +359,10 @@ int64_t stageq_stretch(Learner *L)
     L->used = used;
     if (L->bad_n || L->bad_index)
         return -1;
-    if (audit && L->q_updates > 0)
+    if (audit && L->q_updates > 0) {
         audit_change(L);
+        if (L->ddot != NULL)
+            audit_layers(L);
+    }
     return played;
 }

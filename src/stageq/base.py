@@ -226,8 +226,9 @@ class TabularQLearnerBase:
         on (metrics.Audit), from the policy cache's table and the optimism
         tracker's flags; vstar0 is V*[0].  Returns the Learner struct that
         holds the running values, or None without the kernel.  The kernel
-        writes the cache's table and gathered rows and reads V^pi[0] from
-        its V, which the caller recomputes (cache.evaluate) from the
+        writes the cache's table, gathered rows and V, recomputing V's
+        layers with NumPy's own ddot (kernel.ddot); where that is not
+        found, the caller recomputes them (cache.evaluate) from the
         struct's top before the next call."""
         if self._lib is None:
             return None
@@ -236,7 +237,8 @@ class TabularQLearnerBase:
         thr, below = array("d", optimism._thr), array("b", optimism._below)
         vstar0 = np.ascontiguousarray(vstar0, dtype=float)
         self._audit_bufs = (cache, thr, below, vstar0)   # the struct holds addresses
-        k.vstar0, k.vpi0 = vstar0.ctypes.data, cache._V.ctypes.data
+        k.vstar0, k.vpi = vstar0.ctypes.data, cache._V.ctypes.data
+        k.ddot = kernel.ddot()
         k.thr, k.below = thr.buffer_info()[0], below.buffer_info()[0]
         k.last = cache._flat.buffer_info()[0]
         k.p_pi, k.r_pi = cache._P_pi.ctypes.data, cache._r_pi.ctypes.data

@@ -27,8 +27,8 @@ memory is bounded by those, not by K.  metrics.Audit plays the episodes
 up to the next Q change or kept row as one stretch and adds their
 regrets one by one, noting the first negative one for strict mode, which
 therefore checks every episode, kept or not.  With a C compiler the
-kernel plays and audits the stretch, and only V^pi's layers (NumPy dot
-products) are recomputed in Python.
+kernel plays and audits the stretch, V^pi's layers included, and Python
+builds only the kept rows.
 """
 
 from __future__ import annotations
@@ -383,10 +383,13 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
     """Regret-vs-T table: rows (T, seed, cum_regret), T in steps.
 
     One run per seed suffices because the learner is online: cum_regret at
-    an intermediate episode equals a run stopped there (same stream).
-    Checkpoints are round(episodes * m) for each multiplier, in exact
-    arithmetic; each seed's run keeps only their rows.  log_every and
-    out_dir are not read.
+    an intermediate episode equals a run stopped there (same stream).  The
+    checkpoint of multiplier m is the exact product of episodes and m's
+    binary double (not of the decimal m was written as), rounded half to
+    even, and at least 1: --episodes 853725 --t-mults 0.3 keeps episode
+    256117, since 0.3's double is just below 3/10, where the float
+    product, 256117.5, would round to 256118.  Each seed's run keeps only
+    the checkpoint rows.  log_every and out_dir are not read.
     """
     ks = sorted({max(1, _exact_round(config.episodes, m)) for m in t_multipliers})
     rows = []

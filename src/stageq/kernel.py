@@ -4,9 +4,14 @@ The kernel plays episodes for all three tabular learners (advantage,
 hoeffding-stage and classic-qucb); the Learner struct's mode says whose
 observe it repeats.  With the audit fields set (from vstar0 to pending),
 it also audits every episode it plays, as metrics.Audit does in Python.
-The struct's last fields are the per-call values: u_index and count, set
-before each call, and the counter increments, error fields and the audit's
-deepest changed layer (top) that the call fills.
+V^pi's layers are sums that NumPy's dot hands to its BLAS's ddot, whose
+order of addition depends on the CPU kernel OpenBLAS picks; the kernel
+calls that same function (ddot() finds it), so its layers are NumPy's bit
+for bit.  Where it is not found the struct's ddot stays NULL and the
+layers are left to PolicyValueCache.evaluate.  The struct's last fields
+are the per-call values: u_index and count, set before each call, and the
+counter increments, error fields and, without ddot, the audit's deepest
+changed layer (top) that the call fills.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -52,7 +57,7 @@ class Learner(ctypes.Structure):
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
                     "cum", "mdp_rew", "u", "starts", "P",
-                    "vstar0", "vpi0", "thr", "below", "last", "p_pi", "r_pi")]
+                    "vstar0", "vpi", "thr", "below", "last", "p_pi", "r_pi", "ddot")]
                 + [("episodes", c_int64)]
                 + [(name, c_double) for name in ("reg", "cum_regret")]
                 + [(name, c_int64) for name in (
@@ -65,7 +70,7 @@ class Learner(ctypes.Structure):
 MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB = range(3)
 
 _UNSET = object()
-_lib = _UNSET
+_lib = _ddot = _UNSET
 
 
 def load():
@@ -77,6 +82,25 @@ def load():
     if _lib is _UNSET:
         _lib = _open()
     return _lib
+
+
+def ddot():
+    """The address of the ddot that NumPy's dot calls, or None.
+
+    NumPy >= 2 wheels link scipy-openblas and call its cblas_ddot under the
+    name scipy_cblas_ddot64_ (int64 sizes and strides), which the extension
+    module's handle finds among its libraries.  Another BLAS, or another
+    build of NumPy, gives None.  Looked up once per interpreter.
+    """
+    global _ddot
+    if _ddot is _UNSET:
+        try:
+            from numpy._core import _multiarray_umath
+            blas = ctypes.CDLL(_multiarray_umath.__file__)
+            _ddot = ctypes.cast(blas.scipy_cblas_ddot64_, c_void_p).value
+        except (ImportError, OSError, AttributeError):
+            _ddot = None
+    return _ddot
 
 
 def library_path() -> Path:

@@ -31,10 +31,12 @@ SwitchTracker.record and policy_evaluation are the full-scan references
 they must agree with.
 
 Audit runs those steps a stretch of episodes at a time: in the compiled
-kernel every one but V^pi's layers, which stay NumPy dot products
-(PolicyValueCache.evaluate) because BLAS's ddot adds in an order of its
-own that a C loop would not reproduce bit for bit; without the kernel,
-or for the oracle, in Python through the cache and OptimismTracker.
+kernel, V^pi's layers included.  Those are NumPy dot products, which NumPy
+hands to its BLAS's ddot, and each BLAS kernel adds in an order of its
+own; the C layers call that same ddot (kernel.ddot), so they give the
+same bits.  Where it is not found, the layers stay with
+PolicyValueCache.evaluate.  Without the kernel, or for the oracle, every
+step runs in Python through the cache and OptimismTracker.
 """
 
 from __future__ import annotations
@@ -84,12 +86,12 @@ class PolicyValueCache:
     policy_evaluation takes S*A.  Each is the same length-S dot product of
     the same row and V[h+1] that policy_evaluation computes, so the result
     equals a fresh policy_evaluation(...).V bit for bit; Q is None.  The
-    kernel's audit writes the table and the gathered rows itself and calls
-    only evaluate (see Audit).
+    kernel's audit writes the table, the gathered rows and V itself, and
+    calls evaluate only when it has no ddot (see Audit).
 
     Like the MDP's own caches, the gathered rows keep the P and r they came
-    from, which become read-only; rebinding mdp.P or mdp.r gathers every
-    row again and recomputes every layer.
+    from, which become read-only; after mdp.P or mdp.r is rebound, the next
+    values() call gathers every row again and recomputes every layer.
     """
 
     def __init__(self, mdp: EpisodicMdp):
@@ -249,11 +251,13 @@ class Audit:
     switches and violations (the running maximum of the optimism count).
 
     Two bodies, like the learners' observe: with the compiled kernel, the
-    kernel audits each episode it plays (TabularQLearnerBase.bind_audit),
-    fields is its Learner struct, and only V^pi's layers are recomputed
-    here, from the deepest one the kernel reports.  Otherwise (the oracle,
-    or no C compiler) fields is this object and stretch runs the Python
-    body, the reference the kernel must match row for row.
+    kernel audits each episode it plays (TabularQLearnerBase.bind_audit)
+    and fields is its Learner struct; V^pi's layers are recomputed here,
+    from the deepest one the kernel reports, only when the kernel found
+    no ddot to sum them with.  Otherwise (the oracle, or no C compiler)
+    fields is this object and stretch runs the Python body, the reference
+    the kernel must match row for row.  Either body first has the cache
+    gather every row again when mdp.P or mdp.r has been rebound.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables):
@@ -273,16 +277,20 @@ class Audit:
             self._traj = None      # the last stretch's trajectory, if it changed Q
 
     def stretch(self, rng, first: int, stop: int) -> int:
-        learner, cache = self.learner, self.cache
+        learner, cache, mdp = self.learner, self.cache, self.mdp
+        src = cache._src
+        rebound = mdp.P is not src[0] or mdp.r is not src[1]
         if self.fields is not self:
-            starts, _ = learner.run_stretch(self.mdp, rng, first, stop)
+            if rebound:
+                cache.values(learner.greedy_buffer())
+            starts, _ = learner.run_stretch(mdp, rng, first, stop)
             top = self.fields.top
             if top >= 0:
                 cache.evaluate(top)
             return len(starts)
-        if self._traj is not None:
-            S = self.mdp.S
-            rows = [h * S + step[0] for h, step in enumerate(self._traj)]
+        if self._traj is not None or rebound:
+            rows = None if self._traj is None else [
+                h * mdp.S + step[0] for h, step in enumerate(self._traj)]
             self._vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
             self.switches = cache.switches
         vstar0, vpi0 = self._vstar0, self._vpi0

@@ -4,11 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from stageq import (EPISODE_CSV_HEADER, EpisodeRecord, RoundLog, build_schedule,
+from stageq import (EPISODE_CSV_HEADER, EpisodeRecord, RoundLog, build_schedule, kernel,
                     load_mdp, make_random_mdp, save_mdp)
 from stageq.cli import build_parser, main
 from stageq.concurrent import ROUNDS_CSV_HEADER
 from stageq.harness import CONFIG_KEYS
+from stageq.metrics import PolicyValueCache
 
 
 def test_schedule_stdout_matches_library(capsys):
@@ -76,6 +77,19 @@ def test_sweep_stdout(capsys):
     assert lines[0] == "T,seed,cum_regret"
     assert len(lines) == 1 + 4
     assert lines[1].split(",")[0] == "40"   # T = k*H
+
+
+def test_sweep_checkpoint_rounds_the_exact_product_half_to_even(capsys):
+    # episodes times the multiplier's double, exactly, rounded half to
+    # even: 0.3's double is a little below 3/10, so 853725 x 0.3 keeps
+    # checkpoint 256117, where the float product (256117.5) would round to
+    # 256118; 5 x 0.5 and 5 x 1.5 are ties, kept as 2 and 8
+    base = ["sweep", "--env", "random", "--S", "2", "--A", "2", "--H", "2", "--seeds", "0"]
+    for episodes, mults, checkpoints in (("853725", "0.3", [256117]),
+                                         ("5", "0.5,1.5", [2, 8])):
+        assert main(base + ["--episodes", episodes, "--t-mults", mults]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [2 * k for k in checkpoints]
 
 
 def test_sweep_to_dir(tmp_path):
@@ -278,12 +292,15 @@ PINNED_DIGESTS = {
 }
 
 
+def pinned_run_digests(out, algo):
+    assert main(PINNED_RUN + ["--algo", algo, "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PINNED_DIGESTS[algo]}
+
+
 @pytest.mark.parametrize("algo", sorted(PINNED_DIGESTS))
 def test_run_outputs_match_pinned_digests(tmp_path, capsys, algo):
-    assert main(PINNED_RUN + ["--algo", algo, "--out", str(tmp_path)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in PINNED_DIGESTS[algo]}
-    assert got == PINNED_DIGESTS[algo]
+    assert pinned_run_digests(tmp_path, algo) == PINNED_DIGESTS[algo]
 
 
 def test_pow2_log_and_sweep_match_pinned_digests(tmp_path, capsys):
@@ -300,6 +317,18 @@ def test_pow2_log_and_sweep_match_pinned_digests(tmp_path, capsys):
                          "--seeds", "0,1"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "588b541b0c70106c9977cdf33ae6f5f9c6d1b722ae1e86e4e511140d811e7bbf"
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_DIGESTS))
+def test_run_without_numpys_ddot_matches_pinned_digests(tmp_path, capsys, monkeypatch, algo):
+    # where NumPy's ddot is not found, the kernel leaves V^pi's layers to
+    # PolicyValueCache.evaluate, once per policy change, with the same bytes
+    monkeypatch.setattr(kernel, "ddot", lambda: None)
+    tops, evaluate = [], PolicyValueCache.evaluate
+    monkeypatch.setattr(PolicyValueCache, "evaluate",
+                        lambda self, top: tops.append(top) or evaluate(self, top))
+    assert pinned_run_digests(tmp_path, algo) == PINNED_DIGESTS[algo]
+    assert len(tops) > 1 or kernel.load() is None
 
 
 # SHA-256 of the tables the pins above leave out, recorded while each table

@@ -13,20 +13,31 @@ learner keeps its greedy policy as a table refreshed on each Q write; after
 every episode and every replayed trajectory it must equal np.argmax of Q.
 """
 
+import ctypes
+import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLearner,
-                    InitialStates, OutOfRangeError, RunConfig, UcbAdvantageLearner,
-                    kernel, make_jao_chain, make_random_mdp, seeded_stream)
+from stageq import (AlgoConstants, ClassicQUcbLearner, DeterministicPolicy, EnvSpec,
+                    HoeffdingStageLearner, InitialStates, OutOfRangeError, RunConfig,
+                    UcbAdvantageLearner, backward_induction, kernel, make_jao_chain,
+                    make_random_mdp, policy_evaluation, seeded_stream)
 from stageq import harness
 from stageq.base import STRETCH_MAX
 from stageq.concurrent import replay_into
-from stageq.metrics import OptimismTracker, PolicyValueCache
+from stageq.metrics import Audit, OptimismTracker, PolicyValueCache
+from test_cli import PINNED_RUN
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # (name, make_mdp, reference trigger N0, episodes)
 INSTANCES = [
@@ -397,12 +408,13 @@ def test_audited_run_matches_fallback(monkeypatch, lower_vstar, inst, algo):
     assert results["kernel"][1].q_updates > 0 or algo == "hoeffding-stage"
 
 
-def test_kernel_audit_leaves_only_the_layers_to_python(monkeypatch):
-    # with the kernel, the cache's values() runs once (the first, full
-    # evaluation) and the optimism tracker's update never: a run that fell
-    # back to the Python audit fails here, not only in the benchmark
-    if kernel.load() is None:
-        pytest.skip("no C compiler: the kernel cannot be built")
+def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
+    # with the kernel and NumPy's ddot, the cache's values() and evaluate()
+    # run once (the first, full evaluation) and the optimism tracker's
+    # update never: a run that fell back to the Python audit or the Python
+    # layer loop fails here, not only in the benchmark
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     calls = Counter()
 
     def spy(cls, name):
@@ -423,9 +435,206 @@ def test_kernel_audit_leaves_only_the_layers_to_python(monkeypatch):
             env=env, algo=algo, episodes=2000, log_every="pow2", cb=0.01,
             constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"])))
         assert res.learner._lib is not None
-        assert calls["values"] == 1 and calls["update"] == 0
-        # each policy change recomputes layers, the first evaluation included
-        assert calls["evaluate"] > 1 or res.summary.n_switch == 0
+        assert res.summary.n_switch > 0 or algo == "hoeffding-stage"
+        assert (calls["values"], calls["evaluate"], calls["update"]) == (1, 1, 0)
+
+
+def numpy_blas():
+    """The name of the BLAS NumPy was built with (scipy-openblas for wheels)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:          # NumPy < 1.25 only prints its config
+        return None
+    return config["Build Dependencies"]["blas"].get("name")
+
+
+def test_kernel_finds_numpys_ddot_where_numpy_links_scipy_openblas():
+    # without the pointer the kernel leaves V^pi's layers to Python and
+    # every result stays the same, so only this test sees the loss
+    if numpy_blas() != "scipy-openblas":
+        pytest.skip(f"NumPy's BLAS is {numpy_blas()}, not scipy-openblas")
+    assert kernel.ddot() is not None
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    vstar, _ = backward_induction(mdp)
+    assert Audit(ClassicQUcbLearner(mdp), mdp, vstar).fields.ddot == kernel.ddot()
+
+
+def blas_core_types():
+    """The OpenBLAS kernels (OPENBLAS_CORETYPE) this CPU can run, or [] unless
+    NumPy's BLAS is scipy-openblas on x86-64: Prescott on any, Haswell where
+    the CPU has AVX2."""
+    if numpy_blas() != "scipy-openblas" or platform.machine() not in ("x86_64", "AMD64"):
+        return []
+    try:
+        avx2 = " avx2 " in Path("/proc/cpuinfo").read_text().replace("\n", " ")
+    except OSError:
+        avx2 = False
+    return ["Prescott"] + ["Haswell"] * avx2
+
+
+# run in a child, so that OpenBLAS reads OPENBLAS_CORETYPE at its start:
+# argv is the body ("kernel" or "fallback"), an output folder and the runs
+# as JSON; prints whether the kernel summed V^pi's layers itself
+BLAS_CHILD = """
+import json, sys
+from stageq import kernel
+from stageq.cli import main
+body, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+if body == "fallback":
+    kernel.load = lambda: None
+for i, args in enumerate(runs):
+    assert main(args + ["--out", f"{out}/{i}"]) == 0
+print(json.dumps(kernel.load() is not None and kernel.ddot() is not None))
+"""
+WIDE_RUN = ["run", "--env", "random", "--S", "50", "--A", "5", "--H", "20", "--env-seed", "0",
+            "--algo", "classic-qucb", "--cb", "0.01", "--episodes", "100", "--seed", "0"]
+
+
+@pytest.mark.parametrize("core", blas_core_types() or [None])
+def test_kernel_audit_matches_numpy_under_each_blas_kernel(tmp_path, core):
+    # each OpenBLAS kernel adds a ddot's terms in an order of its own, and
+    # the C layers call the one NumPy calls, so under every kernel the
+    # kernel's episodes.csv equals the Python audit's (the bytes may differ
+    # from one BLAS kernel to another)
+    if core is None:
+        pytest.skip("NumPy's BLAS is not scipy-openblas on x86-64")
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    runs = [PINNED_RUN, WIDE_RUN]
+    for body in ("kernel", "fallback"):
+        proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, body, str(tmp_path / body),
+                               json.dumps(runs)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == (body == "kernel")
+    for i in range(len(runs)):
+        kernel_csv = (tmp_path / "kernel" / str(i) / "episodes.csv").read_bytes()
+        assert kernel_csv == (tmp_path / "fallback" / str(i) / "episodes.csv").read_bytes()
+
+
+# random instances at the sizes where BLAS kernels split their sums
+# differently (seeded starts reach every state), and the criterion-6 chain
+LAYER_ENVS = ([EnvSpec(kind="random", S=S, A=A, H=H, env_seed=S, init=InitialStates.seeded(S))
+               for S, A, H in ((1, 3, 6), (2, 3, 6), (7, 3, 6), (16, 3, 5), (17, 3, 5),
+                               (50, 2, 4), (129, 2, 3))]
+              + [EnvSpec(kind="jao", H=40, jao_delta=0.4, jao_epsilon=0.1, env_seed=0)])
+LAYER_IDS = [f"S{env.S}" if env.kind == "random" else "chain" for env in LAYER_ENVS]
+
+
+@pytest.mark.parametrize("env", LAYER_ENVS, ids=LAYER_IDS)
+def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
+    # V^pi after every call of the kernel, its layers summed in C through
+    # NumPy's ddot against the same kernel leaving them to
+    # PolicyValueCache.evaluate, bit for bit; then every row of a run
+    # logging each episode against the Python audit body
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
+    mdp = env.build()
+    vstar, _ = backward_induction(mdp)
+    audits = {}
+    for name in ("ddot", "evaluate"):
+        if name == "evaluate":
+            monkeypatch.setattr(kernel, "ddot", lambda: None)
+        lr = ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01)
+        audits[name] = Audit(lr, mdp, vstar), seeded_stream(0, 0, "env")
+    (a, rng_a), (b, rng_b) = audits["ddot"], audits["evaluate"]
+    assert a.fields.ddot and not b.fields.ddot
+    K, k, V, changes = 300, 0, a.cache._V.tobytes(), 0
+    while k < K:
+        played = a.stretch(rng_a, k, K)
+        assert b.stretch(rng_b, k, K) == played
+        k += played
+        changes += V != a.cache._V.tobytes()
+        V = a.cache._V.tobytes()
+        assert V == b.cache._V.tobytes()
+        assert a.cache._P_pi.tobytes() == b.cache._P_pi.tobytes()
+        for field in ("reg", "cum_regret", "negative", "switches", "violations"):
+            assert getattr(a.fields, field) == getattr(b.fields, field), field
+    assert changes > 10
+    monkeypatch.undo()
+    runs = []
+    for name in ("ddot", "evaluate", "fallback"):
+        if name == "evaluate":
+            monkeypatch.setattr(kernel, "ddot", lambda: None)
+        if name == "fallback":
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        res = harness.run_experiment(RunConfig(env=env, algo="classic-qucb", episodes=K,
+                                               seed=1, cb=0.01, log_every="all"))
+        runs.append(res.records)
+    assert runs[0] == runs[1] == runs[2] and len(runs[0]) == K
+
+
+DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                        ctypes.c_void_p, ctypes.c_int64)
+
+
+def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
+    # the C layer loop with a stand-in ddot that logs its arguments and
+    # returns -0.0: each policy change must recompute V[top], ..., V[0], one
+    # call per row in that order with NumPy's arguments, and store
+    # (0.0 + ddot) + r_pi as NumPy's DOUBLE_dot and evaluate's += do.  No
+    # BLAS ddot returns -0.0 for these sums, so only a stand-in shows the
+    # 0.0 start, which turns its -0.0 into 0.0 before the -0.0 rewards
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    calls = []
+
+    @DDOT
+    def logged(n, x, incx, y, incy):
+        calls.append((n, x, incx, y, incy))
+        return -0.0
+
+    monkeypatch.setattr(kernel, "ddot", lambda: ctypes.cast(logged, ctypes.c_void_p).value)
+    mdp = make_random_mdp(3, 2, 4, seed=0, init=InitialStates.cyclic([0, 1, 2]))
+    mdp.r = np.full_like(mdp.r, -0.0)
+    vstar, _ = backward_induction(mdp)
+    audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
+    cache, S = audit.cache, mdp.S
+    rows, V = cache._P_pi.ctypes.data, cache._V.ctypes.data
+    rng, K, k, changes = seeded_stream(0, 0, "env"), 200, 0, 0
+    while k < K:
+        before = list(cache._flat)
+        calls.clear()
+        k += audit.stretch(rng, k, K)
+        diff = [i for i, (a, b) in enumerate(zip(before, cache._flat)) if a != b]
+        top = max(diff) // S if diff else -1
+        assert calls == [(S, rows + 8 * (h * S + s) * S, 1, V + 8 * (h + 1) * S, 1)
+                         for h in range(top, -1, -1) for s in range(S)]
+        assert not np.signbit(cache._V).any()
+        changes += top >= 0
+    assert changes > 10 and audit.fields.top == -1
+
+
+@pytest.mark.parametrize("algo", ["advantage", "classic-qucb"])
+def test_audit_after_p_and_r_are_rebound(path, algo):
+    # rebinding mdp.P and mdp.r mid-run: each episode's regret must use the
+    # V^pi of the arrays bound when it plays, as a fresh policy_evaluation
+    # of the greedy table it starts with gives it, on both audit bodies
+    mdp = make_random_mdp(4, 3, 4, seed=3, init=InitialStates.cyclic([0, 1, 2, 3]))
+    vstar, _ = backward_induction(mdp)
+    const = AlgoConstants(n0_override=20, **CONSTANT_SETS["tight"])
+    lr = make(UcbAdvantageLearner if algo == "advantage" else ClassicQUcbLearner,
+              mdp, const, n_max=400 * mdp.H + 1)
+    audit = Audit(lr, mdp, vstar)
+    assert uses_kernel(lr, path)
+    rng, cum_regret = seeded_stream(0, 0, "env"), 0.0
+    for k in range(400):
+        if k == 150:
+            mdp.P = mdp.P[..., ::-1].copy()
+        if k == 275:
+            mdp.r = mdp.r[::-1].copy()
+        held = np.array(lr.greedy_actions_flat()).reshape(mdp.H, mdp.S)
+        s1 = mdp.initial_states(k, 1)[0]
+        reg = vstar.V[0, s1] - policy_evaluation(mdp, DeterministicPolicy(held)).V[0, s1]
+        cum_regret += reg
+        assert audit.stretch(rng, k, k + 1) == 1
+        assert (audit.fields.reg, audit.fields.cum_regret) == (reg, cum_regret), k
+    assert lr.q_update_count > 0
 
 
 def make_all_learners(mdp, const, n_max):
