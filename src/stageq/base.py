@@ -111,9 +111,9 @@ class TabularQLearnerBase:
             for name, value in fields.items()})
         self._kaddr = kernel.ctypes.addressof(self._kstate)
         self._stretch = self._lib.stageq_stretch
-        # what the struct's cum, mdp_rew and u point at now: the MDP's P and
-        # r with the arrays built from them, and the stream's uniform block
-        self._mdp_src = (None, None, None, None)
+        # what the struct's P, cum, mdp_rew and u point into now: the
+        # (frozen) MDP, and the stream's uniform block
+        self._mdp = None
         self._ublock = None
         self._window = 1           # episodes the next stretch offers the kernel
 
@@ -191,8 +191,7 @@ class TabularQLearnerBase:
             starts, traj = play_stretch(self.reference_episode, mdp, rng, first, stop)
             return starts, traj is not None
         H, k = self.H, self._kstate
-        src = self._mdp_src
-        if mdp.P is not src[0] or mdp.r is not src[1]:
+        if mdp is not self._mdp:
             self._bind_mdp(mdp)
         block, i = rng.doubles(H)
         if block is not self._ublock:
@@ -212,14 +211,13 @@ class TabularQLearnerBase:
         return starts, k.q_updates > 0
 
     def _bind_mdp(self, mdp: EpisodicMdp) -> None:
-        cum, rew = mdp.cum_array(), mdp.reward_array()
-        P = np.ascontiguousarray(mdp.P, dtype=float)    # no copy of a C-ordered float P
+        cum = mdp.cum_array()      # freezes the MDP: P and r are C-ordered float64
         H, S, A = self.H, self.S, self.A
-        if cum.shape != (H, S, A, S) or rew.shape != (H, S, A):
-            raise ValueError(f"MDP shape {rew.shape} != learner's {(H, S, A)}")
+        if cum.shape != (H, S, A, S) or mdp.r.shape != (H, S, A):
+            raise ValueError(f"MDP shape {mdp.r.shape} != learner's {(H, S, A)}")
         k = self._kstate
-        k.cum, k.mdp_rew, k.P = cum.ctypes.data, rew.ctypes.data, P.ctypes.data
-        self._mdp_src = (mdp.P, mdp.r, cum, rew, P)
+        k.cum, k.mdp_rew, k.P = cum.ctypes.data, mdp.r.ctypes.data, mdp.P.ctypes.data
+        self._mdp = mdp
 
     def bind_audit(self, cache, optimism, vstar0):
         """Have the kernel audit every episode this learner plays from now

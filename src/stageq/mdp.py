@@ -146,47 +146,53 @@ class EpisodicMdp:
         """The initial states of episodes first, ..., first + count - 1."""
         return self.init.window(first, count, self.S)
 
-    # Cached views for the sampling hot loops: plain lists for Python, one
-    # float64 array each for the compiled kernel, built only when asked for.
-    # Cumulative rows get their final entry forced to 1.0 so a uniform in
-    # [0, 1) always lands.  Building a cache makes its source array
-    # read-only, so a later write raises instead of leaving sampling on the
-    # old values; a cache keeps the array it was built from, so rebinding P
-    # or r rebuilds it.
+    # validate (or the first view built of P or r) freezes the MDP, so every
+    # view of P and r (the caches below, the policy cache's rows, the
+    # compiled kernel's pointers) stays current for the MDP's life.
+    _FIELDS = frozenset(("S", "A", "H", "P", "r", "init"))
+    _frozen = False
+    _cum = _cum_rows = _reward_rows = None
+
+    def __setattr__(self, name, value):
+        if self._frozen and name in self._FIELDS:
+            raise AttributeError(f"EpisodicMdp.{name} cannot be reassigned once the MDP "
+                                 "is frozen (validate freezes it)")
+        object.__setattr__(self, name, value)
+
+    def freeze(self) -> None:
+        """Make P and r read-only C-ordered float64 arrays, copying neither
+        if it already is one, and reject any later assignment to S, A, H, P,
+        r or init with AttributeError.  Calling it again changes nothing."""
+        for name in ("P", "r"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_frozen", True)
+
+    # Views for the sampling hot loops, built once: plain lists for Python
+    # and one float64 array for the compiled kernel (which reads P and r
+    # themselves).  Cumulative rows get their final entry forced to 1.0 so
+    # a uniform in [0, 1) always lands.
     def cum_rows(self):
-        cached = getattr(self, "_cum_rows", None)
-        if cached is not None and cached[0] is self.P:   # the hot path, inlined
-            return cached[1]
-        return self._cached("_cum_rows", self.P, lambda: self._cumulative().tolist())
+        if self._cum_rows is None:
+            self._cum_rows = self.cum_array().tolist()
+        return self._cum_rows
 
     def cum_array(self) -> np.ndarray:
         """The cumulative rows as one read-only C-ordered (H, S, A, S) array."""
-        return self._cached("_cum_array", self.P, self._cumulative)
+        if self._cum is None:
+            self.freeze()
+            cum = np.cumsum(self.P, axis=-1)
+            cum[..., -1] = 1.0
+            cum.setflags(write=False)
+            self._cum = cum
+        return self._cum
 
     def reward_rows(self):
-        cached = getattr(self, "_reward_rows", None)
-        if cached is not None and cached[0] is self.r:
-            return cached[1]
-        return self._cached("_reward_rows", self.r, self.r.tolist)
-
-    def reward_array(self) -> np.ndarray:
-        """The rewards as one read-only C-ordered (H, S, A) float64 array."""
-        return self._cached("_reward_array", self.r,
-                            lambda: np.ascontiguousarray(self.r, dtype=float))
-
-    def _cached(self, name: str, src: np.ndarray, build):
-        cached = getattr(self, name, None)
-        if cached is None or cached[0] is not src:
-            src.setflags(write=False)
-            cached = (src, build())
-            setattr(self, name, cached)
-        return cached[1]
-
-    def _cumulative(self) -> np.ndarray:
-        cum = np.ascontiguousarray(np.cumsum(self.P, axis=-1), dtype=float)
-        cum[..., -1] = 1.0
-        cum.setflags(write=False)
-        return cum
+        if self._reward_rows is None:
+            self.freeze()
+            self._reward_rows = self.r.tolist()
+        return self._reward_rows
 
 
 @dataclass(eq=False)
@@ -214,13 +220,16 @@ class ValueTables:
     Q: Optional[np.ndarray]
 
 
-def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
-    """Check stochasticity, reward range and initial states; raise on the
-    first violation.
+ROW_SUM_TOL = 1e-12     # validate's bound on |row sum - 1|
 
-    Rows must be finite, entrywise >= 0 with |sum - 1| <= tol; rewards must
-    lie in [0, 1]; fixed and cyclic initial states must lie in [0, S).
-    Scan order is (h, s, a).  Shape errors raise ValueError.
+
+def validate(mdp: EpisodicMdp) -> None:
+    """Check stochasticity, reward range and initial states; raise on the
+    first violation, else freeze the MDP (EpisodicMdp.freeze).
+
+    Rows must be finite, entrywise >= 0 with |sum - 1| <= ROW_SUM_TOL;
+    rewards must lie in [0, 1]; fixed and cyclic initial states must lie in
+    [0, S).  Scan order is (h, s, a).  Shape errors raise ValueError.
     """
     P, r = np.asarray(mdp.P, dtype=float), np.asarray(mdp.r, dtype=float)
     if P.shape != (mdp.H, mdp.S, mdp.A, mdp.S):
@@ -232,23 +241,23 @@ def validate(mdp: EpisodicMdp, tol: float = 1e-12) -> None:
     # comes first.  P.sum(-1) adds each row exactly as row.sum() does.
     with np.errstate(invalid="ignore"):
         bad = (~np.isfinite(P).all(-1) | (P < 0.0).any(-1)
-               | (np.abs(P.sum(-1) - 1.0) > tol) | ~((0.0 <= r) & (r <= 1.0)))
+               | (np.abs(P.sum(-1) - 1.0) > ROW_SUM_TOL) | ~((0.0 <= r) & (r <= 1.0)))
     for h, s, a in np.argwhere(bad).tolist():
-        _check_row(P[h, s, a], r[h, s, a], h, s, a, tol)
+        _check_row(P[h, s, a], r[h, s, a], h, s, a)
     for s in mdp.init.states:          # fixed and cyclic starts
         if not 0 <= s < mdp.S:
             raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
+    mdp.freeze()
 
 
-def _check_row(row: np.ndarray, rv: float, h: int, s: int, a: int, tol: float) -> None:
+def _check_row(row: np.ndarray, rv: float, h: int, s: int, a: int) -> None:
     """validate's checks of one (h, s, a): transition row, then reward."""
     # NaN fails both row tests below, so non-finite rows need their own
     if not np.isfinite(row).all():
         raise NonStochasticRow(h, s, a, f"non-finite entry in {row.tolist()}")
     if np.any(row < 0.0):
         raise NonStochasticRow(h, s, a, f"negative entry {row.min()}")
-    gap = abs(row.sum() - 1.0)
-    if gap > tol:
+    if abs(row.sum() - 1.0) > ROW_SUM_TOL:
         raise NonStochasticRow(h, s, a, f"row sums to {row.sum()!r}")
     if not 0.0 <= rv <= 1.0:
         raise RewardOutOfRange(h, s, a, rv)

@@ -14,9 +14,9 @@ episode policies, n_switch = sum_k #{(h, s): pi_k(h, s) != pi_{k+1}(h, s)}.
 For the stage-based learners the greedy policy can only move at stage-end
 Q updates, which gives the deterministic ceiling switching_bound() below.
 
-Optimism violations count Q-table entries strictly below Q* - tol; for the
-monotone learners an entry that dips under Q* stays under, so the count is
-naturally non-decreasing over a run.  run_experiment reports
+Optimism violations count Q-table entries strictly below Q* - OPTIMISM_TOL;
+for the monotone learners an entry that dips under Q* stays under, so the
+count is naturally non-decreasing over a run.  run_experiment reports
 cum_optimism_violations as the running maximum of that count, taken after
 each Q-changing episode.  For the stage learners this is the current count.
 classic-qucb's Q moves both ways, so its entries can climb back above Q*;
@@ -87,15 +87,13 @@ class PolicyValueCache:
     the same row and V[h+1] that policy_evaluation computes, so the result
     equals a fresh policy_evaluation(...).V bit for bit; Q is None.  The
     kernel's audit writes the table, the gathered rows and V itself, and
-    calls evaluate only when it has no ddot (see Audit).
-
-    Like the MDP's own caches, the gathered rows keep the P and r they came
-    from, which become read-only; after mdp.P or mdp.r is rebound, the next
-    values() call gathers every row again and recomputes every layer.
+    calls evaluate only when it has no ddot (see Audit).  The MDP is
+    frozen here (EpisodicMdp.freeze), so the gathered rows stay its own.
     """
 
     def __init__(self, mdp: EpisodicMdp):
         H, S = mdp.H, mdp.S
+        mdp.freeze()
         self.mdp = mdp
         self.switches = 0          # differing rows summed over calls after the first
         self._flat = array("q", [-1]) * (H * S)    # the last table (none yet)
@@ -104,7 +102,6 @@ class PolicyValueCache:
         self._V = V = np.zeros((H + 1, S))   # its V, kept in place; callers get copies
         col = V[:, :, None]        # each V[h] as the (S, 1) column dot writes
         self._layers = [(P_pi[h].dot, V[h + 1], col[h], V[h], r_pi[h]) for h in range(H)]
-        self._src = (None, None)   # the mdp.P and mdp.r gathered from
         self._tables = None
 
     def values(self, actions_flat, rows=None) -> ValueTables:
@@ -119,33 +116,26 @@ class PolicyValueCache:
         if rows is None or first:
             rows = range(len(last))
         diff = list(rows) if first else [i for i in rows if actions_flat[i] != last[i]]
-        P, r = mdp.P, mdp.r
-        rebound = P is not self._src[0] or r is not self._src[1]
-        if not diff and not rebound:
+        if not diff:
             return self._tables
         new = [actions_flat[i] for i in diff]
-        if diff:
-            if min(new) < 0 or max(new) >= mdp.A:
-                raise ValueError(f"policy actions outside [0, {mdp.A})")
-            ints = [int(a) for a in new]    # NaN raises ValueError here
-            if ints != new:
-                raise ValueError("policy actions must be integers")
-            new = ints
-        H, S = mdp.H, mdp.S
+        if min(new) < 0 or max(new) >= mdp.A:
+            raise ValueError(f"policy actions outside [0, {mdp.A})")
+        ints = [int(a) for a in new]        # NaN raises ValueError here
+        if ints != new:
+            raise ValueError("policy actions must be integers")
+        H, S, P, r = mdp.H, mdp.S, mdp.P, mdp.r
         P_pi, r_pi = self._P_pi, self._r_pi
-        for i, a in zip(diff, new):
+        for i, a in zip(diff, ints):
             last[i] = a
-        if rebound:
-            P.setflags(write=False)
-            r.setflags(write=False)
+        if first:
             acts = np.array(last, dtype=np.int64).reshape(H, S)
             layer, state = np.indices((H, S))
             P_pi[:, :, 0] = P[layer, state, acts]
             r_pi[:] = r[layer, state, acts]
-            self._src = (P, r)
             top = H - 1
         else:
-            for i, a in zip(diff, new):
+            for i, a in zip(diff, ints):
                 h, s = divmod(i, S)
                 P_pi[h, s, 0] = P[h, s, a]
                 r_pi[h, s] = r[h, s, a]
@@ -198,27 +188,30 @@ def switching_bound(S: int, A: int, H: int, T: int) -> float:
     return 4.0 * H * H * S * A * log(T / (2.0 * S * A * H * H) + 1.0)
 
 
-def check_optimism(q_learner: np.ndarray, q_star: np.ndarray, tol: float = 1e-9) -> int:
-    """Count learner Q entries strictly below Q* - tol.
+OPTIMISM_TOL = 1e-9     # a Q entry below Q* - OPTIMISM_TOL is an optimism violation
+
+
+def check_optimism(q_learner: np.ndarray, q_star: np.ndarray) -> int:
+    """Count learner Q entries strictly below Q* - OPTIMISM_TOL.
 
     q_learner has shape (H, S, A); q_star may carry the boundary row
     (H+1, S, A) and is sliced to match.
     """
     H = q_learner.shape[0]
-    return int(np.count_nonzero(q_learner < q_star[:H] - tol))
+    return int(np.count_nonzero(q_learner < q_star[:H] - OPTIMISM_TOL))
 
 
 class OptimismTracker:
     """check_optimism kept current by re-testing only the cells that moved.
 
     One flag per flat (h, s, a) cell says whether the learner's Q there is
-    below Q* - tol; the flags and their count come from one full scan of
+    below Q* - OPTIMISM_TOL; the flags and their count come from one full scan of
     q_learner, and update() re-tests the H cells of an episode's trajectory.
     """
 
-    def __init__(self, q_learner: np.ndarray, q_star: np.ndarray, tol: float = 1e-9):
+    def __init__(self, q_learner: np.ndarray, q_star: np.ndarray):
         H, self._S, self._A = q_learner.shape
-        thr = q_star[:H] - tol
+        thr = q_star[:H] - OPTIMISM_TOL
         self._thr = thr.reshape(-1).tolist()
         self._below = (q_learner < thr).reshape(-1).tolist()
         self.count = sum(self._below)
@@ -256,8 +249,7 @@ class Audit:
     from the deepest one the kernel reports, only when the kernel found
     no ddot to sum them with.  Otherwise (the oracle, or no C compiler)
     fields is this object and stretch runs the Python body, the reference
-    the kernel must match row for row.  Either body first has the cache
-    gather every row again when mdp.P or mdp.r has been rebound.
+    the kernel must match row for row.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables):
@@ -278,19 +270,14 @@ class Audit:
 
     def stretch(self, rng, first: int, stop: int) -> int:
         learner, cache, mdp = self.learner, self.cache, self.mdp
-        src = cache._src
-        rebound = mdp.P is not src[0] or mdp.r is not src[1]
         if self.fields is not self:
-            if rebound:
-                cache.values(learner.greedy_buffer())
             starts, _ = learner.run_stretch(mdp, rng, first, stop)
             top = self.fields.top
             if top >= 0:
                 cache.evaluate(top)
             return len(starts)
-        if self._traj is not None or rebound:
-            rows = None if self._traj is None else [
-                h * mdp.S + step[0] for h, step in enumerate(self._traj)]
+        if self._traj is not None:
+            rows = [h * mdp.S + step[0] for h, step in enumerate(self._traj)]
             self._vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
             self.switches = cache.switches
         vstar0, vpi0 = self._vstar0, self._vpi0

@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ClassicQUcbLearner, DeterministicPolicy, EnvSpec,
-                    HoeffdingStageLearner, InitialStates, OutOfRangeError, RunConfig,
-                    UcbAdvantageLearner, backward_induction, kernel, make_jao_chain,
-                    make_random_mdp, policy_evaluation, seeded_stream)
+from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLearner,
+                    InitialStates, OutOfRangeError, RunConfig, UcbAdvantageLearner,
+                    backward_induction, kernel, make_jao_chain, make_random_mdp,
+                    seeded_stream, validate)
 from stageq import harness
 from stageq.base import STRETCH_MAX
 from stageq.concurrent import replay_into
@@ -610,31 +610,53 @@ def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
     assert changes > 10 and audit.fields.top == -1
 
 
-@pytest.mark.parametrize("algo", ["advantage", "classic-qucb"])
-def test_audit_after_p_and_r_are_rebound(path, algo):
-    # rebinding mdp.P and mdp.r mid-run: each episode's regret must use the
-    # V^pi of the arrays bound when it plays, as a fresh policy_evaluation
-    # of the greedy table it starts with gives it, on both audit bodies
+def test_rebinding_p_mid_run_raises():
+    # a run's regret is measured against one MDP: reversing P halfway
+    # through (which once left the audit on the old V*) raises at the
+    # assignment, and the run goes on with the MDP it started with
     mdp = make_random_mdp(4, 3, 4, seed=3, init=InitialStates.cyclic([0, 1, 2, 3]))
+    validate(mdp)
     vstar, _ = backward_induction(mdp)
-    const = AlgoConstants(n0_override=20, **CONSTANT_SETS["tight"])
-    lr = make(UcbAdvantageLearner if algo == "advantage" else ClassicQUcbLearner,
-              mdp, const, n_max=400 * mdp.H + 1)
-    audit = Audit(lr, mdp, vstar)
-    assert uses_kernel(lr, path)
-    rng, cum_regret = seeded_stream(0, 0, "env"), 0.0
-    for k in range(400):
-        if k == 150:
-            mdp.P = mdp.P[..., ::-1].copy()
-        if k == 275:
-            mdp.r = mdp.r[::-1].copy()
-        held = np.array(lr.greedy_actions_flat()).reshape(mdp.H, mdp.S)
-        s1 = mdp.initial_states(k, 1)[0]
-        reg = vstar.V[0, s1] - policy_evaluation(mdp, DeterministicPolicy(held)).V[0, s1]
-        cum_regret += reg
-        assert audit.stretch(rng, k, k + 1) == 1
-        assert (audit.fields.reg, audit.fields.cum_regret) == (reg, cum_regret), k
-    assert lr.q_update_count > 0
+    audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
+    rng, k, P = seeded_stream(0, 0, "env"), 0, mdp.P
+    while k < 200:
+        k += audit.stretch(rng, k, 200)
+    with pytest.raises(AttributeError, match="EpisodicMdp.P"):
+        mdp.P = mdp.P[..., ::-1].copy()
+    assert mdp.P is P
+    while k < 400:
+        k += audit.stretch(rng, k, 400)
+    assert audit.fields.cum_regret > 0
+
+
+def test_kernel_points_into_the_frozen_mdp(tmp_path, monkeypatch):
+    # validate turns a Fortran-ordered P into a C-ordered read-only float64
+    # array once; the kernel then reads P, the cumulative rows and r in
+    # place, with no copy of its own, and the run's bytes do not depend on
+    # the order P was built in
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    runs = {}
+    for order in ("F", "C"):
+        def build():
+            mdp = make_random_mdp(3, 2, 4, seed=0)
+            return replace(mdp, P=np.asarray(mdp.P, order=order))
+
+        mdp = build()
+        assert mdp.P.flags.f_contiguous == (order == "F")
+        validate(mdp)
+        assert mdp.P.flags.c_contiguous and mdp.P.dtype == np.float64
+        assert not mdp.P.flags.writeable and not mdp.r.flags.writeable
+        lr = UcbAdvantageLearner(mdp, AlgoConstants())
+        lr.run_stretch(mdp, seeded_stream(0, 0, "env"), 0, 3)
+        k = lr._kstate
+        assert (k.P, k.cum, k.mdp_rew) == (mdp.P.ctypes.data, mdp.cum_array().ctypes.data,
+                                           mdp.r.ctypes.data)
+        monkeypatch.setattr(EnvSpec, "build", lambda self: build())
+        harness.run_experiment(RunConfig(algo="classic-qucb", episodes=300, cb=0.01,
+                                         out_dir=str(tmp_path / order)))
+        runs[order] = (tmp_path / order / "episodes.csv").read_bytes()
+    assert runs["F"] == runs["C"]
 
 
 def make_all_learners(mdp, const, n_max):

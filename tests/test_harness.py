@@ -146,8 +146,8 @@ def eager_reference_run(config):
 class CheckedOptimism(OptimismTracker):
     """Checks the incremental count against the full scan after each update."""
 
-    def __init__(self, q_learner, q_star, tol=1e-9):
-        super().__init__(q_learner, q_star, tol)
+    def __init__(self, q_learner, q_star):
+        super().__init__(q_learner, q_star)
         self.q_star = q_star
         self.counts = []
 

@@ -115,6 +115,42 @@ def test_validate_first_violation_in_scan_order():
     assert (ei.value.h, ei.value.s, ei.value.a) == (1, 0, 0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("S", 4), ("A", 1), ("H", 3), ("P", np.full((2, 2, 2, 2), 0.5)),
+    ("r", np.zeros((2, 2, 2))), ("init", InitialStates.fixed(-1))])
+def test_validate_freezes_every_field(field, value):
+    # rebinding a field after validate raises at the assignment; a start
+    # state of -1 would otherwise be sampled from row S - 1 with no error
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    setattr(mdp, field, getattr(mdp, field))     # writable before validate
+    validate(mdp)
+    before = getattr(mdp, field)
+    with pytest.raises(AttributeError, match=f"EpisodicMdp.{field} "):
+        setattr(mdp, field, value)
+    assert getattr(mdp, field) is before
+    assert sample_episode(mdp, DeterministicPolicy(np.zeros((2, 2), dtype=int)),
+                          CountingRng([0.5, 0.5]))[0][0] == 0
+
+
+def test_validate_freezes_P_and_r_in_place():
+    # in-place writes raise after validate, not before or after a failed
+    # one; an array that is already C-ordered float64 is not copied
+    mdp = make_random_mdp(3, 2, 4, seed=0)
+    P, r = mdp.P, mdp.r
+    mdp.r[0, 0, 0] = 1.5
+    with pytest.raises(RewardOutOfRange):
+        validate(mdp)
+    mdp.r[0, 0, 0] = 0.5
+    validate(mdp)
+    assert mdp.P is P and mdp.r is r
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.P[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.r[0, 0, 0] = 0.0
+    validate(mdp)          # again: a frozen MDP stays as it is
+    assert mdp.P is P and mdp.r is r
+
+
 def test_validate_shape_errors():
     mdp = make_random_mdp(2, 2, 2, seed=0)
     mdp.P = mdp.P[:1]
@@ -502,25 +538,26 @@ def test_cum_rows_cached_and_final_entry_one():
 
 def test_cached_arrays_reject_later_writes():
     # writes before any sampling are fine (validate's tests rely on that);
-    # once a cache is built, a write would leave sampling on the old kernel
+    # the first cache freezes the MDP, since a write would leave sampling
+    # on the old kernel
     mdp = make_random_mdp(2, 2, 2, seed=0)
     mdp.P[0, 0, 0] = [0.5, 0.5]
     mdp.r[0, 0, 0] = 0.5
     mdp.cum_rows()
     with pytest.raises(ValueError, match="read-only"):
         mdp.P[0, 0, 0] = [1.0, 0.0]
-    mdp.r[0, 0, 0] = 0.25   # r has no cache yet
-    mdp.reward_rows()
     with pytest.raises(ValueError, match="read-only"):
         mdp.r[0, 0, 0] = 0.0
     assert mdp.cum_rows()[0][0][0] == [0.5, 1.0]
-    assert mdp.reward_rows()[0][0][0] == 0.25
-    # rebinding P or r rebuilds the cache from the new array
+    assert mdp.reward_rows()[0][0][0] == 0.5
     P2 = mdp.P.copy()
     P2[0, 0, 0] = [1.0, 0.0]
-    mdp.P, mdp.r = P2, np.full_like(mdp.r, 0.75)
-    assert mdp.cum_rows()[0][0][0] == [1.0, 1.0]
-    assert mdp.reward_rows()[0][0][0] == 0.75
+    with pytest.raises(AttributeError, match="EpisodicMdp.P"):
+        mdp.P = P2
+    with pytest.raises(AttributeError, match="EpisodicMdp.r"):
+        mdp.r = np.full_like(mdp.r, 0.75)
+    assert mdp.cum_rows()[0][0][0] == [0.5, 1.0]
+    assert mdp.reward_rows()[0][0][0] == 0.5
 
 
 VIOLATIONS = ("nan", "inf", "-inf", "negative", "sum", "r>1", "r<0", "r-nan")
