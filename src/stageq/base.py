@@ -16,13 +16,14 @@ both Python and the compiled kernel (_kernel.c, loaded by the kernel
 module) read and write in place; numpy copies are exported on demand.
 With the kernel, run_stretch plays whole episodes in C for every learner
 here (the Learner struct's mode says whose observe it repeats) and
-run_episode is a one-episode stretch, both reading their uniforms in
-blocks from the run's UniformStream (rng.doubles); recorded trajectories
-(observe_trajectory) go through Python observe.  run_stretch reports
-only whether Q changed; the tuple trajectory is built from the kernel's
-path buffers by run_episode alone.  Without a C compiler run_episode is
-reference_episode (sample_episode feeding observe, one transition at a
-time), the path the kernel must match bit for bit.
+run_episode is a one-episode stretch, both reading their uniforms and
+start states in blocks (rng.doubles, InitialStates.block); recorded
+trajectories (observe_trajectory) go through Python observe.  run_stretch
+reports how many episodes it played and whether Q changed; the tuple
+trajectory is built from the kernel's path buffers by run_episode alone.
+Without a C compiler run_episode is reference_episode (sample_episode
+feeding observe, one transition at a time), the path the kernel must
+match bit for bit.
 
 bind_audit has the kernel also audit every episode it plays, in place of
 the Python body of metrics.Audit.
@@ -54,10 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .mdp import EpisodicMdp, sample_episode
+from .mdp import START_BLOCK, EpisodicMdp, sample_episode
 from .stages import OutOfRangeError
-
-STRETCH_MAX = 1024     # episodes one kernel stretch call plays at most
 
 
 @dataclass
@@ -98,13 +97,14 @@ class TabularQLearnerBase:
         by address and numbers as they are.  The learner keeps every array
         alive, and the buffers never resize, so the addresses stay valid
         for its life.  The struct's per-call fields are run_stretch's:
-        u_index and count in, the counter increments and errors out."""
+        starts, u_index and count in, the counter increments and errors out."""
         H = self.H
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
-        self._starts = array("q", [0]) * STRETCH_MAX
+        self._starts = array("q", [0]) * START_BLOCK   # the block of start states at hand
+        self._starts_at = self._starts.buffer_info()[0]
         for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
-                     "path_r", "starts"):
+                     "path_r"):
             fields[name] = getattr(self, "_" + name)
         self._kstate = kernel.Learner(S=self.S, A=self.A, H=H, **{
             name: value.buffer_info()[0] if isinstance(value, array) else value
@@ -115,7 +115,6 @@ class TabularQLearnerBase:
         # (frozen) MDP, and the stream's uniform block
         self._mdp = None
         self._ublock = None
-        self._window = 1           # episodes the next stretch offers the kernel
 
     # ------------------------------------------------------------ acting
 
@@ -173,23 +172,22 @@ class TabularQLearnerBase:
         """Play episodes first, first + 1, ... (0-based, below stop) and stop
         after the first one that changes Q; rng is a harness.UniformStream.
 
-        Returns (starts, changed): the initial state of every episode
-        played, and whether the last one changed Q.  Between the episodes
-        played the greedy policy cannot move, which is what lets the audit
-        loop account for a whole stretch at once.  With the audit bound
+        Returns (played, changed): the number of episodes played, and
+        whether the last one changed Q.  Between the episodes played the
+        greedy policy cannot move, which is what lets the audit loop
+        account for a whole stretch at once.  With the audit bound
         (bind_audit), the kernel audits every episode it plays.
 
         Without the kernel this is play_stretch over reference_episode.
         The kernel plays the stretch in one call, which also ends when the
         uniforms rng.doubles can hand over without drawing a new block run
-        short of one more episode, or after a window of twice the episodes
-        the last call played (one at first, at most STRETCH_MAX); the
-        caller then calls again.  So a call prepares start states for about
-        as many episodes as it plays, not for the whole block.
+        short of one more episode, or at the end of the block of
+        START_BLOCK start states that holds `first` (mdp.init.block, copied
+        into _starts once per block); the caller then calls again.
         """
         if self._lib is None:
             starts, traj = play_stretch(self.reference_episode, mdp, rng, first, stop)
-            return starts, traj is not None
+            return len(starts), traj is not None
         H, k = self.H, self._kstate
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
@@ -197,18 +195,17 @@ class TabularQLearnerBase:
         if block is not self._ublock:
             self._ublock = block
             k.u = block.ctypes.data
-        count = min(stop - first, (len(block) - i) // H, self._window)
-        starts = mdp.initial_states(first, count)
-        self._starts[:count] = array("q", starts)
+        b, j = divmod(first, START_BLOCK)
+        if b != self._block:
+            self._starts[:] = array("q", mdp.init.block(b, self.S))
+            self._block = b
+        k.starts = self._starts_at + 8 * j     # int64 entries
         k.u_index = i
-        k.count = count
+        k.count = min(stop - first, (len(block) - i) // H, START_BLOCK - j)
         played = self._stretch(self._kaddr)
         rng.skip(k.used)
         self._add_counts()
-        self._window = min(2 * played, STRETCH_MAX) or 1
-        if played < count:
-            starts = starts[:played]
-        return starts, k.q_updates > 0
+        return played, k.q_updates > 0
 
     def _bind_mdp(self, mdp: EpisodicMdp) -> None:
         cum = mdp.cum_array()      # freezes the MDP: P and r are C-ordered float64
@@ -218,6 +215,7 @@ class TabularQLearnerBase:
         k = self._kstate
         k.cum, k.mdp_rew, k.P = cum.ctypes.data, mdp.r.ctypes.data, mdp.P.ctypes.data
         self._mdp = mdp
+        self._block = None         # which block of mdp's start states _starts holds
 
     def bind_audit(self, cache, optimism, vstar0):
         """Have the kernel audit every episode this learner plays from now

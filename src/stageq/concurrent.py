@@ -169,8 +169,8 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
         stop = k + math.ceil((budget - total_consumed) / M) * M
         changed = False
         while not changed and k < stop:
-            starts, changed = learner.run_stretch(mdp, env_rng, k, stop)
-            k += len(starts)
+            played, changed = learner.run_stretch(mdp, env_rng, k, stop)
+            k += played
         # full rounds, then the changing episode's place j in its round
         played = k - total_generated
         full, j = divmod(played - 1, M) if changed else (played // M, 0)

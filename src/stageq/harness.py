@@ -183,7 +183,7 @@ class OracleAgent:
 
     def run_stretch(self, mdp, rng, first: int, stop: int):
         starts, _ = play_stretch(self.run_episode, mdp, rng, first, stop)
-        return starts, False       # Q never changes
+        return len(starts), False       # Q never changes
 
     def greedy_actions_flat(self):
         return list(self._actions)

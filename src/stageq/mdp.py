@@ -58,20 +58,32 @@ class InvalidEpsilon(ValueError):
 
 # ------------------------------------------------------- initial states
 
-@dataclass
+START_BLOCK = 256   # episodes per InitialStates.block; the seeded kind draws as many at once
+
+
+@dataclass(frozen=True)
 class InitialStates:
-    """Pre-committed initial-state sequence s_1^k, k = 0, 1, 2, ...
+    """Pre-committed initial-state sequence s_1^k, k = 0, 1, 2, ..., read a
+    block of START_BLOCK episodes at a time.
 
     kind "fixed":  always states[0].
     kind "cyclic": states[k % len(states)].
     kind "seeded": uniform over [0, S) from a private PCG64 stream keyed by
-    `seed`; the sequence is a pure function of (seed, k), independent of the
-    run's RNG, so reruns and algorithm comparisons see identical starts.
+    `seed`, drawn a block at a time; the sequence is a pure function of
+    (seed, k), independent of the run's RNG, so reruns and algorithm
+    comparisons see identical starts.
+
+    Only the last block read is kept.  Frozen: a learner holds a block for
+    up to START_BLOCK episodes and would not see an edit.
     """
 
     kind: str
     states: tuple = ()
     seed: Optional[int] = None
+    _last = _gen = None    # set through object.__setattr__ (see block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", tuple(self.states))
 
     @classmethod
     def fixed(cls, s: int) -> "InitialStates":
@@ -90,40 +102,33 @@ class InitialStates:
         return cls(kind="seeded", seed=int(seed))
 
     def state(self, k: int, S: int) -> int:
-        return self.window(k, 1, S)[0]
+        return self.block(k // START_BLOCK, S)[k % START_BLOCK]
 
-    def window(self, first: int, count: int, S: int) -> list:
-        """[state(k, S) for k in range(first, first + count)], as a list."""
-        if self.kind == "fixed":
-            return [self.states[0]] * count
-        if self.kind == "cyclic":
-            seq, m = self.states, len(self.states)
-            return [seq[k % m] for k in range(first, first + count)]
-        if self.kind == "seeded":
-            return self._seeded(first, first + count, S)
-        raise ValueError(f"unknown initial-state kind {self.kind!r}")
-
-    def _seeded(self, first: int, stop: int, S: int) -> list:
-        """Entries first .. stop - 1 of the seeded sequence, drawn 256 at a
-        time.  Only the blocks from the one holding `first` on are kept; an
-        earlier index restarts the private generator, which draws the same
+    def block(self, b: int, S: int) -> list:
+        """The starts of episodes START_BLOCK*b ... START_BLOCK*(b + 1) - 1,
+        as a list the caller must not change.  A seeded block before the
+        last one restarts the private generator, which draws the same
         values again, since the sequence depends on the seed alone."""
-        if getattr(self, "_cache_S", S) != S:
-            raise ValueError("seeded InitialStates bound to a different state count")
-        if getattr(self, "_gen", None) is None or first < self._base:
-            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-            self._cache, self._base, self._cache_S = [], 0, S
-        cache, keep = self._cache, first - first % 256
-        drop = min(keep - self._base, len(cache))
-        del cache[:drop]
-        self._base += drop
-        while self._base + len(cache) < stop:
-            block = self._gen.integers(0, S, size=256).tolist()
-            if self._base < keep:  # cache is empty: a block wholly before first
-                self._base += 256
-            else:
-                cache.extend(block)
-        return cache[first - self._base:stop - self._base]
+        if self._last is not None and self._last[:2] == (b, S):
+            return self._last[2]
+        if self.kind == "fixed":
+            starts = [self.states[0]] * START_BLOCK
+        elif self.kind == "cyclic":
+            seq, m = self.states, len(self.states)
+            starts = [seq[k % m] for k in range(b * START_BLOCK, (b + 1) * START_BLOCK)]
+        elif self.kind != "seeded":
+            raise ValueError(f"unknown initial-state kind {self.kind!r}")
+        else:
+            gen, nxt, bound = self._gen or (None, 0, S)
+            if bound != S:
+                raise ValueError("seeded InitialStates bound to a different state count")
+            if gen is None or b < nxt:
+                gen, nxt = np.random.default_rng(self.seed), 0    # PCG64, SeedSequence(seed)
+            for _ in range(nxt, b + 1):
+                starts = gen.integers(0, S, size=START_BLOCK).tolist()
+            object.__setattr__(self, "_gen", (gen, b + 1, S))
+        object.__setattr__(self, "_last", (b, S, starts))
+        return starts
 
 
 # ------------------------------------------------------------ core types
@@ -141,10 +146,6 @@ class EpisodicMdp:
 
     def initial_state(self, k: int) -> int:
         return self.init.state(k, self.S)
-
-    def initial_states(self, first: int, count: int) -> list:
-        """The initial states of episodes first, ..., first + count - 1."""
-        return self.init.window(first, count, self.S)
 
     # validate (or the first view built of P or r) freezes the MDP, so every
     # view of P and r (the caches below, the policy cache's rows, the

@@ -236,9 +236,9 @@ class Audit:
     """One run's audit, a stretch of the learner's episodes at a time.
 
     stretch(rng, first, stop) has the learner play episodes first, first +
-    1, ... (0-based, below stop) up to the first that changes Q, as
-    run_stretch does, audits each and returns how many it played.  The
-    running values are attributes of `fields`: reg (the last episode's
+    1, ... (0-based, below stop) up to the first that changes Q, or sooner
+    where run_stretch stops, audits each and returns how many it played.
+    The running values are attributes of `fields`: reg (the last episode's
     regret), cum_regret (their sum, added episode by episode), negative
     (the first 1-based episode whose regret is below -1e-9, or 0),
     switches and violations (the running maximum of the optimism count).
@@ -271,11 +271,11 @@ class Audit:
     def stretch(self, rng, first: int, stop: int) -> int:
         learner, cache, mdp = self.learner, self.cache, self.mdp
         if self.fields is not self:
-            starts, _ = learner.run_stretch(mdp, rng, first, stop)
+            played, _ = learner.run_stretch(mdp, rng, first, stop)
             top = self.fields.top
             if top >= 0:
                 cache.evaluate(top)
-            return len(starts)
+            return played
         if self._traj is not None:
             rows = [h * mdp.S + step[0] for h, step in enumerate(self._traj)]
             self._vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()

@@ -225,10 +225,10 @@ def test_out_of_range_raises_like_sample_then_replay(algo, path):
 def test_rounds_m8_plays_one_stretch_per_update(path):
     # rounds-m8's instance at a smaller budget.  Every run_stretch call
     # ends at a Q change, at the round-aligned budget end (once, last) or,
-    # in the kernel, at one of the learner's own limits: its window, or
-    # fewer than H uniforms left in the block at hand.  A runner that asked
-    # for one trajectory or one round per call would end its calls at
-    # their stop instead.
+    # in the kernel, at one of the learner's own limits: the end of its
+    # block of 256 start states, or fewer than H uniforms left in the block
+    # at hand.  A runner that asked for one trajectory or one round per
+    # call would end its calls at their stop instead.
     mdp = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build()
     cc = ConcurrentConfig(agents=8, k_eps_override=4000)
     lr = make_learner("advantage", mdp,
@@ -238,25 +238,25 @@ def test_rounds_m8_plays_one_stretch_per_update(path):
     stretch = lr.run_stretch
 
     def counted(mdp, rng, first, stop):
-        window = getattr(lr, "_window", None)
-        starts, changed = stretch(mdp, rng, first, stop)
+        played, changed = stretch(mdp, rng, first, stop)
         if changed:
             ends["q"] += 1
-        elif first + len(starts) == stop:
+        elif first + played == stop:
             ends["stop"] += 1
         elif len(rng._block) - rng._i < mdp.H:
-            ends["block"] += 1
+            ends["uniforms"] += 1
         else:
-            ends["window" if len(starts) == window else "other"] += 1
-        return starts, changed
+            ends["starts" if (first + played) % 256 == 0 else "other"] += 1
+        return played, changed
 
     lr.run_stretch = counted
     env = seeded_stream(0, 0, "env")
     res = run_concurrent(mdp, lr, cc, env, seeded_stream(0, 0, "policy-pick"))
     assert ends["q"] == res.update_rounds > 0
     assert ends["stop"] <= 1 and ends["other"] == 0
-    assert ends["block"] <= res.total_generated * mdp.H // UniformStream.BLOCK + 1
-    assert (ends["block"] + ends["window"] > 0) == (path == "kernel")
+    assert ends["uniforms"] <= res.total_generated * mdp.H // UniformStream.BLOCK + 1
+    assert ends["starts"] <= res.total_generated // 256 + 1
+    assert (ends["uniforms"] + ends["starts"] > 0) == (path == "kernel")
 
 
 def test_frozen_actor_plays_table():

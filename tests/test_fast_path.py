@@ -32,7 +32,6 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLe
                     backward_induction, kernel, make_jao_chain, make_random_mdp,
                     seeded_stream, validate)
 from stageq import harness
-from stageq.base import STRETCH_MAX
 from stageq.concurrent import replay_into
 from stageq.metrics import Audit, OptimismTracker, PolicyValueCache
 from test_cli import PINNED_RUN
@@ -161,23 +160,25 @@ def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
 
 
 def reference_stretch(lr, mdp, rng, first, count, stop):
-    """count reference episodes from first, as run_stretch's (starts,
+    """count reference episodes from first, as run_stretch's (played,
     changed), and the last one's trajectory; every one but the last must be
     one that run_stretch plays through (no Q change, below stop)."""
-    starts = []
     for k in range(first, first + count):
         traj, report = lr.reference_episode(mdp, rng, k)
-        starts.append(traj[0][0])
         if k < first + count - 1:
             assert not report.q_changed
     assert first + count <= stop
-    return (starts, report.q_changed), traj
+    return (count, report.q_changed), traj
 
 
-# jao-40 crosses block boundaries (4096 is not a multiple of H=40) and runs
-# long enough between Q changes to use up the kernel's uniforms;
-# random-10x3x8 has seeded start states and random-4x5x4 cyclic ones
-STRETCH_CASES = [INSTANCES[0], INSTANCES[2], INSTANCES[3]]
+# jao-40 (fixed start states) crosses uniform-block boundaries (4096 is not
+# a multiple of H=40) and runs long enough between Q changes to use up the
+# kernel's uniforms; random-10x3x8 has seeded start states, and
+# random-4x5x4 here cycles through 5 of them, so a start-state block does
+# not begin at the start of the cycle
+STRETCH_CASES = [INSTANCES[0], INSTANCES[2],
+                 ("random-4x5x4", lambda: make_random_mdp(
+                     4, 5, 4, seed=2, init=InitialStates.cyclic([0, 1, 2, 3, 1])), 200, 1500)]
 
 
 @pytest.mark.parametrize("inst", STRETCH_CASES, ids=[c[0] for c in STRETCH_CASES])
@@ -190,43 +191,36 @@ def test_stretch_matches_reference_path(inst, path):
     rng_fast = seeded_stream(0, 0, "env")
     rng_ref = seeded_stream(0, 0, "env")
     checkpoints = list(range(97, K, 97)) + [K]   # 1-based kept episode counts
-    stops = {"q": 0, "checkpoint": 0, "block": 0, "window": 0}
+    stops = Counter()
     crossed = 0
-    k = last = 0
+    k = 0
     while k < K:
         stop = next(c for c in checkpoints if c > k)
         unread = len(rng_fast._block) - rng_fast._i
-        if path == "kernel":
-            # start states are prepared for twice the episodes the last
-            # call played, not for all the uniforms at hand
-            window = fast._window
-            assert window == (min(2 * last, STRETCH_MAX) or 1)
-        starts, changed = fast.run_stretch(mdp, rng_fast, k, stop)
-        expect, traj = reference_stretch(ref, mdp, rng_ref, k, len(starts), stop)
-        assert (starts, changed) == expect
+        played, changed = fast.run_stretch(mdp, rng_fast, k, stop)
+        expect, traj = reference_stretch(ref, mdp, rng_ref, k, played, stop)
+        assert (played, changed) == expect
         if path == "kernel":   # built only on request
             assert fast._last_traj() == traj
-        assert starts == mdp.initial_states(k, len(starts))
-        k += len(starts)
-        last = len(starts)
+        k += played
         crossed += unread < mdp.H   # the stretch's uniforms span two blocks
         if changed:
             stops["q"] += 1
         elif k == stop:
             stops["checkpoint"] += 1
         else:   # only the kernel ends a stretch early: where its uniforms
-            assert path == "kernel"   # run short, or at its window
+            assert path == "kernel"   # run short, or its block of start states
             if len(rng_fast._block) - rng_fast._i < mdp.H:
-                stops["block"] += 1
+                stops["uniforms"] += 1
             else:
-                assert len(starts) == window
-                stops["window"] += 1
+                assert k % 256 == 0
+                stops["starts"] += 1
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
     assert stops["q"] and stops["checkpoint"]
+    assert (stops["starts"] > 0) == (path == "kernel")
     if inst is INSTANCES[0]:
-        assert crossed > 0 and (stops["block"] > 0) == (path == "kernel")
-        assert (stops["window"] > 0) == (path == "kernel")
+        assert crossed > 0 and (stops["uniforms"] > 0) == (path == "kernel")
 
 
 def check_raise_matches_reference(via):
@@ -242,8 +236,8 @@ def check_raise_matches_reference(via):
         return None
 
     def stretch(lr, k):
-        starts, _ = lr.run_stretch(mdp, rng_fast, k, k + 1)
-        assert len(starts) == 1
+        played, _ = lr.run_stretch(mdp, rng_fast, k, k + 1)
+        assert played == 1
 
     fast = UcbAdvantageLearner(mdp, const, n_max=40)
     ref = UcbAdvantageLearner(mdp, const, n_max=40)
@@ -269,7 +263,7 @@ def test_out_of_range_raises_in_the_same_episode(via, path):
 
 
 def stretch_or_raise(lr, mdp, rng, first, stop):
-    """run_stretch's (starts, changed), or the visit count it raised at."""
+    """run_stretch's (played, changed), or the visit count it raised at."""
     try:
         return lr.run_stretch(mdp, rng, first, stop)
     except OutOfRangeError as exc:
@@ -305,7 +299,7 @@ def check_observe_between_stretches(cls, path, n_max):
             ref.observe_trajectory(traj)
         if i >= first_stretch:
             got = stretch_or_raise(fast, mdp, rng_fast, k, k + 20)
-            count = 20 if isinstance(got, int) else len(got[0])
+            count = 20 if isinstance(got, int) else got[0]
             assert got == reference_or_raise(ref, mdp, rng_ref, k, count, k + 20)
             stretches += 1
             if isinstance(got, int):

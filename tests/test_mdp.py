@@ -132,6 +132,19 @@ def test_validate_freezes_every_field(field, value):
                           CountingRng([0.5, 0.5]))[0][0] == 0
 
 
+@pytest.mark.parametrize("field,value", [("kind", "cyclic"), ("states", (-1,)), ("seed", 1)])
+def test_initial_states_cannot_be_changed_in_place(field, value):
+    # a learner holds a block of start states for up to 256 episodes, so
+    # an in-place change would be ignored until the next block
+    mdp = make_random_mdp(3, 2, 4, seed=0)
+    validate(mdp)
+    with pytest.raises(AttributeError, match=field):
+        setattr(mdp.init, field, value)
+    assert mdp.init == InitialStates.fixed(0)
+    assert mdp.initial_state(0) == 0
+    assert InitialStates(kind="cyclic", states=[0, 1]).states == (0, 1)   # no list to edit
+
+
 def test_validate_freezes_P_and_r_in_place():
     # in-place writes raise after validate, not before or after a failed
     # one; an array that is already C-ordered float64 is not copied
@@ -242,6 +255,8 @@ def test_initial_states_fixed_and_cyclic():
     assert [InitialStates.fixed(1).state(k, 3) for k in range(4)] == [1, 1, 1, 1]
     cyc = InitialStates.cyclic([0, 2, 1])
     assert [cyc.state(k, 3) for k in range(7)] == [0, 2, 1, 0, 2, 1, 0]
+    assert cyc.block(1, 3) == [(0, 2, 1)[k % 3] for k in range(256, 512)]
+    assert InitialStates.fixed(1).block(5, 3) == [1] * 256
     with pytest.raises(ValueError):
         InitialStates.cyclic([])
 
@@ -262,21 +277,25 @@ def test_initial_states_seeded_is_pure_function():
         a.state(0, 5)
 
 
-def test_initial_states_seeded_window_is_bounded_and_restartable():
+def test_initial_states_seeded_block_is_restartable_and_held_alone():
     S = 5
-    ref = InitialStates.seeded(7).window(0, 2000, S)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+    ref = [s for _ in range(8) for s in gen.integers(0, S, size=256).tolist()]
     fwd = InitialStates.seeded(7)
-    assert [fwd.state(k, S) for k in range(2000)] == ref
+    assert [s for b in range(8) for s in fwd.block(b, S)] == ref
+    assert [fwd.state(k, S) for k in range(2048)] == ref
     back = InitialStates.seeded(7)
-    assert [back.state(k, S) for k in range(1999, -1, -1)] == ref[::-1]
+    assert [back.state(k, S) for k in range(2047, -1, -1)] == ref[::-1]
     sparse = InitialStates.seeded(7)
     for k in (1500, 3, 900, 1999, 0, 256, 255):
-        assert sparse.window(k, 1, S) == [ref[k]]
-    assert sparse.window(250, 300, S) == ref[250:550]
+        assert sparse.state(k, S) == ref[k]
+    # only the last block read is held, however far it lies
     far = InitialStates.seeded(7)
-    assert len(far.window(500_000, 8, S)) == 8
-    assert len(far._cache) <= 512
-    assert far.window(3, 4, S) == ref[3:7]
+    assert len(far.block(2000, S)) == 256
+    assert far.block(1, S) == ref[256:512]
+    assert far._last == (1, S, ref[256:512])
+    with pytest.raises(ValueError, match="state count"):
+        far.block(1, S + 1)
 
 
 def test_initial_states_seeds_differ():
