@@ -14,13 +14,15 @@
  *
  * With the audit bound (TabularQLearnerBase.bind_audit), stageq_stretch
  * also audits, as metrics.Audit's Python body does: each episode's regret
- * and their running sum, and after the Q-changing episode the optimism
+ * and their running sum, and after each Q-changing episode the optimism
  * re-test and the switch count on the H cells it visited, copying in the
  * rows of P and r that each changed greedy row selects, and V^pi's layers
- * from the deepest changed one.  Each layer sum calls the ddot that NumPy's
- * dot calls (its BLAS's, whose kernel adds in an order of its own), so V^pi
- * comes out bit for bit as PolicyValueCache.evaluate computes it; without
- * that function the layers are left to evaluate.
+ * from the deepest changed one; then it writes the episode's audit row.
+ * Each layer sum calls the ddot that NumPy's dot calls (its BLAS's, whose
+ * kernel adds in an order of its own), so V^pi comes out bit for bit as
+ * PolicyValueCache.evaluate computes it, and the call plays on through Q
+ * changes.  Without that function the layers are left to evaluate, and the
+ * call ends at the first Q-changing episode, as it does without the audit.
  *
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
@@ -76,6 +78,10 @@ typedef struct {
     int8_t *below;          /* q < thr, per (h, s, a) */
     int64_t *last;          /* the policy cache's table, per (h, s) */
     double *p_pi, *r_pi;    /* the rows of P and r that table selects */
+    /* each episode's audit row, at its place in the call (q_updates and
+     * refs_fixed as increments in the call) */
+    double *row_reals;      /* reg, cum_regret */
+    int64_t *row_counts;    /* switches, q_updates, violations, refs_fixed */
     /* NumPy's BLAS ddot (n, x, incx, y, incy), or NULL: top is left to Python */
     double (*ddot)(int64_t, const double *, int64_t, const double *, int64_t);
     int64_t episodes;       /* episodes audited */
@@ -86,10 +92,11 @@ typedef struct {
     int64_t switches;       /* rows that differ between the policies of
                                consecutive episodes played */
     int64_t pending;        /* rows in which the policy after the last episode
-                               differs; added to switches when it plays */
+                               differs; added to switches when the next plays */
     /* per-call inputs */
     int64_t u_index;        /* index in u of the first unread uniform */
-    int64_t count;          /* episodes to play at most */
+    int64_t count;          /* episodes to play at most; with the audit, at
+                               most the rows the row buffers hold */
     /* per-call outputs, each set by stageq_stretch */
     int64_t stage_ends, q_updates, refs_fixed, ref_wins;   /* counter increments */
     int64_t used;           /* uniforms consumed */
@@ -250,8 +257,8 @@ static int64_t observe(Learner *L, int64_t h, int64_t s, int64_t a,
     return 0;
 }
 
-/* The audit of the episode about to be played from state s1; the policy
- * cannot move inside a stretch, so V^pi is the one at the call's start. */
+/* The audit of the episode about to be played from state s1, against V^pi
+ * of the policy it plays (the layers are current after each Q change). */
 static void audit_regret(Learner *L, int64_t s1)
 {
     double reg = L->vstar0[s1] - L->vpi[s1];
@@ -311,10 +318,13 @@ static void audit_layers(Learner *L)
 }
 
 /* Play up to count episodes with initial states starts[0..), drawing one
- * uniform per step from u + u_index (count*H of them must be readable),
- * and stop after the first episode that changes Q, auditing each one when
- * the audit is on.  Returns the number of episodes played, or -1 when it
- * stopped on an error (bad_n or bad_index). */
+ * uniform per step from u + u_index (count*H of them must be readable).
+ * With the audit on, each episode is audited and its row written; with
+ * ddot too, the call plays through Q changes.  Otherwise it stops after
+ * the first episode that changes Q.  The switches of a policy change are
+ * added when the next episode plays, so the row of the episode that
+ * changed Q does not count them.  Returns the number of episodes played,
+ * or -1 when it stopped on an error (bad_n or bad_index). */
 int64_t stageq_stretch(Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
@@ -323,11 +333,10 @@ int64_t stageq_stretch(Learner *L)
     int64_t count = L->count;
     int64_t played = 0, used = 0;
     int audit = L->vstar0 != NULL;
+    int through = audit && L->ddot != NULL;
     L->stage_ends = L->q_updates = L->refs_fixed = L->ref_wins = 0;
     L->bad_n = L->bad_index = 0;
     L->top = -1;
-    L->switches += L->pending;
-    L->pending = 0;
     while (played < count) {
         int64_t u0 = L->q_updates;
         int64_t s = starts[played++];
@@ -335,6 +344,8 @@ int64_t stageq_stretch(Learner *L)
             L->bad_index = 1;
             break;
         }
+        L->switches += L->pending;
+        L->pending = 0;
         if (audit)
             audit_regret(L, s);
         int64_t bad = 0;
@@ -353,16 +364,24 @@ int64_t stageq_stretch(Learner *L)
             L->bad_n = bad;
             break;
         }
-        if (L->q_updates > u0)
+        int changed = L->q_updates > u0;
+        if (audit) {
+            if (changed)
+                audit_change(L);
+            double *x = L->row_reals + 2 * (played - 1);
+            int64_t *n = L->row_counts + 4 * (played - 1);
+            x[0] = L->reg;
+            x[1] = L->cum_regret;
+            n[0] = L->switches;
+            n[1] = L->q_updates;
+            n[2] = L->violations;
+            n[3] = L->refs_fixed;
+            if (changed && through)
+                audit_layers(L);
+        }
+        if (changed && !through)
             break;
     }
     L->used = used;
-    if (L->bad_n || L->bad_index)
-        return -1;
-    if (audit && L->q_updates > 0) {
-        audit_change(L);
-        if (L->ddot != NULL)
-            audit_layers(L);
-    }
-    return played;
+    return L->bad_n || L->bad_index ? -1 : played;
 }

@@ -25,8 +25,9 @@ Without a C compiler run_episode is reference_episode (sample_episode
 feeding observe, one transition at a time), the path the kernel must
 match bit for bit.
 
-bind_audit has the kernel also audit every episode it plays, in place of
-the Python body of metrics.Audit.
+bind_audit has the kernel also audit every episode it plays and write
+its audit row, in place of the Python body of metrics.Audit; with NumPy's
+ddot found (kernel.ddot), a call then plays on through Q changes.
 
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
@@ -40,11 +41,11 @@ Trajectory locality: run_episode writes Q, V and _greedy only at the
 (h, s, a) cells (and their (h, s) rows) of the trajectory it returns.  The
 audit relies on this to re-test optimism and count switches on those H
 cells alone, so an update that touched any other cell would make the
-audit miss it.  The same holds for run_stretch, which plays episodes
-until one changes Q: only that last episode may change Q, and only along
-its trajectory.  The compiled kernel plays stretches on the same tables
-and must keep this invariant too; its audit reads that trajectory from
-its path buffers.
+audit miss it.  The same holds for each episode that run_stretch plays:
+it changes Q only along its own trajectory.  The compiled kernel plays
+stretches on the same tables and must keep this invariant too; its audit
+reads each Q-changing episode's trajectory from its path buffers before
+the next episode plays.
 """
 
 from __future__ import annotations
@@ -171,37 +172,35 @@ class TabularQLearnerBase:
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
         """Play episodes first, first + 1, ... (0-based, below stop) and stop
         after the first one that changes Q; rng is a harness.UniformStream.
+        With the audit bound (bind_audit), the kernel audits every episode
+        it plays and writes its row, and where it has NumPy's ddot it keeps
+        V^pi current itself and plays on through Q changes.
 
         Returns (played, changed): the number of episodes played, and
-        whether the last one changed Q.  Between the episodes played the
-        greedy policy cannot move, which is what lets the audit loop
-        account for a whole stretch at once.  With the audit bound
-        (bind_audit), the kernel audits every episode it plays.
+        whether Q changed in them.
 
         Without the kernel this is play_stretch over reference_episode.
-        The kernel plays the stretch in one call, which also ends when the
-        uniforms rng.doubles can hand over without drawing a new block run
-        short of one more episode, or at the end of the block of
+        The kernel plays the stretch in one call (its uniforms read from
+        one rng.doubles), which also ends at the end of the block of
         START_BLOCK start states that holds `first` (mdp.init.block, copied
         into _starts once per block); the caller then calls again.
         """
         if self._lib is None:
             starts, traj = play_stretch(self.reference_episode, mdp, rng, first, stop)
             return len(starts), traj is not None
-        H, k = self.H, self._kstate
+        k = self._kstate
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
-        block, i = rng.doubles(H)
-        if block is not self._ublock:
-            self._ublock = block
-            k.u = block.ctypes.data
         b, j = divmod(first, START_BLOCK)
         if b != self._block:
             self._starts[:] = array("q", mdp.init.block(b, self.S))
             self._block = b
+        k.count = n = min(stop - first, START_BLOCK - j)
+        block, k.u_index = rng.doubles(self.H * n)
+        if block is not self._ublock:
+            self._ublock = block
+            k.u = block.ctypes.data
         k.starts = self._starts_at + 8 * j     # int64 entries
-        k.u_index = i
-        k.count = min(stop - first, (len(block) - i) // H, START_BLOCK - j)
         played = self._stretch(self._kaddr)
         rng.skip(k.used)
         self._add_counts()
@@ -221,25 +220,28 @@ class TabularQLearnerBase:
         """Have the kernel audit every episode this learner plays from now
         on (metrics.Audit), from the policy cache's table and the optimism
         tracker's flags; vstar0 is V*[0].  Returns the Learner struct that
-        holds the running values, or None without the kernel.  The kernel
-        writes the cache's table, gathered rows and V, recomputing V's
-        layers with NumPy's own ddot (kernel.ddot); where that is not
-        found, the caller recomputes them (cache.evaluate) from the
-        struct's top before the next call."""
+        holds the running values, and the row buffers each call writes its
+        episodes' rows into (reals, counts: see _kernel.c), or None without
+        the kernel.  The kernel writes the cache's table, gathered rows and
+        V, recomputing V's layers with NumPy's own ddot (kernel.ddot);
+        where that is not found, the caller recomputes them (cache.evaluate)
+        from the struct's top before the next call."""
         if self._lib is None:
             return None
         self._bind_mdp(cache.mdp)
         k = self._kstate
         thr, below = array("d", optimism._thr), array("b", optimism._below)
         vstar0 = np.ascontiguousarray(vstar0, dtype=float)
-        self._audit_bufs = (cache, thr, below, vstar0)   # the struct holds addresses
+        reals, counts = array("d", [0.0]) * (2 * START_BLOCK), array("q", [0]) * (4 * START_BLOCK)
+        self._audit_bufs = (cache, thr, below, vstar0, reals, counts)   # held by address
         k.vstar0, k.vpi = vstar0.ctypes.data, cache._V.ctypes.data
         k.ddot = kernel.ddot()
         k.thr, k.below = thr.buffer_info()[0], below.buffer_info()[0]
         k.last = cache._flat.buffer_info()[0]
         k.p_pi, k.r_pi = cache._P_pi.ctypes.data, cache._r_pi.ctypes.data
+        k.row_reals, k.row_counts = reals.buffer_info()[0], counts.buffer_info()[0]
         k.optimism = optimism.count
-        return k
+        return k, reals, counts
 
     def _last_traj(self) -> list:
         """The trajectory of the last episode the kernel played."""

@@ -24,11 +24,13 @@ rows as the switching cost, so the audit holds no per-policy state.  The
 loop builds a record only for the episodes its caller keeps
 (run_experiment: the log cadence; sweep_scaling: the checkpoints), so
 memory is bounded by those, not by K.  metrics.Audit plays the episodes
-up to the next Q change or kept row as one stretch and adds their
-regrets one by one, noting the first negative one for strict mode, which
-therefore checks every episode, kept or not.  With a C compiler the
-kernel plays and audits the stretch, V^pi's layers included, and Python
-builds only the kept rows.
+as stretches and adds their regrets one by one, noting the first
+negative one for strict mode, which therefore checks every episode, kept
+or not.  With a C compiler and NumPy's ddot, the kernel plays and audits
+up to 256 episodes a call (a block of start states), through Q changes,
+V^pi's layers included, and writes every episode's row; Python builds
+only the kept ones.  The Python body ends a stretch at each Q change and
+kept row.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
-from .metrics import (Audit, EpisodeRecord, grid_rows, switching_bound, write_csv,
-                      write_episode_csv)
+from .metrics import Audit, grid_rows, switching_bound, write_csv, write_episode_csv
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -297,13 +298,14 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     """The audit loop; keeps the row of each episode k in keep (an increasing
     sequence), ignores out_dir.
 
-    The audit plays stretches of episodes (Audit.stretch) that end at a
-    Q-changing episode or at the next kept k, so within a stretch the
-    greedy policy, and with it V^pi, stays put, and every episode's regret
-    is added to cum_regret one at a time, as a per-episode loop would.  The
-    first episode with negative regret is noted there, and a strict run
-    hands it to enforce_invariants, kept row or not.  Each kept row is
-    built from the audit's running values (Audit.fields).
+    The audit plays stretches of episodes (Audit.stretch), adding every
+    episode's regret to cum_regret one at a time against V^pi of the
+    policy it played, as a per-episode loop would, and returns the kept
+    rows among them, whichever body runs.  Where a stretch ends is the
+    body's own affair (see Audit).  The first episode with negative regret
+    is noted there, and a strict run hands it to enforce_invariants, kept
+    row or not.  The summary reads the audit's running values
+    (Audit.fields).
     """
     t0 = time.perf_counter()
     K = config.episodes
@@ -316,24 +318,14 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
                            n_max=K * mdp.H + 1, cb=config.cb)
     env_rng = seeded_stream(config.seed, 0, "env")
     audit = Audit(learner, mdp, vstar)
-    f = audit.fields               # the running values
     records = []
-    kept = iter(keep)
-    next_kept = next(kept, K + 1)  # the next kept k, K + 1 past the last
-    k = 1                          # the next episode to play
+    k = 0                          # the episodes played
+    while k < K:
+        played, rows = audit.stretch(env_rng, k, K, keep)
+        k += played
+        records += rows
 
-    while k <= K:
-        while next_kept < k:
-            next_kept = next(kept, K + 1)
-        k += audit.stretch(env_rng, k - 1, min(next_kept, K))
-        if next_kept == k - 1:
-            records.append(EpisodeRecord(
-                k=k - 1, episode_regret=f.reg, cum_regret=f.cum_regret,
-                cum_switching_cost=f.switches,
-                cum_q_updates=learner.q_update_count,
-                cum_optimism_violations=f.violations,
-                ref_states_fixed=learner.ref_fixed_count))
-
+    f = audit.fields               # the running values
     T = K * mdp.H
     summary = RunSummary(
         algo=config.algo, seed=config.seed, episodes=K, steps=T,

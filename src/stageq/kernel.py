@@ -3,15 +3,17 @@
 The kernel plays episodes for all three tabular learners (advantage,
 hoeffding-stage and classic-qucb); the Learner struct's mode says whose
 observe it repeats.  With the audit fields set (from vstar0 to pending),
-it also audits every episode it plays, as metrics.Audit does in Python.
-V^pi's layers are sums that NumPy's dot hands to its BLAS's ddot, whose
-order of addition depends on the CPU kernel OpenBLAS picks; the kernel
-calls that same function (ddot() finds it), so its layers are NumPy's bit
-for bit.  Where it is not found the struct's ddot stays NULL and the
-layers are left to PolicyValueCache.evaluate.  The struct's last fields
-are the per-call values: u_index and count, set before each call, and the
-counter increments, error fields and, without ddot, the audit's deepest
-changed layer (top) that the call fills.
+it also audits every episode it plays, as metrics.Audit does in Python,
+and writes each one's audit row into the row buffers (row_reals,
+row_counts).  V^pi's layers are sums that NumPy's dot hands to its BLAS's
+ddot, whose order of addition depends on the CPU kernel OpenBLAS picks;
+the kernel calls that same function (ddot() finds it), so its layers are
+NumPy's bit for bit, and one call plays on through Q changes.  Where it is
+not found the struct's ddot stays NULL, a call ends at the first Q change
+and the layers are left to PolicyValueCache.evaluate.  The struct's last
+fields are the per-call values: u_index and count, set before each call,
+and the counter increments, error fields and, without ddot, the audit's
+deepest changed layer (top) that the call fills.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -57,7 +59,8 @@ class Learner(ctypes.Structure):
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
                     "cum", "mdp_rew", "u", "starts", "P",
-                    "vstar0", "vpi", "thr", "below", "last", "p_pi", "r_pi", "ddot")]
+                    "vstar0", "vpi", "thr", "below", "last", "p_pi", "r_pi", "row_reals",
+                    "row_counts", "ddot")]
                 + [("episodes", c_int64)]
                 + [(name, c_double) for name in ("reg", "cum_regret")]
                 + [(name, c_int64) for name in (

@@ -74,7 +74,8 @@ class InitialStates:
     comparisons see identical starts.
 
     Only the last block read is kept.  Frozen: a learner holds a block for
-    up to START_BLOCK episodes and would not see an edit.
+    up to START_BLOCK episodes and would not see an edit.  A bad kind, seed
+    or empty states raise ValueError here, not at the first episode.
     """
 
     kind: str
@@ -84,6 +85,12 @@ class InitialStates:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
+        if self.kind not in ("fixed", "cyclic", "seeded"):
+            raise ValueError(f"unknown initial-state kind {self.kind!r}")
+        if self.kind == "seeded" and (self.seed is None or self.seed < 0):
+            raise ValueError(f"seeded initial states need a seed >= 0, got {self.seed}")
+        if self.kind != "seeded" and not self.states:
+            raise ValueError(f"{self.kind} initial-state sequence must be non-empty")
 
     @classmethod
     def fixed(cls, s: int) -> "InitialStates":
@@ -91,14 +98,10 @@ class InitialStates:
 
     @classmethod
     def cyclic(cls, seq) -> "InitialStates":
-        if len(seq) == 0:
-            raise ValueError("cyclic initial-state sequence must be non-empty")
         return cls(kind="cyclic", states=tuple(int(s) for s in seq))
 
     @classmethod
     def seeded(cls, seed: int) -> "InitialStates":
-        if int(seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
         return cls(kind="seeded", seed=int(seed))
 
     def state(self, k: int, S: int) -> int:
@@ -116,8 +119,6 @@ class InitialStates:
         elif self.kind == "cyclic":
             seq, m = self.states, len(self.states)
             starts = [seq[k % m] for k in range(b * START_BLOCK, (b + 1) * START_BLOCK)]
-        elif self.kind != "seeded":
-            raise ValueError(f"unknown initial-state kind {self.kind!r}")
         else:
             gen, nxt, bound = self._gen or (None, 0, S)
             if bound != S:

@@ -31,17 +31,20 @@ SwitchTracker.record and policy_evaluation are the full-scan references
 they must agree with.
 
 Audit runs those steps a stretch of episodes at a time: in the compiled
-kernel, V^pi's layers included.  Those are NumPy dot products, which NumPy
-hands to its BLAS's ddot, and each BLAS kernel adds in an order of its
-own; the C layers call that same ddot (kernel.ddot), so they give the
-same bits.  Where it is not found, the layers stay with
-PolicyValueCache.evaluate.  Without the kernel, or for the oracle, every
-step runs in Python through the cache and OptimismTracker.
+kernel, V^pi's layers included, after each Q-changing episode inside one
+call, which writes every episode's audit row.  The layers are NumPy dot
+products, which NumPy hands to its BLAS's ddot, and each BLAS kernel adds
+in an order of its own; the C layers call that same ddot (kernel.ddot),
+so they give the same bits.  Where it is not found, a call ends at each
+Q change and the layers stay with PolicyValueCache.evaluate.  Without the
+kernel, or for the oracle, every step runs in Python through the cache
+and OptimismTracker, a stretch ending at each Q change and kept row.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from math import log
@@ -235,21 +238,25 @@ class OptimismTracker:
 class Audit:
     """One run's audit, a stretch of the learner's episodes at a time.
 
-    stretch(rng, first, stop) has the learner play episodes first, first +
-    1, ... (0-based, below stop) up to the first that changes Q, or sooner
-    where run_stretch stops, audits each and returns how many it played.
-    The running values are attributes of `fields`: reg (the last episode's
-    regret), cum_regret (their sum, added episode by episode), negative
-    (the first 1-based episode whose regret is below -1e-9, or 0),
-    switches and violations (the running maximum of the optimism count).
+    stretch(rng, first, stop, keep) has the learner play episodes first,
+    first + 1, ... (0-based, below stop), audits each and returns (played,
+    rows): how many it played, and the EpisodeRecord of each one whose
+    1-based k is in keep (an increasing sequence).  The running values are
+    attributes of `fields`: reg (the last episode's regret), cum_regret
+    (their sum, added episode by episode), negative (the first 1-based
+    episode whose regret is below -1e-9, or 0), switches and violations
+    (the running maximum of the optimism count).
 
-    Two bodies, like the learners' observe: with the compiled kernel, the
-    kernel audits each episode it plays (TabularQLearnerBase.bind_audit)
-    and fields is its Learner struct; V^pi's layers are recomputed here,
-    from the deepest one the kernel reports, only when the kernel found
-    no ddot to sum them with.  Otherwise (the oracle, or no C compiler)
-    fields is this object and stretch runs the Python body, the reference
-    the kernel must match row for row.
+    Two bodies, like the learners' observe, that keep the same rows: with
+    the compiled kernel, the kernel audits each episode it plays
+    (TabularQLearnerBase.bind_audit) and writes its row, and fields is its
+    Learner struct.  A call ends at stop or at the end of its block of
+    start states; where the kernel found no ddot to sum V^pi's layers
+    with, it ends at each Q change too, and the layers are recomputed
+    here from the deepest one the kernel reports.  Otherwise (the oracle,
+    or no C compiler) fields is this object and stretch runs the Python
+    body, which ends at each Q change and at the next kept k: the
+    reference the kernel must match row for row.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables):
@@ -258,8 +265,10 @@ class Audit:
         self.cache.values(learner.greedy_buffer())
         optimism = OptimismTracker(learner.q_array(), vstar.Q)
         bind = getattr(learner, "bind_audit", None)
-        self.fields = bind and bind(self.cache, optimism, vstar.V[0])
-        if self.fields is None:
+        bound = bind and bind(self.cache, optimism, vstar.V[0])
+        if bound:
+            self.fields, self._reals, self._counts = bound
+        else:
             self.fields = self
             self.reg = self.cum_regret = 0.0
             self.negative = self.switches = self.violations = 0
@@ -268,14 +277,23 @@ class Audit:
             self._vpi0 = self.cache._V[0].tolist()
             self._traj = None      # the last stretch's trajectory, if it changed Q
 
-    def stretch(self, rng, first: int, stop: int) -> int:
+    def stretch(self, rng, first: int, stop: int, keep=()):
         learner, cache, mdp = self.learner, self.cache, self.mdp
+        at = bisect_right(keep, first)     # keep[at] is the next kept k
         if self.fields is not self:
+            q0, r0 = learner.q_update_count, learner.ref_fixed_count
             played, _ = learner.run_stretch(mdp, rng, first, stop)
             top = self.fields.top
             if top >= 0:
                 cache.evaluate(top)
-            return played
+            x, n, rows = self._reals, self._counts, []
+            for k in keep[at:bisect_right(keep, first + played)]:
+                i = k - 1 - first          # the row's place in the call
+                rows.append(EpisodeRecord(k, x[2 * i], x[2 * i + 1], n[4 * i], n[4 * i + 1] + q0,
+                                          n[4 * i + 2], n[4 * i + 3] + r0))
+            return played, rows
+        if at < len(keep):
+            stop = min(stop, keep[at])
         if self._traj is not None:
             rows = [h * mdp.S + step[0] for h, step in enumerate(self._traj)]
             self._vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
@@ -292,7 +310,10 @@ class Audit:
         if self._traj is not None:
             self.violations = max(self.violations,
                                   self._optimism.update(learner.q_at, self._traj))
-        return len(starts)
+        played = len(starts)       # stop <= the next kept k: only the last can be kept
+        return played, [EpisodeRecord(k, reg, cum_regret, self.switches, learner.q_update_count,
+                                      self.violations, learner.ref_fixed_count)
+                        for k in keep[at:bisect_right(keep, first + played)]]
 
 
 def write_csv(out, header: str, row_format: str, rows) -> None:

@@ -7,7 +7,7 @@ from oracles import sample_then_replay_concurrent
 
 from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
                     EnvSpec, FrozenActor, InitialStates, OutOfRangeError,
-                    UcbAdvantageLearner, UniformStream, build_schedule,
+                    UcbAdvantageLearner, build_schedule,
                     make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
                     write_rounds_csv)
@@ -224,10 +224,10 @@ def test_out_of_range_raises_like_sample_then_replay(algo, path):
 
 def test_rounds_m8_plays_one_stretch_per_update(path):
     # rounds-m8's instance at a smaller budget.  Every run_stretch call
-    # ends at a Q change, at the round-aligned budget end (once, last) or,
-    # in the kernel, at one of the learner's own limits: the end of its
-    # block of 256 start states, or fewer than H uniforms left in the block
-    # at hand.  A runner that asked for one trajectory or one round per
+    # ends at a Q change (the concurrent runner binds no audit, so the
+    # kernel stops there too), at the round-aligned budget end (once,
+    # last) or, in the kernel, at the end of its block of 256 start
+    # states.  A runner that asked for one trajectory or one round per
     # call would end its calls at their stop instead.
     mdp = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build()
     cc = ConcurrentConfig(agents=8, k_eps_override=4000)
@@ -243,8 +243,6 @@ def test_rounds_m8_plays_one_stretch_per_update(path):
             ends["q"] += 1
         elif first + played == stop:
             ends["stop"] += 1
-        elif len(rng._block) - rng._i < mdp.H:
-            ends["uniforms"] += 1
         else:
             ends["starts" if (first + played) % 256 == 0 else "other"] += 1
         return played, changed
@@ -254,9 +252,8 @@ def test_rounds_m8_plays_one_stretch_per_update(path):
     res = run_concurrent(mdp, lr, cc, env, seeded_stream(0, 0, "policy-pick"))
     assert ends["q"] == res.update_rounds > 0
     assert ends["stop"] <= 1 and ends["other"] == 0
-    assert ends["uniforms"] <= res.total_generated * mdp.H // UniformStream.BLOCK + 1
     assert ends["starts"] <= res.total_generated // 256 + 1
-    assert (ends["uniforms"] + ends["starts"] > 0) == (path == "kernel")
+    assert (ends["starts"] > 0) == (path == "kernel")
 
 
 def test_frozen_actor_plays_table():

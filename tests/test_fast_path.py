@@ -17,6 +17,7 @@ import ctypes
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,32 @@ def test_kernel_is_built_where_a_compiler_is_found():
     assert ClassicQUcbLearner(mdp)._lib is kernel.load()
 
 
+def c_struct_fields(source: str, name: str):
+    """(field, kind) of each declarator of `typedef struct { ... } name;` in
+    C source, in order; kind is "pointer" (data or function), or the type."""
+    body = re.search(r"typedef struct \{(.*?)\} %s;" % name, source, re.S).group(1)
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        func = re.search(r"\(\s*\*\s*(\w+)\s*\)\s*\(", decl)
+        if func:
+            fields.append((func.group(1), "pointer"))
+            continue
+        base = decl.split(",")[0].replace("*", " ").split()[-2]
+        for part in decl.split(","):
+            fields.append((re.search(r"(\w+)\s*$", part).group(1),
+                           "pointer" if "*" in part else base))
+    return fields
+
+
+def test_kernel_learner_mirrors_the_c_struct_field_by_field():
+    # the library checks only sizeof(Learner), which two swapped 8-byte
+    # fields keep: every field must have its C name, place and kind
+    kinds = {ctypes.c_void_p: "pointer", ctypes.c_double: "double", ctypes.c_int64: "int64_t"}
+    want = c_struct_fields(kernel.SOURCE.read_text(), "Learner")
+    assert [(name, kinds[ctype]) for name, ctype in kernel.Learner._fields_] == want
+    assert ("ddot", "pointer") in want and ("row_counts", "pointer") in want
+
+
 def test_kernel_rejects_a_stream_without_blocks():
     # the kernel reads its uniforms in blocks (UniformStream.doubles); a
     # stream with only random() fails at the call rather than falling back
@@ -172,10 +199,10 @@ def reference_stretch(lr, mdp, rng, first, count, stop):
 
 
 # jao-40 (fixed start states) crosses uniform-block boundaries (4096 is not
-# a multiple of H=40) and runs long enough between Q changes to use up the
-# kernel's uniforms; random-10x3x8 has seeded start states, and
-# random-4x5x4 here cycles through 5 of them, so a start-state block does
-# not begin at the start of the cycle
+# a multiple of H=40) inside a call, which reads them from the stream's
+# topped-up buffer (UniformStream.doubles); random-10x3x8 has seeded start
+# states, and random-4x5x4 here cycles through 5 of them, so a start-state
+# block does not begin at the start of the cycle
 STRETCH_CASES = [INSTANCES[0], INSTANCES[2],
                  ("random-4x5x4", lambda: make_random_mdp(
                      4, 5, 4, seed=2, init=InitialStates.cyclic([0, 1, 2, 3, 1])), 200, 1500)]
@@ -208,19 +235,15 @@ def test_stretch_matches_reference_path(inst, path):
             stops["q"] += 1
         elif k == stop:
             stops["checkpoint"] += 1
-        else:   # only the kernel ends a stretch early: where its uniforms
-            assert path == "kernel"   # run short, or its block of start states
-            if len(rng_fast._block) - rng_fast._i < mdp.H:
-                stops["uniforms"] += 1
-            else:
-                assert k % 256 == 0
-                stops["starts"] += 1
+        else:   # only the kernel ends a stretch early: at the end of its
+            assert path == "kernel" and k % 256 == 0   # block of start states
+            stops["starts"] += 1
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
     assert stops["q"] and stops["checkpoint"]
     assert (stops["starts"] > 0) == (path == "kernel")
     if inst is INSTANCES[0]:
-        assert crossed > 0 and (stops["uniforms"] > 0) == (path == "kernel")
+        assert crossed > 0
 
 
 def check_raise_matches_reference(via):
@@ -402,6 +425,70 @@ def test_audited_run_matches_fallback(monkeypatch, lower_vstar, inst, algo):
     assert results["kernel"][1].q_updates > 0 or algo == "hoeffding-stage"
 
 
+def count_kernel_calls(monkeypatch):
+    """A Counter of the stageq_stretch calls of the kernel learners the
+    harness makes."""
+    calls = Counter()
+    make = harness.make_learner
+
+    def counting(*args, **kw):
+        lr = make(*args, **kw)
+        if lr._lib is None:
+            return lr
+        stretch = lr._stretch
+
+        def counted(addr):
+            calls["stretch"] += 1
+            return stretch(addr)
+        lr._stretch = counted
+        return lr
+    monkeypatch.setattr(harness, "make_learner", counting)
+    return calls
+
+
+@pytest.mark.parametrize("inst,algo", [("chain", "advantage"), ("wide", "classic-qucb")])
+def test_every_row_matches_the_python_body(monkeypatch, inst, algo):
+    # a run logging every episode: each row the kernel writes inside a call
+    # that plays through Q changes, against the Python body's.  On the
+    # chain, refs_fixed also moves in episodes that change no Q
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
+    env, K, _ = AUDIT_ENVS[inst]
+    cfg = RunConfig(env=env, algo=algo, episodes=K, seed=4, log_every="all", cb=0.01,
+                    constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"]))
+    calls = count_kernel_calls(monkeypatch)
+    rows = harness.run_experiment(cfg).records
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert harness.run_experiment(cfg).records == rows
+    assert [r.k for r in rows] == list(range(1, K + 1))
+    changes = sum(a.cum_q_updates < b.cum_q_updates for a, b in zip(rows, rows[1:]))
+    assert calls["stretch"] == -(-K // 256) and changes > 2 * calls["stretch"]
+    refs_alone = sum(a.cum_q_updates == b.cum_q_updates and a.ref_states_fixed < b.ref_states_fixed
+                     for a, b in zip(rows, rows[1:]))
+    assert (refs_alone > 0) == (inst == "chain")
+
+
+def test_qucb_wide_makes_one_call_per_start_block_with_ddot(monkeypatch):
+    # the benchmark's qucb-wide run, where classic-qucb changes Q in every
+    # episode: with NumPy's ddot the kernel plays through the changes, one
+    # call per block of 256 start states; without it, a call ends at each
+    # Q change, and the rows are the same
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
+    cfg = RunConfig(env=EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0),
+                    algo="classic-qucb", cb=0.01, episodes=800, log_every="all")
+    runs, calls = {}, count_kernel_calls(monkeypatch)
+    for name in ("ddot", "evaluate"):
+        if name == "evaluate":
+            monkeypatch.setattr(kernel, "ddot", lambda: None)
+        calls.clear()
+        rows = harness.run_experiment(cfg).records
+        changes = 1 + sum(a.cum_q_updates < b.cum_q_updates for a, b in zip(rows, rows[1:]))
+        runs[name] = rows, calls["stretch"], changes
+    assert runs["ddot"][0] == runs["evaluate"][0]
+    assert runs["ddot"][1:] == (4, 800) and runs["evaluate"][1:] == (800, 800)
+
+
 def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
     # with the kernel and NumPy's ddot, the cache's values() and evaluate()
     # run once (the first, full evaluation) and the optimism tracker's
@@ -520,12 +607,31 @@ LAYER_ENVS = ([EnvSpec(kind="random", S=S, A=A, H=H, env_seed=S, init=InitialSta
 LAYER_IDS = [f"S{env.S}" if env.kind == "random" else "chain" for env in LAYER_ENVS]
 
 
+FIELDS = ("reg", "cum_regret", "negative", "switches", "violations")
+
+
+def play_to(audit, rng, k, target, keep):
+    """Audit.stretch from episode k until target; its calls may not pass it.
+    Returns the kept rows and the V^pi tables after each call."""
+    rows, tables = [], []
+    while k < target:
+        played, got = audit.stretch(rng, k, target, keep)
+        k += played
+        rows += got
+        tables.append(audit.cache._V.tobytes())
+    assert k == target
+    return rows, tables
+
+
 @pytest.mark.parametrize("env", LAYER_ENVS, ids=LAYER_IDS)
 def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
-    # V^pi after every call of the kernel, its layers summed in C through
-    # NumPy's ddot against the same kernel leaving them to
-    # PolicyValueCache.evaluate, bit for bit; then every row of a run
-    # logging each episode against the Python audit body
+    # the kernel summing V^pi's layers in C through NumPy's ddot, and so
+    # playing through Q changes, against the same kernel leaving them to
+    # PolicyValueCache.evaluate, whose calls end at each Q change: at the
+    # end of each call of the first, both have kept the same rows (every
+    # episode's) and hold the same V^pi, gathered rows and running values,
+    # bit for bit; then every row of a run logging each episode against
+    # the Python audit body
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     mdp = env.build()
@@ -538,18 +644,22 @@ def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
         audits[name] = Audit(lr, mdp, vstar), seeded_stream(0, 0, "env")
     (a, rng_a), (b, rng_b) = audits["ddot"], audits["evaluate"]
     assert a.fields.ddot and not b.fields.ddot
-    K, k, V, changes = 300, 0, a.cache._V.tobytes(), 0
+    K, keep = 300, range(1, 301)
+    k, calls, V, changes = 0, 0, b.cache._V.tobytes(), 0
     while k < K:
-        played = a.stretch(rng_a, k, K)
-        assert b.stretch(rng_b, k, K) == played
+        played, rows = a.stretch(rng_a, k, K, keep)
+        calls += 1
+        got, tables = play_to(b, rng_b, k, k + played, keep)
         k += played
-        changes += V != a.cache._V.tobytes()
-        V = a.cache._V.tobytes()
-        assert V == b.cache._V.tobytes()
+        assert rows == got and [r.k for r in rows] == list(range(k - played + 1, k + 1))
+        for table in tables:
+            changes += V != table
+            V = table
+        assert a.cache._V.tobytes() == V
         assert a.cache._P_pi.tobytes() == b.cache._P_pi.tobytes()
-        for field in ("reg", "cum_regret", "negative", "switches", "violations"):
+        for field in FIELDS:
             assert getattr(a.fields, field) == getattr(b.fields, field), field
-    assert changes > 10
+    assert changes > 10 and calls == 2
     monkeypatch.undo()
     runs = []
     for name in ("ddot", "evaluate", "fallback"):
@@ -569,11 +679,14 @@ DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes
 
 def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
     # the C layer loop with a stand-in ddot that logs its arguments and
-    # returns -0.0: each policy change must recompute V[top], ..., V[0], one
-    # call per row in that order with NumPy's arguments, and store
-    # (0.0 + ddot) + r_pi as NumPy's DOUBLE_dot and evaluate's += do.  No
-    # BLAS ddot returns -0.0 for these sums, so only a stand-in shows the
-    # 0.0 start, which turns its -0.0 into 0.0 before the -0.0 rewards
+    # returns -0.0: inside one kernel call, each Q-changing episode whose
+    # policy changes must recompute V[top], ..., V[0] from its own deepest
+    # changed layer, one call per row in that order with NumPy's
+    # arguments, and store (0.0 + ddot) + r_pi as NumPy's DOUBLE_dot and
+    # evaluate's += do.  The tops come from the same kernel without ddot,
+    # whose calls end at each Q change.  No BLAS ddot returns -0.0 for
+    # these sums, so only a stand-in shows the 0.0 start, which turns its
+    # -0.0 into 0.0 before the -0.0 rewards
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
     calls = []
@@ -588,20 +701,28 @@ def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
     mdp.r = np.full_like(mdp.r, -0.0)
     vstar, _ = backward_induction(mdp)
     audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
+    monkeypatch.setattr(kernel, "ddot", lambda: None)
+    ref = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
     cache, S = audit.cache, mdp.S
     rows, V = cache._P_pi.ctypes.data, cache._V.ctypes.data
-    rng, K, k, changes = seeded_stream(0, 0, "env"), 200, 0, 0
+    rng, rng_ref = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
+    K, k, changes, shared = 600, 0, 0, 0
     while k < K:
-        before = list(cache._flat)
         calls.clear()
-        k += audit.stretch(rng, k, K)
-        diff = [i for i, (a, b) in enumerate(zip(before, cache._flat)) if a != b]
-        top = max(diff) // S if diff else -1
+        played, _ = audit.stretch(rng, k, K)
+        tops = []
+        for j in range(k, k + played):       # ref's calls: one episode each here
+            assert ref.stretch(rng_ref, j, k + played)[0] == 1
+            tops += [ref.fields.top] * (ref.fields.top >= 0)
+        k += played
         assert calls == [(S, rows + 8 * (h * S + s) * S, 1, V + 8 * (h + 1) * S, 1)
-                         for h in range(top, -1, -1) for s in range(S)]
+                         for top in tops for h in range(top, -1, -1) for s in range(S)]
+        assert cache._flat == ref.cache._flat
         assert not np.signbit(cache._V).any()
-        changes += top >= 0
-    assert changes > 10 and audit.fields.top == -1
+        changes += len(tops)
+        shared += len(tops) > 1
+    assert changes > 10 and shared == 3 and audit.fields.top == -1
+    assert audit.fields.switches == ref.fields.switches
 
 
 def test_rebinding_p_mid_run_raises():
@@ -614,12 +735,12 @@ def test_rebinding_p_mid_run_raises():
     audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
     rng, k, P = seeded_stream(0, 0, "env"), 0, mdp.P
     while k < 200:
-        k += audit.stretch(rng, k, 200)
+        k += audit.stretch(rng, k, 200)[0]
     with pytest.raises(AttributeError, match="EpisodicMdp.P"):
         mdp.P = mdp.P[..., ::-1].copy()
     assert mdp.P is P
     while k < 400:
-        k += audit.stretch(rng, k, 400)
+        k += audit.stretch(rng, k, 400)[0]
     assert audit.fields.cum_regret > 0
 
 

@@ -261,6 +261,28 @@ def test_initial_states_fixed_and_cyclic():
         InitialStates.cyclic([])
 
 
+def test_initial_states_reject_an_unknown_kind():
+    # a misspelt kind fails where it is built, not at the first episode
+    with pytest.raises(ValueError, match="unknown initial-state kind 'fixd'"):
+        InitialStates(kind="fixd", states=(0,))
+
+
+@pytest.mark.parametrize("seed", [None, -1])
+def test_initial_states_seeded_needs_a_seed(seed):
+    # without one the starts would come from OS entropy, and a rerun would differ
+    with pytest.raises(ValueError, match="seed >= 0"):
+        InitialStates(kind="seeded", seed=seed)
+    if seed is not None:
+        with pytest.raises(ValueError, match="seed >= 0"):
+            InitialStates.seeded(seed)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "cyclic"])
+def test_initial_states_fixed_and_cyclic_need_states(kind):
+    with pytest.raises(ValueError, match="non-empty"):
+        InitialStates(kind=kind)
+
+
 def test_initial_states_seeded_is_pure_function():
     a = InitialStates.seeded(42)
     b = InitialStates.seeded(42)
