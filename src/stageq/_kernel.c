@@ -24,6 +24,10 @@
  * changes.  Without that function the layers are left to evaluate, and the
  * call ends at the first Q-changing episode, as it does without the audit.
  *
+ * With agents = M > 0 (run_concurrent's rounds of M episodes, unaudited),
+ * a call plays through Q changes, skipping the rest of each Q-changing
+ * episode's round, and stops at a round start at the caller's limit.
+ *
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
  * struct alone, so that a call from Python converts one argument; the
@@ -82,6 +86,7 @@ typedef struct {
      * refs_fixed as increments in the call) */
     double *row_reals;      /* reg, cum_regret */
     int64_t *row_counts;    /* switches, q_updates, violations, refs_fixed */
+    int64_t *changes;       /* with agents, each Q-changing episode's index */
     /* NumPy's BLAS ddot (n, x, incx, y, incy), or NULL: top is left to Python */
     double (*ddot)(int64_t, const double *, int64_t, const double *, int64_t);
     int64_t episodes;       /* episodes audited */
@@ -97,13 +102,18 @@ typedef struct {
     int64_t u_index;        /* index in u of the first unread uniform */
     int64_t count;          /* episodes to play at most; with the audit, at
                                most the rows the row buffers hold */
+    int64_t agents;         /* M, the episodes of a concurrent round, or 0 */
+    int64_t first;          /* with agents, starts[0]'s generation index */
+    int64_t limit, consumed;    /* with agents, the call ends at a round start
+                               once consumed (episodes kept, in and out) >= limit */
     /* per-call outputs, each set by stageq_stretch */
     int64_t stage_ends, q_updates, refs_fixed, ref_wins;   /* counter increments */
-    int64_t used;           /* uniforms consumed */
+    int64_t used;           /* uniforms read or skipped */
     int64_t bad_n;          /* visit count above n_max, or 0 */
     int64_t bad_index;      /* 1 if a state or action was out of range */
     int64_t top;            /* with no ddot, the deepest layer the audit's table
                                changed, for Python to recompute from; else -1 */
+    int64_t n_changes;      /* entries written to changes */
 } Learner;
 
 /* sizeof(Learner), which kernel.py checks against its own layout */
@@ -320,24 +330,33 @@ static void audit_layers(Learner *L)
 /* Play up to count episodes with initial states starts[0..), drawing one
  * uniform per step from u + u_index (count*H of them must be readable).
  * With the audit on, each episode is audited and its row written; with
- * ddot too, the call plays through Q changes.  Otherwise it stops after
- * the first episode that changes Q.  The switches of a policy change are
- * added when the next episode plays, so the row of the episode that
- * changed Q does not count them.  Returns the number of episodes played,
- * or -1 when it stopped on an error (bad_n or bad_index). */
+ * ddot too, the call plays through Q changes.  With agents = M, starts[0]
+ * is generated episode first; every episode played is consumed, and after
+ * the Q-changing one at place j of its round the call writes its index to
+ * changes and skips the round's other M - 1 - j (their uniforms count in
+ * used; a skip may pass count); at each round start it stops once consumed
+ * >= limit.  Otherwise the call stops after the first episode that changes
+ * Q.  The switches of a policy change are added when the next episode
+ * plays, so the row of the episode that changed Q does not count them.
+ * Returns the episodes played or skipped, or -1 on an error (bad_n or
+ * bad_index). */
 int64_t stageq_stretch(Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
     const double *u = L->u + L->u_index;
     const int64_t *starts = L->starts;
-    int64_t count = L->count;
+    int64_t count = L->count, M = L->agents;
     int64_t played = 0, used = 0;
+    int64_t j = M ? L->first % M : 0;   /* the next episode's place in its round */
     int audit = L->vstar0 != NULL;
-    int through = audit && L->ddot != NULL;
+    int through = M || (audit && L->ddot != NULL);
     L->stage_ends = L->q_updates = L->refs_fixed = L->ref_wins = 0;
     L->bad_n = L->bad_index = 0;
     L->top = -1;
+    L->n_changes = 0;
     while (played < count) {
+        if (M && j == 0 && L->consumed >= L->limit)
+            break;
         int64_t u0 = L->q_updates;
         int64_t s = starts[played++];
         if (s < 0 || s >= S) {
@@ -376,8 +395,18 @@ int64_t stageq_stretch(Learner *L)
             n[1] = L->q_updates;
             n[2] = L->violations;
             n[3] = L->refs_fixed;
-            if (changed && through)
+            if (changed && L->ddot != NULL)
                 audit_layers(L);
+        }
+        if (M) {
+            L->consumed += 1;
+            if (changed) {
+                L->changes[L->n_changes++] = L->first + played - 1;
+                played += M - 1 - j;
+                used += (M - 1 - j) * H;
+                j = 0;
+            } else if (++j == M)
+                j = 0;
         }
         if (changed && !through)
             break;

@@ -41,9 +41,9 @@ the reference-advantage split buys.
 
 All counts, accumulators and tables live in fixed-size flat buffers
 (array('d') and array('q')) that both Python and the compiled kernel read
-and write in place; the episode drivers (run_episode, run_stretch) are the
-base class's, and the kernel repeats observe and _stage_update below (see
-the base module).
+and write in place; the episode drivers (run_episode, run_stretch,
+run_rounds) are the base class's, and the kernel repeats observe and
+_stage_update below (see the base module).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ s_next), which returns None, and keep the cumulative counters
 stage_end_count / q_update_count / ref_fixed_count current (and
 reference_wins, which only the stage learners move).  Those counters
 are the only record of what a transition did: run_episode's report and
-the concurrent runner's "did Q change" test are both differences of them.
+the rounds' "did Q change" test are both differences of them.
 
 The tables are fixed-size flat buffers (array('d') and array('q')) that
 both Python and the compiled kernel (_kernel.c, loaded by the kernel
@@ -17,10 +17,11 @@ module) read and write in place; numpy copies are exported on demand.
 With the kernel, run_stretch plays whole episodes in C for every learner
 here (the Learner struct's mode says whose observe it repeats) and
 run_episode is a one-episode stretch, both reading their uniforms and
-start states in blocks (rng.doubles, InitialStates.block); recorded
-trajectories (observe_trajectory) go through Python observe.  run_stretch
-reports how many episodes it played and whether Q changed; the tuple
-trajectory is built from the kernel's path buffers by run_episode alone.
+start states in blocks (rng.doubles, InitialStates.block), and so does
+run_rounds, which plays a concurrent run's rounds through Q changes;
+recorded trajectories (observe_trajectory) go through Python observe.
+The tuple trajectory is built from the kernel's path buffers by
+run_episode alone.
 Without a C compiler run_episode is reference_episode (sample_episode
 feeding observe, one transition at a time), the path the kernel must
 match bit for bit.
@@ -97,15 +98,17 @@ class TabularQLearnerBase:
         the subclass's own Learner fields (mode included) in fields, arrays
         by address and numbers as they are.  The learner keeps every array
         alive, and the buffers never resize, so the addresses stay valid
-        for its life.  The struct's per-call fields are run_stretch's:
-        starts, u_index and count in, the counter increments and errors out."""
+        for its life.  The struct's per-call fields are run_stretch's and
+        run_rounds': starts, u_index, count, agents, first, limit and
+        consumed in, the counter increments, errors and changes out."""
         H = self.H
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
         self._starts = array("q", [0]) * START_BLOCK   # the block of start states at hand
         self._starts_at = self._starts.buffer_info()[0]
+        self._changes = array("q", [0]) * START_BLOCK  # at most one per episode of a call
         for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
-                     "path_r"):
+                     "path_r", "changes"):
             fields[name] = getattr(self, "_" + name)
         self._kstate = kernel.Learner(S=self.S, A=self.A, H=H, **{
             name: value.buffer_info()[0] if isinstance(value, array) else value
@@ -188,6 +191,28 @@ class TabularQLearnerBase:
         if self._lib is None:
             starts, traj = play_stretch(self.reference_episode, mdp, rng, first, stop)
             return len(starts), traj is not None
+        played = self._call(mdp, rng, first, stop - first, 0)
+        return played, self._kstate.q_updates > 0
+
+    def run_rounds(self, mdp: EpisodicMdp, rng, first: int, agents: int, consumed: int,
+                   limit: int, changes: list):
+        """Play run_concurrent's rounds of `agents` episodes online from
+        generated episode first (0-based), adding each played one to
+        consumed and each round's first Q-changing one to changes, and
+        skipping the rest of that round, uniforms too, up to a round start
+        with consumed >= limit (a kernel call also ends at its start block's
+        end, or past it after a skip).  Returns (generated, consumed)."""
+        if self._lib is None:
+            return play_rounds(self.reference_episode, mdp, rng, first, agents, consumed,
+                               limit, changes)
+        k = self._kstate
+        k.first, k.consumed, k.limit = first, consumed, limit
+        played = self._call(mdp, rng, first, START_BLOCK, agents)
+        changes += self._changes[:k.n_changes]
+        return played, k.consumed
+
+    def _call(self, mdp: EpisodicMdp, rng, first: int, count: int, agents: int) -> int:
+        """One kernel call of at most count episodes (see run_stretch)."""
         k = self._kstate
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
@@ -195,7 +220,8 @@ class TabularQLearnerBase:
         if b != self._block:
             self._starts[:] = array("q", mdp.init.block(b, self.S))
             self._block = b
-        k.count = n = min(stop - first, START_BLOCK - j)
+        k.count = n = min(count, START_BLOCK - j)
+        k.agents = agents
         block, k.u_index = rng.doubles(self.H * n)
         if block is not self._ublock:
             self._ublock = block
@@ -204,7 +230,7 @@ class TabularQLearnerBase:
         played = self._stretch(self._kaddr)
         rng.skip(k.used)
         self._add_counts()
-        return played, k.q_updates > 0
+        return played
 
     def _bind_mdp(self, mdp: EpisodicMdp) -> None:
         cum = mdp.cum_array()      # freezes the MDP: P and r are C-ordered float64
@@ -296,3 +322,20 @@ def play_stretch(run_episode, mdp: EpisodicMdp, rng, first: int, stop: int):
         if report.q_changed:
             return starts, traj
     return starts, None
+
+
+def play_rounds(run_episode, mdp: EpisodicMdp, rng, first: int, agents: int,
+                consumed: int, limit: int, changes: list):
+    """run_rounds played one run_episode(mdp, rng, k) call at a time, to
+    the limit: the learners' path without the kernel, and the oracle's."""
+    k = first
+    while k % agents or consumed < limit:
+        _, report = run_episode(mdp, rng, k)
+        consumed += 1
+        if report.q_changed:
+            changes.append(k)
+            skip = agents - 1 - k % agents    # the round's discarded episodes
+            rng.skip(skip * mdp.H)
+            k += skip
+        k += 1
+    return k - first, consumed

@@ -12,34 +12,35 @@ Structural invariants (asserted in tests, not here):
   * a round consumes fewer than M trajectories only if it triggered an update;
   * rounds <= U + ceil(budget / M) + 1, with U the number of update rounds.
 
-Rounds are played as learner stretches.  Sampling a round under the frozen
-policy and replaying it up to the first Q-changing trajectory gives, bit
-for bit, what playing those episodes online up to the first Q-changing one
-gives: before that episode Q does not change, so the greedy policy is the
-frozen one; inside it, an update at step h rewrites only layer-h tables,
-which no later step of the episode reads.  So run_concurrent has the
-learner play episodes online (run_stretch, the compiled kernel where it
-builds) from the round start to the first Q change or the
-round-aligned budget end, and derives the rounds from the episodes played.
-The discarded rest of an update round would have drawn one uniform per
-step, (M - 1 - j) * H in all after the round's j-th episode (0-based), and
-nothing else; the runner skips exactly those, so the stream stands where
-sampling them would have left it.  With M = 1 this is the learner run live
-for `budget` episodes on the same environment stream.
+Sampling a round under the frozen policy and replaying it up to the first
+Q-changing trajectory gives, bit for bit, what playing those episodes
+online up to the first Q-changing one gives: before that episode Q does
+not change, so the greedy policy is the frozen one; inside it, an update
+at step h rewrites only layer-h tables, which no later step of the episode
+reads.  The discarded rest of an update round would have drawn (M - 1 - j)
+* H uniforms after the round's j-th episode (0-based), and nothing else.
+So run_concurrent has the learner play the episodes online (run_rounds:
+the compiled kernel, many rounds a call), skipping exactly those, and
+builds the rounds from the indices of the Q-changing episodes alone.  With
+M = 1 this is the learner run live for `budget` episodes on the same
+environment stream.
 
 FrozenActor and replay_into are the pieces of the sample-then-replay round
-that this invariant replaces; tests rebuild that round from them as the
-reference.
+that this replaces; tests rebuild that round from them as the reference.
 
-The returned policy is the frozen policy of one consumed trajectory chosen
-uniformly at random, which takes a single draw from the caller's pick
-stream after the loop ends.
+The returned policy is the frozen policy of consumed trajectory
+int(u * total_consumed), u being the one draw from the caller's separate
+pick stream, taken first.  As total_consumed lies in [budget, budget +
+M - 1], only rounds starting at a consumed count in [int(u * budget) -
+M + 1, int(u * (budget + M - 1))] can hold it: the runner plays those one
+at a time and keeps the greedy policy at each one's start (< 2M of them).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Optional
 
@@ -152,61 +153,49 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
     episode sampling in generation order, the other supplies the single
     draw that picks the output policy.  Initial states are indexed by
     global generation order, so a pre-committed initial-state sequence is
-    spread across agents deterministically.  The rounds are played as
-    learner stretches (see the module docstring).
+    spread across agents deterministically.  The rounds are played online
+    by the learner's run_rounds (see the module docstring).
     """
-    M, H = config.agents, mdp.H
-    budget = config.budget(mdp.S, mdp.A, H)
-    rounds = []
-    policies = []               # (frozen flat policy, trajectories consumed under it)
-    total_consumed = 0
-    total_generated = 0
-    update_rounds = 0
+    M = config.agents
+    budget = config.budget(mdp.S, mdp.A, mdp.H)
+    u = pick_rng.random()
+    hi = int(u * (budget + M - 1))
+    limit = int(u * budget) - M + 1     # the first round start that can hold the pick
+    policies = {}                       # greedy policy at each round start from there to hi
+    changes = []                        # generation index of each Q-changing episode
+    generated = consumed = 0
+    while True:
+        if generated % M == 0 and consumed >= limit:     # a round start at the limit
+            if consumed >= budget:
+                break
+            if consumed <= hi:          # keep its frozen policy, and play it alone
+                policies[consumed] = learner.greedy_actions_flat()
+            limit = consumed + 1 if consumed <= hi else budget
+        played, consumed = learner.run_rounds(mdp, env_rng, generated, M, consumed, limit, changes)
+        generated += played
 
-    while total_consumed < budget:
-        policy_flat = learner.greedy_actions_flat()
-        k = total_generated
-        stop = k + math.ceil((budget - total_consumed) / M) * M
-        changed = False
-        while not changed and k < stop:
-            played, changed = learner.run_stretch(mdp, env_rng, k, stop)
-            k += played
-        # full rounds, then the changing episode's place j in its round
-        played = k - total_generated
-        full, j = divmod(played - 1, M) if changed else (played // M, 0)
-        for _ in range(full):
-            rounds.append(RoundLog(round=len(rounds) + 1, consumed=M,
-                                   update_triggered=False,
-                                   policy_version=update_rounds))
-        consumed = full * M
-        total_generated += consumed
-        if changed:
-            rounds.append(RoundLog(round=len(rounds) + 1, consumed=j + 1,
-                                   update_triggered=True,
-                                   policy_version=update_rounds))
-            consumed += j + 1
-            total_generated += M
-            update_rounds += 1
-            env_rng.skip((M - 1 - j) * H)     # the round's discarded episodes
-        total_consumed += consumed
-        policies.append((policy_flat, consumed))
-
-    pick = pick_rng.integers(total_consumed)
-    acc = 0
-    chosen_flat = policies[-1][0]
-    for flat, cnt in policies:
-        if pick < acc + cnt:
-            chosen_flat = flat
-            break
-        acc += cnt
+    pick = int(u * consumed)
+    chosen_flat = policies[max(c for c in policies if c <= pick)]
     policy = DeterministicPolicy(
         np.asarray(chosen_flat, dtype=np.int64).reshape(mdp.H, mdp.S))
-    return ConcurrentResult(rounds=rounds, budget=budget,
-                            total_consumed=total_consumed,
-                            total_generated=total_generated,
-                            update_rounds=update_rounds,
+    return ConcurrentResult(rounds=rounds_from_changes(changes, generated, M),
+                            budget=budget, total_consumed=consumed,
+                            total_generated=generated, update_rounds=len(changes),
                             output_policy=policy, picked_trajectory=pick,
                             learner=learner)
+
+
+def rounds_from_changes(changes, generated: int, M: int) -> list:
+    """The RoundLog of each round of M among the first `generated` episodes,
+    given the generation index of each round's Q-changing episode: the full
+    rounds before each one (and before `generated`), then its round."""
+    rounds = []
+    for version, g in enumerate(changes + [generated]):
+        rounds += map(RoundLog, range(len(rounds) + 1, g // M + 1), repeat(M), repeat(False),
+                      repeat(version))
+        if g < generated:
+            rounds.append(RoundLog(g // M + 1, g % M + 1, True, version))
+    return rounds
 
 
 def write_rounds_csv(rounds, path) -> None:

@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner
-from .base import EpisodeReport, play_stretch
+from .base import EpisodeReport, play_rounds
 from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
@@ -182,9 +182,8 @@ class OracleAgent:
         traj = sample_episode(mdp, self, rng, episode_index)
         return traj, EpisodeReport(stage_ends=0, q_updates=0, refs_fixed=0)
 
-    def run_stretch(self, mdp, rng, first: int, stop: int):
-        starts, _ = play_stretch(self.run_episode, mdp, rng, first, stop)
-        return len(starts), False       # Q never changes
+    def run_rounds(self, *args):
+        return play_rounds(self.run_episode, *args)
 
     def greedy_actions_flat(self):
         return list(self._actions)

@@ -10,10 +10,11 @@ ddot, whose order of addition depends on the CPU kernel OpenBLAS picks;
 the kernel calls that same function (ddot() finds it), so its layers are
 NumPy's bit for bit, and one call plays on through Q changes.  Where it is
 not found the struct's ddot stays NULL, a call ends at the first Q change
-and the layers are left to PolicyValueCache.evaluate.  The struct's last
-fields are the per-call values: u_index and count, set before each call,
-and the counter increments, error fields and, without ddot, the audit's
-deepest changed layer (top) that the call fills.
+and the layers are left to PolicyValueCache.evaluate.  With agents set
+(run_rounds), a call plays a concurrent run's rounds through Q changes.
+The struct's last fields are the per-call values: u_index, count, agents,
+first, limit and consumed, set before each call, and the counter
+increments, error fields, top and n_changes that the call fills.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -60,13 +61,14 @@ class Learner(ctypes.Structure):
                     "path_s", "path_a", "path_next", "path_r",
                     "cum", "mdp_rew", "u", "starts", "P",
                     "vstar0", "vpi", "thr", "below", "last", "p_pi", "r_pi", "row_reals",
-                    "row_counts", "ddot")]
+                    "row_counts", "changes", "ddot")]
                 + [("episodes", c_int64)]
                 + [(name, c_double) for name in ("reg", "cum_regret")]
                 + [(name, c_int64) for name in (
                     "negative", "optimism", "violations", "switches", "pending",
-                    "u_index", "count", "stage_ends", "q_updates", "refs_fixed",
-                    "ref_wins", "used", "bad_n", "bad_index", "top")])
+                    "u_index", "count", "agents", "first", "limit", "consumed",
+                    "stage_ends", "q_updates", "refs_fixed", "ref_wins", "used",
+                    "bad_n", "bad_index", "top", "n_changes")])
 
 
 # Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)

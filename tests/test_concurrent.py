@@ -1,5 +1,9 @@
+import hashlib
+import json
 import math
 from collections import Counter
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,10 @@ from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
                     UcbAdvantageLearner, build_schedule,
                     make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
-                    write_rounds_csv)
+                    UniformStream, write_rounds_csv)
 from stageq.concurrent import ROUNDS_CSV_HEADER
 
+ROOT = Path(__file__).resolve().parent.parent
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
 
 
@@ -155,7 +160,7 @@ def test_m1_round_stream_identical_to_single_agent():
 # ------------------------------------------- stretches against the reference
 
 # fixed, seeded and cyclic starts; hoeffding-stage lowers Q in a test-sized
-# run only at a short horizon, hence the H = 2 instance.  Some M = 8 runs
+# run only at a short horizon, hence the H = 2 instances.  Some M = 8 runs
 # (classic-qucb on the H = 5 instances, advantage with cyclic starts) skip
 # a discarded batch across the end of the stream's block.
 EQUIV_INSTANCES = [
@@ -165,6 +170,8 @@ EQUIV_INSTANCES = [
     ("cyclic-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=2,
                                              init=InitialStates.cyclic([0, 1, 2, 3]))),
     ("fixed-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3)),
+    ("seeded-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3,
+                                             init=InitialStates.seeded(5))),
 ]
 TIGHT = AlgoConstants(p=0.5, c1=0.05, c2=0.05, c3=0.01, n0_override=60)
 STATE = ("_q", "_v", "_vref", "_n", "_nchk", "_mu_chk", "_ups_chk", "_sig_chk",
@@ -177,31 +184,50 @@ def learner_state(lr):
     return {name: getattr(lr, name) for name in STATE if hasattr(lr, name)}
 
 
-def run_both(mdp, algo, cc, n_max, seed=0):
-    """(result, next env uniform, learner) from run_concurrent, then the
-    reference, each on a fresh learner; a raised OutOfRangeError stands in
-    for the result."""
+class FixedPick(UniformStream):
+    """A pick stream whose one draw is u (integers scales it as the
+    seeded stream's does)."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def run_both(mdp, algo, cc, n_max, seed=0, u=None):
+    """(result, next env uniform, learner, greedy snapshots taken) from
+    run_concurrent, then the reference, each on a fresh learner, with the
+    seeded pick stream or one that draws u; a raised OutOfRangeError stands
+    in for the result."""
     out = []
     for runner in (run_concurrent, sample_then_replay_concurrent):
         lr = make_learner(algo, mdp, TIGHT, n_max=n_max, cb=0.05)
+        snapshots = count_snapshots(lr)
         env = seeded_stream(seed, 0, "env")
+        pick = seeded_stream(seed, 0, "policy-pick") if u is None else FixedPick(u)
         try:
-            res = runner(mdp, lr, cc, env, seeded_stream(seed, 0, "policy-pick"))
+            res = runner(mdp, lr, cc, env, pick)
         except OutOfRangeError as exc:
             res = exc.n
-        out.append((res, env.random(), lr))
+        out.append((res, env.random(), lr, snapshots))
     return out
 
 
-@pytest.mark.parametrize("M", [1, 3, 8])
-@pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage", "classic-qucb"])
-@pytest.mark.parametrize("make_mdp", [i[1] for i in EQUIV_INSTANCES],
-                         ids=[i[0] for i in EQUIV_INSTANCES])
-def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, path):
-    mdp = make_mdp()
-    cc = ConcurrentConfig(agents=M, k_eps_override=300)
-    (got, u_got, lr), (want, u_want, lr_ref) = run_both(
-        mdp, algo, cc, n_max=(300 + M) * mdp.H + 1)
+def count_snapshots(lr):
+    """A list whose length counts lr.greedy_actions_flat calls from now on."""
+    calls, snapshot = [], lr.greedy_actions_flat
+
+    def counted():
+        calls.append(None)
+        return snapshot()
+
+    lr.greedy_actions_flat = counted
+    return calls
+
+
+def assert_runs_match(both, path):
+    (got, u_got, lr, _), (want, u_want, lr_ref, _) = both
     assert (lr._lib is not None) == (path == "kernel")
     assert got.rounds == want.rounds
     for name in ("budget", "total_consumed", "total_generated", "update_rounds",
@@ -210,50 +236,159 @@ def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, path):
     assert np.array_equal(got.output_policy.actions, want.output_policy.actions)
     assert learner_state(lr) == learner_state(lr_ref)
     assert u_got == u_want     # the stream stands where sampling left it
+
+
+def window_starts(res, M, u):
+    """The consumed counts at which res's rounds start inside the pick
+    window [int(u * budget) - M + 1, int(u * (budget + M - 1))]."""
+    lo, hi = int(u * res.budget), int(u * (res.budget + M - 1))
+    starts = accumulate((r.consumed for r in res.rounds[:-1]), initial=0)
+    return [c for c in starts if lo - M + 1 <= c <= hi]
+
+
+# the pick stream's one draw at both ends of [0, 1) and inside it
+PICK_US = [0.0, 1e-9, 0.37, 0.999, 1 - 2 ** -53]
+# (M, u): the seeded pick stream (u None), then each u of PICK_US
+PICKS = [(M, None) for M in (1, 3, 8, 300)] + [(M, u) for M in (1, 3, 8, 300)
+                                               for u in PICK_US]
+
+
+@pytest.mark.parametrize("M,u", PICKS, ids=[str(M) if u is None else f"{M}-u{u}"
+                                             for M, u in PICKS])
+@pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage", "classic-qucb"])
+@pytest.mark.parametrize("make_mdp", [i[1] for i in EQUIV_INSTANCES],
+                         ids=[i[0] for i in EQUIV_INSTANCES])
+def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, u, path):
+    # run_concurrent keeps the greedy policy only at the round starts that
+    # can hold the pick; a round of M = 300 spans two blocks of 256 start
+    # states, and a budget of 400 puts the window past the first round
+    budget = 400 if M == 300 else 300
+    mdp = make_mdp()
+    cc = ConcurrentConfig(agents=M, k_eps_override=budget)
+    both = run_both(mdp, algo, cc, n_max=(budget + M) * mdp.H + 1, u=u)
+    assert_runs_match(both, path)
+    (got, _, _, snapshots), (want, *_) = both
     assert got.update_rounds > 0 or algo == "hoeffding-stage" and mdp.H > 2
+    if u is None:
+        u = seeded_stream(0, 0, "policy-pick").random()
+    assert len(snapshots) == len(window_starts(want, M, u)) <= 2 * M - 1
 
 
 @pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage"])
 def test_out_of_range_raises_like_sample_then_replay(algo, path):
     mdp = make_random_mdp(3, 4, 2, seed=3, init=InitialStates.seeded(5))
     cc = ConcurrentConfig(agents=3, k_eps_override=300)
-    (got, _, lr), (want, _, lr_ref) = run_both(mdp, algo, cc, n_max=40)
+    (got, _, lr, _), (want, _, lr_ref, _) = run_both(mdp, algo, cc, n_max=40)
     assert got == want == 41
     assert learner_state(lr) == learner_state(lr_ref)
 
 
-def test_rounds_m8_plays_one_stretch_per_update(path):
-    # rounds-m8's instance at a smaller budget.  Every run_stretch call
-    # ends at a Q change (the concurrent runner binds no audit, so the
-    # kernel stops there too), at the round-aligned budget end (once,
-    # last) or, in the kernel, at the end of its block of 256 start
-    # states.  A runner that asked for one trajectory or one round per
-    # call would end its calls at their stop instead.
+def test_pick_on_the_last_trajectory_of_the_window_start_round(path):
+    # a full round that starts at lo - M + 1 holds the pick as its last
+    # trajectory, lo itself, so the window's first round start is the pick's
+    mdp, M, budget = dict(EQUIV_INSTANCES)["seeded-3x4x2"](), 8, 300
+    cc = ConcurrentConfig(agents=M, k_eps_override=budget)
+    n_max = (budget + M) * mdp.H + 1
+    ref = run_both(mdp, "advantage", cc, n_max)[1][0]
+    T = ref.total_consumed
+    c = max(c for r, c in zip(ref.rounds, accumulate((r.consumed for r in ref.rounds),
+                                                     initial=0))
+            if r.consumed == M and (c + M - 1) * T < (c + M) * budget)
+    u = ((c + M - 1) / budget + (c + M) / T) / 2
+    assert c > 0 and int(u * budget) - M + 1 == c and int(u * T) == c + M - 1
+    both = run_both(mdp, "advantage", cc, n_max, u=u)
+    assert_runs_match(both, path)
+    (got, _, _, snapshots), (want, *_) = both
+    assert got.picked_trajectory == c + M - 1
+    assert window_starts(want, M, u)[0] == c
+    assert len(snapshots) == len(window_starts(want, M, u))
+
+
+@pytest.mark.parametrize("budget", [20_000, 80_000])
+def test_greedy_snapshots_stay_within_two_rounds(budget):
+    # classic-qucb changes Q in every episode, so every round consumes one
+    # trajectory and starts at every consumed count below the budget: the
+    # policy is kept at each one in the window, 2M - 1 of them at most,
+    # which u = (budget - 1) / (budget + M - 1) reaches
+    mdp, M = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build(), 8
+    cc = ConcurrentConfig(agents=M, k_eps_override=budget)
+    kept = []
+    for u in (0.0, 0.37, (budget - 1) / (budget + M - 1), 1 - 2 ** -53):
+        lr = make_learner("classic-qucb", mdp, AlgoConstants(p=0.1), n_max=1, cb=0.01)
+        snapshots = count_snapshots(lr)
+        res = run_concurrent(mdp, lr, cc, seeded_stream(0, 0, "env"), FixedPick(u))
+        assert res.update_rounds == len(res.rounds) == budget
+        lo, hi = int(u * budget), int(u * (budget + M - 1))
+        window = range(max(lo - M + 1, 0), min(hi, budget - 1) + 1)
+        assert len(snapshots) == len(window)
+        kept.append(len(snapshots))
+    assert max(kept) == 2 * M - 1
+
+
+def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
+    # rounds-m8's instance at a smaller budget.  A kernel call plays
+    # through Q changes and ends at a round start that reaches the call's
+    # consumed limit, or at the end of its block of 256 start states (past
+    # it after a skip); the Python body ends only at the limit.  The limit
+    # moves to the pick window's first round start, then one round at a
+    # time through the window (at most 2M - 1 rounds), then to the budget.
     mdp = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build()
-    cc = ConcurrentConfig(agents=8, k_eps_override=4000)
+    M = 8
+    cc = ConcurrentConfig(agents=M, k_eps_override=4000)
     lr = make_learner("advantage", mdp,
                       AlgoConstants(n0_override=400, p=0.1, c1=1.2, c2=1.2, c3=0.06),
-                      n_max=(4000 + 8) * mdp.H + 1)
-    ends = Counter()
-    stretch = lr.run_stretch
+                      n_max=(4000 + M) * mdp.H + 1)
+    ends, per_call = Counter(), []
+    run_rounds = lr.run_rounds
 
-    def counted(mdp, rng, first, stop):
-        played, changed = stretch(mdp, rng, first, stop)
-        if changed:
-            ends["q"] += 1
-        elif first + played == stop:
-            ends["stop"] += 1
+    def counted(mdp, rng, first, agents, consumed, limit, changes):
+        n = len(changes)
+        played, consumed = run_rounds(mdp, rng, first, agents, consumed, limit, changes)
+        per_call.append(len(changes) - n)
+        end = first + played
+        if end % agents == 0 and consumed >= limit:
+            ends["limit"] += 1
+        elif end >= (first // 256 + 1) * 256:
+            ends["block"] += 1
         else:
-            ends["starts" if (first + played) % 256 == 0 else "other"] += 1
-        return played, changed
+            ends["other"] += 1
+        return played, consumed
 
-    lr.run_stretch = counted
-    env = seeded_stream(0, 0, "env")
-    res = run_concurrent(mdp, lr, cc, env, seeded_stream(0, 0, "policy-pick"))
-    assert ends["q"] == res.update_rounds > 0
-    assert ends["stop"] <= 1 and ends["other"] == 0
-    assert ends["starts"] <= res.total_generated // 256 + 1
-    assert (ends["starts"] > 0) == (path == "kernel")
+    lr.run_rounds = counted
+    res = run_concurrent(mdp, lr, cc, seeded_stream(0, 0, "env"),
+                         seeded_stream(0, 0, "policy-pick"))
+    calls = len(per_call)
+    assert ends["other"] == 0 and ends["limit"] >= 2
+    assert sum(per_call) == res.update_rounds > 0
+    if path == "kernel":
+        assert ends["block"] > 0
+        assert calls <= math.ceil(res.total_generated / 256) + 2 * M
+        assert max(per_call) > 1      # Q changes no longer end a call
+    else:
+        assert ends["block"] == 0 and calls <= 2 * M + 1
+
+
+# perfbench/digests.json's rounds.csv digests for the rounds-m8 workload,
+# and each run's pick and output policy (flat by (h, s))
+ROUNDS_M8_PINS = {
+    0: (25967, "20000000001210020012120111122112110221221012021020210111121201112202100001221221"),
+    1: (26316, "10000000001210020022000111122112112220021012021020200111121200112202000001221222"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ROUNDS_M8_PINS))
+def test_rounds_m8_driver_matches_recorded_digests(seed, path, tmp_path):
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    env = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2)
+    cc = ConcurrentConfig(agents=8, epsilon=0.1, k_eps_override=32_000)
+    res = run_concurrent_experiment(
+        env, cc, algo="advantage", seed=seed, out_dir=tmp_path,
+        constants=AlgoConstants(n0_override=400, p=0.1, c1=1.2, c2=1.2, c3=0.06))
+    digest = hashlib.sha256((tmp_path / "rounds.csv").read_bytes()).hexdigest()
+    assert {"rounds.csv": digest} == recorded["digests"]["rounds-m8"][str(seed)]
+    pick, policy = ROUNDS_M8_PINS[seed]
+    assert res.picked_trajectory == pick
+    assert "".join(map(str, res.output_policy.actions.ravel().tolist())) == policy
 
 
 def test_frozen_actor_plays_table():
