@@ -5,12 +5,14 @@
  * repeats the learner's Python observe operation for operation
  * (UcbAdvantageLearner.observe and _stage_update, or
  * ClassicQUcbLearner.observe, as the struct's mode says): the same
- * uniforms in the same order, bisect_right over the same cumulative rows,
- * the same double expressions evaluated left to right, max(0.0, x) and
- * safe_ratio with Python's semantics, and the per-stage constants computed
- * in Python.  Built with -O2 -ffp-contract=off and never -ffast-math (see
- * kernel.py), every +, -, *, / and sqrt rounds as Python's does, so the
- * tables come out bit for bit equal to the Python path's.
+ * uniforms in the same order, the next state bisect_right picks from the
+ * same cumulative rows (next_state counts the entries <= u, which form a
+ * prefix of each row), the same double expressions evaluated left to
+ * right, max(0.0, x) and safe_ratio with Python's semantics, and the
+ * per-stage constants computed in Python.  Built with -O2
+ * -ffp-contract=off and never -ffast-math (see kernel.py), every +, -, *,
+ * / and sqrt rounds as Python's does, so the tables come out bit for bit
+ * equal to the Python path's.
  *
  * With the audit bound (TabularQLearnerBase.bind_audit), stageq_stretch
  * also audits, as metrics.Audit's Python body does: each episode's regret
@@ -132,18 +134,24 @@ static double clip0(double x)     /* max(0.0, x): x only when x > 0.0 */
     return x > 0.0 ? x : 0.0;
 }
 
-/* bisect.bisect_right, the same probes in the same order */
-static int64_t bisect_right(const double *row, int64_t len, double x)
+/* bisect.bisect_right(row, x) for x in [0, 1).  Each row is the cumulative
+ * sum of a validated P row (mdp.cum_array), non-decreasing up to its last
+ * entry, 1.0 > x, so the entries <= x are a prefix: halving keeps its end
+ * in [lo, hi), and counting the <= 16 entries left finds it, branch-free. */
+static int64_t next_state(const double *row, int64_t len, double x)
 {
     int64_t lo = 0, hi = len;
-    while (lo < hi) {
+    while (hi - lo > 16) {
         int64_t mid = (lo + hi) / 2;
         if (x < row[mid])
             hi = mid;
         else
             lo = mid + 1;
     }
-    return lo;
+    int64_t k = lo;
+    for (int64_t i = lo; i < hi; i++)
+        k += row[i] <= x;
+    return k;
 }
 
 /* TabularQLearnerBase._row_max */
@@ -371,7 +379,7 @@ int64_t stageq_stretch(Learner *L)
         for (int64_t h = 0; h < H && !bad; h++) {
             int64_t i2 = h * S + s;
             int64_t a = L->greedy[i2];
-            int64_t s_next = bisect_right(L->cum + (i2 * A + a) * S, S, u[used++]);
+            int64_t s_next = next_state(L->cum + (i2 * A + a) * S, S, u[used++]);
             L->path_s[h] = s;
             L->path_a[h] = a;
             L->path_next[h] = s_next;

@@ -152,7 +152,7 @@ class EpisodicMdp:
     # view of P and r (the caches below, the policy cache's rows, the
     # compiled kernel's pointers) stays current for the MDP's life.
     _FIELDS = frozenset(("S", "A", "H", "P", "r", "init"))
-    _frozen = False
+    _frozen = _validated = False
     _cum = _cum_rows = _reward_rows = None
 
     def __setattr__(self, name, value):
@@ -174,16 +174,20 @@ class EpisodicMdp:
     # Views for the sampling hot loops, built once: plain lists for Python
     # and one float64 array for the compiled kernel (which reads P and r
     # themselves).  Cumulative rows get their final entry forced to 1.0 so
-    # a uniform in [0, 1) always lands.
+    # a uniform in [0, 1) always lands.  They are built from a validated P
+    # only, so each row never decreases before that entry, which the
+    # kernel's next_state relies on.
     def cum_rows(self):
         if self._cum_rows is None:
             self._cum_rows = self.cum_array().tolist()
         return self._cum_rows
 
     def cum_array(self) -> np.ndarray:
-        """The cumulative rows as one read-only C-ordered (H, S, A, S) array."""
+        """The cumulative rows as one read-only C-ordered (H, S, A, S) array;
+        validates (and so freezes) the MDP first if validate has not."""
         if self._cum is None:
-            self.freeze()
+            if not self._validated:
+                validate(self)
             cum = np.cumsum(self.P, axis=-1)
             cum[..., -1] = 1.0
             cum.setflags(write=False)
@@ -227,7 +231,8 @@ ROW_SUM_TOL = 1e-12     # validate's bound on |row sum - 1|
 
 def validate(mdp: EpisodicMdp) -> None:
     """Check stochasticity, reward range and initial states; raise on the
-    first violation, else freeze the MDP (EpisodicMdp.freeze).
+    first violation, else freeze the MDP (EpisodicMdp.freeze) and mark it
+    validated, so that cum_array does not validate it again.
 
     Rows must be finite, entrywise >= 0 with |sum - 1| <= ROW_SUM_TOL;
     rewards must lie in [0, 1]; fixed and cyclic initial states must lie in
@@ -250,6 +255,7 @@ def validate(mdp: EpisodicMdp) -> None:
         if not 0 <= s < mdp.S:
             raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
     mdp.freeze()
+    mdp._validated = True
 
 
 def _check_row(row: np.ndarray, rv: float, h: int, s: int, a: int) -> None:

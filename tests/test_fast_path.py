@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, HoeffdingStageLearner,
-                    InitialStates, OutOfRangeError, RunConfig, UcbAdvantageLearner,
-                    backward_induction, kernel, make_jao_chain, make_random_mdp,
-                    seeded_stream, validate)
+from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, EpisodicMdp,
+                    HoeffdingStageLearner, InitialStates, NonStochasticRow, OutOfRangeError,
+                    RunConfig, UcbAdvantageLearner, backward_induction, kernel, load_mdp,
+                    make_jao_chain, make_random_mdp, save_mdp, seeded_stream, validate)
 from stageq import harness
 from stageq.concurrent import replay_into
 from stageq.metrics import Audit, OptimismTracker, PolicyValueCache
@@ -107,6 +107,23 @@ def test_kernel_is_built_where_a_compiler_is_found():
     mdp = make_random_mdp(2, 2, 2, seed=0)
     assert UcbAdvantageLearner(mdp)._lib is kernel.load()
     assert ClassicQUcbLearner(mdp)._lib is kernel.load()
+
+
+def test_kernel_flags_keep_pythons_rounding_and_compile_warning_free(tmp_path):
+    # no fused multiply-add and no fast-math reassociation, so every
+    # rounding is Python's; and no -march=native, since the library's cache
+    # key names no CPU and a shared home directory could load a library
+    # built for another instruction set
+    assert "-ffp-contract=off" in kernel.FLAGS
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                "-march=native"} & set(kernel.FLAGS)
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    done = subprocess.run([cc, *kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE), "-lm"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def c_struct_fields(source: str, name: str):
@@ -283,6 +300,107 @@ def test_fused_episode_raises_like_reference_past_n_max():
 @pytest.mark.parametrize("via", ["run_episode", "run_stretch"])
 def test_out_of_range_raises_in_the_same_episode(via, path):
     check_raise_matches_reference(via)
+
+
+class CycleGenerator:
+    """A stand-in for UniformStream.generator whose blocks cycle through
+    the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.drawn = 0
+
+    def random(self, n):
+        block = self.values[(self.drawn + np.arange(n)) % len(self.values)]
+        self.drawn += n
+        return block
+
+
+def cycled_stream(values):
+    rng = seeded_stream(0, 0, "env")
+    rng.generator = CycleGenerator(values)
+    return rng
+
+
+def edge_mdp(S, gen):
+    """A validated 3-step, 2-action MDP over S states whose rows are three
+    kinds: runs of zero entries (repeated cumulative values, a leading 0.0
+    among them), partial sums that round above 1.0 before the forced last
+    entry, and a point mass on state S // 2."""
+    spread = gen.random(S) * (gen.random(S) < 0.6)
+    spread[0] = 0.0
+    spread[S // 2] += 0.5
+    spread /= spread.sum()
+    over = gen.random(S)
+    over[(S + 1) // 2:] = 0.0
+    over /= over.sum()
+    over[0] += 5e-13
+    point = np.zeros(S)
+    point[S // 2] = 1.0
+    assert S == 1 or np.cumsum(over)[-2] > 1.0
+    rows = np.stack([spread, over, point])
+    H, A = 3, 2
+    mdp = EpisodicMdp(S=S, A=A, H=H, P=rows[gen.integers(3, size=(H, S, A))],
+                      r=gen.random((H, S, A)), init=InitialStates.seeded(S))
+    validate(mdp)
+    return mdp
+
+
+# S = 1 and 5 are counted whole; 17, 50 and 129 are halved first, and 35
+# halves to [0, 17), a window of 17 entries that ends inside the row
+@pytest.mark.parametrize("S", [1, 5, 17, 35, 50, 129])
+@pytest.mark.parametrize("cls", [UcbAdvantageLearner, ClassicQUcbLearner])
+def test_next_state_matches_bisect_on_edge_rows(cls, S, path):
+    # the kernel halves a row to at most 16 entries and counts those <= u,
+    # which is bisect_right only where the entries <= u form a prefix:
+    # every uniform here is 0.0, 1 - 2**-53, an entry of some row (a tie,
+    # which bisect_right passes) or a random one, and every one is drawn
+    gen = np.random.default_rng(S)
+    mdp = edge_mdp(S, gen)
+    H, K = mdp.H, 300
+    cum = mdp.cum_array()
+    entries = np.unique(cum[cum < 1.0])
+    values = np.concatenate([[0.0, 1.0 - 2.0**-53], entries, gen.random(len(entries))])
+    gen.shuffle(values)
+    assert K * H >= len(values)
+    const = AlgoConstants(**CONSTANT_SETS["tight"])
+    fast, ref = make(cls, mdp, const, K * H + 1), make(cls, mdp, const, K * H + 1)
+    assert uses_kernel(fast, path)
+    rng_fast, rng_ref = cycled_stream(values), cycled_stream(values)
+    ties = 0
+    for k in range(K):
+        traj, report = fast.run_episode(mdp, rng_fast, k)
+        traj_ref, report_ref = ref.reference_episode(mdp, rng_ref, k)
+        assert (traj, report) == (traj_ref, report_ref)
+        for h, (s, a, _r, s_next) in enumerate(traj_ref):
+            u = values[(k * H + h) % len(values)]
+            ties += s_next > 0 and cum[h, s, a, s_next - 1] == u
+    assert_same_state(fast, ref)
+    assert_same_stream(rng_fast, rng_ref)
+    assert ties > 0 or S == 1
+
+
+@pytest.mark.parametrize("source", ["hand-built", "loaded"])
+def test_unvalidated_mdp_raises_at_the_first_draw(source, path, tmp_path):
+    # [0.6, -0.4, 0.8] sums to 1, but its cumulative row [0.6, 0.2, 1.0]
+    # decreases: at u = 0.3 bisect_right gives 2 and the kernel's count 1.
+    # cum_array validates an MDP that validate has not passed, so both
+    # paths raise validate's error instead of drawing
+    P = np.full((1, 3, 1, 3), 0.25)
+    P[..., 2] = 0.5
+    P[0, 0, 0] = [0.6, -0.4, 0.8]
+    mdp = EpisodicMdp(S=3, A=1, H=1, P=P, r=np.full((1, 3, 1), 0.5))
+    if source == "loaded":
+        save_mdp(mdp, tmp_path / "bad.mdp")
+        mdp = load_mdp(tmp_path / "bad.mdp")
+    raised = []
+    for lr in (UcbAdvantageLearner(mdp), ClassicQUcbLearner(mdp)):
+        assert uses_kernel(lr, path)
+        for play in (lr.run_episode, lr.reference_episode):
+            with pytest.raises(NonStochasticRow, match="negative entry -0.4") as exc:
+                play(mdp, cycled_stream([0.3]), 0)
+            raised.append(str(exc.value))
+    assert len(set(raised)) == 1
 
 
 def stretch_or_raise(lr, mdp, rng, first, stop):

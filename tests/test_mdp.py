@@ -601,6 +601,20 @@ def test_cached_arrays_reject_later_writes():
     assert mdp.reward_rows()[0][0][0] == 0.5
 
 
+def test_cum_array_validates_only_an_unvalidated_mdp(monkeypatch):
+    # the drivers validate first, so building the rows costs them no
+    # second validate; any other MDP is validated (and frozen) there
+    import stageq.mdp as mdp_module
+    checked, unchecked = (make_random_mdp(2, 2, 2, seed=0) for _ in range(2))
+    validate(checked)
+    seen, real = [], mdp_module.validate
+    monkeypatch.setattr(mdp_module, "validate", lambda m: seen.append(m) or real(m))
+    checked.cum_array()
+    unchecked.cum_rows()
+    assert seen == [unchecked]
+    assert not unchecked.P.flags.writeable
+
+
 VIOLATIONS = ("nan", "inf", "-inf", "negative", "sum", "r>1", "r<0", "r-nan")
 
 
