@@ -21,8 +21,12 @@ reads.  The discarded rest of an update round would have drawn (M - 1 - j)
 * H uniforms after the round's j-th episode (0-based), and nothing else.
 So run_concurrent has the learner play the episodes online (run_rounds:
 the compiled kernel, many rounds a call), skipping exactly those, and
-builds the rounds from the indices of the Q-changing episodes alone.  With
-M = 1 this is the learner run live for `budget` episodes on the same
+keeps the generation index of each Q-changing episode (an array('q')):
+with M and the episodes generated, that is the whole round log, as every
+other round is full.  ConcurrentResult.rounds is a read-only metrics.Table
+kept as just those; its RoundLog rows are built at the first read
+(round_columns), and write_rounds_csv formats straight from the integers.
+With M = 1 this is the learner run live for `budget` episodes on the same
 environment stream.
 
 FrozenActor and replay_into are the pieces of the sample-then-replay round
@@ -39,18 +43,17 @@ at a time and keeps the greedy policy at each one's start (< 2M of them).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .mdp import DeterministicPolicy, EpisodicMdp
-from .metrics import write_csv
+from .metrics import Table, write_csv
 
 ROUNDS_CSV_HEADER = "round,consumed,update_triggered,policy_version"
-ROUNDS_CSV_ROW = "%d,%d,%d,%d"      # update_triggered as 0 or 1
 
 
 class BudgetTooSmall(ValueError):
@@ -111,7 +114,7 @@ class RoundLog:
 
 @dataclass
 class ConcurrentResult:
-    rounds: list
+    rounds: object            # RoundLog rows; run_concurrent's is a read-only Table
     budget: int
     total_consumed: int
     total_generated: int
@@ -162,7 +165,7 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
     hi = int(u * (budget + M - 1))
     limit = int(u * budget) - M + 1     # the first round start that can hold the pick
     policies = {}                       # greedy policy at each round start from there to hi
-    changes = []                        # generation index of each Q-changing episode
+    changes = array("q")                # generation index of each Q-changing episode
     generated = consumed = 0
     while True:
         if generated % M == 0 and consumed >= limit:     # a round start at the limit
@@ -178,26 +181,46 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
     chosen_flat = policies[max(c for c in policies if c <= pick)]
     policy = DeterministicPolicy(
         np.asarray(chosen_flat, dtype=np.int64).reshape(mdp.H, mdp.S))
-    return ConcurrentResult(rounds=rounds_from_changes(changes, generated, M),
+    return ConcurrentResult(rounds=Table(RoundLog, (changes, generated, M), round_columns),
                             budget=budget, total_consumed=consumed,
                             total_generated=generated, update_rounds=len(changes),
                             output_policy=policy, picked_trajectory=pick,
                             learner=learner)
 
 
-def rounds_from_changes(changes, generated: int, M: int) -> list:
-    """The RoundLog of each round of M among the first `generated` episodes,
-    given the generation index of each round's Q-changing episode: the full
-    rounds before each one (and before `generated`), then its round."""
-    rounds = []
-    for version, g in enumerate(changes + [generated]):
-        rounds += map(RoundLog, range(len(rounds) + 1, g // M + 1), repeat(M), repeat(False),
-                      repeat(version))
-        if g < generated:
-            rounds.append(RoundLog(g // M + 1, g % M + 1, True, version))
-    return rounds
+def round_columns(changes, generated: int, M: int):
+    """The RoundLog columns of the rounds of M among the first `generated`
+    episodes: full ones, but for the round of each Q-changing episode g."""
+    R = generated // M
+    consumed, triggered = array("q", [M]) * R, [False] * R
+    for g in changes:
+        consumed[g // M], triggered[g // M] = g % M + 1, True
+    version = array("q", accumulate(triggered, initial=0))[:R]     # update rounds before
+    return range(1, R + 1), consumed, triggered, version
 
 
 def write_rounds_csv(rounds, path) -> None:
-    write_csv(path, ROUNDS_CSV_HEADER, ROUNDS_CSV_ROW,
-              map(attrgetter(*ROUNDS_CSV_HEADER.split(",")), rounds))
+    """rounds.csv from the change indices: each run of full rounds is one
+    join over its round numbers.  rounds is run_concurrent's Table, or any
+    sequence of RoundLog rows that is a run's log (else ValueError)."""
+    if isinstance(rounds, Table) and rounds.build is round_columns:
+        changes, generated, M = rounds.source
+    else:
+        rnd, consumed, triggered, _ = Table.columns_of(RoundLog, rounds)
+        M = max(1, *consumed)           # any M >= each round's count serves if none is full
+        changes = [r * M - M + c - 1 for r, c, t in zip(rnd, consumed, triggered) if t]
+        generated = len(rnd) * M
+        if Table(RoundLog, (changes, generated, M), round_columns) != rounds:
+            raise ValueError("rows are not the round log of a concurrent run")
+    write_csv(path, ROUNDS_CSV_HEADER, "%s", _round_lines(changes, generated, M))
+
+
+def _round_lines(changes, generated: int, M: int):
+    done = 0                            # the rounds written
+    for v, g in enumerate([*changes, generated]):
+        if done < g // M:               # the full rounds before change v's (or the end)
+            tail = f",{M},0,{v}"
+            yield (tail + "\n").join(map(str, range(done + 1, g // M + 1))) + tail
+        if g < generated:
+            yield f"{g // M + 1},{g % M + 1},1,{v}"
+        done = g // M + 1

@@ -28,9 +28,9 @@ as stretches and adds their regrets one by one, noting the first
 negative one for strict mode, which therefore checks every episode, kept
 or not.  With a C compiler and NumPy's ddot, the kernel plays and audits
 up to 256 episodes a call (a block of start states), through Q changes,
-V^pi's layers included, and writes every episode's row; Python builds
-only the kept ones.  The Python body ends a stretch at each Q change and
-kept row.
+V^pi's layers included, and writes every episode's row; Python copies
+the kept ones into the audit's columns, a column slice at a time.  The
+Python body ends a stretch at each Q change and kept row.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, sample_episode, validate)
-from .metrics import Audit, grid_rows, switching_bound, write_csv, write_episode_csv
+from .metrics import (Audit, EpisodeRecord, Table, grid_rows, switching_bound, write_csv,
+                      write_episode_csv)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -253,10 +254,12 @@ class RunSummary:
 
 @dataclass
 class RunResult:
-    """A run's outcome; records holds only its kept (logged or checkpoint) rows."""
+    """A run's outcome; records holds only its kept (logged or checkpoint)
+    EpisodeRecord rows: from run_experiment and sweep_scaling, a read-only
+    metrics.Table."""
 
     config: RunConfig
-    records: list
+    records: object
     summary: RunSummary
     learner: object
     mdp: EpisodicMdp
@@ -317,12 +320,9 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
                            n_max=K * mdp.H + 1, cb=config.cb)
     env_rng = seeded_stream(config.seed, 0, "env")
     audit = Audit(learner, mdp, vstar)
-    records = []
     k = 0                          # the episodes played
     while k < K:
-        played, rows = audit.stretch(env_rng, k, K, keep)
-        k += played
-        records += rows
+        k += audit.stretch(env_rng, k, K, keep)
 
     f = audit.fields               # the running values
     T = K * mdp.H
@@ -335,7 +335,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
         ref_states_fixed=learner.ref_fixed_count,
         wall_time_s=time.perf_counter() - t0,
         reference_wins=learner.reference_wins)
-    result = RunResult(config=config, records=records, summary=summary,
+    result = RunResult(config=config, records=audit.records, summary=summary,
                        learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
     if config.strict:
         enforce_invariants(result, f.negative or None)
@@ -359,7 +359,8 @@ def enforce_invariants(result: RunResult, negative: Optional[int] = None) -> Non
         raise InvariantViolation(
             f"n_switch {s.n_switch} exceeds deterministic bound {s.switch_bound:.1f}")
     if negative is None:
-        negative = next((r.k for r in result.records if r.episode_regret < -1e-9), None)
+        ks, regrets = Table.columns_of(EpisodeRecord, result.records)[:2]
+        negative = next((k for k, reg in zip(ks, regrets) if reg < -1e-9), None)
     if negative is not None:
         raise InvariantViolation(f"negative episode regret at k={negative}")
 

@@ -45,7 +45,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import islice
 from math import log
 from operator import attrgetter
@@ -71,6 +73,44 @@ class EpisodeRecord:
     cum_q_updates: int
     cum_optimism_violations: int
     ref_states_fixed: int
+
+
+class Table(Sequence):
+    """A log kept as columns (each field's sequence, in row_type's order:
+    source, or build(*source) made at the first read), read as a read-only
+    sequence of fresh row_type(*cells) objects: changing one changes
+    nothing here.  It equals any sequence of equal rows; a slice is a Table."""
+
+    def __init__(self, row_type, source, build=None):
+        self.row_type, self.source, self.build = row_type, source, build
+
+    @cached_property
+    def columns(self):
+        return self.build(*self.source) if self.build else self.source
+
+    @staticmethod
+    def columns_of(row_type, rows):
+        """rows' columns: a Table's own, else gathered from its row_type objects."""
+        if isinstance(rows, Table):
+            return rows.columns
+        return [list(map(attrgetter(f.name), rows)) for f in fields(row_type)]
+
+    def extend(self, *cells) -> None:
+        for column, new in zip(self.columns, cells):
+            column.extend(new)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        cells = [c[i] for c in self.columns]
+        return Table(self.row_type, cells) if isinstance(i, slice) else self.row_type(*cells)
+
+    def __iter__(self):
+        return map(self.row_type, *self.columns)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 class PolicyValueCache:
@@ -239,9 +279,10 @@ class Audit:
     """One run's audit, a stretch of the learner's episodes at a time.
 
     stretch(rng, first, stop, keep) has the learner play episodes first,
-    first + 1, ... (0-based, below stop), audits each and returns (played,
-    rows): how many it played, and the EpisodeRecord of each one whose
-    1-based k is in keep (an increasing sequence).  The running values are
+    first + 1, ... (0-based, below stop), audits each, adds the row of each
+    one whose 1-based k is in keep (an increasing sequence) to `records` (a
+    Table of int64 and float64 columns, 56 bytes a row) and returns how
+    many it played.  The running values are
     attributes of `fields`: reg (the last episode's regret), cum_regret
     (their sum, added episode by episode), negative (the first 1-based
     episode whose regret is below -1e-9, or 0), switches and violations
@@ -251,9 +292,10 @@ class Audit:
     the compiled kernel, the kernel audits each episode it plays
     (TabularQLearnerBase.bind_audit) and writes its row, and fields is its
     Learner struct.  A call ends at stop or at the end of its block of
-    start states; where the kernel found no ddot to sum V^pi's layers
-    with, it ends at each Q change too, and the layers are recomputed
-    here from the deepest one the kernel reports.  Otherwise (the oracle,
+    start states, and its kept rows are copied a column slice at a time;
+    where the kernel found no ddot to sum V^pi's layers with, it ends at
+    each Q change too, and the layers are recomputed here from the deepest
+    one the kernel reports.  Otherwise (the oracle,
     or no C compiler) fields is this object and stretch runs the Python
     body, which ends at each Q change and at the next kept k: the
     reference the kernel must match row for row.
@@ -263,6 +305,7 @@ class Audit:
         self.learner, self.mdp = learner, mdp
         self.cache = PolicyValueCache(mdp)
         self.cache.values(learner.greedy_buffer())
+        self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
         optimism = OptimismTracker(learner.q_array(), vstar.Q)
         bind = getattr(learner, "bind_audit", None)
         bound = bind and bind(self.cache, optimism, vstar.V[0])
@@ -286,12 +329,15 @@ class Audit:
             top = self.fields.top
             if top >= 0:
                 cache.evaluate(top)
-            x, n, rows = self._reals, self._counts, []
-            for k in keep[at:bisect_right(keep, first + played)]:
-                i = k - 1 - first          # the row's place in the call
-                rows.append(EpisodeRecord(k, x[2 * i], x[2 * i + 1], n[4 * i], n[4 * i + 1] + q0,
-                                          n[4 * i + 2], n[4 * i + 3] + r0))
-            return played, rows
+            x, n = self._reals, self._counts
+            ks = keep[at:bisect_right(keep, first + played)]
+            consecutive = ks and ks[-1] - ks[0] == len(ks) - 1     # one run [a, b)
+            for a, b in [(ks[0], ks[-1] + 1)] if consecutive else [(k, k + 1) for k in ks]:
+                i, j = a - 1 - first, b - 1 - first     # the rows' places in the call
+                self.records.extend(range(a, b), x[2 * i:2 * j:2], x[2 * i + 1:2 * j:2],
+                                    n[4 * i:4 * j:4], map(q0.__add__, n[4 * i + 1:4 * j:4]),
+                                    n[4 * i + 2:4 * j:4], map(r0.__add__, n[4 * i + 3:4 * j:4]))
+            return played
         if at < len(keep):
             stop = min(stop, keep[at])
         if self._traj is not None:
@@ -311,9 +357,10 @@ class Audit:
             self.violations = max(self.violations,
                                   self._optimism.update(learner.q_at, self._traj))
         played = len(starts)       # stop <= the next kept k: only the last can be kept
-        return played, [EpisodeRecord(k, reg, cum_regret, self.switches, learner.q_update_count,
-                                      self.violations, learner.ref_fixed_count)
-                        for k in keep[at:bisect_right(keep, first + played)]]
+        ks = keep[at:bisect_right(keep, first + played)]
+        self.records.extend(ks, *([v] * len(ks) for v in (reg, cum_regret, self.switches,
+                            learner.q_update_count, self.violations, learner.ref_fixed_count)))
+        return played
 
 
 def write_csv(out, header: str, row_format: str, rows) -> None:
@@ -338,6 +385,6 @@ def grid_rows(*tables):
 
 
 def write_episode_csv(records, path) -> None:
-    """Write audit rows, one per EpisodeRecord, each column read by its name."""
+    """Write audit rows (a Table, or any sequence of EpisodeRecord) from their columns."""
     write_csv(path, EPISODE_CSV_HEADER, EPISODE_CSV_ROW,
-              map(attrgetter(*EPISODE_CSV_HEADER.split(",")), records))
+              zip(*Table.columns_of(EpisodeRecord, records)))

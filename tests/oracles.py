@@ -18,6 +18,9 @@ agree with.
 validate_by_rows is mdp.validate as it was before its checks became
 whole-array masks: one (h, s, a) row at a time in scan order.  validate
 must raise the same exception, with the same message, on any instance.
+
+assert_view_matches checks a log kept as columns (metrics.Table) against
+the plain list of row objects it stands for, read every way a list is.
 """
 
 import itertools
@@ -177,3 +180,22 @@ def validate_by_rows(mdp, tol: float = 1e-12) -> None:
     for s in mdp.init.states:
         if not 0 <= s < mdp.S:
             raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
+
+
+def assert_view_matches(view, rows, picks=None):
+    """view reads as the list rows: as a whole, by length, iterated, at
+    each index in picks (default: every index, negative ones too) and at
+    each (a, b) slice; and changing an item read from it changes nothing."""
+    n = len(rows)
+    assert view == rows and rows == view and list(view) == rows and len(view) == n
+    picks = picks or {"at": range(-n, n), "slices": [(0, n), (1, -1), (n // 2, None)]}
+    for i in picks["at"]:
+        assert view[i] == rows[i]
+    for a, b in picks["slices"]:
+        assert view[a:b] == rows[a:b] and list(view[a:b]) == rows[a:b]
+    if n:
+        assert view[-1] == rows[-1]
+        first = view[0]
+        for name in vars(first):
+            setattr(first, name, -1)
+        assert view[0] == rows[0] != first

@@ -1,20 +1,23 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import sample_then_replay_concurrent
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import assert_view_matches, sample_then_replay_concurrent
 
 from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
                     EnvSpec, FrozenActor, InitialStates, OutOfRangeError,
                     UcbAdvantageLearner, build_schedule,
                     make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
-                    UniformStream, write_rounds_csv)
+                    RoundLog, UniformStream, write_rounds_csv)
 from stageq.concurrent import ROUNDS_CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,13 +198,20 @@ class FixedPick(UniformStream):
         return self.u
 
 
-def run_both(mdp, algo, cc, n_max, seed=0, u=None):
+@pytest.fixture(scope="module")
+def references():
+    """sample_then_replay_concurrent's runs by case: each is computed once
+    and compared against by both paths' runs of the case."""
+    return {}
+
+
+def run_both(mdp, algo, cc, n_max, seed=0, u=None, references=None, case=None):
     """(result, next env uniform, learner, greedy snapshots taken) from
     run_concurrent, then the reference, each on a fresh learner, with the
     seeded pick stream or one that draws u; a raised OutOfRangeError stands
-    in for the result."""
-    out = []
-    for runner in (run_concurrent, sample_then_replay_concurrent):
+    in for the result.  Given references, the reference is run only the
+    first time its case key is seen, and kept there."""
+    def run(runner):
         lr = make_learner(algo, mdp, TIGHT, n_max=n_max, cb=0.05)
         snapshots = count_snapshots(lr)
         env = seeded_stream(seed, 0, "env")
@@ -210,8 +220,14 @@ def run_both(mdp, algo, cc, n_max, seed=0, u=None):
             res = runner(mdp, lr, cc, env, pick)
         except OutOfRangeError as exc:
             res = exc.n
-        out.append((res, env.random(), lr, snapshots))
-    return out
+        return res, env.random(), lr, snapshots
+
+    got = run(run_concurrent)
+    if references is None:
+        return [got, run(sample_then_replay_concurrent)]
+    if case not in references:
+        references[case] = run(sample_then_replay_concurrent)
+    return [got, references[case]]
 
 
 def count_snapshots(lr):
@@ -258,14 +274,15 @@ PICKS = [(M, None) for M in (1, 3, 8, 300)] + [(M, u) for M in (1, 3, 8, 300)
 @pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage", "classic-qucb"])
 @pytest.mark.parametrize("make_mdp", [i[1] for i in EQUIV_INSTANCES],
                          ids=[i[0] for i in EQUIV_INSTANCES])
-def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, u, path):
+def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, u, path, references):
     # run_concurrent keeps the greedy policy only at the round starts that
     # can hold the pick; a round of M = 300 spans two blocks of 256 start
     # states, and a budget of 400 puts the window past the first round
     budget = 400 if M == 300 else 300
     mdp = make_mdp()
     cc = ConcurrentConfig(agents=M, k_eps_override=budget)
-    both = run_both(mdp, algo, cc, n_max=(budget + M) * mdp.H + 1, u=u)
+    both = run_both(mdp, algo, cc, n_max=(budget + M) * mdp.H + 1, u=u,
+                    references=references, case=(make_mdp, algo, M, u))
     assert_runs_match(both, path)
     (got, _, _, snapshots), (want, *_) = both
     assert got.update_rounds > 0 or algo == "hoeffding-stage" and mdp.H > 2
@@ -323,6 +340,25 @@ def test_greedy_snapshots_stay_within_two_rounds(budget):
         assert len(snapshots) == len(window)
         kept.append(len(snapshots))
     assert max(kept) == 2 * M - 1
+
+
+def test_round_log_memory_is_the_change_indices():
+    # classic-qucb updates in every round, so the round log is as long as
+    # the budget: the run keeps it as 8-byte change indices, and the
+    # tracemalloc peak at a budget of 80,000 is the one at 20,000 plus
+    # those of the 60,000 added update rounds and at most 64 KiB
+    mdp, M = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build(), 8
+    peaks, updates = [], []
+    for budget in (20_000, 80_000):
+        lr = make_learner("classic-qucb", mdp, AlgoConstants(p=0.1), n_max=1, cb=0.01)
+        tracemalloc.start()
+        res = run_concurrent(mdp, lr, ConcurrentConfig(agents=M, k_eps_override=budget),
+                             seeded_stream(0, 0, "env"), seeded_stream(0, 0, "policy-pick"))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        updates.append(res.update_rounds)
+    assert updates == [20_000, 80_000]
+    assert peaks[1] - peaks[0] <= 8 * (updates[1] - updates[0]) + 2 ** 16
 
 
 def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
@@ -409,6 +445,85 @@ def test_rounds_csv_golden(tmp_path):
     assert text[0] == ROUNDS_CSV_HEADER
     assert text[1] == "1,5,0,0"
     assert len(text) == 1 + len(res.rounds)
+
+
+def rounds_against_the_reference(make_mdp, algo, M, budget, seed=0):
+    """run_concurrent's rounds view and the RoundLog list the reference
+    builds, each from a fresh learner."""
+    mdp = make_mdp()
+    cc = ConcurrentConfig(agents=M, k_eps_override=budget)
+    views = []
+    for runner in (run_concurrent, sample_then_replay_concurrent):
+        lr = make_learner(algo, mdp, TIGHT, n_max=(budget + M) * mdp.H + 1, cb=0.05)
+        views.append(runner(mdp, lr, cc, seeded_stream(seed, 0, "env"),
+                            seeded_stream(seed, 0, "policy-pick")).rounds)
+    return views
+
+
+def assert_rounds_csv_matches(view, rows, path):
+    """write_rounds_csv of the view, and of the plain list, against
+    "%d,%d,%d,%d" over the list's RoundLog rows."""
+    want = ROUNDS_CSV_HEADER + "\n" + "".join(
+        "%d,%d,%d,%d\n" % (r.round, r.consumed, r.update_triggered, r.policy_version)
+        for r in rows)
+    for given_rows in (view, rows):
+        write_rounds_csv(given_rows, path)
+        assert path.read_bytes() == want.encode()
+
+
+ROUNDS_CASES = {
+    "no-change": ("fixed-4x3x5", "hoeffding-stage", 3, 30,
+                  lambda rows: not any(r.update_triggered for r in rows)),
+    "change-at-0": ("fixed-4x3x5", "classic-qucb", 3, 30,
+                    lambda rows: rows[0].update_triggered and rows[0].consumed == 1),
+    "every-round": ("fixed-4x3x5", "advantage", 5, 60,
+                    lambda rows: all(r.update_triggered for r in rows)
+                    and any(r.consumed > 1 for r in rows)),
+    "M1": ("fixed-4x3x5", "advantage", 1, 60,
+           lambda rows: 0 < sum(r.update_triggered for r in rows) < len(rows)),
+    "M300-budget-50": ("seeded-3x4x2", "hoeffding-stage", 300, 50,
+                       lambda rows: len(rows) == 1 and rows[0].update_triggered),
+    "update-in-last": ("fixed-4x3x5", "advantage", 3, 30,
+                       lambda rows: rows[-1].update_triggered
+                       and not all(r.update_triggered for r in rows)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDS_CASES))
+def test_rounds_view_and_csv_match_the_reference_list(case, tmp_path):
+    inst, algo, M, budget, holds = ROUNDS_CASES[case]
+    view, rows = rounds_against_the_reference(dict(EQUIV_INSTANCES)[inst], algo, M, budget)
+    assert isinstance(rows, list) and holds(rows)
+    assert_view_matches(view, rows)
+    assert_rounds_csv_matches(view, rows, tmp_path / "rounds.csv")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([i[1] for i in EQUIV_INSTANCES]),
+       st.sampled_from(["advantage", "hoeffding-stage", "classic-qucb"]),
+       st.sampled_from([1, 2, 3, 5, 8, 300]), st.integers(1, 60), st.integers(0, 3),
+       st.data())
+def test_rounds_view_and_csv_match_the_reference_property(tmp_path_factory, make_mdp, algo,
+                                                          M, budget, seed, data):
+    view, rows = rounds_against_the_reference(make_mdp, algo, M, budget, seed)
+    n = len(rows)
+    index, bound = st.integers(-n, n - 1), st.integers(-n - 2, n + 2)
+    assert_view_matches(view, rows, {"at": [data.draw(index)],
+                                     "slices": [(data.draw(bound), data.draw(bound))]})
+    assert_rounds_csv_matches(view, rows, tmp_path_factory.mktemp("rounds") / "rounds.csv")
+
+
+def test_rounds_csv_rejects_rows_that_are_no_round_log(tmp_path):
+    rows = [RoundLog(1, 3, False, 0), RoundLog(2, 2, True, 0), RoundLog(3, 3, False, 1)]
+    write_rounds_csv(rows, tmp_path / "rounds.csv")
+    assert (tmp_path / "rounds.csv").read_text().splitlines()[1:] == ["1,3,0,0", "2,2,1,0",
+                                                                      "3,3,0,1"]
+    for bad in ([RoundLog(2, 3, False, 0)],                              # not from round 1
+                [RoundLog(1, 3, False, 0), RoundLog(3, 3, False, 0)],    # a round skipped
+                [RoundLog(1, 3, False, 0), RoundLog(2, 2, False, 0)],    # short, no update
+                [RoundLog(1, 2, True, 0), RoundLog(2, 3, False, 0)]):    # version not raised
+        with pytest.raises(ValueError, match="round log"):
+            write_rounds_csv(bad, tmp_path / "rounds.csv")
 
 
 def test_harness_wrapper_runs_and_writes(tmp_path):

@@ -730,15 +730,13 @@ FIELDS = ("reg", "cum_regret", "negative", "switches", "violations")
 
 def play_to(audit, rng, k, target, keep):
     """Audit.stretch from episode k until target; its calls may not pass it.
-    Returns the kept rows and the V^pi tables after each call."""
-    rows, tables = [], []
+    Returns the rows they kept and the V^pi tables after each call."""
+    n, tables = len(audit.records), []
     while k < target:
-        played, got = audit.stretch(rng, k, target, keep)
-        k += played
-        rows += got
+        k += audit.stretch(rng, k, target, keep)
         tables.append(audit.cache._V.tobytes())
     assert k == target
-    return rows, tables
+    return audit.records[n:], tables
 
 
 @pytest.mark.parametrize("env", LAYER_ENVS, ids=LAYER_IDS)
@@ -765,7 +763,9 @@ def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
     K, keep = 300, range(1, 301)
     k, calls, V, changes = 0, 0, b.cache._V.tobytes(), 0
     while k < K:
-        played, rows = a.stretch(rng_a, k, K, keep)
+        n = len(a.records)
+        played = a.stretch(rng_a, k, K, keep)
+        rows = a.records[n:]
         calls += 1
         got, tables = play_to(b, rng_b, k, k + played, keep)
         k += played
@@ -827,10 +827,10 @@ def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
     K, k, changes, shared = 600, 0, 0, 0
     while k < K:
         calls.clear()
-        played, _ = audit.stretch(rng, k, K)
+        played = audit.stretch(rng, k, K)
         tops = []
         for j in range(k, k + played):       # ref's calls: one episode each here
-            assert ref.stretch(rng_ref, j, k + played)[0] == 1
+            assert ref.stretch(rng_ref, j, k + played) == 1
             tops += [ref.fields.top] * (ref.fields.top >= 0)
         k += played
         assert calls == [(S, rows + 8 * (h * S + s) * S, 1, V + 8 * (h + 1) * S, 1)
@@ -853,12 +853,12 @@ def test_rebinding_p_mid_run_raises():
     audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
     rng, k, P = seeded_stream(0, 0, "env"), 0, mdp.P
     while k < 200:
-        k += audit.stretch(rng, k, 200)[0]
+        k += audit.stretch(rng, k, 200)
     with pytest.raises(AttributeError, match="EpisodicMdp.P"):
         mdp.P = mdp.P[..., ::-1].copy()
     assert mdp.P is P
     while k < 400:
-        k += audit.stretch(rng, k, 400)[0]
+        k += audit.stretch(rng, k, 400)
     assert audit.fields.cum_regret > 0
 
 

@@ -1,11 +1,16 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import assert_view_matches
 
 from stageq import (AlgoConstants, ConcurrentConfig, ConfigError,
-                    DeterministicPolicy, EnvSpec,
+                    DeterministicPolicy, EPISODE_CSV_HEADER, EnvSpec, EpisodeRecord,
                     InitialStates, InvariantViolation, OptimismTracker,
                     RunConfig, SwitchTracker,
                     backward_induction, build_concurrent_config,
@@ -16,6 +21,7 @@ from stageq import (AlgoConstants, ConcurrentConfig, ConfigError,
 from stageq import harness, metrics
 from stageq.harness import (CONFIG_KEYS, UniformStream, checkpoint_regrets,
                             enforce_invariants, parse_init_spec)
+from stageq.metrics import write_episode_csv
 
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
 
@@ -136,10 +142,11 @@ def eager_reference_run(config):
             np.asarray(policy).reshape(mdp.H, mdp.S)))
         traj, _ = learner.run_episode(mdp, rng, k - 1)
         s1 = traj[0][0]
-        cum += float(tables.V[0, s1] - vpi.V[0, s1])
+        reg = float(tables.V[0, s1] - vpi.V[0, s1])
+        cum += reg
         viol = max(viol, check_optimism(learner.q_array(), tables.Q))
-        rows.append((k, cum, tracker.total, learner.q_update_count, viol,
-                     learner.ref_fixed_count))
+        rows.append(EpisodeRecord(k, reg, cum, tracker.total, learner.q_update_count, viol,
+                                  learner.ref_fixed_count))
     return rows
 
 
@@ -204,10 +211,7 @@ def test_lazy_audit_matches_eager_reference(monkeypatch, path, env, algo, consta
     res = run_experiment(cfg)
     assert res.summary.q_updates > 0
     assert len(trackers) == 1 and bool(trackers[0].counts) == (path == "fallback")
-    got = [(r.k, r.cum_regret, r.cum_switching_cost, r.cum_q_updates,
-            r.cum_optimism_violations, r.ref_states_fixed) for r in res.records]
-    want = eager_reference_run(cfg)
-    assert got == want
+    assert res.records == eager_reference_run(cfg)
 
 
 @pytest.mark.parametrize("env,algo,constants,episodes", [
@@ -222,11 +226,54 @@ def test_stretched_audit_matches_eager_reference(env, algo, constants, episodes)
     cfg = RunConfig(env=env, algo=algo, constants=constants, episodes=episodes,
                     seed=3, log_every="pow2", strict=True)
     res = run_experiment(cfg)
-    got = [(r.k, r.cum_regret, r.cum_switching_cost, r.cum_q_updates,
-            r.cum_optimism_violations, r.ref_states_fixed) for r in res.records]
     kept = {1 << i for i in range(episodes.bit_length())} | {episodes}
-    assert got == [row for row in eager_reference_run(cfg) if row[0] in kept]
-    assert res.summary.cum_regret == got[-1][1]
+    assert res.records == [row for row in eager_reference_run(cfg) if row.k in kept]
+    assert res.summary.cum_regret == res.records[-1].cum_regret
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["advantage", "hoeffding-stage", "classic-qucb"]),
+       st.integers(0, 5), st.integers(1, 300), st.integers(0, 3), st.data())
+def test_episode_view_and_csv_match_the_reference_rows(path, tmp_path_factory, algo, env_seed,
+                                                       episodes, seed, data):
+    # a run logging every episode, on either body: its records view and
+    # episodes.csv against the EpisodeRecord rows of the eager loop, and
+    # write_episode_csv of those rows as a plain list
+    cfg = RunConfig(env=replace(SMALL_ENV, env_seed=env_seed), algo=algo, episodes=episodes,
+                    seed=seed, log_every="all", cb=0.01, constants=TIGHT,
+                    out_dir=str(tmp_path_factory.mktemp("run")))
+    res = run_experiment(cfg)
+    rows = eager_reference_run(cfg)
+    index, bound = st.integers(-episodes, episodes - 1), st.integers(-episodes - 2, episodes + 2)
+    assert_view_matches(res.records, rows, {"at": [data.draw(index)],
+                                            "slices": [(data.draw(bound), data.draw(bound))]})
+    want = EPISODE_CSV_HEADER + "\n" + "".join(
+        "%d,%r,%r,%d,%d,%d,%d\n" % (r.k, r.episode_regret, r.cum_regret, r.cum_switching_cost,
+                                    r.cum_q_updates, r.cum_optimism_violations,
+                                    r.ref_states_fixed) for r in rows)
+    out = tmp_path_factory.mktemp("list") / "episodes.csv"
+    write_episode_csv(rows, out)
+    assert out.read_text() == want
+    with open(f"{cfg.out_dir}/episodes.csv") as f:
+        assert f.read() == want
+
+
+def test_logged_rows_cost_56_bytes_each():
+    # a run logging every episode keeps k and the four counts as int64 and
+    # the two regrets as float64: 56 bytes a row, plus the columns' growth
+    # slack, at 20,000 and at 80,000 episodes, and the tracemalloc peak
+    # grows by no more per added row
+    peaks = []
+    for K in (20_000, 80_000):
+        cfg = RunConfig(env=EnvSpec(kind="random", S=2, A=2, H=2), episodes=K, log_every="all")
+        tracemalloc.start()
+        res = run_experiment(cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(res.records) == K
+        assert sum(map(sys.getsizeof, res.records.columns)) <= 60 * K
+    assert peaks[1] - peaks[0] <= 60 * 60_000
 
 
 def test_optimism_counts_only_entries_strictly_below_the_threshold(monkeypatch, path):
@@ -305,10 +352,15 @@ def test_strict_mode_flags_violations():
     env = EnvSpec(kind="random", S=2, A=2, H=3, env_seed=0)
     res = run_experiment(RunConfig(env=env, constants=REDUCED,
                                    episodes=200, seed=0, strict=True))
-    # force a breach and re-check
+    # records is a read-only view: changing an item read from it changes
+    # nothing, and the run still passes
     res.records[0].episode_regret = -1.0
-    with pytest.raises(InvariantViolation):
-        enforce_invariants(res)
+    enforce_invariants(res)
+    # a breach in records given as a plain list of rows, as the benchmark's
+    # traced mode builds them
+    row = replace(res.records[0], episode_regret=-1.0)
+    with pytest.raises(InvariantViolation, match="k=1"):
+        enforce_invariants(replace(res, records=[row]))
 
 
 @pytest.mark.parametrize("starts", [[0, 0, 1, 0, 0, 0],
