@@ -1,10 +1,11 @@
-/* Compiled episode loop of the tabular learners (advantage,
- * hoeffding-stage, classic-qucb).
+/* Compiled episode loop of the tabular agents (advantage,
+ * hoeffding-stage, classic-qucb and the oracle).
  *
  * stageq_stretch plays whole episodes on the learner's own tables.  It
  * repeats the learner's Python observe operation for operation
  * (UcbAdvantageLearner.observe and _stage_update, or
- * ClassicQUcbLearner.observe, as the struct's mode says): the same
+ * ClassicQUcbLearner.observe, as the struct's mode says; the oracle's
+ * observe changes nothing and returns at once): the same
  * uniforms in the same order, the next state bisect_right picks from the
  * same cumulative rows (next_state counts the entries <= u, which form a
  * prefix of each row), the same double expressions evaluated left to
@@ -43,7 +44,7 @@
 #include <string.h>
 
 /* Which observe the kernel repeats (Learner.mode) */
-enum { MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB };
+enum { MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB, MODE_ORACLE };
 
 /* The stage learners use every field; classic-qucb leaves vref, the stage
  * accumulators and the stage-end tables NULL and reads cb and h3iota. */
@@ -233,6 +234,8 @@ static void observe_qucb(Learner *L, int64_t h, int64_t s, int64_t a,
 static int64_t observe(Learner *L, int64_t h, int64_t s, int64_t a,
                        int64_t s_next)
 {
+    if (L->mode == MODE_ORACLE)     /* plays pi* and never learns */
+        return 0;
     if (L->mode == MODE_CLASSIC_QUCB) {
         observe_qucb(L, h, s, a, s_next);
         return 0;

@@ -4,7 +4,9 @@ Every learner in this package keeps flat Q and V tables initialized
 optimistically to H - h + 1 (V carries an all-zero boundary row at index
 H), acts greedily with lowest-index tie-breaking, and is model-free: it is
 constructed from the MDP's dimensions and deterministic reward table only,
-never its transition kernels.  Subclasses implement observe(h, s, a,
+never its transition kernels.  The exception is the oracle
+(harness.OracleAgent), whose tables are Q*, V* and pi* of the full MDP and
+whose observe changes nothing.  Subclasses implement observe(h, s, a,
 s_next), which returns None, and keep the cumulative counters
 stage_end_count / q_update_count / ref_fixed_count current (and
 reference_wins, which only the stage learners move).  Those counters
@@ -78,6 +80,7 @@ class TabularQLearnerBase:
     """Common state, acting and rollout logic; see module docstring."""
 
     name = "base"
+    reference = False      # the stage learners' reference route (advantage module)
 
     def __init__(self, mdp: EpisodicMdp):
         S, A, H = mdp.S, mdp.A, mdp.H
@@ -172,6 +175,19 @@ class TabularQLearnerBase:
         return self._last_traj(), EpisodeReport(
             self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
 
+    def play_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
+        """run_stretch's stretch played one reference_episode at a time: the
+        path without the kernel, and the Python audit's.  Returns (starts,
+        traj): traj is the last episode's trajectory if it changed Q, else
+        None."""
+        starts = []
+        for k in range(first, stop):
+            traj, report = self.reference_episode(mdp, rng, k)
+            starts.append(traj[0][0])
+            if report.q_changed:
+                return starts, traj
+        return starts, None
+
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
         """Play episodes first, first + 1, ... (0-based, below stop) and stop
         after the first one that changes Q; rng is a harness.UniformStream.
@@ -182,14 +198,14 @@ class TabularQLearnerBase:
         Returns (played, changed): the number of episodes played, and
         whether Q changed in them.
 
-        Without the kernel this is play_stretch over reference_episode.
+        Without the kernel this is play_stretch.
         The kernel plays the stretch in one call (its uniforms read from
         one rng.doubles), which also ends at the end of the block of
         START_BLOCK start states that holds `first` (mdp.init.block, copied
         into _starts once per block); the caller then calls again.
         """
         if self._lib is None:
-            starts, traj = play_stretch(self.reference_episode, mdp, rng, first, stop)
+            starts, traj = self.play_stretch(mdp, rng, first, stop)
             return len(starts), traj is not None
         played = self._call(mdp, rng, first, stop - first, 0)
         return played, self._kstate.q_updates > 0
@@ -201,10 +217,20 @@ class TabularQLearnerBase:
         consumed and each round's first Q-changing one to changes, and
         skipping the rest of that round, uniforms too, up to a round start
         with consumed >= limit (a kernel call also ends at its start block's
-        end, or past it after a skip).  Returns (generated, consumed)."""
+        end, or past it after a skip; without the kernel, reference_episode
+        plays them one by one).  Returns (generated, consumed)."""
         if self._lib is None:
-            return play_rounds(self.reference_episode, mdp, rng, first, agents, consumed,
-                               limit, changes)
+            k = first
+            while k % agents or consumed < limit:
+                _, report = self.reference_episode(mdp, rng, k)
+                consumed += 1
+                if report.q_changed:
+                    changes.append(k)
+                    skip = agents - 1 - k % agents    # the round's discarded episodes
+                    rng.skip(skip * mdp.H)
+                    k += skip
+                k += 1
+            return k - first, consumed
         k = self._kstate
         k.first, k.consumed, k.limit = first, consumed, limit
         played = self._call(mdp, rng, first, START_BLOCK, agents)
@@ -309,33 +335,3 @@ class TabularQLearnerBase:
     def n_array(self) -> np.ndarray:
         return np.array(self._n, dtype=np.int64).reshape(self.H, self.S, self.A)
 
-
-def play_stretch(run_episode, mdp: EpisodicMdp, rng, first: int, stop: int):
-    """run_stretch's stretch played one run_episode(mdp, rng, k) call at a
-    time: the learners' path without the kernel, the oracle's, and the
-    Python audit's.  Returns (starts, traj): traj is the last episode's
-    trajectory if it changed Q, else None."""
-    starts = []
-    for k in range(first, stop):
-        traj, report = run_episode(mdp, rng, k)
-        starts.append(traj[0][0])
-        if report.q_changed:
-            return starts, traj
-    return starts, None
-
-
-def play_rounds(run_episode, mdp: EpisodicMdp, rng, first: int, agents: int,
-                consumed: int, limit: int, changes: list):
-    """run_rounds played one run_episode(mdp, rng, k) call at a time, to
-    the limit: the learners' path without the kernel, and the oracle's."""
-    k = first
-    while k % agents or consumed < limit:
-        _, report = run_episode(mdp, rng, k)
-        consumed += 1
-        if report.q_changed:
-            changes.append(k)
-            skip = agents - 1 - k % agents    # the round's discarded episodes
-            rng.skip(skip * mdp.H)
-            k += skip
-        k += 1
-    return k - first, consumed

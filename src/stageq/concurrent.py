@@ -157,7 +157,8 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
     draw that picks the output policy.  Initial states are indexed by
     global generation order, so a pre-committed initial-state sequence is
     spread across agents deterministically.  The rounds are played online
-    by the learner's run_rounds (see the module docstring).
+    by the learner's run_rounds (see the module docstring).  RuntimeError
+    once consumed passes budget + M - 1, which a correct run never reaches.
     """
     M = config.agents
     budget = config.budget(mdp.S, mdp.A, mdp.H)
@@ -176,6 +177,8 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
             limit = consumed + 1 if consumed <= hi else budget
         played, consumed = learner.run_rounds(mdp, env_rng, generated, M, consumed, limit, changes)
         generated += played
+        if consumed > budget + M - 1:   # past every round start a run can stop at
+            raise RuntimeError(f"run_rounds consumed {consumed} without ending at a round start")
 
     pick = int(u * consumed)
     chosen_flat = policies[max(c for c in policies if c <= pick)]

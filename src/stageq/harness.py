@@ -37,18 +37,20 @@ from __future__ import annotations
 
 import hashlib
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import kernel
 from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner
-from .base import EpisodeReport, play_rounds
+from .base import TabularQLearnerBase
 from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
-                  make_jao_chain, make_random_mdp, sample_episode, validate)
+                  make_jao_chain, make_random_mdp, validate)
 from .metrics import (Audit, EpisodeRecord, Table, grid_rows, switching_bound, write_csv,
                       write_episode_csv)
 
@@ -161,39 +163,24 @@ class EnvSpec:
 
 # ------------------------------------------------------------------ agents
 
-class OracleAgent:
-    """Debug agent that follows the exact optimal policy and never learns."""
+class OracleAgent(TabularQLearnerBase):
+    """Debug agent whose Q, V and greedy tables are Q*, V* and pi*: it
+    plays the exact optimal policy, and its observe changes nothing (the
+    kernel's MODE_ORACLE)."""
 
     name = "oracle"
 
     def __init__(self, mdp: EpisodicMdp):
-        self.S, self.A, self.H = mdp.S, mdp.A, mdp.H
+        super().__init__(mdp)
         tables, pistar = backward_induction(mdp)
-        self._qstar = tables.Q[:mdp.H].copy()
-        self._actions = [int(a) for a in np.asarray(pistar.actions).reshape(-1)]
-        self.stage_end_count = 0
-        self.q_update_count = 0
-        self.ref_fixed_count = 0
-        self.reference_wins = 0
+        self._q[:] = array("d", tables.Q[:mdp.H].ravel().tolist())
+        self._v[:] = array("d", tables.V.ravel().tolist())
+        self._greedy[:] = array("q", pistar.actions.ravel().tolist())
+        if self._lib is not None:
+            self._bind_kernel(mode=kernel.MODE_ORACLE)
 
-    def select_action(self, h: int, s: int) -> int:
-        return self._actions[h * self.S + s]
-
-    def run_episode(self, mdp, rng, episode_index: int = 0):
-        traj = sample_episode(mdp, self, rng, episode_index)
-        return traj, EpisodeReport(stage_ends=0, q_updates=0, refs_fixed=0)
-
-    def run_rounds(self, *args):
-        return play_rounds(self.run_episode, *args)
-
-    def greedy_actions_flat(self):
-        return list(self._actions)
-
-    def greedy_buffer(self):
-        return self._actions
-
-    def q_array(self) -> np.ndarray:
-        return self._qstar.copy()
+    def observe(self, h: int, s: int, a: int, s_next: int) -> None:
+        pass
 
     def check_invariants(self) -> None:
         pass
@@ -338,7 +325,7 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
     result = RunResult(config=config, records=audit.records, summary=summary,
                        learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
     if config.strict:
-        enforce_invariants(result, f.negative or None)
+        enforce_invariants(result, f.negative)
     return result
 
 
@@ -346,8 +333,8 @@ def enforce_invariants(result: RunResult, negative: Optional[int] = None) -> Non
     """Strict-mode checks; raises InvariantViolation on the first breach.
 
     negative is the first episode k with negative regret, as the audit loop
-    noted it; a caller that passes only a result has the first negative row
-    of result.records checked instead.
+    noted it, or 0 for none; a caller that passes only a result has the
+    first negative row of result.records checked instead.
     """
     s = result.summary
     learner = result.learner
@@ -360,8 +347,8 @@ def enforce_invariants(result: RunResult, negative: Optional[int] = None) -> Non
             f"n_switch {s.n_switch} exceeds deterministic bound {s.switch_bound:.1f}")
     if negative is None:
         ks, regrets = Table.columns_of(EpisodeRecord, result.records)[:2]
-        negative = next((k for k, reg in zip(ks, regrets) if reg < -1e-9), None)
-    if negative is not None:
+        negative = next((k for k, reg in zip(ks, regrets) if reg < -1e-9), 0)
+    if negative:
         raise InvariantViolation(f"negative episode regret at k={negative}")
 
 
@@ -440,15 +427,12 @@ def write_run_outputs(result: RunResult, out_dir) -> None:
     write_episode_csv(result.records, out / "episodes.csv")
     learner, H = result.learner, result.mdp.H
     write_q_csv(learner.q_array(), out / "snapshot_q.csv")
-    # no rows without a V table (the oracle); the Vref column stays empty
-    # for learners without a reference route
-    v, row = [], "%d,%d,%r,"
-    if hasattr(learner, "v_array"):
-        v.append(learner.v_array()[:H])
-    if getattr(learner, "reference", False):
+    # the Vref column stays empty for learners without a reference route
+    v, row = [learner.v_array()[:H]], "%d,%d,%r,"
+    if learner.reference:
         v.append(learner.vref_array()[:H])
         row += "%r"
-    write_csv(out / "snapshot_v.csv", "h,s,V,Vref", row, grid_rows(*v) if v else ())
+    write_csv(out / "snapshot_v.csv", "h,s,V,Vref", row, grid_rows(*v))
 
 
 def write_q_csv(q, path) -> None:

@@ -1,17 +1,18 @@
 """Build and load the compiled learner kernel (_kernel.c) through ctypes.
 
-The kernel plays episodes for all three tabular learners (advantage,
-hoeffding-stage and classic-qucb); the Learner struct's mode says whose
-observe it repeats.  With the audit fields set (from vstar0 to pending),
-it also audits every episode it plays, as metrics.Audit does in Python,
-and writes each one's audit row into the row buffers (row_reals,
-row_counts).  V^pi's layers are sums that NumPy's dot hands to its BLAS's
-ddot, whose order of addition depends on the CPU kernel OpenBLAS picks;
-the kernel calls that same function (ddot() finds it), so its layers are
-NumPy's bit for bit, and one call plays on through Q changes.  Where it is
-not found the struct's ddot stays NULL, a call ends at the first Q change
-and the layers are left to PolicyValueCache.evaluate.  With agents set
-(run_rounds), a call plays a concurrent run's rounds through Q changes.
+The kernel plays episodes for all four agents (advantage, hoeffding-stage,
+classic-qucb and the oracle, whose observe changes nothing); the Learner
+struct's mode says whose observe it repeats.  With the audit fields set
+(from vstar0 to pending), it also audits every episode it plays, as
+metrics.Audit does in Python, and writes each one's audit row into the
+row buffers (row_reals, row_counts).  V^pi's layers are sums that
+NumPy's dot hands to its BLAS's ddot, whose order of addition depends on
+the CPU kernel OpenBLAS picks; the kernel calls that same function (ddot()
+finds it), so its layers are NumPy's bit for bit, and one call plays on
+through Q changes.  Where it is not found the struct's ddot stays NULL, a
+call ends at the first Q change and the layers are left to
+PolicyValueCache.evaluate.  With agents set (run_rounds), a call plays a
+concurrent run's rounds through Q changes.
 The struct's last fields are the per-call values: u_index, count, agents,
 first, limit and consumed, set before each call, and the counter
 increments, error fields, top and n_changes that the call fills.
@@ -72,7 +73,7 @@ class Learner(ctypes.Structure):
 
 
 # Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)
-MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB = range(3)
+MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB, MODE_ORACLE = range(4)
 
 _UNSET = object()
 _lib = _ddot = _UNSET

@@ -37,8 +37,8 @@ products, which NumPy hands to its BLAS's ddot, and each BLAS kernel adds
 in an order of its own; the C layers call that same ddot (kernel.ddot),
 so they give the same bits.  Where it is not found, a call ends at each
 Q change and the layers stay with PolicyValueCache.evaluate.  Without the
-kernel, or for the oracle, every step runs in Python through the cache
-and OptimismTracker, a stretch ending at each Q change and kept row.
+kernel every step runs in Python through the cache and OptimismTracker,
+a stretch ending at each Q change and kept row.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from .base import play_stretch
 from .mdp import EpisodicMdp, ValueTables
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
@@ -295,10 +294,9 @@ class Audit:
     start states, and its kept rows are copied a column slice at a time;
     where the kernel found no ddot to sum V^pi's layers with, it ends at
     each Q change too, and the layers are recomputed here from the deepest
-    one the kernel reports.  Otherwise (the oracle,
-    or no C compiler) fields is this object and stretch runs the Python
-    body, which ends at each Q change and at the next kept k: the
-    reference the kernel must match row for row.
+    one the kernel reports.  Without a C compiler fields is this object
+    and stretch runs the Python body, which ends at each Q change and at
+    the next kept k: the reference the kernel must match row for row.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables):
@@ -307,8 +305,7 @@ class Audit:
         self.cache.values(learner.greedy_buffer())
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
         optimism = OptimismTracker(learner.q_array(), vstar.Q)
-        bind = getattr(learner, "bind_audit", None)
-        bound = bind and bind(self.cache, optimism, vstar.V[0])
+        bound = learner.bind_audit(self.cache, optimism, vstar.V[0])
         if bound:
             self.fields, self._reals, self._counts = bound
         else:
@@ -346,7 +343,7 @@ class Audit:
             self.switches = cache.switches
         vstar0, vpi0 = self._vstar0, self._vpi0
         cum_regret, negative = self.cum_regret, self.negative
-        starts, self._traj = play_stretch(learner.run_episode, self.mdp, rng, first, stop)
+        starts, self._traj = learner.play_stretch(self.mdp, rng, first, stop)
         for k, s1 in enumerate(starts, first + 1):
             reg = vstar0[s1] - vpi0[s1]
             cum_regret += reg

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import signal
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import assert_view_matches, sample_then_replay_concurrent
 
 from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
-                    EnvSpec, FrozenActor, InitialStates, OutOfRangeError,
+                    EnvSpec, FrozenActor, InitialStates, OracleAgent, OutOfRangeError,
                     UcbAdvantageLearner, build_schedule,
                     make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
@@ -542,3 +543,29 @@ def test_oracle_agent_runs_rounds():
     res = run_concurrent_experiment(env, cc, algo="oracle", seed=2)
     assert res.update_rounds == 0 and len(res.rounds) == 10
     assert res.output_policy.actions.ravel().tolist() == res.learner.greedy_actions_flat()
+
+
+def test_run_rounds_that_never_end_at_a_round_start_raise():
+    # each call after the first ends one episode past a round start, as a
+    # round skip one episode too long would: the runner never sees a round
+    # start again, and must raise once consumed passes budget + M - 1
+    # rather than loop for ever (the alarm fails the test if it hangs)
+    class OffRound(OracleAgent):
+        def run_rounds(self, mdp, rng, first, agents, consumed, limit, changes):
+            played = agents if first % agents else agents + 1
+            return played, consumed + played
+
+    def hung(signum, frame):
+        raise TimeoutError("run_concurrent did not return")
+
+    mdp = make_random_mdp(2, 2, 3, seed=0)
+    cc = ConcurrentConfig(agents=3, k_eps_override=30)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match="round start"):
+            run_concurrent(mdp, OffRound(mdp), cc, seeded_stream(0, 0, "env"),
+                           seeded_stream(0, 0, "policy-pick"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

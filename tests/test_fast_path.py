@@ -1,7 +1,7 @@
 """Gate for the learner hot paths.
 
 Every learner (advantage, hoeffding-stage with the reference route off,
-and classic-qucb) runs its episodes, in stretches, in the compiled kernel,
+classic-qucb, and the oracle, which never learns) runs its episodes, in stretches, in the compiled kernel,
 which must reproduce the reference path (reference_episode, which is
 sample_episode feeding observe) bit for bit: the same trajectories,
 reports, tables, counters and stream position.  Recorded trajectories
@@ -14,6 +14,7 @@ every episode and every replayed trajectory it must equal np.argmax of Q.
 """
 
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -28,10 +29,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stageq import (AlgoConstants, ClassicQUcbLearner, EnvSpec, EpisodicMdp,
-                    HoeffdingStageLearner, InitialStates, NonStochasticRow, OutOfRangeError,
-                    RunConfig, UcbAdvantageLearner, backward_induction, kernel, load_mdp,
-                    make_jao_chain, make_random_mdp, save_mdp, seeded_stream, validate)
+from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec, EpisodicMdp,
+                    HoeffdingStageLearner, InitialStates, NonStochasticRow, OracleAgent,
+                    OutOfRangeError, RunConfig, UcbAdvantageLearner, backward_induction,
+                    kernel, load_mdp, make_jao_chain, make_random_mdp,
+                    run_concurrent_experiment, save_mdp, seeded_stream, validate)
 from stageq import harness
 from stageq.concurrent import replay_into
 from stageq.metrics import Audit, OptimismTracker, PolicyValueCache
@@ -150,6 +152,18 @@ def test_kernel_learner_mirrors_the_c_struct_field_by_field():
     want = c_struct_fields(kernel.SOURCE.read_text(), "Learner")
     assert [(name, kinds[ctype]) for name, ctype in kernel.Learner._fields_] == want
     assert ("ddot", "pointer") in want and ("row_counts", "pointer") in want
+
+
+def test_kernel_modes_follow_the_c_enum():
+    # the struct-size check at load cannot see a mode added on one side
+    # only, or two modes swapped: kernel.py's MODE_* names, in their
+    # numeric order 0, 1, ..., must be the C enum's list
+    enum = re.search(r"enum \{\s*(MODE_\w+(?:\s*,\s*MODE_\w+)*)\s*\}",
+                     kernel.SOURCE.read_text()).group(1)
+    modes = sorted((value, name) for name, value in vars(kernel).items()
+                   if name.startswith("MODE_"))
+    assert [name for _, name in modes] == re.split(r"\s*,\s*", enum)
+    assert [value for value, _ in modes] == list(range(len(modes)))
 
 
 def test_kernel_rejects_a_stream_without_blocks():
@@ -539,7 +553,7 @@ def test_audited_run_matches_fallback(monkeypatch, lower_vstar, inst, algo):
     assert results["kernel"] == results["fallback"]
     pow2 = sorted({1 << i for i in range(K.bit_length())} | {K})
     assert [r.k for r in results["kernel"][0]] == pow2
-    assert negatives == [FIRST_NEGATIVE.get((inst, algo))] * 2
+    assert negatives == [FIRST_NEGATIVE.get((inst, algo), 0)] * 2
     assert results["kernel"][1].q_updates > 0 or algo == "hoeffding-stage"
 
 
@@ -922,3 +936,49 @@ def test_greedy_table_tracks_q_for_every_learner(inst):
         updated[lr.name] = lr.q_update_count > 0
     assert updated["advantage"] and updated["classic-qucb"]
     assert updated["hoeffding-stage"] or mdp.H > 2
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_oracle_episodes_match_reference_path(inst, path):
+    # the oracle never changes Q, so check_episodes_match_reference (which
+    # requires updates) does not serve: episode by episode, run_episode
+    # against reference_episode, and the stream position after them
+    _, make_mdp, _, K = inst
+    mdp = make_mdp()
+    fast, ref = OracleAgent(mdp), OracleAgent(mdp)
+    assert uses_kernel(fast, path)
+    rng_fast, rng_ref = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
+    for k in range(K // 4):
+        assert fast.run_episode(mdp, rng_fast, k) == ref.reference_episode(mdp, rng_ref, k)
+    assert_same_stream(rng_fast, rng_ref)
+    assert fast.q_update_count == fast.stage_end_count == 0
+    assert_greedy_current(fast)
+
+
+# SHA-256 of an oracle run's and concurrent run's files.  episodes.csv,
+# snapshot_q.csv and rounds.csv were recorded while the oracle had its own
+# Python loops; snapshot_v.csv (V*'s rows) was header-only then.
+ORACLE_PINS = {
+    "episodes.csv": "03eb43c871127c31661540cf02c70b05f5592d86ea4caadcb29c8a76fc14cb25",
+    "snapshot_q.csv": "9d2e44171a470d49a1bb53e3e80812fb89a37deade1b77b2e3bdaeef6afc301a",
+    "snapshot_v.csv": "765982e7c26b03fb7d05ccc2242439f2be27f3084e759bff41e6f46e79883e39",
+    "rounds.csv": "39ffb9304258286fc006baa30636ec35f4915f56bd69443a6e35f93e5ed9453b",
+}
+
+
+def test_oracle_outputs_are_the_same_on_both_paths(path, tmp_path):
+    # a strict run logging every episode, over two blocks of start states,
+    # and a concurrent run: the same bytes on the kernel and the fallback;
+    # with the kernel, the kernel audits the oracle's episodes too
+    env = EnvSpec(kind="random", S=4, A=3, H=5, env_seed=2, init=InitialStates.seeded(3))
+    res = harness.run_experiment(RunConfig(env=env, algo="oracle", episodes=600, seed=4,
+                                           log_every="all", strict=True,
+                                           out_dir=str(tmp_path)))
+    assert uses_kernel(res.learner, path)
+    run_concurrent_experiment(env, ConcurrentConfig(agents=4, k_eps_override=700),
+                              algo="oracle", seed=5, out_dir=tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ORACLE_PINS}
+    assert got == ORACLE_PINS
+    audit = Audit(OracleAgent(res.mdp), res.mdp, res.vstar)
+    assert isinstance(audit.fields, kernel.Learner) == (path == "kernel")

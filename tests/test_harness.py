@@ -363,6 +363,22 @@ def test_strict_mode_flags_violations():
         enforce_invariants(replace(res, records=[row]))
 
 
+def test_strict_run_without_negative_regret_scans_no_rows(monkeypatch):
+    # the audit noted no negative episode (0), so enforce_invariants does
+    # not read the kept rows' columns again; a caller that passes no first
+    # negative k (None) still has them scanned
+    scans = []
+    columns_of = metrics.Table.columns_of
+    monkeypatch.setattr(metrics.Table, "columns_of",
+                        staticmethod(lambda *args: scans.append(args) or columns_of(*args)))
+    env = EnvSpec(kind="random", S=2, A=2, H=3, env_seed=0)
+    res = run_experiment(RunConfig(env=env, constants=REDUCED, episodes=200, seed=0,
+                                   log_every="all", strict=True))
+    assert len(res.records) == 200 and scans == []
+    enforce_invariants(res)
+    assert len(scans) == 1
+
+
 @pytest.mark.parametrize("starts", [[0, 0, 1, 0, 0, 0],
                                     [0, 0, 1, 0, 1, 0]])   # two: the first is named
 def test_strict_mode_flags_negative_regret_on_unlogged_episode(lower_vstar, starts):
