@@ -31,6 +31,15 @@
  * a call plays through Q changes, skipping the rest of each Q-changing
  * episode's round, and stops at a round start at the caller's limit.
  *
+ * The uniforms are the stream's (harness.UniformStream): PCG64's
+ * next_double sequence, the values Generator.random draws.  Each double
+ * takes exactly one 64-bit output, one step of the generator's 128-bit
+ * state, so the kernel reads the unread tail of the stream's buffer and
+ * then steps the generator's own state in place (pcg64_double), writing it
+ * back when the call ends; its draws and the stream's buffered ones can be
+ * swapped for one another, and the buffer's size is a detail.  The start
+ * states are read in place from the block InitialStates.block returns.
+ *
  * The learner is described by one Learner struct whose layout kernel.py
  * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
  * struct alone, so that a call from Python converts one argument; the
@@ -74,7 +83,9 @@ typedef struct {
     /* what a stretch reads besides the tables; set when it changes */
     const double *cum;      /* the MDP's (H, S, A, S) cumulative rows */
     const double *mdp_rew;  /* the MDP's (H, S, A) rewards, for path_r */
-    const double *u;        /* the stream's block of uniforms */
+    const double *u;        /* the stream's buffer of uniforms */
+    uint64_t *pcg;          /* its generator's PCG64 state and increment, two
+                               128-bit integers stored low word first */
     const int64_t *starts;  /* the initial states of the episodes to play */
     const double *P;        /* the MDP's (H, S, A, S) transition rows */
     /* the audit, on when vstar0 is set; its running values are read by
@@ -103,6 +114,8 @@ typedef struct {
                                differs; added to switches when the next plays */
     /* per-call inputs */
     int64_t u_index;        /* index in u of the first unread uniform */
+    int64_t u_avail;        /* unread uniforms at u + u_index; past them the
+                               kernel steps pcg */
     int64_t count;          /* episodes to play at most; with the audit, at
                                most the rows the row buffers hold */
     int64_t agents;         /* M, the episodes of a concurrent round, or 0 */
@@ -111,7 +124,8 @@ typedef struct {
                                once consumed (episodes kept, in and out) >= limit */
     /* per-call outputs, each set by stageq_stretch */
     int64_t stage_ends, q_updates, refs_fixed, ref_wins;   /* counter increments */
-    int64_t used;           /* uniforms read or skipped */
+    int64_t used;           /* uniforms read or skipped, from the buffer's
+                               tail first, then from pcg */
     int64_t bad_n;          /* visit count above n_max, or 0 */
     int64_t bad_index;      /* 1 if a state or action was out of range */
     int64_t top;            /* with no ddot, the deepest layer the audit's table
@@ -123,6 +137,21 @@ typedef struct {
 int64_t stageq_learner_size(void)
 {
     return (int64_t)sizeof(Learner);
+}
+
+/* NumPy's PCG64 (pcg64.h, 128-bit arithmetic): step the LCG, then the
+ * XSL-RR output of the new state, then next_double's top 53 bits. */
+__extension__ typedef unsigned __int128 u128;
+#define PCG64_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static double pcg64_double(u128 *state, u128 inc)
+{
+    u128 x = *state * PCG64_MULT + inc;
+    *state = x;
+    uint64_t hi = (uint64_t)(x >> 64), xs = hi ^ (uint64_t)x;
+    unsigned rot = (unsigned)(hi >> 58);
+    uint64_t out = (xs >> rot) | (xs << ((64 - rot) & 63));
+    return (double)(out >> 11) * (1.0 / 9007199254740992.0);
 }
 
 static double safe_ratio(double num, int64_t den)
@@ -339,7 +368,7 @@ static void audit_layers(Learner *L)
 }
 
 /* Play up to count episodes with initial states starts[0..), drawing one
- * uniform per step from u + u_index (count*H of them must be readable).
+ * uniform per step: the u_avail at u + u_index, then from pcg.
  * With the audit on, each episode is audited and its row written; with
  * ddot too, the call plays through Q changes.  With agents = M, starts[0]
  * is generated episode first; every episode played is consumed, and after
@@ -355,6 +384,9 @@ int64_t stageq_stretch(Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
     const double *u = L->u + L->u_index;
+    int64_t avail = L->u_avail;
+    u128 state = (u128)L->pcg[1] << 64 | L->pcg[0];
+    u128 inc = (u128)L->pcg[3] << 64 | L->pcg[2];
     const int64_t *starts = L->starts;
     int64_t count = L->count, M = L->agents;
     int64_t played = 0, used = 0;
@@ -382,7 +414,9 @@ int64_t stageq_stretch(Learner *L)
         for (int64_t h = 0; h < H && !bad; h++) {
             int64_t i2 = h * S + s;
             int64_t a = L->greedy[i2];
-            int64_t s_next = next_state(L->cum + (i2 * A + a) * S, S, u[used++]);
+            double x = used < avail ? u[used] : pcg64_double(&state, inc);
+            used++;
+            int64_t s_next = next_state(L->cum + (i2 * A + a) * S, S, x);
             L->path_s[h] = s;
             L->path_a[h] = a;
             L->path_next[h] = s_next;
@@ -414,7 +448,10 @@ int64_t stageq_stretch(Learner *L)
             if (changed) {
                 L->changes[L->n_changes++] = L->first + played - 1;
                 played += M - 1 - j;
-                used += (M - 1 - j) * H;
+                int64_t to = used + (M - 1 - j) * H;
+                for (int64_t i = used > avail ? used : avail; i < to; i++)
+                    state = state * PCG64_MULT + inc;
+                used = to;
                 j = 0;
             } else if (++j == M)
                 j = 0;
@@ -423,5 +460,7 @@ int64_t stageq_stretch(Learner *L)
             break;
     }
     L->used = used;
+    L->pcg[0] = (uint64_t)state;
+    L->pcg[1] = (uint64_t)(state >> 64);
     return L->bad_n || L->bad_index ? -1 : played;
 }

@@ -274,14 +274,15 @@ class UcbAdvantageLearner(TabularQLearnerBase):
         assert np.all(v[H] == 0.0) and np.all(vref[H] == 0.0), "nonzero boundary row"
         fixed = self.ref_fixed_array()
         assert np.all(vref[:H][~fixed] == float(H)), "unfixed Vref moved"
-        nchk = self.ncheck_array()
-        n = self.n_array()
-        for (h, s, a) in zip(*np.nonzero(n)):
-            idx = self.schedule.stage_index(int(n[h, s, a]))
-            done = self.schedule.ends[idx - 1] == n[h, s, a]
-            mass = self.schedule.ends[idx - 2] if idx > 1 else 0
-            expect = 0 if done else n[h, s, a] - mass
-            assert nchk[h, s, a] == expect, "Ncheck != visits since last stage end"
+        n, ends = self.n_array(), self.schedule.ends
+        over = n[n > self.schedule.n_max]
+        if over.size:
+            raise OutOfRangeError(int(over[0]), self.schedule.n_max)
+        j = np.searchsorted(ends, n)     # the 0-based stage each count falls in
+        since = n - np.where(j > 0, ends[j - 1], 0)
+        expect = np.where(ends[j] == n, 0, since)     # 0 where a stage just ended
+        assert np.array_equal(self.ncheck_array(), expect), \
+            "Ncheck != visits since last stage end"
 
 
 class HoeffdingStageLearner(UcbAdvantageLearner):

@@ -18,10 +18,15 @@ both Python and the compiled kernel (_kernel.c, loaded by the kernel
 module) read and write in place; numpy copies are exported on demand.
 With the kernel, run_stretch plays whole episodes in C for every learner
 here (the Learner struct's mode says whose observe it repeats) and
-run_episode is a one-episode stretch, both reading their uniforms and
-start states in blocks (rng.doubles, InitialStates.block), and so does
-run_rounds, which plays a concurrent run's rounds through Q changes;
-recorded trajectories (observe_trajectory) go through Python observe.
+run_episode is a one-episode stretch; run_rounds plays a concurrent run's
+rounds through Q changes.  A call reads its start states in place from
+the block InitialStates.block returns, and its uniforms from the stream
+(harness.UniformStream): PCG64's next_double sequence, one 64-bit output
+per double, so the kernel reads the unread tail of the stream's buffer
+(whose size is a detail), then draws the rest itself by stepping the
+generator's state in place, and its draws and Python's random() can be
+swapped for one another.  Recorded trajectories (observe_trajectory) go
+through Python observe.
 The tuple trajectory is built from the kernel's path buffers by
 run_episode alone.
 Without a C compiler run_episode is reference_episode (sample_episode
@@ -102,13 +107,11 @@ class TabularQLearnerBase:
         by address and numbers as they are.  The learner keeps every array
         alive, and the buffers never resize, so the addresses stay valid
         for its life.  The struct's per-call fields are run_stretch's and
-        run_rounds': starts, u_index, count, agents, first, limit and
-        consumed in, the counter increments, errors and changes out."""
+        run_rounds': starts, u_index, u_avail, count, agents, first, limit
+        and consumed in, the counter increments, errors and changes out."""
         H = self.H
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
-        self._starts = array("q", [0]) * START_BLOCK   # the block of start states at hand
-        self._starts_at = self._starts.buffer_info()[0]
         self._changes = array("q", [0]) * START_BLOCK  # at most one per episode of a call
         for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
                      "path_r", "changes"):
@@ -118,10 +121,9 @@ class TabularQLearnerBase:
             for name, value in fields.items()})
         self._kaddr = kernel.ctypes.addressof(self._kstate)
         self._stretch = self._lib.stageq_stretch
-        # what the struct's P, cum, mdp_rew and u point into now: the
-        # (frozen) MDP, and the stream's uniform block
-        self._mdp = None
-        self._ublock = None
+        # what the struct's P, cum, mdp_rew, starts, u and pcg point into
+        # now: the (frozen) MDP, its block of start states, and the stream
+        self._mdp = self._starts = self._rng = None
 
     # ------------------------------------------------------------ acting
 
@@ -199,10 +201,9 @@ class TabularQLearnerBase:
         whether Q changed in them.
 
         Without the kernel this is play_stretch.
-        The kernel plays the stretch in one call (its uniforms read from
-        one rng.doubles), which also ends at the end of the block of
-        START_BLOCK start states that holds `first` (mdp.init.block, copied
-        into _starts once per block); the caller then calls again.
+        The kernel plays the stretch in one call, which also ends at the
+        end of the block of START_BLOCK start states that holds `first`
+        (mdp.init.block, read in place); the caller then calls again.
         """
         if self._lib is None:
             starts, traj = self.play_stretch(mdp, rng, first, stop)
@@ -242,21 +243,33 @@ class TabularQLearnerBase:
         k = self._kstate
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
+        if rng is not self._rng:
+            self._bind_stream(rng)
         b, j = divmod(first, START_BLOCK)
         if b != self._block:
-            self._starts[:] = array("q", mdp.init.block(b, self.S))
+            starts = mdp.init.block(b, self.S)
+            if starts is not self._starts:
+                self._starts, self._starts_at = starts, starts.obj.ctypes.data
             self._block = b
-        k.count = n = min(count, START_BLOCK - j)
-        k.agents = agents
-        block, k.u_index = rng.doubles(self.H * n)
-        if block is not self._ublock:
-            self._ublock = block
-            k.u = block.ctypes.data
         k.starts = self._starts_at + 8 * j     # int64 entries
+        k.count = min(count, START_BLOCK - j)
+        k.agents = agents
+        i = rng._i
+        k.u_index, k.u_avail = i, rng.BLOCK - i
         played = self._stretch(self._kaddr)
-        rng.skip(k.used)
+        # past the buffer's tail the kernel stepped the generator itself
+        rng._i = min(i + k.used, rng.BLOCK)
         self._add_counts()
         return played
+
+    def _bind_stream(self, rng) -> None:
+        """Point the struct's u and pcg at rng's buffer and its PCG64's
+        state (TypeError for another generator); both stay where they are
+        for the stream's life, and the learner holds the stream."""
+        k = self._kstate
+        k.pcg = kernel.pcg64_state(rng.generator.bit_generator)
+        k.u = rng._buf.ctypes.data
+        self._rng = rng
 
     def _bind_mdp(self, mdp: EpisodicMdp) -> None:
         cum = mdp.cum_array()      # freezes the MDP: P and r are C-ordered float64
@@ -266,7 +279,7 @@ class TabularQLearnerBase:
         k = self._kstate
         k.cum, k.mdp_rew, k.P = cum.ctypes.data, mdp.r.ctypes.data, mdp.P.ctypes.data
         self._mdp = mdp
-        self._block = None         # which block of mdp's start states _starts holds
+        self._block = None         # which block of mdp's start states the struct reads
 
     def bind_audit(self, cache, optimism, vstar0):
         """Have the kernel audit every episode this learner plays from now

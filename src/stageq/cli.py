@@ -33,7 +33,7 @@ from .harness import (CONFIG_KEYS, ConfigError, InvariantViolation,
                       parse_kv_file, run_concurrent_experiment, run_experiment,
                       sweep_scaling, write_q_csv, write_sweep_csv)
 from .mdp import MdpValidationError, backward_induction, save_mdp, validate
-from .metrics import grid_rows, write_csv
+from .metrics import grid_lines, write_csv
 from .stages import build_schedule
 
 
@@ -121,12 +121,12 @@ def cmd_solve(args) -> int:
     if args.save_mdp:
         save_mdp(mdp, args.save_mdp)
         print(f"saved environment to {args.save_mdp}")
-    write_csv(sys.stdout, "h,s,V_star,action_star", "%d,%d,%r,%d",
-              grid_rows(tables.V[:mdp.H], pistar.actions))
+    write_csv(sys.stdout, "h,s,V_star,action_star", "%s",
+              grid_lines(tables.V[:mdp.H], pistar.actions))
     if cfg.out_dir:
         outdir = Path(cfg.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(outdir / "vstar.csv", "h,s,V", "%d,%d,%r", grid_rows(tables.V))
+        write_csv(outdir / "vstar.csv", "h,s,V", "%s", grid_lines(tables.V))
         write_q_csv(tables.Q[:mdp.H], outdir / "qstar.csv")
         print(f"wrote optimal tables to {outdir}")
     return 0

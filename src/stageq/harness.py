@@ -51,7 +51,7 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, validate)
-from .metrics import (Audit, EpisodeRecord, Table, grid_rows, switching_bound, write_csv,
+from .metrics import (Audit, EpisodeRecord, Table, grid_lines, switching_bound, write_csv,
                       write_episode_csv)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
@@ -68,53 +68,41 @@ class InvariantViolation(Exception):
 # ----------------------------------------------------------------- streams
 
 class UniformStream:
-    """Uniforms in [0, 1) from PCG64, drawn through a fixed 4096-block buffer.
+    """Uniforms in [0, 1): PCG64's next_double sequence, the values
+    Generator.random draws from the generator seeded with seed_seq.
 
-    The block size is part of the stream definition: the sequence equals
-    numpy's block draws regardless of any scalar/block equivalence, so the
-    contract is stable across numpy versions and platforms.
+    Each double takes exactly one 64-bit output, one step of the
+    generator's 128-bit state, so how the sequence is read changes no value
+    of it: random() reads a buffer that it refills in place, and the
+    compiled kernel reads the buffer's unread tail, then steps the
+    generator's state itself (kernel.pcg64_state); the two can be swapped
+    for one another.  The BLOCK-entry buffer is a detail.  generator is
+    PCG64's, and is not replaced once the stream has been read.
     """
 
     BLOCK = 4096
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self.generator = np.random.Generator(np.random.PCG64(seed_seq))
-        self._block = np.empty(0)  # the buffered uniforms
-        self._view = memoryview(self._block)   # the same, read as Python floats
-        self._i = 0                # the next unread uniform
+        self._buf = np.empty(self.BLOCK)       # the buffered uniforms
+        self._view = memoryview(self._buf)     # the same, read as Python floats
+        self._i = self.BLOCK                   # the next unread uniform: none yet
 
     def random(self) -> float:
         i = self._i
-        if i == len(self._view):
-            self._block = self.generator.random(self.BLOCK)
-            self._view = memoryview(self._block)
+        if i == self.BLOCK:
+            self.generator.random(out=self._buf)
             i = 0
         self._i = i + 1
         return self._view[i]
 
-    def doubles(self, need: int):
-        """(block, i): the buffer as a float64 array and the index of the
-        next unread uniform, with at least `need` unread.  Fewer are topped
-        up by drawing the next blocks early, which changes no value of the
-        sequence.  A reader of block[i:i + m] then calls skip(m)."""
-        i = self._i
-        if len(self._block) - i < need:
-            parts = [self._block[i:]]
-            while sum(map(len, parts)) < need:
-                parts.append(self.generator.random(self.BLOCK))
-            self._block = np.concatenate(parts)
-            self._view = memoryview(self._block)
-            self._i = i = 0
-        return self._block, i
-
     def skip(self, m: int) -> None:
-        """Mark m uniforms read, as m calls of random() would: the blocks
-        that m passes over are drawn and dropped."""
+        """Mark m uniforms read, as m calls of random() would: past the
+        buffer's tail the generator's state advances by the rest."""
         i = self._i + m
-        while i > len(self._block):
-            i -= len(self._block)
-            self._block = self.generator.random(self.BLOCK)
-            self._view = memoryview(self._block)
+        if i > self.BLOCK:
+            self.generator.bit_generator.advance(i - self.BLOCK)
+            i = self.BLOCK
         self._i = i
 
     def integers(self, n: int) -> int:
@@ -428,16 +416,16 @@ def write_run_outputs(result: RunResult, out_dir) -> None:
     learner, H = result.learner, result.mdp.H
     write_q_csv(learner.q_array(), out / "snapshot_q.csv")
     # the Vref column stays empty for learners without a reference route
-    v, row = [learner.v_array()[:H]], "%d,%d,%r,"
+    v = [learner.v_array()[:H]]
     if learner.reference:
         v.append(learner.vref_array()[:H])
-        row += "%r"
-    write_csv(out / "snapshot_v.csv", "h,s,V,Vref", row, grid_rows(*v))
+    write_csv(out / "snapshot_v.csv", "h,s,V,Vref", "%s" if learner.reference else "%s,",
+              grid_lines(*v))
 
 
 def write_q_csv(q, path) -> None:
     """An (H, S, A) Q table's rows: snapshot_q.csv and solve's qstar.csv."""
-    write_csv(path, "h,s,a,Q", "%d,%d,%d,%r", grid_rows(q))
+    write_csv(path, "h,s,a,Q", "%s", grid_lines(q))
 
 
 # ------------------------------------------------------------- config files

@@ -13,9 +13,21 @@ through Q changes.  Where it is not found the struct's ddot stays NULL, a
 call ends at the first Q change and the layers are left to
 PolicyValueCache.evaluate.  With agents set (run_rounds), a call plays a
 concurrent run's rounds through Q changes.
-The struct's last fields are the per-call values: u_index, count, agents,
-first, limit and consumed, set before each call, and the counter
+The struct's last fields are the per-call values: u_index, u_avail, count,
+agents, first, limit and consumed, set before each call, and the counter
 increments, error fields, top and n_changes that the call fills.
+
+The uniforms are the stream's (harness.UniformStream): PCG64's next_double
+sequence, one 64-bit output, one step of the 128-bit state, per double.  So
+the kernel reads the unread tail of the stream's buffer, then steps the
+generator's own state in place (pcg64_state finds it through the bit
+generator's public ctypes.state_address), and the stream's buffered draws
+and the kernel's can be swapped for one another; the buffer's size is a
+detail.  load() checks once per interpreter that the state and increment
+lie where the kernel reads them, against the public bit_generator.state;
+where they do not, it returns None.  The kernel steps the state with
+unsigned __int128, so a compiler without it fails the build, and load()
+returns None there too.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library
@@ -60,14 +72,14 @@ class Learner(ctypes.Structure):
                 + [(name, c_double) for name in ("cb", "h3iota")]
                 + [(name, c_void_p) for name in (
                     "path_s", "path_a", "path_next", "path_r",
-                    "cum", "mdp_rew", "u", "starts", "P",
+                    "cum", "mdp_rew", "u", "pcg", "starts", "P",
                     "vstar0", "vpi", "thr", "below", "last", "p_pi", "r_pi", "row_reals",
                     "row_counts", "changes", "ddot")]
                 + [("episodes", c_int64)]
                 + [(name, c_double) for name in ("reg", "cum_regret")]
                 + [(name, c_int64) for name in (
                     "negative", "optimism", "violations", "switches", "pending",
-                    "u_index", "count", "agents", "first", "limit", "consumed",
+                    "u_index", "u_avail", "count", "agents", "first", "limit", "consumed",
                     "stage_ends", "q_updates", "refs_fixed", "ref_wins", "used",
                     "bad_n", "bad_index", "top", "n_changes")])
 
@@ -80,14 +92,42 @@ _lib = _ddot = _UNSET
 
 
 def load():
-    """The kernel library with its prototypes set, or None without one.
+    """The kernel library with its prototypes set, or None without one or
+    where PCG64's state is not laid out as the kernel reads it.
 
     Builds at most once per interpreter; later calls return the same object.
     """
     global _lib
     if _lib is _UNSET:
-        _lib = _open()
+        _lib = _open() if _pcg64_layout_matches() else None
     return _lib
+
+
+def pcg64_state(bit_generator) -> int:
+    """The address of a PCG64's 128-bit state and increment, which the
+    kernel steps in place; TypeError for any other bit generator."""
+    from numpy.random import PCG64
+    if not isinstance(bit_generator, PCG64):
+        raise TypeError("the kernel draws from a PCG64 stream, not "
+                        f"{type(bit_generator).__name__}")
+    # state_address points at NumPy's pcg64_state, whose first field points
+    # at the generator's state and increment
+    return c_void_p.from_address(bit_generator.ctypes.state_address).value
+
+
+def _pcg64_layout_matches() -> bool:
+    """Whether a PCG64's state and increment are the two 128-bit integers,
+    low word first, at pcg64_state's address inside the bit generator,
+    that its public state dict gives."""
+    from numpy.random import PCG64
+    bits = PCG64(0x5EED)
+    at = pcg64_state(bits)
+    if not id(bits) <= at <= id(bits) + sys.getsizeof(bits) - 32:
+        return False    # not inside the object (id is its address): read nothing there
+    words = (ctypes.c_uint64 * 4).from_address(at)
+    state = bits.state["state"]
+    return (words[0] | words[1] << 64, words[2] | words[3] << 64) == (
+        state["state"], state["inc"])
 
 
 def ddot():

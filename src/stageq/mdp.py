@@ -107,18 +107,21 @@ class InitialStates:
     def state(self, k: int, S: int) -> int:
         return self.block(k // START_BLOCK, S)[k % START_BLOCK]
 
-    def block(self, b: int, S: int) -> list:
-        """The starts of episodes START_BLOCK*b ... START_BLOCK*(b + 1) - 1,
-        as a list the caller must not change.  A seeded block before the
-        last one restarts the private generator, which draws the same
-        values again, since the sequence depends on the seed alone."""
-        if self._last is not None and self._last[:2] == (b, S):
-            return self._last[2]
+    def block(self, b: int, S: int) -> memoryview:
+        """The starts of episodes START_BLOCK*b ... START_BLOCK*(b + 1) - 1:
+        a read-only memoryview of an int64 array (its obj, which the
+        compiled kernel reads in place) whose items index as Python ints.
+        The fixed kind returns one block for every b.  A seeded block
+        before the last one restarts the private generator, which draws the
+        same values again, since the sequence depends on the seed alone."""
+        last = self._last
+        if last is not None and (last[:2] == (b, S) or self.kind == "fixed"):
+            return last[2]
         if self.kind == "fixed":
-            starts = [self.states[0]] * START_BLOCK
+            starts = np.full(START_BLOCK, self.states[0], dtype=np.int64)
         elif self.kind == "cyclic":
-            seq, m = self.states, len(self.states)
-            starts = [seq[k % m] for k in range(b * START_BLOCK, (b + 1) * START_BLOCK)]
+            seq = np.array(self.states, dtype=np.int64)
+            starts = seq[np.arange(b * START_BLOCK, (b + 1) * START_BLOCK) % len(seq)]
         else:
             gen, nxt, bound = self._gen or (None, 0, S)
             if bound != S:
@@ -126,10 +129,12 @@ class InitialStates:
             if gen is None or b < nxt:
                 gen, nxt = np.random.default_rng(self.seed), 0    # PCG64, SeedSequence(seed)
             for _ in range(nxt, b + 1):
-                starts = gen.integers(0, S, size=START_BLOCK).tolist()
+                starts = gen.integers(0, S, size=START_BLOCK, dtype=np.int64)
             object.__setattr__(self, "_gen", (gen, b + 1, S))
-        object.__setattr__(self, "_last", (b, S, starts))
-        return starts
+        starts.setflags(write=False)
+        block = memoryview(starts)
+        object.__setattr__(self, "_last", (b, S, block))
+        return block
 
 
 # ------------------------------------------------------------ core types

@@ -48,7 +48,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice
+from itertools import islice, product
 from math import log
 from operator import attrgetter
 
@@ -364,21 +364,28 @@ def write_csv(out, header: str, row_format: str, rows) -> None:
     """The one writer of stageq's tables: the header, then row_format % row
     per row, 1024 rows a write, to a path or an open text file (sys.stdout).
     Commas, floats by repr (%r), integers as decimals (%d); cells must be
-    Python numbers (tolist(), attributes): %r of an np.float64 prints np.float64(...)."""
+    Python numbers (tolist(), attributes): %r of an np.float64 prints np.float64(...).
+    With row_format "%s" each row is its finished line, written as it is."""
     if not hasattr(out, "write"):
         with open(out, "w") as f:
             return write_csv(f, header, row_format, rows)
-    line, rows = row_format + "\n", iter(rows)
+    lines = iter(rows if row_format == "%s" else map(row_format.__mod__, rows))
     out.write(header + "\n")
-    while chunk := "".join([line % row for row in islice(rows, 1024)]):
-        out.write(chunk)
+    while chunk := list(islice(lines, 1024)):
+        out.write("\n".join(chunk) + "\n")
 
 
-def grid_rows(*tables):
-    """Rows (index..., value...) over the cells of same-shaped arrays in C
-    order: each cell's indices, then its value in each table."""
-    index = np.indices(tables[0].shape).reshape(tables[0].ndim, -1).tolist()
-    return zip(*index, *(t.ravel().tolist() for t in tables))
+def grid_lines(*tables):
+    """The lines of a table over the cells of same-shaped arrays in C order,
+    for write_csv's "%s": each cell's indices, then its value in each table
+    by repr (which prints a float as %r does, and a Python int as %d),
+    comma-separated.  Each axis's labels ("0,", "1,", ...) are formatted
+    once, and each cell's index prefix ("h,s,a,") is a join of them, made
+    as it is written."""
+    prefixes = map("".join, product(*([f"{i}," for i in range(n)] for n in tables[0].shape)))
+    cells = [map(repr, t.ravel().tolist()) for t in tables]
+    return map(str.__add__, prefixes,
+               cells[0] if len(cells) == 1 else map(",".join, zip(*cells)))
 
 
 def write_episode_csv(records, path) -> None:

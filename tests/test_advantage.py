@@ -270,6 +270,23 @@ def test_invariants_hold_with_reference_fixing():
     lr.check_invariants()
 
 
+@pytest.mark.parametrize("where", ["mid-stage", "stage-end", "unvisited"])
+def test_invariants_catch_one_corrupted_stage_count(where):
+    mdp = make_random_mdp(3, 2, 4, seed=9)
+    lr = UcbAdvantageLearner(mdp, TINY)
+    rng = seeded_stream(7, 0, "env")
+    for k in range(300):
+        lr.run_episode(mdp, rng, k)
+    lr.check_invariants()
+    n, nchk = np.array(lr._n), np.array(lr._nchk)
+    at_end = np.isin(n, lr.schedule.ends)
+    cells = {"mid-stage": (n > 0) & ~at_end, "stage-end": at_end, "unvisited": n == 0}[where]
+    assert nchk[at_end].sum() == 0 and cells.any()
+    lr._nchk[int(np.flatnonzero(cells)[-1])] += 1
+    with pytest.raises(AssertionError, match="Ncheck != visits since last stage end"):
+        lr.check_invariants()
+
+
 def test_reference_target_below_zero_is_not_a_violation():
     # with small bonuses the reference target r + mean(Vref, all visits)
     # + mean(V - Vref, stage) can undershoot 0; unlike the plain route's,

@@ -331,6 +331,19 @@ def test_run_without_numpys_ddot_matches_pinned_digests(tmp_path, capsys, monkey
     assert len(tops) > 1 or kernel.load() is None
 
 
+@pytest.mark.parametrize("algo", sorted(PINNED_DIGESTS))
+def test_run_without_the_pcg64_layout_matches_pinned_digests(tmp_path, capsys, monkeypatch,
+                                                             algo):
+    # where PCG64's state does not lie where the kernel would step it,
+    # load() gives no kernel and the learners take the Python path, with
+    # the same bytes
+    monkeypatch.setattr(kernel, "_lib", kernel._UNSET)
+    monkeypatch.setattr(kernel, "_pcg64_layout_matches", lambda: False)
+    assert kernel.load() is None
+    assert pinned_run_digests(tmp_path, algo) == PINNED_DIGESTS[algo]
+    assert kernel.load() is None
+
+
 # SHA-256 of the tables the pins above leave out, recorded while each table
 # still had its own hand-written writer, but for the oracle's snapshot_v.csv,
 # re-recorded when the oracle became a kernel learner: it holds V*'s rows,

@@ -166,22 +166,109 @@ def test_kernel_modes_follow_the_c_enum():
     assert [value for value, _ in modes] == list(range(len(modes)))
 
 
-def test_kernel_rejects_a_stream_without_blocks():
-    # the kernel reads its uniforms in blocks (UniformStream.doubles); a
-    # stream with only random() fails at the call rather than falling back
+def test_kernel_rejects_a_stream_not_drawn_from_pcg64():
+    # the kernel steps PCG64's state in place; a stream on another bit
+    # generator raises at the call rather than having its memory read
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
-
-    class RandomOnly:
-        def random(self):
-            return 0.5
-
     mdp = make_random_mdp(2, 2, 2, seed=0)
     for lr in make_all_learners(mdp, AlgoConstants(), n_max=100):
-        with pytest.raises(AttributeError, match="doubles"):
-            lr.run_episode(mdp, RandomOnly(), 0)
-        with pytest.raises(AttributeError, match="doubles"):
-            lr.run_stretch(mdp, RandomOnly(), 0, 5)
+        for play in (lambda rng: lr.run_episode(mdp, rng, 0),
+                     lambda rng: lr.run_stretch(mdp, rng, 0, 5),
+                     lambda rng: lr.run_rounds(mdp, rng, 0, 2, 0, 4, [])):
+            rng = seeded_stream(0, 0, "env")
+            rng.generator = np.random.Generator(np.random.MT19937(0))
+            with pytest.raises(TypeError, match="PCG64 stream, not MT19937"):
+                play(rng)
+            assert lr.q_update_count == 0
+
+
+def kernel_and_reference(monkeypatch, cls, mdp, const, n_max):
+    """A learner on the kernel, and its twin on the Python path."""
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    fast = make(cls, mdp, const, n_max)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "load", lambda: None)
+        ref = make(cls, mdp, const, n_max)
+    return fast, ref
+
+
+def assert_generator_stepped(rng, before, lr):
+    """rng's PCG64 state is `before` advanced by the uniforms that lr's last
+    kernel call drew past the buffer's tail."""
+    k = lr._kstate
+    want = np.random.PCG64()
+    want.state = before
+    want.advance(max(0, k.used - k.u_avail))
+    assert rng.generator.bit_generator.state == want.state
+
+
+def lead_stream(lead):
+    """A stream read as `lead` says, and the unread uniforms left in its
+    buffer: its first one ("within"), all but 7 by random() or by skip(),
+    or skipped past its buffer ("advance")."""
+    rng = seeded_stream(4, 0, "env")
+    rng.random()
+    if lead == "random":
+        for _ in range(rng.BLOCK - 8):
+            rng.random()
+    elif lead == "skip":
+        rng.skip(rng.BLOCK - 8)
+    elif lead == "advance":
+        rng.skip(rng.BLOCK + 1000)
+    return rng, {"within": rng.BLOCK - 1, "advance": 0}.get(lead, 7)
+
+
+@pytest.mark.parametrize("lead", ["within", "random", "skip", "advance"])
+@pytest.mark.parametrize("cls", [UcbAdvantageLearner, ClassicQUcbLearner])
+def test_kernel_draws_are_generator_random(cls, lead, monkeypatch):
+    # each one-episode call reads what is left of the buffer's tail, then
+    # steps the generator's state itself: calls stay in the tail ("within"),
+    # or the first crosses from it onto the generator and the rest draw
+    # from the generator alone; the reference reads every uniform through
+    # random(), that is Generator.random, and the state after each call is
+    # the one that advancing by the uniforms drawn past the tail gives
+    _, make_mdp, n0, _ = INSTANCES[2]
+    mdp = make_mdp()
+    const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["tight"])
+    fast, ref = kernel_and_reference(monkeypatch, cls, mdp, const, 10_000)
+    (rng_fast, tail), (rng_ref, _) = lead_stream(lead), lead_stream(lead)
+    for k in range(60):
+        before = rng_fast.generator.bit_generator.state
+        got = fast.run_episode(mdp, rng_fast, k)
+        assert got == ref.reference_episode(mdp, rng_ref, k)
+        assert fast._kstate.u_avail == max(0, tail - k * mdp.H)
+        assert_generator_stepped(rng_fast, before, fast)
+    assert_same_state(fast, ref)
+    assert_same_stream(rng_fast, rng_ref)
+
+
+@pytest.mark.parametrize("tail", [3, 13, 40])
+def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
+    # classic-qucb changes Q in every episode, so each round of M = 4 plays
+    # one episode (H = 8 uniforms) and skips 24; with 13 left in the buffer
+    # the first skip starts in the tail and ends on the generator, with 3
+    # the first episode crosses, and with 40 the second skip does
+    _, make_mdp, n0, _ = INSTANCES[2]
+    mdp = make_mdp()
+    fast, ref = kernel_and_reference(monkeypatch, ClassicQUcbLearner, mdp,
+                                     AlgoConstants(n0_override=n0), None)
+    rng_fast, rng_ref = (seeded_stream(4, 0, "env") for _ in range(2))
+    for rng in (rng_fast, rng_ref):
+        rng.random()
+        rng.skip(rng.BLOCK - 1 - tail)
+    changes_fast, changes_ref = [], []
+    generated = consumed = 0
+    for limit in (2, 5, 40):
+        before = rng_fast.generator.bit_generator.state
+        got = fast.run_rounds(mdp, rng_fast, generated, 4, consumed, limit, changes_fast)
+        assert got == ref.run_rounds(mdp, rng_ref, generated, 4, consumed, limit, changes_ref)
+        assert_generator_stepped(rng_fast, before, fast)
+        generated, consumed = generated + got[0], got[1]
+        assert changes_fast == changes_ref == list(range(0, generated, 4))
+    assert_same_state(fast, ref)
+    assert_same_stream(rng_fast, rng_ref)
 
 
 def check_episodes_match_reference(cls, inst, cset, seed):
@@ -229,9 +316,9 @@ def reference_stretch(lr, mdp, rng, first, count, stop):
     return (count, report.q_changed), traj
 
 
-# jao-40 (fixed start states) crosses uniform-block boundaries (4096 is not
-# a multiple of H=40) inside a call, which reads them from the stream's
-# topped-up buffer (UniformStream.doubles); random-10x3x8 has seeded start
+# jao-40 (fixed start states) has a call that reads the tail of the
+# stream's buffer and crosses onto the generator (4096 is not a multiple of
+# H=40), whose state the kernel steps from then on; random-10x3x8 has seeded start
 # states, and random-4x5x4 here cycles through 5 of them, so a start-state
 # block does not begin at the start of the cycle
 STRETCH_CASES = [INSTANCES[0], INSTANCES[2],
@@ -254,14 +341,14 @@ def test_stretch_matches_reference_path(inst, path):
     k = 0
     while k < K:
         stop = next(c for c in checkpoints if c > k)
-        unread = len(rng_fast._block) - rng_fast._i
         played, changed = fast.run_stretch(mdp, rng_fast, k, stop)
         expect, traj = reference_stretch(ref, mdp, rng_ref, k, played, stop)
         assert (played, changed) == expect
         if path == "kernel":   # built only on request
             assert fast._last_traj() == traj
+        # the stretch's uniforms begin in the first buffer and end past it
+        crossed += k * mdp.H < rng_fast.BLOCK < (k + played) * mdp.H
         k += played
-        crossed += unread < mdp.H   # the stretch's uniforms span two blocks
         if changed:
             stops["q"] += 1
         elif k == stop:
@@ -316,23 +403,12 @@ def test_out_of_range_raises_in_the_same_episode(via, path):
     check_raise_matches_reference(via)
 
 
-class CycleGenerator:
-    """A stand-in for UniformStream.generator whose blocks cycle through
-    the given uniforms."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.drawn = 0
-
-    def random(self, n):
-        block = self.values[(self.drawn + np.arange(n)) % len(self.values)]
-        self.drawn += n
-        return block
-
-
-def cycled_stream(values):
+def tail_stream(values):
+    """A stream whose buffer holds values, repeated to fill it and all
+    unread: a reader takes them in order before the generator draws any."""
     rng = seeded_stream(0, 0, "env")
-    rng.generator = CycleGenerator(values)
+    rng._buf[:] = np.resize(values, rng.BLOCK)
+    rng._i = 0
     return rng
 
 
@@ -368,7 +444,8 @@ def test_next_state_matches_bisect_on_edge_rows(cls, S, path):
     # the kernel halves a row to at most 16 entries and counts those <= u,
     # which is bisect_right only where the entries <= u form a prefix:
     # every uniform here is 0.0, 1 - 2**-53, an entry of some row (a tie,
-    # which bisect_right passes) or a random one, and every one is drawn
+    # which bisect_right passes) or a random one, and every one is drawn,
+    # from the stream's buffered tail
     gen = np.random.default_rng(S)
     mdp = edge_mdp(S, gen)
     H, K = mdp.H, 300
@@ -376,11 +453,11 @@ def test_next_state_matches_bisect_on_edge_rows(cls, S, path):
     entries = np.unique(cum[cum < 1.0])
     values = np.concatenate([[0.0, 1.0 - 2.0**-53], entries, gen.random(len(entries))])
     gen.shuffle(values)
-    assert K * H >= len(values)
+    assert len(values) <= K * H <= seeded_stream(0, 0, "env").BLOCK
     const = AlgoConstants(**CONSTANT_SETS["tight"])
     fast, ref = make(cls, mdp, const, K * H + 1), make(cls, mdp, const, K * H + 1)
     assert uses_kernel(fast, path)
-    rng_fast, rng_ref = cycled_stream(values), cycled_stream(values)
+    rng_fast, rng_ref = tail_stream(values), tail_stream(values)
     ties = 0
     for k in range(K):
         traj, report = fast.run_episode(mdp, rng_fast, k)
@@ -412,7 +489,7 @@ def test_unvalidated_mdp_raises_at_the_first_draw(source, path, tmp_path):
         assert uses_kernel(lr, path)
         for play in (lr.run_episode, lr.reference_episode):
             with pytest.raises(NonStochasticRow, match="negative entry -0.4") as exc:
-                play(mdp, cycled_stream([0.3]), 0)
+                play(mdp, tail_stream([0.3]), 0)
             raised.append(str(exc.value))
     assert len(set(raised)) == 1
 

@@ -255,8 +255,13 @@ def test_initial_states_fixed_and_cyclic():
     assert [InitialStates.fixed(1).state(k, 3) for k in range(4)] == [1, 1, 1, 1]
     cyc = InitialStates.cyclic([0, 2, 1])
     assert [cyc.state(k, 3) for k in range(7)] == [0, 2, 1, 0, 2, 1, 0]
-    assert cyc.block(1, 3) == [(0, 2, 1)[k % 3] for k in range(256, 512)]
-    assert InitialStates.fixed(1).block(5, 3) == [1] * 256
+    assert cyc.block(1, 3).tolist() == [(0, 2, 1)[k % 3] for k in range(256, 512)]
+    fixed = InitialStates.fixed(1)
+    assert fixed.block(5, 3).tolist() == [1] * 256
+    assert fixed.block(0, 3) is fixed.block(5, 3)    # one block for every b
+    # read-only int64 blocks whose items are Python ints
+    for block in (cyc.block(1, 3), fixed.block(0, 3)):
+        assert block.readonly and block.obj.dtype == np.int64 and type(block[0]) is int
     with pytest.raises(ValueError):
         InitialStates.cyclic([])
 
@@ -314,8 +319,9 @@ def test_initial_states_seeded_block_is_restartable_and_held_alone():
     # only the last block read is held, however far it lies
     far = InitialStates.seeded(7)
     assert len(far.block(2000, S)) == 256
-    assert far.block(1, S) == ref[256:512]
-    assert far._last == (1, S, ref[256:512])
+    assert far.block(1, S).tolist() == ref[256:512]
+    assert far._last[:2] == (1, S) and far._last[2].tolist() == ref[256:512]
+    assert far.block(1, S).readonly and type(far.block(1, S)[0]) is int
     with pytest.raises(ValueError, match="state count"):
         far.block(1, S + 1)
 

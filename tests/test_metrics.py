@@ -9,7 +9,7 @@ from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EpisodeRecord,
                     backward_induction, check_optimism, count_switches,
                     make_random_mdp, policy_evaluation, switching_bound,
                     write_episode_csv)
-from stageq.metrics import EPISODE_CSV_ROW, write_csv
+from stageq.metrics import EPISODE_CSV_ROW, grid_lines, write_csv
 
 from oracles import episode_regret
 
@@ -274,6 +274,21 @@ def test_write_csv_golden_uses_repr_floats(tmp_path, capsys):
     # an open file gets the same bytes
     write_csv(sys.stdout, EPISODE_CSV_HEADER, EPISODE_CSV_ROW, [tuple(vars(rec).values())])
     assert capsys.readouterr().out == expected
+
+
+def test_grid_lines_match_the_index_and_repr_formats(capsys):
+    # the index prefixes and repr give the bytes "%d,...,%r" % row gives,
+    # and write_csv writes "%s" lines, 1024 a write, as they are
+    gen = np.random.default_rng(3)
+    q = gen.standard_normal((3, 700, 2)) * 10.0 ** gen.integers(-20, 20, (3, 700, 2))
+    acts = gen.integers(0, 5, (3, 700))
+    want = ["%d,%d,%d,%r" % (h, s, a, q[h, s, a].item()) for h, s, a in np.ndindex(q.shape)]
+    assert list(grid_lines(q)) == want
+    want = ["%d,%d,%r,%d" % (h, s, q[h, s, 0].item(), acts[h, s].item())
+            for h, s in np.ndindex(acts.shape)]
+    assert list(grid_lines(q[..., 0], acts)) == want
+    write_csv(sys.stdout, "h,s,Q,a", "%s", grid_lines(q[..., 0], acts))
+    assert capsys.readouterr().out == "\n".join(["h,s,Q,a"] + want) + "\n"
 
 
 def test_write_episode_csv_golden(tmp_path):
