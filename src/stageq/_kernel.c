@@ -45,6 +45,13 @@
  * struct alone, so that a call from Python converts one argument; the
  * values that change from call to call are its last fields, the inputs
  * set before each call and the outputs the call fills.
+ *
+ * stageq_format_rows, apart from the learners, writes the rows of
+ * metrics.write_table: integers in decimal here, and each float through
+ * the routine float.__repr__ calls, PyOS_double_to_string(x, 'r', 0,
+ * Py_DTSF_ADD_DOT_0, NULL), so every float's bytes are repr's.  kernel.py
+ * passes that routine and PyMem_Free in as function pointers, so the
+ * library links no Python symbol, and calls it with the GIL held.
  */
 
 #include <math.h>
@@ -463,4 +470,81 @@ int64_t stageq_stretch(Learner *L)
     L->pcg[0] = (uint64_t)state;
     L->pcg[1] = (uint64_t)(state >> 64);
     return L->bad_n || L->bad_index ? -1 : played;
+}
+
+
+/* The column kinds of stageq_format_rows (kernel.COL_*) */
+enum { COL_INT, COL_FLOAT, COL_GRID, COL_EMPTY };
+
+/* One column of a table: COL_INT and COL_FLOAT read data[row] (int64_t or
+ * double); COL_GRID is the row's index along one axis of a C-ordered grid,
+ * row / div % mod; COL_EMPTY writes an empty cell. */
+typedef struct {
+    int64_t kind;
+    const void *data;
+    int64_t div, mod;
+} Column;
+
+/* PyOS_double_to_string and PyMem_Free, as pystrtod.h and pymem.h declare them */
+typedef char *(*DoubleToString)(double, char, int, int, int *);
+typedef void (*MemFree)(void *);
+#define DTSF_ADD_DOT_0 0x02     /* Py_DTSF_ADD_DOT_0: repr's "1.0", not "1" */
+
+/* The room one cell may take: its comma and at most 24 characters, the
+ * longest repr of a double ("-2.2250738585072014e-308") or 20 of an int64. */
+#define CELL_MAX 32
+
+static char *put_int(char *p, int64_t x)
+{
+    char digits[20];
+    uint64_t m = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + m % 10);
+        m /= 10;
+    } while (m);
+    if (x < 0)
+        *p++ = '-';
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* Write rows *row, *row + 1, ... (below rows) of the ncols columns into out,
+ * comma-separated, each ending in a newline, while cap leaves room for one
+ * more row; set *row past the last one written and return the bytes
+ * written, or -1 when to_string fails (its exception is set).  out's cap
+ * must hold one row, ncols * CELL_MAX + 1 bytes. */
+int64_t stageq_format_rows(DoubleToString to_string, MemFree mem_free,
+                           const Column *cols, int64_t ncols, int64_t *row,
+                           int64_t rows, char *out, int64_t cap)
+{
+    char *p = out;
+    int64_t i = *row;
+    for (; i < rows && cap - (p - out) > ncols * CELL_MAX; i++) {
+        for (int64_t c = 0; c < ncols; c++) {
+            const Column *col = cols + c;
+            if (c)
+                *p++ = ',';
+            if (col->kind == COL_INT) {
+                p = put_int(p, ((const int64_t *)col->data)[i]);
+            } else if (col->kind == COL_GRID) {
+                p = put_int(p, i / col->div % col->mod);
+            } else if (col->kind == COL_FLOAT) {
+                char *s = to_string(((const double *)col->data)[i], 'r', 0,
+                                    DTSF_ADD_DOT_0, NULL);
+                if (s == NULL) {
+                    *row = i;
+                    return -1;
+                }
+                size_t n = strlen(s);
+                memcpy(p, s, n);
+                p += n;
+                mem_free(s);
+            }
+        }
+        *p++ = '\n';
+    }
+    *row = i;
+    return p - out;
 }

@@ -90,9 +90,9 @@ class TabularQLearnerBase:
     def __init__(self, mdp: EpisodicMdp):
         S, A, H = mdp.S, mdp.A, mdp.H
         self.S, self.A, self.H = S, A, H
-        self._rew = array("d", np.asarray(mdp.r, dtype=float).reshape(-1).tolist())
-        self._q = array("d", [float(H - h) for h in range(H) for _ in range(S * A)])
-        self._v = array("d", [float(H - h) for h in range(H) for _ in range(S)] + [0.0] * S)
+        self._rew = kernel.table("d", mdp.r)
+        self._q = kernel.table("d", np.repeat(np.arange(H, 0, -1.0), S * A))    # H - h
+        self._v = kernel.table("d", np.repeat(np.arange(H, -1, -1.0), S))      # and row H: 0
         self._n = array("q", [0]) * (H * S * A)
         self._greedy = array("q", [0]) * (H * S)   # rows start tied, so argmax 0
         self.stage_end_count = 0
@@ -284,7 +284,9 @@ class TabularQLearnerBase:
     def bind_audit(self, cache, optimism, vstar0):
         """Have the kernel audit every episode this learner plays from now
         on (metrics.Audit), from the policy cache's table and the optimism
-        tracker's flags; vstar0 is V*[0].  Returns the Learner struct that
+        tracker's thresholds and flags, which it reads and writes in place
+        (the tracker's count is then the struct's); vstar0 is V*[0].
+        Returns the Learner struct that
         holds the running values, and the row buffers each call writes its
         episodes' rows into (reals, counts: see _kernel.c), or None without
         the kernel.  The kernel writes the cache's table, gathered rows and
@@ -295,13 +297,12 @@ class TabularQLearnerBase:
             return None
         self._bind_mdp(cache.mdp)
         k = self._kstate
-        thr, below = array("d", optimism._thr), array("b", optimism._below)
         vstar0 = np.ascontiguousarray(vstar0, dtype=float)
         reals, counts = array("d", [0.0]) * (2 * START_BLOCK), array("q", [0]) * (4 * START_BLOCK)
-        self._audit_bufs = (cache, thr, below, vstar0, reals, counts)   # held by address
+        self._audit_bufs = (cache, optimism, vstar0, reals, counts)   # held by address
         k.vstar0, k.vpi = vstar0.ctypes.data, cache._V.ctypes.data
         k.ddot = kernel.ddot()
-        k.thr, k.below = thr.buffer_info()[0], below.buffer_info()[0]
+        k.thr, k.below = optimism._thr.buffer_info()[0], optimism._below.buffer_info()[0]
         k.last = cache._flat.buffer_info()[0]
         k.p_pi, k.r_pi = cache._P_pi.ctypes.data, cache._r_pi.ctypes.data
         k.row_reals, k.row_counts = reals.buffer_info()[0], counts.buffer_info()[0]

@@ -33,7 +33,7 @@ from .harness import (CONFIG_KEYS, ConfigError, InvariantViolation,
                       parse_kv_file, run_concurrent_experiment, run_experiment,
                       sweep_scaling, write_q_csv, write_sweep_csv)
 from .mdp import MdpValidationError, backward_induction, save_mdp, validate
-from .metrics import grid_lines, write_csv
+from .metrics import grid, write_table
 from .stages import build_schedule
 
 
@@ -121,12 +121,12 @@ def cmd_solve(args) -> int:
     if args.save_mdp:
         save_mdp(mdp, args.save_mdp)
         print(f"saved environment to {args.save_mdp}")
-    write_csv(sys.stdout, "h,s,V_star,action_star", "%s",
-              grid_lines(tables.V[:mdp.H], pistar.actions))
+    write_table(sys.stdout, "h,s,V_star,action_star",
+                [*grid((mdp.H, mdp.S)), tables.V[:mdp.H], pistar.actions])
     if cfg.out_dir:
         outdir = Path(cfg.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(outdir / "vstar.csv", "h,s,V", "%s", grid_lines(tables.V))
+        write_table(outdir / "vstar.csv", "h,s,V", [*grid(tables.V.shape), tables.V])
         write_q_csv(tables.Q[:mdp.H], outdir / "qstar.csv")
         print(f"wrote optimal tables to {outdir}")
     return 0
@@ -134,8 +134,8 @@ def cmd_solve(args) -> int:
 
 def cmd_schedule(args) -> int:
     sched = build_schedule(args.H, args.n_max)
-    rows = zip(range(1, sched.n_stages + 1), sched.lengths.tolist(), sched.ends.tolist())
-    write_csv(args.out or sys.stdout, "i,e_i,end_i", "%d,%d,%d", rows)
+    write_table(args.out or sys.stdout, "i,e_i,end_i",
+                [range(1, sched.n_stages + 1), sched.lengths, sched.ends])
     if args.out:
         print(f"wrote {sched.n_stages} stages to {args.out}")
     return 0

@@ -210,7 +210,7 @@ def write_rounds_csv(rounds, path) -> None:
         changes, generated, M = rounds.source
     else:
         rnd, consumed, triggered, _ = Table.columns_of(RoundLog, rounds)
-        M = max(1, *consumed)           # any M >= each round's count serves if none is full
+        M = max([1, *consumed])         # any M >= each round's count serves if none is full
         changes = [r * M - M + c - 1 for r, c, t in zip(rnd, consumed, triggered) if t]
         generated = len(rnd) * M
         if Table(RoundLog, (changes, generated, M), round_columns) != rounds:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -51,8 +50,8 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, validate)
-from .metrics import (Audit, EpisodeRecord, Table, grid_lines, switching_bound, write_csv,
-                      write_episode_csv)
+from .metrics import (Audit, EpisodeRecord, Table, grid, switching_bound, write_episode_csv,
+                      write_table)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -161,9 +160,9 @@ class OracleAgent(TabularQLearnerBase):
     def __init__(self, mdp: EpisodicMdp):
         super().__init__(mdp)
         tables, pistar = backward_induction(mdp)
-        self._q[:] = array("d", tables.Q[:mdp.H].ravel().tolist())
-        self._v[:] = array("d", tables.V.ravel().tolist())
-        self._greedy[:] = array("q", pistar.actions.ravel().tolist())
+        self._q[:] = kernel.table("d", tables.Q[:mdp.H])
+        self._v[:] = kernel.table("d", tables.V)
+        self._greedy[:] = kernel.table("q", pistar.actions)
         if self._lib is not None:
             self._bind_kernel(mode=kernel.MODE_ORACLE)
 
@@ -376,7 +375,7 @@ def _exact_round(n: int, m: float) -> int:
 
 def write_sweep_csv(rows, path) -> None:
     """sweep_scaling's rows to path, a file path or an open text file."""
-    write_csv(path, "T,seed,cum_regret", "%d,%d,%r", rows)
+    write_table(path, "T,seed,cum_regret", list(zip(*rows)) or [(), (), ()])
 
 
 def run_concurrent_experiment(env: EnvSpec, cc: ConcurrentConfig, *,
@@ -409,23 +408,23 @@ def run_concurrent_experiment(env: EnvSpec, cc: ConcurrentConfig, *,
 # ------------------------------------------------------------- file output
 
 def write_run_outputs(result: RunResult, out_dir) -> None:
-    """episodes.csv plus Q/V snapshot CSVs; all rows are deterministic."""
+    """episodes.csv plus Q/V snapshot CSVs; all rows are deterministic.
+    The snapshots read the learner's tables in place."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_episode_csv(result.records, out / "episodes.csv")
-    learner, H = result.learner, result.mdp.H
-    write_q_csv(learner.q_array(), out / "snapshot_q.csv")
+    learner, (H, S, A) = result.learner, result.mdp.r.shape
+    write_q_csv(np.frombuffer(learner._q).reshape(H, S, A), out / "snapshot_q.csv")
     # the Vref column stays empty for learners without a reference route
-    v = [learner.v_array()[:H]]
-    if learner.reference:
-        v.append(learner.vref_array()[:H])
-    write_csv(out / "snapshot_v.csv", "h,s,V,Vref", "%s" if learner.reference else "%s,",
-              grid_lines(*v))
+    layers = slice(0, H * S)       # V and Vref without their boundary rows
+    write_table(out / "snapshot_v.csv", "h,s,V,Vref", [
+        *grid((H, S)), memoryview(learner._v)[layers],
+        memoryview(learner._vref)[layers] if learner.reference else None])
 
 
 def write_q_csv(q, path) -> None:
     """An (H, S, A) Q table's rows: snapshot_q.csv and solve's qstar.csv."""
-    write_csv(path, "h,s,a,Q", "%s", grid_lines(q))
+    write_table(path, "h,s,a,Q", [*grid(q.shape), q])
 
 
 # ------------------------------------------------------------- config files

@@ -1,4 +1,4 @@
-"""Build and load the compiled learner kernel (_kernel.c) through ctypes.
+"""Build and load the compiled kernel (_kernel.c) through ctypes.
 
 The kernel plays episodes for all four agents (advantage, hoeffding-stage,
 classic-qucb and the oracle, whose observe changes nothing); the Learner
@@ -16,6 +16,15 @@ concurrent run's rounds through Q changes.
 The struct's last fields are the per-call values: u_index, u_avail, count,
 agents, first, limit and consumed, set before each call, and the counter
 increments, error fields, top and n_changes that the call fills.
+
+formatter() gives the library's other entry point, stageq_format_rows,
+which writes the rows of metrics.write_table: integers in decimal, and
+each float by PyOS_double_to_string with repr's arguments, the routine
+float.__repr__ calls, so the text is repr's by construction.  That routine
+and PyMem_Free are found through ctypes.pythonapi and passed in by
+address, so the library links no Python symbol; they need the GIL, so the
+formatter is called through a ctypes.PyDLL handle on the library, while
+stageq_stretch stays a CDLL call, which releases it.
 
 The uniforms are the stream's (harness.UniformStream): PCG64's next_double
 sequence, one 64-bit output, one step of the 128-bit state, per double.  So
@@ -48,8 +57,10 @@ gives the same results more slowly.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import sys
+from array import array
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -86,6 +97,17 @@ class Learner(ctypes.Structure):
 
 # Learner.mode: whose observe the kernel repeats (the enum in _kernel.c)
 MODE_HOEFFDING_STAGE, MODE_ADVANTAGE, MODE_CLASSIC_QUCB, MODE_ORACLE = range(4)
+
+
+class Column(ctypes.Structure):
+    """One column of stageq_format_rows; the layout of Column in _kernel.c."""
+
+    _fields_ = [("kind", c_int64), ("data", c_void_p), ("div", c_int64), ("mod", c_int64)]
+
+
+# Column.kind (the enum in _kernel.c)
+COL_INT, COL_FLOAT, COL_GRID, COL_EMPTY = range(4)
+CELL_MAX = 32        # the bytes a row's cell may take, comma included
 
 _UNSET = object()
 _lib = _ddot = _UNSET
@@ -149,6 +171,22 @@ def ddot():
     return _ddot
 
 
+def formatter():
+    """stageq_format_rows(cols, ncols, row, rows, out, cap) (see _kernel.c),
+    with CPython's repr routine and PyMem_Free passed in, called through a
+    PyDLL handle, which holds the GIL; None without the kernel."""
+    lib = load()
+    return None if lib is None else lib.format_rows
+
+
+def table(code: str, values) -> array:
+    """values (array-like, any shape) as a flat array(code) of the kernel's
+    tables, which it reads and writes in place: one copy of NumPy's buffer,
+    with no Python number per entry."""
+    import numpy as np
+    return array(code, np.ascontiguousarray(values, dtype=code).tobytes())
+
+
 def library_path() -> Path:
     """Where the library built from this source, flags and interpreter lives."""
     # zlib and platform are imported with NumPy already; hashlib would add
@@ -179,6 +217,12 @@ def _open():
         raise RuntimeError(f"{path}: Learner struct layout differs from kernel.Learner")
     lib.stageq_stretch.argtypes = [c_void_p]    # the Learner, per-call values included
     lib.stageq_stretch.restype = c_int64
+    fmt = ctypes.PyDLL(str(path)).stageq_format_rows
+    fmt.argtypes = [c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_int64, c_void_p, c_int64]
+    fmt.restype = c_int64
+    api = ctypes.pythonapi
+    lib.format_rows = functools.partial(fmt, ctypes.cast(api.PyOS_double_to_string, c_void_p).value,
+                                        ctypes.cast(api.PyMem_Free, c_void_p).value)
     return lib
 
 

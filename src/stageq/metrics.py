@@ -1,4 +1,4 @@
-"""Regret, switching-cost and optimism metrics, and the one table writer.
+"""Regret, switching-cost and optimism metrics, and the table writers.
 
 Per-episode regret compares the exact optimal value at the episode's
 realized initial state with the exact value of the greedy policy the
@@ -39,26 +39,38 @@ so they give the same bits.  Where it is not found, a call ends at each
 Q change and the layers stay with PolicyValueCache.evaluate.  Without the
 kernel every step runs in Python through the cache and OptimismTracker,
 a stretch ending at each Q change and kept row.
+
+write_table writes every numeric table (episodes.csv, the snapshots,
+sweep's rows, solve's tables and schedule) from columns: flat runs of
+numbers read in place, a grid's indices computed from its shape (grid), or
+empty cells.  With the kernel, C formats them (kernel.formatter), each
+float by PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the
+call float.__repr__ makes, so the bytes are repr's by construction; without
+it, write_csv formats them with %d and %r, the reference the C body must
+match byte for byte.  rounds.csv stays with write_csv, joining runs of full
+rounds from integers, where a C body measured no gain.
 """
 
 from __future__ import annotations
 
+import ctypes
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice, product
+from itertools import islice
 from math import log
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .mdp import EpisodicMdp, ValueTables
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
-EPISODE_CSV_ROW = "%d,%r,%r,%d,%d,%d,%d"
 
 
 @dataclass
@@ -249,14 +261,16 @@ class OptimismTracker:
     One flag per flat (h, s, a) cell says whether the learner's Q there is
     below Q* - OPTIMISM_TOL; the flags and their count come from one full scan of
     q_learner, and update() re-tests the H cells of an episode's trajectory.
+    The thresholds and flags are flat arrays (array('d') and array('b')),
+    which the kernel's audit reads and writes in place (bind_audit).
     """
 
     def __init__(self, q_learner: np.ndarray, q_star: np.ndarray):
         H, self._S, self._A = q_learner.shape
         thr = q_star[:H] - OPTIMISM_TOL
-        self._thr = thr.reshape(-1).tolist()
-        self._below = (q_learner < thr).reshape(-1).tolist()
-        self.count = sum(self._below)
+        below = q_learner < thr
+        self._thr, self._below = kernel.table("d", thr), kernel.table("b", below)
+        self.count = int(np.count_nonzero(below))
 
     def update(self, q_at, traj) -> int:
         """Re-test the cells (h, s, a) of traj [(s, a, r, s_next)] after the
@@ -361,11 +375,11 @@ class Audit:
 
 
 def write_csv(out, header: str, row_format: str, rows) -> None:
-    """The one writer of stageq's tables: the header, then row_format % row
-    per row, 1024 rows a write, to a path or an open text file (sys.stdout).
-    Commas, floats by repr (%r), integers as decimals (%d); cells must be
-    Python numbers (tolist(), attributes): %r of an np.float64 prints np.float64(...).
-    With row_format "%s" each row is its finished line, written as it is."""
+    """The header, then row_format % row per row, 1024 rows a write, to a
+    path or an open text file (sys.stdout): write_table's Python body, and
+    rounds.csv's writer.  Cells must be Python numbers (tolist(),
+    attributes): %r of an np.float64 prints np.float64(...).  With
+    row_format "%s" each row is its finished line, written as it is."""
     if not hasattr(out, "write"):
         with open(out, "w") as f:
             return write_csv(f, header, row_format, rows)
@@ -375,20 +389,77 @@ def write_csv(out, header: str, row_format: str, rows) -> None:
         out.write("\n".join(chunk) + "\n")
 
 
-def grid_lines(*tables):
-    """The lines of a table over the cells of same-shaped arrays in C order,
-    for write_csv's "%s": each cell's indices, then its value in each table
-    by repr (which prints a float as %r does, and a Python int as %d),
-    comma-separated.  Each axis's labels ("0,", "1,", ...) are formatted
-    once, and each cell's index prefix ("h,s,a,") is a join of them, made
-    as it is written."""
-    prefixes = map("".join, product(*([f"{i}," for i in range(n)] for n in tables[0].shape)))
-    cells = [map(repr, t.ravel().tolist()) for t in tables]
-    return map(str.__add__, prefixes,
-               cells[0] if len(cells) == 1 else map(",".join, zip(*cells)))
+class GridAxis(NamedTuple):
+    """A column of a C-ordered grid's indices along one axis: row // div % mod."""
+
+    div: int
+    mod: int
+
+
+def grid(shape) -> list:
+    """The index columns of a C-ordered grid of this shape, one per axis."""
+    axes, div = [], 1
+    for n in reversed(shape):
+        axes.append(GridAxis(div, n))
+        div *= n
+    return axes[::-1]
+
+
+CHUNK_BYTES = 1 << 17      # the kernel body's buffer: rows formatted per write
+_PERCENT = {kernel.COL_INT: "%d", kernel.COL_FLOAT: "%r", kernel.COL_GRID: "%d",
+            kernel.COL_EMPTY: ""}    # the Python body's format of each kind of cell
+
+
+def write_table(out, header: str, columns) -> None:
+    """The header, then each row of the columns comma-separated, to a path
+    or an open text file: integers in decimal (%d), floats by repr (%r).
+    A column is a flat run of numbers (anything np.ravel takes; arrays are
+    read in place), a GridAxis, or None for an empty cell.  With the kernel,
+    C formats CHUNK_BYTES of rows a call (kernel.formatter); without it,
+    write_csv does, 1024 rows at a time: the reference for the C body's
+    bytes.  Either holds one chunk of text, whatever the row count."""
+    if not hasattr(out, "write"):
+        with open(out, "w") as f:
+            return write_table(f, header, columns)
+    cols = [c if c is None or isinstance(c, GridAxis) else _numbers(c) for c in columns]
+    lengths = {len(c) for c in cols if isinstance(c, np.ndarray)}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of numbers of lengths {sorted(lengths)}, not one length")
+    n = lengths.pop()
+    kinds = [kernel.COL_EMPTY if c is None else kernel.COL_GRID if isinstance(c, GridAxis)
+             else kernel.COL_FLOAT if c.dtype == np.float64 else kernel.COL_INT for c in cols]
+    fmt = kernel.formatter()
+    if fmt is None:
+        row_format = ",".join(_PERCENT[k] for k in kinds)
+        return write_csv(out, header, row_format, _row_chunks(cols, n))
+    spec = (kernel.Column * len(cols))(*(
+        (k, None, *c) if k == kernel.COL_GRID else (k, None if c is None else c.ctypes.data)
+        for k, c in zip(kinds, cols)))
+    cap = max(CHUNK_BYTES, len(cols) * kernel.CELL_MAX + 1)
+    buf = bytearray(cap)
+    at = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    row = ctypes.c_int64(0)
+    out.write(header + "\n")
+    while row.value < n:
+        size = fmt(spec, len(cols), ctypes.byref(row), n, at, cap)
+        out.write(str(memoryview(buf)[:size], "ascii"))
+
+
+def _numbers(column) -> np.ndarray:
+    """A column of numbers as a flat float64 or int64 array (a view where it is one)."""
+    a = np.ravel(column)
+    return a.astype(np.float64 if a.dtype.kind == "f" else np.int64, copy=False, casting="safe")
+
+
+def _row_chunks(cols, n: int):
+    """write_table's rows as tuples of Python numbers, made 1024 at a time."""
+    for i in range(0, n, 1024):
+        j = min(i + 1024, n)
+        yield from zip(*(c[i:j].tolist() if isinstance(c, np.ndarray)
+                         else [r // c.div % c.mod for r in range(i, j)]
+                         for c in cols if c is not None))
 
 
 def write_episode_csv(records, path) -> None:
     """Write audit rows (a Table, or any sequence of EpisodeRecord) from their columns."""
-    write_csv(path, EPISODE_CSV_HEADER, EPISODE_CSV_ROW,
-              zip(*Table.columns_of(EpisodeRecord, records)))
+    write_table(path, EPISODE_CSV_HEADER, Table.columns_of(EpisodeRecord, records))

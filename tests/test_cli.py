@@ -398,3 +398,30 @@ def test_other_tables_match_pinned_digests(tmp_path, capsys):
     for name in ("snapshot_q.csv", "snapshot_v.csv"):
         got["oracle " + name] = sha((tmp_path / "or" / name).read_bytes())
     assert got == PINNED_TABLES
+
+
+def test_float_tables_match_their_pins_on_each_path(path, tmp_path, capsys):
+    # every float table goes through metrics.write_table: with the kernel
+    # its formatter prints the floats, on the fallback its Python body does
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert main(SOLVE) == 0
+    assert sha(capsys.readouterr().out.encode()) == PINNED_TABLES["solve stdout"]
+    assert main(SOLVE + ["--out", str(tmp_path / "sol")]) == 0
+    for name in ("vstar.csv", "qstar.csv"):
+        assert sha((tmp_path / "sol" / name).read_bytes()) == PINNED_TABLES[name]
+    assert main(ORACLE_RUN + ["--out", str(tmp_path / "or")]) == 0
+    for name in ("snapshot_q.csv", "snapshot_v.csv"):
+        assert sha((tmp_path / "or" / name).read_bytes()) == PINNED_TABLES["oracle " + name]
+    # snapshot_v.csv with its Vref column empty, and filled
+    for algo in ("classic-qucb", "advantage"):
+        assert pinned_run_digests(tmp_path / algo, algo) == PINNED_DIGESTS[algo]
+    capsys.readouterr()
+    sweep = ["sweep"] + PINNED_RUN[1:-2] + ["--algo", "advantage", "--strict",
+                                           "--t-mults", "0.25,0.5,1.0", "--seeds", "0,1"]
+    assert main(sweep) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert sha(stdout) == "588b541b0c70106c9977cdf33ae6f5f9c6d1b722ae1e86e4e511140d811e7bbf"
+    assert main(sweep + ["--out", str(tmp_path / "sw")]) == 0
+    assert (tmp_path / "sw" / "sweep.csv").read_bytes() == stdout

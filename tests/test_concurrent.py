@@ -514,6 +514,12 @@ def test_rounds_view_and_csv_match_the_reference_property(tmp_path_factory, make
     assert_rounds_csv_matches(view, rows, tmp_path_factory.mktemp("rounds") / "rounds.csv")
 
 
+def test_rounds_csv_of_no_rounds_is_the_header_alone(tmp_path):
+    # as write_episode_csv([], path) writes
+    write_rounds_csv([], tmp_path / "rounds.csv")
+    assert (tmp_path / "rounds.csv").read_text() == ROUNDS_CSV_HEADER + "\n"
+
+
 def test_rounds_csv_rejects_rows_that_are_no_round_log(tmp_path):
     rows = [RoundLog(1, 3, False, 0), RoundLog(2, 2, True, 0), RoundLog(3, 3, False, 1)]
     write_rounds_csv(rows, tmp_path / "rounds.csv")

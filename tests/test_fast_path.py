@@ -126,12 +126,46 @@ def test_kernel_flags_keep_pythons_rounding_and_compile_warning_free(tmp_path):
                            "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    # both entry points, the episode loop and the table formatter, were built
+    assert {"stageq_stretch", "stageq_format_rows"} <= dynamic_symbols(tmp_path / "kernel.so")[0]
+
+
+def dynamic_symbols(library):
+    """(defined, undefined): the names in a shared library's dynamic symbol
+    table (objdump -T), split by whether the library defines them."""
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("no objdump on PATH")
+    done = subprocess.run([objdump, "-T", str(library)], capture_output=True, text=True,
+                          check=True)
+    defined, undefined = set(), set()
+    for line in done.stdout.splitlines():
+        cells = line.split()
+        if cells and re.fullmatch(r"[0-9a-f]{8,16}", cells[0]):     # a symbol's address
+            (undefined if "*UND*" in cells else defined).add(cells[-1])
+    return defined, undefined
+
+
+def test_kernel_links_no_python_symbol_and_formats_under_the_gil():
+    # the formatter reaches CPython's repr routine through pointers that
+    # kernel.py passes in, so the library links against no libpython; and
+    # that routine needs the GIL, which a PyDLL function holds
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    defined, undefined = dynamic_symbols(kernel.library_path())
+    assert "stageq_format_rows" in defined and "strlen" in undefined
+    assert not [name for name in undefined if name.lstrip("_").startswith("Py")]
+    fmt = kernel.formatter()
+    assert fmt.func._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert not kernel.load().stageq_stretch._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert fmt.args == tuple(ctypes.cast(f, ctypes.c_void_p).value for f in (
+        ctypes.pythonapi.PyOS_double_to_string, ctypes.pythonapi.PyMem_Free))
 
 
 def c_struct_fields(source: str, name: str):
     """(field, kind) of each declarator of `typedef struct { ... } name;` in
     C source, in order; kind is "pointer" (data or function), or the type."""
-    body = re.search(r"typedef struct \{(.*?)\} %s;" % name, source, re.S).group(1)
+    body = re.search(r"typedef struct \{([^{}]*)\} %s;" % name, source).group(1)
     fields = []
     for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
         func = re.search(r"\(\s*\*\s*(\w+)\s*\)\s*\(", decl)
@@ -152,18 +186,22 @@ def test_kernel_learner_mirrors_the_c_struct_field_by_field():
     want = c_struct_fields(kernel.SOURCE.read_text(), "Learner")
     assert [(name, kinds[ctype]) for name, ctype in kernel.Learner._fields_] == want
     assert ("ddot", "pointer") in want and ("row_counts", "pointer") in want
+    assert [(name, kinds[ctype]) for name, ctype in kernel.Column._fields_] == \
+        c_struct_fields(kernel.SOURCE.read_text(), "Column")
 
 
 def test_kernel_modes_follow_the_c_enum():
     # the struct-size check at load cannot see a mode added on one side
     # only, or two modes swapped: kernel.py's MODE_* names, in their
-    # numeric order 0, 1, ..., must be the C enum's list
-    enum = re.search(r"enum \{\s*(MODE_\w+(?:\s*,\s*MODE_\w+)*)\s*\}",
-                     kernel.SOURCE.read_text()).group(1)
-    modes = sorted((value, name) for name, value in vars(kernel).items()
-                   if name.startswith("MODE_"))
-    assert [name for _, name in modes] == re.split(r"\s*,\s*", enum)
-    assert [value for value, _ in modes] == list(range(len(modes)))
+    # numeric order 0, 1, ..., must be the C enum's list; so must the
+    # table formatter's COL_* column kinds
+    for prefix in ("MODE_", "COL_"):
+        enum = re.search(r"enum \{\s*(%s\w+(?:\s*,\s*%s\w+)*)\s*\}" % (prefix, prefix),
+                         kernel.SOURCE.read_text()).group(1)
+        modes = sorted((value, name) for name, value in vars(kernel).items()
+                       if name.startswith(prefix))
+        assert [name for _, name in modes] == re.split(r"\s*,\s*", enum)
+        assert [value for value, _ in modes] == list(range(len(modes)))
 
 
 def test_kernel_rejects_a_stream_not_drawn_from_pcg64():

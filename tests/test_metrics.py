@@ -1,15 +1,16 @@
+import io
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EpisodeRecord,
-                    OptimismTracker, PolicyValueCache, SwitchTracker,
+from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EnvSpec, EpisodeRecord,
+                    OptimismTracker, PolicyValueCache, RunConfig, SwitchTracker,
                     backward_induction, check_optimism, count_switches,
-                    make_random_mdp, policy_evaluation, switching_bound,
-                    write_episode_csv)
-from stageq.metrics import EPISODE_CSV_ROW, grid_lines, write_csv
+                    kernel, make_random_mdp, policy_evaluation, run_experiment,
+                    switching_bound, write_episode_csv)
+from stageq.metrics import GridAxis, grid, write_csv, write_table
 
 from oracles import episode_regret
 
@@ -269,26 +270,103 @@ def test_write_csv_golden_uses_repr_floats(tmp_path, capsys):
                         cum_optimism_violations=0, ref_states_fixed=1)
     expected = EPISODE_CSV_HEADER + "\n3,0.1,0.30000000000000004,2,7,0,1\n"
     path = tmp_path / "ep.csv"
-    write_csv(path, EPISODE_CSV_HEADER, EPISODE_CSV_ROW, [tuple(vars(rec).values())])
+    write_csv(path, EPISODE_CSV_HEADER, "%d,%r,%r,%d,%d,%d,%d", [tuple(vars(rec).values())])
     assert path.read_text() == expected
     # an open file gets the same bytes
-    write_csv(sys.stdout, EPISODE_CSV_HEADER, EPISODE_CSV_ROW, [tuple(vars(rec).values())])
+    write_csv(sys.stdout, EPISODE_CSV_HEADER, "%d,%r,%r,%d,%d,%d,%d", [tuple(vars(rec).values())])
     assert capsys.readouterr().out == expected
 
 
-def test_grid_lines_match_the_index_and_repr_formats(capsys):
-    # the index prefixes and repr give the bytes "%d,...,%r" % row gives,
-    # and write_csv writes "%s" lines, 1024 a write, as they are
+def test_grid_columns_match_the_index_and_repr_formats(path, capsys):
+    # grid(shape)'s index columns and the float column give the bytes
+    # "%d,...,%r" % row gives, over more rows than one chunk of either body
     gen = np.random.default_rng(3)
     q = gen.standard_normal((3, 700, 2)) * 10.0 ** gen.integers(-20, 20, (3, 700, 2))
     acts = gen.integers(0, 5, (3, 700))
+    assert grid(q.shape) == [GridAxis(1400, 3), GridAxis(2, 700), GridAxis(1, 2)]
     want = ["%d,%d,%d,%r" % (h, s, a, q[h, s, a].item()) for h, s, a in np.ndindex(q.shape)]
-    assert list(grid_lines(q)) == want
-    want = ["%d,%d,%r,%d" % (h, s, q[h, s, 0].item(), acts[h, s].item())
+    write_table(sys.stdout, "h,s,a,Q", [*grid(q.shape), q])
+    assert capsys.readouterr().out == "\n".join(["h,s,a,Q"] + want) + "\n"
+    # an int column, and an empty cell
+    want = ["%d,%d,%r,%d," % (h, s, q[h, s, 0].item(), acts[h, s].item())
             for h, s in np.ndindex(acts.shape)]
-    assert list(grid_lines(q[..., 0], acts)) == want
-    write_csv(sys.stdout, "h,s,Q,a", "%s", grid_lines(q[..., 0], acts))
-    assert capsys.readouterr().out == "\n".join(["h,s,Q,a"] + want) + "\n"
+    write_table(sys.stdout, "h,s,Q,a,", [*grid(acts.shape), q[..., 0], acts, None])
+    assert capsys.readouterr().out == "\n".join(["h,s,Q,a,"] + want) + "\n"
+
+
+def test_write_table_rejects_columns_it_cannot_print(tmp_path):
+    with pytest.raises(ValueError, match="one length"):
+        write_table(tmp_path / "t.csv", "a,b", [[1, 2], [1.0]])
+    with pytest.raises(TypeError, match="Cannot cast"):
+        write_table(tmp_path / "t.csv", "a", [["x"]])
+
+
+def adversarial_columns():
+    """An int64 and a float64 column, 10**5 random rows and the edges of
+    each format: random bit patterns (every exponent, subnormals, NaNs
+    with payloads), +-0.0, nan, +-inf, repr's switches to exponent form
+    at 1e16 and 1e-4, 2**53 +- 1, the extremes of the doubles and of int64."""
+    gen = np.random.default_rng(24)
+    bits = gen.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    tiny, big = 5e-324, sys.float_info.max
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e16, 1e16 - 2.0,
+             np.nextafter(1e16, 0.0), np.nextafter(1e16, math.inf), 1e-4,
+             np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e-5, 9999999999999998.0,
+             2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 - 1), tiny, -tiny,
+             sys.float_info.min, np.nextafter(sys.float_info.min, 0.0), big, -big,
+             1.0, -1.0, 0.1, 0.30000000000000004, 1 / 3, 123456789.0, 1e22, 1e-7]
+    floats = np.concatenate([bits.view(np.float64), edges])
+    info = np.iinfo(np.int64)
+    ints = gen.integers(info.min, info.max, floats.size, dtype=np.int64, endpoint=True)
+    ints >>= gen.integers(0, 64, floats.size)       # every magnitude
+    ints[:8] = [info.min, info.min + 1, info.max, info.max - 1, -1, 0, 1, -10]
+    return ints, floats
+
+
+def test_kernel_formatter_gives_the_python_bodys_bytes_on_adversarial_values(monkeypatch):
+    if kernel.formatter() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    ints, floats = adversarial_columns()
+    columns = [ints, floats, GridAxis(7, 5), -floats, None]
+
+    def written():
+        out = io.StringIO()
+        write_table(out, "i,x,g,y,", columns)
+        return out.getvalue()
+
+    kernel_bytes = written()
+    monkeypatch.setattr(kernel, "formatter", lambda: None)
+    assert written() == kernel_bytes
+    # and both are %d and repr, row by row
+    want = "".join("%d,%r,%d,%r,\n" % (i, x, r // 7 % 5, -x)
+                   for r, (i, x) in enumerate(zip(ints.tolist(), floats.tolist())))
+    assert kernel_bytes == "i,x,g,y,\n" + want
+
+
+@pytest.mark.parametrize("body", ["kernel", "python"])
+def test_writing_episodes_csv_holds_one_chunk_whatever_the_run_length(body, monkeypatch,
+                                                                     tmp_path):
+    # the H = 10 JAO chain, every episode kept: writing 80,000 rows peaks at
+    # what 20,000 do, plus a small constant, in either body of write_table
+    # (whole columns of Python numbers or of text would add megabytes)
+    if body == "kernel" and kernel.formatter() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    tracemalloc = pytest.importorskip("tracemalloc")
+    env = EnvSpec(kind="jao", H=10, jao_delta=0.4, jao_epsilon=0.1, env_seed=0)
+    runs = {n: run_experiment(RunConfig(env=env, algo="advantage", episodes=n,
+                                        log_every="all")) for n in (20_000, 80_000)}
+    if body == "python":
+        monkeypatch.setattr(kernel, "formatter", lambda: None)
+    peaks = {}
+    for n, res in runs.items():
+        assert len(res.records) == n
+        tracemalloc.start()
+        try:
+            write_episode_csv(res.records, tmp_path / "episodes.csv")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[80_000] <= peaks[20_000] + 32_768, peaks
 
 
 def test_write_episode_csv_golden(tmp_path):
