@@ -31,11 +31,18 @@ up to 256 episodes a call (a block of start states), through Q changes,
 V^pi's layers included, and writes every episode's row; Python copies
 the kept ones into the audit's columns, a column slice at a time.  The
 Python body ends a stretch at each Q change and kept row.
+
+sweep_scaling plays its seeds' runs on up to one thread per usable CPU,
+the calling thread included: they share nothing, and the kernel call
+releases the GIL.  Its rows, their order and the error a strict sweep
+raises are those of one seed after another.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -356,13 +363,62 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
     256117, since 0.3's double is just below 3/10, where the float
     product, 256117.5, would round to 256118.  Each seed's run keeps only
     the checkpoint rows.  log_every and out_dir are not read.
+
+    The seeds' runs share nothing, and most of each is a kernel call that
+    releases the GIL, so n = min(len(seeds), usable CPUs) threads play
+    them: the calling thread and n - 1 others take seeds in order from one
+    iterator.  Each run builds from its own copy of env.init (a seeded
+    InitialStates keeps a live generator), and each thread turns its run
+    into rows at once, so memory is bounded by n, not by len(seeds).  The
+    rows come out in seed order, as from one thread; once a seed has
+    failed no new seed starts, and the error raised is the first failing
+    seed's, the one a loop over the seeds would raise.
     """
     ks = sorted({max(1, _exact_round(config.episodes, m)) for m in t_multipliers})
+    seeds = list(seeds)
+    parts = [None] * len(seeds)    # each seed's rows, or the exception it raised
+    todo = iter(range(len(seeds)))  # a C iterator: next() is atomic under the GIL
+    kernel.load()                  # both looked up once, before any thread starts
+    kernel.ddot()
+    init = config.env.init
+
+    def rows_of(seed):
+        env = config.env if init is None else replace(config.env, init=replace(init))
+        result = _audited_run(replace(config, env=env, episodes=ks[-1], seed=seed), ks)
+        return [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
+
+    def play():
+        try:
+            for i in todo:
+                try:
+                    parts[i] = rows_of(seeds[i])
+                except Exception as exc:   # raised on the calling thread below
+                    parts[i] = exc
+                    break
+        finally:       # after a failure or an interrupt: taking the seeds left starts none
+            for _ in todo:
+                pass
+
+    threads = [threading.Thread(target=play) for _ in range(min(len(seeds), _usable_cpus()) - 1)]
+    for t in threads:
+        t.start()
+    play()
+    for t in threads:
+        t.join()
     rows = []
-    for seed in seeds:
-        result = _audited_run(replace(config, episodes=ks[-1], seed=seed), ks)
-        rows += [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+        rows += part
     return rows
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count() where the platform
+    cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _exact_round(n: int, m: float) -> int:

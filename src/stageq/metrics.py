@@ -321,9 +321,9 @@ class Audit:
         optimism = OptimismTracker(learner.q_array(), vstar.Q)
         bound = learner.bind_audit(self.cache, optimism, vstar.V[0])
         if bound:
-            self.fields, self._reals, self._counts = bound
+            self._struct, self._reals, self._counts = bound
         else:
-            self.fields = self
+            self._struct = None
             self.reg = self.cum_regret = 0.0
             self.negative = self.switches = self.violations = 0
             self._optimism = optimism
@@ -331,13 +331,20 @@ class Audit:
             self._vpi0 = self.cache._V[0].tolist()
             self._traj = None      # the last stretch's trajectory, if it changed Q
 
+    @property
+    def fields(self):
+        # a property: an attribute holding self would be a reference cycle,
+        # keeping a finished Python-body run (learner, MDP, cache) alive
+        # until the cyclic GC ran
+        return self if self._struct is None else self._struct
+
     def stretch(self, rng, first: int, stop: int, keep=()):
         learner, cache, mdp = self.learner, self.cache, self.mdp
         at = bisect_right(keep, first)     # keep[at] is the next kept k
-        if self.fields is not self:
+        if self._struct is not None:
             q0, r0 = learner.q_update_count, learner.ref_fixed_count
             played, _ = learner.run_stretch(mdp, rng, first, stop)
-            top = self.fields.top
+            top = self._struct.top
             if top >= 0:
                 cache.evaluate(top)
             x, n = self._reals, self._counts

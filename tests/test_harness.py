@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from stageq.harness import (CONFIG_KEYS, UniformStream, checkpoint_regrets,
 from stageq.metrics import write_episode_csv
 
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------- streams
@@ -424,6 +429,174 @@ def test_checkpoint_regrets_picks_rows():
     assert checkpoint_regrets(res.records[::4], [25]) == {25: marks[25]}
     with pytest.raises(KeyError):
         checkpoint_regrets(res.records[::4], [24])
+
+
+def sequential_sweep(config, ks, seeds):
+    """sweep_scaling's rows from one run per seed, one after another, all
+    reading config.env.init: the loop the threaded sweep must equal."""
+    rows = []
+    for seed in seeds:
+        result = harness._audited_run(replace(config, episodes=ks[-1], seed=seed), ks)
+        rows += [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
+    return rows
+
+
+def cpus(monkeypatch, n):
+    """Have the process see n usable CPUs; returns the list of threads that
+    sweep_scaling starts from then on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize("n_cpus", [3, 1])
+@pytest.mark.parametrize("init", [InitialStates.seeded(5), InitialStates.cyclic([2, 0, 0, 1])],
+                         ids=["seeded", "cyclic"])
+def test_sweep_rows_equal_sequential_runs(monkeypatch, path, init, n_cpus):
+    # 600 episodes read three blocks of start states, so a seeded init's
+    # generator is advanced; each run must read its own copy of it
+    cfg = RunConfig(env=EnvSpec(S=3, A=2, H=3, env_seed=4, init=init),
+                    algo="classic-qucb", episodes=600, cb=0.05)
+    seeds = [3, 0, 4, 1, 2]
+    expect = sequential_sweep(cfg, [150, 300, 600], seeds)
+    started = cpus(monkeypatch, n_cpus)
+    inits = []
+    audited_run = harness._audited_run
+
+    def spy(config, keep):
+        inits.append(config.env.init)
+        return audited_run(config, keep)
+
+    monkeypatch.setattr(harness, "_audited_run", spy)
+    assert sweep_scaling(cfg, [0.25, 0.5, 1.0], seeds) == expect
+    assert len(started) == n_cpus - 1 and not any(t.is_alive() for t in started)
+    assert len(inits) == 5 and all(i == init and i is not init for i in inits)
+    assert len(set(map(id, inits))) == 5
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
+
+
+# every episode starts in state 1, and classic-qucb's first one with regret
+# below 1e-3 is episode 34 under seed 3 and episode 23 under seed 4; seeds
+# 0, 1, 2 and 5 have none in 60 episodes.  With V*(s=1) lowered by 1e-3
+# (lower_vstar) those episodes' regrets are negative
+FAIL_CFG = RunConfig(env=EnvSpec(S=3, A=2, H=3, env_seed=1, init=InitialStates.fixed(1)),
+                     algo="classic-qucb", constants=REDUCED, cb=0.05, episodes=60,
+                     strict=True)
+
+
+@pytest.mark.parametrize("seeds, k, late", [([0, 1, 2, 3, 5], 34, None),
+                                            ([3, 4], 34, 3),
+                                            ([0, 4, 3], 23, 4)])
+def test_strict_sweep_raises_the_first_failing_seeds_error(monkeypatch, path, lower_vstar,
+                                                           seeds, k, late):
+    # The run of seed late starts only after the run of the other failing
+    # seed (3 or 4) has ended.  So with two failing seeds the one first in
+    # seed order fails last, and its error must still be the one raised.
+    # No thread's exception may escape: pytest would report a
+    # PytestUnhandledThreadExceptionWarning, which the warning filter turns
+    # into a failure.
+    lower_vstar(1e-3)
+    with pytest.raises(InvariantViolation, match=f"at k={k}$"):
+        sequential_sweep(FAIL_CFG, [30, 60], seeds)
+    started = cpus(monkeypatch, 2)
+    audited_run, other_ended = harness._audited_run, threading.Event()
+
+    def spy(config, keep):
+        if config.seed == late:
+            other_ended.wait(timeout=60)
+        try:
+            return audited_run(config, keep)
+        finally:
+            if config.seed in (3, 4) and config.seed != late:
+                other_ended.set()
+
+    monkeypatch.setattr(harness, "_audited_run", spy)
+    with pytest.raises(InvariantViolation, match=f"at k={k}$"):
+        sweep_scaling(FAIL_CFG, [0.5, 1.0], seeds)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert late is None or other_ended.is_set()
+
+
+def test_no_seed_starts_once_a_strict_sweep_has_failed(monkeypatch, path, lower_vstar):
+    # both threads take a seed (4, which fails, and 0) before either run
+    # starts, and seed 0's run ends only after seed 4's has failed: seeds 1
+    # and 2, not yet taken then, are never taken
+    lower_vstar(1e-3)
+    cpus(monkeypatch, 2)
+    audited_run, runs = harness._audited_run, []
+    both, failed = threading.Barrier(2, timeout=10), threading.Event()
+
+    def spy(config, keep):
+        runs.append(config.seed)
+        both.wait()
+        try:
+            return audited_run(config, keep)
+        finally:
+            if config.seed == 4:
+                failed.set()
+            else:
+                failed.wait(timeout=60)
+
+    monkeypatch.setattr(harness, "_audited_run", spy)
+    with pytest.raises(InvariantViolation, match="at k=23$"):
+        sweep_scaling(FAIL_CFG, [0.5, 1.0], [4, 0, 1, 2])
+    assert sorted(runs) == [0, 4]
+
+
+def test_sweep_memory_is_bounded_by_its_threads(monkeypatch, path):
+    # each worker keeps only its runs' checkpoint rows, so 8 seeds on 2
+    # threads peak where 2 seeds do whose runs end together; a worker that
+    # kept its RunResults (learner, MDP and solution, about 460 kB each),
+    # or a run left in a reference cycle until the cyclic GC, would hold
+    # up to 8 of them
+    cpus(monkeypatch, 2)
+    cfg = RunConfig(env=EnvSpec(S=20, A=4, H=10, env_seed=0), episodes=300)
+    sweep_scaling(cfg, [1.0], [0])     # first-use allocations fall outside the peaks
+    audited_run, both = harness._audited_run, threading.Barrier(2, timeout=60)
+
+    def together(config, keep):
+        result = audited_run(config, keep)
+        both.wait()                    # until the other run has ended too
+        return result
+
+    peaks = []
+    for n, run in ((2, together), (8, audited_run)):
+        monkeypatch.setattr(harness, "_audited_run", run)
+        tracemalloc.start()
+        rows = sweep_scaling(cfg, [0.5, 1.0], range(n))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(rows) == 2 * n
+    assert peaks[1] - peaks[0] <= 100_000
+
+
+def test_sweep_imports_neither_concurrent_futures_nor_logging():
+    # concurrent.futures pulls in logging: about 5 ms of a 12 ms sweep
+    code = ("import sys, stageq\n"
+            "env = stageq.EnvSpec(S=2, A=2, H=3)\n"
+            "stageq.sweep_scaling(stageq.RunConfig(env=env, episodes=50), [1.0], [0, 1])\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------------------- file output
