@@ -3,12 +3,11 @@
  *
  * stageq_stretch plays whole episodes on the learner's own tables.  It
  * repeats the learner's Python observe operation for operation
- * (UcbAdvantageLearner.observe and _stage_update, or
- * ClassicQUcbLearner.observe, as the struct's mode says; the oracle's
- * observe changes nothing and returns at once): the same
- * uniforms in the same order, the next state bisect_right picks from the
- * same cumulative rows (next_state counts the entries <= u, which form a
- * prefix of each row), the same double expressions evaluated left to
+ * (UcbAdvantageLearner.observe and _stage_update, or ClassicQUcbLearner.
+ * observe, as the struct's mode says; the oracle's changes nothing): the
+ * same uniforms in the same order, the next state bisect_right picks from
+ * the same cumulative rows (next_state counts the entries <= u, which form
+ * a prefix of each row), the same double expressions evaluated left to
  * right, max(0.0, x) and safe_ratio with Python's semantics, and the
  * per-stage constants computed in Python.  Built with -O2
  * -ffp-contract=off and never -ffast-math (see kernel.py), every +, -, *,
@@ -16,42 +15,29 @@
  * equal to the Python path's.
  *
  * With the audit bound (TabularQLearnerBase.bind_audit), stageq_stretch
- * also audits, as metrics.Audit's Python body does: each episode's regret
- * and their running sum, and after each Q-changing episode the optimism
- * re-test and the switch count on the H cells it visited, copying in the
- * rows of P and r that each changed greedy row selects, and V^pi's layers
- * from the deepest changed one; then it writes the episode's audit row.
- * Each layer sum calls the ddot that NumPy's dot calls (its BLAS's, whose
- * kernel adds in an order of its own), so V^pi comes out bit for bit as
- * PolicyValueCache.evaluate computes it, and the call plays on through Q
- * changes.  Without that function the layers are left to evaluate, and the
- * call ends at the first Q-changing episode, as it does without the audit.
+ * also audits each episode as metrics.Audit's Python body does, and writes
+ * its audit row.  Each layer sum of V^pi calls the ddot that NumPy's dot
+ * calls, so V^pi comes out bit for bit as PolicyValueCache.evaluate
+ * computes it, and the call plays on through Q changes; without that
+ * function the call ends at the first Q change, as it does unaudited.
  *
  * With agents = M > 0 (run_concurrent's rounds of M episodes, unaudited),
  * a call plays through Q changes, skipping the rest of each Q-changing
  * episode's round, and stops at a round start at the caller's limit.
  *
- * The uniforms are the stream's (harness.UniformStream): PCG64's
- * next_double sequence, the values Generator.random draws.  Each double
- * takes exactly one 64-bit output, one step of the generator's 128-bit
- * state, so the kernel reads the unread tail of the stream's buffer and
- * then steps the generator's own state in place (pcg64_double), writing it
- * back when the call ends; its draws and the stream's buffered ones can be
- * swapped for one another, and the buffer's size is a detail.  The start
+ * The uniforms are the stream's (harness.UniformStream): the kernel reads
+ * the unread tail of its buffer, then steps the generator's PCG64 state in
+ * place (pcg64_double), writing it back when the call ends.  The start
  * states are read in place from the block InitialStates.block returns.
  *
- * The learner is described by one Learner struct whose layout kernel.py
- * mirrors: every field is 8 bytes wide.  stageq_stretch takes that
- * struct alone, so that a call from Python converts one argument; the
- * values that change from call to call are its last fields, the inputs
+ * One Learner struct, whose layout kernel.py mirrors (every field 8 bytes
+ * wide), is stageq_stretch's one argument; its last fields are the inputs
  * set before each call and the outputs the call fills.
  *
- * stageq_format_rows, apart from the learners, writes the rows of
- * metrics.write_table: integers in decimal here, and each float through
- * the routine float.__repr__ calls, PyOS_double_to_string(x, 'r', 0,
- * Py_DTSF_ADD_DOT_0, NULL), so every float's bytes are repr's.  kernel.py
- * passes that routine and PyMem_Free in as function pointers, so the
- * library links no Python symbol, and calls it with the GIL held.
+ * stageq_format_rows writes the rows of metrics.write_table: integers in
+ * decimal, and each float through the routine float.__repr__ calls,
+ * PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), which
+ * kernel.py passes in with PyMem_Free, and calls with the GIL held.
  */
 
 #include <math.h>

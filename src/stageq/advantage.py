@@ -43,7 +43,8 @@ All counts, accumulators and tables live in fixed-size flat buffers
 (array('d') and array('q')) that both Python and the compiled kernel read
 and write in place; the episode drivers (run_episode, run_stretch,
 run_rounds) are the base class's, and the kernel repeats observe and
-_stage_update below (see the base module).
+_stage_update below (see the base module).  The stage-end tables
+(StageTables) are only read, so the runs of a driver call share them.
 """
 
 from __future__ import annotations
@@ -51,17 +52,17 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import inf, isnan, log, sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernel
 from .base import EpisodeReport, TabularQLearnerBase
 from .mdp import EpisodicMdp
-from .stages import OutOfRangeError, build_schedule
+from .stages import OutOfRangeError, StageSchedule, build_schedule
 
 __all__ = ["AlgoConstants", "UcbAdvantageLearner", "HoeffdingStageLearner",
-           "EpisodeReport", "safe_ratio", "DEFAULT_N_MAX"]
+           "EpisodeReport", "safe_ratio", "DEFAULT_N_MAX", "StageTables", "stage_tables"]
 
 DEFAULT_N_MAX = 1 << 20
 
@@ -118,6 +119,34 @@ def hoeffding_width(H: int, iota: float, n: int) -> float:
     return 2.0 * sqrt(H * H * iota / n)
 
 
+class StageTables(NamedTuple):
+    """The stage-end tables of one key (H, n_max, constants), which learners
+    only read: the schedule; consts, each stage end n's (c3 lower-order
+    term, Hoeffding width), which depend on n alone, since the stage count
+    there is nc = lengths[j] (plain floats: np.power rounds differently);
+    and the kernel's copies of the ends and of both terms."""
+
+    key: tuple
+    schedule: StageSchedule
+    consts: dict
+    ends: array
+    lower: array
+    bbar: array
+
+
+def stage_tables(H: int, n_max: int, constants: AlgoConstants) -> StageTables:
+    schedule = build_schedule(H, n_max)
+    c, iota = constants, constants.iota
+    iota34 = iota ** 0.75
+    consts = {n: (c.c3 * (H * iota / n + H * iota / nc
+                          + H * iota34 / n ** 0.75 + H * iota34 / nc ** 0.75),
+                  hoeffding_width(H, iota, nc))
+              for n, nc in zip(schedule._end_list, schedule.lengths.tolist())}
+    return StageTables((H, n_max, constants), schedule, consts, array("q", schedule._end_list),
+                       array("d", [lower for lower, _ in consts.values()]),
+                       array("d", [b_bar for _, b_bar in consts.values()]))
+
+
 class UcbAdvantageLearner(TabularQLearnerBase):
     """Reference-advantage learner; model-free (sees dims + rewards only)."""
 
@@ -125,47 +154,31 @@ class UcbAdvantageLearner(TabularQLearnerBase):
     reference = True   # False: Hoeffding target only, references never freeze
 
     def __init__(self, mdp: EpisodicMdp, constants: Optional[AlgoConstants] = None,
-                 n_max: int = DEFAULT_N_MAX):
+                 n_max: int = DEFAULT_N_MAX, tables: Optional[StageTables] = None):
+        """tables: stage_tables(H, n_max, constants), where a caller shares them."""
         super().__init__(mdp)
         S, A, H = self.S, self.A, self.H
-        self.constants = constants or AlgoConstants()
-        self.schedule = build_schedule(H, n_max)
-        self._n_max = self.schedule.n_max
-
-        c = self.constants
-        self._iota = iota = c.iota
-        iota34 = iota ** 0.75
+        c = self.constants = constants or AlgoConstants()
+        tables = tables or stage_tables(H, n_max, c)
+        if tables.key != (H, n_max, c):
+            raise ValueError(f"stage tables of {tables.key}, not of {(H, n_max, c)}")
+        self.schedule, self._stage_consts = tables.schedule, tables.consts
+        self._n_max, self._iota = n_max, c.iota
         self._n0 = c.reference_trigger(S, A, H) if self.reference else float("inf")
-        # At the stage end with visit count n = ends[j] the stage count is
-        # nc = lengths[j], so the c3 lower-order term and the Hoeffding width
-        # depend on n alone.  Keyed by n, plain ints, same expressions as
-        # the update always used (np.power rounds differently).
-        self._stage_consts = {
-            n: (c.c3 * (H * iota / n + H * iota / nc
-                        + H * iota34 / n ** 0.75 + H * iota34 / nc ** 0.75),
-                hoeffding_width(H, iota, nc))
-            for n, nc in zip(self.schedule._end_list, self.schedule.lengths.tolist())}
 
         # reference table with zero boundary row, and the five stage/global
         # accumulators: mu_chk/ups_chk/sig_chk reset each stage end,
         # mu_ref/sig_ref never reset
         z = H * S * A
         self._vref = array("d", [float(H)]) * (H * S) + array("d", [0.0]) * S
-        self._nchk = array("q", [0]) * z
-        self._mu_chk = array("d", [0.0]) * z
-        self._ups_chk = array("d", [0.0]) * z
-        self._sig_chk = array("d", [0.0]) * z
-        self._mu_ref = array("d", [0.0]) * z
-        self._sig_ref = array("d", [0.0]) * z
-        self._n_state = array("q", [0]) * (H * S)
+        self._nchk, self._n_state = array("q", [0]) * z, array("q", [0]) * (H * S)
+        self._mu_chk, self._ups_chk, self._sig_chk, self._mu_ref, self._sig_ref = (
+            array("d", [0.0]) * z for _ in range(5))
         self._ref_fixed = array("b", [0]) * (H * S)
         if self._lib is not None:
-            ends = self.schedule._end_list
-            # the kernel's stage-end tables; kept alive here, the struct
-            # holds only their addresses
-            self._kbufs = (array("q", [0]) * z, array("q", ends),
-                           array("d", [self._stage_consts[n][0] for n in ends]),
-                           array("d", [self._stage_consts[n][1] for n in ends]))
+            # the kernel's own end_idx, and the shared tables it reads; kept
+            # alive here, the struct holds only their addresses
+            self._kbufs = (array("q", [0]) * z, tables.ends, tables.lower, tables.bbar)
             self._bind_kernel(
                 **{name: getattr(self, "_" + name) for name in (
                     "vref", "nchk", "mu_chk", "ups_chk", "sig_chk", "mu_ref", "sig_ref",

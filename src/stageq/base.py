@@ -17,25 +17,16 @@ The tables are fixed-size flat buffers (array('d') and array('q')) that
 both Python and the compiled kernel (_kernel.c, loaded by the kernel
 module) read and write in place; numpy copies are exported on demand.
 With the kernel, run_stretch plays whole episodes in C for every learner
-here (the Learner struct's mode says whose observe it repeats) and
-run_episode is a one-episode stretch; run_rounds plays a concurrent run's
-rounds through Q changes.  A call reads its start states in place from
-the block InitialStates.block returns, and its uniforms from the stream
-(harness.UniformStream): PCG64's next_double sequence, one 64-bit output
-per double, so the kernel reads the unread tail of the stream's buffer
-(whose size is a detail), then draws the rest itself by stepping the
-generator's state in place, and its draws and Python's random() can be
-swapped for one another.  Recorded trajectories (observe_trajectory) go
-through Python observe.
-The tuple trajectory is built from the kernel's path buffers by
-run_episode alone.
-Without a C compiler run_episode is reference_episode (sample_episode
-feeding observe, one transition at a time), the path the kernel must
-match bit for bit.
-
-bind_audit has the kernel also audit every episode it plays and write
-its audit row, in place of the Python body of metrics.Audit; with NumPy's
-ddot found (kernel.ddot), a call then plays on through Q changes.
+here (the Learner struct's mode says whose observe it repeats),
+run_episode is a one-episode stretch, and run_rounds plays a concurrent
+run's rounds through Q changes.  Every driver takes the run's start states
+(init, an InitialStates: every episode from state 0 where none is given),
+which a call reads in place from the block init.block returns, and draws
+its uniforms from the stream (harness.UniformStream), whose draws and the
+kernel's can be swapped for one another.  Recorded trajectories
+(observe_trajectory) go through Python observe.  Without a C compiler
+run_episode is reference_episode (sample_episode feeding observe, one
+transition at a time), the path the kernel must match bit for bit.
 
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
@@ -45,13 +36,10 @@ greedy_actions_flat returns a copy, because callers hold their snapshot
 while learning goes on; greedy_buffer hands out the live table to a caller
 that reads it at once.
 
-Trajectory locality: run_episode writes Q, V and _greedy only at the
-(h, s, a) cells (and their (h, s) rows) of the trajectory it returns.  The
-audit relies on this to re-test optimism and count switches on those H
-cells alone, so an update that touched any other cell would make the
-audit miss it.  The same holds for each episode that run_stretch plays:
-it changes Q only along its own trajectory.  The compiled kernel plays
-stretches on the same tables and must keep this invariant too; its audit
+Trajectory locality: each episode played (run_episode, run_stretch, the
+kernel's) writes Q, V and _greedy only at the (h, s, a) cells (and their
+(h, s) rows) of its own trajectory.  The audit relies on this to re-test
+optimism and count switches on those H cells alone; the kernel's audit
 reads each Q-changing episode's trajectory from its path buffers before
 the next episode plays.
 """
@@ -64,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .mdp import START_BLOCK, EpisodicMdp, sample_episode
+from .mdp import DEFAULT_STARTS, START_BLOCK, EpisodicMdp, InitialStates, sample_episode
 from .stages import OutOfRangeError
 
 
@@ -106,9 +94,7 @@ class TabularQLearnerBase:
         the subclass's own Learner fields (mode included) in fields, arrays
         by address and numbers as they are.  The learner keeps every array
         alive, and the buffers never resize, so the addresses stay valid
-        for its life.  The struct's per-call fields are run_stretch's and
-        run_rounds': starts, u_index, u_avail, count, agents, first, limit
-        and consumed in, the counter increments, errors and changes out."""
+        for its life; _call sets the per-call fields."""
         H = self.H
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
@@ -122,8 +108,8 @@ class TabularQLearnerBase:
         self._kaddr = kernel.ctypes.addressof(self._kstate)
         self._stretch = self._lib.stageq_stretch
         # what the struct's P, cum, mdp_rew, starts, u and pcg point into
-        # now: the (frozen) MDP, its block of start states, and the stream
-        self._mdp = self._starts = self._rng = None
+        # now: the (frozen) MDP, a block of init's start states, the stream
+        self._mdp = self._init = self._starts = self._rng = None
 
     # ------------------------------------------------------------ acting
 
@@ -152,67 +138,63 @@ class TabularQLearnerBase:
         for h, (s, a, _r, s_next) in enumerate(traj):
             self.observe(h, s, a, s_next)
 
-    def reference_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
+    def reference_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0,
+                          init: InitialStates = DEFAULT_STARTS):
         """Roll out one episode with sample_episode feeding observe, one
         transition at a time; returns (traj, EpisodeReport).  What
         run_episode does without the kernel, and what the kernel must match
         bit for bit."""
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
-        traj = sample_episode(mdp, self, rng, episode_index)
+        traj = sample_episode(mdp, self, rng, episode_index, init)
         return traj, EpisodeReport(stage_ends=self.stage_end_count - e0,
                                    q_updates=self.q_update_count - u0,
                                    refs_fixed=self.ref_fixed_count - r0)
 
-    def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0):
+    def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0,
+                    init: InitialStates = DEFAULT_STARTS):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
-
         rng is a harness.UniformStream.  A one-episode stretch with the
-        kernel, else reference_episode.  The counters are current after every
-        stretch, so the report is their differences either way.
-        """
+        kernel, else reference_episode; the report is the counters'
+        differences either way."""
         if self._lib is None:
-            return self.reference_episode(mdp, rng, episode_index)
+            return self.reference_episode(mdp, rng, episode_index, init)
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
-        self.run_stretch(mdp, rng, episode_index, episode_index + 1)
+        self.run_stretch(mdp, rng, episode_index, episode_index + 1, init)
         return self._last_traj(), EpisodeReport(
             self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
 
-    def play_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
+    def play_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int,
+                     init: InitialStates = DEFAULT_STARTS):
         """run_stretch's stretch played one reference_episode at a time: the
         path without the kernel, and the Python audit's.  Returns (starts,
         traj): traj is the last episode's trajectory if it changed Q, else
         None."""
         starts = []
         for k in range(first, stop):
-            traj, report = self.reference_episode(mdp, rng, k)
+            traj, report = self.reference_episode(mdp, rng, k, init)
             starts.append(traj[0][0])
             if report.q_changed:
                 return starts, traj
         return starts, None
 
-    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int):
+    def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int,
+                    init: InitialStates = DEFAULT_STARTS):
         """Play episodes first, first + 1, ... (0-based, below stop) and stop
         after the first one that changes Q; rng is a harness.UniformStream.
-        With the audit bound (bind_audit), the kernel audits every episode
-        it plays and writes its row, and where it has NumPy's ddot it keeps
-        V^pi current itself and plays on through Q changes.
-
-        Returns (played, changed): the number of episodes played, and
-        whether Q changed in them.
-
-        Without the kernel this is play_stretch.
-        The kernel plays the stretch in one call, which also ends at the
-        end of the block of START_BLOCK start states that holds `first`
-        (mdp.init.block, read in place); the caller then calls again.
+        Returns (played, changed): the episodes played, and whether Q
+        changed in them.  Without the kernel this is play_stretch.  The
+        kernel plays it in one call, which also ends at the end of the
+        block of start states that holds `first`, and, with the audit bound
+        and NumPy's ddot, plays on through Q changes (bind_audit).
         """
         if self._lib is None:
-            starts, traj = self.play_stretch(mdp, rng, first, stop)
+            starts, traj = self.play_stretch(mdp, rng, first, stop, init)
             return len(starts), traj is not None
-        played = self._call(mdp, rng, first, stop - first, 0)
+        played = self._call(mdp, rng, init, first, stop - first, 0)
         return played, self._kstate.q_updates > 0
 
     def run_rounds(self, mdp: EpisodicMdp, rng, first: int, agents: int, consumed: int,
-                   limit: int, changes: list):
+                   limit: int, changes: list, init: InitialStates = DEFAULT_STARTS):
         """Play run_concurrent's rounds of `agents` episodes online from
         generated episode first (0-based), adding each played one to
         consumed and each round's first Q-changing one to changes, and
@@ -223,7 +205,7 @@ class TabularQLearnerBase:
         if self._lib is None:
             k = first
             while k % agents or consumed < limit:
-                _, report = self.reference_episode(mdp, rng, k)
+                _, report = self.reference_episode(mdp, rng, k, init)
                 consumed += 1
                 if report.q_changed:
                     changes.append(k)
@@ -234,20 +216,23 @@ class TabularQLearnerBase:
             return k - first, consumed
         k = self._kstate
         k.first, k.consumed, k.limit = first, consumed, limit
-        played = self._call(mdp, rng, first, START_BLOCK, agents)
+        played = self._call(mdp, rng, init, first, START_BLOCK, agents)
         changes += self._changes[:k.n_changes]
         return played, k.consumed
 
-    def _call(self, mdp: EpisodicMdp, rng, first: int, count: int, agents: int) -> int:
+    def _call(self, mdp: EpisodicMdp, rng, init: InitialStates, first: int, count: int,
+              agents: int) -> int:
         """One kernel call of at most count episodes (see run_stretch)."""
         k = self._kstate
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
         if rng is not self._rng:
             self._bind_stream(rng)
+        if init is not self._init:     # _block: which block of init's starts k.starts reads
+            self._init, self._block = init, None
         b, j = divmod(first, START_BLOCK)
         if b != self._block:
-            starts = mdp.init.block(b, self.S)
+            starts = init.block(b, self.S)
             if starts is not self._starts:
                 self._starts, self._starts_at = starts, starts.obj.ctypes.data
             self._block = b
@@ -279,20 +264,17 @@ class TabularQLearnerBase:
         k = self._kstate
         k.cum, k.mdp_rew, k.P = cum.ctypes.data, mdp.r.ctypes.data, mdp.P.ctypes.data
         self._mdp = mdp
-        self._block = None         # which block of mdp's start states the struct reads
 
     def bind_audit(self, cache, optimism, vstar0):
         """Have the kernel audit every episode this learner plays from now
-        on (metrics.Audit), from the policy cache's table and the optimism
-        tracker's thresholds and flags, which it reads and writes in place
-        (the tracker's count is then the struct's); vstar0 is V*[0].
-        Returns the Learner struct that
-        holds the running values, and the row buffers each call writes its
-        episodes' rows into (reals, counts: see _kernel.c), or None without
-        the kernel.  The kernel writes the cache's table, gathered rows and
-        V, recomputing V's layers with NumPy's own ddot (kernel.ddot);
-        where that is not found, the caller recomputes them (cache.evaluate)
-        from the struct's top before the next call."""
+        on (metrics.Audit), reading and writing in place the policy cache's
+        table, gathered rows and V and the optimism tracker's flags (whose
+        count is then the struct's); vstar0 is V*[0].  Returns the Learner
+        struct, which holds the running values, and the row buffers each
+        call writes its episodes' rows into (reals, counts: see _kernel.c),
+        or None without the kernel.  V's layers are summed with NumPy's own
+        ddot (kernel.ddot); where that is not found, the caller recomputes
+        them (cache.evaluate) from the struct's top before the next call."""
         if self._lib is None:
             return None
         self._bind_mdp(cache.mdp)

@@ -17,11 +17,9 @@ do hold exactly are 0 <= Q <= H-h+1 + c_b*sqrt(H^3*iota) and
 incremental scheme is usually written with init H; any init >= Q* keeps
 the optimism argument and the per-layer value matches the others here).
 
-Its episodes run through the base class's drivers, so with a C compiler
-the kernel plays them (mode MODE_CLASSIC_QUCB, repeating observe below
-operation for operation); observe itself is the path without a compiler,
-the reference the kernel must match, and the replay path for recorded
-trajectories.  Every step is a Q update, so every stretch is one episode.
+Its episodes run through the base class's drivers: the kernel's
+MODE_CLASSIC_QUCB repeats observe below operation for operation, and
+observe is the path without a compiler and the replay path.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ solve       exact optimal tables for an environment; print or save
 schedule    the geometric visit-count stage table for a given H
 
 Config files hold `key = value` lines ('#' comments); any flag given on
-the command line overrides the file.  The config-key table
-(harness.CONFIG_KEYS) decides which keys each command reads, and each
-command has a flag for exactly those: sweep takes no --seed or --log-every
-(its seeds come from --seeds), concurrent no --episodes, --log-every or
---strict, and solve only the environment keys and --out.  A config file
-setting a key the command does not read is rejected.
+the command line overrides the file.  Each command has a flag for exactly
+the keys it reads (harness.CONFIG_KEYS): sweep takes no --seed or
+--log-every (its seeds come from --seeds), concurrent no --episodes,
+--log-every or --strict, and solve only --out and the environment keys,
+not the runs' start states (--init).  A config file setting a key the
+command does not read is rejected.
 Exit status: 0 ok, 1 a strict-mode invariant failed, 2 bad configuration
 or input.
 """

@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mdp import DeterministicPolicy, EpisodicMdp
+from .mdp import DEFAULT_STARTS, DeterministicPolicy, EpisodicMdp, InitialStates
 from .metrics import Table, write_csv
 
 ROUNDS_CSV_HEADER = "round,consumed,update_triggered,policy_version"
@@ -149,14 +149,14 @@ def round_count_bound(update_rounds: int, budget: int, agents: int) -> int:
 
 
 def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
-                   env_rng, pick_rng) -> ConcurrentResult:
+                   env_rng, pick_rng, init: InitialStates = DEFAULT_STARTS) -> ConcurrentResult:
     """Run rounds until the consumed-trajectory budget is met.
 
     env_rng/pick_rng are uniform streams (see the harness): one drives all
     episode sampling in generation order, the other supplies the single
-    draw that picks the output policy.  Initial states are indexed by
-    global generation order, so a pre-committed initial-state sequence is
-    spread across agents deterministically.  The rounds are played online
+    draw that picks the output policy.  The start states init are indexed
+    by global generation order, so a pre-committed initial-state sequence
+    is spread across agents deterministically.  The rounds are played online
     by the learner's run_rounds (see the module docstring).  RuntimeError
     once consumed passes budget + M - 1, which a correct run never reaches.
     """
@@ -175,7 +175,8 @@ def run_concurrent(mdp: EpisodicMdp, learner, config: ConcurrentConfig,
             if consumed <= hi:          # keep its frozen policy, and play it alone
                 policies[consumed] = learner.greedy_actions_flat()
             limit = consumed + 1 if consumed <= hi else budget
-        played, consumed = learner.run_rounds(mdp, env_rng, generated, M, consumed, limit, changes)
+        played, consumed = learner.run_rounds(mdp, env_rng, generated, M, consumed, limit,
+                                              changes, init)
         generated += played
         if consumed > budget + M - 1:   # past every round start a run can stop at
             raise RuntimeError(f"run_rounds consumed {consumed} without ending at a round start")

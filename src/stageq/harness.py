@@ -7,34 +7,23 @@ derived as
 
 and consumed through a fixed-size buffer, so a (config, seed) pair replays
 byte-identically on any platform.  The environment stream uses label
-"env"; the concurrent runner adds "policy-pick".  Pre-committed initial
-states and generated instances carry their own seeds and never touch the
-run streams, so changing the learner never perturbs the environment draw
-sequence.
+"env"; the concurrent runner adds "policy-pick".  Start states and
+generated instances carry their own seeds and never touch the run streams,
+so changing the learner never perturbs the environment draw sequence.
 
-The one per-episode audit loop (_audited_run) recomputes policy
-snapshots and exact policy values only after episodes that actually
-changed a Q entry; the greedy policy cannot move otherwise.  Such an
-episode wrote Q only along its own trajectory (see the base module), so
-the optimism count re-tests just those H cells and the policy-value cache
-compares just those H rows: O(H) per Q-changing episode, plus recomputing
-V at and above the deepest layer where the new policy differs from the
-last.  The cache keeps that one table and its V and counts the differing
-rows as the switching cost, so the audit holds no per-policy state.  The
-loop builds a record only for the episodes its caller keeps
-(run_experiment: the log cadence; sweep_scaling: the checkpoints), so
-memory is bounded by those, not by K.  metrics.Audit plays the episodes
-as stretches and adds their regrets one by one, noting the first
-negative one for strict mode, which therefore checks every episode, kept
-or not.  With a C compiler and NumPy's ddot, the kernel plays and audits
-up to 256 episodes a call (a block of start states), through Q changes,
-V^pi's layers included, and writes every episode's row; Python copies
-the kept ones into the audit's columns, a column slice at a time.  The
-Python body ends a stretch at each Q change and kept row.
+Each driver call prepares its environment once (Prepared): it builds,
+validates and solves the MDP, checks the start states against it, and
+builds what every run only reads.  A run keeps its own learner,
+stream, audit state (copied, not recomputed) and copy of the start states
+(dataclasses.replace: a seeded InitialStates keeps a live generator).
 
-sweep_scaling plays its seeds' runs on up to one thread per usable CPU,
-the calling thread included: they share nothing, and the kernel call
-releases the GIL.  Its rows, their order and the error a strict sweep
+The one audit loop (_audited_run, metrics.Audit) keeps a record only for
+the episodes its caller keeps (run_experiment: the log cadence;
+sweep_scaling: the checkpoints), so memory is bounded by those, not by K.
+
+sweep_scaling plays its seeds' runs on up to one thread per usable CPU
+where the kernel is built: they write nothing they share, and the kernel
+call releases the GIL.  Its rows, their order and the error a strict sweep
 raises are those of one seed after another.
 """
 
@@ -44,6 +33,7 @@ import hashlib
 import os
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -51,14 +41,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernel
-from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner
+from .advantage import AlgoConstants, HoeffdingStageLearner, UcbAdvantageLearner, stage_tables
 from .base import TabularQLearnerBase
 from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
-from .mdp import (EpisodicMdp, InitialStates, backward_induction, load_mdp,
+from .mdp import (DEFAULT_STARTS, EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, validate)
-from .metrics import (Audit, EpisodeRecord, Table, grid, switching_bound, write_episode_csv,
-                      write_table)
+from .metrics import (Audit, EpisodeRecord, OptimismTracker, PolicyValueCache, Table, grid,
+                      switching_bound, write_episode_csv, write_table)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -127,7 +117,8 @@ def seeded_stream(master_seed: int, run_index: int, label: str) -> UniformStream
 
 @dataclass
 class EnvSpec:
-    """Declarative environment choice: generator + parameters, or a file."""
+    """Declarative environment choice: generator + parameters, or a file;
+    init, which build leaves out, is its runs' start states (None: state 0)."""
 
     kind: str = "random"            # random | jao | file
     S: int = 3
@@ -143,15 +134,12 @@ class EnvSpec:
     def build(self) -> EpisodicMdp:
         if self.kind == "random":
             return make_random_mdp(self.S, self.A, self.H, seed=self.env_seed,
-                                   reward_sparsity=self.reward_sparsity, init=self.init)
+                                   reward_sparsity=self.reward_sparsity)
         if self.kind == "jao":
             return make_jao_chain(self.H, epsilon=self.jao_epsilon, delta=self.jao_delta,
-                                  seed=self.env_seed, init=self.init)
+                                  seed=self.env_seed)
         if self.kind == "file":
-            mdp = load_mdp(self.path)
-            if self.init is not None:
-                mdp.init = self.init
-            return mdp
+            return load_mdp(self.path)
         raise ConfigError(f"unknown env kind {self.kind!r}")
 
 
@@ -160,13 +148,13 @@ class EnvSpec:
 class OracleAgent(TabularQLearnerBase):
     """Debug agent whose Q, V and greedy tables are Q*, V* and pi*: it
     plays the exact optimal policy, and its observe changes nothing (the
-    kernel's MODE_ORACLE)."""
+    kernel's MODE_ORACLE).  solved: backward_induction(mdp), if known."""
 
     name = "oracle"
 
-    def __init__(self, mdp: EpisodicMdp):
+    def __init__(self, mdp: EpisodicMdp, solved=None):
         super().__init__(mdp)
-        tables, pistar = backward_induction(mdp)
+        tables, pistar = solved or backward_induction(mdp)
         self._q[:] = kernel.table("d", tables.Q[:mdp.H])
         self._v[:] = kernel.table("d", tables.V)
         self._greedy[:] = kernel.table("q", pistar.actions)
@@ -180,17 +168,53 @@ class OracleAgent(TabularQLearnerBase):
         pass
 
 
+STAGE_LEARNERS = {"advantage": UcbAdvantageLearner, "hoeffding-stage": HoeffdingStageLearner}
+
+
 def make_learner(algo: str, mdp: EpisodicMdp, constants: AlgoConstants,
-                 n_max: int, cb: float = 2.0):
-    if algo == "advantage":
-        return UcbAdvantageLearner(mdp, constants, n_max=n_max)
-    if algo == "hoeffding-stage":
-        return HoeffdingStageLearner(mdp, constants, n_max=n_max)
+                 n_max: int, cb: float = 2.0, shared: Optional["Prepared"] = None):
+    """A fresh learner; shared, a Prepared of these arguments, lends it the
+    stage tables or the solution it would build."""
+    if algo in STAGE_LEARNERS:
+        return STAGE_LEARNERS[algo](mdp, constants, n_max=n_max,
+                                    tables=shared and shared.stages)
     if algo == "classic-qucb":
         return ClassicQUcbLearner(mdp, constants, cb=cb)
     if algo == "oracle":
-        return OracleAgent(mdp)
+        return OracleAgent(mdp, shared and shared.vstar and (shared.vstar, shared.pistar))
     raise ValueError(f"unknown algo {algo!r}; expected one of {ALGOS}")
+
+
+class Prepared:
+    """One environment made ready for the runs of a driver call, which
+    share it: they, the kernel included, only read it.  Builds, validates
+    and (audited) solves env for runs of at most `episodes` episodes each,
+    or episodes(mdp); MdpValidationError for a start state outside the MDP.
+    Without the audit, vstar, pistar, thr and first stay None; first is
+    the all-zero greedy table and its V^pi, whose gathered rows each run
+    takes from P and r itself rather than hold a copy here."""
+
+    vstar = pistar = thr = first = None
+
+    def __init__(self, env: EnvSpec, algo: str, constants: AlgoConstants, cb: float,
+                 episodes, audited: bool = True):
+        self.mdp = mdp = env.build()
+        validate(mdp)
+        mdp.cum_array()                # built here, before any thread reads it
+        self.init = env.init or DEFAULT_STARTS     # each run reads a copy
+        self.init.check(mdp.S)
+        self.algo, self.constants, self.cb = algo, constants, cb
+        self.n_max = (episodes(mdp) if callable(episodes) else episodes) * mdp.H + 1
+        self.stages = (stage_tables(mdp.H, self.n_max, constants)
+                       if algo in STAGE_LEARNERS else None)
+        if audited:
+            self.vstar, self.pistar = backward_induction(mdp)
+            self.thr = OptimismTracker.thresholds(self.vstar.Q, mdp.H)
+            zeros = array("q", [0]) * (mdp.H * mdp.S)      # a learner's first greedy table
+            self.first = zeros, PolicyValueCache(mdp).values(zeros).V
+
+    def learner(self):
+        return make_learner(self.algo, self.mdp, self.constants, self.n_max, self.cb, self)
 
 
 # -------------------------------------------------------------- run configs
@@ -251,16 +275,13 @@ class RunResult:
 # ------------------------------------------------------------------ drivers
 
 def run_experiment(config: RunConfig) -> RunResult:
-    """Run one seeded experiment, audited on every episode.
+    """Run one seeded experiment, audited on every episode (see metrics).
 
-    Episode k's policy pi_k is the greedy table at the episode's start;
-    regret, switching increments and optimism counts are derived from exact
-    DP as described in the metrics module.  records holds the rows of the
-    log cadence: every episode ("all"), or each power of two plus the last
-    ("pow2"); "auto" is "all" up to 100k episodes.  Writes CSVs under out_dir
-    if set (episodes.csv, snapshot_q.csv, snapshot_v.csv); the summary line
-    is for stdout because it carries wall time, which must stay out of the
-    byte-deterministic files.
+    records holds the rows of the log cadence: every episode ("all"), or
+    each power of two plus the last ("pow2"); "auto" is "all" up to 100k
+    episodes.  Writes CSVs under out_dir if set (episodes.csv,
+    snapshot_q.csv, snapshot_v.csv); the summary line is for stdout because
+    it carries wall time, which must stay out of the deterministic files.
     """
     K, mode = config.episodes, config.log_every
     if mode == "auto":
@@ -271,36 +292,28 @@ def run_experiment(config: RunConfig) -> RunResult:
         keep = sorted({1 << i for i in range(K.bit_length())} | {K})
     else:
         raise ConfigError(f"unknown log cadence {mode!r}")
-    result = _audited_run(config, keep)
+    if K < 1:
+        raise ConfigError(f"episodes must be >= 1, got {K}")
+    t0 = time.perf_counter()
+    shared = Prepared(config.env, config.algo, config.constants, config.cb, K)
+    result = _audited_run(shared, config, keep, replace(shared.init))
+    result.summary.wall_time_s = time.perf_counter() - t0
     if config.out_dir is not None:
         write_run_outputs(result, config.out_dir)
     return result
 
 
-def _audited_run(config: RunConfig, keep) -> RunResult:
-    """The audit loop; keeps the row of each episode k in keep (an increasing
-    sequence), ignores out_dir.
-
-    The audit plays stretches of episodes (Audit.stretch), adding every
-    episode's regret to cum_regret one at a time against V^pi of the
-    policy it played, as a per-episode loop would, and returns the kept
-    rows among them, whichever body runs.  Where a stretch ends is the
-    body's own affair (see Audit).  The first episode with negative regret
-    is noted there, and a strict run hands it to enforce_invariants, kept
-    row or not.  The summary reads the audit's running values
-    (Audit.fields).
-    """
-    t0 = time.perf_counter()
-    K = config.episodes
-    if K < 1:
-        raise ConfigError(f"episodes must be >= 1, got {K}")
-    mdp = config.env.build()
-    validate(mdp)
-    vstar, pistar = backward_induction(mdp)
-    learner = make_learner(config.algo, mdp, config.constants,
-                           n_max=K * mdp.H + 1, cb=config.cb)
+def _audited_run(shared: Prepared, config: RunConfig, keep, init: InitialStates) -> RunResult:
+    """One run's audit loop on the prepared environment, from its own start
+    states init: Audit.stretch plays its episodes, keeping the rows of the
+    episodes k in keep (increasing), and the summary reads the audit's
+    running values; a strict run hands the first negative-regret episode
+    the audit noted to enforce_invariants.  Ignores out_dir and leaves
+    wall_time_s 0."""
+    K, mdp = config.episodes, shared.mdp
+    learner = shared.learner()
     env_rng = seeded_stream(config.seed, 0, "env")
-    audit = Audit(learner, mdp, vstar)
+    audit = Audit(learner, mdp, shared.vstar, init, shared.thr, shared.first)
     k = 0                          # the episodes played
     while k < K:
         k += audit.stretch(env_rng, k, K, keep)
@@ -314,10 +327,9 @@ def _audited_run(config: RunConfig, keep) -> RunResult:
         q_updates=learner.q_update_count,
         optimism_violations=f.violations,
         ref_states_fixed=learner.ref_fixed_count,
-        wall_time_s=time.perf_counter() - t0,
-        reference_wins=learner.reference_wins)
+        wall_time_s=0.0, reference_wins=learner.reference_wins)
     result = RunResult(config=config, records=audit.records, summary=summary,
-                       learner=learner, mdp=mdp, vstar=vstar, pistar=pistar)
+                       learner=learner, mdp=mdp, vstar=shared.vstar, pistar=shared.pistar)
     if config.strict:
         enforce_invariants(result, f.negative)
     return result
@@ -336,7 +348,7 @@ def enforce_invariants(result: RunResult, negative: Optional[int] = None) -> Non
         learner.check_invariants()
     except AssertionError as exc:
         raise InvariantViolation(str(exc)) from None
-    if result.config.algo in ("advantage", "hoeffding-stage") and s.n_switch > s.switch_bound:
+    if result.config.algo in STAGE_LEARNERS and s.n_switch > s.switch_bound:
         raise InvariantViolation(
             f"n_switch {s.n_switch} exceeds deterministic bound {s.switch_bound:.1f}")
     if negative is None:
@@ -364,28 +376,26 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
     product, 256117.5, would round to 256118.  Each seed's run keeps only
     the checkpoint rows.  log_every and out_dir are not read.
 
-    The seeds' runs share nothing, and most of each is a kernel call that
-    releases the GIL, so n = min(len(seeds), usable CPUs) threads play
-    them: the calling thread and n - 1 others take seeds in order from one
-    iterator.  Each run builds from its own copy of env.init (a seeded
-    InitialStates keeps a live generator), and each thread turns its run
-    into rows at once, so memory is bounded by n, not by len(seeds).  The
-    rows come out in seed order, as from one thread; once a seed has
-    failed no new seed starts, and the error raised is the first failing
-    seed's, the one a loop over the seeds would raise.
+    The runs write nothing they share, and most of each is a kernel call
+    that releases the GIL, so n = min(len(seeds), usable CPUs) threads, the
+    calling one included, take seeds in order from one iterator (one thread
+    without the kernel, whose Python body holds the GIL) and turn each run
+    into rows at once: memory is bounded by n.  The rows come out in seed
+    order; once a seed has failed no new seed starts, and the error raised
+    is the first failing seed's, the one a loop over the seeds would raise.
     """
     ks = sorted({max(1, _exact_round(config.episodes, m)) for m in t_multipliers})
     seeds = list(seeds)
     parts = [None] * len(seeds)    # each seed's rows, or the exception it raised
     todo = iter(range(len(seeds)))  # a C iterator: next() is atomic under the GIL
-    kernel.load()                  # both looked up once, before any thread starts
-    kernel.ddot()
-    init = config.env.init
+    n = min(len(seeds), _usable_cpus()) if kernel.load() else 1
+    kernel.ddot()                  # looked up once, before any thread starts
+    shared = Prepared(config.env, config.algo, config.constants, config.cb, ks[-1])
+    run, H = replace(config, episodes=ks[-1]), shared.mdp.H
 
     def rows_of(seed):
-        env = config.env if init is None else replace(config.env, init=replace(init))
-        result = _audited_run(replace(config, env=env, episodes=ks[-1], seed=seed), ks)
-        return [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
+        result = _audited_run(shared, replace(run, seed=seed), ks, replace(shared.init))
+        return [(rec.k * H, seed, rec.cum_regret) for rec in result.records]
 
     def play():
         try:
@@ -399,7 +409,7 @@ def sweep_scaling(config: RunConfig, t_multipliers, seeds) -> list:
             for _ in todo:
                 pass
 
-    threads = [threading.Thread(target=play) for _ in range(min(len(seeds), _usable_cpus()) - 1)]
+    threads = [threading.Thread(target=play) for _ in range(n - 1)]
     for t in threads:
         t.start()
     play()
@@ -439,21 +449,19 @@ def run_concurrent_experiment(env: EnvSpec, cc: ConcurrentConfig, *,
                               constants: Optional[AlgoConstants] = None,
                               seed: int = 0, cb: float = 2.0,
                               out_dir=None):
-    """Build env + learner + streams, run the round loop, optionally log CSV.
+    """Prepare env (unaudited), then build learner + streams, run the round
+    loop, optionally log CSV.
 
     The learner's visit horizon is sized from the budget plus one round of
     overshoot; the pick stream is separate from the env stream so adding
     the final policy draw never perturbs trajectory generation.
     """
-    mdp = env.build()
-    validate(mdp)
-    budget = cc.budget(mdp.S, mdp.A, mdp.H)
-    n_max = (budget + cc.agents) * mdp.H + 1
-    learner = make_learner(algo, mdp, constants or AlgoConstants(),
-                           n_max=n_max, cb=cb)
+    shared = Prepared(env, algo, constants or AlgoConstants(), cb, audited=False,
+                      episodes=lambda mdp: cc.budget(mdp.S, mdp.A, mdp.H) + cc.agents)
     env_rng = seeded_stream(seed, 0, "env")
     pick_rng = seeded_stream(seed, 0, "policy-pick")
-    result = run_concurrent(mdp, learner, cc, env_rng, pick_rng)
+    result = run_concurrent(shared.mdp, shared.learner(), cc, env_rng, pick_rng,
+                            replace(shared.init))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -548,7 +556,7 @@ CONFIG_KEYS = {key: ConfigKey(*row) for key, row in {
     "jao_epsilon": (float, "env.jao_epsilon", _ENV,
                     "optimal-action advantage in the hard chain env"),
     "delta": (float, "env.jao_delta", _ENV, "chain switching probability (default 16/H)"),
-    "init": (str, "env.init", _ENV, "initial states: fixed:S | cyclic:a,b,c | seeded:SEED"),
+    "init": (str, "env.init", _ALGO, "initial states: fixed:S | cyclic:a,b,c | seeded:SEED"),
     "algo": (ALGOS, "run.algo", _ALGO),
     "p": (float, "constants.p", _ALGO, "failure probability behind the log factor"),
     "c1": (float, "constants.c1", _ALGO),

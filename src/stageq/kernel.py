@@ -1,42 +1,27 @@
 """Build and load the compiled kernel (_kernel.c) through ctypes.
 
-The kernel plays episodes for all four agents (advantage, hoeffding-stage,
-classic-qucb and the oracle, whose observe changes nothing); the Learner
-struct's mode says whose observe it repeats.  With the audit fields set
-(from vstar0 to pending), it also audits every episode it plays, as
-metrics.Audit does in Python, and writes each one's audit row into the
-row buffers (row_reals, row_counts).  V^pi's layers are sums that
+The kernel plays episodes for all four agents; the Learner struct's mode
+says whose observe it repeats, and its last fields are the per-call values
+(see _kernel.c).  With the audit fields set it audits every episode it
+plays, as metrics.Audit does in Python.  V^pi's layers are sums that
 NumPy's dot hands to its BLAS's ddot, whose order of addition depends on
-the CPU kernel OpenBLAS picks; the kernel calls that same function (ddot()
-finds it), so its layers are NumPy's bit for bit, and one call plays on
-through Q changes.  Where it is not found the struct's ddot stays NULL, a
-call ends at the first Q change and the layers are left to
-PolicyValueCache.evaluate.  With agents set (run_rounds), a call plays a
-concurrent run's rounds through Q changes.
-The struct's last fields are the per-call values: u_index, u_avail, count,
-agents, first, limit and consumed, set before each call, and the counter
-increments, error fields, top and n_changes that the call fills.
+the CPU kernel OpenBLAS picks; ddot() finds that function, so the kernel's
+layers are NumPy's bit for bit and a call plays on through Q changes.
+Where it is not found, a call ends at the first Q change and the layers
+are left to PolicyValueCache.evaluate.
 
-formatter() gives the library's other entry point, stageq_format_rows,
-which writes the rows of metrics.write_table: integers in decimal, and
-each float by PyOS_double_to_string with repr's arguments, the routine
-float.__repr__ calls, so the text is repr's by construction.  That routine
-and PyMem_Free are found through ctypes.pythonapi and passed in by
-address, so the library links no Python symbol; they need the GIL, so the
-formatter is called through a ctypes.PyDLL handle on the library, while
-stageq_stretch stays a CDLL call, which releases it.
+formatter() gives the library's other entry point, stageq_format_rows
+(metrics.write_table's rows), with CPython's repr routine and PyMem_Free,
+found through ctypes.pythonapi, passed in by address, so the library links
+no Python symbol.  They need the GIL, so it is called through a ctypes.PyDLL
+handle, while stageq_stretch stays a CDLL call, which releases it.
 
-The uniforms are the stream's (harness.UniformStream): PCG64's next_double
-sequence, one 64-bit output, one step of the 128-bit state, per double.  So
-the kernel reads the unread tail of the stream's buffer, then steps the
-generator's own state in place (pcg64_state finds it through the bit
-generator's public ctypes.state_address), and the stream's buffered draws
-and the kernel's can be swapped for one another; the buffer's size is a
-detail.  load() checks once per interpreter that the state and increment
-lie where the kernel reads them, against the public bit_generator.state;
-where they do not, it returns None.  The kernel steps the state with
-unsigned __int128, so a compiler without it fails the build, and load()
-returns None there too.
+The kernel draws the stream's uniforms (harness.UniformStream) by stepping
+its PCG64 state in place (pcg64_state finds it through the bit generator's
+public ctypes.state_address).  load() checks once per interpreter that the
+state and increment lie where the kernel reads them, against the public
+bit_generator.state, and returns None where they do not, or where the
+compiler has no unsigned __int128.
 
 load() compiles _kernel.c with the C compiler found on PATH (cc, else gcc)
 the first time any interpreter needs it, and caches the shared library

@@ -11,8 +11,9 @@ Conventions used throughout the package:
     downstream policy quantity is deterministic;
   * next states are drawn by inverse CDF over precomputed cumulative rows,
     consuming exactly one uniform per step regardless of the row;
-  * the initial-state sequence is pre-committed before a run (fixed state,
-    fixed cycle, or a private seeded stream) and never reads the run's RNG.
+  * the initial-state sequence (InitialStates) is a run input, not part of
+    the MDP: pre-committed before a run (fixed state, fixed cycle, or a
+    private seeded stream), it never reads the run's RNG.
 
 The plain-text MDP file format is:  a header line "S A H", then one line
 "P h s a p_0 ... p_{S-1}" per (h, s, a) and one line "R h s a r" per
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,9 +74,12 @@ class InitialStates:
     (seed, k), independent of the run's RNG, so reruns and algorithm
     comparisons see identical starts.
 
-    Only the last block read is kept.  Frozen: a learner holds a block for
-    up to START_BLOCK episodes and would not see an edit.  A bad kind, seed
-    or empty states raise ValueError here, not at the first episode.
+    Only the last block read is kept, and a seeded one keeps a live
+    generator, so each run reads its own copy (dataclasses.replace).
+    Frozen: a learner holds a block for up to START_BLOCK episodes and
+    would not see an edit.  A bad kind, seed or empty states raise
+    ValueError here; check(S) and each block built, MdpValidationError for
+    a fixed or cyclic start outside [0, S).
     """
 
     kind: str
@@ -104,6 +108,11 @@ class InitialStates:
     def seeded(cls, seed: int) -> "InitialStates":
         return cls(kind="seeded", seed=int(seed))
 
+    def check(self, S: int) -> None:
+        for s in self.states:
+            if not 0 <= s < S:
+                raise MdpValidationError(f"initial state {s} outside [0, {S})")
+
     def state(self, k: int, S: int) -> int:
         return self.block(k // START_BLOCK, S)[k % START_BLOCK]
 
@@ -117,6 +126,8 @@ class InitialStates:
         last = self._last
         if last is not None and (last[:2] == (b, S) or self.kind == "fixed"):
             return last[2]
+        if self.kind != "seeded":
+            self.check(S)
         if self.kind == "fixed":
             starts = np.full(START_BLOCK, self.states[0], dtype=np.int64)
         elif self.kind == "cyclic":
@@ -137,26 +148,26 @@ class InitialStates:
         return block
 
 
+DEFAULT_STARTS = InitialStates.fixed(0)     # a run's start states where it names none
+
+
 # ------------------------------------------------------------ core types
 
 @dataclass(eq=False)
 class EpisodicMdp:
-    """Finite-horizon tabular MDP with deterministic rewards."""
+    """Finite-horizon tabular MDP with deterministic rewards; a run's
+    start states are its own input (InitialStates), not the MDP's."""
 
     S: int
     A: int
     H: int
     P: np.ndarray          # (H, S, A, S) transition kernels
     r: np.ndarray          # (H, S, A) rewards in [0, 1]
-    init: InitialStates = field(default_factory=lambda: InitialStates.fixed(0))
-
-    def initial_state(self, k: int) -> int:
-        return self.init.state(k, self.S)
 
     # validate (or the first view built of P or r) freezes the MDP, so every
     # view of P and r (the caches below, the policy cache's rows, the
     # compiled kernel's pointers) stays current for the MDP's life.
-    _FIELDS = frozenset(("S", "A", "H", "P", "r", "init"))
+    _FIELDS = frozenset(("S", "A", "H", "P", "r"))
     _frozen = _validated = False
     _cum = _cum_rows = _reward_rows = None
 
@@ -168,8 +179,8 @@ class EpisodicMdp:
 
     def freeze(self) -> None:
         """Make P and r read-only C-ordered float64 arrays, copying neither
-        if it already is one, and reject any later assignment to S, A, H, P,
-        r or init with AttributeError.  Calling it again changes nothing."""
+        if it already is one, and reject any later assignment to S, A, H, P
+        or r with AttributeError.  Calling it again changes nothing."""
         for name in ("P", "r"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
@@ -235,32 +246,32 @@ ROW_SUM_TOL = 1e-12     # validate's bound on |row sum - 1|
 
 
 def validate(mdp: EpisodicMdp) -> None:
-    """Check stochasticity, reward range and initial states; raise on the
-    first violation, else freeze the MDP (EpisodicMdp.freeze) and mark it
-    validated, so that cum_array does not validate it again.
-
-    Rows must be finite, entrywise >= 0 with |sum - 1| <= ROW_SUM_TOL;
-    rewards must lie in [0, 1]; fixed and cyclic initial states must lie in
-    [0, S).  Scan order is (h, s, a).  Shape errors raise ValueError.
+    """Check stochasticity and reward range; raise on the first violation
+    in (h, s, a) scan order, else freeze the MDP (EpisodicMdp.freeze) and
+    mark it validated, so that cum_array does not validate it again.  Rows
+    must be finite, entrywise >= 0 with |sum - 1| <= ROW_SUM_TOL; rewards
+    must lie in [0, 1].  Shape errors raise ValueError.
     """
     P, r = np.asarray(mdp.P, dtype=float), np.asarray(mdp.r, dtype=float)
     if P.shape != (mdp.H, mdp.S, mdp.A, mdp.S):
         raise ValueError(f"P shape {P.shape} != {(mdp.H, mdp.S, mdp.A, mdp.S)}")
     if r.shape != (mdp.H, mdp.S, mdp.A):
         raise ValueError(f"r shape {r.shape} != {(mdp.H, mdp.S, mdp.A)}")
-    # Flag every failing (h, s, a) at once, then raise from the per-row
-    # checks on the first flagged one in scan order, so the same error
-    # comes first.  P.sum(-1) adds each row exactly as row.sum() does.
-    with np.errstate(invalid="ignore"):
-        bad = (~np.isfinite(P).all(-1) | (P < 0.0).any(-1)
-               | (np.abs(P.sum(-1) - 1.0) > ROW_SUM_TOL) | ~((0.0 <= r) & (r <= 1.0)))
-    for h, s, a in np.argwhere(bad).tolist():
+    for h, s, a in np.argwhere(bad_rows(P, r)).tolist():
         _check_row(P[h, s, a], r[h, s, a], h, s, a)
-    for s in mdp.init.states:          # fixed and cyclic starts
-        if not 0 <= s < mdp.S:
-            raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
     mdp.freeze()
     mdp._validated = True
+
+
+def bad_rows(P: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (H, S, A) mask of every (h, s, a) whose row or reward fails a
+    check, for validate to raise from the per-row checks on the first one
+    in scan order, so the same error comes first.  A comparison with NaN is
+    false, so each test is negated: a NaN entry fails the minimum's, +inf
+    the sum's.  P.sum(-1) adds each row exactly as row.sum() does."""
+    with np.errstate(invalid="ignore"):
+        return (~(P.min(-1) >= 0.0) | ~(np.abs(P.sum(-1) - 1.0) <= ROW_SUM_TOL)
+                | ~((0.0 <= r) & (r <= 1.0)))
 
 
 def _check_row(row: np.ndarray, rv: float, h: int, s: int, a: int) -> None:
@@ -330,19 +341,19 @@ def policy_evaluation(mdp: EpisodicMdp, policy: DeterministicPolicy) -> ValueTab
 
 # ---------------------------------------------------------------- sampling
 
-def sample_episode(mdp: EpisodicMdp, actor, rng, episode_index: int = 0):
-    """Roll out one episode; returns [(s, a, r, s_next)] of length H.
-
-    `actor` needs select_action(h, s) -> a; if it also has observe(h, s, a,
-    s_next), each transition is fed back immediately after it happens (the
-    online-learner path).  `rng` needs random() -> float in [0, 1); exactly
-    one uniform is consumed per step.
+def sample_episode(mdp: EpisodicMdp, actor, rng, episode_index: int = 0,
+                   init: InitialStates = DEFAULT_STARTS):
+    """Roll out episode episode_index from its start in init; returns
+    [(s, a, r, s_next)] of length H.  `actor` needs select_action(h, s) ->
+    a; if it also has observe(h, s, a, s_next), each transition is fed back
+    immediately after it happens (the online-learner path).  `rng` needs
+    random() -> float in [0, 1); exactly one uniform is consumed per step.
     """
     cum = mdp.cum_rows()
     rew = mdp.reward_rows()
     select = actor.select_action
     observe = getattr(actor, "observe", None)
-    s = mdp.initial_state(episode_index)
+    s = init.state(episode_index, mdp.S)
     traj = []
     for h in range(mdp.H):
         a = select(h, s)
@@ -358,8 +369,7 @@ def sample_episode(mdp: EpisodicMdp, actor, rng, episode_index: int = 0):
 # -------------------------------------------------------------- generators
 
 def make_random_mdp(S: int, A: int, H: int, seed: int,
-                    reward_sparsity: float = 0.0,
-                    init: Optional[InitialStates] = None) -> EpisodicMdp:
+                    reward_sparsity: float = 0.0) -> EpisodicMdp:
     """Dense random instance: Dirichlet(1,...,1) rows, uniform [0,1] rewards.
 
     Each reward is independently zeroed with probability reward_sparsity
@@ -375,13 +385,11 @@ def make_random_mdp(S: int, A: int, H: int, seed: int,
     r = gen.uniform(size=(H, S, A))
     if reward_sparsity > 0.0:
         r[gen.random((H, S, A)) < reward_sparsity] = 0.0
-    return EpisodicMdp(S=S, A=A, H=H, P=P, r=r,
-                       init=init or InitialStates.fixed(0))
+    return EpisodicMdp(S=S, A=A, H=H, P=P, r=r)
 
 
 def make_jao_chain(H: int, epsilon: float, delta: Optional[float] = None,
-                   optimal_actions=None, seed: int = 0,
-                   init: Optional[InitialStates] = None) -> EpisodicMdp:
+                   optimal_actions=None, seed: int = 0) -> EpisodicMdp:
     """Two-state hard chain: a rewardless state s0 and a rewarding state s1.
 
     Rewards are r_h(s0, a) = 0 and r_h(s1, a) = 1 for every h and a.  From
@@ -425,8 +433,7 @@ def make_jao_chain(H: int, epsilon: float, delta: Optional[float] = None,
         P[h, 0, a_star, 0] = 1.0 - delta - epsilon
         P[h, 0, a_star, 1] = delta + epsilon
     r[:, 1, :] = 1.0
-    return EpisodicMdp(S=2, A=2, H=H, P=P, r=r,
-                       init=init or InitialStates.fixed(0))
+    return EpisodicMdp(S=2, A=2, H=H, P=P, r=r)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -449,8 +456,8 @@ def save_mdp(mdp: EpisodicMdp, path) -> None:
 
 def load_mdp(path) -> EpisodicMdp:
     """Parse the plain-text tabular format; raises ValueError with the
-    offending line number on malformed input.  Initial state defaults to
-    fixed(0) (the format does not carry an initial-state mode)."""
+    offending line number on malformed input.  The format carries no start
+    states: they are a run's input."""
     with open(path) as f:
         raw = f.readlines()
     lines = []
@@ -502,7 +509,7 @@ def load_mdp(path) -> EpisodicMdp:
     if np.isnan(r).any():
         h, s, a = np.argwhere(np.isnan(r))[0]
         raise ValueError(f"{path}: missing R entry for h={h} s={s} a={a}")
-    return EpisodicMdp(S=S, A=A, H=H, P=P, r=r, init=InitialStates.fixed(0))
+    return EpisodicMdp(S=S, A=A, H=H, P=P, r=r)
 
 
 def _parse_indices(path, ln, toks, H, S, A):

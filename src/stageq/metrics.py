@@ -3,11 +3,8 @@
 Per-episode regret compares the exact optimal value at the episode's
 realized initial state with the exact value of the greedy policy the
 learner held at the episode's start:  V*_1(s_1^k) - V^{pi_k}_1(s_1^k).
-Both come from exact dynamic programming, not rollouts.  PolicyValueCache
-keeps only the last greedy table, the transition rows and rewards it
-selects, and its V, so runs where the greedy policy rarely changes pay
-almost nothing, and a new table recomputes only the layers at and above
-the deepest one where it differs from the last, one dot product per state.
+Both come from exact dynamic programming, not rollouts; PolicyValueCache
+keeps V^pi of the last greedy table current at a cost only where it moves.
 
 Local switching cost counts per-(h, s) action flips between consecutive
 episode policies, n_switch = sum_k #{(h, s): pi_k(h, s) != pi_{k+1}(h, s)}.
@@ -30,25 +27,11 @@ ones that differ as switches.  check_optimism, count_switches,
 SwitchTracker.record and policy_evaluation are the full-scan references
 they must agree with.
 
-Audit runs those steps a stretch of episodes at a time: in the compiled
-kernel, V^pi's layers included, after each Q-changing episode inside one
-call, which writes every episode's audit row.  The layers are NumPy dot
-products, which NumPy hands to its BLAS's ddot, and each BLAS kernel adds
-in an order of its own; the C layers call that same ddot (kernel.ddot),
-so they give the same bits.  Where it is not found, a call ends at each
-Q change and the layers stay with PolicyValueCache.evaluate.  Without the
-kernel every step runs in Python through the cache and OptimismTracker,
-a stretch ending at each Q change and kept row.
-
-write_table writes every numeric table (episodes.csv, the snapshots,
-sweep's rows, solve's tables and schedule) from columns: flat runs of
-numbers read in place, a grid's indices computed from its shape (grid), or
-empty cells.  With the kernel, C formats them (kernel.formatter), each
-float by PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the
-call float.__repr__ makes, so the bytes are repr's by construction; without
-it, write_csv formats them with %d and %r, the reference the C body must
-match byte for byte.  rounds.csv stays with write_csv, joining runs of full
-rounds from integers, where a C body measured no gain.
+Audit runs those steps a stretch of episodes at a time, in the compiled
+kernel where it is built, else in Python (see Audit).  write_table writes
+every numeric table from columns, in C where the kernel is built, else
+through write_csv, the reference for the C body's bytes; rounds.csv stays
+with write_csv, joining runs of full rounds from integers.
 """
 
 from __future__ import annotations
@@ -67,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .mdp import EpisodicMdp, ValueTables
+from .mdp import DEFAULT_STARTS, EpisodicMdp, InitialStates, ValueTables, checked_actions
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
@@ -128,21 +111,19 @@ class PolicyValueCache:
     """Exact V^pi of the last greedy table, kept current from table to table.
 
     Holds one table (a flat int64 array), the rows of P and r it selects
-    (P_pi, an (H, S, 1, S) array, and r_pi, (H, S)), its V and the running
-    switch count, whatever the run length.  values() compares the new table
-    with the last one at `rows` (default: every row): no difference returns
-    the same ValueTables; otherwise the differing rows are checked
-    (integers in [0, A)), written into the table and its gathered rows,
-    added to `switches`, and V is recomputed in place (evaluate) and
-    returned as a copy.  V[h] depends only on the actions at layers >= h,
-    so the recursion V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the
-    deepest differing layer: S dot products per layer, where
-    policy_evaluation takes S*A.  Each is the same length-S dot product of
-    the same row and V[h+1] that policy_evaluation computes, so the result
-    equals a fresh policy_evaluation(...).V bit for bit; Q is None.  The
-    kernel's audit writes the table, the gathered rows and V itself, and
-    calls evaluate only when it has no ddot (see Audit).  The MDP is
-    frozen here (EpisodicMdp.freeze), so the gathered rows stay its own.
+    (P_pi, (H, S, 1, S), and r_pi, (H, S)), its V and the running switch
+    count, whatever the run length.  values() takes the first table whole
+    (checked_actions) and compares each later one with the last at `rows`
+    (default: every row): no difference returns the same ValueTables;
+    otherwise the differing rows are checked (integers in [0, A)), written
+    into the table and its gathered rows and added to `switches`.  V is
+    then recomputed in place (evaluate) and returned as a copy (Q None).  V[h] depends only on the actions at layers >= h, so the
+    recursion V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the deepest
+    differing layer: S dot products per layer, each the one
+    policy_evaluation computes, so V equals its V bit for bit.  The
+    kernel's audit writes the table, rows and V itself (see Audit).  The
+    MDP is frozen here (EpisodicMdp.freeze), so the gathered rows stay its
+    own.
     """
 
     def __init__(self, mdp: EpisodicMdp):
@@ -158,44 +139,48 @@ class PolicyValueCache:
         self._layers = [(P_pi[h].dot, V[h + 1], col[h], V[h], r_pi[h]) for h in range(H)]
         self._tables = None
 
-    def values(self, actions_flat, rows=None) -> ValueTables:
+    def values(self, actions_flat, rows=None, known=None) -> ValueTables:
         """V^pi of the flat (h, s) table actions_flat.  rows, if given, lists
         the distinct flat indices where it may differ from the last table
         (the audit passes the rows the last episode visited); the caller
-        vouches for every other row.  ValueError on a bad action (outside
-        [0, A) or not an integer) or length leaves the cache as it was."""
-        mdp, last, first = self.mdp, self._flat, self._tables is None
+        vouches for every other row.  known, on the first call, is V^pi of
+        actions_flat from an earlier evaluation, copied in place of one.
+        ValueError on a bad action (outside [0, A) or not an integer) or
+        length leaves the cache as it was."""
+        mdp, last = self.mdp, self._flat
         if len(actions_flat) != len(last):
             raise ValueError(f"policy has {len(actions_flat)} entries, not {len(last)}")
-        if rows is None or first:
-            rows = range(len(last))
-        diff = list(rows) if first else [i for i in rows if actions_flat[i] != last[i]]
-        if not diff:
-            return self._tables
-        new = [actions_flat[i] for i in diff]
-        if min(new) < 0 or max(new) >= mdp.A:
-            raise ValueError(f"policy actions outside [0, {mdp.A})")
-        ints = [int(a) for a in new]        # NaN raises ValueError here
-        if ints != new:
-            raise ValueError("policy actions must be integers")
         H, S, P, r = mdp.H, mdp.S, mdp.P, mdp.r
         P_pi, r_pi = self._P_pi, self._r_pi
-        for i, a in zip(diff, ints):
-            last[i] = a
-        if first:
-            acts = np.array(last, dtype=np.int64).reshape(H, S)
+        if self._tables is None:           # the first table: every row, at once
+            acts = checked_actions(mdp, np.reshape(actions_flat, (H, S)))
+            last[:] = kernel.table("q", acts)
             layer, state = np.indices((H, S))
             P_pi[:, :, 0] = P[layer, state, acts]
             r_pi[:] = r[layer, state, acts]
             top = H - 1
         else:
+            rows = range(len(last)) if rows is None else rows
+            diff = [i for i in rows if actions_flat[i] != last[i]]
+            if not diff:
+                return self._tables
+            new = [actions_flat[i] for i in diff]
+            if min(new) < 0 or max(new) >= mdp.A:
+                raise ValueError(f"policy actions outside [0, {mdp.A})")
+            ints = [int(a) for a in new]    # NaN raises ValueError here
+            if ints != new:
+                raise ValueError("policy actions must be integers")
             for i, a in zip(diff, ints):
+                last[i] = a
                 h, s = divmod(i, S)
                 P_pi[h, s, 0] = P[h, s, a]
                 r_pi[h, s] = r[h, s, a]
+            self.switches += len(diff)
             top = max(diff) // S
-        self.switches += 0 if first else len(diff)
-        self.evaluate(top)
+        if known is None:
+            self.evaluate(top)
+        else:
+            self._V[:] = known
         self._tables = ValueTables(V=self._V.copy(), Q=None)
         return self._tables
 
@@ -262,15 +247,21 @@ class OptimismTracker:
     below Q* - OPTIMISM_TOL; the flags and their count come from one full scan of
     q_learner, and update() re-tests the H cells of an episode's trajectory.
     The thresholds and flags are flat arrays (array('d') and array('b')),
-    which the kernel's audit reads and writes in place (bind_audit).
+    which the kernel's audit reads and writes in place (bind_audit); the
+    thresholds are only read, so runs may share them (thr).
     """
 
-    def __init__(self, q_learner: np.ndarray, q_star: np.ndarray):
+    def __init__(self, q_learner: np.ndarray, q_star: np.ndarray, thr=None):
         H, self._S, self._A = q_learner.shape
-        thr = q_star[:H] - OPTIMISM_TOL
-        below = q_learner < thr
-        self._thr, self._below = kernel.table("d", thr), kernel.table("b", below)
+        self._thr = thr = thr or self.thresholds(q_star, H)
+        below = q_learner.ravel() < np.frombuffer(thr)
+        self._below = kernel.table("b", below)
         self.count = int(np.count_nonzero(below))
+
+    @staticmethod
+    def thresholds(q_star: np.ndarray, H: int) -> array:
+        """Q* - OPTIMISM_TOL on layers 0..H-1, flat by (h, s, a)."""
+        return kernel.table("d", q_star[:H] - OPTIMISM_TOL)
 
     def update(self, q_at, traj) -> int:
         """Re-test the cells (h, s, a) of traj [(s, a, r, s_next)] after the
@@ -292,33 +283,36 @@ class Audit:
     """One run's audit, a stretch of the learner's episodes at a time.
 
     stretch(rng, first, stop, keep) has the learner play episodes first,
-    first + 1, ... (0-based, below stop), audits each, adds the row of each
-    one whose 1-based k is in keep (an increasing sequence) to `records` (a
-    Table of int64 and float64 columns, 56 bytes a row) and returns how
-    many it played.  The running values are
-    attributes of `fields`: reg (the last episode's regret), cum_regret
-    (their sum, added episode by episode), negative (the first 1-based
-    episode whose regret is below -1e-9, or 0), switches and violations
-    (the running maximum of the optimism count).
+    first + 1, ... (0-based, below stop) from the run's start states init,
+    audits each, adds the row of each one whose 1-based k is in keep (an
+    increasing sequence) to `records` (a Table of int64 and float64
+    columns, 56 bytes a row) and returns how many it played.  The running
+    values are attributes of `fields`: reg (the last episode's regret),
+    cum_regret (their sum, added episode by episode), negative (the first
+    1-based episode whose regret is below -1e-9, or 0), switches and
+    violations (the running maximum of the optimism count).  thr are shared
+    optimism thresholds (OptimismTracker); start, a (table, V^pi) pair of an
+    earlier evaluation, spares the first one where the learner's first
+    table is that table.
 
-    Two bodies, like the learners' observe, that keep the same rows: with
-    the compiled kernel, the kernel audits each episode it plays
-    (TabularQLearnerBase.bind_audit) and writes its row, and fields is its
-    Learner struct.  A call ends at stop or at the end of its block of
-    start states, and its kept rows are copied a column slice at a time;
-    where the kernel found no ddot to sum V^pi's layers with, it ends at
-    each Q change too, and the layers are recomputed here from the deepest
-    one the kernel reports.  Without a C compiler fields is this object
-    and stretch runs the Python body, which ends at each Q change and at
-    the next kept k: the reference the kernel must match row for row.
+    Two bodies keep the same rows.  With the compiled kernel, the kernel
+    audits each episode it plays (bind_audit) and writes its row, fields is
+    its Learner struct, and a call ends at stop or at the end of its block
+    of start states (and at each Q change where it found no ddot: the
+    layers are then recomputed here from the deepest one it reports).
+    Without it, fields is this object and stretch runs the Python body,
+    which ends at each Q change and at the next kept k: the reference the
+    kernel must match row for row.
     """
 
-    def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables):
-        self.learner, self.mdp = learner, mdp
+    def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables,
+                 init: InitialStates = DEFAULT_STARTS, thr=None, start=None):
+        self.learner, self.mdp, self.init = learner, mdp, init
+        greedy, (table, V) = learner.greedy_buffer(), start or (None, None)
         self.cache = PolicyValueCache(mdp)
-        self.cache.values(learner.greedy_buffer())
+        self.cache.values(greedy, known=V if table == greedy else None)
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
-        optimism = OptimismTracker(learner.q_array(), vstar.Q)
+        optimism = OptimismTracker(learner.q_array(), vstar.Q, thr)
         bound = learner.bind_audit(self.cache, optimism, vstar.V[0])
         if bound:
             self._struct, self._reals, self._counts = bound
@@ -343,7 +337,7 @@ class Audit:
         at = bisect_right(keep, first)     # keep[at] is the next kept k
         if self._struct is not None:
             q0, r0 = learner.q_update_count, learner.ref_fixed_count
-            played, _ = learner.run_stretch(mdp, rng, first, stop)
+            played, _ = learner.run_stretch(mdp, rng, first, stop, self.init)
             top = self._struct.top
             if top >= 0:
                 cache.evaluate(top)
@@ -364,7 +358,7 @@ class Audit:
             self.switches = cache.switches
         vstar0, vpi0 = self._vstar0, self._vpi0
         cum_regret, negative = self.cum_regret, self.negative
-        starts, self._traj = learner.play_stretch(self.mdp, rng, first, stop)
+        starts, self._traj = learner.play_stretch(mdp, rng, first, stop, self.init)
         for k, s1 in enumerate(starts, first + 1):
             reg = vstar0[s1] - vpi0[s1]
             cum_regret += reg

@@ -12,8 +12,8 @@ Geometric growth keeps the number of stages -- and hence the number of
 possible greedy-policy switches -- logarithmic in the visit count, while
 the slow (1 + 1/H) rate wastes at most an O(1) fraction of samples.
 
-Schedules are immutable after construction and are meant to be built once
-per (H, n_max) and shared across all (h, s, a) counters.
+Schedules are immutable, built once per (H, n_max) and shared across all
+(h, s, a) counters (advantage.stage_tables: across a driver call's runs).
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ agree with.
 
 validate_by_rows is mdp.validate as it was before its checks became
 whole-array masks: one (h, s, a) row at a time in scan order.  validate
-must raise the same exception, with the same message, on any instance.
+must raise the same exception, with the same message, on any instance;
+bad_rows_by_test is its first mask, which mdp.bad_rows must equal.
 
 assert_view_matches checks a log kept as columns (metrics.Table) against
 the plain list of row objects it stands for, read every way a list is.
@@ -28,7 +29,7 @@ import itertools
 import numpy as np
 
 from stageq.concurrent import ConcurrentResult, FrozenActor, RoundLog, replay_into
-from stageq.mdp import (DeterministicPolicy, MdpValidationError, NonStochasticRow,
+from stageq.mdp import (DeterministicPolicy, NonStochasticRow,
                         RewardOutOfRange, policy_evaluation, sample_episode)
 
 
@@ -105,7 +106,7 @@ ORACLE_SHAPES = [
 ]
 
 
-def sample_then_replay_concurrent(mdp, learner, config, env_rng, pick_rng):
+def sample_then_replay_concurrent(mdp, learner, config, env_rng, pick_rng, init):
     """run_concurrent's reference: sample a round, then replay it."""
     M = config.agents
     budget = config.budget(mdp.S, mdp.A, mdp.H)
@@ -122,7 +123,7 @@ def sample_then_replay_concurrent(mdp, learner, config, env_rng, pick_rng):
         trajs = []
         for m in range(M):
             trajs.append(sample_episode(mdp, actor, env_rng,
-                                        episode_index=total_generated + m))
+                                        episode_index=total_generated + m, init=init))
         total_generated += M
 
         consumed = 0
@@ -177,9 +178,15 @@ def validate_by_rows(mdp, tol: float = 1e-12) -> None:
                 rv = r[h, s, a]
                 if not 0.0 <= rv <= 1.0:
                     raise RewardOutOfRange(h, s, a, rv)
-    for s in mdp.init.states:
-        if not 0 <= s < mdp.S:
-            raise MdpValidationError(f"initial state {s} outside [0, {mdp.S})")
+
+
+def bad_rows_by_test(P, r, tol: float = 1e-12):
+    """The (h, s, a) mask validate built before its negated-comparison
+    form: a non-finite, a negative, or an off-sum row, or a reward outside
+    [0, 1]."""
+    with np.errstate(invalid="ignore"):
+        return (~np.isfinite(P).all(-1) | (P < 0.0).any(-1)
+                | (np.abs(P.sum(-1) - 1.0) > tol) | ~((0.0 <= r) & (r <= 1.0)))
 
 
 def assert_view_matches(view, rows, picks=None):

@@ -235,12 +235,12 @@ def test_unfixed_reference_stays_at_h():
 # ------------------------------------------------------- update properties
 
 def test_q_non_increasing_every_episode():
-    mdp = make_random_mdp(3, 2, 4, seed=3, init=InitialStates.seeded(5))
+    mdp, init = make_random_mdp(3, 2, 4, seed=3), InitialStates.seeded(5)
     lr = UcbAdvantageLearner(mdp, TINY)
     rng = seeded_stream(1, 0, "env")
     prev = list(lr._q)
     for k in range(400):
-        lr.run_episode(mdp, rng, k)
+        lr.run_episode(mdp, rng, k, init)
         cur = list(lr._q)
         assert all(c <= p for c, p in zip(cur, prev))
         prev = cur
@@ -383,10 +383,10 @@ def shadow_run(mdp, constants, trajectories):
 def test_full_run_matches_shadow_replica():
     constants = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05, n0_override=150)
     for seed in (0, 1):
-        mdp = make_random_mdp(3, 2, 4, seed=seed, init=InitialStates.cyclic([0, 1, 2]))
+        mdp, init = make_random_mdp(3, 2, 4, seed=seed), InitialStates.cyclic([0, 1, 2])
         lr = UcbAdvantageLearner(mdp, constants)
         rng = seeded_stream(seed, 0, "env")
-        trajs = [lr.run_episode(mdp, rng, k)[0] for k in range(800)]
+        trajs = [lr.run_episode(mdp, rng, k, init)[0] for k in range(800)]
         Q, V, Vref = shadow_run(mdp, constants, trajs)
         q, v, vref = lr.q_array(), lr.v_array(), lr.vref_array()
         for (h, s, a), val in Q.items():

@@ -163,10 +163,10 @@ def test_config_key_tables_match_flags():
     assert dests("sweep") - {"t_mults", "seeds"} == run_keys - {"seed", "log_every"}
     assert dests("concurrent") == \
         (run_keys - {"episodes", "log_every", "strict"}) | conc_keys
-    # solve reads the environment keys and out, plus its own --save-mdp
+    # solve reads the environment keys and out, plus its own --save-mdp;
+    # the start states (init) are its runs', not the environment's
     assert dests("solve") - {"save_mdp"} == {
-        "env", "S", "A", "H", "sparsity", "env_seed", "jao_epsilon", "delta",
-        "init", "out"}
+        "env", "S", "A", "H", "sparsity", "env_seed", "jao_epsilon", "delta", "out"}
 
 
 SMALL_ENV_ARGS = ["--env", "random", "--S", "2", "--A", "2", "--H", "2",
@@ -175,7 +175,7 @@ UNREAD = [("sweep", "--seed", "3"), ("sweep", "--log-every", "all"),
           ("concurrent", "--episodes", "10"),
           ("concurrent", "--log-every", "all"), ("concurrent", "--strict", None),
           ("solve", "--episodes", "5"), ("solve", "--algo", "classic-qucb"),
-          ("solve", "--seed", "3")]
+          ("solve", "--seed", "3"), ("solve", "--init", "fixed:0")]
 
 
 @pytest.mark.parametrize("command,flag,value", UNREAD,
@@ -201,9 +201,11 @@ def test_unread_config_key_is_rejected(tmp_path, capsys, command, flag, value):
     assert main([command, "--config", str(cfg)] + SMALL_ENV_ARGS + extra) == 0
 
 
-@pytest.mark.parametrize("command", ["run", "concurrent"])
+@pytest.mark.parametrize("command", ["run", "concurrent", "sweep"])
 @pytest.mark.parametrize("init", ["fixed:3", "fixed:-1", "cyclic:0,9"])
 def test_out_of_range_initial_state_exits_2(capsys, command, init):
+    # the check of the start states against S runs where a run starts,
+    # before any of a sweep's threads
     extra = ["--k-eps-override", "30"] if command == "concurrent" else ["--episodes", "5"]
     assert main([command, "--S", "3", "--init", init] + extra) == 2
     assert "initial state" in capsys.readouterr().err
@@ -230,7 +232,7 @@ BAD_VALUES = [("run", ["--S", "0"], "S, A, H"), ("run", ["--A", "0"], "S, A, H")
               # negative seeds, named where they enter
               ("run", ["--seed", "-1"], "seed"), ("run", ["--env-seed", "-1"], "env_seed"),
               ("run", ["--init", "seeded:-1"], "init"),
-              ("solve", ["--init", "seeded:-1"], "init"),
+              ("sweep", ["--init", "seeded:-1"], "init"),
               ("sweep", ["--seeds", "0,-1"], "--seeds"),
               # visit ceilings past int64
               ("run", ["--H", "3", "--episodes", str(3 * 10**18)], "n_max"),

@@ -25,12 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
 
 
-def _run(mdp, cc, constants=REDUCED, seed=0):
+def _run(mdp, cc, constants=REDUCED, seed=0, init=InitialStates.fixed(0)):
     n_max = (cc.budget(mdp.S, mdp.A, mdp.H) + cc.agents) * mdp.H + 1
     lr = UcbAdvantageLearner(mdp, constants, n_max=n_max)
     return run_concurrent(mdp, lr, cc,
                           seeded_stream(seed, 0, "env"),
-                          seeded_stream(seed, 0, "policy-pick"))
+                          seeded_stream(seed, 0, "policy-pick"), init)
 
 
 # ----------------------------------------------------------------- budget
@@ -69,9 +69,9 @@ def test_config_validation():
 # ------------------------------------------------------------- accounting
 
 def test_round_accounting_invariants():
-    mdp = make_random_mdp(3, 2, 4, seed=0, init=InitialStates.seeded(3))
+    mdp = make_random_mdp(3, 2, 4, seed=0)
     cc = ConcurrentConfig(agents=4, k_eps_override=600)
-    res = _run(mdp, cc, seed=1)
+    res = _run(mdp, cc, seed=1, init=InitialStates.seeded(3))
 
     assert res.budget == 600
     assert res.total_consumed >= res.budget
@@ -126,9 +126,9 @@ def test_generation_order_indexes_initial_states():
     # M=2 and cycle (0, 1), every round generates one episode from each
     # start state; with no updates everything is consumed, so layer-0
     # state visit counts split exactly evenly
-    mdp = make_random_mdp(2, 2, 3, seed=3, init=InitialStates.cyclic([0, 1]))
+    mdp = make_random_mdp(2, 2, 3, seed=3)
     cc = ConcurrentConfig(agents=2, k_eps_override=100)
-    res = _run(mdp, cc, constants=AlgoConstants())
+    res = _run(mdp, cc, constants=AlgoConstants(), init=InitialStates.cyclic([0, 1]))
     assert res.update_rounds == 0
     n = res.learner.n_array()
     assert n[0, 0].sum() == 50
@@ -136,10 +136,10 @@ def test_generation_order_indexes_initial_states():
 
 
 def test_m1_round_stream_identical_to_single_agent():
-    mdp = make_random_mdp(3, 2, 4, seed=4, init=InitialStates.seeded(11))
+    mdp, init = make_random_mdp(3, 2, 4, seed=4), InitialStates.seeded(11)
     cc = ConcurrentConfig(agents=1, k_eps_override=500)
     seed = 9
-    res = _run(mdp, cc, constants=REDUCED, seed=seed)
+    res = _run(mdp, cc, constants=REDUCED, seed=seed, init=init)
     assert len(res.rounds) == 500  # M=1 consumes exactly one per round
 
     # replay live: same learner config, same env stream, same episode order
@@ -148,7 +148,7 @@ def test_m1_round_stream_identical_to_single_agent():
     rng = seeded_stream(seed, 0, "env")
     live_changed = []
     for k in range(500):
-        _, report = live.run_episode(mdp, rng, k)
+        _, report = live.run_episode(mdp, rng, k, init)
         live_changed.append(report.q_changed)
 
     assert [r.update_triggered for r in res.rounds] == live_changed
@@ -167,15 +167,13 @@ def test_m1_round_stream_identical_to_single_agent():
 # run only at a short horizon, hence the H = 2 instances.  Some M = 8 runs
 # (classic-qucb on the H = 5 instances, advantage with cyclic starts) skip
 # a discarded batch across the end of the stream's block.
-EQUIV_INSTANCES = [
-    ("fixed-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=0)),
-    ("seeded-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=1,
-                                             init=InitialStates.seeded(3))),
-    ("cyclic-4x3x5", lambda: make_random_mdp(4, 3, 5, seed=2,
-                                             init=InitialStates.cyclic([0, 1, 2, 3]))),
-    ("fixed-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3)),
-    ("seeded-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3,
-                                             init=InitialStates.seeded(5))),
+EQUIV_INSTANCES = [   # each makes (mdp, its runs' start states)
+    ("fixed-4x3x5", lambda: (make_random_mdp(4, 3, 5, seed=0), InitialStates.fixed(0))),
+    ("seeded-4x3x5", lambda: (make_random_mdp(4, 3, 5, seed=1), InitialStates.seeded(3))),
+    ("cyclic-4x3x5", lambda: (make_random_mdp(4, 3, 5, seed=2),
+                              InitialStates.cyclic([0, 1, 2, 3]))),
+    ("fixed-3x4x2", lambda: (make_random_mdp(3, 4, 2, seed=3), InitialStates.fixed(0))),
+    ("seeded-3x4x2", lambda: (make_random_mdp(3, 4, 2, seed=3), InitialStates.seeded(5))),
 ]
 TIGHT = AlgoConstants(p=0.5, c1=0.05, c2=0.05, c3=0.01, n0_override=60)
 STATE = ("_q", "_v", "_vref", "_n", "_nchk", "_mu_chk", "_ups_chk", "_sig_chk",
@@ -206,7 +204,8 @@ def references():
     return {}
 
 
-def run_both(mdp, algo, cc, n_max, seed=0, u=None, references=None, case=None):
+def run_both(mdp, algo, cc, n_max, seed=0, u=None, references=None, case=None,
+             init=InitialStates.fixed(0)):
     """(result, next env uniform, learner, greedy snapshots taken) from
     run_concurrent, then the reference, each on a fresh learner, with the
     seeded pick stream or one that draws u; a raised OutOfRangeError stands
@@ -218,7 +217,7 @@ def run_both(mdp, algo, cc, n_max, seed=0, u=None, references=None, case=None):
         env = seeded_stream(seed, 0, "env")
         pick = seeded_stream(seed, 0, "policy-pick") if u is None else FixedPick(u)
         try:
-            res = runner(mdp, lr, cc, env, pick)
+            res = runner(mdp, lr, cc, env, pick, init)
         except OutOfRangeError as exc:
             res = exc.n
         return res, env.random(), lr, snapshots
@@ -280,10 +279,10 @@ def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, u, path, ref
     # can hold the pick; a round of M = 300 spans two blocks of 256 start
     # states, and a budget of 400 puts the window past the first round
     budget = 400 if M == 300 else 300
-    mdp = make_mdp()
+    mdp, init = make_mdp()
     cc = ConcurrentConfig(agents=M, k_eps_override=budget)
     both = run_both(mdp, algo, cc, n_max=(budget + M) * mdp.H + 1, u=u,
-                    references=references, case=(make_mdp, algo, M, u))
+                    references=references, case=(make_mdp, algo, M, u), init=init)
     assert_runs_match(both, path)
     (got, _, _, snapshots), (want, *_) = both
     assert got.update_rounds > 0 or algo == "hoeffding-stage" and mdp.H > 2
@@ -294,9 +293,10 @@ def test_stretch_rounds_match_sample_then_replay(make_mdp, algo, M, u, path, ref
 
 @pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage"])
 def test_out_of_range_raises_like_sample_then_replay(algo, path):
-    mdp = make_random_mdp(3, 4, 2, seed=3, init=InitialStates.seeded(5))
+    mdp = make_random_mdp(3, 4, 2, seed=3)
     cc = ConcurrentConfig(agents=3, k_eps_override=300)
-    (got, _, lr, _), (want, _, lr_ref, _) = run_both(mdp, algo, cc, n_max=40)
+    (got, _, lr, _), (want, _, lr_ref, _) = run_both(mdp, algo, cc, n_max=40,
+                                                     init=InitialStates.seeded(5))
     assert got == want == 41
     assert learner_state(lr) == learner_state(lr_ref)
 
@@ -304,17 +304,17 @@ def test_out_of_range_raises_like_sample_then_replay(algo, path):
 def test_pick_on_the_last_trajectory_of_the_window_start_round(path):
     # a full round that starts at lo - M + 1 holds the pick as its last
     # trajectory, lo itself, so the window's first round start is the pick's
-    mdp, M, budget = dict(EQUIV_INSTANCES)["seeded-3x4x2"](), 8, 300
+    (mdp, init), M, budget = dict(EQUIV_INSTANCES)["seeded-3x4x2"](), 8, 300
     cc = ConcurrentConfig(agents=M, k_eps_override=budget)
     n_max = (budget + M) * mdp.H + 1
-    ref = run_both(mdp, "advantage", cc, n_max)[1][0]
+    ref = run_both(mdp, "advantage", cc, n_max, init=init)[1][0]
     T = ref.total_consumed
     c = max(c for r, c in zip(ref.rounds, accumulate((r.consumed for r in ref.rounds),
                                                      initial=0))
             if r.consumed == M and (c + M - 1) * T < (c + M) * budget)
     u = ((c + M - 1) / budget + (c + M) / T) / 2
     assert c > 0 and int(u * budget) - M + 1 == c and int(u * T) == c + M - 1
-    both = run_both(mdp, "advantage", cc, n_max, u=u)
+    both = run_both(mdp, "advantage", cc, n_max, u=u, init=init)
     assert_runs_match(both, path)
     (got, _, _, snapshots), (want, *_) = both
     assert got.picked_trajectory == c + M - 1
@@ -378,9 +378,9 @@ def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
     ends, per_call = Counter(), []
     run_rounds = lr.run_rounds
 
-    def counted(mdp, rng, first, agents, consumed, limit, changes):
+    def counted(mdp, rng, first, agents, consumed, limit, changes, init):
         n = len(changes)
-        played, consumed = run_rounds(mdp, rng, first, agents, consumed, limit, changes)
+        played, consumed = run_rounds(mdp, rng, first, agents, consumed, limit, changes, init)
         per_call.append(len(changes) - n)
         end = first + played
         if end % agents == 0 and consumed >= limit:
@@ -451,13 +451,13 @@ def test_rounds_csv_golden(tmp_path):
 def rounds_against_the_reference(make_mdp, algo, M, budget, seed=0):
     """run_concurrent's rounds view and the RoundLog list the reference
     builds, each from a fresh learner."""
-    mdp = make_mdp()
+    mdp, init = make_mdp()
     cc = ConcurrentConfig(agents=M, k_eps_override=budget)
     views = []
     for runner in (run_concurrent, sample_then_replay_concurrent):
         lr = make_learner(algo, mdp, TIGHT, n_max=(budget + M) * mdp.H + 1, cb=0.05)
         views.append(runner(mdp, lr, cc, seeded_stream(seed, 0, "env"),
-                            seeded_stream(seed, 0, "policy-pick")).rounds)
+                            seeded_stream(seed, 0, "policy-pick"), init).rounds)
     return views
 
 
@@ -557,7 +557,7 @@ def test_run_rounds_that_never_end_at_a_round_start_raise():
     # start again, and must raise once consumed passes budget + M - 1
     # rather than loop for ever (the alarm fails the test if it hangs)
     class OffRound(OracleAgent):
-        def run_rounds(self, mdp, rng, first, agents, consumed, limit, changes):
+        def run_rounds(self, mdp, rng, first, agents, consumed, limit, changes, init):
             played = agents if first % agents else agents + 1
             return played, consumed + played
 

@@ -41,18 +41,19 @@ from test_cli import PINNED_RUN
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, make_mdp, reference trigger N0, episodes)
+FIXED_0 = InitialStates.fixed(0)
+# (name, make_mdp, reference trigger N0, episodes, the runs' start states)
 INSTANCES = [
-    ("jao-40", lambda: make_jao_chain(40, epsilon=0.1, delta=0.4, seed=0), 500, 1500),
-    ("random-3x2x5", lambda: make_random_mdp(3, 2, 5, seed=0), 200, 2000),
-    ("random-10x3x8", lambda: make_random_mdp(10, 3, 8, seed=1,
-                                              init=InitialStates.seeded(3)), 100, 1500),
-    ("random-4x5x4", lambda: make_random_mdp(4, 5, 4, seed=2,
-                                             init=InitialStates.cyclic([0, 1, 2, 3])), 200, 1500),
+    ("jao-40", lambda: make_jao_chain(40, epsilon=0.1, delta=0.4, seed=0), 500, 1500, FIXED_0),
+    ("random-3x2x5", lambda: make_random_mdp(3, 2, 5, seed=0), 200, 2000, FIXED_0),
+    ("random-10x3x8", lambda: make_random_mdp(10, 3, 8, seed=1), 100, 1500,
+     InitialStates.seeded(3)),
+    ("random-4x5x4", lambda: make_random_mdp(4, 5, 4, seed=2), 200, 1500,
+     InitialStates.cyclic([0, 1, 2, 3])),
 ]
 # hoeffding-stage first lowers a Q entry once a stage is longer than about
 # 4 H^2 iota samples, which only a short horizon reaches in a test-sized run
-SHORT_H = ("random-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3), 100, 1000)
+SHORT_H = ("random-3x4x2", lambda: make_random_mdp(3, 4, 2, seed=3), 100, 1000, FIXED_0)
 GREEDY_INSTANCES = INSTANCES + [SHORT_H]
 # the reference route on every instance; off where it lowers Q; and
 # classic-qucb, whose Q changes every episode, on every instance
@@ -267,15 +268,15 @@ def test_kernel_draws_are_generator_random(cls, lead, monkeypatch):
     # from the generator alone; the reference reads every uniform through
     # random(), that is Generator.random, and the state after each call is
     # the one that advancing by the uniforms drawn past the tail gives
-    _, make_mdp, n0, _ = INSTANCES[2]
+    _, make_mdp, n0, _, init = INSTANCES[2]
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["tight"])
     fast, ref = kernel_and_reference(monkeypatch, cls, mdp, const, 10_000)
     (rng_fast, tail), (rng_ref, _) = lead_stream(lead), lead_stream(lead)
     for k in range(60):
         before = rng_fast.generator.bit_generator.state
-        got = fast.run_episode(mdp, rng_fast, k)
-        assert got == ref.reference_episode(mdp, rng_ref, k)
+        got = fast.run_episode(mdp, rng_fast, k, init)
+        assert got == ref.reference_episode(mdp, rng_ref, k, init)
         assert fast._kstate.u_avail == max(0, tail - k * mdp.H)
         assert_generator_stepped(rng_fast, before, fast)
     assert_same_state(fast, ref)
@@ -288,7 +289,7 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
     # one episode (H = 8 uniforms) and skips 24; with 13 left in the buffer
     # the first skip starts in the tail and ends on the generator, with 3
     # the first episode crosses, and with 40 the second skip does
-    _, make_mdp, n0, _ = INSTANCES[2]
+    _, make_mdp, n0, _, init = INSTANCES[2]
     mdp = make_mdp()
     fast, ref = kernel_and_reference(monkeypatch, ClassicQUcbLearner, mdp,
                                      AlgoConstants(n0_override=n0), None)
@@ -300,8 +301,9 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
     generated = consumed = 0
     for limit in (2, 5, 40):
         before = rng_fast.generator.bit_generator.state
-        got = fast.run_rounds(mdp, rng_fast, generated, 4, consumed, limit, changes_fast)
-        assert got == ref.run_rounds(mdp, rng_ref, generated, 4, consumed, limit, changes_ref)
+        got = fast.run_rounds(mdp, rng_fast, generated, 4, consumed, limit, changes_fast, init)
+        assert got == ref.run_rounds(mdp, rng_ref, generated, 4, consumed, limit, changes_ref,
+                                     init)
         assert_generator_stepped(rng_fast, before, fast)
         generated, consumed = generated + got[0], got[1]
         assert changes_fast == changes_ref == list(range(0, generated, 4))
@@ -310,7 +312,7 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
 
 
 def check_episodes_match_reference(cls, inst, cset, seed):
-    _, make_mdp, n0, K = inst
+    _, make_mdp, n0, K, init = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS[cset])
     fast = make(cls, mdp, const, K * mdp.H + 1)
@@ -320,8 +322,8 @@ def check_episodes_match_reference(cls, inst, cset, seed):
     for k in range(K):
         held = fast.greedy_actions_flat()
         before = list(held)
-        traj, report = fast.run_episode(mdp, rng_fast, k)
-        traj_ref, report_ref = ref.reference_episode(mdp, rng_ref, k)
+        traj, report = fast.run_episode(mdp, rng_fast, k, init)
+        traj_ref, report_ref = ref.reference_episode(mdp, rng_ref, k, init)
         assert traj == traj_ref
         assert report == report_ref
         assert held == before  # a snapshot does not move with learning
@@ -342,12 +344,12 @@ def test_fused_episode_matches_reference_path(cls, inst, cset, seed):
     assert (lr._lib is None) == (kernel.load() is None)
 
 
-def reference_stretch(lr, mdp, rng, first, count, stop):
+def reference_stretch(lr, mdp, rng, first, count, stop, init=FIXED_0):
     """count reference episodes from first, as run_stretch's (played,
     changed), and the last one's trajectory; every one but the last must be
     one that run_stretch plays through (no Q change, below stop)."""
     for k in range(first, first + count):
-        traj, report = lr.reference_episode(mdp, rng, k)
+        traj, report = lr.reference_episode(mdp, rng, k, init)
         if k < first + count - 1:
             assert not report.q_changed
     assert first + count <= stop
@@ -360,13 +362,13 @@ def reference_stretch(lr, mdp, rng, first, count, stop):
 # states, and random-4x5x4 here cycles through 5 of them, so a start-state
 # block does not begin at the start of the cycle
 STRETCH_CASES = [INSTANCES[0], INSTANCES[2],
-                 ("random-4x5x4", lambda: make_random_mdp(
-                     4, 5, 4, seed=2, init=InitialStates.cyclic([0, 1, 2, 3, 1])), 200, 1500)]
+                 ("random-4x5x4", lambda: make_random_mdp(4, 5, 4, seed=2), 200, 1500,
+                  InitialStates.cyclic([0, 1, 2, 3, 1]))]
 
 
 @pytest.mark.parametrize("inst", STRETCH_CASES, ids=[c[0] for c in STRETCH_CASES])
 def test_stretch_matches_reference_path(inst, path):
-    _, make_mdp, n0, K = inst
+    _, make_mdp, n0, K, init = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
     fast = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
@@ -379,8 +381,8 @@ def test_stretch_matches_reference_path(inst, path):
     k = 0
     while k < K:
         stop = next(c for c in checkpoints if c > k)
-        played, changed = fast.run_stretch(mdp, rng_fast, k, stop)
-        expect, traj = reference_stretch(ref, mdp, rng_ref, k, played, stop)
+        played, changed = fast.run_stretch(mdp, rng_fast, k, stop, init)
+        expect, traj = reference_stretch(ref, mdp, rng_ref, k, played, stop, init)
         assert (played, changed) == expect
         if path == "kernel":   # built only on request
             assert fast._last_traj() == traj
@@ -469,7 +471,7 @@ def edge_mdp(S, gen):
     rows = np.stack([spread, over, point])
     H, A = 3, 2
     mdp = EpisodicMdp(S=S, A=A, H=H, P=rows[gen.integers(3, size=(H, S, A))],
-                      r=gen.random((H, S, A)), init=InitialStates.seeded(S))
+                      r=gen.random((H, S, A)))
     validate(mdp)
     return mdp
 
@@ -485,7 +487,7 @@ def test_next_state_matches_bisect_on_edge_rows(cls, S, path):
     # which bisect_right passes) or a random one, and every one is drawn,
     # from the stream's buffered tail
     gen = np.random.default_rng(S)
-    mdp = edge_mdp(S, gen)
+    mdp, init = edge_mdp(S, gen), InitialStates.seeded(S)
     H, K = mdp.H, 300
     cum = mdp.cum_array()
     entries = np.unique(cum[cum < 1.0])
@@ -498,8 +500,8 @@ def test_next_state_matches_bisect_on_edge_rows(cls, S, path):
     rng_fast, rng_ref = tail_stream(values), tail_stream(values)
     ties = 0
     for k in range(K):
-        traj, report = fast.run_episode(mdp, rng_fast, k)
-        traj_ref, report_ref = ref.reference_episode(mdp, rng_ref, k)
+        traj, report = fast.run_episode(mdp, rng_fast, k, init)
+        traj_ref, report_ref = ref.reference_episode(mdp, rng_ref, k, init)
         assert (traj, report) == (traj_ref, report_ref)
         for h, (s, a, _r, s_next) in enumerate(traj_ref):
             u = values[(k * H + h) % len(values)]
@@ -532,28 +534,28 @@ def test_unvalidated_mdp_raises_at_the_first_draw(source, path, tmp_path):
     assert len(set(raised)) == 1
 
 
-def stretch_or_raise(lr, mdp, rng, first, stop):
+def stretch_or_raise(lr, mdp, rng, first, stop, init):
     """run_stretch's (played, changed), or the visit count it raised at."""
     try:
-        return lr.run_stretch(mdp, rng, first, stop)
+        return lr.run_stretch(mdp, rng, first, stop, init)
     except OutOfRangeError as exc:
         return exc.n
 
 
-def reference_or_raise(lr, mdp, rng, first, count, stop):
+def reference_or_raise(lr, mdp, rng, first, count, stop, init):
     try:
-        return reference_stretch(lr, mdp, rng, first, count, stop)[0]
+        return reference_stretch(lr, mdp, rng, first, count, stop, init)[0]
     except OutOfRangeError as exc:
         return exc.n
 
 
 def check_observe_between_stretches(cls, path, n_max):
-    _, make_mdp, n0, K = INSTANCES[2]
+    _, make_mdp, n0, K, init = INSTANCES[2]
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["tight"])
     source = ClassicQUcbLearner(mdp, const, cb=0.05)
     rng = seeded_stream(1, 0, "env")
-    trajs = [source.run_episode(mdp, rng, k)[0] for k in range(K)]
+    trajs = [source.run_episode(mdp, rng, k, init)[0] for k in range(K)]
     fast = make(cls, mdp, const, n_max or 2 * K * mdp.H + 1)
     ref = make(cls, mdp, const, n_max or 2 * K * mdp.H + 1)
     assert uses_kernel(fast, path)
@@ -568,9 +570,9 @@ def check_observe_between_stretches(cls, path, n_max):
             fast.observe_trajectory(traj)
             ref.observe_trajectory(traj)
         if i >= first_stretch:
-            got = stretch_or_raise(fast, mdp, rng_fast, k, k + 20)
+            got = stretch_or_raise(fast, mdp, rng_fast, k, k + 20, init)
             count = 20 if isinstance(got, int) else got[0]
-            assert got == reference_or_raise(ref, mdp, rng_ref, k, count, k + 20)
+            assert got == reference_or_raise(ref, mdp, rng_ref, k, count, k + 20, init)
             stretches += 1
             if isinstance(got, int):
                 assert got == n_max + 1
@@ -737,10 +739,12 @@ def test_qucb_wide_makes_one_call_per_start_block_with_ddot(monkeypatch):
 
 
 def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
-    # with the kernel and NumPy's ddot, the cache's values() and evaluate()
-    # run once (the first, full evaluation) and the optimism tracker's
-    # update never: a run that fell back to the Python audit or the Python
-    # layer loop fails here, not only in the benchmark
+    # with the kernel and NumPy's ddot, the cache's evaluate() runs once
+    # (the prepared instance's first, full evaluation), values() twice
+    # (that evaluation, and the run's cache taking its V^pi as known) and
+    # the optimism tracker's update never: a run that fell back to the
+    # Python audit or the Python layer loop fails here, not only in the
+    # benchmark
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     calls = Counter()
@@ -748,9 +752,9 @@ def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
     def spy(cls, name):
         method = getattr(cls, name)
 
-        def counted(self, *args):
+        def counted(self, *args, **kw):
             calls[name] += 1
-            return method(self, *args)
+            return method(self, *args, **kw)
         monkeypatch.setattr(cls, name, counted)
 
     spy(PolicyValueCache, "values")
@@ -764,7 +768,7 @@ def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
             constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"])))
         assert res.learner._lib is not None
         assert res.summary.n_switch > 0 or algo == "hoeffding-stage"
-        assert (calls["values"], calls["evaluate"], calls["update"]) == (1, 1, 0)
+        assert (calls["values"], calls["evaluate"], calls["update"]) == (2, 1, 0)
 
 
 def numpy_blas():
@@ -886,7 +890,8 @@ def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
         if name == "evaluate":
             monkeypatch.setattr(kernel, "ddot", lambda: None)
         lr = ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01)
-        audits[name] = Audit(lr, mdp, vstar), seeded_stream(0, 0, "env")
+        init = replace(env.init or FIXED_0)
+        audits[name] = Audit(lr, mdp, vstar, init), seeded_stream(0, 0, "env")
     (a, rng_a), (b, rng_b) = audits["ddot"], audits["evaluate"]
     assert a.fields.ddot and not b.fields.ddot
     K, keep = 300, range(1, 301)
@@ -944,12 +949,12 @@ def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
         return -0.0
 
     monkeypatch.setattr(kernel, "ddot", lambda: ctypes.cast(logged, ctypes.c_void_p).value)
-    mdp = make_random_mdp(3, 2, 4, seed=0, init=InitialStates.cyclic([0, 1, 2]))
+    mdp, init = make_random_mdp(3, 2, 4, seed=0), InitialStates.cyclic([0, 1, 2])
     mdp.r = np.full_like(mdp.r, -0.0)
     vstar, _ = backward_induction(mdp)
-    audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
+    audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar, init)
     monkeypatch.setattr(kernel, "ddot", lambda: None)
-    ref = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
+    ref = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar, init)
     cache, S = audit.cache, mdp.S
     rows, V = cache._P_pi.ctypes.data, cache._V.ctypes.data
     rng, rng_ref = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
@@ -976,10 +981,11 @@ def test_rebinding_p_mid_run_raises():
     # a run's regret is measured against one MDP: reversing P halfway
     # through (which once left the audit on the old V*) raises at the
     # assignment, and the run goes on with the MDP it started with
-    mdp = make_random_mdp(4, 3, 4, seed=3, init=InitialStates.cyclic([0, 1, 2, 3]))
+    mdp = make_random_mdp(4, 3, 4, seed=3)
     validate(mdp)
     vstar, _ = backward_induction(mdp)
-    audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar)
+    audit = Audit(ClassicQUcbLearner(mdp, AlgoConstants(), cb=0.01), mdp, vstar,
+                  InitialStates.cyclic([0, 1, 2, 3]))
     rng, k, P = seeded_stream(0, 0, "env"), 0, mdp.P
     while k < 200:
         k += audit.stretch(rng, k, 200)
@@ -1029,7 +1035,7 @@ def make_all_learners(mdp, const, n_max):
 
 @pytest.mark.parametrize("inst", GREEDY_INSTANCES, ids=[i[0] for i in GREEDY_INSTANCES])
 def test_greedy_table_tracks_q_for_every_learner(inst):
-    _, make_mdp, n0, K = inst
+    _, make_mdp, n0, K, init = inst
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["tight"])
     K = K // 2
@@ -1038,7 +1044,7 @@ def test_greedy_table_tracks_q_for_every_learner(inst):
         rng = seeded_stream(0, 0, "env")
         assert_greedy_current(lr)
         for k in range(K):
-            traj, _ = lr.run_episode(mdp, rng, k)
+            traj, _ = lr.run_episode(mdp, rng, k, init)
             assert_greedy_current(lr)
             recorded.append(traj)
     # replay every learner's trajectories into fresh learners through
@@ -1058,13 +1064,14 @@ def test_oracle_episodes_match_reference_path(inst, path):
     # the oracle never changes Q, so check_episodes_match_reference (which
     # requires updates) does not serve: episode by episode, run_episode
     # against reference_episode, and the stream position after them
-    _, make_mdp, _, K = inst
+    _, make_mdp, _, K, init = inst
     mdp = make_mdp()
     fast, ref = OracleAgent(mdp), OracleAgent(mdp)
     assert uses_kernel(fast, path)
     rng_fast, rng_ref = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
     for k in range(K // 4):
-        assert fast.run_episode(mdp, rng_fast, k) == ref.reference_episode(mdp, rng_ref, k)
+        assert fast.run_episode(mdp, rng_fast, k, init) == \
+            ref.reference_episode(mdp, rng_ref, k, init)
     assert_same_stream(rng_fast, rng_ref)
     assert fast.q_update_count == fast.stage_end_count == 0
     assert_greedy_current(fast)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,7 +91,9 @@ def test_env_spec_build_kinds(tmp_path):
                    init=InitialStates.fixed(1))
     loaded = spec.build()
     assert np.array_equal(loaded.P, mdp.P)
-    assert loaded.initial_state(0) == 1  # init override applies to files
+    # the start states are the runs', not the MDP's; they apply to files too
+    assert not hasattr(loaded, "init")
+    assert harness.Prepared(spec, "oracle", AlgoConstants(), 2.0, 1).init == spec.init
     with pytest.raises(ConfigError):
         EnvSpec(kind="nope").build()
 
@@ -129,6 +132,7 @@ def eager_reference_run(config):
     learner = make_learner(config.algo, mdp, config.constants,
                            n_max=config.episodes * mdp.H + 1, cb=config.cb)
     rng = seeded_stream(config.seed, 0, "env")
+    init = config.env.init or InitialStates.fixed(0)
     tracker = SwitchTracker()
     rows = []
     cum = 0.0
@@ -138,7 +142,7 @@ def eager_reference_run(config):
         tracker.record(policy)
         vpi = policy_evaluation(mdp, DeterministicPolicy(
             np.asarray(policy).reshape(mdp.H, mdp.S)))
-        traj, _ = learner.run_episode(mdp, rng, k - 1)
+        traj, _ = learner.run_episode(mdp, rng, k - 1, init)
         s1 = traj[0][0]
         reg = float(tables.V[0, s1] - vpi.V[0, s1])
         cum += reg
@@ -151,8 +155,8 @@ def eager_reference_run(config):
 class CheckedOptimism(OptimismTracker):
     """Checks the incremental count against the full scan after each update."""
 
-    def __init__(self, q_learner, q_star):
-        super().__init__(q_learner, q_star)
+    def __init__(self, q_learner, q_star, thr=None):
+        super().__init__(q_learner, q_star, thr)
         self.q_star = q_star
         self.counts = []
 
@@ -199,8 +203,8 @@ def test_lazy_audit_matches_eager_reference(monkeypatch, path, env, algo, consta
     # against a full scan after each update
     trackers = []
 
-    def checked(q_learner, q_star):
-        trackers.append(CheckedOptimism(q_learner, q_star))
+    def checked(q_learner, q_star, thr=None):
+        trackers.append(CheckedOptimism(q_learner, q_star, thr))
         return trackers[-1]
 
     monkeypatch.setattr(metrics, "OptimismTracker", checked)
@@ -400,8 +404,8 @@ def test_sweep_prefix_property(monkeypatch):
     kept = []   # each seed's run keeps only its checkpoint rows
     audited_run = harness._audited_run
 
-    def spy(config, keep):
-        kept.append(audited_run(config, keep))
+    def spy(*args):
+        kept.append(audited_run(*args))
         return kept[-1]
 
     monkeypatch.setattr(harness, "_audited_run", spy)
@@ -432,12 +436,13 @@ def test_checkpoint_regrets_picks_rows():
 
 
 def sequential_sweep(config, ks, seeds):
-    """sweep_scaling's rows from one run per seed, one after another, all
-    reading config.env.init: the loop the threaded sweep must equal."""
+    """sweep_scaling's rows from one run_experiment per seed, one after
+    another, each logging every episode: the loop the threaded sweep must
+    equal."""
     rows = []
     for seed in seeds:
-        result = harness._audited_run(replace(config, episodes=ks[-1], seed=seed), ks)
-        rows += [(rec.k * result.mdp.H, seed, rec.cum_regret) for rec in result.records]
+        result = run_experiment(replace(config, episodes=ks[-1], seed=seed, log_every="all"))
+        rows += [(k * result.mdp.H, seed, result.records[k - 1].cum_regret) for k in ks]
     return rows
 
 
@@ -470,15 +475,73 @@ def test_sweep_rows_equal_sequential_runs(monkeypatch, path, init, n_cpus):
     inits = []
     audited_run = harness._audited_run
 
-    def spy(config, keep):
-        inits.append(config.env.init)
-        return audited_run(config, keep)
+    def spy(shared, config, keep, init):
+        inits.append(init)
+        return audited_run(shared, config, keep, init)
 
     monkeypatch.setattr(harness, "_audited_run", spy)
     assert sweep_scaling(cfg, [0.25, 0.5, 1.0], seeds) == expect
-    assert len(started) == n_cpus - 1 and not any(t.is_alive() for t in started)
+    # without the kernel the Python body holds the GIL: no thread starts
+    assert len(started) == (n_cpus - 1 if path == "kernel" else 0)
+    assert not any(t.is_alive() for t in started)
     assert len(inits) == 5 and all(i == init and i is not init for i in inits)
     assert len(set(map(id, inits))) == 5
+
+
+CHAIN_SWEEP = RunConfig(env=CHAIN_ENV, algo="advantage", episodes=600,
+                        constants=AlgoConstants(n0_override=500, **DESK))
+
+
+@pytest.mark.parametrize("seeds", [[0], [3, 0, 4, 1, 2]])
+def test_sweep_builds_validates_and_solves_once(monkeypatch, path, seeds):
+    # the seeds' runs read one prepared instance: however many seeds, a
+    # sweep builds, validates and solves the chain once, and builds its
+    # stage-end tables once, on the kernel and on the Python body alike
+    from stageq import advantage
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((EnvSpec, "build"), (harness, "validate"),
+                        (harness, "backward_induction"), (advantage, "build_schedule")):
+        counted(owner, name)
+    rows = sweep_scaling(CHAIN_SWEEP, [0.5, 1.0], seeds)
+    assert len(rows) == 2 * len(seeds)
+    assert calls == {"build": 1, "validate": 1, "backward_induction": 1, "build_schedule": 1}
+
+
+def prepared_tables(shared):
+    """Every table of a prepared instance, as bytes (consts: the floats);
+    the rows of P and r that the first table selects are P's and r's."""
+    mdp, stages, (table, V) = shared.mdp, shared.stages, shared.first
+    arrays = [mdp.P, mdp.r, mdp.cum_array(), shared.vstar.V, shared.vstar.Q,
+              shared.pistar.actions, V]
+    bufs = [shared.thr, stages.ends, stages.lower, stages.bbar, table]
+    return ([a.tobytes() for a in arrays] + [b.tobytes() for b in bufs]
+            + [stages.schedule.ends.tobytes(), repr(stages.consts)])
+
+
+@pytest.mark.parametrize("init", [None, InitialStates.seeded(5)], ids=["fixed", "seeded"])
+def test_sweep_leaves_the_prepared_instance_as_it_was_made(monkeypatch, path, init):
+    # the runs share the instance's tables, the kernel through pointers:
+    # after a 5-seed sweep every one of them is byte for byte a freshly
+    # prepared instance's, and the caller's start states were never read
+    # (each run reads its own copy)
+    prepared, made = harness.Prepared, []
+    monkeypatch.setattr(harness, "Prepared", lambda *a, **kw: made.append(prepared(*a, **kw))
+                        or made[-1])
+    cfg = replace(CHAIN_SWEEP, env=replace(CHAIN_ENV, init=init))
+    sweep_scaling(cfg, [0.5, 1.0], [3, 0, 4, 1, 2])
+    fresh = prepared(cfg.env, cfg.algo, cfg.constants, cfg.cb, cfg.episodes)
+    assert len(made) == 1 and made[0].first[1] is not fresh.first[1]
+    assert prepared_tables(made[0]) == prepared_tables(fresh)
+    assert init is None or (init._last is None and init._gen is None)
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -508,18 +571,20 @@ def test_strict_sweep_raises_the_first_failing_seeds_error(monkeypatch, path, lo
     # seed order fails last, and its error must still be the one raised.
     # No thread's exception may escape: pytest would report a
     # PytestUnhandledThreadExceptionWarning, which the warning filter turns
-    # into a failure.
+    # into a failure.  Without the kernel no thread starts, and the seeds
+    # play in order on the calling thread.
     lower_vstar(1e-3)
     with pytest.raises(InvariantViolation, match=f"at k={k}$"):
         sequential_sweep(FAIL_CFG, [30, 60], seeds)
     started = cpus(monkeypatch, 2)
     audited_run, other_ended = harness._audited_run, threading.Event()
+    threads = path == "kernel"
 
-    def spy(config, keep):
-        if config.seed == late:
+    def spy(shared, config, keep, init):
+        if config.seed == late and threads:
             other_ended.wait(timeout=60)
         try:
-            return audited_run(config, keep)
+            return audited_run(shared, config, keep, init)
         finally:
             if config.seed in (3, 4) and config.seed != late:
                 other_ended.set()
@@ -527,24 +592,27 @@ def test_strict_sweep_raises_the_first_failing_seeds_error(monkeypatch, path, lo
     monkeypatch.setattr(harness, "_audited_run", spy)
     with pytest.raises(InvariantViolation, match=f"at k={k}$"):
         sweep_scaling(FAIL_CFG, [0.5, 1.0], seeds)
-    assert len(started) == 1 and not started[0].is_alive()
-    assert late is None or other_ended.is_set()
+    assert len(started) == threads and not any(t.is_alive() for t in started)
+    assert late is None or other_ended.is_set() == threads
 
 
 def test_no_seed_starts_once_a_strict_sweep_has_failed(monkeypatch, path, lower_vstar):
     # both threads take a seed (4, which fails, and 0) before either run
     # starts, and seed 0's run ends only after seed 4's has failed: seeds 1
-    # and 2, not yet taken then, are never taken
+    # and 2, not yet taken then, are never taken.  Without the kernel the
+    # calling thread alone takes seed 4, and no other
     lower_vstar(1e-3)
     cpus(monkeypatch, 2)
     audited_run, runs = harness._audited_run, []
     both, failed = threading.Barrier(2, timeout=10), threading.Event()
+    threads = path == "kernel"
 
-    def spy(config, keep):
+    def spy(shared, config, keep, init):
         runs.append(config.seed)
-        both.wait()
+        if threads:
+            both.wait()
         try:
-            return audited_run(config, keep)
+            return audited_run(shared, config, keep, init)
         finally:
             if config.seed == 4:
                 failed.set()
@@ -554,7 +622,7 @@ def test_no_seed_starts_once_a_strict_sweep_has_failed(monkeypatch, path, lower_
     monkeypatch.setattr(harness, "_audited_run", spy)
     with pytest.raises(InvariantViolation, match="at k=23$"):
         sweep_scaling(FAIL_CFG, [0.5, 1.0], [4, 0, 1, 2])
-    assert sorted(runs) == [0, 4]
+    assert sorted(runs) == ([0, 4] if threads else [4])
 
 
 def test_sweep_memory_is_bounded_by_its_threads(monkeypatch, path):
@@ -568,9 +636,10 @@ def test_sweep_memory_is_bounded_by_its_threads(monkeypatch, path):
     sweep_scaling(cfg, [1.0], [0])     # first-use allocations fall outside the peaks
     audited_run, both = harness._audited_run, threading.Barrier(2, timeout=60)
 
-    def together(config, keep):
-        result = audited_run(config, keep)
-        both.wait()                    # until the other run has ended too
+    def together(*args):
+        result = audited_run(*args)
+        if path == "kernel":           # no threads without the kernel
+            both.wait()                # until the other run has ended too
         return result
 
     peaks = []

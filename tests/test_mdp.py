@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import ORACLE_SHAPES, brute_policy_value, brute_value_tables, validate_by_rows
+from oracles import (ORACLE_SHAPES, bad_rows_by_test, brute_policy_value, brute_value_tables,
+                     validate_by_rows)
 from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
                     InvalidDelta, InvalidEpsilon, MdpValidationError,
                     NonStochasticRow,
                     RewardOutOfRange, backward_induction, load_mdp,
                     make_jao_chain, make_random_mdp, policy_evaluation,
                     sample_episode, save_mdp, validate)
-from stageq.mdp import checked_actions
+from stageq.mdp import bad_rows, checked_actions
 
 
 def two_step_example():
@@ -51,10 +52,19 @@ def test_validate_accepts_generated_instances():
 
 @pytest.mark.parametrize("init", [InitialStates.fixed(3), InitialStates.fixed(-1),
                                   InitialStates.cyclic([0, 9])])
-def test_validate_rejects_initial_state_out_of_range(init):
-    mdp = make_random_mdp(3, 2, 2, seed=0, init=init)
-    with pytest.raises(MdpValidationError, match="initial state"):
-        validate(mdp)
+def test_initial_state_out_of_range_is_rejected_where_it_is_read(init):
+    # the start states are a run's input, not the MDP's: validate passes,
+    # and checking them against S, reading a block of them, or sampling an
+    # episode from them raises; a start of -1 would otherwise be sampled
+    # from row S - 1 with no error
+    mdp = make_random_mdp(3, 2, 2, seed=0)
+    validate(mdp)
+    actor = DeterministicPolicy(np.zeros((2, 3), dtype=int))
+    for read in (lambda: init.check(3), lambda: init.block(0, 3),
+                 lambda: sample_episode(mdp, actor, CountingRng([0.5, 0.5]), 0, init)):
+        with pytest.raises(MdpValidationError, match="initial state"):
+            read()
+    InitialStates.cyclic([0, 9]).check(10)
 
 
 def test_validate_rejects_negative_entry():
@@ -117,10 +127,9 @@ def test_validate_first_violation_in_scan_order():
 
 @pytest.mark.parametrize("field,value", [
     ("S", 4), ("A", 1), ("H", 3), ("P", np.full((2, 2, 2, 2), 0.5)),
-    ("r", np.zeros((2, 2, 2))), ("init", InitialStates.fixed(-1))])
+    ("r", np.zeros((2, 2, 2)))])
 def test_validate_freezes_every_field(field, value):
-    # rebinding a field after validate raises at the assignment; a start
-    # state of -1 would otherwise be sampled from row S - 1 with no error
+    # rebinding a field after validate raises at the assignment
     mdp = make_random_mdp(2, 2, 2, seed=0)
     setattr(mdp, field, getattr(mdp, field))     # writable before validate
     validate(mdp)
@@ -136,12 +145,12 @@ def test_validate_freezes_every_field(field, value):
 def test_initial_states_cannot_be_changed_in_place(field, value):
     # a learner holds a block of start states for up to 256 episodes, so
     # an in-place change would be ignored until the next block
-    mdp = make_random_mdp(3, 2, 4, seed=0)
-    validate(mdp)
+    init = InitialStates.fixed(0)
+    init.block(0, 3)
     with pytest.raises(AttributeError, match=field):
-        setattr(mdp.init, field, value)
-    assert mdp.init == InitialStates.fixed(0)
-    assert mdp.initial_state(0) == 0
+        setattr(init, field, value)
+    assert init == InitialStates.fixed(0)
+    assert init.state(0, 3) == 0
     assert InitialStates(kind="cyclic", states=[0, 1]).states == (0, 1)   # no list to edit
 
 
@@ -416,15 +425,17 @@ def test_monte_carlo_row_frequencies():
 
 
 def test_initial_state_indexing_reaches_generator():
-    mdp = make_random_mdp(3, 2, 2, seed=0, init=InitialStates.cyclic([2, 0]))
+    mdp, init = make_random_mdp(3, 2, 2, seed=0), InitialStates.cyclic([2, 0])
 
     class Actor:
         def select_action(self, h, s):
             return 0
 
-    t0 = sample_episode(mdp, Actor(), CountingRng([0.5, 0.5]), episode_index=0)
-    t1 = sample_episode(mdp, Actor(), CountingRng([0.5, 0.5]), episode_index=1)
+    t0 = sample_episode(mdp, Actor(), CountingRng([0.5, 0.5]), episode_index=0, init=init)
+    t1 = sample_episode(mdp, Actor(), CountingRng([0.5, 0.5]), episode_index=1, init=init)
     assert t0[0][0] == 2 and t1[0][0] == 0
+    # without start states every episode starts in state 0
+    assert sample_episode(mdp, Actor(), CountingRng([0.5, 0.5]), episode_index=1)[0][0] == 0
 
 
 # --------------------------------------------------------------- generators
@@ -565,12 +576,15 @@ def test_load_error_diagnostics(tmp_path, body, fragment):
     assert fragment in str(ei.value)
 
 
-def test_loaded_mdp_defaults_to_fixed_start(tmp_path):
-    mdp = make_random_mdp(2, 2, 2, seed=0, init=InitialStates.cyclic([1, 0]))
+def test_mdp_and_its_file_carry_no_start_states(tmp_path):
+    # start states are a run's input: neither the MDP nor its file has any
+    mdp = make_random_mdp(2, 2, 2, seed=0)
     path = tmp_path / "m.mdp"
     save_mdp(mdp, path)
     back = load_mdp(path)
-    assert back.initial_state(0) == 0 and back.initial_state(1) == 0
+    assert [f for f in vars(back) if not f.startswith("_")] == ["S", "A", "H", "P", "r"]
+    assert not hasattr(back, "init") and not hasattr(back, "initial_state")
+    assert path.read_text().splitlines()[0] == "2 2 2"
 
 
 def test_cum_rows_cached_and_final_entry_one():
@@ -621,7 +635,7 @@ def test_cum_array_validates_only_an_unvalidated_mdp(monkeypatch):
     assert not unchecked.P.flags.writeable
 
 
-VIOLATIONS = ("nan", "inf", "-inf", "negative", "sum", "r>1", "r<0", "r-nan")
+VIOLATIONS = ("nan", "inf", "-inf", "negative", "sum", "r>1", "r<0", "r-nan", "r-inf", "r+inf")
 
 
 def corrupt(mdp, gen, kind):
@@ -636,7 +650,7 @@ def corrupt(mdp, gen, kind):
         mdp.P[h, s, a, j] += gen.choice([-1, 1]) * gen.uniform(1e-11, 0.5)
     else:
         mdp.r[h, s, a] = {"r>1": 1.0 + gen.random() + 1e-12, "r<0": -gen.random() - 1e-12,
-                          "r-nan": float("nan")}[kind]
+                          "r-nan": float("nan"), "r-inf": -np.inf, "r+inf": np.inf}[kind]
 
 
 def raised(check, mdp):
@@ -647,11 +661,28 @@ def raised(check, mdp):
     return None
 
 
+def test_bad_rows_flags_what_the_finite_test_flagged():
+    # rows whose entries mix NaN, +inf and -inf (a NaN or infinite sum),
+    # negative or off-sum rows, and rewards out of range or not finite:
+    # the negated comparisons flag exactly the rows that the finiteness,
+    # negativity and sum tests flagged
+    nan, inf = np.nan, np.inf
+    rows = [[0.5, 0.5], [nan, 1.0], [inf, 0.0], [-inf, 1.0], [inf, -inf], [nan, -1.0],
+            [1.5, -0.5], [0.5, 0.5 + 1e-11], [0.5, 0.5 + 1e-13], [inf, inf], [0.0, 1.0]]
+    rewards = [0.0, 1.0, nan, inf, -inf, -1e-300, 1.0 + 1e-15, 0.5, 2.0, -0.0, 1.0]
+    P = np.array([[[row] for row in rows]] * 2)          # (H=2, S=11, A=1, 2)
+    r = np.array([[[x] for x in rewards], [[x] for x in reversed(rewards)]])
+    want = bad_rows_by_test(P, r)
+    assert np.array_equal(bad_rows(P, r), want)
+    assert want[0, :, 0].tolist() == [False] + [True] * 9 + [False]
+    assert want[1, :, 0].tolist() == [False] + [True] * 9 + [False]
+
+
 @pytest.mark.parametrize("violations", [1, 2])
 def test_validate_raises_what_the_row_scan_raises(violations):
     # the whole-array masks only locate the first bad row; the same
     # exception and message as the old row-by-row scan, wherever the
-    # violations sit and whichever comes first
+    # violations sit and whichever comes first, and the same rows flagged
     gen = np.random.default_rng(violations)
     for seed in range(60):
         S, A, H = (int(n) for n in gen.integers(1, 7, size=3))
@@ -661,6 +692,7 @@ def test_validate_raises_what_the_row_scan_raises(violations):
         want = raised(validate_by_rows, mdp)
         assert want is not None
         assert raised(validate, mdp) == want
+        assert np.array_equal(bad_rows(mdp.P, mdp.r), bad_rows_by_test(mdp.P, mdp.r))
     # the instance validate is timed on in the benchmark, clean and corrupted
     mdp = make_random_mdp(50, 5, 20, seed=0)
     assert raised(validate, mdp) is raised(validate_by_rows, mdp) is None
@@ -669,6 +701,7 @@ def test_validate_raises_what_the_row_scan_raises(violations):
         for _ in range(violations):
             corrupt(bad, gen, kind)
         assert raised(validate, bad) == raised(validate_by_rows, bad) is not None
+        assert np.array_equal(bad_rows(bad.P, bad.r), bad_rows_by_test(bad.P, bad.r))
 
 
 # ------------------------------------------------------ property tests
