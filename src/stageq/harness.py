@@ -11,20 +11,14 @@ byte-identically on any platform.  The environment stream uses label
 generated instances carry their own seeds and never touch the run streams,
 so changing the learner never perturbs the environment draw sequence.
 
-Each driver call prepares its environment once (Prepared): it builds,
-validates and solves the MDP, checks the start states against it, and
-builds what every run only reads.  A run keeps its own learner,
+Each driver call prepares its environment once (Prepared: built,
+validated, solved, start states checked); a run keeps its own learner,
 stream, audit state (copied, not recomputed) and copy of the start states
 (dataclasses.replace: a seeded InitialStates keeps a live generator).
 
 The one audit loop (_audited_run, metrics.Audit) keeps a record only for
 the episodes its caller keeps (run_experiment: the log cadence;
 sweep_scaling: the checkpoints), so memory is bounded by those, not by K.
-
-sweep_scaling plays its seeds' runs on up to one thread per usable CPU
-where the kernel is built: they write nothing they share, and the kernel
-call releases the GIL.  Its rows, their order and the error a strict sweep
-raises are those of one seed after another.
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ they must agree with.
 Audit runs those steps a stretch of episodes at a time, in the compiled
 kernel where it is built, else in Python (see Audit).  write_table writes
 every numeric table from columns, in C where the kernel is built, else
-through write_csv, the reference for the C body's bytes; rounds.csv stays
-with write_csv, joining runs of full rounds from integers.
+through write_csv, the reference for the C body's bytes; rounds.csv too,
+a window of NumPy-built round columns a call (concurrent.write_rounds_csv;
+rounds-m8: 20.51M -> 23.23M steps/s, 10 of 10 alternating pairs).
 """
 
 from __future__ import annotations
@@ -112,18 +113,12 @@ class PolicyValueCache:
 
     Holds one table (a flat int64 array), the rows of P and r it selects
     (P_pi, (H, S, 1, S), and r_pi, (H, S)), its V and the running switch
-    count, whatever the run length.  values() takes the first table whole
-    (checked_actions) and compares each later one with the last at `rows`
-    (default: every row): no difference returns the same ValueTables;
-    otherwise the differing rows are checked (integers in [0, A)), written
-    into the table and its gathered rows and added to `switches`.  V is
-    then recomputed in place (evaluate) and returned as a copy (Q None).  V[h] depends only on the actions at layers >= h, so the
-    recursion V[h] = r_pi[h] + P_pi[h] . V[h+1] restarts at the deepest
-    differing layer: S dot products per layer, each the one
-    policy_evaluation computes, so V equals its V bit for bit.  The
-    kernel's audit writes the table, rows and V itself (see Audit).  The
-    MDP is frozen here (EpisodicMdp.freeze), so the gathered rows stay its
-    own.
+    count, whatever the run length.  V[h] depends only on the actions at
+    layers >= h, so the recursion V[h] = r_pi[h] + P_pi[h] . V[h+1]
+    restarts at the deepest differing layer: S dot products per layer,
+    each the one policy_evaluation computes, so V equals its V bit for bit.
+    The kernel's audit writes the table, rows and V itself (see Audit).
+    The MDP is frozen here (EpisodicMdp.freeze): the rows stay its own.
     """
 
     def __init__(self, mdp: EpisodicMdp):
@@ -132,21 +127,21 @@ class PolicyValueCache:
         self.mdp = mdp
         self.switches = 0          # differing rows summed over calls after the first
         self._flat = array("q", [-1]) * (H * S)    # the last table (none yet)
-        self._P_pi = P_pi = np.zeros((H, S, 1, S))
-        self._r_pi = r_pi = np.zeros((H, S))
-        self._V = V = np.zeros((H + 1, S))   # its V, kept in place; callers get copies
-        col = V[:, :, None]        # each V[h] as the (S, 1) column dot writes
-        self._layers = [(P_pi[h].dot, V[h + 1], col[h], V[h], r_pi[h]) for h in range(H)]
+        self._P_pi = np.zeros((H, S, 1, S))
+        self._r_pi = np.zeros((H, S))
+        self._V = np.zeros((H + 1, S))   # its V, kept in place; callers get copies
         self._tables = None
 
     def values(self, actions_flat, rows=None, known=None) -> ValueTables:
-        """V^pi of the flat (h, s) table actions_flat.  rows, if given, lists
-        the distinct flat indices where it may differ from the last table
-        (the audit passes the rows the last episode visited); the caller
-        vouches for every other row.  known, on the first call, is V^pi of
-        actions_flat from an earlier evaluation, copied in place of one.
-        ValueError on a bad action (outside [0, A) or not an integer) or
-        length leaves the cache as it was."""
+        """V^pi of the flat (h, s) table actions_flat, a copy (Q None), or the
+        same ValueTables if it equals the last at `rows`: the distinct flat
+        indices where it may differ (default: every row; the audit passes
+        the rows the last episode visited), the caller vouching for the
+        rest.  Differing rows are gathered and added to switches, and V is
+        recomputed (evaluate); the first table is taken whole.  known, on the
+        first call, is V^pi of actions_flat from an earlier evaluation,
+        copied in place of one.  ValueError on a bad action (outside [0, A)
+        or not an integer) or length leaves the cache as it was."""
         mdp, last = self.mdp, self._flat
         if len(actions_flat) != len(last):
             raise ValueError(f"policy has {len(actions_flat)} entries, not {len(last)}")
@@ -183,6 +178,14 @@ class PolicyValueCache:
             self._V[:] = known
         self._tables = ValueTables(V=self._V.copy(), Q=None)
         return self._tables
+
+    @cached_property
+    def _layers(self) -> list:
+        """evaluate's arguments for each layer, made at its first call: with
+        the kernel and NumPy's ddot, an audited run's cache never makes one."""
+        P_pi, V, r_pi = self._P_pi, self._V, self._r_pi
+        col = V[:, :, None]        # each V[h] as the (S, 1) column dot writes
+        return [(P_pi[h].dot, V[h + 1], col[h], V[h], r_pi[h]) for h in range(self.mdp.H)]
 
     def evaluate(self, top: int) -> None:
         """Recompute V[top], V[top - 1], ..., V[0] in place from the gathered
@@ -375,17 +378,11 @@ class Audit:
         return played
 
 
-def write_csv(out, header: str, row_format: str, rows) -> None:
-    """The header, then row_format % row per row, 1024 rows a write, to a
-    path or an open text file (sys.stdout): write_table's Python body, and
-    rounds.csv's writer.  Cells must be Python numbers (tolist(),
-    attributes): %r of an np.float64 prints np.float64(...).  With
-    row_format "%s" each row is its finished line, written as it is."""
-    if not hasattr(out, "write"):
-        with open(out, "w") as f:
-            return write_csv(f, header, row_format, rows)
-    lines = iter(rows if row_format == "%s" else map(row_format.__mod__, rows))
-    out.write(header + "\n")
+def write_csv(out, row_format: str, rows) -> None:
+    """row_format % row per row, 1024 rows a write, to an open text file:
+    write_table's Python body.  Cells must be Python numbers (tolist(),
+    attributes): %r of an np.float64 prints np.float64(...)."""
+    lines = map(row_format.__mod__, rows)
     while chunk := list(islice(lines, 1024)):
         out.write("\n".join(chunk) + "\n")
 
@@ -411,14 +408,15 @@ _PERCENT = {kernel.COL_INT: "%d", kernel.COL_FLOAT: "%r", kernel.COL_GRID: "%d",
             kernel.COL_EMPTY: ""}    # the Python body's format of each kind of cell
 
 
-def write_table(out, header: str, columns) -> None:
-    """The header, then each row of the columns comma-separated, to a path
-    or an open text file: integers in decimal (%d), floats by repr (%r).
-    A column is a flat run of numbers (anything np.ravel takes; arrays are
-    read in place), a GridAxis, or None for an empty cell.  With the kernel,
-    C formats CHUNK_BYTES of rows a call (kernel.formatter); without it,
-    write_csv does, 1024 rows at a time: the reference for the C body's
-    bytes.  Either holds one chunk of text, whatever the row count."""
+def write_table(out, header: str | None, columns) -> None:
+    """The header (none if None), then each row of the columns
+    comma-separated, to a path or an open text file: integers in decimal
+    (%d), floats by repr (%r).  A column is a flat run of numbers (anything
+    np.ravel takes; arrays are read in place), a GridAxis, or None for an
+    empty cell.  With the kernel, C formats CHUNK_BYTES of rows a call
+    (kernel.formatter); without it, write_csv does, 1024 rows at a time:
+    the reference for the C body's bytes.  Either holds one chunk of text,
+    whatever the row count."""
     if not hasattr(out, "write"):
         with open(out, "w") as f:
             return write_table(f, header, columns)
@@ -429,10 +427,12 @@ def write_table(out, header: str, columns) -> None:
     n = lengths.pop()
     kinds = [kernel.COL_EMPTY if c is None else kernel.COL_GRID if isinstance(c, GridAxis)
              else kernel.COL_FLOAT if c.dtype == np.float64 else kernel.COL_INT for c in cols]
+    if header is not None:
+        out.write(header + "\n")
     fmt = kernel.formatter()
     if fmt is None:
         row_format = ",".join(_PERCENT[k] for k in kinds)
-        return write_csv(out, header, row_format, _row_chunks(cols, n))
+        return write_csv(out, row_format, _row_chunks(cols, n))
     spec = (kernel.Column * len(cols))(*(
         (k, None, *c) if k == kernel.COL_GRID else (k, None if c is None else c.ctypes.data)
         for k, c in zip(kinds, cols)))
@@ -440,7 +440,6 @@ def write_table(out, header: str, columns) -> None:
     buf = bytearray(cap)
     at = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     row = ctypes.c_int64(0)
-    out.write(header + "\n")
     while row.value < n:
         size = fmt(spec, len(cols), ctypes.byref(row), n, at, cap)
         out.write(str(memoryview(buf)[:size], "ascii"))

@@ -3,6 +3,7 @@ import json
 import math
 import signal
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import accumulate
 from pathlib import Path
@@ -19,7 +20,9 @@ from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
                     make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
                     RoundLog, UniformStream, write_rounds_csv)
-from stageq.concurrent import ROUNDS_CSV_HEADER
+from stageq import concurrent
+from stageq.concurrent import ROUNDS_CSV_HEADER, round_columns
+from stageq.metrics import Table
 
 ROOT = Path(__file__).resolve().parent.parent
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
@@ -362,6 +365,33 @@ def test_round_log_memory_is_the_change_indices():
     assert peaks[1] - peaks[0] <= 8 * (updates[1] - updates[0]) + 2 ** 16
 
 
+@pytest.fixture(scope="module")
+def qucb_round_logs():
+    """The rounds of the classic-qucb M = 8 runs above (every round an
+    update round) at budgets 20,000 and 80,000, each unread."""
+    mdp, M = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build(), 8
+    return [run_concurrent(mdp, make_learner("classic-qucb", mdp, AlgoConstants(p=0.1),
+                                             n_max=1, cb=0.01),
+                           ConcurrentConfig(agents=M, k_eps_override=budget),
+                           seeded_stream(0, 0, "env"), seeded_stream(0, 0, "policy-pick")).rounds
+            for budget in (20_000, 80_000)]
+
+
+def test_writing_rounds_csv_holds_one_window_whatever_the_round_count(qucb_round_logs, path,
+                                                                      tmp_path):
+    # the tracemalloc peak of write_rounds_csv alone is that of one window
+    # of rounds: at 80,000 rounds it is the one at 20,000 plus at most 64
+    # KiB, where all of the added rounds' columns would be 32 B a round
+    peaks = []
+    for rounds in qucb_round_logs:
+        tracemalloc.start()
+        write_rounds_csv(rounds, tmp_path / "rounds.csv")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert list(map(len, qucb_round_logs)) == [20_000, 80_000]
+    assert peaks[1] - peaks[0] <= 2 ** 16
+
+
 def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
     # rounds-m8's instance at a smaller budget.  A kernel call plays
     # through Q changes and ends at a round start that reaches the call's
@@ -491,7 +521,7 @@ ROUNDS_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ROUNDS_CASES))
-def test_rounds_view_and_csv_match_the_reference_list(case, tmp_path):
+def test_rounds_view_and_csv_match_the_reference_list(case, path, tmp_path):
     inst, algo, M, budget, holds = ROUNDS_CASES[case]
     view, rows = rounds_against_the_reference(dict(EQUIV_INSTANCES)[inst], algo, M, budget)
     assert isinstance(rows, list) and holds(rows)
@@ -514,13 +544,27 @@ def test_rounds_view_and_csv_match_the_reference_property(tmp_path_factory, make
     assert_rounds_csv_matches(view, rows, tmp_path_factory.mktemp("rounds") / "rounds.csv")
 
 
-def test_rounds_csv_of_no_rounds_is_the_header_alone(tmp_path):
+def test_rounds_csv_windows_match_the_reference_list(monkeypatch, path, tmp_path):
+    # windows of 3 rounds of M = 3: changes on the first and last round of
+    # the first window, none in the second, the last round of the third
+    # and in the lone round of the last
+    monkeypatch.setattr(concurrent, "ROUND_WINDOW", 3)
+    changed = {1: 1, 3: 3, 9: 1, 10: 2}                 # round: consumed
+    rows = [RoundLog(r, changed.get(r, 3), r in changed, sum(c < r for c in changed))
+            for r in range(1, 11)]
+    view = Table(RoundLog, (array("q", [0, 8, 24, 28]), 30, 3), round_columns)
+    assert_view_matches(view, rows)
+    assert [tuple(map(type, vars(r).values())) for r in view] == [(int, int, bool, int)] * 10
+    assert_rounds_csv_matches(view, rows, tmp_path / "rounds.csv")
+
+
+def test_rounds_csv_of_no_rounds_is_the_header_alone(path, tmp_path):
     # as write_episode_csv([], path) writes
     write_rounds_csv([], tmp_path / "rounds.csv")
     assert (tmp_path / "rounds.csv").read_text() == ROUNDS_CSV_HEADER + "\n"
 
 
-def test_rounds_csv_rejects_rows_that_are_no_round_log(tmp_path):
+def test_rounds_csv_rejects_rows_that_are_no_round_log(path, tmp_path):
     rows = [RoundLog(1, 3, False, 0), RoundLog(2, 2, True, 0), RoundLog(3, 3, False, 1)]
     write_rounds_csv(rows, tmp_path / "rounds.csv")
     assert (tmp_path / "rounds.csv").read_text().splitlines()[1:] == ["1,3,0,0", "2,2,1,0",
@@ -528,7 +572,8 @@ def test_rounds_csv_rejects_rows_that_are_no_round_log(tmp_path):
     for bad in ([RoundLog(2, 3, False, 0)],                              # not from round 1
                 [RoundLog(1, 3, False, 0), RoundLog(3, 3, False, 0)],    # a round skipped
                 [RoundLog(1, 3, False, 0), RoundLog(2, 2, False, 0)],    # short, no update
-                [RoundLog(1, 2, True, 0), RoundLog(2, 3, False, 0)]):    # version not raised
+                [RoundLog(1, 2, True, 0), RoundLog(2, 3, False, 0)],     # version not raised
+                [RoundLog(5, 1, True, 0), RoundLog(1, 1, True, 0)]):     # out of order
         with pytest.raises(ValueError, match="round log"):
             write_rounds_csv(bad, tmp_path / "rounds.csv")
 

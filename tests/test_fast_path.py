@@ -771,6 +771,25 @@ def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
         assert (calls["values"], calls["evaluate"], calls["update"]) == (2, 1, 0)
 
 
+def test_kernel_audited_runs_never_build_the_python_layer_loop(monkeypatch):
+    # evaluate()'s per-layer list is made at its first call: with the
+    # kernel and NumPy's ddot only the prepared instance's cache evaluates,
+    # so the cache of each seed's run never makes it
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
+    caches = []
+    init = PolicyValueCache.__init__
+
+    def kept(self, mdp):
+        init(self, mdp)
+        caches.append(self)
+    monkeypatch.setattr(PolicyValueCache, "__init__", kept)
+    cfg = RunConfig(env=AUDIT_ENVS["small"][0], algo="classic-qucb", episodes=2000,
+                    log_every="pow2", cb=0.01, constants=AlgoConstants(**CONSTANT_SETS["tight"]))
+    rows = harness.sweep_scaling(cfg, [0.5, 1.0], seeds=[0, 1, 2])
+    assert len(rows) == 6 and ["_layers" in vars(c) for c in caches] == [True] + [False] * 3
+
+
 def numpy_blas():
     """The name of the BLAS NumPy was built with (scipy-openblas for wheels)."""
     try:
