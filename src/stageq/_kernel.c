@@ -14,7 +14,7 @@
  * / and sqrt rounds as Python's does, so the tables come out bit for bit
  * equal to the Python path's.
  *
- * With the audit bound (TabularQLearnerBase.bind_audit), stageq_stretch
+ * With the audit fields bound (metrics.Audit binds them), stageq_stretch
  * also audits each episode as metrics.Audit's Python body does, and writes
  * its audit row.  Each layer sum of V^pi calls the ddot that NumPy's dot
  * calls, so V^pi comes out bit for bit as PolicyValueCache.evaluate

@@ -16,17 +16,19 @@ the rounds' "did Q change" test are both differences of them.
 The tables are fixed-size flat buffers (array('d') and array('q')) that
 both Python and the compiled kernel (_kernel.c, loaded by the kernel
 module) read and write in place; numpy copies are exported on demand.
-With the kernel, run_stretch plays whole episodes in C for every learner
-here (the Learner struct's mode says whose observe it repeats),
-run_episode is a one-episode stretch, and run_rounds plays a concurrent
-run's rounds through Q changes.  Every driver takes the run's start states
-(init, an InitialStates: every episode from state 0 where none is given),
-which a call reads in place from the block init.block returns, and draws
+The drivers run_episode (one episode), run_stretch (episodes up to the
+first Q change) and run_rounds (a concurrent run's rounds, through Q
+changes) are each one call of _call, which plays at most one block of
+start states: in C, stageq_stretch, for every learner here (the Learner
+struct's mode says whose observe it repeats), or without a C compiler its
+twin _play, one reference_episode (sample_episode feeding observe, one
+transition at a time, the path the kernel must match bit for bit) after
+another.  Both end a call at the same episode.  Every driver takes the
+run's start states (init, an InitialStates: every episode from state 0
+where none is given), read from the block init.block returns, and draws
 its uniforms from the stream (harness.UniformStream), whose draws and the
 kernel's can be swapped for one another.  Recorded trajectories
-(observe_trajectory) go through Python observe.  Without a C compiler
-run_episode is reference_episode (sample_episode feeding observe, one
-transition at a time), the path the kernel must match bit for bit.
+(observe_trajectory) go through Python observe.
 
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
@@ -36,12 +38,11 @@ greedy_actions_flat returns a copy, because callers hold their snapshot
 while learning goes on; greedy_buffer hands out the live table to a caller
 that reads it at once.
 
-Trajectory locality: each episode played (run_episode, run_stretch, the
-kernel's) writes Q, V and _greedy only at the (h, s, a) cells (and their
-(h, s) rows) of its own trajectory.  The audit relies on this to re-test
-optimism and count switches on those H cells alone; the kernel's audit
-reads each Q-changing episode's trajectory from its path buffers before
-the next episode plays.
+Trajectory locality: each episode played writes Q, V and _greedy only at
+the (h, s, a) cells (and their (h, s) rows) of its own trajectory.  The
+audit relies on this to re-test optimism and count switches on those H
+cells alone; the kernel's audit reads each Q-changing episode's
+trajectory from its path buffers before the next episode plays.
 """
 
 from __future__ import annotations
@@ -153,76 +154,52 @@ class TabularQLearnerBase:
     def run_episode(self, mdp: EpisodicMdp, rng, episode_index: int = 0,
                     init: InitialStates = DEFAULT_STARTS):
         """Roll out one episode, learning online; returns (traj, EpisodeReport).
-        rng is a harness.UniformStream.  A one-episode stretch with the
-        kernel, else reference_episode; the report is the counters'
-        differences either way."""
-        if self._lib is None:
-            return self.reference_episode(mdp, rng, episode_index, init)
+        rng is a harness.UniformStream.  A one-episode call (_call); the
+        report is the counters' differences."""
         e0, u0, r0 = self.stage_end_count, self.q_update_count, self.ref_fixed_count
-        self.run_stretch(mdp, rng, episode_index, episode_index + 1, init)
+        self._call(mdp, rng, init, episode_index, 1)
         return self._last_traj(), EpisodeReport(
             self.stage_end_count - e0, self.q_update_count - u0, self.ref_fixed_count - r0)
 
-    def play_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int,
-                     init: InitialStates = DEFAULT_STARTS):
-        """run_stretch's stretch played one reference_episode at a time: the
-        path without the kernel, and the Python audit's.  Returns (starts,
-        traj): traj is the last episode's trajectory if it changed Q, else
-        None."""
-        starts = []
-        for k in range(first, stop):
-            traj, report = self.reference_episode(mdp, rng, k, init)
-            starts.append(traj[0][0])
-            if report.q_changed:
-                return starts, traj
-        return starts, None
-
     def run_stretch(self, mdp: EpisodicMdp, rng, first: int, stop: int,
                     init: InitialStates = DEFAULT_STARTS):
-        """Play episodes first, first + 1, ... (0-based, below stop) and stop
-        after the first one that changes Q; rng is a harness.UniformStream.
-        Returns (played, changed): the episodes played, and whether Q
-        changed in them.  Without the kernel this is play_stretch.  The
-        kernel plays it in one call, which also ends at the end of the
-        block of start states that holds `first`, and, with the audit bound
-        and NumPy's ddot, plays on through Q changes (bind_audit).
-        """
-        if self._lib is None:
-            starts, traj = self.play_stretch(mdp, rng, first, stop, init)
-            return len(starts), traj is not None
-        played = self._call(mdp, rng, init, first, stop - first, 0)
-        return played, self._kstate.q_updates > 0
+        """Play episodes first, first + 1, ... (0-based, below stop) in one
+        call (_call), which stops after the first one that changes Q, or at
+        the end of the block of start states that holds `first` (with the
+        kernel's audit and NumPy's ddot it plays on through Q changes: see
+        metrics.Audit); rng is a harness.UniformStream.  Returns (played,
+        changed): the episodes played, and whether Q changed in them."""
+        u0 = self.q_update_count
+        played = self._call(mdp, rng, init, first, stop - first)[0]
+        return played, self.q_update_count > u0
 
     def run_rounds(self, mdp: EpisodicMdp, rng, first: int, agents: int, consumed: int,
                    limit: int, changes: list, init: InitialStates = DEFAULT_STARTS):
         """Play run_concurrent's rounds of `agents` episodes online from
-        generated episode first (0-based), adding each played one to
-        consumed and each round's first Q-changing one to changes, and
-        skipping the rest of that round, uniforms too, up to a round start
-        with consumed >= limit (a kernel call also ends at its start block's
-        end, or past it after a skip; without the kernel, reference_episode
-        plays them one by one).  Returns (generated, consumed)."""
-        if self._lib is None:
-            k = first
-            while k % agents or consumed < limit:
-                _, report = self.reference_episode(mdp, rng, k, init)
-                consumed += 1
-                if report.q_changed:
-                    changes.append(k)
-                    skip = agents - 1 - k % agents    # the round's discarded episodes
-                    rng.skip(skip * mdp.H)
-                    k += skip
-                k += 1
-            return k - first, consumed
-        k = self._kstate
-        k.first, k.consumed, k.limit = first, consumed, limit
-        played = self._call(mdp, rng, init, first, START_BLOCK, agents)
-        changes += self._changes[:k.n_changes]
-        return played, k.consumed
+        generated episode first (0-based) in one call (_call), adding each
+        played one to consumed and each round's first Q-changing one to
+        changes, and skipping the rest of that round, uniforms too, up to a
+        round start with consumed >= limit, or the end of the block of
+        start states that holds `first` (past it after a skip).  Returns
+        (generated, consumed)."""
+        played, consumed, new = self._call(mdp, rng, init, first, START_BLOCK, agents,
+                                           consumed, limit)
+        changes.extend(new)
+        return played, consumed
 
     def _call(self, mdp: EpisodicMdp, rng, init: InitialStates, first: int, count: int,
-              agents: int) -> int:
-        """One kernel call of at most count episodes (see run_stretch)."""
+              agents: int = 0, consumed: int = 0, limit: int = 0):
+        """Play at most count episodes from generated episode first, and no
+        further than the end of its block of start states: one kernel call
+        (stageq_stretch), or its twin _play without the kernel.  agents = 0
+        is a stretch (run_stretch), agents = M a call of rounds
+        (run_rounds).  Returns (played, consumed, changes): the episodes
+        played or skipped, consumed plus those played, and, with agents,
+        the generation index of each Q-changing one."""
+        b, j = divmod(first, START_BLOCK)
+        count = min(count, START_BLOCK - j)
+        if self._lib is None:
+            return self._play(mdp, rng, init, first, count, agents, consumed, limit)
         k = self._kstate
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
@@ -230,22 +207,43 @@ class TabularQLearnerBase:
             self._bind_stream(rng)
         if init is not self._init:     # _block: which block of init's starts k.starts reads
             self._init, self._block = init, None
-        b, j = divmod(first, START_BLOCK)
         if b != self._block:
             starts = init.block(b, self.S)
             if starts is not self._starts:
                 self._starts, self._starts_at = starts, starts.obj.ctypes.data
             self._block = b
         k.starts = self._starts_at + 8 * j     # int64 entries
-        k.count = min(count, START_BLOCK - j)
-        k.agents = agents
+        k.count, k.agents, k.first, k.consumed, k.limit = count, agents, first, consumed, limit
         i = rng._i
         k.u_index, k.u_avail = i, rng.BLOCK - i
         played = self._stretch(self._kaddr)
         # past the buffer's tail the kernel stepped the generator itself
         rng._i = min(i + k.used, rng.BLOCK)
         self._add_counts()
-        return played
+        return played, k.consumed, self._changes[:k.n_changes]
+
+    def _play(self, mdp: EpisodicMdp, rng, init: InitialStates, first: int, count: int,
+              agents: int, consumed: int, limit: int):
+        """stageq_stretch's unaudited call, one reference_episode at a time:
+        a stretch ends after its first Q change; a call of rounds ends at a
+        round start once consumed >= limit, and skips the rest of each
+        Q-changing episode's round, uniforms too (a skip may pass count)."""
+        played, changes = 0, []
+        while played < count:
+            k = first + played
+            if agents and k % agents == 0 and consumed >= limit:
+                break
+            self._traj, report = self.reference_episode(mdp, rng, k, init)
+            played += 1
+            consumed += 1
+            if report.q_changed:
+                if not agents:
+                    break
+                changes.append(k)
+                skip = -(k + 1) % agents       # the round's discarded episodes
+                rng.skip(skip * mdp.H)
+                played += skip
+        return played, consumed, changes
 
     def _bind_stream(self, rng) -> None:
         """Point the struct's u and pcg at rng's buffer and its PCG64's
@@ -265,34 +263,10 @@ class TabularQLearnerBase:
         k.cum, k.mdp_rew, k.P = cum.ctypes.data, mdp.r.ctypes.data, mdp.P.ctypes.data
         self._mdp = mdp
 
-    def bind_audit(self, cache, optimism, vstar0):
-        """Have the kernel audit every episode this learner plays from now
-        on (metrics.Audit), reading and writing in place the policy cache's
-        table, gathered rows and V and the optimism tracker's flags (whose
-        count is then the struct's); vstar0 is V*[0].  Returns the Learner
-        struct, which holds the running values, and the row buffers each
-        call writes its episodes' rows into (reals, counts: see _kernel.c),
-        or None without the kernel.  V's layers are summed with NumPy's own
-        ddot (kernel.ddot); where that is not found, the caller recomputes
-        them (cache.evaluate) from the struct's top before the next call."""
-        if self._lib is None:
-            return None
-        self._bind_mdp(cache.mdp)
-        k = self._kstate
-        vstar0 = np.ascontiguousarray(vstar0, dtype=float)
-        reals, counts = array("d", [0.0]) * (2 * START_BLOCK), array("q", [0]) * (4 * START_BLOCK)
-        self._audit_bufs = (cache, optimism, vstar0, reals, counts)   # held by address
-        k.vstar0, k.vpi = vstar0.ctypes.data, cache._V.ctypes.data
-        k.ddot = kernel.ddot()
-        k.thr, k.below = optimism._thr.buffer_info()[0], optimism._below.buffer_info()[0]
-        k.last = cache._flat.buffer_info()[0]
-        k.p_pi, k.r_pi = cache._P_pi.ctypes.data, cache._r_pi.ctypes.data
-        k.row_reals, k.row_counts = reals.buffer_info()[0], counts.buffer_info()[0]
-        k.optimism = optimism.count
-        return k, reals, counts
-
     def _last_traj(self) -> list:
-        """The trajectory of the last episode the kernel played."""
+        """The trajectory of the last episode played."""
+        if self._lib is None:
+            return self._traj
         return list(zip(self._path_s, self._path_a, self._path_r, self._path_next))
 
     def _add_counts(self) -> None:

@@ -18,16 +18,16 @@ not change, so the greedy policy is the frozen one; inside it, an update
 at step h rewrites only layer-h tables, which no later step of the episode
 reads.  The discarded rest of an update round would have drawn (M - 1 - j)
 * H uniforms after the round's j-th episode (0-based), and nothing else.
-So run_concurrent has the learner play the episodes online (run_rounds:
-the compiled kernel, many rounds a call), skipping exactly those, and
+So run_concurrent has the learner play the episodes online (run_rounds,
+many rounds a call), skipping exactly those, and
 keeps the generation index of each Q-changing episode (an array('q')):
 with M and the episodes generated, that is the whole round log, as every
 other round is full.  ConcurrentResult.rounds is a read-only metrics.Table
 kept as just those; its RoundLog rows are built at the first read
 (round_columns).  write_rounds_csv builds the columns with NumPy a window
-of rounds at a time and writes each through metrics.write_table (rounds-m8:
-20.51M -> 23.23M steps/s, 10 of 10 pairs).  With M = 1 this is the learner
-run live for `budget` episodes on the same environment stream.
+of rounds at a time and writes each through metrics.write_table.  With
+M = 1 this is the learner run live for `budget` episodes on the same
+environment stream.
 
 FrozenActor and replay_into are the pieces of the sample-then-replay round
 that this replaces; tests rebuild that round from them as the reference.
@@ -217,18 +217,20 @@ def write_rounds_csv(rounds, path) -> None:
     rounds at a time, built with NumPy (_round_window), each written by
     metrics.write_table, so memory is bounded by the window, not the round
     count.  rounds is run_concurrent's Table, or any sequence of RoundLog
-    rows that is a run's log (else ValueError).  rounds-m8: 20.51M -> 23.23M
-    steps/s (10 of 10 alternating pairs; warm writer 1.2 -> 0.3 ms)."""
+    rows that is a run's log, checked column by column against the log
+    its change indices give (else ValueError)."""
     if isinstance(rounds, Table) and rounds.build is round_columns:
         changes, generated, M = rounds.source
     else:
-        rnd, consumed, triggered, _ = Table.columns_of(RoundLog, rounds)
+        columns = Table.columns_of(RoundLog, rounds)
+        rnd, consumed, triggered, _ = columns
         M = max([1, *consumed])         # any M >= each round's count serves if none is full
         # sorted, as a log's are, so rows in another order fail the check below
         changes = array("q", sorted(r * M - M + c - 1
                                     for r, c, t in zip(rnd, consumed, triggered) if t))
         generated = len(rnd) * M
-        if Table(RoundLog, (changes, generated, M), round_columns) != rounds:
+        if any(list(a) != list(b)
+               for a, b in zip(round_columns(changes, generated, M), columns)):
             raise ValueError("rows are not the round log of a concurrent run")
     R = generated // M
     with open(path, "w") as f:

@@ -41,8 +41,8 @@ from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (DEFAULT_STARTS, EpisodicMdp, InitialStates, backward_induction, load_mdp,
                   make_jao_chain, make_random_mdp, validate)
-from .metrics import (Audit, EpisodeRecord, OptimismTracker, PolicyValueCache, Table, grid,
-                      switching_bound, write_episode_csv, write_table)
+from .metrics import (Audit, EpisodeRecord, PolicyValueCache, Table, grid, switching_bound,
+                      write_episode_csv, write_table)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -184,11 +184,11 @@ class Prepared:
     share it: they, the kernel included, only read it.  Builds, validates
     and (audited) solves env for runs of at most `episodes` episodes each,
     or episodes(mdp); MdpValidationError for a start state outside the MDP.
-    Without the audit, vstar, pistar, thr and first stay None; first is
+    Without the audit, vstar, pistar and first stay None; first is
     the all-zero greedy table and its V^pi, whose gathered rows each run
     takes from P and r itself rather than hold a copy here."""
 
-    vstar = pistar = thr = first = None
+    vstar = pistar = first = None
 
     def __init__(self, env: EnvSpec, algo: str, constants: AlgoConstants, cb: float,
                  episodes, audited: bool = True):
@@ -203,7 +203,6 @@ class Prepared:
                        if algo in STAGE_LEARNERS else None)
         if audited:
             self.vstar, self.pistar = backward_induction(mdp)
-            self.thr = OptimismTracker.thresholds(self.vstar.Q, mdp.H)
             zeros = array("q", [0]) * (mdp.H * mdp.S)      # a learner's first greedy table
             self.first = zeros, PolicyValueCache(mdp).values(zeros).V
 
@@ -307,7 +306,7 @@ def _audited_run(shared: Prepared, config: RunConfig, keep, init: InitialStates)
     K, mdp = config.episodes, shared.mdp
     learner = shared.learner()
     env_rng = seeded_stream(config.seed, 0, "env")
-    audit = Audit(learner, mdp, shared.vstar, init, shared.thr, shared.first)
+    audit = Audit(learner, mdp, shared.vstar, init, shared.first)
     k = 0                          # the episodes played
     while k < K:
         k += audit.stretch(env_rng, k, K, keep)

@@ -2,13 +2,13 @@
 
 The kernel plays episodes for all four agents; the Learner struct's mode
 says whose observe it repeats, and its last fields are the per-call values
-(see _kernel.c).  With the audit fields set it audits every episode it
-plays, as metrics.Audit does in Python.  V^pi's layers are sums that
-NumPy's dot hands to its BLAS's ddot, whose order of addition depends on
-the CPU kernel OpenBLAS picks; ddot() finds that function, so the kernel's
-layers are NumPy's bit for bit and a call plays on through Q changes.
-Where it is not found, a call ends at the first Q change and the layers
-are left to PolicyValueCache.evaluate.
+(see _kernel.c).  With the audit fields set, which metrics.Audit binds,
+it audits every episode it plays, as Audit's Python body does.  V^pi's
+layers are sums that NumPy's dot hands to its BLAS's ddot, whose order of
+addition depends on the CPU kernel OpenBLAS picks; ddot() finds that
+function, so the kernel's layers are NumPy's bit for bit and a call plays
+on through Q changes.  Where it is not found, a call ends at the first Q
+change and the layers are left to PolicyValueCache.evaluate.
 
 formatter() gives the library's other entry point, stageq_format_rows
 (metrics.write_table's rows), with CPython's repr routine and PyMem_Free,

@@ -31,8 +31,7 @@ Audit runs those steps a stretch of episodes at a time, in the compiled
 kernel where it is built, else in Python (see Audit).  write_table writes
 every numeric table from columns, in C where the kernel is built, else
 through write_csv, the reference for the C body's bytes; rounds.csv too,
-a window of NumPy-built round columns a call (concurrent.write_rounds_csv;
-rounds-m8: 20.51M -> 23.23M steps/s, 10 of 10 alternating pairs).
+a window of NumPy-built round columns a call (concurrent.write_rounds_csv).
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .mdp import DEFAULT_STARTS, EpisodicMdp, InitialStates, ValueTables, checked_actions
+from .mdp import (DEFAULT_STARTS, START_BLOCK, EpisodicMdp, InitialStates, ValueTables,
+                  checked_actions)
 
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
@@ -250,21 +250,15 @@ class OptimismTracker:
     below Q* - OPTIMISM_TOL; the flags and their count come from one full scan of
     q_learner, and update() re-tests the H cells of an episode's trajectory.
     The thresholds and flags are flat arrays (array('d') and array('b')),
-    which the kernel's audit reads and writes in place (bind_audit); the
-    thresholds are only read, so runs may share them (thr).
+    which the kernel's audit reads and writes in place (see Audit).
     """
 
-    def __init__(self, q_learner: np.ndarray, q_star: np.ndarray, thr=None):
+    def __init__(self, q_learner: np.ndarray, q_star: np.ndarray):
         H, self._S, self._A = q_learner.shape
-        self._thr = thr = thr or self.thresholds(q_star, H)
-        below = q_learner.ravel() < np.frombuffer(thr)
+        self._thr = kernel.table("d", q_star[:H] - OPTIMISM_TOL)
+        below = q_learner.ravel() < np.frombuffer(self._thr)
         self._below = kernel.table("b", below)
         self.count = int(np.count_nonzero(below))
-
-    @staticmethod
-    def thresholds(q_star: np.ndarray, H: int) -> array:
-        """Q* - OPTIMISM_TOL on layers 0..H-1, flat by (h, s, a)."""
-        return kernel.table("d", q_star[:H] - OPTIMISM_TOL)
 
     def update(self, q_at, traj) -> int:
         """Re-test the cells (h, s, a) of traj [(s, a, r, s_next)] after the
@@ -293,40 +287,50 @@ class Audit:
     values are attributes of `fields`: reg (the last episode's regret),
     cum_regret (their sum, added episode by episode), negative (the first
     1-based episode whose regret is below -1e-9, or 0), switches and
-    violations (the running maximum of the optimism count).  thr are shared
-    optimism thresholds (OptimismTracker); start, a (table, V^pi) pair of an
-    earlier evaluation, spares the first one where the learner's first
-    table is that table.
+    violations (the running maximum of the optimism count).  start, a
+    (table, V^pi) pair of an earlier evaluation, spares the first one where
+    the learner's first table is that table.
 
     Two bodies keep the same rows.  With the compiled kernel, the kernel
-    audits each episode it plays (bind_audit) and writes its row, fields is
-    its Learner struct, and a call ends at stop or at the end of its block
-    of start states (and at each Q change where it found no ddot: the
-    layers are then recomputed here from the deepest one it reports).
-    Without it, fields is this object and stretch runs the Python body,
-    which ends at each Q change and at the next kept k: the reference the
-    kernel must match row for row.
+    audits each episode it plays and writes its row: the audit binds the
+    Learner struct's audit fields to V*[0], the policy cache's table, rows
+    and V, the optimism tracker's thresholds and flags and its own row
+    buffers, which the struct holds from then on (_buffers), so they live
+    as long as the learner.  fields is the struct, and a call ends at stop
+    or at the end of its block of start states (and at each Q change where
+    it found no ddot: the layers are then recomputed here from the deepest
+    one it reports).  Without it, fields is this object and stretch runs
+    the Python body over run_stretch, which ends at each Q change, and at
+    the next kept k: the reference the kernel must match row for row.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables,
-                 init: InitialStates = DEFAULT_STARTS, thr=None, start=None):
+                 init: InitialStates = DEFAULT_STARTS, start=None):
         self.learner, self.mdp, self.init = learner, mdp, init
         greedy, (table, V) = learner.greedy_buffer(), start or (None, None)
-        self.cache = PolicyValueCache(mdp)
-        self.cache.values(greedy, known=V if table == greedy else None)
+        self.cache = cache = PolicyValueCache(mdp)
+        cache.values(greedy, known=V if table == greedy else None)
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
-        optimism = OptimismTracker(learner.q_array(), vstar.Q, thr)
-        bound = learner.bind_audit(self.cache, optimism, vstar.V[0])
-        if bound:
-            self._struct, self._reals, self._counts = bound
-        else:
+        optimism = OptimismTracker(learner.q_array(), vstar.Q)
+        if learner._lib is None:
             self._struct = None
             self.reg = self.cum_regret = 0.0
             self.negative = self.switches = self.violations = 0
             self._optimism = optimism
             self._vstar0 = vstar.V[0].tolist()   # lists: the same float64 arithmetic, unboxed
-            self._vpi0 = self.cache._V[0].tolist()
+            self._vpi0 = cache._V[0].tolist()
             self._traj = None      # the last stretch's trajectory, if it changed Q
+            return
+        k = self._struct = learner._kstate
+        vstar0 = np.ascontiguousarray(vstar.V[0], dtype=float)
+        self._reals = array("d", [0.0]) * (2 * START_BLOCK)     # reg, cum_regret
+        self._counts = array("q", [0]) * (4 * START_BLOCK)     # see _kernel.c
+        k.vstar0, k.vpi, k.p_pi, k.r_pi = (a.ctypes.data for a in (
+            vstar0, cache._V, cache._P_pi, cache._r_pi))
+        k.thr, k.below, k.last, k.row_reals, k.row_counts = (a.buffer_info()[0] for a in (
+            optimism._thr, optimism._below, cache._flat, self._reals, self._counts))
+        k.ddot, k.optimism = kernel.ddot(), optimism.count
+        k._buffers = (vstar0, cache, optimism, self._reals, self._counts)
 
     @property
     def fields(self):
@@ -361,8 +365,10 @@ class Audit:
             self.switches = cache.switches
         vstar0, vpi0 = self._vstar0, self._vpi0
         cum_regret, negative = self.cum_regret, self.negative
-        starts, self._traj = learner.play_stretch(mdp, rng, first, stop, self.init)
-        for k, s1 in enumerate(starts, first + 1):
+        played, changed = learner.run_stretch(mdp, rng, first, stop, self.init)
+        self._traj = learner._last_traj() if changed else None
+        b, j = divmod(first, START_BLOCK)      # a call plays inside one block of starts
+        for k, s1 in enumerate(self.init.block(b, mdp.S)[j:j + played], first + 1):
             reg = vstar0[s1] - vpi0[s1]
             cum_regret += reg
             if reg < -1e-9 and not negative:
@@ -371,7 +377,7 @@ class Audit:
         if self._traj is not None:
             self.violations = max(self.violations,
                                   self._optimism.update(learner.q_at, self._traj))
-        played = len(starts)       # stop <= the next kept k: only the last can be kept
+        # stop <= the next kept k: only the last can be kept
         ks = keep[at:bisect_right(keep, first + played)]
         self.records.extend(ks, *([v] * len(ks) for v in (reg, cum_regret, self.switches,
                             learner.q_update_count, self.violations, learner.ref_fixed_count)))

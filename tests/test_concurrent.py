@@ -393,10 +393,10 @@ def test_writing_rounds_csv_holds_one_window_whatever_the_round_count(qucb_round
 
 
 def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
-    # rounds-m8's instance at a smaller budget.  A kernel call plays
-    # through Q changes and ends at a round start that reaches the call's
-    # consumed limit, or at the end of its block of 256 start states (past
-    # it after a skip); the Python body ends only at the limit.  The limit
+    # rounds-m8's instance at a smaller budget.  A call, the kernel's and
+    # the Python path's alike, plays through Q changes and ends at a round
+    # start that reaches the call's consumed limit, or at the end of its
+    # block of 256 start states (past it after a skip).  The limit
     # moves to the pick window's first round start, then one round at a
     # time through the window (at most 2M - 1 rounds), then to the budget.
     mdp = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build()
@@ -427,12 +427,9 @@ def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
     calls = len(per_call)
     assert ends["other"] == 0 and ends["limit"] >= 2
     assert sum(per_call) == res.update_rounds > 0
-    if path == "kernel":
-        assert ends["block"] > 0
-        assert calls <= math.ceil(res.total_generated / 256) + 2 * M
-        assert max(per_call) > 1      # Q changes no longer end a call
-    else:
-        assert ends["block"] == 0 and calls <= 2 * M + 1
+    assert ends["block"] > 0
+    assert calls <= math.ceil(res.total_generated / 256) + 2 * M
+    assert max(per_call) > 1      # Q changes do not end a call
 
 
 # perfbench/digests.json's rounds.csv digests for the rounds-m8 workload,
@@ -576,6 +573,27 @@ def test_rounds_csv_rejects_rows_that_are_no_round_log(path, tmp_path):
                 [RoundLog(5, 1, True, 0), RoundLog(1, 1, True, 0)]):     # out of order
         with pytest.raises(ValueError, match="round log"):
             write_rounds_csv(bad, tmp_path / "rounds.csv")
+
+
+def test_rounds_csv_of_a_plain_list_builds_no_round_log(monkeypatch, path, tmp_path):
+    # the plain list's rows are checked column by column against the log
+    # their change indices give: no RoundLog is made while they are
+    # written, and the bytes are the view's
+    mdp, M = make_random_mdp(4, 3, 5, seed=0), 3
+    view = _run(mdp, ConcurrentConfig(agents=M, k_eps_override=300)).rounds
+    rows = list(view)
+    assert 0 < sum(r.update_triggered for r in rows) < len(rows)
+    made, init = [], RoundLog.__init__
+
+    def counted(self, *args, **kw):
+        made.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(RoundLog, "__init__", counted)
+    write_rounds_csv(view, tmp_path / "view.csv")
+    write_rounds_csv(rows, tmp_path / "rows.csv")
+    assert made == []
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "view.csv").read_bytes()
 
 
 def test_harness_wrapper_runs_and_writes(tmp_path):

@@ -311,6 +311,58 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
     assert_same_stream(rng_fast, rng_ref)
 
 
+@pytest.mark.parametrize("first", [250, 255, 256])
+@pytest.mark.parametrize("cls", [UcbAdvantageLearner, ClassicQUcbLearner])
+def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch):
+    # from 6, 1 and 256 episodes before the end of a block of 256 start
+    # states, on the kernel and on its Python twin alike: a stretch ends at
+    # its first Q change or at its block's end, and a call of rounds of
+    # M = 3 (250 and 256 start inside a round) at its block's end, or past
+    # it after a skip (classic-qucb changes Q in every episode, so each of
+    # its rounds skips); then one-episode calls, whose _last_traj is the
+    # reference's trajectory
+    _, make_mdp, n0, _, init = INSTANCES[2]
+    mdp = make_mdp()
+    const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
+    for play in ("stretch", "rounds"):
+        fast, ref = kernel_and_reference(monkeypatch, cls, mdp, const, 10_000)
+        rngs = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
+        calls = []
+        for lr, rng in zip((fast, ref), rngs):
+            k, consumed, changes, ends = first, 0, [], []
+            while k < first + 300:
+                if play == "stretch":
+                    played, changed = lr.run_stretch(mdp, rng, k, k + 300, init)
+                else:
+                    played, consumed = lr.run_rounds(mdp, rng, k, 3, consumed, 10_000,
+                                                     changes, init)
+                    changed = None
+                ends.append((k, k + played, changed, consumed))
+                k += played
+            calls.append((ends, changes))
+        assert calls[0] == calls[1]
+        assert_same_state(fast, ref)
+        assert_same_stream(*rngs)
+        ends, changes = calls[0]
+        # each call's end, whether it changed Q, and its block's end
+        done = [(end, changed, (k // 256 + 1) * 256) for k, end, changed, _ in ends]
+        if play == "stretch":
+            assert all(changed or end == block for end, changed, block in done)
+            assert not all(changed for _, changed, _ in done) or cls is ClassicQUcbLearner
+        else:
+            assert all(block <= end < block + 3 for end, _, block in done)
+            assert changes and (cls is UcbAdvantageLearner
+                                or any(end > block for end, _, block in done))
+    fast, ref = kernel_and_reference(monkeypatch, cls, mdp, const, 10_000)
+    twin = make(cls, mdp, const, 10_000)
+    rngs = [seeded_stream(1, 0, "env") for _ in range(3)]
+    for k in range(first, first + 8):
+        want = twin.reference_episode(mdp, rngs[2], k, init)
+        for lr, rng in zip((fast, ref), rngs):
+            assert lr.run_episode(mdp, rng, k, init) == want
+            assert lr._last_traj() == want[0]
+
+
 def check_episodes_match_reference(cls, inst, cset, seed):
     _, make_mdp, n0, K, init = inst
     mdp = make_mdp()
@@ -384,8 +436,7 @@ def test_stretch_matches_reference_path(inst, path):
         played, changed = fast.run_stretch(mdp, rng_fast, k, stop, init)
         expect, traj = reference_stretch(ref, mdp, rng_ref, k, played, stop, init)
         assert (played, changed) == expect
-        if path == "kernel":   # built only on request
-            assert fast._last_traj() == traj
+        assert fast._last_traj() == traj
         # the stretch's uniforms begin in the first buffer and end past it
         crossed += k * mdp.H < rng_fast.BLOCK < (k + played) * mdp.H
         k += played
@@ -393,13 +444,12 @@ def test_stretch_matches_reference_path(inst, path):
             stops["q"] += 1
         elif k == stop:
             stops["checkpoint"] += 1
-        else:   # only the kernel ends a stretch early: at the end of its
-            assert path == "kernel" and k % 256 == 0   # block of start states
+        else:   # a stretch also ends at the end of its block of start states
+            assert k % 256 == 0
             stops["starts"] += 1
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
-    assert stops["q"] and stops["checkpoint"]
-    assert (stops["starts"] > 0) == (path == "kernel")
+    assert stops["q"] and stops["checkpoint"] and stops["starts"]
     if inst is INSTANCES[0]:
         assert crossed > 0
 

@@ -155,8 +155,8 @@ def eager_reference_run(config):
 class CheckedOptimism(OptimismTracker):
     """Checks the incremental count against the full scan after each update."""
 
-    def __init__(self, q_learner, q_star, thr=None):
-        super().__init__(q_learner, q_star, thr)
+    def __init__(self, q_learner, q_star):
+        super().__init__(q_learner, q_star)
         self.q_star = q_star
         self.counts = []
 
@@ -203,8 +203,8 @@ def test_lazy_audit_matches_eager_reference(monkeypatch, path, env, algo, consta
     # against a full scan after each update
     trackers = []
 
-    def checked(q_learner, q_star, thr=None):
-        trackers.append(CheckedOptimism(q_learner, q_star, thr))
+    def checked(q_learner, q_star):
+        trackers.append(CheckedOptimism(q_learner, q_star))
         return trackers[-1]
 
     monkeypatch.setattr(metrics, "OptimismTracker", checked)
@@ -522,7 +522,7 @@ def prepared_tables(shared):
     mdp, stages, (table, V) = shared.mdp, shared.stages, shared.first
     arrays = [mdp.P, mdp.r, mdp.cum_array(), shared.vstar.V, shared.vstar.Q,
               shared.pistar.actions, V]
-    bufs = [shared.thr, stages.ends, stages.lower, stages.bbar, table]
+    bufs = [stages.ends, stages.lower, stages.bbar, table]
     return ([a.tobytes() for a in arrays] + [b.tobytes() for b in bufs]
             + [stages.schedule.ends.tobytes(), repr(stages.consts)])
 
