@@ -15,8 +15,8 @@
  * equal to the Python path's.
  *
  * With the audit fields bound (metrics.Audit binds them), stageq_stretch
- * also audits each episode as metrics.Audit's Python body does, and writes
- * its audit row.  Each layer sum of V^pi calls the ddot that NumPy's dot
+ * also audits each episode, as metrics.Audit._play does in Python, and
+ * writes its audit row.  Each layer sum of V^pi calls the ddot that NumPy's dot
  * calls, so V^pi comes out bit for bit as PolicyValueCache.evaluate
  * computes it, and the call plays on through Q changes; without that
  * function the call ends at the first Q change, as it does unaudited.
@@ -81,8 +81,8 @@ typedef struct {
                                128-bit integers stored low word first */
     const int64_t *starts;  /* the initial states of the episodes to play */
     const double *P;        /* the MDP's (H, S, A, S) transition rows */
-    /* the audit, on when vstar0 is set; its running values are read by
-     * metrics.Audit under the names its Python body uses */
+    /* the audit, on when vstar0 is set; its running values are
+     * metrics.Audit.fields */
     const double *vstar0;   /* V*[0], per state */
     double *vpi;            /* V^pi of the greedy policy played, (H+1)*S */
     const double *thr;      /* Q* - 1e-9 per (h, s, a) */
@@ -96,9 +96,8 @@ typedef struct {
     int64_t *changes;       /* with agents, each Q-changing episode's index */
     /* NumPy's BLAS ddot (n, x, incx, y, incy), or NULL: top is left to Python */
     double (*ddot)(int64_t, const double *, int64_t, const double *, int64_t);
-    int64_t episodes;       /* episodes audited */
-    double reg, cum_regret; /* the last one's regret, and the running sum */
-    int64_t negative;       /* the first episode with regret < -1e-9, or 0 */
+    double reg, cum_regret; /* the last episode's regret, and the running sum */
+    int64_t negative;       /* the first episode (1-based) with regret < -1e-9, or 0 */
     int64_t optimism;       /* entries below thr */
     int64_t violations;     /* the running max of optimism after each Q change */
     int64_t switches;       /* rows that differ between the policies of
@@ -112,7 +111,7 @@ typedef struct {
     int64_t count;          /* episodes to play at most; with the audit, at
                                most the rows the row buffers hold */
     int64_t agents;         /* M, the episodes of a concurrent round, or 0 */
-    int64_t first;          /* with agents, starts[0]'s generation index */
+    int64_t first;          /* starts[0]'s episode (with agents, generation) index */
     int64_t limit, consumed;    /* with agents, the call ends at a round start
                                once consumed (episodes kept, in and out) >= limit */
     /* per-call outputs, each set by stageq_stretch */
@@ -300,16 +299,15 @@ static int64_t observe(Learner *L, int64_t h, int64_t s, int64_t a,
     return 0;
 }
 
-/* The audit of the episode about to be played from state s1, against V^pi
- * of the policy it plays (the layers are current after each Q change). */
-static void audit_regret(Learner *L, int64_t s1)
+/* The audit of episode k (1-based), about to be played from state s1, against
+ * V^pi of the policy it plays (the layers are current after each Q change). */
+static void audit_regret(Learner *L, int64_t s1, int64_t k)
 {
     double reg = L->vstar0[s1] - L->vpi[s1];
-    L->episodes += 1;
     L->reg = reg;
     L->cum_regret += reg;
     if (reg < -1e-9 && L->negative == 0)
-        L->negative = L->episodes;
+        L->negative = k;
 }
 
 /* The audit after an episode that changed Q, which wrote Q and the greedy
@@ -402,7 +400,7 @@ int64_t stageq_stretch(Learner *L)
         L->switches += L->pending;
         L->pending = 0;
         if (audit)
-            audit_regret(L, s);
+            audit_regret(L, s, L->first + played);
         int64_t bad = 0;
         for (int64_t h = 0; h < H && !bad; h++) {
             int64_t i2 = h * S + s;

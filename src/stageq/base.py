@@ -165,10 +165,10 @@ class TabularQLearnerBase:
                     init: InitialStates = DEFAULT_STARTS):
         """Play episodes first, first + 1, ... (0-based, below stop) in one
         call (_call), which stops after the first one that changes Q, or at
-        the end of the block of start states that holds `first` (with the
-        kernel's audit and NumPy's ddot it plays on through Q changes: see
-        metrics.Audit); rng is a harness.UniformStream.  Returns (played,
-        changed): the episodes played, and whether Q changed in them."""
+        the end of the block of start states that holds `first` (through Q
+        changes with the kernel's audit and NumPy's ddot: the call that
+        metrics.Audit._play plays in Python); rng is a harness.UniformStream.
+        Returns (played, changed): the episodes played and whether Q changed."""
         u0 = self.q_update_count
         played = self._call(mdp, rng, init, first, stop - first)[0]
         return played, self.q_update_count > u0

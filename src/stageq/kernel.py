@@ -3,7 +3,7 @@
 The kernel plays episodes for all four agents; the Learner struct's mode
 says whose observe it repeats, and its last fields are the per-call values
 (see _kernel.c).  With the audit fields set, which metrics.Audit binds,
-it audits every episode it plays, as Audit's Python body does.  V^pi's
+it audits every episode it plays, as Audit._play does in Python.  V^pi's
 layers are sums that NumPy's dot hands to its BLAS's ddot, whose order of
 addition depends on the CPU kernel OpenBLAS picks; ddot() finds that
 function, so the kernel's layers are NumPy's bit for bit and a call plays
@@ -71,7 +71,6 @@ class Learner(ctypes.Structure):
                     "cum", "mdp_rew", "u", "pcg", "starts", "P",
                     "vstar0", "vpi", "thr", "below", "last", "p_pi", "r_pi", "row_reals",
                     "row_counts", "changes", "ddot")]
-                + [("episodes", c_int64)]
                 + [(name, c_double) for name in ("reg", "cum_regret")]
                 + [(name, c_int64) for name in (
                     "negative", "optimism", "violations", "switches", "pending",

@@ -27,11 +27,12 @@ ones that differ as switches.  check_optimism, count_switches,
 SwitchTracker.record and policy_evaluation are the full-scan references
 they must agree with.
 
-Audit runs those steps a stretch of episodes at a time, in the compiled
-kernel where it is built, else in Python (see Audit).  write_table writes
-every numeric table from columns, in C where the kernel is built, else
-through write_csv, the reference for the C body's bytes; rounds.csv too,
-a window of NumPy-built round columns a call (concurrent.write_rounds_csv).
+Audit runs those steps a call at a time, in the compiled kernel where it
+is built, else in its Python twin, into the same rows (see Audit).
+write_table writes every numeric table from columns, in C where the
+kernel is built, else through write_csv, the reference for the C body's
+bytes; rounds.csv too, a window of NumPy-built round columns a call
+(concurrent.write_rounds_csv).
 """
 
 from __future__ import annotations
@@ -284,24 +285,26 @@ class Audit:
     audits each, adds the row of each one whose 1-based k is in keep (an
     increasing sequence) to `records` (a Table of int64 and float64
     columns, 56 bytes a row) and returns how many it played.  The running
-    values are attributes of `fields`: reg (the last episode's regret),
-    cum_regret (their sum, added episode by episode), negative (the first
-    1-based episode whose regret is below -1e-9, or 0), switches and
-    violations (the running maximum of the optimism count).  start, a
+    values, which each Audit starts at 0, are attributes of `fields`, a
+    kernel.Learner: reg (the last episode's regret), cum_regret (their sum,
+    added episode by episode), negative (the first 1-based episode whose
+    regret is below -1e-9, or 0), switches, violations (the running maximum
+    of the optimism count), optimism and pending (see _kernel.c).  start, a
     (table, V^pi) pair of an earlier evaluation, spares the first one where
     the learner's first table is that table.
 
-    Two bodies keep the same rows.  With the compiled kernel, the kernel
-    audits each episode it plays and writes its row: the audit binds the
-    Learner struct's audit fields to V*[0], the policy cache's table, rows
-    and V, the optimism tracker's thresholds and flags and its own row
-    buffers, which the struct holds from then on (_buffers), so they live
-    as long as the learner.  fields is the struct, and a call ends at stop
-    or at the end of its block of start states (and at each Q change where
-    it found no ddot: the layers are then recomputed here from the deepest
-    one it reports).  Without it, fields is this object and stretch runs
-    the Python body over run_stretch, which ends at each Q change, and at
-    the next kept k: the reference the kernel must match row for row.
+    One call plays the episodes, stageq_stretch's audited call: it ends at
+    stop or at the end of the block of start states that holds first, and
+    writes every episode's row into the row buffers, from which stretch
+    builds the kept rows.  With the compiled kernel, fields is the
+    learner's Learner struct, whose audit fields point at V*[0], the policy
+    cache's table, rows and V, the optimism tracker's thresholds and flags
+    and the row buffers; the struct holds them from then on (_buffers), so
+    they live as long as the learner.  Where the kernel found no ddot, its
+    call also ends at each Q change, and the layers are recomputed here
+    from the deepest one it reports.  Without the kernel, fields is a
+    Learner bound to nothing, and _play, the call's Python twin, plays: the
+    reference the kernel must match row for row.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables,
@@ -311,77 +314,71 @@ class Audit:
         self.cache = cache = PolicyValueCache(mdp)
         cache.values(greedy, known=V if table == greedy else None)
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
-        optimism = OptimismTracker(learner.q_array(), vstar.Q)
-        if learner._lib is None:
-            self._struct = None
-            self.reg = self.cum_regret = 0.0
-            self.negative = self.switches = self.violations = 0
-            self._optimism = optimism
-            self._vstar0 = vstar.V[0].tolist()   # lists: the same float64 arithmetic, unboxed
-            self._vpi0 = cache._V[0].tolist()
-            self._traj = None      # the last stretch's trajectory, if it changed Q
-            return
-        k = self._struct = learner._kstate
-        vstar0 = np.ascontiguousarray(vstar.V[0], dtype=float)
+        self._optimism = optimism = OptimismTracker(learner.q_array(), vstar.Q)
+        self._vstar0 = vstar0 = np.ascontiguousarray(vstar.V[0], dtype=float)
         self._reals = array("d", [0.0]) * (2 * START_BLOCK)     # reg, cum_regret
         self._counts = array("q", [0]) * (4 * START_BLOCK)     # see _kernel.c
-        k.vstar0, k.vpi, k.p_pi, k.r_pi = (a.ctypes.data for a in (
-            vstar0, cache._V, cache._P_pi, cache._r_pi))
-        k.thr, k.below, k.last, k.row_reals, k.row_counts = (a.buffer_info()[0] for a in (
-            optimism._thr, optimism._below, cache._flat, self._reals, self._counts))
-        k.ddot, k.optimism = kernel.ddot(), optimism.count
-        k._buffers = (vstar0, cache, optimism, self._reals, self._counts)
-
-    @property
-    def fields(self):
-        # a property: an attribute holding self would be a reference cycle,
-        # keeping a finished Python-body run (learner, MDP, cache) alive
-        # until the cyclic GC ran
-        return self if self._struct is None else self._struct
+        if learner._lib is None:
+            self.fields = f = kernel.Learner()
+        else:
+            self.fields = f = learner._kstate
+            f.vstar0, f.vpi, f.p_pi, f.r_pi = (a.ctypes.data for a in (
+                vstar0, cache._V, cache._P_pi, cache._r_pi))
+            f.thr, f.below, f.last, f.row_reals, f.row_counts = (a.buffer_info()[0] for a in (
+                optimism._thr, optimism._below, cache._flat, self._reals, self._counts))
+            f.ddot = kernel.ddot()
+            f._buffers = (vstar0, cache, optimism, self._reals, self._counts)
+        f.reg = f.cum_regret = 0.0
+        f.negative = f.violations = f.switches = f.pending = 0
+        f.optimism = optimism.count
 
     def stretch(self, rng, first: int, stop: int, keep=()):
-        learner, cache, mdp = self.learner, self.cache, self.mdp
-        at = bisect_right(keep, first)     # keep[at] is the next kept k
-        if self._struct is not None:
-            q0, r0 = learner.q_update_count, learner.ref_fixed_count
-            played, _ = learner.run_stretch(mdp, rng, first, stop, self.init)
-            top = self._struct.top
-            if top >= 0:
-                cache.evaluate(top)
-            x, n = self._reals, self._counts
-            ks = keep[at:bisect_right(keep, first + played)]
-            consecutive = ks and ks[-1] - ks[0] == len(ks) - 1     # one run [a, b)
-            for a, b in [(ks[0], ks[-1] + 1)] if consecutive else [(k, k + 1) for k in ks]:
-                i, j = a - 1 - first, b - 1 - first     # the rows' places in the call
-                self.records.extend(range(a, b), x[2 * i:2 * j:2], x[2 * i + 1:2 * j:2],
-                                    n[4 * i:4 * j:4], map(q0.__add__, n[4 * i + 1:4 * j:4]),
-                                    n[4 * i + 2:4 * j:4], map(r0.__add__, n[4 * i + 3:4 * j:4]))
-            return played
-        if at < len(keep):
-            stop = min(stop, keep[at])
-        if self._traj is not None:
-            rows = [h * mdp.S + step[0] for h, step in enumerate(self._traj)]
-            self._vpi0 = cache.values(learner.greedy_buffer(), rows).V[0].tolist()
-            self.switches = cache.switches
-        vstar0, vpi0 = self._vstar0, self._vpi0
-        cum_regret, negative = self.cum_regret, self.negative
-        played, changed = learner.run_stretch(mdp, rng, first, stop, self.init)
-        self._traj = learner._last_traj() if changed else None
-        b, j = divmod(first, START_BLOCK)      # a call plays inside one block of starts
-        for k, s1 in enumerate(self.init.block(b, mdp.S)[j:j + played], first + 1):
-            reg = vstar0[s1] - vpi0[s1]
-            cum_regret += reg
-            if reg < -1e-9 and not negative:
-                negative = k
-        self.reg, self.cum_regret, self.negative = reg, cum_regret, negative
-        if self._traj is not None:
-            self.violations = max(self.violations,
-                                  self._optimism.update(learner.q_at, self._traj))
-        # stop <= the next kept k: only the last can be kept
-        ks = keep[at:bisect_right(keep, first + played)]
-        self.records.extend(ks, *([v] * len(ks) for v in (reg, cum_regret, self.switches,
-                            learner.q_update_count, self.violations, learner.ref_fixed_count)))
+        learner = self.learner
+        q0, r0 = learner.q_update_count, learner.ref_fixed_count
+        if learner._lib is None:
+            played = self._play(rng, first, stop)
+        else:
+            played, _ = learner.run_stretch(self.mdp, rng, first, stop, self.init)
+            if self.fields.top >= 0:
+                self.cache.evaluate(self.fields.top)
+        x, n = self._reals, self._counts
+        ks = keep[bisect_right(keep, first):bisect_right(keep, first + played)]
+        consecutive = ks and ks[-1] - ks[0] == len(ks) - 1     # one run [a, b)
+        for a, b in [(ks[0], ks[-1] + 1)] if consecutive else [(k, k + 1) for k in ks]:
+            i, j = a - 1 - first, b - 1 - first     # the rows' places in the call
+            self.records.extend(range(a, b), x[2 * i:2 * j:2], x[2 * i + 1:2 * j:2],
+                                n[4 * i:4 * j:4], map(q0.__add__, n[4 * i + 1:4 * j:4]),
+                                n[4 * i + 2:4 * j:4], map(r0.__add__, n[4 * i + 3:4 * j:4]))
         return played
+
+    def _play(self, rng, first: int, stop: int) -> int:
+        """stageq_stretch's audited call with ddot, one run_episode at a
+        time, up to stop or the end of first's block of start states;
+        returns the episodes played."""
+        learner, mdp, cache, f = self.learner, self.mdp, self.cache, self.fields
+        x, n, optimism, S = self._reals, self._counts, self._optimism, mdp.S
+        vstar0, vpi = self._vstar0, cache._V[0]     # a view: evaluate writes V in place
+        q0, r0 = learner.q_update_count, learner.ref_fixed_count
+        b, j = divmod(first, START_BLOCK)
+        starts = self.init.block(b, S)[j:j + stop - first]
+        for i, s1 in enumerate(starts):
+            f.switches += f.pending
+            f.pending = 0
+            f.reg = reg = vstar0[s1] - vpi[s1]
+            f.cum_regret += reg
+            if reg < -1e-9 and not f.negative:
+                f.negative = first + i + 1
+            traj, report = learner.run_episode(mdp, rng, first + i, self.init)
+            if report.q_changed:
+                f.optimism = optimism.update(learner.q_at, traj)
+                f.violations = max(f.violations, f.optimism)
+                before = cache.switches
+                cache.values(learner.greedy_buffer(), [h * S + s for h, (s, *_) in enumerate(traj)])
+                f.pending = cache.switches - before
+            x[2 * i], x[2 * i + 1] = reg, f.cum_regret
+            n[4 * i:4 * i + 4] = array("q", (f.switches, learner.q_update_count - q0,
+                                             f.violations, learner.ref_fixed_count - r0))
+        return len(starts)
 
 
 def write_csv(out, row_format: str, rows) -> None:

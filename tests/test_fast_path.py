@@ -36,7 +36,7 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec
                     run_concurrent_experiment, save_mdp, seeded_stream, validate)
 from stageq import harness
 from stageq.concurrent import replay_into
-from stageq.metrics import Audit, OptimismTracker, PolicyValueCache
+from stageq.metrics import Audit, OptimismTracker, PolicyValueCache, check_optimism
 from test_cli import PINNED_RUN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -693,11 +693,11 @@ FIRST_NEGATIVE = {("small", "advantage"): 38, ("small", "classic-qucb"): 13,
 @pytest.mark.parametrize("algo", ["advantage", "hoeffding-stage", "classic-qucb"])
 @pytest.mark.parametrize("inst", sorted(AUDIT_ENVS))
 def test_audited_run_matches_fallback(monkeypatch, lower_vstar, inst, algo):
-    # the whole audit loop, the kernel's against the Python body: every
+    # the whole audit loop, the kernel's against the Python audit's: every
     # kept row, the first negative-regret episode that strict mode reports
-    # (off the pow2 cadence), the summary and the learner's tables.  With
-    # a pow2 cadence the kernel plays many episodes per call between Q
-    # changes, and the Python body one per call.
+    # (off the pow2 cadence), the summary and the learner's tables.  Both
+    # play many episodes per call, through Q changes and past kept k, up
+    # to the end of a block of start states.
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
     env, K, drop = AUDIT_ENVS[inst]
@@ -748,7 +748,7 @@ def count_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("inst,algo", [("chain", "advantage"), ("wide", "classic-qucb")])
 def test_every_row_matches_the_python_body(monkeypatch, inst, algo):
     # a run logging every episode: each row the kernel writes inside a call
-    # that plays through Q changes, against the Python body's.  On the
+    # that plays through Q changes, against the Python audit's.  On the
     # chain, refs_fixed also moves in episodes that change no Q
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
@@ -927,7 +927,7 @@ LAYER_ENVS = ([EnvSpec(kind="random", S=S, A=A, H=H, env_seed=S, init=InitialSta
 LAYER_IDS = [f"S{env.S}" if env.kind == "random" else "chain" for env in LAYER_ENVS]
 
 
-FIELDS = ("reg", "cum_regret", "negative", "switches", "violations")
+FIELDS = ("reg", "cum_regret", "negative", "switches", "violations", "optimism", "pending")
 
 
 def play_to(audit, rng, k, target, keep):
@@ -949,7 +949,7 @@ def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
     # end of each call of the first, both have kept the same rows (every
     # episode's) and hold the same V^pi, gathered rows and running values,
     # bit for bit; then every row of a run logging each episode against
-    # the Python audit body
+    # the Python audit, whose calls end where the first's do
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     mdp = env.build()
@@ -992,6 +992,78 @@ def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
                                                seed=1, cb=0.01, log_every="all"))
         runs.append(res.records)
     assert runs[0] == runs[1] == runs[2] and len(runs[0]) == K
+
+
+def running(audit):
+    """The audit's running values, by name."""
+    return {field: getattr(audit.fields, field) for field in FIELDS}
+
+
+def test_a_second_audit_starts_from_zero_on_both_paths(monkeypatch):
+    # two audits in turn on one learner, against a V* lowered at state 1 so
+    # that most of its episodes from 53 on have negative regret: the
+    # second, from episode 100, starts every running value at 0 and notes
+    # its own first negative episode, 101, the 1-based index of its first
+    # row below -1e-9; the kernel with ddot, the kernel without (slow) and
+    # the Python audit agree on every row and, at the end of each audit,
+    # every running value
+    mdp, init = make_random_mdp(3, 2, 4, seed=0), InitialStates.cyclic([0, 1, 2])
+    vstar, _ = backward_induction(mdp)
+    V = vstar.V.copy()
+    V[0, 1] -= 0.01
+    vstar = replace(vstar, V=V)
+    fast, ref = kernel_and_reference(monkeypatch, ClassicQUcbLearner, mdp, AlgoConstants(),
+                                     None)
+    slow = make(ClassicQUcbLearner, mdp, AlgoConstants(), None)
+    runs = []
+    for lr in (fast, slow, ref):
+        if lr is slow:
+            monkeypatch.setattr(kernel, "ddot", lambda: None)
+        rng, k, run = seeded_stream(0, 0, "env"), 0, []
+        for stop, negative in ((100, 53), (300, 101)):
+            audit = Audit(lr, mdp, vstar, init)
+            assert running(audit) == dict.fromkeys(FIELDS, 0) | {
+                "optimism": check_optimism(lr.q_array(), vstar.Q)}
+            while k < stop:
+                k += audit.stretch(rng, k, stop, range(1, stop + 1))
+            assert audit.fields.negative == negative == next(
+                r.k for r in audit.records if r.episode_regret < -1e-9)
+            run += [running(audit), audit.records]
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("first", [250, 255, 256])
+def test_audited_calls_end_where_kernel_calls_do(first, monkeypatch):
+    # classic-qucb changes Q in every episode; from 6, 1 and 256 episodes
+    # before a block's end, with sparse kept rows: each audited call, with
+    # the kernel and NumPy's ddot and in Python alike, ends at the end of
+    # its block of start states or at stop, and the calls return the same
+    # played, kept rows and running values
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
+    _, make_mdp, _, _, init = INSTANCES[2]
+    mdp = make_mdp()
+    vstar, _ = backward_induction(mdp)
+    fast, ref = kernel_and_reference(monkeypatch, ClassicQUcbLearner, mdp, AlgoConstants(),
+                                     None)
+    stop, keep = first + 600, range(first + 3, first + 600, 7)
+    rngs, calls = (seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")), []
+    for lr, rng in zip((fast, ref), rngs):
+        audit, k, ends = Audit(lr, mdp, vstar, init), first, []
+        while k < stop:
+            n = len(audit.records)
+            played = audit.stretch(rng, k, stop, keep)
+            k += played
+            ends.append((k, audit.records[n:], running(audit)))
+        calls.append(ends)
+        assert [r.k for r in audit.records] == list(keep)
+    assert calls[0] == calls[1]
+    block_ends = range(first // 256 * 256 + 256, stop, 256)
+    assert [end for end, _, _ in calls[0]] == [*block_ends, stop]
+    assert fast.q_update_count == 600 * mdp.H
+    assert_same_state(fast, ref)
+    assert_same_stream(*rngs)
 
 
 DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
@@ -1171,5 +1243,9 @@ def test_oracle_outputs_are_the_same_on_both_paths(path, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ORACLE_PINS}
     assert got == ORACLE_PINS
-    audit = Audit(OracleAgent(res.mdp), res.mdp, res.vstar)
-    assert isinstance(audit.fields, kernel.Learner) == (path == "kernel")
+    # the running values live in a kernel.Learner on both paths: the
+    # learner's own struct exactly when the kernel plays
+    oracle = OracleAgent(res.mdp)
+    audit = Audit(oracle, res.mdp, res.vstar)
+    assert isinstance(audit.fields, kernel.Learner)
+    assert (audit.fields is getattr(oracle, "_kstate", None)) == (path == "kernel")

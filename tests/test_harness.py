@@ -198,8 +198,8 @@ DESK = dict(p=0.1, c1=1.2, c2=1.2, c3=0.06)
 ])
 def test_lazy_audit_matches_eager_reference(monkeypatch, path, env, algo, constants,
                                             cb, episodes):
-    # every row of the kernel's audit and of the Python body against the
-    # eager loop; the Python body's optimism counts are also checked
+    # every row of the kernel's audit and of the Python audit against the
+    # eager loop; the Python audit's optimism counts are also checked
     # against a full scan after each update
     trackers = []
 
