@@ -19,8 +19,10 @@ module) read and write in place; numpy copies are exported on demand.
 The drivers run_episode (one episode), run_stretch (episodes up to the
 first Q change) and run_rounds (a concurrent run's rounds, through Q
 changes) are each one call of _call, which plays at most one block of
-start states: in C, stageq_stretch, for every learner here (the Learner
-struct's mode says whose observe it repeats), or without a C compiler its
+START_BLOCK (4096) start states, or, audited (metrics.Audit), one block
+of AUDIT_ROWS (256) rows: in C, stageq_stretch, for every learner here
+(the Learner struct's mode says whose observe it repeats), or without a
+C compiler its
 twin _play, one reference_episode (sample_episode feeding observe, one
 transition at a time, the path the kernel must match bit for bit) after
 another.  Both end a call at the same episode.  Every driver takes the
@@ -54,6 +56,7 @@ import numpy as np
 
 from . import kernel
 from .mdp import DEFAULT_STARTS, START_BLOCK, EpisodicMdp, InitialStates, sample_episode
+from .metrics import AUDIT_ROWS
 from .stages import OutOfRangeError
 
 
@@ -99,9 +102,9 @@ class TabularQLearnerBase:
         H = self.H
         self._path_s, self._path_a, self._path_next = (array("q", [0]) * H for _ in range(3))
         self._path_r = array("d", [0.0]) * H
-        self._changes = array("q", [0]) * START_BLOCK  # at most one per episode of a call
+        self._changes = array("q")     # made at the first call of rounds (_call)
         for name in ("q", "v", "rew", "n", "greedy", "path_s", "path_a", "path_next",
-                     "path_r", "changes"):
+                     "path_r"):
             fields[name] = getattr(self, "_" + name)
         self._kstate = kernel.Learner(S=self.S, A=self.A, H=H, **{
             name: value.buffer_info()[0] if isinstance(value, array) else value
@@ -165,10 +168,13 @@ class TabularQLearnerBase:
                     init: InitialStates = DEFAULT_STARTS):
         """Play episodes first, first + 1, ... (0-based, below stop) in one
         call (_call), which stops after the first one that changes Q, or at
-        the end of the block of start states that holds `first` (through Q
-        changes with the kernel's audit and NumPy's ddot: the call that
-        metrics.Audit._play plays in Python); rng is a harness.UniformStream.
-        Returns (played, changed): the episodes played and whether Q changed."""
+        the end of the block of START_BLOCK start states that holds
+        `first`; rng is a harness.UniformStream.  An audited learner's call
+        (metrics.Audit) stops at the end of first's block of AUDIT_ROWS
+        episodes instead, the rows its buffers hold, and with the kernel's
+        audit and NumPy's ddot plays through Q changes: the call that
+        metrics.Audit._play plays in Python.  Returns (played, changed):
+        the episodes played and whether Q changed."""
         u0 = self.q_update_count
         played = self._call(mdp, rng, init, first, stop - first)[0]
         return played, self.q_update_count > u0
@@ -180,8 +186,8 @@ class TabularQLearnerBase:
         played one to consumed and each round's first Q-changing one to
         changes, and skipping the rest of that round, uniforms too, up to a
         round start with consumed >= limit, or the end of the block of
-        start states that holds `first` (past it after a skip).  Returns
-        (generated, consumed)."""
+        START_BLOCK start states that holds `first` (past it after a skip).
+        Returns (generated, consumed)."""
         played, consumed, new = self._call(mdp, rng, init, first, START_BLOCK, agents,
                                            consumed, limit)
         changes.extend(new)
@@ -190,17 +196,23 @@ class TabularQLearnerBase:
     def _call(self, mdp: EpisodicMdp, rng, init: InitialStates, first: int, count: int,
               agents: int = 0, consumed: int = 0, limit: int = 0):
         """Play at most count episodes from generated episode first, and no
-        further than the end of its block of start states: one kernel call
-        (stageq_stretch), or its twin _play without the kernel.  agents = 0
-        is a stretch (run_stretch), agents = M a call of rounds
-        (run_rounds).  Returns (played, consumed, changes): the episodes
-        played or skipped, consumed plus those played, and, with agents,
-        the generation index of each Q-changing one."""
+        further than the end of its block of START_BLOCK start states, or
+        audited, of AUDIT_ROWS rows: one kernel call (stageq_stretch), or
+        its twin _play without the kernel.  agents = 0 is a stretch
+        (run_stretch), agents = M a call of rounds (run_rounds).  Returns
+        (played, consumed, changes): the episodes played or skipped,
+        consumed plus those played, and, with agents, the generation index
+        of each Q-changing one."""
         b, j = divmod(first, START_BLOCK)
         count = min(count, START_BLOCK - j)
         if self._lib is None:
             return self._play(mdp, rng, init, first, count, agents, consumed, limit)
         k = self._kstate
+        if k.row_reals:     # audited: the row buffers hold AUDIT_ROWS
+            count = min(count, AUDIT_ROWS - first % AUDIT_ROWS)
+        if agents and not self._changes:     # at most one per episode of a call
+            self._changes = array("q", [0]) * START_BLOCK
+            k.changes = self._changes.buffer_info()[0]
         if mdp is not self._mdp:
             self._bind_mdp(mdp)
         if rng is not self._rng:

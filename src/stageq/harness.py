@@ -88,7 +88,10 @@ class UniformStream:
 
     def skip(self, m: int) -> None:
         """Mark m uniforms read, as m calls of random() would: past the
-        buffer's tail the generator's state advances by the rest."""
+        buffer's tail the generator's state advances by the rest.  A
+        negative m raises ValueError: read uniforms are not read again."""
+        if m < 0:
+            raise ValueError(f"cannot skip {m} uniforms")
         i = self._i + m
         if i > self.BLOCK:
             self.generator.bit_generator.advance(i - self.BLOCK)

@@ -59,7 +59,11 @@ class InvalidEpsilon(ValueError):
 
 # ------------------------------------------------------- initial states
 
-START_BLOCK = 256   # episodes per InitialStates.block; the seeded kind draws as many at once
+# Episodes per InitialStates.block, the seeded kind drawing as many at
+# once: UniformStream.BLOCK's size.  An unaudited kernel call plays no
+# further than its block's end, an audited one no further than the end of
+# its block of metrics.AUDIT_ROWS (256) rows.
+START_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,11 @@ class InitialStates:
     generator, so each run reads its own copy (dataclasses.replace).
     Frozen: a learner holds a block for up to START_BLOCK episodes and
     would not see an edit.  A bad kind, seed or empty states raise
-    ValueError here; check(S) and each block built, MdpValidationError for
-    a fixed or cyclic start outside [0, S).
+    ValueError here, and a negative block index in block; check(S) and
+    each block built, MdpValidationError for a fixed or cyclic start
+    outside [0, S).  A seeded block of START_BLOCK draws holds the values
+    of START_BLOCK // 256 consecutive draws of 256, so the block size
+    changes no start state.
     """
 
     kind: str
@@ -123,6 +130,8 @@ class InitialStates:
         The fixed kind returns one block for every b.  A seeded block
         before the last one restarts the private generator, which draws the
         same values again, since the sequence depends on the seed alone."""
+        if b < 0:
+            raise ValueError(f"start-state block index {b} < 0")
         last = self._last
         if last is not None and (last[:2] == (b, S) or self.kind == "fixed"):
             return last[2]

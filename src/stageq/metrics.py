@@ -54,6 +54,8 @@ from . import kernel
 from .mdp import (DEFAULT_STARTS, START_BLOCK, EpisodicMdp, InitialStates, ValueTables,
                   checked_actions)
 
+AUDIT_ROWS = 256   # rows an audited call writes at most: Audit's row buffers
+
 EPISODE_CSV_HEADER = ("k,episode_regret,cum_regret,cum_switching_cost,"
                       "cum_q_updates,cum_optimism_violations,ref_states_fixed")
 
@@ -294,10 +296,11 @@ class Audit:
     the learner's first table is that table.
 
     One call plays the episodes, stageq_stretch's audited call: it ends at
-    stop or at the end of the block of start states that holds first, and
-    writes every episode's row into the row buffers, from which stretch
-    builds the kept rows.  With the compiled kernel, fields is the
-    learner's Learner struct, whose audit fields point at V*[0], the policy
+    stop or at the end of the block of AUDIT_ROWS episodes that holds first
+    (an unaudited call runs on to the end of a block of START_BLOCK start
+    states), and writes every episode's row into the row buffers, from
+    which stretch builds the kept rows.  With the compiled kernel, fields
+    is the learner's Learner struct, whose audit fields point at V*[0], the policy
     cache's table, rows and V, the optimism tracker's thresholds and flags
     and the row buffers; the struct holds them from then on (_buffers), so
     they live as long as the learner.  Where the kernel found no ddot, its
@@ -316,8 +319,8 @@ class Audit:
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
         self._optimism = optimism = OptimismTracker(learner.q_array(), vstar.Q)
         self._vstar0 = vstar0 = np.ascontiguousarray(vstar.V[0], dtype=float)
-        self._reals = array("d", [0.0]) * (2 * START_BLOCK)     # reg, cum_regret
-        self._counts = array("q", [0]) * (4 * START_BLOCK)     # see _kernel.c
+        self._reals = array("d", [0.0]) * (2 * AUDIT_ROWS)     # reg, cum_regret
+        self._counts = array("q", [0]) * (4 * AUDIT_ROWS)     # see _kernel.c
         if learner._lib is None:
             self.fields = f = kernel.Learner()
         else:
@@ -334,6 +337,7 @@ class Audit:
 
     def stretch(self, rng, first: int, stop: int, keep=()):
         learner = self.learner
+        stop = min(stop, (first // AUDIT_ROWS + 1) * AUDIT_ROWS)
         q0, r0 = learner.q_update_count, learner.ref_fixed_count
         if learner._lib is None:
             played = self._play(rng, first, stop)
@@ -353,8 +357,8 @@ class Audit:
 
     def _play(self, rng, first: int, stop: int) -> int:
         """stageq_stretch's audited call with ddot, one run_episode at a
-        time, up to stop or the end of first's block of start states;
-        returns the episodes played."""
+        time, up to stop, which stretch puts no further than the end of
+        first's block of AUDIT_ROWS; returns the episodes played."""
         learner, mdp, cache, f = self.learner, self.mdp, self.cache, self.fields
         x, n, optimism, S = self._reals, self._counts, self._optimism, mdp.S
         vstar0, vpi = self._vstar0, cache._V[0]     # a view: evaluate writes V in place

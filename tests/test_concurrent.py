@@ -20,8 +20,9 @@ from stageq import (AlgoConstants, BudgetTooSmall, ConcurrentConfig,
                     make_learner, make_random_mdp, round_count_bound,
                     run_concurrent, run_concurrent_experiment, seeded_stream,
                     RoundLog, UniformStream, write_rounds_csv)
-from stageq import concurrent
+from stageq import concurrent, harness, kernel
 from stageq.concurrent import ROUNDS_CSV_HEADER, round_columns
+from stageq.mdp import START_BLOCK
 from stageq.metrics import Table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -396,7 +397,7 @@ def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
     # rounds-m8's instance at a smaller budget.  A call, the kernel's and
     # the Python path's alike, plays through Q changes and ends at a round
     # start that reaches the call's consumed limit, or at the end of its
-    # block of 256 start states (past it after a skip).  The limit
+    # block of START_BLOCK start states (past it after a skip).  The limit
     # moves to the pick window's first round start, then one round at a
     # time through the window (at most 2M - 1 rounds), then to the budget.
     mdp = EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2).build()
@@ -415,7 +416,7 @@ def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
         end = first + played
         if end % agents == 0 and consumed >= limit:
             ends["limit"] += 1
-        elif end >= (first // 256 + 1) * 256:
+        elif end >= (first // START_BLOCK + 1) * START_BLOCK:
             ends["block"] += 1
         else:
             ends["other"] += 1
@@ -428,8 +429,32 @@ def test_rounds_m8_calls_end_at_start_blocks_or_the_limit(path):
     assert ends["other"] == 0 and ends["limit"] >= 2
     assert sum(per_call) == res.update_rounds > 0
     assert ends["block"] > 0
-    assert calls <= math.ceil(res.total_generated / 256) + 2 * M
+    assert calls <= math.ceil(res.total_generated / START_BLOCK) + 2 * M
     assert max(per_call) > 1      # Q changes do not end a call
+
+
+def test_rounds_m8_driver_makes_a_kernel_call_per_start_block(monkeypatch):
+    # rounds-m8's driver call at seed 0: each kernel call ends at the end of
+    # a block of START_BLOCK start states or at one of the consumed limit's
+    # round starts, at most 2M of them
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    calls, make = [], harness.make_learner
+
+    def counting(*args, **kw):
+        lr = make(*args, **kw)
+        stretch = lr._stretch
+        lr._stretch = lambda addr: calls.append(addr) or stretch(addr)
+        return lr
+
+    monkeypatch.setattr(harness, "make_learner", counting)
+    M = 8
+    res = run_concurrent_experiment(
+        EnvSpec(kind="random", S=10, A=3, H=8, env_seed=2),
+        ConcurrentConfig(agents=M, epsilon=0.1, k_eps_override=32_000), algo="advantage",
+        constants=AlgoConstants(n0_override=400, p=0.1, c1=1.2, c2=1.2, c3=0.06))
+    assert res.picked_trajectory == ROUNDS_M8_PINS[0][0]
+    assert len(calls) <= math.ceil(res.total_generated / START_BLOCK) + 2 * M
 
 
 # perfbench/digests.json's rounds.csv digests for the rounds-m8 workload,

@@ -35,8 +35,9 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec
                     kernel, load_mdp, make_jao_chain, make_random_mdp,
                     run_concurrent_experiment, save_mdp, seeded_stream, validate)
 from stageq import harness
+from stageq.mdp import START_BLOCK
 from stageq.concurrent import replay_into
-from stageq.metrics import Audit, OptimismTracker, PolicyValueCache, check_optimism
+from stageq.metrics import AUDIT_ROWS, Audit, OptimismTracker, PolicyValueCache, check_optimism
 from test_cli import PINNED_RUN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,28 +312,30 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
     assert_same_stream(rng_fast, rng_ref)
 
 
-@pytest.mark.parametrize("first", [250, 255, 256])
+@pytest.mark.parametrize("first", [START_BLOCK - 6, START_BLOCK - 1, START_BLOCK])
 @pytest.mark.parametrize("cls", [UcbAdvantageLearner, ClassicQUcbLearner])
 def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch):
-    # from 6, 1 and 256 episodes before the end of a block of 256 start
-    # states, on the kernel and on its Python twin alike: a stretch ends at
-    # its first Q change or at its block's end, and a call of rounds of
-    # M = 3 (250 and 256 start inside a round) at its block's end, or past
-    # it after a skip (classic-qucb changes Q in every episode, so each of
-    # its rounds skips); then one-episode calls, whose _last_traj is the
-    # reference's trajectory
+    # from 6, 1 and START_BLOCK episodes before the end of a block of
+    # START_BLOCK start states, on the kernel and on its Python twin alike
+    # (the play and each stretch's stop pass a block's end): a stretch ends at its
+    # first Q change or at its block's end, and a call of rounds of M = 3
+    # (START_BLOCK - 6 and START_BLOCK start inside a round) at its block's
+    # end, or past it after a skip (classic-qucb changes Q in every
+    # episode, so each of its rounds skips); then one-episode calls, whose
+    # _last_traj is the reference's trajectory
     _, make_mdp, n0, _, init = INSTANCES[2]
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
+    span = START_BLOCK + 44      # episodes played from first, and each stretch's stop
     for play in ("stretch", "rounds"):
         fast, ref = kernel_and_reference(monkeypatch, cls, mdp, const, 10_000)
         rngs = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
         calls = []
         for lr, rng in zip((fast, ref), rngs):
             k, consumed, changes, ends = first, 0, [], []
-            while k < first + 300:
+            while k < first + span:
                 if play == "stretch":
-                    played, changed = lr.run_stretch(mdp, rng, k, k + 300, init)
+                    played, changed = lr.run_stretch(mdp, rng, k, k + span, init)
                 else:
                     played, consumed = lr.run_rounds(mdp, rng, k, 3, consumed, 10_000,
                                                      changes, init)
@@ -345,7 +348,8 @@ def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch):
         assert_same_stream(*rngs)
         ends, changes = calls[0]
         # each call's end, whether it changed Q, and its block's end
-        done = [(end, changed, (k // 256 + 1) * 256) for k, end, changed, _ in ends]
+        done = [(end, changed, (k // START_BLOCK + 1) * START_BLOCK)
+                for k, end, changed, _ in ends]
         if play == "stretch":
             assert all(changed or end == block for end, changed, block in done)
             assert not all(changed for _, changed, _ in done) or cls is ClassicQUcbLearner
@@ -421,6 +425,7 @@ STRETCH_CASES = [INSTANCES[0], INSTANCES[2],
 @pytest.mark.parametrize("inst", STRETCH_CASES, ids=[c[0] for c in STRETCH_CASES])
 def test_stretch_matches_reference_path(inst, path):
     _, make_mdp, n0, K, init = inst
+    K = max(K, START_BLOCK + 300)     # past the end of the first block of start states
     mdp = make_mdp()
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
     fast = UcbAdvantageLearner(mdp, const, n_max=K * mdp.H + 1)
@@ -445,7 +450,7 @@ def test_stretch_matches_reference_path(inst, path):
         elif k == stop:
             stops["checkpoint"] += 1
         else:   # a stretch also ends at the end of its block of start states
-            assert k % 256 == 0
+            assert k % START_BLOCK == 0
             stops["starts"] += 1
     assert_same_state(fast, ref)
     assert_same_stream(rng_fast, rng_ref)
@@ -491,6 +496,18 @@ def test_fused_episode_raises_like_reference_past_n_max():
 @pytest.mark.parametrize("via", ["run_episode", "run_stretch"])
 def test_out_of_range_raises_in_the_same_episode(via, path):
     check_raise_matches_reference(via)
+
+
+@pytest.mark.parametrize("init", [InitialStates.seeded(3), InitialStates.fixed(1)],
+                         ids=["seeded", "fixed"])
+def test_negative_episode_index_raises(init, path):
+    # episode -1 lies in block -1 of start states, which no kind has
+    mdp = make_random_mdp(3, 2, 4, seed=0)
+    lr = UcbAdvantageLearner(mdp, AlgoConstants(), n_max=100)
+    rng = seeded_stream(0, 0, "env")
+    with pytest.raises(ValueError, match="block index -1 "):
+        lr.run_episode(mdp, rng, -1, init)
+    assert lr.run_episode(mdp, rng, 0, init)[0][0][0] == init.state(0, 3)
 
 
 def tail_stream(values):
@@ -770,8 +787,8 @@ def test_every_row_matches_the_python_body(monkeypatch, inst, algo):
 def test_qucb_wide_makes_one_call_per_start_block_with_ddot(monkeypatch):
     # the benchmark's qucb-wide run, where classic-qucb changes Q in every
     # episode: with NumPy's ddot the kernel plays through the changes, one
-    # call per block of 256 start states; without it, a call ends at each
-    # Q change, and the rows are the same
+    # call per block of 256 audited rows (metrics.AUDIT_ROWS); without it,
+    # a call ends at each Q change, and the rows are the same
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     cfg = RunConfig(env=EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0),
@@ -1064,6 +1081,22 @@ def test_audited_calls_end_where_kernel_calls_do(first, monkeypatch):
     assert fast.q_update_count == 600 * mdp.H
     assert_same_state(fast, ref)
     assert_same_stream(*rngs)
+
+
+def test_audited_learners_own_stretch_ends_at_its_row_block():
+    # run_stretch called on an audited learner, not through Audit.stretch,
+    # writes a row per episode too, so it ends where Audit.stretch would:
+    # at the end of first's block of AUDIT_ROWS episodes
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    _, make_mdp, _, _, init = INSTANCES[2]
+    mdp = make_mdp()
+    oracle = OracleAgent(mdp)      # Q never changes, so no call ends at a change
+    audit = Audit(oracle, mdp, backward_induction(mdp)[0], init)
+    rng, stop = seeded_stream(0, 0, "env"), 4 * START_BLOCK
+    assert oracle.run_stretch(mdp, rng, AUDIT_ROWS - 6, stop, init) == (6, False)
+    assert oracle.run_stretch(mdp, rng, AUDIT_ROWS, stop, init) == (AUDIT_ROWS, False)
+    assert audit.stretch(rng, 2 * AUDIT_ROWS, stop) == AUDIT_ROWS
 
 
 DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,

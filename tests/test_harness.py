@@ -72,6 +72,17 @@ def test_uniform_stream_skip_equals_m_draws(m):
     assert skipped.random() == drawn.random()
 
 
+def test_uniform_stream_skip_back_raises():
+    # a negative skip would read a uniform already drawn a second time
+    rng, ref = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
+    for _ in range(3):
+        rng.random()
+        ref.random()
+    with pytest.raises(ValueError, match="-2"):
+        rng.skip(-2)
+    assert rng.random() == ref.random()
+
+
 def test_uniform_stream_integers_in_range():
     st = seeded_stream(0, 0, "pick")
     draws = [st.integers(7) for _ in range(500)]

@@ -15,7 +15,7 @@ from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
                     RewardOutOfRange, backward_induction, load_mdp,
                     make_jao_chain, make_random_mdp, policy_evaluation,
                     sample_episode, save_mdp, validate)
-from stageq.mdp import bad_rows, checked_actions
+from stageq.mdp import START_BLOCK, bad_rows, checked_actions
 
 
 def two_step_example():
@@ -143,8 +143,8 @@ def test_validate_freezes_every_field(field, value):
 
 @pytest.mark.parametrize("field,value", [("kind", "cyclic"), ("states", (-1,)), ("seed", 1)])
 def test_initial_states_cannot_be_changed_in_place(field, value):
-    # a learner holds a block of start states for up to 256 episodes, so
-    # an in-place change would be ignored until the next block
+    # a learner holds a block of start states for up to START_BLOCK
+    # episodes, so an in-place change would be ignored until the next block
     init = InitialStates.fixed(0)
     init.block(0, 3)
     with pytest.raises(AttributeError, match=field):
@@ -264,9 +264,10 @@ def test_initial_states_fixed_and_cyclic():
     assert [InitialStates.fixed(1).state(k, 3) for k in range(4)] == [1, 1, 1, 1]
     cyc = InitialStates.cyclic([0, 2, 1])
     assert [cyc.state(k, 3) for k in range(7)] == [0, 2, 1, 0, 2, 1, 0]
-    assert cyc.block(1, 3).tolist() == [(0, 2, 1)[k % 3] for k in range(256, 512)]
+    assert cyc.block(1, 3).tolist() == [(0, 2, 1)[k % 3]
+                                        for k in range(START_BLOCK, 2 * START_BLOCK)]
     fixed = InitialStates.fixed(1)
-    assert fixed.block(5, 3).tolist() == [1] * 256
+    assert fixed.block(5, 3).tolist() == [1] * START_BLOCK
     assert fixed.block(0, 3) is fixed.block(5, 3)    # one block for every b
     # read-only int64 blocks whose items are Python ints
     for block in (cyc.block(1, 3), fixed.block(0, 3)):
@@ -314,25 +315,51 @@ def test_initial_states_seeded_is_pure_function():
 
 
 def test_initial_states_seeded_block_is_restartable_and_held_alone():
-    S = 5
+    S, B = 5, START_BLOCK
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
-    ref = [s for _ in range(8) for s in gen.integers(0, S, size=256).tolist()]
+    ref = [s for _ in range(3) for s in gen.integers(0, S, size=B).tolist()]
     fwd = InitialStates.seeded(7)
-    assert [s for b in range(8) for s in fwd.block(b, S)] == ref
-    assert [fwd.state(k, S) for k in range(2048)] == ref
+    assert [s for b in range(3) for s in fwd.block(b, S)] == ref
+    assert [fwd.state(k, S) for k in range(3 * B)] == ref
     back = InitialStates.seeded(7)
-    assert [back.state(k, S) for k in range(2047, -1, -1)] == ref[::-1]
+    assert [back.state(k, S) for k in range(3 * B - 1, -1, -1)] == ref[::-1]
     sparse = InitialStates.seeded(7)
-    for k in (1500, 3, 900, 1999, 0, 256, 255):
+    for k in (2 * B + 3, 3, B + B // 2, 3 * B - 1, 0, B, B - 1):
         assert sparse.state(k, S) == ref[k]
     # only the last block read is held, however far it lies
     far = InitialStates.seeded(7)
-    assert len(far.block(2000, S)) == 256
-    assert far.block(1, S).tolist() == ref[256:512]
-    assert far._last[:2] == (1, S) and far._last[2].tolist() == ref[256:512]
+    assert len(far.block(200, S)) == B
+    assert far.block(1, S).tolist() == ref[B:2 * B]
+    assert far._last[:2] == (1, S) and far._last[2].tolist() == ref[B:2 * B]
     assert far.block(1, S).readonly and type(far.block(1, S)[0]) is int
     with pytest.raises(ValueError, match="state count"):
         far.block(1, S + 1)
+
+
+@pytest.mark.parametrize("S", [5, 2**31 + 1])
+def test_initial_states_seeded_block_is_consecutive_draws_of_256(S):
+    # a block of START_BLOCK seeded starts holds the values of as many
+    # consecutive draws of 256 (2**31 + 1 makes NumPy reject about half its
+    # 32-bit draws), so the block size changes no run's start states
+    blocks = (0, 1, 20)
+    gen = np.random.default_rng(11)
+    draws = np.concatenate([gen.integers(0, S, size=256, dtype=np.int64)
+                            for _ in range((max(blocks) + 1) * START_BLOCK // 256)])
+    init = InitialStates.seeded(11)
+    for b in blocks:
+        assert init.block(b, S).tolist() == draws[b * START_BLOCK:(b + 1) * START_BLOCK].tolist()
+
+
+@pytest.mark.parametrize("init", [InitialStates.fixed(1), InitialStates.cyclic([0, 2]),
+                                  InitialStates.seeded(3)], ids=["fixed", "cyclic", "seeded"])
+def test_initial_states_negative_block_raises(init):
+    # every kind, whether or not a block is held
+    for _ in range(2):
+        with pytest.raises(ValueError, match="block index -1 "):
+            init.block(-1, 3)
+        with pytest.raises(ValueError, match="block index -1 "):
+            init.state(-1, 3)
+        init.block(0, 3)
 
 
 def test_initial_states_seeds_differ():
