@@ -35,8 +35,8 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec
                     kernel, load_mdp, make_jao_chain, make_random_mdp,
                     run_concurrent_experiment, save_mdp, seeded_stream, validate)
 from stageq import harness
-from stageq.mdp import START_BLOCK
 from stageq.concurrent import replay_into
+from stageq.mdp import START_BLOCK
 from stageq.metrics import AUDIT_ROWS, Audit, OptimismTracker, PolicyValueCache, check_optimism
 from test_cli import PINNED_RUN
 
@@ -317,10 +317,10 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
 def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch):
     # from 6, 1 and START_BLOCK episodes before the end of a block of
     # START_BLOCK start states, on the kernel and on its Python twin alike
-    # (the play and each stretch's stop pass a block's end): a stretch ends at its
-    # first Q change or at its block's end, and a call of rounds of M = 3
-    # (START_BLOCK - 6 and START_BLOCK start inside a round) at its block's
-    # end, or past it after a skip (classic-qucb changes Q in every
+    # (the play and each stretch's stop pass a block's end): a stretch ends
+    # at its first Q change or at its block's end, and a call of rounds of
+    # M = 3 (START_BLOCK - 6 and START_BLOCK start inside a round) at its
+    # block's end, or past it after a skip (classic-qucb changes Q in every
     # episode, so each of its rounds skips); then one-episode calls, whose
     # _last_traj is the reference's trajectory
     _, make_mdp, n0, _, init = INSTANCES[2]
