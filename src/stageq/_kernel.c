@@ -34,6 +34,9 @@
  * wide), is stageq_stretch's one argument; its last fields are the inputs
  * set before each call and the outputs the call fills.
  *
+ * stageq_cum_rows and stageq_solve prepare an instance (harness.Prepared)
+ * with the bits of their NumPy bodies: its cumulative rows, and V*, Q*, pi*.
+ *
  * stageq_format_rows writes the rows of metrics.write_table: integers in
  * decimal, and each float through the routine float.__repr__ calls,
  * PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), which
@@ -340,9 +343,20 @@ static void audit_change(Learner *L)
     L->pending = differ;
 }
 
+/* NumPy's BLAS ddot (n, x, incx, y, incy), Learner.ddot's type */
+typedef double (*Ddot)(int64_t, const double *, int64_t, const double *, int64_t);
+
+/* x . y as NumPy's DOUBLE_dot forms it: 0.0 + ddot(...), which turns a -0.0
+ * into 0.0 */
+static double dot(Ddot ddot, int64_t n, const double *x, const double *y)
+{
+    double sum = 0.0;
+    sum += ddot(n, x, 1, y, 1);
+    return sum;
+}
+
 /* PolicyValueCache.evaluate(top) in place, and top = -1: V[h] for h = top
- * down to 0, each entry the row's sum as NumPy's DOUBLE_dot forms it,
- * 0.0 + ddot(...) (the start turns a -0.0 into 0.0), then + r_pi. */
+ * down to 0, each entry its row's dot, then + r_pi. */
 static void audit_layers(Learner *L)
 {
     int64_t S = L->S;
@@ -350,9 +364,7 @@ static void audit_layers(Learner *L)
         double *v = L->vpi + h * S;
         for (int64_t s = 0; s < S; s++) {
             int64_t i2 = h * S + s;
-            double x = 0.0;
-            x += L->ddot(S, L->p_pi + i2 * S, 1, v + S, 1);
-            v[s] = x + L->r_pi[i2];
+            v[s] = dot(L->ddot, S, L->p_pi + i2 * S, v + S) + L->r_pi[i2];
         }
     }
     L->top = -1;
@@ -454,6 +466,42 @@ int64_t stageq_stretch(Learner *L)
     L->pcg[0] = (uint64_t)state;
     L->pcg[1] = (uint64_t)(state >> 64);
     return L->bad_n || L->bad_index ? -1 : played;
+}
+
+/* EpisodicMdp.cum_array: each of P's rows of n summed in order into cum,
+ * as np.cumsum sums it, then its last entry set to 1.0 */
+void stageq_cum_rows(const double *P, double *cum, int64_t rows, int64_t n)
+{
+    for (int64_t i = 0; i < rows * n; i += n) {
+        double x = P[i];
+        cum[i] = x;
+        for (int64_t j = 1; j < n; j++) {
+            x += P[i + j];
+            cum[i + j] = x;
+        }
+        cum[i + n - 1] = 1.0;
+    }
+}
+
+/* mdp.backward_induction of a validated MDP: Q[h, s, a] = r[h, s, a] +
+ * dot(P[h, s, a], V[h + 1]) for h = H - 1 down to 0, pi the lowest-index
+ * argmax (np.argmax's where there is no NaN) and V its Q.  Q and V come
+ * zeroed: row H stays 0. */
+void stageq_solve(const double *P, const double *r, int64_t S, int64_t A, int64_t H,
+                  Ddot ddot, double *Q, double *V, int64_t *pi)
+{
+    for (int64_t i2 = H * S - 1; i2 >= 0; i2--) {
+        const double *next = V + (i2 / S + 1) * S;
+        double *q = Q + i2 * A;
+        int64_t best = 0;
+        for (int64_t a = 0; a < A; a++) {
+            q[a] = r[i2 * A + a] + dot(ddot, S, P + (i2 * A + a) * S, next);
+            if (q[a] > q[best])
+                best = a;
+        }
+        pi[i2] = best;
+        V[i2] = q[best];
+    }
 }
 
 

@@ -187,9 +187,9 @@ class Prepared:
     share it: they, the kernel included, only read it.  Builds, validates
     and (audited) solves env for runs of at most `episodes` episodes each,
     or episodes(mdp); MdpValidationError for a start state outside the MDP.
-    Without the audit, vstar, pistar and first stay None; first is
-    the all-zero greedy table and its V^pi, whose gathered rows each run
-    takes from P and r itself rather than hold a copy here."""
+    Without the audit, vstar, pistar and first stay None; first is the
+    PolicyValueCache of the all-zero greedy table, evaluated once, whose
+    copy starts each run's audit (metrics.Audit's start)."""
 
     vstar = pistar = first = None
 
@@ -206,8 +206,8 @@ class Prepared:
                        if algo in STAGE_LEARNERS else None)
         if audited:
             self.vstar, self.pistar = backward_induction(mdp)
-            zeros = array("q", [0]) * (mdp.H * mdp.S)      # a learner's first greedy table
-            self.first = zeros, PolicyValueCache(mdp).values(zeros).V
+            self.first = PolicyValueCache(mdp)
+            self.first.values(array("q", [0]) * (mdp.H * mdp.S))  # a learner's first greedy table
 
     def learner(self):
         return make_learner(self.algo, self.mdp, self.constants, self.n_max, self.cb, self)

@@ -10,7 +10,10 @@ function, so the kernel's layers are NumPy's bit for bit and a call plays
 on through Q changes.  Where it is not found, a call ends at the first Q
 change and the layers are left to PolicyValueCache.evaluate.
 
-formatter() gives the library's other entry point, stageq_format_rows
+stageq_cum_rows and stageq_solve are EpisodicMdp.cum_array's and
+backward_induction's C bodies, bit for bit; the solve sums through ddot().
+
+formatter() gives the library's last entry point, stageq_format_rows
 (metrics.write_table's rows), with CPython's repr routine and PyMem_Free,
 found through ctypes.pythonapi, passed in by address, so the library links
 no Python symbol.  They need the GIL, so it is called through a ctypes.PyDLL
@@ -201,7 +204,13 @@ def _open():
         raise RuntimeError(f"{path}: Learner struct layout differs from kernel.Learner")
     lib.stageq_stretch.argtypes = [c_void_p]    # the Learner, per-call values included
     lib.stageq_stretch.restype = c_int64
-    fmt = ctypes.PyDLL(str(path)).stageq_format_rows
+    lib.stageq_cum_rows.argtypes = [c_void_p, c_void_p, c_int64, c_int64]
+    lib.stageq_cum_rows.restype = None
+    lib.stageq_solve.argtypes = [c_void_p, c_void_p, c_int64, c_int64, c_int64,
+                                 c_void_p, c_void_p, c_void_p, c_void_p]
+    lib.stageq_solve.restype = None
+    # the formatter's own handle holds the GIL; lib keeps it under its name
+    lib.stageq_format_rows = fmt = ctypes.PyDLL(str(path)).stageq_format_rows
     fmt.argtypes = [c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_int64, c_void_p, c_int64]
     fmt.restype = c_int64
     api = ctypes.pythonapi

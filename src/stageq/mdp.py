@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernel
 
 # ---------------------------------------------------------------- errors
 
@@ -209,12 +210,20 @@ class EpisodicMdp:
 
     def cum_array(self) -> np.ndarray:
         """The cumulative rows as one read-only C-ordered (H, S, A, S) array;
-        validates (and so freezes) the MDP first if validate has not."""
+        validates (and so freezes) the MDP first if validate has not.  With
+        the kernel, stageq_cum_rows sums them; without it, np.cumsum, the
+        reference for its bits."""
         if self._cum is None:
             if not self._validated:
                 validate(self)
-            cum = np.cumsum(self.P, axis=-1)
-            cum[..., -1] = 1.0
+            lib = kernel.load()
+            if lib is None:
+                cum = np.cumsum(self.P, axis=-1)
+                cum[..., -1] = 1.0
+            else:
+                cum = np.empty(self.P.shape)
+                lib.stageq_cum_rows(self.P.ctypes.data, cum.ctypes.data, cum.size // self.S,
+                                    self.S)
             cum.setflags(write=False)
             self._cum = cum
         return self._cum
@@ -304,11 +313,20 @@ def backward_induction(mdp: EpisodicMdp):
     Q*[h] = r[h] + P[h] . V*[h+1],  V*[h] = max_a Q*[h],  V*[H] = 0,
     with argmax ties broken to the lowest action index.
     Returns (ValueTables, DeterministicPolicy).
+
+    The kernel's stageq_solve solves a validated MDP (C-ordered float64, no
+    NaN, on which C's > picks as np.argmax does) where NumPy's ddot is
+    found; the NumPy loop, the reference for its bits, solves the rest.
     """
     H, S, A = mdp.H, mdp.S, mdp.A
     V = np.zeros((H + 1, S))
     Q = np.zeros((H + 1, S, A))
     pi = np.zeros((H, S), dtype=np.int64)
+    lib = kernel.load() if mdp._validated else None
+    if lib is not None and kernel.ddot() is not None:
+        lib.stageq_solve(mdp.P.ctypes.data, mdp.r.ctypes.data, S, A, H, kernel.ddot(),
+                         Q.ctypes.data, V.ctypes.data, pi.ctypes.data)
+        return ValueTables(V=V, Q=Q), DeterministicPolicy(actions=pi)
     for h in range(H - 1, -1, -1):
         Q[h] = mdp.r[h] + mdp.P[h].dot(V[h + 1])
         pi[h] = np.argmax(Q[h], axis=1)

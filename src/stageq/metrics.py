@@ -135,16 +135,24 @@ class PolicyValueCache:
         self._V = np.zeros((H + 1, S))   # its V, kept in place; callers get copies
         self._tables = None
 
-    def values(self, actions_flat, rows=None, known=None) -> ValueTables:
+    def copy(self) -> "PolicyValueCache":
+        """A cache holding copies of this one's table, rows and V, with
+        switches 0; built without __init__, it makes its own layer list."""
+        new = object.__new__(PolicyValueCache)
+        new.mdp, new.switches, new._flat = self.mdp, 0, self._flat[:]
+        new._P_pi, new._r_pi, new._V = self._P_pi.copy(), self._r_pi.copy(), self._V.copy()
+        new._tables = self._tables and ValueTables(V=self._V.copy(), Q=None)
+        return new
+
+    def values(self, actions_flat, rows=None) -> ValueTables:
         """V^pi of the flat (h, s) table actions_flat, a copy (Q None), or the
         same ValueTables if it equals the last at `rows`: the distinct flat
         indices where it may differ (default: every row; the audit passes
         the rows the last episode visited), the caller vouching for the
         rest.  Differing rows are gathered and added to switches, and V is
-        recomputed (evaluate); the first table is taken whole.  known, on the
-        first call, is V^pi of actions_flat from an earlier evaluation,
-        copied in place of one.  ValueError on a bad action (outside [0, A)
-        or not an integer) or length leaves the cache as it was."""
+        recomputed (evaluate); the first table is taken whole.  ValueError
+        on a bad action (outside [0, A) or not an integer) or length leaves
+        the cache as it was."""
         mdp, last = self.mdp, self._flat
         if len(actions_flat) != len(last):
             raise ValueError(f"policy has {len(actions_flat)} entries, not {len(last)}")
@@ -175,10 +183,7 @@ class PolicyValueCache:
                 r_pi[h, s] = r[h, s, a]
             self.switches += len(diff)
             top = max(diff) // S
-        if known is None:
-            self.evaluate(top)
-        else:
-            self._V[:] = known
+        self.evaluate(top)
         self._tables = ValueTables(V=self._V.copy(), Q=None)
         return self._tables
 
@@ -292,8 +297,9 @@ class Audit:
     added episode by episode), negative (the first 1-based episode whose
     regret is below -1e-9, or 0), switches, violations (the running maximum
     of the optimism count), optimism and pending (see _kernel.c).  start, a
-    (table, V^pi) pair of an earlier evaluation, spares the first one where
-    the learner's first table is that table.
+    PolicyValueCache of the same MDP that has evaluated a table, spares the
+    first evaluation where the learner's first table is that table: the
+    audit's cache is its copy (PolicyValueCache.copy).
 
     One call plays the episodes, stageq_stretch's audited call: it ends at
     stop or at the end of the block of AUDIT_ROWS episodes that holds first
@@ -311,11 +317,14 @@ class Audit:
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables,
-                 init: InitialStates = DEFAULT_STARTS, start=None):
+                 init: InitialStates = DEFAULT_STARTS, start: PolicyValueCache | None = None):
         self.learner, self.mdp, self.init = learner, mdp, init
-        greedy, (table, V) = learner.greedy_buffer(), start or (None, None)
-        self.cache = cache = PolicyValueCache(mdp)
-        cache.values(greedy, known=V if table == greedy else None)
+        greedy = learner.greedy_buffer()
+        if start is not None and start._flat == greedy:
+            self.cache = cache = start.copy()
+        else:
+            self.cache = cache = PolicyValueCache(mdp)
+            cache.values(greedy)
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
         self._optimism = optimism = OptimismTracker(learner.q_array(), vstar.Q)
         self._vstar0 = vstar0 = np.ascontiguousarray(vstar.V[0], dtype=float)

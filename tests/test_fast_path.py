@@ -806,10 +806,10 @@ def test_qucb_wide_makes_one_call_per_start_block_with_ddot(monkeypatch):
 
 
 def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
-    # with the kernel and NumPy's ddot, the cache's evaluate() runs once
-    # (the prepared instance's first, full evaluation), values() twice
-    # (that evaluation, and the run's cache taking its V^pi as known) and
-    # the optimism tracker's update never: a run that fell back to the
+    # with the kernel and NumPy's ddot, the cache's values() and evaluate()
+    # each run once (the prepared instance's first, full evaluation, which
+    # the run's cache copies) and the optimism tracker's update never: a
+    # run that fell back to the
     # Python audit or the Python layer loop fails here, not only in the
     # benchmark
     if kernel.load() is None or kernel.ddot() is None:
@@ -835,26 +835,29 @@ def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
             constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"])))
         assert res.learner._lib is not None
         assert res.summary.n_switch > 0 or algo == "hoeffding-stage"
-        assert (calls["values"], calls["evaluate"], calls["update"]) == (2, 1, 0)
+        assert (calls["values"], calls["evaluate"], calls["update"]) == (1, 1, 0)
 
 
 def test_kernel_audited_runs_never_build_the_python_layer_loop(monkeypatch):
     # evaluate()'s per-layer list is made at its first call: with the
     # kernel and NumPy's ddot only the prepared instance's cache evaluates,
-    # so the cache of each seed's run never makes it
+    # so the cache of each seed's run, its copy, never makes it
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
-    caches = []
-    init = PolicyValueCache.__init__
+    made, copies = [], []
+    init, copy = PolicyValueCache.__init__, PolicyValueCache.copy
 
     def kept(self, mdp):
         init(self, mdp)
-        caches.append(self)
+        made.append(self)
     monkeypatch.setattr(PolicyValueCache, "__init__", kept)
+    monkeypatch.setattr(PolicyValueCache, "copy", lambda self: copies.append(copy(self))
+                        or copies[-1])
     cfg = RunConfig(env=AUDIT_ENVS["small"][0], algo="classic-qucb", episodes=2000,
                     log_every="pow2", cb=0.01, constants=AlgoConstants(**CONSTANT_SETS["tight"]))
     rows = harness.sweep_scaling(cfg, [0.5, 1.0], seeds=[0, 1, 2])
-    assert len(rows) == 6 and ["_layers" in vars(c) for c in caches] == [True] + [False] * 3
+    assert len(rows) == 6 and len(made) == 1 and len(copies) == 3
+    assert ["_layers" in vars(c) for c in made + copies] == [True] + [False] * 3
 
 
 def numpy_blas():
@@ -894,17 +897,28 @@ def blas_core_types():
 
 # run in a child, so that OpenBLAS reads OPENBLAS_CORETYPE at its start:
 # argv is the body ("kernel" or "fallback"), an output folder and the runs
-# as JSON; prints whether the kernel summed V^pi's layers itself
+# as JSON; prints whether the kernel summed V^pi's layers itself, and
+# whether backward_induction of validated instances (C with the kernel)
+# equals that of their unvalidated twins (NumPy) bit for bit
 BLAS_CHILD = """
 import json, sys
-from stageq import kernel
+import numpy as np
+from stageq import EpisodicMdp, backward_induction, kernel, make_random_mdp, validate
 from stageq.cli import main
 body, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 if body == "fallback":
     kernel.load = lambda: None
 for i, args in enumerate(runs):
     assert main(args + ["--out", f"{out}/{i}"]) == 0
-print(json.dumps(kernel.load() is not None and kernel.ddot() is not None))
+same = []
+for S, A, H in [(50, 5, 20), (129, 3, 10)]:
+    mdp = make_random_mdp(S, A, H, seed=0)
+    twin = EpisodicMdp(S=S, A=A, H=H, P=mdp.P.copy(), r=mdp.r.copy())
+    validate(mdp)
+    (c, c_pi), (ref, ref_pi) = backward_induction(mdp), backward_induction(twin)
+    same.append([c.V.tobytes(), c.Q.tobytes(), c_pi.actions.tobytes()]
+                == [ref.V.tobytes(), ref.Q.tobytes(), ref_pi.actions.tobytes()])
+print(json.dumps([kernel.load() is not None and kernel.ddot() is not None, all(same)]))
 """
 WIDE_RUN = ["run", "--env", "random", "--S", "50", "--A", "5", "--H", "20", "--env-seed", "0",
             "--algo", "classic-qucb", "--cb", "0.01", "--episodes", "100", "--seed", "0"]
@@ -913,9 +927,10 @@ WIDE_RUN = ["run", "--env", "random", "--S", "50", "--A", "5", "--H", "20", "--e
 @pytest.mark.parametrize("core", blas_core_types() or [None])
 def test_kernel_audit_matches_numpy_under_each_blas_kernel(tmp_path, core):
     # each OpenBLAS kernel adds a ddot's terms in an order of its own, and
-    # the C layers call the one NumPy calls, so under every kernel the
-    # kernel's episodes.csv equals the Python audit's (the bytes may differ
-    # from one BLAS kernel to another)
+    # the C layers and the C solve call the one NumPy calls, so under every
+    # kernel the kernel's episodes.csv equals the Python audit's, and its
+    # solve the NumPy solve of the same process (the bytes may differ from
+    # one BLAS kernel to another)
     if core is None:
         pytest.skip("NumPy's BLAS is not scipy-openblas on x86-64")
     if kernel.load() is None:
@@ -929,7 +944,7 @@ def test_kernel_audit_matches_numpy_under_each_blas_kernel(tmp_path, core):
                                json.dumps(runs)], env=env, capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == (body == "kernel")
+        assert json.loads(proc.stdout.splitlines()[-1]) == [body == "kernel", True]
     for i in range(len(runs)):
         kernel_csv = (tmp_path / "kernel" / str(i) / "episodes.csv").read_bytes()
         assert kernel_csv == (tmp_path / "fallback" / str(i) / "episodes.csv").read_bytes()
@@ -1199,6 +1214,118 @@ def test_kernel_points_into_the_frozen_mdp(tmp_path, monkeypatch):
                                          out_dir=str(tmp_path / order)))
         runs[order] = (tmp_path / order / "episodes.csv").read_bytes()
     assert runs["F"] == runs["C"]
+
+
+def numpy_twin(mdp):
+    """An unvalidated copy of mdp, which backward_induction solves with its
+    NumPy loop on either path."""
+    return EpisodicMdp(S=mdp.S, A=mdp.A, H=mdp.H, P=np.array(mdp.P), r=np.array(mdp.r))
+
+
+def subnormal_mdp(seed):
+    """A random 6x3x4 instance whose rows hold zeros and subnormal entries."""
+    gen = np.random.default_rng(seed)
+    P = gen.dirichlet(np.ones(6), size=(4, 6, 3))
+    P[gen.random(P.shape) < 0.4] = 0.0
+    P[..., 0] = np.where(P[..., 0] == 0.0, 5e-324, P[..., 0])
+    P[..., 5] += np.where(P.sum(-1) < 0.5, 1.0, 0.0)
+    P[gen.random(P.shape) < 0.2] = 2.5e-310
+    P /= P.sum(-1, keepdims=True)
+    r = gen.uniform(size=(4, 6, 3))
+    r[gen.random(r.shape) < 0.3] = 1e-320
+    return EpisodicMdp(S=6, A=3, H=4, P=P, r=r)
+
+
+def count_solves(monkeypatch):
+    """A Counter of stageq_solve calls in the loaded kernel, if any."""
+    calls, lib = Counter(), kernel.load()
+    if lib is not None:
+        solve = lib.stageq_solve
+        monkeypatch.setattr(lib, "stageq_solve",
+                            lambda *args: calls.update(["solve"]) or solve(*args))
+    return calls
+
+
+SOLVE_CASES = ([pytest.param(lambda S=S, A=A: make_random_mdp(S, A, 4, seed=S * A), id=f"{S}x{A}")
+                for S in (1, 2, 10, 50, 129) for A in (1, 3, 5)]
+               + [pytest.param(lambda: make_jao_chain(40, epsilon=0.0, seed=0), id="jao-tied"),
+                  pytest.param(lambda: subnormal_mdp(0), id="subnormal-0"),
+                  pytest.param(lambda: subnormal_mdp(1), id="subnormal-1")])
+
+
+@pytest.mark.parametrize("make_mdp", SOLVE_CASES)
+def test_kernel_cum_rows_and_solve_match_numpy_bit_for_bit(make_mdp, path, monkeypatch):
+    # cum_array and backward_induction of a validated MDP run in C with the
+    # kernel (stageq_cum_rows, and stageq_solve where ddot is found): their
+    # bits are np.cumsum's and the NumPy loop's, which solves the
+    # unvalidated twin; on the tied chain pi is the lowest index, 0
+    mdp = make_mdp()
+    twin, calls = numpy_twin(mdp), count_solves(monkeypatch)
+    validate(mdp)
+    ref_cum = np.cumsum(twin.P, axis=-1)
+    ref_cum[..., -1] = 1.0
+    assert np.array_equal(mdp.cum_array().view(np.int64), ref_cum.view(np.int64))
+    (got, got_pi), (ref, ref_pi) = backward_induction(mdp), backward_induction(twin)
+    for a, b in ((got.V, ref.V), (got.Q, ref.Q), (got_pi.actions, ref_pi.actions)):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert calls["solve"] == (path == "kernel" and kernel.ddot() is not None)
+    if mdp.S == 2 and mdp.H == 40:
+        assert not got_pi.actions.any()
+
+
+def dyadic_mdp(P=None):
+    """S = A = H = 2 with dyadic P and r, so every sum is exact whatever
+    BLAS kernel adds it: V = [[1.375, 1.125], [0.75, 1.0], [0, 0]] and
+    pi = [[0, 1], [1, 0]]."""
+    P = np.array([[[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.0, 1.0]]],
+                  [[[0.75, 0.25], [0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]]]]) if P is None else P
+    r = np.array([[[0.5, 0.25], [0.0, 0.125]], [[0.25, 0.75], [1.0, 0.5]]])
+    return EpisodicMdp(S=2, A=2, H=2, P=P, r=r)
+
+
+def test_solve_leaves_every_unvalidated_mdp_to_numpy(path, monkeypatch):
+    # the C solve reads C-ordered float64 P and r without NaN, which only
+    # validate vouches for: OracleAgent on a fresh MDP, a float32 or
+    # Fortran-ordered P and a NaN entry are all solved by the NumPy loop,
+    # whose np.argmax picks a NaN where C's > would not
+    calls = count_solves(monkeypatch)
+    OracleAgent(make_random_mdp(3, 2, 4, seed=0))
+    P = dyadic_mdp().P
+    for mdp in (dyadic_mdp(), dyadic_mdp(P.astype(np.float32)), dyadic_mdp(np.asfortranarray(P))):
+        tables, pi = backward_induction(mdp)
+        assert tables.V.tolist() == [[1.375, 1.125], [0.75, 1.0], [0.0, 0.0]]
+        assert pi.actions.tolist() == [[0, 1], [1, 0]]
+    nan = P.copy()
+    nan[0, 0, 1] = [np.nan, 1.0]
+    tables, pi = backward_induction(dyadic_mdp(nan))
+    assert pi.actions.tolist() == [[1, 1], [1, 0]]
+    assert np.isnan(tables.V[0, 0]) and tables.V[0, 1] == 1.125
+    assert calls["solve"] == 0
+
+
+def c_entry_points(source: str) -> dict:
+    """{name: (return type, parameter count)} of every non-static stageq_*
+    function defined in C source."""
+    found = re.findall(r"^(\w+)\s+(stageq_\w+)\(([^)]*)\)\s*\{", source, flags=re.M)
+    return {name: (ret, 0 if params.strip() == "void" else len(params.split(",")))
+            for ret, name, params in found}
+
+
+def test_every_kernel_entry_point_has_its_ctypes_prototype():
+    # without argtypes ctypes passes a Python int as a 32-bit C int, which
+    # truncates a pointer silently, and without restype it reads an int:
+    # load() must set both on each entry point the C source defines
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    restypes = {"int64_t": ctypes.c_int64, "void": None}
+    entry = c_entry_points(kernel.SOURCE.read_text())
+    assert {"stageq_stretch", "stageq_cum_rows", "stageq_solve",
+            "stageq_format_rows"} <= set(entry)
+    for name, (ret, nargs) in entry.items():
+        fn = getattr(lib, name)
+        assert fn.restype is restypes[ret], name
+        assert fn.argtypes is not None and len(fn.argtypes) == nargs, name
 
 
 def make_all_learners(mdp, const, n_max):

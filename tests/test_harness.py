@@ -26,7 +26,7 @@ from stageq import (AlgoConstants, ConcurrentConfig, ConfigError,
 from stageq import harness, metrics
 from stageq.harness import (CONFIG_KEYS, UniformStream, checkpoint_regrets,
                             enforce_invariants, parse_init_spec)
-from stageq.metrics import write_episode_csv
+from stageq.metrics import PolicyValueCache, write_episode_csv
 
 REDUCED = AlgoConstants(p=0.1, c1=0.2, c2=0.2, c3=0.05)
 ROOT = Path(__file__).resolve().parent.parent
@@ -527,31 +527,42 @@ def test_sweep_builds_validates_and_solves_once(monkeypatch, path, seeds):
     assert calls == {"build": 1, "validate": 1, "backward_induction": 1, "build_schedule": 1}
 
 
+def cache_buffers(cache):
+    """A PolicyValueCache's table, rows of P and r, and V, as arrays."""
+    return [np.frombuffer(cache._flat, dtype=np.int64), cache._P_pi, cache._r_pi, cache._V]
+
+
 def prepared_tables(shared):
-    """Every table of a prepared instance, as bytes (consts: the floats);
-    the rows of P and r that the first table selects are P's and r's."""
-    mdp, stages, (table, V) = shared.mdp, shared.stages, shared.first
+    """Every table of a prepared instance, as bytes (consts: the floats),
+    its first table's cache included."""
+    mdp, stages = shared.mdp, shared.stages
     arrays = [mdp.P, mdp.r, mdp.cum_array(), shared.vstar.V, shared.vstar.Q,
-              shared.pistar.actions, V]
-    bufs = [stages.ends, stages.lower, stages.bbar, table]
+              shared.pistar.actions, *cache_buffers(shared.first)]
+    bufs = [stages.ends, stages.lower, stages.bbar]
     return ([a.tobytes() for a in arrays] + [b.tobytes() for b in bufs]
             + [stages.schedule.ends.tobytes(), repr(stages.consts)])
 
 
 @pytest.mark.parametrize("init", [None, InitialStates.seeded(5)], ids=["fixed", "seeded"])
 def test_sweep_leaves_the_prepared_instance_as_it_was_made(monkeypatch, path, init):
-    # the runs share the instance's tables, the kernel through pointers:
-    # after a 5-seed sweep every one of them is byte for byte a freshly
-    # prepared instance's, and the caller's start states were never read
-    # (each run reads its own copy)
-    prepared, made = harness.Prepared, []
+    # the runs share the instance's tables, the kernel through pointers,
+    # and each audits from a copy of its first table's cache: after a
+    # 5-seed sweep every table is byte for byte a freshly prepared
+    # instance's, no run's cache shares a buffer with the instance's, and
+    # the caller's start states were never read (each run reads its own copy)
+    prepared, made, copies = harness.Prepared, [], []
+    copy = PolicyValueCache.copy
     monkeypatch.setattr(harness, "Prepared", lambda *a, **kw: made.append(prepared(*a, **kw))
                         or made[-1])
+    monkeypatch.setattr(PolicyValueCache, "copy", lambda self: copies.append(copy(self))
+                        or copies[-1])
     cfg = replace(CHAIN_SWEEP, env=replace(CHAIN_ENV, init=init))
     sweep_scaling(cfg, [0.5, 1.0], [3, 0, 4, 1, 2])
     fresh = prepared(cfg.env, cfg.algo, cfg.constants, cfg.cb, cfg.episodes)
-    assert len(made) == 1 and made[0].first[1] is not fresh.first[1]
+    assert len(made) == 1 and len(copies) == 5 and made[0].first is not fresh.first
     assert prepared_tables(made[0]) == prepared_tables(fresh)
+    assert not any(np.shares_memory(a, b) for run in copies
+                   for a, b in zip(cache_buffers(run), cache_buffers(made[0].first)))
     assert init is None or (init._last is None and init._gen is None)
 
 
