@@ -38,9 +38,12 @@
  * with the bits of their NumPy bodies: its cumulative rows, and V*, Q*, pi*.
  *
  * stageq_format_rows writes the rows of metrics.write_table: integers in
- * decimal, and each float through the routine float.__repr__ calls,
- * PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), which
- * kernel.py passes in with PyMem_Free, and calls with the GIL held.
+ * decimal, and floats as repr writes them.  For 1e-4 <= |x| < 2**53, where
+ * repr is in fixed notation, put_repr finds the shortest digits itself in
+ * exact 128-bit integer arithmetic; every other float goes through the
+ * routine float.__repr__ calls, PyOS_double_to_string(x, 'r', 0,
+ * Py_DTSF_ADD_DOT_0, NULL), which kernel.py passes in with PyMem_Free, and
+ * calls with the GIL held.
  */
 
 #include <math.h>
@@ -523,7 +526,8 @@ typedef void (*MemFree)(void *);
 #define DTSF_ADD_DOT_0 0x02     /* Py_DTSF_ADD_DOT_0: repr's "1.0", not "1" */
 
 /* The room one cell may take: its comma and at most 24 characters, the
- * longest repr of a double ("-2.2250738585072014e-308") or 20 of an int64. */
+ * longest repr of a double ("-2.2250738585072014e-308") or 20 of an int64;
+ * put_repr's longest is 23 ("-0.00012345678901234567"). */
 #define CELL_MAX 32
 
 static char *put_int(char *p, int64_t x)
@@ -540,6 +544,72 @@ static char *put_int(char *p, int64_t x)
     while (n)
         *p++ = digits[--n];
     return p;
+}
+
+/* repr(x) for finite x with 1e-4 <= |x| < 2**53, where repr is in fixed
+ * notation: the fewest digits that read back as x, of those the nearest to
+ * x, ties to the even one (Steele & White, Gay; cf. Adams' Ryu), found in
+ * exact integers.  At the scale 2^(e-2), |x| = m 2^e is 4m and the numbers
+ * that round to it lie within 2 of it.  Two refinements of that interval
+ * change no digit in this range, so they are left out.  Its ends are x's
+ * when m is even, but at the scale 10^-k no end is a multiple of 10 (each
+ * is 2^(k+e-1) times an odd multiple of 5^k, and k + e <= 1) and the
+ * integer nearest |x| 10^k lies strictly inside.  Its gap below a power of
+ * two is half as wide, but each power of two here is an exact decimal of
+ * at most 16 digits, and every shorter decimal lies farther from it than
+ * the wider gap; tests/test_metrics.py checks every one. */
+static char *put_repr(char *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int e = (int)(bits >> 52 & 0x7ff) - 1075;            /* -66 <= e <= 0 */
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    /* k = 16 - floor((e + 52) log10 2), 1 <= k <= 21 (>> is arithmetic in
+     * gcc and clang), puts |x| 10^k in [1e16, 2e17), under 2^64 after the
+     * shift by s, with (4m + 2) 10^k < 2^55 10^21 < 2^125 */
+    int k = 16 - ((e + 52) * 78913 >> 18), s = 2 - e, t = 0;
+    unsigned __int128 pk = 1, mask = ((unsigned __int128)1 << s) - 1;
+    for (int j = 0; j < k; j++)
+        pk *= 10;
+    unsigned __int128 v = (unsigned __int128)(4 * m) * pk, lo = v - 2 * pk;
+    /* the integers [l, u] read back as x at the scale 10^-k; find the
+     * largest t for which a multiple of 10^t lies among them */
+    uint64_t l = (uint64_t)(lo >> s) + ((lo & mask) != 0),
+             u = (uint64_t)((v + 2 * pk) >> s), pt = 1;
+    while (u / 10 >= (l + 9) / 10) {
+        u /= 10;
+        l = (l + 9) / 10;
+        pt *= 10;
+        t++;
+    }
+    /* round |x| 10^(k-t) = c + (rem + frac / 2^s) / pt to the nearest, ties
+     * to even, comparing (rem, frac) with its half, (pt / 2, (pt & 1) 2^(s-1));
+     * an interval centred on x that holds an integer holds the nearest, so
+     * c lies in [l, u] */
+    uint64_t c = (uint64_t)(v >> s) / pt, rem = (uint64_t)(v >> s) % pt;
+    unsigned __int128 frac = v & mask, half = (unsigned __int128)(pt & 1) << (s - 1);
+    int cmp = rem != pt / 2 ? (rem > pt / 2) - (rem < pt / 2) : (frac > half) - (frac < half);
+    c += cmp > 0 || (cmp == 0 && c & 1);
+    /* |x|'s digits are c's (no trailing zero), times 10^point */
+    int point = t - k;
+    if (x < 0)
+        *p++ = '-';
+    char *end = put_int(p, (int64_t)c);
+    int n = (int)(end - p), lead = -(n + point);
+    if (lead >= 0) {                    /* 0.000ddd */
+        memmove(p + 2 + lead, p, n);
+        memcpy(p, "0.", 2);
+        memset(p + 2, '0', lead);
+        return end + 2 + lead;
+    }
+    if (point < 0) {                    /* dd.ddd */
+        memmove(end + point + 1, end + point, -point);
+        end[point] = '.';
+        return end + 1;
+    }
+    memset(end, '0', point);            /* ddd000.0 */
+    memcpy(end + point, ".0", 2);
+    return end + point + 2;
 }
 
 /* Write rows *row, *row + 1, ... (below rows) of the ncols columns into out,
@@ -563,8 +633,12 @@ int64_t stageq_format_rows(DoubleToString to_string, MemFree mem_free,
             } else if (col->kind == COL_GRID) {
                 p = put_int(p, i / col->div % col->mod);
             } else if (col->kind == COL_FLOAT) {
-                char *s = to_string(((const double *)col->data)[i], 'r', 0,
-                                    DTSF_ADD_DOT_0, NULL);
+                double x = ((const double *)col->data)[i];
+                if (fabs(x) >= 1e-4 && fabs(x) < 0x1p53) {
+                    p = put_repr(p, x);
+                    continue;
+                }
+                char *s = to_string(x, 'r', 0, DTSF_ADD_DOT_0, NULL);
                 if (s == NULL) {
                     *row = i;
                     return -1;

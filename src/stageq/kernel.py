@@ -16,8 +16,10 @@ backward_induction's C bodies, bit for bit; the solve sums through ddot().
 formatter() gives the library's last entry point, stageq_format_rows
 (metrics.write_table's rows), with CPython's repr routine and PyMem_Free,
 found through ctypes.pythonapi, passed in by address, so the library links
-no Python symbol.  They need the GIL, so it is called through a ctypes.PyDLL
-handle, while stageq_stretch stays a CDLL call, which releases it.
+no Python symbol; it calls them only for floats outside [1e-4, 2**53),
+and writes repr of the others itself.  They need the GIL, so it is called
+through a ctypes.PyDLL handle, while stageq_stretch stays a CDLL call,
+which releases it.
 
 The kernel draws the stream's uniforms (harness.UniformStream) by stepping
 its PCG64 state in place (pcg64_state finds it through the bit generator's

@@ -32,7 +32,9 @@ is built, else in its Python twin, into the same rows (see Audit).
 write_table writes every numeric table from columns, in C where the
 kernel is built, else through write_csv, the reference for the C body's
 bytes; rounds.csv too, a window of NumPy-built round columns a call
-(concurrent.write_rounds_csv).
+(concurrent.write_rounds_csv).  The C body prints repr of each float with
+1e-4 <= |x| < 2**53 by its own exact integer arithmetic, and hands the
+others to CPython's repr routine.
 """
 
 from __future__ import annotations
@@ -430,9 +432,10 @@ def write_table(out, header: str | None, columns) -> None:
     (%d), floats by repr (%r).  A column is a flat run of numbers (anything
     np.ravel takes; arrays are read in place), a GridAxis, or None for an
     empty cell.  With the kernel, C formats CHUNK_BYTES of rows a call
-    (kernel.formatter); without it, write_csv does, 1024 rows at a time:
-    the reference for the C body's bytes.  Either holds one chunk of text,
-    whatever the row count."""
+    (kernel.formatter), floats with 1e-4 <= |x| < 2**53 by its own digit
+    search and the rest through CPython's repr routine; without it,
+    write_csv does, 1024 rows at a time: the reference for the C body's
+    bytes.  Either holds one chunk of text, whatever the row count."""
     if not hasattr(out, "write"):
         with open(out, "w") as f:
             return write_table(f, header, columns)

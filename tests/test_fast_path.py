@@ -14,8 +14,11 @@ every episode and every replayed trajectory it must equal np.argmax of Q.
 """
 
 import ctypes
+import functools
 import hashlib
+import io
 import json
+import math
 import os
 import platform
 import re
@@ -37,7 +40,8 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec
 from stageq import harness
 from stageq.concurrent import replay_into
 from stageq.mdp import START_BLOCK
-from stageq.metrics import AUDIT_ROWS, Audit, OptimismTracker, PolicyValueCache, check_optimism
+from stageq.metrics import (AUDIT_ROWS, Audit, OptimismTracker, PolicyValueCache, check_optimism,
+                            write_table)
 from test_cli import PINNED_RUN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,6 +166,44 @@ def test_kernel_links_no_python_symbol_and_formats_under_the_gil():
     assert not kernel.load().stageq_stretch._flags_ & ctypes._FUNCFLAG_PYTHONAPI
     assert fmt.args == tuple(ctypes.cast(f, ctypes.c_void_p).value for f in (
         ctypes.pythonapi.PyOS_double_to_string, ctypes.pythonapi.PyMem_Free))
+
+
+def test_kernel_formatter_calls_cpython_only_outside_its_fixed_notation_range(tmp_path,
+                                                                            monkeypatch):
+    # the kernel writes repr itself for 1e-4 <= |x| < 2**53 and hands every
+    # other float to the to_string it is given, here a counting stand-in for
+    # PyOS_double_to_string: never for qucb-wide's three files at seed 0
+    # (perfbench/worker.py's workload, checked against its recorded digests),
+    # once for each value outside the range
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    signature = (ctypes.c_void_p, ctypes.c_double, ctypes.c_char, ctypes.c_int, ctypes.c_int,
+                 ctypes.c_void_p)
+    address = ctypes.cast(ctypes.pythonapi.PyOS_double_to_string, ctypes.c_void_p).value
+    to_string, passed = ctypes.PYFUNCTYPE(*signature)(address), []
+
+    def counting(x, *args):
+        passed.append(x)
+        return to_string(x, *args)
+
+    stand_in = ctypes.CFUNCTYPE(*signature)(counting)
+    monkeypatch.setattr(kernel, "formatter", lambda: functools.partial(
+        kernel.load().stageq_format_rows, ctypes.cast(stand_in, ctypes.c_void_p).value,
+        ctypes.cast(ctypes.pythonapi.PyMem_Free, ctypes.c_void_p).value))
+    res = harness.run_experiment(RunConfig(
+        env=EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0), algo="classic-qucb",
+        constants=AlgoConstants(p=0.1), cb=0.01, episodes=800, seed=0, log_every="all"))
+    harness.write_run_outputs(res, tmp_path)
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == recorded["digests"]["qucb-wide"]["0"]
+    assert passed == []
+    outside = [0.0, 5e-324, 1e-5, math.nextafter(1e-4, 0.0), 2.0**53, 1e300, math.inf, math.nan]
+    floats = np.array([0.5, *outside, 1e-4, 2.0**53 - 1])
+    out = io.StringIO()
+    write_table(out, None, [floats])
+    assert out.getvalue() == "".join("%r\n" % x for x in floats.tolist())
+    assert list(map(repr, passed)) == list(map(repr, outside))
 
 
 def c_struct_fields(source: str, name: str):

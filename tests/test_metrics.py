@@ -10,7 +10,7 @@ from stageq import (DeterministicPolicy, EPISODE_CSV_HEADER, EnvSpec, EpisodeRec
                     backward_induction, check_optimism, count_switches,
                     kernel, make_random_mdp, policy_evaluation, run_experiment,
                     switching_bound, write_episode_csv)
-from stageq.metrics import GridAxis, grid, write_csv, write_table
+from stageq.metrics import CHUNK_BYTES, GridAxis, grid, write_csv, write_table
 
 from oracles import episode_regret
 
@@ -336,6 +336,58 @@ def test_kernel_formatter_gives_the_python_bodys_bytes_on_adversarial_values(mon
     want = "".join("%d,%r,%d,%r,\n" % (i, x, r // 7 % 5, -x)
                    for r, (i, x) in enumerate(zip(ints.tolist(), floats.tolist())))
     assert kernel_bytes == "i,x,g,y,\n" + want
+
+
+def fixed_notation_floats():
+    """Floats in the kernel formatter's own range, [1e-4, 2**53), where repr
+    is in fixed notation, with both signs: random mantissas at every binary
+    exponent, every power of two (the narrower gap below it), mantissas with
+    one to three bits set, decimals of each length from 1 to 17 digits (which
+    give ties in the last digit), the neighbours of all of these, and the
+    range's edges with +-0.0 outside it."""
+    gen = np.random.default_rng(32)
+    exponents = np.arange(1023 - 14, 1023 + 53, dtype=np.uint64)[:, None] << np.uint64(52)
+    few = np.bitwise_or.reduce(np.uint64(1) << gen.integers(0, 52, (67, 40, 3), dtype=np.uint64),
+                               axis=-1)
+    mantissas = np.hstack([np.zeros((67, 1), np.uint64), few,
+                           gen.integers(0, 2**52, (67, 200), dtype=np.uint64)])
+    binary = (exponents | mantissas).view(np.float64).ravel()
+    draws = (gen.uniform(1, 10, 17_000) * 10.0 ** gen.integers(-4, 16, 17_000)).tolist()
+    decimal = [float("%.*g" % (1 + i % 17, x)) for i, x in enumerate(draws)]
+    x = np.concatenate([binary, decimal])
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)])
+    edges = [np.nextafter(1e-4, 0.0), 1e-4, 2.0**53 - 1, 2.0**53, 0.0, -0.0]
+    return np.concatenate([x, -x, edges])
+
+
+@pytest.mark.parametrize("body", ["kernel", "python"])
+def test_write_table_prints_repr_across_the_fixed_notation_range(body, monkeypatch):
+    if body == "kernel" and kernel.formatter() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    if body == "python":
+        monkeypatch.setattr(kernel, "formatter", lambda: None)
+    floats = fixed_notation_floats()
+    assert ((np.abs(floats) >= 1e-4) & (np.abs(floats) < 2.0**53)).mean() > 0.9
+    out = io.StringIO()
+    write_table(out, None, [floats])
+    got, want = out.getvalue().splitlines(), ["%r" % x for x in floats.tolist()]
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+
+def test_kernel_formatter_fills_chunks_with_its_longest_cells():
+    # the kernel's own longest float cell has 23 characters, as
+    # -0.00012345678901234567 does (CELL_MAX in _kernel.c); rows of four
+    # such cells fill several CHUNK_BYTES buffers, each to its last row
+    if kernel.formatter() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    draws = -np.random.default_rng(33).uniform(1e-4, 1e-3, 100_000)
+    rows = draws[[len(repr(x)) == 23 for x in draws.tolist()]][:24_000].reshape(-1, 4)
+    out = io.StringIO()
+    write_table(out, None, list(rows.T))
+    want = "".join("%r,%r,%r,%r\n" % tuple(row) for row in rows.tolist())
+    assert len(rows) == 6_000 and len(want) > 4 * CHUNK_BYTES
+    assert out.getvalue() == want
 
 
 @pytest.mark.parametrize("body", ["kernel", "python"])
