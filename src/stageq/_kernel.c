@@ -114,8 +114,8 @@ typedef struct {
     int64_t u_index;        /* index in u of the first unread uniform */
     int64_t u_avail;        /* unread uniforms at u + u_index; past them the
                                kernel steps pcg */
-    int64_t count;          /* episodes to play at most; with the audit, at
-                               most the rows the row buffers hold */
+    int64_t count;          /* episodes to play at most, in one block of
+                               starts (one block rule): the audit's rows */
     int64_t agents;         /* M, the episodes of a concurrent round, or 0 */
     int64_t first;          /* starts[0]'s episode (with agents, generation) index */
     int64_t limit, consumed;    /* with agents, the call ends at a round start

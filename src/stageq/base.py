@@ -19,18 +19,18 @@ module) read and write in place; numpy copies are exported on demand.
 The drivers run_episode (one episode), run_stretch (episodes up to the
 first Q change) and run_rounds (a concurrent run's rounds, through Q
 changes) are each one call of _call, which plays at most one block of
-START_BLOCK (4096) start states, or, audited (metrics.Audit), one block
-of AUDIT_ROWS (256) rows: in C, stageq_stretch, for every learner here
-(the Learner struct's mode says whose observe it repeats), or without a
-C compiler its
-twin _play, one reference_episode (sample_episode feeding observe, one
-transition at a time, the path the kernel must match bit for bit) after
-another.  Both end a call at the same episode.  Every driver takes the
-run's start states (init, an InitialStates: every episode from state 0
-where none is given), read from the block init.block returns, and draws
-its uniforms from the stream (harness.UniformStream), whose draws and the
-kernel's can be swapped for one another.  Recorded trajectories
-(observe_trajectory) go through Python observe.
+START_BLOCK (4096) start states, audited (metrics.Audit) or not: one
+block rule for every call.  The call is, in C, stageq_stretch, for every
+learner here (the Learner struct's mode says whose observe it repeats),
+or without a C compiler its twin _play, one reference_episode
+(sample_episode feeding observe, one transition at a time, the path the
+kernel must match bit for bit) after another.  Both end a call at the
+same episode.  Every driver takes the run's start states (init, an
+InitialStates: every episode from state 0 where none is given), read
+from the block init.block returns, and draws its uniforms from the
+stream (harness.UniformStream), whose draws and the kernel's can be
+swapped for one another.  Recorded trajectories (observe_trajectory) go
+through Python observe.
 
 The greedy policy is kept as state rather than recomputed: _greedy holds
 the lowest-index argmax of every Q row, one entry per flat (h, s) index.
@@ -56,7 +56,6 @@ import numpy as np
 
 from . import kernel
 from .mdp import DEFAULT_STARTS, START_BLOCK, EpisodicMdp, InitialStates, sample_episode
-from .metrics import AUDIT_ROWS
 from .stages import OutOfRangeError
 
 
@@ -170,8 +169,7 @@ class TabularQLearnerBase:
         call (_call), which stops after the first one that changes Q, or at
         the end of the block of START_BLOCK start states that holds
         `first`; rng is a harness.UniformStream.  An audited learner's call
-        (metrics.Audit) stops at the end of first's block of AUDIT_ROWS
-        episodes instead, the rows its buffers hold, and with the kernel's
+        (metrics.Audit) keeps the one block rule, and with the kernel's
         audit and NumPy's ddot plays through Q changes: the call that
         metrics.Audit._play plays in Python.  Returns (played, changed):
         the episodes played and whether Q changed."""
@@ -196,8 +194,9 @@ class TabularQLearnerBase:
     def _call(self, mdp: EpisodicMdp, rng, init: InitialStates, first: int, count: int,
               agents: int = 0, consumed: int = 0, limit: int = 0):
         """Play at most count episodes from generated episode first, and no
-        further than the end of its block of START_BLOCK start states, or
-        audited, of AUDIT_ROWS rows: one kernel call (stageq_stretch), or
+        further than the end of its block of START_BLOCK start states (one
+        block rule, audited or not, which also keeps an audited call inside
+        metrics.Audit's row buffers): one kernel call (stageq_stretch), or
         its twin _play without the kernel.  agents = 0 is a stretch
         (run_stretch), agents = M a call of rounds (run_rounds).  Returns
         (played, consumed, changes): the episodes played or skipped,
@@ -208,8 +207,6 @@ class TabularQLearnerBase:
         if self._lib is None:
             return self._play(mdp, rng, init, first, count, agents, consumed, limit)
         k = self._kstate
-        if k.row_reals:     # audited: the row buffers hold AUDIT_ROWS
-            count = min(count, AUDIT_ROWS - first % AUDIT_ROWS)
         if agents and not self._changes:     # at most one per episode of a call
             self._changes = array("q", [0]) * START_BLOCK
             k.changes = self._changes.buffer_info()[0]

@@ -61,9 +61,8 @@ class InvalidEpsilon(ValueError):
 # ------------------------------------------------------- initial states
 
 # Episodes per InitialStates.block, the seeded kind drawing as many at
-# once: UniformStream.BLOCK's size.  An unaudited kernel call plays no
-# further than its block's end, an audited one no further than the end of
-# its block of metrics.AUDIT_ROWS (256) rows.
+# once: UniformStream.BLOCK's size.  One block rule: every kernel call,
+# audited or not, plays no further than its block's end.
 START_BLOCK = 4096
 
 

@@ -16,10 +16,12 @@ every episode and every replayed trajectory it must equal np.argmax of Q.
 import ctypes
 import functools
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import platform
 import re
 import shutil
@@ -32,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stageq
 from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec, EpisodicMdp,
                     HoeffdingStageLearner, InitialStates, NonStochasticRow, OracleAgent,
                     OutOfRangeError, RunConfig, UcbAdvantageLearner, backward_induction,
@@ -39,8 +42,8 @@ from stageq import (AlgoConstants, ClassicQUcbLearner, ConcurrentConfig, EnvSpec
                     run_concurrent_experiment, save_mdp, seeded_stream, validate)
 from stageq import harness
 from stageq.concurrent import replay_into
-from stageq.mdp import START_BLOCK
-from stageq.metrics import (AUDIT_ROWS, Audit, OptimismTracker, PolicyValueCache, check_optimism,
+from stageq.mdp import DEFAULT_STARTS, START_BLOCK
+from stageq.metrics import (Audit, OptimismTracker, PolicyValueCache, check_optimism,
                             write_table)
 from test_cli import PINNED_RUN
 
@@ -274,6 +277,33 @@ def kernel_and_reference(monkeypatch, cls, mdp, const, n_max):
         m.setattr(kernel, "load", lambda: None)
         ref = make(cls, mdp, const, n_max)
     return fast, ref
+
+
+# the modules that bind START_BLOCK, each of which the small_blocks fixture
+# patches, and its block: a multiple of 256, so no start state changes
+BLOCK_MODULES = ("stageq.mdp", "stageq.base", "stageq.metrics")
+SMALL_BLOCK = 256
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """START_BLOCK at SMALL_BLOCK everywhere, so that a short run crosses
+    many block ends; returns the block size.  A test that uses it passes
+    fresh InitialStates (replace(init)) to every call: a shared one keeps
+    the last block it read, whose short length would outlive the patch."""
+    shared = [DEFAULT_STARTS, *(inst[4] for inst in GREEDY_INSTANCES)]
+    cached = [init._last for init in shared]
+    for name in BLOCK_MODULES:
+        monkeypatch.setattr(f"{name}.START_BLOCK", SMALL_BLOCK)
+    yield SMALL_BLOCK
+    assert all(init._last is last for init, last in zip(shared, cached)), \
+        "a shared InitialStates read a short block: pass replace(init)"
+
+
+def test_small_blocks_patches_every_module_that_binds_start_block():
+    names = ["stageq", *(name for _, name, _ in pkgutil.iter_modules(stageq.__path__, "stageq."))]
+    bound = [name for name in names if "START_BLOCK" in vars(importlib.import_module(name))]
+    assert sorted(bound) == sorted(BLOCK_MODULES)
 
 
 def assert_generator_stepped(rng, before, lr):
@@ -784,8 +814,8 @@ def test_audited_run_matches_fallback(monkeypatch, lower_vstar, inst, algo):
 
 
 def count_kernel_calls(monkeypatch):
-    """A Counter of the stageq_stretch calls of the kernel learners the
-    harness makes."""
+    """A Counter of the stageq_stretch calls of each kernel learner the
+    harness makes, by learner (a sweep's threads count apart)."""
     calls = Counter()
     make = harness.make_learner
 
@@ -796,7 +826,7 @@ def count_kernel_calls(monkeypatch):
         stretch = lr._stretch
 
         def counted(addr):
-            calls["stretch"] += 1
+            calls[lr] += 1
             return stretch(addr)
         lr._stretch = counted
         return lr
@@ -805,10 +835,11 @@ def count_kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("inst,algo", [("chain", "advantage"), ("wide", "classic-qucb")])
-def test_every_row_matches_the_python_body(monkeypatch, inst, algo):
+def test_every_row_matches_the_python_body(monkeypatch, small_blocks, inst, algo):
     # a run logging every episode: each row the kernel writes inside a call
-    # that plays through Q changes, against the Python audit's.  On the
-    # chain, refs_fixed also moves in episodes that change no Q
+    # that plays through Q changes, to the end of its block of start
+    # states, against the Python audit's.  On the chain, refs_fixed also
+    # moves in episodes that change no Q
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     env, K, _ = AUDIT_ENVS[inst]
@@ -820,7 +851,7 @@ def test_every_row_matches_the_python_body(monkeypatch, inst, algo):
     assert harness.run_experiment(cfg).records == rows
     assert [r.k for r in rows] == list(range(1, K + 1))
     changes = sum(a.cum_q_updates < b.cum_q_updates for a, b in zip(rows, rows[1:]))
-    assert calls["stretch"] == -(-K // 256) and changes > 2 * calls["stretch"]
+    assert calls.total() == -(-K // small_blocks) and changes > 2 * calls.total()
     refs_alone = sum(a.cum_q_updates == b.cum_q_updates and a.ref_states_fixed < b.ref_states_fixed
                      for a, b in zip(rows, rows[1:]))
     assert (refs_alone > 0) == (inst == "chain")
@@ -829,8 +860,9 @@ def test_every_row_matches_the_python_body(monkeypatch, inst, algo):
 def test_qucb_wide_makes_one_call_per_start_block_with_ddot(monkeypatch):
     # the benchmark's qucb-wide run, where classic-qucb changes Q in every
     # episode: with NumPy's ddot the kernel plays through the changes, one
-    # call per block of 256 audited rows (metrics.AUDIT_ROWS); without it,
-    # a call ends at each Q change, and the rows are the same
+    # call per block of START_BLOCK start states, so one for its 800
+    # episodes; without it, a call ends at each Q change, and the rows are
+    # the same
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     cfg = RunConfig(env=EnvSpec(kind="random", S=50, A=5, H=20, env_seed=0),
@@ -842,9 +874,32 @@ def test_qucb_wide_makes_one_call_per_start_block_with_ddot(monkeypatch):
         calls.clear()
         rows = harness.run_experiment(cfg).records
         changes = 1 + sum(a.cum_q_updates < b.cum_q_updates for a, b in zip(rows, rows[1:]))
-        runs[name] = rows, calls["stretch"], changes
+        runs[name] = rows, calls.total(), changes
     assert runs["ddot"][0] == runs["evaluate"][0]
-    assert runs["ddot"][1:] == (4, 800) and runs["evaluate"][1:] == (800, 800)
+    assert runs["ddot"][1:] == (1, 800) and runs["evaluate"][1:] == (800, 800)
+
+
+def test_chain_sweep_makes_two_audited_calls_per_seed(monkeypatch):
+    # the benchmark's chain-sweep, at its full START_BLOCK: with NumPy's
+    # ddot each seed's 6,000 audited episodes are two kernel calls, which
+    # end at the first block's end and at the run's end, and its rows are
+    # those of the calls that end at each Q change
+    if kernel.load() is None or kernel.ddot() is None:
+        pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
+    cfg = RunConfig(env=EnvSpec(kind="jao", H=40, jao_delta=0.4, jao_epsilon=0.1, env_seed=0),
+                    algo="advantage", episodes=6000, strict=True,
+                    constants=AlgoConstants(n0_override=500, **CONSTANT_SETS["desk"]))
+    assert -(-cfg.episodes // START_BLOCK) == 2
+    sweeps, calls = [], count_kernel_calls(monkeypatch)
+    for name in ("ddot", "evaluate"):
+        if name == "evaluate":
+            monkeypatch.setattr(kernel, "ddot", lambda: None)
+        calls.clear()
+        sweeps.append(harness.sweep_scaling(cfg, [0.25, 0.5, 1.0], seeds=[0, 1]))
+        if name == "ddot":
+            assert sorted(calls.values()) == [2, 2]
+    assert sweeps[0] == sweeps[1] and len(sweeps[0]) == 6
+    assert sorted(calls.values())[0] > 2
 
 
 def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
@@ -1016,9 +1071,10 @@ def play_to(audit, rng, k, target, keep):
 
 
 @pytest.mark.parametrize("env", LAYER_ENVS, ids=LAYER_IDS)
-def test_kernel_layers_match_the_python_layer_loop(monkeypatch, env):
-    # the kernel summing V^pi's layers in C through NumPy's ddot, and so
-    # playing through Q changes, against the same kernel leaving them to
+def test_kernel_layers_match_the_python_layer_loop(monkeypatch, small_blocks, env):
+    # with blocks of 256 start states: the kernel summing V^pi's layers in
+    # C through NumPy's ddot, and so playing through Q changes to the end
+    # of each block, against the same kernel leaving them to
     # PolicyValueCache.evaluate, whose calls end at each Q change: at the
     # end of each call of the first, both have kept the same rows (every
     # episode's) and hold the same V^pi, gathered rows and running values,
@@ -1108,23 +1164,24 @@ def test_a_second_audit_starts_from_zero_on_both_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("first", [250, 255, 256])
-def test_audited_calls_end_where_kernel_calls_do(first, monkeypatch):
-    # classic-qucb changes Q in every episode; from 6, 1 and 256 episodes
-    # before a block's end, with sparse kept rows: each audited call, with
-    # the kernel and NumPy's ddot and in Python alike, ends at the end of
-    # its block of start states or at stop, and the calls return the same
-    # played, kept rows and running values
+def test_audited_calls_end_where_kernel_calls_do(first, monkeypatch, small_blocks):
+    # classic-qucb changes Q in every episode; with blocks of 256 start
+    # states, from 6, 1 and 256 episodes before a block's end, with sparse
+    # kept rows: each audited call, with the kernel and NumPy's ddot and in
+    # Python alike, ends at the end of its block of start states or at
+    # stop, and the calls return the same played, kept rows and running
+    # values
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     _, make_mdp, _, _, init = INSTANCES[2]
-    mdp = make_mdp()
+    mdp, B = make_mdp(), small_blocks
     vstar, _ = backward_induction(mdp)
     fast, ref = kernel_and_reference(monkeypatch, ClassicQUcbLearner, mdp, AlgoConstants(),
                                      None)
     stop, keep = first + 600, range(first + 3, first + 600, 7)
     rngs, calls = (seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")), []
     for lr, rng in zip((fast, ref), rngs):
-        audit, k, ends = Audit(lr, mdp, vstar, init), first, []
+        audit, k, ends = Audit(lr, mdp, vstar, replace(init)), first, []
         while k < stop:
             n = len(audit.records)
             played = audit.stretch(rng, k, stop, keep)
@@ -1133,34 +1190,35 @@ def test_audited_calls_end_where_kernel_calls_do(first, monkeypatch):
         calls.append(ends)
         assert [r.k for r in audit.records] == list(keep)
     assert calls[0] == calls[1]
-    block_ends = range(first // 256 * 256 + 256, stop, 256)
+    block_ends = range(first // B * B + B, stop, B)
     assert [end for end, _, _ in calls[0]] == [*block_ends, stop]
     assert fast.q_update_count == 600 * mdp.H
     assert_same_state(fast, ref)
     assert_same_stream(*rngs)
 
 
-def test_audited_learners_own_stretch_ends_at_its_row_block():
+def test_audited_learners_own_stretch_ends_at_its_start_block(small_blocks):
     # run_stretch called on an audited learner, not through Audit.stretch,
-    # writes a row per episode too, so it ends where Audit.stretch would:
-    # at the end of first's block of AUDIT_ROWS episodes
+    # writes a row per episode into the audit's buffers of START_BLOCK rows
+    # too, and ends where Audit.stretch does: at the end of first's block
+    # of start states
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
     _, make_mdp, _, _, init = INSTANCES[2]
-    mdp = make_mdp()
+    mdp, init, B = make_mdp(), replace(init), small_blocks
     oracle = OracleAgent(mdp)      # Q never changes, so no call ends at a change
     audit = Audit(oracle, mdp, backward_induction(mdp)[0], init)
-    rng, stop = seeded_stream(0, 0, "env"), 4 * START_BLOCK
-    assert oracle.run_stretch(mdp, rng, AUDIT_ROWS - 6, stop, init) == (6, False)
-    assert oracle.run_stretch(mdp, rng, AUDIT_ROWS, stop, init) == (AUDIT_ROWS, False)
-    assert audit.stretch(rng, 2 * AUDIT_ROWS, stop) == AUDIT_ROWS
+    rng, stop = seeded_stream(0, 0, "env"), 4 * B
+    assert oracle.run_stretch(mdp, rng, B - 6, stop, init) == (6, False)
+    assert oracle.run_stretch(mdp, rng, B, stop, init) == (B, False)
+    assert audit.stretch(rng, 2 * B, stop) == B
 
 
 DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                         ctypes.c_void_p, ctypes.c_int64)
 
 
-def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
+def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch, small_blocks):
     # the C layer loop with a stand-in ddot that logs its arguments and
     # returns -0.0: inside one kernel call, each Q-changing episode whose
     # policy changes must recompute V[top], ..., V[0] from its own deepest
@@ -1169,7 +1227,8 @@ def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch):
     # evaluate's += do.  The tops come from the same kernel without ddot,
     # whose calls end at each Q change.  No BLAS ddot returns -0.0 for
     # these sums, so only a stand-in shows the 0.0 start, which turns its
-    # -0.0 into 0.0 before the -0.0 rewards
+    # -0.0 into 0.0 before the -0.0 rewards.  With blocks of 256 start
+    # states, each of the three calls holds more than one top
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
     calls = []
