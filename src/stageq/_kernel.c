@@ -16,10 +16,10 @@
  *
  * With the audit fields bound (metrics.Audit binds them), stageq_stretch
  * also audits each episode, as metrics.Audit._play does in Python, and
- * writes its audit row.  Each layer sum of V^pi calls the ddot that NumPy's dot
- * calls, so V^pi comes out bit for bit as PolicyValueCache.evaluate
- * computes it, and the call plays on through Q changes; without that
- * function the call ends at the first Q change, as it does unaudited.
+ * writes its audit row.  Each layer sum of V^pi calls the ddot NumPy's dot
+ * calls, so V^pi, the first table's too, is PolicyValueCache.evaluate's bit
+ * for bit, and the call plays on through Q changes; without that function
+ * the call ends at the first Q change, as it does unaudited.
  *
  * With agents = M > 0 (run_concurrent's rounds of M episodes, unaudited),
  * a call plays through Q changes, skipping the rest of each Q-changing
@@ -34,8 +34,8 @@
  * wide), is stageq_stretch's one argument; its last fields are the inputs
  * set before each call and the outputs the call fills.
  *
- * stageq_cum_rows and stageq_solve prepare an instance (harness.Prepared)
- * with the bits of their NumPy bodies: its cumulative rows, and V*, Q*, pi*.
+ * stageq_cum_rows, validate's filter too, and stageq_solve prepare an
+ * instance with their NumPy bodies' bits: its cumulative rows, V*, Q*, pi*.
  *
  * stageq_format_rows writes the rows of metrics.write_table: integers in
  * decimal, and floats as repr writes them.  For 1e-4 <= |x| < 2**53, where
@@ -93,7 +93,7 @@ typedef struct {
     double *vpi;            /* V^pi of the greedy policy played, (H+1)*S */
     const double *thr;      /* Q* - 1e-9 per (h, s, a) */
     int8_t *below;          /* q < thr, per (h, s, a) */
-    int64_t *last;          /* the policy cache's table, per (h, s) */
+    int64_t *last;          /* the policy cache's table, per (h, s); -1 before one */
     double *p_pi, *r_pi;    /* the rows of P and r that table selects */
     /* each episode's audit row, at its place in the call (q_updates and
      * refs_fixed as increments in the call) */
@@ -316,6 +316,14 @@ static void audit_regret(Learner *L, int64_t s1, int64_t k)
         L->negative = k;
 }
 
+/* The policy cache's row i2 set to action a: its table entry and rows of P and r */
+static inline void select_row(Learner *L, int64_t i2, int64_t a)
+{
+    L->last[i2] = a;
+    memcpy(L->p_pi + i2 * L->S, L->P + (i2 * L->A + a) * L->S, (size_t)L->S * sizeof(double));
+    L->r_pi[i2] = L->mdp_rew[i2 * L->A + a];
+}
+
 /* The audit after an episode that changed Q, which wrote Q and the greedy
  * table only along its path: OptimismTracker.update on the H cells, then
  * PolicyValueCache.values on the H rows (a row per layer, so the last one
@@ -334,9 +342,7 @@ static void audit_change(Learner *L)
         }
         int64_t a = L->greedy[i2];
         if (a != L->last[i2]) {
-            L->last[i2] = a;
-            memcpy(L->p_pi + i2 * S, L->P + (i2 * A + a) * S, (size_t)S * sizeof(double));
-            L->r_pi[i2] = L->mdp_rew[i2 * A + a];
+            select_row(L, i2, a);
             differ++;
             L->top = h;
         }
@@ -360,7 +366,7 @@ static double dot(Ddot ddot, int64_t n, const double *x, const double *y)
 
 /* PolicyValueCache.evaluate(top) in place, and top = -1: V[h] for h = top
  * down to 0, each entry its row's dot, then + r_pi. */
-static void audit_layers(Learner *L)
+static inline void audit_layers(Learner *L)
 {
     int64_t S = L->S;
     for (int64_t h = L->top; h >= 0; h--) {
@@ -373,19 +379,30 @@ static void audit_layers(Learner *L)
     L->top = -1;
 }
 
+/* PolicyValueCache.values of the first table, the cache's table being -1.
+ * Out of line (gcc's and clang's noinline), it leaves stageq_stretch's episode
+ * loop compiled as before: inlined, that loop ran 3% slower on rounds-m8. */
+__attribute__((noinline)) static void audit_first(Learner *L)
+{
+    for (int64_t i2 = 0; i2 < L->H * L->S; i2++)
+        select_row(L, i2, L->greedy[i2]);
+    L->top = L->H - 1;
+    audit_layers(L);
+}
+
 /* Play up to count episodes with initial states starts[0..), drawing one
- * uniform per step: the u_avail at u + u_index, then from pcg.
- * With the audit on, each episode is audited and its row written; with
- * ddot too, the call plays through Q changes.  With agents = M, starts[0]
- * is generated episode first; every episode played is consumed, and after
- * the Q-changing one at place j of its round the call writes its index to
- * changes and skips the round's other M - 1 - j (their uniforms count in
- * used; a skip may pass count); at each round start it stops once consumed
- * >= limit.  Otherwise the call stops after the first episode that changes
- * Q.  The switches of a policy change are added when the next episode
- * plays, so the row of the episode that changed Q does not count them.
- * Returns the episodes played or skipped, or -1 on an error (bad_n or
- * bad_index). */
+ * uniform per step: the u_avail at u + u_index, then from pcg.  With the
+ * audit on, each episode is audited and its row written; with ddot too, the
+ * call plays through Q changes, from the first table on (audit_first).  With
+ * agents = M, starts[0] is generated episode first; every episode played is
+ * consumed, and after the Q-changing one at place j of its round the call
+ * writes its index to changes and skips the round's other M - 1 - j (their
+ * uniforms count in used; a skip may pass count); at each round start it
+ * stops once consumed >= limit.  Otherwise the call stops after the first
+ * episode that changes Q.  The switches of a policy change are added when
+ * the next episode plays, so the row of the episode that changed Q does not
+ * count them.  Returns the episodes played or skipped, or -1 on an error
+ * (bad_n or bad_index). */
 int64_t stageq_stretch(Learner *L)
 {
     int64_t S = L->S, A = L->A, H = L->H;
@@ -403,6 +420,8 @@ int64_t stageq_stretch(Learner *L)
     L->bad_n = L->bad_index = 0;
     L->top = -1;
     L->n_changes = 0;
+    if (audit && L->ddot != NULL && L->last[0] < 0)
+        audit_first(L);
     while (played < count) {
         if (M && j == 0 && L->consumed >= L->limit)
             break;
@@ -472,18 +491,30 @@ int64_t stageq_stretch(Learner *L)
 }
 
 /* EpisodicMdp.cum_array: each of P's rows of n summed in order into cum,
- * as np.cumsum sums it, then its last entry set to 1.0 */
-void stageq_cum_rows(const double *P, double *cum, int64_t rows, int64_t n)
+ * as np.cumsum sums it, then its last entry set to 1.0.  Returns the rows
+ * flagged where an entry fails >= 0.0, r[i] is not in [0, 1] or the sum
+ * misses 1 by more than tol - 2 (n - 1) DBL_EPSILON: any two orders of
+ * adding n entries >= 0 (NumPy's pairwise one, say) give sums near 1 within
+ * half that margin (Higham, ch. 4), so each row validate rejects is flagged. */
+int64_t stageq_cum_rows(const double *P, const double *r, double *cum, int64_t rows,
+                        int64_t n, double tol)
 {
-    for (int64_t i = 0; i < rows * n; i += n) {
-        double x = P[i];
-        cum[i] = x;
+    double margin = 2.0 * (double)(n - 1) * 0x1p-52;      /* DBL_EPSILON = 2^-52 */
+    int64_t flagged = 0;
+    for (int64_t i = 0; i < rows; i++) {
+        const double *p = P + i * n;
+        double *c = cum + i * n, x = p[0];
+        int ok = x >= 0.0 && r[i] >= 0.0 && r[i] <= 1.0;
+        c[0] = x;
         for (int64_t j = 1; j < n; j++) {
-            x += P[i + j];
-            cum[i + j] = x;
+            x += p[j];
+            c[j] = x;
+            ok &= p[j] >= 0.0;
         }
-        cum[i + n - 1] = 1.0;
+        flagged += !(ok && fabs(x - 1.0) <= tol - margin);
+        c[n - 1] = 1.0;
     }
+    return flagged;
 }
 
 /* mdp.backward_induction of a validated MDP: Q[h, s, a] = r[h, s, a] +

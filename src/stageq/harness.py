@@ -13,8 +13,8 @@ so changing the learner never perturbs the environment draw sequence.
 
 Each driver call prepares its environment once (Prepared: built,
 validated, solved, start states checked); a run keeps its own learner,
-stream, audit state (copied, not recomputed) and copy of the start states
-(dataclasses.replace: a seeded InitialStates keeps a live generator).
+stream, audit state and copy of the start states (dataclasses.replace: a
+seeded InitialStates keeps a live generator).
 
 The one audit loop (_audited_run, metrics.Audit) keeps a record only for
 the episodes its caller keeps (run_experiment: the log cadence;
@@ -27,7 +27,6 @@ import hashlib
 import os
 import threading
 import time
-from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -40,9 +39,9 @@ from .base import TabularQLearnerBase
 from .baselines import ClassicQUcbLearner
 from .concurrent import ConcurrentConfig, run_concurrent, write_rounds_csv
 from .mdp import (DEFAULT_STARTS, EpisodicMdp, InitialStates, backward_induction, load_mdp,
-                  make_jao_chain, make_random_mdp, validate)
-from .metrics import (Audit, EpisodeRecord, PolicyValueCache, Table, grid, switching_bound,
-                      write_episode_csv, write_table)
+                  make_jao_chain, make_random_mdp)
+from .metrics import (Audit, EpisodeRecord, Table, grid, switching_bound, write_episode_csv,
+                      write_table)
 
 ALGOS = ("advantage", "hoeffding-stage", "classic-qucb", "oracle")
 
@@ -185,19 +184,17 @@ def make_learner(algo: str, mdp: EpisodicMdp, constants: AlgoConstants,
 class Prepared:
     """One environment made ready for the runs of a driver call, which
     share it: they, the kernel included, only read it.  Builds, validates
-    and (audited) solves env for runs of at most `episodes` episodes each,
-    or episodes(mdp); MdpValidationError for a start state outside the MDP.
-    Without the audit, vstar, pistar and first stay None; first is the
-    PolicyValueCache of the all-zero greedy table, evaluated once, whose
-    copy starts each run's audit (metrics.Audit's start)."""
+    (EpisodicMdp.cum_array) and (audited) solves env for runs of at most
+    `episodes` episodes each, or episodes(mdp); MdpValidationError for a
+    bad row or a start state outside the MDP.  Without the audit, vstar and
+    pistar stay None."""
 
-    vstar = pistar = first = None
+    vstar = pistar = None
 
     def __init__(self, env: EnvSpec, algo: str, constants: AlgoConstants, cb: float,
                  episodes, audited: bool = True):
         self.mdp = mdp = env.build()
-        validate(mdp)
-        mdp.cum_array()                # built here, before any thread reads it
+        mdp.cum_array()                # validated and built here, before any thread reads it
         self.init = env.init or DEFAULT_STARTS     # each run reads a copy
         self.init.check(mdp.S)
         self.algo, self.constants, self.cb = algo, constants, cb
@@ -206,8 +203,6 @@ class Prepared:
                        if algo in STAGE_LEARNERS else None)
         if audited:
             self.vstar, self.pistar = backward_induction(mdp)
-            self.first = PolicyValueCache(mdp)
-            self.first.values(array("q", [0]) * (mdp.H * mdp.S))  # a learner's first greedy table
 
     def learner(self):
         return make_learner(self.algo, self.mdp, self.constants, self.n_max, self.cb, self)
@@ -309,7 +304,7 @@ def _audited_run(shared: Prepared, config: RunConfig, keep, init: InitialStates)
     K, mdp = config.episodes, shared.mdp
     learner = shared.learner()
     env_rng = seeded_stream(config.seed, 0, "env")
-    audit = Audit(learner, mdp, shared.vstar, init, shared.first)
+    audit = Audit(learner, mdp, shared.vstar, init)
     k = 0                          # the episodes played
     while k < K:
         k += audit.stretch(env_rng, k, K, keep)

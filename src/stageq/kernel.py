@@ -6,12 +6,13 @@ says whose observe it repeats, and its last fields are the per-call values
 it audits every episode it plays, as Audit._play does in Python.  V^pi's
 layers are sums that NumPy's dot hands to its BLAS's ddot, whose order of
 addition depends on the CPU kernel OpenBLAS picks; ddot() finds that
-function, so the kernel's layers are NumPy's bit for bit and a call plays
-on through Q changes.  Where it is not found, a call ends at the first Q
-change and the layers are left to PolicyValueCache.evaluate.
+function, so the kernel's layers, the first table's too, are NumPy's bit
+for bit and a call plays on through Q changes.  Where it is not found, a
+call ends at the first Q change and the layers are left to Python.
 
 stageq_cum_rows and stageq_solve are EpisodicMdp.cum_array's and
-backward_induction's C bodies, bit for bit; the solve sums through ddot().
+backward_induction's C bodies, bit for bit; the solve sums through ddot(),
+and the rows' pass flags each row mdp.validate could reject.
 
 formatter() gives the library's last entry point, stageq_format_rows
 (metrics.write_table's rows), with CPython's repr routine and PyMem_Free,
@@ -206,8 +207,8 @@ def _open():
         raise RuntimeError(f"{path}: Learner struct layout differs from kernel.Learner")
     lib.stageq_stretch.argtypes = [c_void_p]    # the Learner, per-call values included
     lib.stageq_stretch.restype = c_int64
-    lib.stageq_cum_rows.argtypes = [c_void_p, c_void_p, c_int64, c_int64]
-    lib.stageq_cum_rows.restype = None
+    lib.stageq_cum_rows.argtypes = [c_void_p, c_void_p, c_void_p, c_int64, c_int64, c_double]
+    lib.stageq_cum_rows.restype = c_int64
     lib.stageq_solve.argtypes = [c_void_p, c_void_p, c_int64, c_int64, c_int64,
                                  c_void_p, c_void_p, c_void_p, c_void_p]
     lib.stageq_solve.restype = None

@@ -210,19 +210,23 @@ class EpisodicMdp:
     def cum_array(self) -> np.ndarray:
         """The cumulative rows as one read-only C-ordered (H, S, A, S) array;
         validates (and so freezes) the MDP first if validate has not.  With
-        the kernel, stageq_cum_rows sums them; without it, np.cumsum, the
-        reference for its bits."""
+        the kernel, stageq_cum_rows sums them (np.cumsum's bits) and flags
+        each row validate could reject; validate runs only then, to judge."""
         if self._cum is None:
-            if not self._validated:
-                validate(self)
-            lib = kernel.load()
+            lib, ok = kernel.load(), False
+            if lib is not None:
+                P, r = (np.ascontiguousarray(a, dtype=float) for a in (self.P, self.r))
+                cum = np.empty(P.shape)
+                ok = (P.shape == (self.H, self.S, self.A, self.S) and r.shape == P.shape[:3]
+                      and not lib.stageq_cum_rows(P.ctypes.data, r.ctypes.data, cum.ctypes.data,
+                                                  r.size, self.S, ROW_SUM_TOL))
+            if not (ok or self._validated):
+                validate(self)     # NumPy judges: raises, or clears every flagged row
+            self.freeze()
+            self._validated = True
             if lib is None:
                 cum = np.cumsum(self.P, axis=-1)
                 cum[..., -1] = 1.0
-            else:
-                cum = np.empty(self.P.shape)
-                lib.stageq_cum_rows(self.P.ctypes.data, cum.ctypes.data, cum.size // self.S,
-                                    self.S)
             cum.setflags(write=False)
             self._cum = cum
         return self._cum

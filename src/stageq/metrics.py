@@ -120,8 +120,9 @@ class PolicyValueCache:
     layers >= h, so the recursion V[h] = r_pi[h] + P_pi[h] . V[h+1]
     restarts at the deepest differing layer: S dot products per layer,
     each the one policy_evaluation computes, so V equals its V bit for bit.
-    The kernel's audit writes the table, rows and V itself (see Audit).
-    The MDP is frozen here (EpisodicMdp.freeze): the rows stay its own.
+    The kernel's audit writes the table, rows and V itself, with NumPy's
+    ddot from the first table on (see Audit).  The MDP is frozen here
+    (EpisodicMdp.freeze): the rows stay its own.
     """
 
     def __init__(self, mdp: EpisodicMdp):
@@ -134,15 +135,6 @@ class PolicyValueCache:
         self._r_pi = np.zeros((H, S))
         self._V = np.zeros((H + 1, S))   # its V, kept in place; callers get copies
         self._tables = None
-
-    def copy(self) -> "PolicyValueCache":
-        """A cache holding copies of this one's table, rows and V, with
-        switches 0; built without __init__, it makes its own layer list."""
-        new = object.__new__(PolicyValueCache)
-        new.mdp, new.switches, new._flat = self.mdp, 0, self._flat[:]
-        new._P_pi, new._r_pi, new._V = self._P_pi.copy(), self._r_pi.copy(), self._V.copy()
-        new._tables = self._tables and ValueTables(V=self._V.copy(), Q=None)
-        return new
 
     def values(self, actions_flat, rows=None) -> ValueTables:
         """V^pi of the flat (h, s) table actions_flat, a copy (Q None), or the
@@ -296,10 +288,7 @@ class Audit:
     kernel.Learner: reg (the last episode's regret), cum_regret (their sum,
     added episode by episode), negative (the first 1-based episode whose
     regret is below -1e-9, or 0), switches, violations (the running maximum
-    of the optimism count), optimism and pending (see _kernel.c).  start, a
-    PolicyValueCache of the same MDP that has evaluated a table, spares the
-    first evaluation where the learner's first table is that table: the
-    audit's cache is its copy (PolicyValueCache.copy).
+    of the optimism count), optimism and pending (see _kernel.c).
 
     One call plays the episodes, stageq_stretch's audited call: it ends at
     stop or at the end of the block of START_BLOCK start states that holds
@@ -309,22 +298,19 @@ class Audit:
     struct, whose audit fields point at V*[0], the policy cache's table,
     rows and V, the optimism tracker's thresholds and flags and the row
     buffers; the struct holds them from then on (_buffers), so they live
-    as long as the learner.  Where the kernel found no ddot, its
-    call also ends at each Q change, and the layers are recomputed here
-    from the deepest one it reports.  Without the kernel, fields is a
-    Learner bound to nothing, and _play, the call's Python twin, plays: the
-    reference the kernel must match row for row.
+    as long as the learner.  With NumPy's ddot the first call also sums
+    the first greedy table, which __init__ evaluates otherwise.  Where the
+    kernel found no ddot, its call also ends at each Q change, and the
+    layers are recomputed here from the deepest one it reports.  Without
+    the kernel, fields is a Learner bound to nothing, and _play, the
+    call's Python twin, plays: the reference the kernel must match row for
+    row.
     """
 
     def __init__(self, learner, mdp: EpisodicMdp, vstar: ValueTables,
-                 init: InitialStates = DEFAULT_STARTS, start: PolicyValueCache | None = None):
+                 init: InitialStates = DEFAULT_STARTS):
         self.learner, self.mdp, self.init = learner, mdp, init
-        greedy = learner.greedy_buffer()
-        if start is not None and start._flat == greedy:
-            self.cache = cache = start.copy()
-        else:
-            self.cache = cache = PolicyValueCache(mdp)
-            cache.values(greedy)
+        self.cache = cache = PolicyValueCache(mdp)
         self.records = Table(EpisodeRecord, [array(t) for t in "qddqqqq"])
         self._optimism = optimism = OptimismTracker(learner.q_array(), vstar.Q)
         self._vstar0 = vstar0 = np.ascontiguousarray(vstar.V[0], dtype=float)
@@ -340,6 +326,8 @@ class Audit:
                 optimism._thr, optimism._below, cache._flat, self._reals, self._counts))
             f.ddot = kernel.ddot()
             f._buffers = (vstar0, cache, optimism, self._reals, self._counts)
+        if not f.ddot:             # else the kernel's first call evaluates it
+            cache.values(learner.greedy_buffer())
         f.reg = f.cum_regret = 0.0
         f.negative = f.violations = f.switches = f.pending = 0
         f.optimism = optimism.count

@@ -384,21 +384,21 @@ def test_kernel_round_skip_crosses_the_tail(tail, monkeypatch):
     assert_same_stream(rng_fast, rng_ref)
 
 
-@pytest.mark.parametrize("first", [START_BLOCK - 6, START_BLOCK - 1, START_BLOCK])
+@pytest.mark.parametrize("first", [SMALL_BLOCK - 6, SMALL_BLOCK - 1, SMALL_BLOCK])
 @pytest.mark.parametrize("cls", [UcbAdvantageLearner, ClassicQUcbLearner])
-def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch):
-    # from 6, 1 and START_BLOCK episodes before the end of a block of
-    # START_BLOCK start states, on the kernel and on its Python twin alike
-    # (the play and each stretch's stop pass a block's end): a stretch ends
-    # at its first Q change or at its block's end, and a call of rounds of
-    # M = 3 (START_BLOCK - 6 and START_BLOCK start inside a round) at its
-    # block's end, or past it after a skip (classic-qucb changes Q in every
-    # episode, so each of its rounds skips); then one-episode calls, whose
-    # _last_traj is the reference's trajectory
+def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch, small_blocks):
+    # with blocks of 256 start states, from 6, 1 and 256 episodes before
+    # the end of a block, on the kernel and on its Python twin alike (the
+    # play and each stretch's stop pass a block's end): a stretch ends at
+    # its first Q change or at its block's end, and a call of rounds of
+    # M = 3 (250 and 256 start inside a round) at its block's end, or past
+    # it after a skip (classic-qucb changes Q in every episode, so each of
+    # its rounds skips); then one-episode calls, whose _last_traj is the
+    # reference's trajectory
     _, make_mdp, n0, _, init = INSTANCES[2]
-    mdp = make_mdp()
+    mdp, init, B = make_mdp(), replace(init), small_blocks
     const = AlgoConstants(n0_override=n0, **CONSTANT_SETS["desk"])
-    span = START_BLOCK + 44      # episodes played from first, and each stretch's stop
+    span = B + 44      # episodes played from first, and each stretch's stop
     for play in ("stretch", "rounds"):
         fast, ref = kernel_and_reference(monkeypatch, cls, mdp, const, 10_000)
         rngs = seeded_stream(0, 0, "env"), seeded_stream(0, 0, "env")
@@ -420,8 +420,7 @@ def test_python_calls_end_where_kernel_calls_do(cls, first, monkeypatch):
         assert_same_stream(*rngs)
         ends, changes = calls[0]
         # each call's end, whether it changed Q, and its block's end
-        done = [(end, changed, (k // START_BLOCK + 1) * START_BLOCK)
-                for k, end, changed, _ in ends]
+        done = [(end, changed, (k // B + 1) * B) for k, end, changed, _ in ends]
         if play == "stretch":
             assert all(changed or end == block for end, changed, block in done)
             assert not all(changed for _, changed, _ in done) or cls is ClassicQUcbLearner
@@ -902,13 +901,12 @@ def test_chain_sweep_makes_two_audited_calls_per_seed(monkeypatch):
     assert sorted(calls.values())[0] > 2
 
 
-def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
+def test_kernel_audit_leaves_no_evaluation_to_python(monkeypatch):
     # with the kernel and NumPy's ddot, the cache's values() and evaluate()
-    # each run once (the prepared instance's first, full evaluation, which
-    # the run's cache copies) and the optimism tracker's update never: a
-    # run that fell back to the
-    # Python audit or the Python layer loop fails here, not only in the
-    # benchmark
+    # and the optimism tracker's update never run, the first table's
+    # evaluation included, which the kernel's first call gathers and sums:
+    # a run that fell back to the Python audit or the Python layer loop
+    # fails here, not only in the benchmark
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
     calls = Counter()
@@ -932,29 +930,26 @@ def test_kernel_audit_leaves_only_the_first_evaluation_to_python(monkeypatch):
             constants=AlgoConstants(n0_override=100, **CONSTANT_SETS["tight"])))
         assert res.learner._lib is not None
         assert res.summary.n_switch > 0 or algo == "hoeffding-stage"
-        assert (calls["values"], calls["evaluate"], calls["update"]) == (1, 1, 0)
+        assert (calls["values"], calls["evaluate"], calls["update"]) == (0, 0, 0)
 
 
 def test_kernel_audited_runs_never_build_the_python_layer_loop(monkeypatch):
     # evaluate()'s per-layer list is made at its first call: with the
-    # kernel and NumPy's ddot only the prepared instance's cache evaluates,
-    # so the cache of each seed's run, its copy, never makes it
+    # kernel and NumPy's ddot, each seed's run makes one cache, whose first
+    # table the kernel gathers and sums, and none makes the list
     if kernel.load() is None or kernel.ddot() is None:
         pytest.skip("no kernel, or no ddot found in NumPy's BLAS")
-    made, copies = [], []
-    init, copy = PolicyValueCache.__init__, PolicyValueCache.copy
+    made, init = [], PolicyValueCache.__init__
 
     def kept(self, mdp):
         init(self, mdp)
         made.append(self)
     monkeypatch.setattr(PolicyValueCache, "__init__", kept)
-    monkeypatch.setattr(PolicyValueCache, "copy", lambda self: copies.append(copy(self))
-                        or copies[-1])
     cfg = RunConfig(env=AUDIT_ENVS["small"][0], algo="classic-qucb", episodes=2000,
                     log_every="pow2", cb=0.01, constants=AlgoConstants(**CONSTANT_SETS["tight"]))
     rows = harness.sweep_scaling(cfg, [0.5, 1.0], seeds=[0, 1, 2])
-    assert len(rows) == 6 and len(made) == 1 and len(copies) == 3
-    assert ["_layers" in vars(c) for c in made + copies] == [True] + [False] * 3
+    assert len(rows) == 6 and len(made) == 3
+    assert not any("_layers" in vars(c) or -1 in c._flat for c in made)
 
 
 def numpy_blas():
@@ -1136,7 +1131,9 @@ def test_a_second_audit_starts_from_zero_on_both_paths(monkeypatch):
     # its own first negative episode, 101, the 1-based index of its first
     # row below -1e-9; the kernel with ddot, the kernel without (slow) and
     # the Python audit agree on every row and, at the end of each audit,
-    # every running value
+    # every running value and the policy cache.  The second audit starts
+    # on a played learner, whose greedy table is not all 0: the kernel with
+    # ddot gathers and sums that first table itself, the others in NumPy
     mdp, init = make_random_mdp(3, 2, 4, seed=0), InitialStates.cyclic([0, 1, 2])
     vstar, _ = backward_induction(mdp)
     V = vstar.V.copy()
@@ -1154,11 +1151,14 @@ def test_a_second_audit_starts_from_zero_on_both_paths(monkeypatch):
             audit = Audit(lr, mdp, vstar, init)
             assert running(audit) == dict.fromkeys(FIELDS, 0) | {
                 "optimism": check_optimism(lr.q_array(), vstar.Q)}
+            assert any(lr.greedy_buffer()) == (k > 0)
             while k < stop:
                 k += audit.stretch(rng, k, stop, range(1, stop + 1))
             assert audit.fields.negative == negative == next(
                 r.k for r in audit.records if r.episode_regret < -1e-9)
-            run += [running(audit), audit.records]
+            cache = audit.cache
+            run += [running(audit), audit.records, bytes(cache._flat), cache._P_pi.tobytes(),
+                    cache._r_pi.tobytes(), cache._V.tobytes()]
         runs.append(run)
     assert runs[0] == runs[1] == runs[2]
 
@@ -1220,15 +1220,16 @@ DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes
 
 def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch, small_blocks):
     # the C layer loop with a stand-in ddot that logs its arguments and
-    # returns -0.0: inside one kernel call, each Q-changing episode whose
-    # policy changes must recompute V[top], ..., V[0] from its own deepest
-    # changed layer, one call per row in that order with NumPy's
-    # arguments, and store (0.0 + ddot) + r_pi as NumPy's DOUBLE_dot and
-    # evaluate's += do.  The tops come from the same kernel without ddot,
-    # whose calls end at each Q change.  No BLAS ddot returns -0.0 for
-    # these sums, so only a stand-in shows the 0.0 start, which turns its
-    # -0.0 into 0.0 before the -0.0 rewards.  With blocks of 256 start
-    # states, each of the three calls holds more than one top
+    # returns -0.0: the first call starts with the first table's H * S
+    # rows, V[H - 1], ..., V[0]; inside one kernel call, each Q-changing
+    # episode whose policy changes must recompute V[top], ..., V[0] from
+    # its own deepest changed layer, one call per row in that order with
+    # NumPy's arguments, and store (0.0 + ddot) + r_pi as NumPy's
+    # DOUBLE_dot and evaluate's += do.  The tops come from the same kernel
+    # without ddot, whose calls end at each Q change.  No BLAS ddot returns
+    # -0.0 for these sums, so only a stand-in shows the 0.0 start, which
+    # turns its -0.0 into 0.0 before the -0.0 rewards.  With blocks of 256
+    # start states, each of the three calls holds more than one top
     if kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be built")
     calls = []
@@ -1252,13 +1253,13 @@ def test_kernel_layer_loop_makes_numpys_calls_and_sums(monkeypatch, small_blocks
     while k < K:
         calls.clear()
         played = audit.stretch(rng, k, K)
-        tops = []
+        first, tops = [mdp.H - 1] * (k == 0), []    # first: the first table's layers
         for j in range(k, k + played):       # ref's calls: one episode each here
             assert ref.stretch(rng_ref, j, k + played) == 1
             tops += [ref.fields.top] * (ref.fields.top >= 0)
         k += played
         assert calls == [(S, rows + 8 * (h * S + s) * S, 1, V + 8 * (h + 1) * S, 1)
-                         for top in tops for h in range(top, -1, -1) for s in range(S)]
+                         for top in first + tops for h in range(top, -1, -1) for s in range(S)]
         assert cache._flat == ref.cache._flat
         assert not np.signbit(cache._V).any()
         changes += len(tops)
@@ -1423,6 +1424,7 @@ def test_every_kernel_entry_point_has_its_ctypes_prototype():
     entry = c_entry_points(kernel.SOURCE.read_text())
     assert {"stageq_stretch", "stageq_cum_rows", "stageq_solve",
             "stageq_format_rows"} <= set(entry)
+    assert entry["stageq_cum_rows"] == ("int64_t", 6)   # P, r, cum, rows, n, tol
     for name, (ret, nargs) in entry.items():
         fn = getattr(lib, name)
         assert fn.restype is restypes[ret], name

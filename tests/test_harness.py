@@ -23,7 +23,7 @@ from stageq import (AlgoConstants, ConcurrentConfig, ConfigError,
                     coerce_kv, make_learner, make_random_mdp, parse_kv_file,
                     policy_evaluation, run_experiment, save_mdp,
                     seeded_stream, sweep_scaling, switching_bound, validate)
-from stageq import harness, metrics
+from stageq import harness, kernel, metrics
 from stageq.harness import (CONFIG_KEYS, UniformStream, checkpoint_regrets,
                             enforce_invariants, parse_init_spec)
 from stageq.metrics import PolicyValueCache, write_episode_csv
@@ -506,8 +506,11 @@ CHAIN_SWEEP = RunConfig(env=CHAIN_ENV, algo="advantage", episodes=600,
 @pytest.mark.parametrize("seeds", [[0], [3, 0, 4, 1, 2]])
 def test_sweep_builds_validates_and_solves_once(monkeypatch, path, seeds):
     # the seeds' runs read one prepared instance: however many seeds, a
-    # sweep builds, validates and solves the chain once, and builds its
-    # stage-end tables once, on the kernel and on the Python body alike
+    # sweep builds the chain once, checks it in one pass (with the kernel,
+    # stageq_cum_rows, which flags no row of it, so NumPy's validate never
+    # runs; without it, validate), solves it once and builds its stage-end
+    # tables once, on the kernel and on the Python body alike
+    import stageq.mdp as mdp_module
     from stageq import advantage
     calls = Counter()
 
@@ -519,12 +522,16 @@ def test_sweep_builds_validates_and_solves_once(monkeypatch, path, seeds):
             return real(*args, **kw)
         monkeypatch.setattr(owner, name, call)
 
-    for owner, name in ((EnvSpec, "build"), (harness, "validate"),
+    for owner, name in ((EnvSpec, "build"), (mdp_module, "validate"),
                         (harness, "backward_induction"), (advantage, "build_schedule")):
         counted(owner, name)
+    if path == "kernel":
+        counted(kernel.load(), "stageq_cum_rows")
     rows = sweep_scaling(CHAIN_SWEEP, [0.5, 1.0], seeds)
     assert len(rows) == 2 * len(seeds)
-    assert calls == {"build": 1, "validate": 1, "backward_induction": 1, "build_schedule": 1}
+    check = {"stageq_cum_rows": 1} if path == "kernel" else {"validate": 1}
+    assert calls == {"build": 1, "backward_induction": 1, "build_schedule": 1} | check
+    assert not hasattr(harness.Prepared, "first")
 
 
 def cache_buffers(cache):
@@ -533,11 +540,10 @@ def cache_buffers(cache):
 
 
 def prepared_tables(shared):
-    """Every table of a prepared instance, as bytes (consts: the floats),
-    its first table's cache included."""
+    """Every table of a prepared instance, as bytes (consts: the floats)."""
     mdp, stages = shared.mdp, shared.stages
     arrays = [mdp.P, mdp.r, mdp.cum_array(), shared.vstar.V, shared.vstar.Q,
-              shared.pistar.actions, *cache_buffers(shared.first)]
+              shared.pistar.actions]
     bufs = [stages.ends, stages.lower, stages.bbar]
     return ([a.tobytes() for a in arrays] + [b.tobytes() for b in bufs]
             + [stages.schedule.ends.tobytes(), repr(stages.consts)])
@@ -546,23 +552,24 @@ def prepared_tables(shared):
 @pytest.mark.parametrize("init", [None, InitialStates.seeded(5)], ids=["fixed", "seeded"])
 def test_sweep_leaves_the_prepared_instance_as_it_was_made(monkeypatch, path, init):
     # the runs share the instance's tables, the kernel through pointers,
-    # and each audits from a copy of its first table's cache: after a
-    # 5-seed sweep every table is byte for byte a freshly prepared
-    # instance's, no run's cache shares a buffer with the instance's, and
+    # and each audits with a policy cache of its own: after a 5-seed sweep
+    # every table is byte for byte a freshly prepared instance's, the
+    # instance holds no cache, the five runs' caches share no buffer, and
     # the caller's start states were never read (each run reads its own copy)
-    prepared, made, copies = harness.Prepared, [], []
-    copy = PolicyValueCache.copy
+    prepared, made, caches = harness.Prepared, [], []
+    init_cache = PolicyValueCache.__init__
     monkeypatch.setattr(harness, "Prepared", lambda *a, **kw: made.append(prepared(*a, **kw))
                         or made[-1])
-    monkeypatch.setattr(PolicyValueCache, "copy", lambda self: copies.append(copy(self))
-                        or copies[-1])
+    monkeypatch.setattr(PolicyValueCache, "__init__",
+                        lambda self, mdp: caches.append(self) or init_cache(self, mdp))
     cfg = replace(CHAIN_SWEEP, env=replace(CHAIN_ENV, init=init))
     sweep_scaling(cfg, [0.5, 1.0], [3, 0, 4, 1, 2])
+    assert len(made) == 1 and len(caches) == 5
     fresh = prepared(cfg.env, cfg.algo, cfg.constants, cfg.cb, cfg.episodes)
-    assert len(made) == 1 and len(copies) == 5 and made[0].first is not fresh.first
     assert prepared_tables(made[0]) == prepared_tables(fresh)
-    assert not any(np.shares_memory(a, b) for run in copies
-                   for a, b in zip(cache_buffers(run), cache_buffers(made[0].first)))
+    assert not any(isinstance(v, PolicyValueCache) for v in vars(made[0]).values())
+    assert not any(np.shares_memory(a, b) for i, run in enumerate(caches) for other in caches[:i]
+                   for a, b in zip(cache_buffers(run), cache_buffers(other)))
     assert init is None or (init._last is None and init._gen is None)
 
 

@@ -15,7 +15,7 @@ from stageq import (DeterministicPolicy, EpisodicMdp, InitialStates,
                     RewardOutOfRange, backward_induction, load_mdp,
                     make_jao_chain, make_random_mdp, policy_evaluation,
                     sample_episode, save_mdp, validate)
-from stageq.mdp import START_BLOCK, bad_rows, checked_actions
+from stageq.mdp import ROW_SUM_TOL, START_BLOCK, bad_rows, checked_actions
 
 
 def two_step_example():
@@ -648,18 +648,119 @@ def test_cached_arrays_reject_later_writes():
     assert mdp.reward_rows()[0][0][0] == 0.5
 
 
-def test_cum_array_validates_only_an_unvalidated_mdp(monkeypatch):
-    # the drivers validate first, so building the rows costs them no
-    # second validate; any other MDP is validated (and frozen) there
+def near_tol_mdp():
+    """A valid 2x2x2 MDP whose row (0, 0, 0) sums to the largest double
+    within ROW_SUM_TOL above 1, in any order: inside the kernel filter's
+    margin, so stageq_cum_rows flags it and validate clears it."""
+    mdp = make_random_mdp(2, 2, 2, seed=0)
+    top = 1.0 + ROW_SUM_TOL
+    while top - 1.0 > ROW_SUM_TOL:
+        top = np.nextafter(top, 0.0)
+    mdp.P[0, 0, 0] = [top - 0.5, 0.5]
+    return mdp
+
+
+def test_cum_array_validates_only_an_unvalidated_mdp(monkeypatch, path):
+    # the drivers build the rows without a validate of their own: an MDP
+    # that validate has passed is not validated again; without the kernel
+    # any other MDP is validated (and frozen) there, and with it validate
+    # runs only for a row its pass flagged, here a row within ROW_SUM_TOL
+    # but inside the filter's margin.  Each ends validated and frozen
     import stageq.mdp as mdp_module
     checked, unchecked = (make_random_mdp(2, 2, 2, seed=0) for _ in range(2))
+    near = near_tol_mdp()
     validate(checked)
     seen, real = [], mdp_module.validate
     monkeypatch.setattr(mdp_module, "validate", lambda m: seen.append(m) or real(m))
     checked.cum_array()
     unchecked.cum_rows()
-    assert seen == [unchecked]
-    assert not unchecked.P.flags.writeable
+    near.cum_array()
+    assert seen == ([unchecked, near] if path == "fallback" else [near])
+    for mdp in (checked, unchecked, near):
+        assert mdp._validated and not mdp.P.flags.writeable and not mdp.r.flags.writeable
+
+
+def spoil(mdp, kinds: str) -> None:
+    """Write a bad row of each comma-separated kind into a 4x3x3 mdp."""
+    P, r = mdp.P, mdp.r
+    for kind in kinds.split(","):
+        if kind == "nan":
+            P[1, 2, 0, 1] = np.nan
+        elif kind == "negative":       # entry 2's mass moved to entry 0: the sum holds
+            P[2, 0, 1, 0] += P[2, 0, 1, 2]
+            P[2, 0, 1, 2] = -1e-300
+        elif kind == "+inf":
+            P[0, 3, 2, 2] = np.inf
+        elif kind.startswith("sum"):
+            P[1, 1, 1, 1] += float(kind[3:])
+        elif kind == "r<0":
+            r[0, 1, 2] = -1e-300
+        elif kind == "r>1":
+            r[2, 2, 1] = np.nextafter(1.0, 2.0)
+        else:
+            r[1, 0, 0] = np.nan
+
+
+# one bad row of each kind, and two where the later in (h, s, a) scan order
+# is written first: validate reports the earlier
+SPOILS = ["nan", "negative", "+inf", "sum+1e-9", "sum-1e-9", "r<0", "r>1", "r-nan",
+          "negative,r-nan", "+inf,r<0"]
+
+
+@pytest.mark.parametrize("kinds", SPOILS)
+def test_cum_array_raises_what_validate_raises(kinds, path):
+    # an unvalidated MDP with bad rows: cum_array raises validate's
+    # exception, message included, on both paths (with the kernel, after
+    # its pass flagged the row), and leaves the MDP unfrozen and
+    # unvalidated, with no rows built, as validate leaves it
+    mdps = [make_random_mdp(4, 3, 3, seed=7) for _ in range(2)]
+    for mdp in mdps:
+        spoil(mdp, kinds)
+    want = raised(validate, mdps[0])
+    assert want is not None and want == raised(EpisodicMdp.cum_array, mdps[1])
+    for mdp in mdps:
+        assert not (mdp._frozen or mdp._validated) and mdp._cum is None
+        assert mdp.P.flags.writeable and mdp.r.flags.writeable
+
+
+def straddling_rows(gen, n: int):
+    """Rows of n entries >= 0 whose NumPy sum (row.sum(), pairwise from 9
+    entries on) and in-order sum (np.cumsum) fall on opposite sides of
+    1 + ROW_SUM_TOL or of 1 - ROW_SUM_TOL: three at least of each way round,
+    at each side."""
+    found = {}
+    while min(map(len, found.values()), default=0) < 3 or len(found) < 4:
+        side = int(gen.choice([-1, 1]))
+        w = gen.random(n)
+        row = w / w.sum() * (1.0 + side * ROW_SUM_TOL + int(gen.integers(-8, 9)) * 2.0 ** -52)
+        numpy_ok = abs(row.sum() - 1.0) <= ROW_SUM_TOL
+        in_order_ok = abs(np.cumsum(row)[-1] - 1.0) <= ROW_SUM_TOL
+        if numpy_ok != in_order_ok:
+            found.setdefault((side, in_order_ok), []).append(row)
+    return [row for rows in found.values() for row in rows]
+
+
+@pytest.mark.parametrize("n", [9, 16, 17, 50, 128, 129])
+def test_cum_array_rejects_what_validate_rejects_at_the_sum_boundary(n, path):
+    # the kernel's pass sums each row in order, and NumPy pairwise: for
+    # rows whose two sums straddle 1 +- ROW_SUM_TOL, cum_array on an
+    # unvalidated MDP raises exactly where validate raises (the filter's
+    # margin flags every row whose in-order sum is near the bound), and the
+    # per-test oracle flags the rows validate rejects.  Each MDP (S = n,
+    # A = H = 1) holds one such row among rows of exact dyadic sums
+    gen = np.random.default_rng(n)
+    rejected = 0
+    for i, row in enumerate(straddling_rows(gen, n)):
+        P = np.zeros((1, n, 1, n))
+        P[0, :, 0, :2] = 0.5
+        P[0, i % n, 0] = row
+        mdps = [EpisodicMdp(S=n, A=1, H=1, P=P.copy(), r=np.zeros((1, n, 1))) for _ in range(2)]
+        want = raised(validate, mdps[0])
+        assert raised(EpisodicMdp.cum_array, mdps[1]) == want
+        assert bad_rows_by_test(P, mdps[0].r)[0, :, 0].tolist() == [
+            want is not None and s == i % n for s in range(n)]
+        rejected += want is not None
+    assert 0 < rejected < i + 1
 
 
 VIOLATIONS = ("nan", "inf", "-inf", "negative", "sum", "r>1", "r<0", "r-nan", "r-inf", "r+inf")
